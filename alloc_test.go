@@ -105,8 +105,8 @@ func TestControllerSubmitDARPSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// The power-state machine path — heap re-arms, power-down entries,
-// demand wakes — must be allocation-free once the timer heap is warm.
+// The power-state machine path — slot re-arms, power-down entries,
+// demand wakes — must be allocation-free once warm.
 func TestPowerStateCycleSteadyStateAllocFree(t *testing.T) {
 	cfg := smartrefresh.Table1_2GB()
 	ctl, err := smartrefresh.NewController(cfg, smartrefresh.NewSmartPolicy(cfg),
@@ -134,5 +134,65 @@ func TestPowerStateCycleSteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("steady-state power-state cycle allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// The vaulted ladder drain — refresh ticks waking powered-down ranks,
+// which then re-descend PRE-PDN fast → slow before self-refresh — must
+// be allocation-free once warm: each rank's pending transition lives in
+// a fixed slot, so no amount of rescheduling grows anything.
+func TestVaultedLadderDrainSteadyStateAllocFree(t *testing.T) {
+	cfg := smartrefresh.HMC8Vault()
+	var ladder smartrefresh.PowerStatePolicy
+	for _, p := range smartrefresh.PowerStatePolicies() {
+		if p.Name == "ladder-full" {
+			ladder = p
+		}
+	}
+	if ladder.Name == "" {
+		t.Fatal("no ladder-full power-state policy")
+	}
+	va, err := smartrefresh.NewVaultArray(cfg,
+		func(_ int, vcfg smartrefresh.Config) (smartrefresh.Policy, error) {
+			return smartrefresh.NewSmartPolicy(vcfg), nil
+		},
+		smartrefresh.VaultOptions{
+			Options: smartrefresh.ControllerOptions{
+				SelfRefreshAfter: ladder.SelfRefreshAfter,
+				PowerStates:      ladder.Cfg,
+			},
+			Workers: 1, // serial: goroutine start-up is not the drain's
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One burst of demand spread over the whole stack, then 1 ms of idle
+	// in which every touched rank walks the ladder while refresh ticks
+	// keep waking it.
+	stride := uint64(cfg.Geometry.CapacityBytes() / 256)
+	var now smartrefresh.Time
+	burstThenIdle := func() {
+		for i := uint64(0); i < 256; i++ {
+			now += 10 * smartrefresh.Nanosecond
+			va.Enqueue(smartrefresh.Request{Time: now, Addr: i * stride})
+		}
+		now += smartrefresh.Time(smartrefresh.Millisecond)
+		va.FlushTo(now)
+	}
+	powerDowns := func() (n uint64) {
+		for v := 0; v < va.Vaults(); v++ {
+			n += va.Vault(v).Module().Stats().PowerDownEntries
+		}
+		return n
+	}
+	for n := 0; n < 16; n++ {
+		burstThenIdle()
+	}
+	before := powerDowns()
+	if avg := testing.AllocsPerRun(20, burstThenIdle); avg != 0 {
+		t.Errorf("steady-state vaulted ladder drain allocates %.1f allocs/op, want 0", avg)
+	}
+	if powerDowns() == before {
+		t.Error("no power-down entries while measured: the ladder was not exercised")
 	}
 }

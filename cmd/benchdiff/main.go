@@ -5,12 +5,18 @@
 // regression fence: wall time is compared loosely (CI hardware varies),
 // allocations tightly (they are machine-independent).
 //
+// Benchmarks run in two tiers. The hot-path micro-benchmarks (MicroBench)
+// always run a fixed MicroBenchtime iterations, so their ns/op and
+// allocs/op are steady-state costs rather than one cold-start call; every
+// other selected benchmark runs at -benchtime (one iteration by default,
+// enough for a whole figure).
+//
 // Examples:
 //
-//	benchdiff run -out BENCH_pr10.json
+//	benchdiff run -out BENCH_pr13.json
 //	benchdiff run -out /tmp/bench.json -bench '^BenchmarkSuiteParallel$' -benchtime 1x
-//	benchdiff compare -baseline BENCH_pr10.json -current /tmp/bench.json
-//	benchdiff compare -baseline BENCH_pr10.json -current /tmp/bench.json -time-tol 300 -alloc-tol 15
+//	benchdiff compare -baseline BENCH_pr13.json -current /tmp/bench.json
+//	benchdiff compare -baseline BENCH_pr13.json -current /tmp/bench.json -time-tol 300 -alloc-tol 15
 //
 // The compare exit status is 1 on any regression beyond tolerance, 2 on
 // usage or I/O errors, 0 otherwise.
@@ -23,6 +29,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -31,19 +38,29 @@ import (
 	"smartrefresh/internal/atomicio"
 )
 
+// MicroBench selects the allocation-sensitive micro-benchmarks of the
+// policy/controller hot paths; they run at MicroBenchtime.
+const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkPowerStateAdvance$`
+
+// MicroBenchtime is the fixed iteration count of the MicroBench tier:
+// enough iterations that set-up and buffer growth amortise away, few
+// enough that the whole tier stays well under a second.
+const MicroBenchtime = "20000x"
+
 // DefaultBench selects the figure benchmarks plus the headline sweep —
-// the set the ISSUE's regression gate names — and the allocation-sensitive
-// micro-benchmarks of the policy/controller hot paths.
-const DefaultBench = `^BenchmarkSuiteParallel$|^BenchmarkFig[6-9]|^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkVaultShardedRun|^BenchmarkPowerStateAdvance$`
+// the set the regression gate names — and the MicroBench tier.
+const DefaultBench = `^BenchmarkSuiteParallel$|^BenchmarkFig[6-9]|^BenchmarkVaultShardedRun|` + MicroBench
 
 // Run is one recorded benchmark execution: for every benchmark, every
 // metric the testing package printed (unit -> value).
 type Run struct {
-	GoOS       string                        `json:"goos"`
-	GoArch     string                        `json:"goarch"`
-	Bench      string                        `json:"bench"`
-	Benchtime  string                        `json:"benchtime"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	GoOS      string `json:"goos"`
+	GoArch    string `json:"goarch"`
+	Bench     string `json:"bench"`
+	Benchtime string `json:"benchtime"`
+	// MicroBenchtime is the fixed benchtime of the MicroBench tier.
+	MicroBenchtime string                        `json:"micro_benchtime"`
+	Benchmarks     map[string]map[string]float64 `json:"benchmarks"`
 }
 
 func main() {
@@ -77,22 +94,42 @@ func runBench(args []string, w io.Writer) int {
 		return 2
 	}
 
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench,
-		"-benchmem", "-benchtime", *benchtime, *pkg)
-	raw, err := cmd.Output()
+	names, err := goTest(w, *pkg, "-list", *bench)
 	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			fmt.Fprintf(w, "benchdiff: go test failed: %s\n%s\n", err, ee.Stderr)
-		} else {
-			fmt.Fprintln(w, "benchdiff: go test failed:", err)
-		}
 		return 2
+	}
+	var figures, micros []string
+	micro := regexp.MustCompile(MicroBench)
+	for _, name := range strings.Fields(names) {
+		switch {
+		case !strings.HasPrefix(name, "Benchmark"):
+		case micro.MatchString(name):
+			micros = append(micros, name)
+		default:
+			figures = append(figures, name)
+		}
 	}
 
 	r := Run{
 		GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		Bench: *bench, Benchtime: *benchtime,
-		Benchmarks: parseBenchOutput(string(raw)),
+		Bench: *bench, Benchtime: *benchtime, MicroBenchtime: MicroBenchtime,
+		Benchmarks: map[string]map[string]float64{},
+	}
+	for _, tier := range []struct {
+		names     []string
+		benchtime string
+	}{{figures, *benchtime}, {micros, MicroBenchtime}} {
+		if len(tier.names) == 0 {
+			continue
+		}
+		raw, err := goTest(w, *pkg, "-bench", exactNames(tier.names),
+			"-benchmem", "-benchtime", tier.benchtime)
+		if err != nil {
+			return 2
+		}
+		for name, m := range parseBenchOutput(raw) {
+			r.Benchmarks[name] = m
+		}
 	}
 	if len(r.Benchmarks) == 0 {
 		fmt.Fprintln(w, "benchdiff: no benchmarks matched", *bench)
@@ -114,6 +151,31 @@ func runBench(args []string, w io.Writer) int {
 	}
 	fmt.Fprintf(w, "benchdiff: wrote %d benchmarks to %s\n", len(r.Benchmarks), *out)
 	return 0
+}
+
+// goTest runs `go test -run ^$ <args> pkg` and returns its stdout; on
+// failure it reports the error (and the tool's stderr) to w.
+func goTest(w io.Writer, pkg string, args ...string) (string, error) {
+	args = append(append([]string{"test", "-run", "^$"}, args...), pkg)
+	raw, err := exec.Command("go", args...).Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			fmt.Fprintf(w, "benchdiff: go test failed: %s\n%s\n", err, ee.Stderr)
+		} else {
+			fmt.Fprintln(w, "benchdiff: go test failed:", err)
+		}
+	}
+	return string(raw), err
+}
+
+// exactNames is a -bench regexp matching exactly the named top-level
+// benchmarks.
+func exactNames(names []string) string {
+	quoted := make([]string, len(names))
+	for i, n := range names {
+		quoted[i] = regexp.QuoteMeta(n)
+	}
+	return "^(" + strings.Join(quoted, "|") + ")$"
 }
 
 // parseBenchOutput extracts metric maps from `go test -bench` output.

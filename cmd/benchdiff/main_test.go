@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -119,5 +120,36 @@ func TestCompareCLIRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ns/op") {
 		t.Errorf("regression report lacks metric: %s", out.String())
+	}
+}
+
+func TestBenchTiers(t *testing.T) {
+	micro := regexp.MustCompile(MicroBench)
+	for _, name := range []string{
+		"BenchmarkSmartPolicyAdvance", "BenchmarkRAIDRPolicyAdvance",
+		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance",
+	} {
+		if !micro.MatchString(name) {
+			t.Errorf("%s not in the micro tier", name)
+		}
+	}
+	for _, name := range []string{
+		"BenchmarkSuiteParallel", "BenchmarkFig6RefreshesPerSec2GB", "BenchmarkVaultShardedRunSerial",
+	} {
+		if micro.MatchString(name) {
+			t.Errorf("%s in the micro tier", name)
+		}
+		if !regexp.MustCompile(DefaultBench).MatchString(name) {
+			t.Errorf("%s not in the default set", name)
+		}
+	}
+	exact := regexp.MustCompile(exactNames([]string{"BenchmarkFig6RefreshesPerSec2GB", "BenchmarkSuiteParallel"}))
+	for name, want := range map[string]bool{
+		"BenchmarkFig6RefreshesPerSec2GB": true, "BenchmarkSuiteParallel": true,
+		"BenchmarkSuiteParallelX": false, "BenchmarkFig6": false,
+	} {
+		if got := exact.MatchString(name); got != want {
+			t.Errorf("exactNames matches %s = %v, want %v", name, got, want)
+		}
 	}
 }

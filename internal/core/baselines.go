@@ -326,7 +326,7 @@ func (o *Oracle) Reset(start sim.Time) {
 
 // OnRowRestore implements Policy.
 func (o *Oracle) OnRowRestore(t sim.Time, row dram.RowID) {
-	flat := row.Flat(o.geom)
+	flat := row.Flat(&o.geom)
 	o.lastRestore[flat] = t
 	o.h.push(oracleEntry{due: t + o.interval - o.guard, flat: flat, stamp: t})
 }

@@ -37,7 +37,7 @@ func TestCBRBankRoundRobin(t *testing.T) {
 	}
 	for i, cmd := range cmds {
 		wantBank := i % g.TotalBanks()
-		if cmd.Bank.Flat(g) != wantBank {
+		if cmd.Bank.Flat(&g) != wantBank {
 			t.Fatalf("command %d bank %+v, want flat %d", i, cmd.Bank, wantBank)
 		}
 	}

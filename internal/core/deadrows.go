@@ -30,7 +30,7 @@ func NewDeadRowSet(g dram.Geometry) *DeadRowSet {
 
 // MarkDead declares a row dead (its contents may be lost).
 func (s *DeadRowSet) MarkDead(row dram.RowID) {
-	flat := row.Flat(s.geom)
+	flat := row.Flat(&s.geom)
 	if !s.dead[flat] {
 		s.dead[flat] = true
 		s.n++
@@ -40,7 +40,7 @@ func (s *DeadRowSet) MarkDead(row dram.RowID) {
 // MarkLive declares a row live again (it must be written before reads,
 // since its previous content was allowed to decay).
 func (s *DeadRowSet) MarkLive(row dram.RowID) {
-	flat := row.Flat(s.geom)
+	flat := row.Flat(&s.geom)
 	if s.dead[flat] {
 		s.dead[flat] = false
 		s.n--
@@ -48,7 +48,7 @@ func (s *DeadRowSet) MarkLive(row dram.RowID) {
 }
 
 // Dead reports whether a row is dead.
-func (s *DeadRowSet) Dead(row dram.RowID) bool { return s.dead[row.Flat(s.geom)] }
+func (s *DeadRowSet) Dead(row dram.RowID) bool { return s.dead[row.Flat(&s.geom)] }
 
 // Count returns the number of dead rows.
 func (s *DeadRowSet) Count() int { return s.n }

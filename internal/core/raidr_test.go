@@ -162,7 +162,7 @@ func runRAIDRWheel(t *testing.T, r *RAIDR, g dram.Geometry, end sim.Time) [][]si
 			if c.Kind != dram.RefreshRASOnly || c.Row < 0 {
 				t.Fatalf("raidr emitted non-RAS-only command %+v", c)
 			}
-			flat := c.RowID().Flat(g)
+			flat := c.RowID().Flat(&g)
 			times[flat] = append(times[flat], now)
 		}
 	}

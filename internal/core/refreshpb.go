@@ -194,7 +194,7 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank dram.BankID, write bool) {
 	if write {
 		return
 	}
-	b := &p.banks[bank.Flat(p.geom)]
+	b := &p.banks[bank.Flat(&p.geom)]
 	if t > b.lastDemand {
 		b.prevDemand = b.lastDemand
 		b.lastDemand = t

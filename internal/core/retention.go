@@ -62,7 +62,7 @@ func (c *RetentionChecker) deadlineFor(flat int) sim.Duration {
 
 // OnRestore records that row's cells were restored at time t.
 func (c *RetentionChecker) OnRestore(t sim.Time, row dram.RowID) {
-	flat := row.Flat(c.geom)
+	flat := row.Flat(&c.geom)
 	gap := t - c.lastRestore[flat]
 	if gap > c.worstGap {
 		c.worstGap = gap

@@ -123,7 +123,7 @@ func (m *RetentionMap) Multipliers() []uint8 {
 
 // Multiplier returns the retention multiplier of a row.
 func (m *RetentionMap) Multiplier(row dram.RowID) int {
-	return int(m.mult[row.Flat(m.geom)])
+	return int(m.mult[row.Flat(&m.geom)])
 }
 
 // multiplierFlat avoids re-deriving the flat index on hot paths.

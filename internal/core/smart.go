@@ -264,7 +264,7 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 		// Counters are switched off; only the access-density window runs.
 		return
 	}
-	flat := row.Flat(s.geom)
+	flat := row.Flat(&s.geom)
 	slot := s.slot(flat)
 	if s.counters[slot] == 0 {
 		s.zeroCnt[flat%s.rowsPerSeg]--
@@ -443,7 +443,7 @@ func (s *Smart) Disabled() bool { return s.disabled }
 
 // CounterValue exposes a row's counter (for tests).
 func (s *Smart) CounterValue(row dram.RowID) uint8 {
-	return s.counters[s.slot(row.Flat(s.geom))]
+	return s.counters[s.slot(row.Flat(&s.geom))]
 }
 
 // CounterAccessPeriod returns interval / 2^bits (section 4.2).

@@ -209,7 +209,7 @@ func (r RowID) String() string {
 }
 
 // Valid reports whether r addresses a row inside g.
-func (r RowID) Valid(g Geometry) bool {
+func (r RowID) Valid(g *Geometry) bool {
 	return r.Channel >= 0 && r.Channel < g.Channels &&
 		r.Rank >= 0 && r.Rank < g.Ranks &&
 		r.Bank >= 0 && r.Bank < g.Banks &&
@@ -217,7 +217,7 @@ func (r RowID) Valid(g Geometry) bool {
 }
 
 // Flat returns a dense index for the row in [0, g.TotalRows()).
-func (r RowID) Flat(g Geometry) int {
+func (r RowID) Flat(g *Geometry) int {
 	return ((r.Channel*g.Ranks+r.Rank)*g.Banks+r.Bank)*g.Rows + r.Row
 }
 
@@ -239,7 +239,7 @@ type Address struct {
 }
 
 // Valid reports whether a addresses a location inside g.
-func (a Address) Valid(g Geometry) bool {
+func (a Address) Valid(g *Geometry) bool {
 	return a.RowID.Valid(g) && a.Column >= 0 && a.Column < g.Columns
 }
 
@@ -254,7 +254,7 @@ func (r RowID) BankOf() BankID {
 }
 
 // Flat returns a dense bank index in [0, Channels*Ranks*Banks).
-func (b BankID) Flat(g Geometry) int {
+func (b BankID) Flat(g *Geometry) int {
 	return (b.Channel*g.Ranks+b.Rank)*g.Banks + b.Bank
 }
 

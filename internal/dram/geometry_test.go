@@ -97,7 +97,7 @@ func TestRowIDFlatRoundTrip(t *testing.T) {
 			Bank:    int(b) % g.Banks,
 			Row:     int(row) % g.Rows,
 		}
-		flat := id.Flat(g)
+		flat := id.Flat(&g)
 		if flat < 0 || flat >= g.TotalRows() {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestRowIDFlatDense(t *testing.T) {
 			for b := 0; b < g.Banks; b++ {
 				for row := 0; row < g.Rows; row++ {
 					id := RowID{Channel: c, Rank: r, Bank: b, Row: row}
-					f := id.Flat(g)
+					f := id.Flat(&g)
 					if f < 0 || f >= g.TotalRows() || seen[f] {
 						t.Fatalf("Flat not a bijection at %+v -> %d", id, f)
 					}
@@ -133,16 +133,16 @@ func TestRowIDFlatDense(t *testing.T) {
 
 func TestRowIDValid(t *testing.T) {
 	g := table1Geom2GB()
-	if !(RowID{0, 0, 0, 0}).Valid(g) {
+	if !(RowID{0, 0, 0, 0}).Valid(&g) {
 		t.Error("origin invalid")
 	}
-	if (RowID{0, 0, 0, 16384}).Valid(g) {
+	if (RowID{0, 0, 0, 16384}).Valid(&g) {
 		t.Error("row out of range accepted")
 	}
-	if (RowID{1, 0, 0, 0}).Valid(g) {
+	if (RowID{1, 0, 0, 0}).Valid(&g) {
 		t.Error("channel out of range accepted")
 	}
-	if (RowID{0, -1, 0, 0}).Valid(g) {
+	if (RowID{0, -1, 0, 0}).Valid(&g) {
 		t.Error("negative rank accepted")
 	}
 }
@@ -150,11 +150,11 @@ func TestRowIDValid(t *testing.T) {
 func TestAddressValid(t *testing.T) {
 	g := table1Geom2GB()
 	a := Address{RowID: RowID{0, 1, 3, 100}, Column: 2047}
-	if !a.Valid(g) {
+	if !a.Valid(&g) {
 		t.Error("valid address rejected")
 	}
 	a.Column = 2048
-	if a.Valid(g) {
+	if a.Valid(&g) {
 		t.Error("column out of range accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestBankIDFlat(t *testing.T) {
 	for c := 0; c < g.Channels; c++ {
 		for r := 0; r < g.Ranks; r++ {
 			for b := 0; b < g.Banks; b++ {
-				f := (BankID{c, r, b}).Flat(g)
+				f := (BankID{c, r, b}).Flat(&g)
 				if f < 0 || f >= g.TotalBanks() || seen[f] {
 					t.Fatalf("bank flat collision at %d/%d/%d", c, r, b)
 				}

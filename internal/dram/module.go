@@ -392,7 +392,7 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 		for rk := 0; rk < m.geom.Ranks; rk++ {
 			for b := 0; b < m.geom.Banks; b++ {
 				id := BankID{Channel: ch, Rank: rk, Bank: b}
-				s.NameThread(id.Flat(m.geom), fmt.Sprintf("ch%d/rk%d/bk%d", ch, rk, b))
+				s.NameThread(id.Flat(&m.geom), fmt.Sprintf("ch%d/rk%d/bk%d", ch, rk, b))
 			}
 		}
 	}
@@ -489,11 +489,11 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 // The request is presented at time t; if the bank is busy the access
 // stalls until it is ready.
 func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
-	if !addr.Valid(m.geom) {
+	if !addr.Valid(&m.geom) {
 		panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
 	}
 	m.observe(t)
-	bi := addr.BankOf().Flat(m.geom)
+	bi := addr.BankOf().Flat(&m.geom)
 	ri := m.rankIndex(addr.Channel, addr.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: access to rank ch%d/rk%d in self-refresh", addr.Channel, addr.Rank))
@@ -606,7 +606,7 @@ func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
 func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	bi := bank.Flat(m.geom)
+	bi := bank.Flat(&m.geom)
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
 	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
 	return m.refresh(t, row, RefreshCBR)
@@ -614,12 +614,12 @@ func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
 
 // CBRCounter exposes a bank's internal refresh counter (for tests).
 func (m *Module) CBRCounter(bank BankID) int {
-	return m.cbrCounters[bank.Flat(m.geom)]
+	return m.cbrCounters[bank.Flat(&m.geom)]
 }
 
 // nextCounterRow reads and advances a bank's internal refresh counter.
 func (m *Module) nextCounterRow(bank BankID) RowID {
-	bi := bank.Flat(m.geom)
+	bi := bank.Flat(&m.geom)
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
 	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
 	return row
@@ -658,11 +658,11 @@ func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
 // the hidden activate draws real current.
 func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 	row := m.nextCounterRow(bank)
-	if !row.Valid(m.geom) {
+	if !row.Valid(&m.geom) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
 	}
 	m.observe(t)
-	bi := row.BankOf().Flat(m.geom)
+	bi := row.BankOf().Flat(&m.geom)
 	ri := m.rankIndex(row.Channel, row.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
@@ -735,7 +735,7 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 	start := t
 	for bk := 0; bk < m.geom.Banks; bk++ {
 		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(m.geom)
+		bi := id.Flat(&m.geom)
 		b := &m.banks[bi]
 		res := &results[bk]
 		res.Kind = RefreshAllBank
@@ -760,7 +760,7 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 
 	for bk := 0; bk < m.geom.Banks; bk++ {
 		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(m.geom)
+		bi := id.Flat(&m.geom)
 		b := &m.banks[bi]
 		row := m.nextCounterRow(id)
 		results[bk].Row = row
@@ -786,11 +786,11 @@ func (m *Module) refresh(t sim.Time, row RowID, kind RefreshKind) RefreshResult 
 
 // refreshDur is the blocking refresh: the bank is fully occupied for dur.
 func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
-	if !row.Valid(m.geom) {
+	if !row.Valid(&m.geom) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
 	}
 	m.observe(t)
-	bi := row.BankOf().Flat(m.geom)
+	bi := row.BankOf().Flat(&m.geom)
 	ri := m.rankIndex(row.Channel, row.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
@@ -855,7 +855,7 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 
 // OpenRow reports the row currently open in a bank, or -1 if precharged.
 func (m *Module) OpenRow(bank BankID) int {
-	return m.banks[bank.Flat(m.geom)].openRow
+	return m.banks[bank.Flat(&m.geom)].openRow
 }
 
 // OpenRowFlat is OpenRow addressed by flat bank index — the controller's
@@ -871,7 +871,7 @@ func (m *Module) OpenRowFlat(flat int) int {
 // Memory controllers use this to close idle pages so ranks can enter
 // precharge power-down.
 func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
-	bi := bank.Flat(m.geom)
+	bi := bank.Flat(&m.geom)
 	b := &m.banks[bi]
 	if b.openRow == -1 {
 		return RowID{}, false
@@ -890,7 +890,7 @@ func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
 
 // BankReadyAt reports the earliest time the bank accepts another command.
 func (m *Module) BankReadyAt(bank BankID) sim.Time {
-	return m.banks[bank.Flat(m.geom)].readyAt
+	return m.banks[bank.Flat(&m.geom)].readyAt
 }
 
 // InSelfRefresh reports whether the rank is in self-refresh mode.
@@ -921,7 +921,7 @@ func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 			r.openBanks, channel, rank))
 	}
 	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
+		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
 		if ready := m.banks[bi].readyAt; ready > t {
 			t = ready
 		}
@@ -973,7 +973,7 @@ func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 	ready := m.clk.Next(t + exitLat)
 	// Every bank of the rank honours the exit latency.
 	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
+		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
 		bk := &m.banks[bi]
 		bk.readyAt = sim.Max(bk.readyAt, ready)
 		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)

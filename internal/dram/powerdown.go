@@ -77,7 +77,7 @@ func (m *Module) EnterPowerDown(t sim.Time, channel, rank int, kind PowerDownKin
 			kind, r.openBanks, channel, rank))
 	}
 	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
+		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
 		if ready := m.banks[bi].readyAt; ready > t {
 			t = ready
 		}
@@ -142,7 +142,7 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	ready := m.clk.Next(t + exit)
 	// Every bank of the rank honours the exit latency.
 	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
+		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
 		bk := &m.banks[bi]
 		bk.readyAt = sim.Max(bk.readyAt, ready)
 		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)

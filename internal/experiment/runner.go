@@ -312,6 +312,7 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	full.RefreshOps = full.Module.RefreshOps
 	full.RefreshCBR = full.Module.RefreshCBROps
 	full.RefreshRASOnly = full.Module.RefreshRASOnlyOps
+	full.RefreshPerBank = full.Module.RefreshPerBankOps
 	full.DemandStall = full.Module.DemandStall
 	if opts.Measure > 0 {
 		full.RefreshPerSecond = float64(full.Module.RefreshOps) / opts.Measure.Seconds()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
@@ -301,5 +302,42 @@ func TestSuiteProgressCallback(t *testing.T) {
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "fasta") {
 		t.Errorf("progress lines = %v", lines)
+	}
+}
+
+// The measured window's per-bank refresh count must be derived from the
+// windowed module stats like every other refresh field, on the
+// monolithic and the vaulted path alike; counting the warmup too would
+// inflate DARP/SARP's REFpb totals.
+func TestRefreshPerBankWindowed(t *testing.T) {
+	prof, _ := workload.ByName("gcc")
+	cases := []struct {
+		name string
+		cfg  config.DRAM
+		opts RunOptions
+	}{
+		{"monolithic", Conv2GB.DRAM(), RunOptions{Warmup: 16 * sim.Millisecond, Measure: 32 * sim.Millisecond}},
+		{"vaulted", vaultTestCfg(), vaultTestOpts(2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := Run(tc.cfg, prof, PolicyDARP, tc.opts)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			r := res.Results
+			if r.Module.RefreshPerBankOps == 0 {
+				t.Fatal("darp issued no per-bank refreshes in the window")
+			}
+			if r.RefreshPerBank != r.Module.RefreshPerBankOps {
+				t.Errorf("RefreshPerBank = %d, windowed module REFpb = %d", r.RefreshPerBank, r.Module.RefreshPerBankOps)
+			}
+			for v, vr := range res.Vaults {
+				if vr.RefreshPerBank != vr.Module.RefreshPerBankOps {
+					t.Errorf("vault %d: RefreshPerBank = %d, windowed module REFpb = %d",
+						v, vr.RefreshPerBank, vr.Module.RefreshPerBankOps)
+				}
+			}
+		})
 	}
 }

@@ -118,9 +118,8 @@ type Controller struct {
 	rowHits     stats.Counter
 	requests    stats.Counter
 
-	now       sim.Time
-	lastbusy  sim.Time // completion time of the latest demand access
-	refreshes map[dram.RefreshKind]uint64
+	now      sim.Time
+	lastbusy sim.Time // completion time of the latest demand access
 
 	idleClose   sim.Duration // page-close timeout (<0: never)
 	bankLastUse []sim.Time   // per flat bank: last demand activity
@@ -161,12 +160,11 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		idleClose = DefaultIdleClose
 	}
 	c := &Controller{
-		cfg:    cfg,
-		module: dram.NewModule(cfg.Geometry, cfg.Timing),
-		policy: policy,
-		mapper: NewMapper(cfg.Geometry, opts.Interleave),
+		cfg:         cfg,
+		module:      dram.NewModule(cfg.Geometry, cfg.Timing),
+		policy:      policy,
+		mapper:      NewMapper(cfg.Geometry, opts.Interleave),
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
-		refreshes:   map[dram.RefreshKind]uint64{},
 		idleClose:   idleClose,
 		bankLastUse: make([]sim.Time, cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
@@ -407,7 +405,7 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	rem := flat % (g.Ranks * g.Banks)
 	bank := dram.BankID{
 		Channel: flat / (g.Ranks * g.Banks),
@@ -466,7 +464,6 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 		default:
 			res = c.module.RefreshNextCBR(due, cmd.Bank)
 		}
-		c.refreshes[res.Kind]++
 		if res.ClosedOpenRow {
 			// Closing the open page restored that row too.
 			c.restore(res.Issue, res.ClosedRow)
@@ -539,7 +536,7 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		c.wakeRank(req.Time, addr.Channel, addr.Rank)
 	}
 	res := c.module.Access(req.Time, addr, req.Write)
-	flat := addr.BankOf().Flat(c.cfg.Geometry)
+	flat := addr.BankOf().Flat(&c.cfg.Geometry)
 	c.bankLastUse[flat] = res.Done
 	c.armIdleClose(flat)
 	c.noteDemand(res.Done, addr.Channel, addr.Rank)

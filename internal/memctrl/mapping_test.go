@@ -24,7 +24,7 @@ func TestMapperValidCoordinates(t *testing.T) {
 		m := NewMapper(g, scheme)
 		for _, phys := range []uint64{0, 31, 32, 4095, 1 << 20, 1<<31 - 1, 1 << 31, 1<<40 + 12345} {
 			a := m.Map(phys)
-			if !a.Valid(g) {
+			if !a.Valid(&g) {
 				t.Errorf("%v: Map(%d) = %+v invalid", scheme, phys, a)
 			}
 			if a.Column%g.BurstLength != 0 {

@@ -26,11 +26,21 @@ import (
 //	                              SR-slow-wake    (IDD6L, tXSRD exit)
 //
 // Every rung is armed independently by its threshold; unarmed rungs are
-// skipped. The classic two-state configuration (only SelfRefreshAfter
-// armed) degenerates to the historical self-refresh controller: the
-// event sequence, module calls and statistics are bit-identical, because
-// the deadline heap presents exactly the (deadline, rank) pairs the old
-// linear scan computed, with the same lowest-rank tie-break.
+// skipped.
+//
+// Scheduling. Only the next rung is ever pending, so each rank keeps its
+// one pending transition in a slot of its psState (nextAt, nextTarget,
+// hasNext) that every reschedule overwrites in place. The drain takes
+// the earliest slot, ordered by (nextAt, rank), from a cached minimum:
+// scheduleFrom replaces it when a slot moves ahead of it, and marks it
+// dirty when the cached rank's own slot moves later or is cleared; a
+// dirty cache is rebuilt by scanning the slots with a strict <, so equal
+// deadlines go to the lowest rank. That is the order the retired lazy
+// heap produced — its extra target tie-break only ever ordered stale
+// duplicates of one rank's slot — and the order of the linear scan
+// before it, so the classic two-state configuration (only
+// SelfRefreshAfter armed) still replays the historical self-refresh
+// controller bit for bit.
 
 // PowerState is a rank's position on the power-state ladder as the
 // controller tracks it. The order is the descent order; comparisons in
@@ -156,9 +166,8 @@ type psState struct {
 	// advanced by finishPowerStates so a repeated Finish extends rather
 	// than double-counts.
 	enteredAt sim.Time
-	// nextTarget/nextAt name the rank's single live heap entry; any
-	// heap entry that does not match both is a stale remnant and is
-	// dropped when it surfaces at the head (the PR 4 idle-close idiom).
+	// nextTarget/nextAt are the rank's deadline slot: the one pending
+	// transition, overwritten in place by every reschedule.
 	nextTarget PowerState
 	nextAt     sim.Time
 	hasNext    bool
@@ -167,77 +176,19 @@ type psState struct {
 // powerStates is embedded in Controller when any rung (self-refresh
 // included) is armed.
 type powerStates struct {
-	srAfter sim.Duration    // self-refresh threshold; <=0 leaves the SR rung unarmed
+	srAfter sim.Duration // self-refresh threshold; <=0 leaves the SR rung unarmed
 	cfg     PowerStateConfig
 	enabled bool // cfg.Enabled(): some power-down rung armed
 	armed   bool // any rung armed (srAfter or cfg)
 	ranks   []psState
-	heap    psHeap
-}
 
-// psEntry is one candidate transition deadline: rank rank should move to
-// target at time at (if still current).
-type psEntry struct {
-	at     sim.Time
-	rank   int32
-	target PowerState
-}
-
-// psHeap is a binary min-heap of psEntry ordered by (at, rank, deeper
-// target first). The (at, rank) order reproduces the retired linear
-// scan's tie-break exactly — strictly-smaller deadline wins, ties go to
-// the lowest rank index — which is what keeps two-state configurations
-// bit-identical; the target tie-break only orders stale duplicates and
-// exists so heap behaviour never depends on insertion order.
-type psHeap []psEntry
-
-func (h psHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].target > h[j].target
-}
-
-func (h *psHeap) push(e psEntry) {
-	*h = append(*h, e)
-	hh := *h
-	j := len(hh) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		j = i
-	}
-}
-
-// popHead removes the minimum entry.
-func (h *psHeap) popHead() {
-	hh := *h
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && hh.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		i = j
-	}
+	// minAt/minRank cache the earliest slot, (nextAt, rank)-ordered;
+	// minOK is false when no slot is set. The cache is exact unless
+	// minDirty, which nextPowerEvent resolves by rescanning the slots.
+	minAt    sim.Time
+	minRank  int
+	minOK    bool
+	minDirty bool
 }
 
 // armPowerStates initialises the state machine; every rank starts awake
@@ -257,14 +208,15 @@ func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) 
 }
 
 // scheduleFrom computes rank ri's next transition, starting strictly
-// below rung `from` on the ladder, and pushes it onto the deadline heap.
+// below rung `from` on the ladder, and stores it in the rank's slot.
 // Deadlines derive from lastDemand (entry time for the SR-slow rung) and
 // are clamped to now so a rung skipped in the past fires immediately
 // rather than rewinding the drain. Unarmed rungs are passed over; when
 // no rung remains the rank has no pending transition.
 func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
-	st := &c.ps.ranks[ri]
-	cfg := &c.ps.cfg
+	ps := &c.ps
+	st := &ps.ranks[ri]
+	cfg := &ps.cfg
 	d := st.lastDemand
 	var target PowerState
 	var at sim.Time
@@ -275,45 +227,52 @@ func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
 		target, at = PSPrePdnFast, d+cfg.PrePdnFastAfter
 	case from < PSPrePdnSlow && cfg.PrePdnSlowAfter > 0:
 		target, at = PSPrePdnSlow, d+cfg.PrePdnSlowAfter
-	case from < PSSelfRefresh && c.ps.srAfter > 0:
-		target, at = PSSelfRefresh, d+c.ps.srAfter
+	case from < PSSelfRefresh && ps.srAfter > 0:
+		target, at = PSSelfRefresh, d+ps.srAfter
 	case from == PSSelfRefresh && cfg.SRSlowAfter > 0:
 		target, at = PSSelfRefreshSlow, st.enteredAt+cfg.SRSlowAfter
 	default:
 		st.hasNext = false
+		if ps.minOK && ri == ps.minRank {
+			ps.minDirty = true
+		}
 		return
 	}
 	if at < now {
 		at = now
 	}
 	st.nextTarget, st.nextAt, st.hasNext = target, at, true
-	c.ps.heap.push(psEntry{at: at, rank: int32(ri), target: target})
+	switch {
+	case ps.minDirty:
+		// A rescan is already due; it will see this slot.
+	case !ps.minOK || at < ps.minAt || (at == ps.minAt && ri < ps.minRank):
+		ps.minAt, ps.minRank, ps.minOK = at, ri, true
+	case ri == ps.minRank && at > ps.minAt:
+		// The minimum moved later: another rank may now be earliest.
+		ps.minDirty = true
+	}
 }
 
-// nextPowerEvent returns the earliest pending transition deadline, or
-// ok=false when none is pending. Stale heap entries — anything not
-// matching the rank's live (nextTarget, nextAt) — are dropped here; the
-// returned entry is not popped, it goes stale when the event reschedules
-// the rank (the same lazy discipline as nextIdleClose).
+// nextPowerEvent returns the earliest pending transition deadline and
+// its rank, or ok=false when none is pending. Ties go to the lowest rank
+// (the strict < of the rescan walks ranks in index order).
 func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
-	if !c.ps.armed {
-		return 0, 0, false
-	}
-	for len(c.ps.heap) > 0 {
-		e := c.ps.heap[0]
-		st := &c.ps.ranks[e.rank]
-		if !st.hasNext || e.at != st.nextAt || e.target != st.nextTarget {
-			c.ps.heap.popHead()
-			continue
+	ps := &c.ps
+	if ps.minDirty {
+		ps.minAt, ps.minRank, ps.minOK, ps.minDirty = 0, 0, false, false
+		for ri := range ps.ranks {
+			st := &ps.ranks[ri]
+			if st.hasNext && (!ps.minOK || st.nextAt < ps.minAt) {
+				ps.minAt, ps.minRank, ps.minOK = st.nextAt, ri, true
+			}
 		}
-		return e.at, int(e.rank), true
 	}
-	return 0, 0, false
+	return ps.minAt, ps.minRank, ps.minOK
 }
 
 // rankHasOpenPage reports whether any bank of the rank has an open row.
 func (c *Controller) rankHasOpenPage(channel, rank int) bool {
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	for b := 0; b < g.Banks; b++ {
 		if c.module.OpenRow(dram.BankID{Channel: channel, Rank: rank, Bank: b}) != -1 {
 			return true
@@ -324,12 +283,12 @@ func (c *Controller) rankHasOpenPage(channel, rank int) bool {
 
 // runPowerEvent executes rank ri's due transition at time t. Every path
 // reschedules the rank (with a strictly later deadline, a deeper rung,
-// or no rung), so the fired heap entry goes stale and the drain makes
-// monotone progress — at most one firing per rung per instant.
+// or no rung), overwriting the fired slot, so the drain makes monotone
+// progress — at most one firing per rung per instant.
 func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 	st := &c.ps.ranks[ri]
 	target := st.nextTarget
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	channel, rank := ri/g.Ranks, ri%g.Ranks
 	switch target {
 	case PSActPdn:
@@ -376,8 +335,7 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 		}
 		c.scheduleFrom(ri, PSSelfRefreshSlow, t)
 	default:
-		// PSAwake is never a target; a stale entry cannot reach here
-		// (nextPowerEvent filtered it).
+		// PSAwake is never a target.
 		c.scheduleFrom(ri, st.state, t)
 	}
 }
@@ -433,7 +391,7 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 	if !c.ps.armed {
 		return
 	}
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	for ri := range c.ps.ranks {
 		st := &c.ps.ranks[ri]
 		if st.state == PSAwake || st.enteredAt >= end {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/sim"
 )
@@ -33,11 +34,11 @@ func TestPowerStateLadderDescent(t *testing.T) {
 		at   sim.Time
 		want PowerState
 	}{
-		{1500 * sim.Nanosecond, PSActPdn},     // 1 us after the access
-		{3 * sim.Microsecond, PSAwake},        // idle-close at 2 us woke it
-		{6 * sim.Microsecond, PSPrePdnFast},   // 5 us
-		{60 * sim.Microsecond, PSPrePdnSlow},  // 50 us
-		{120 * sim.Microsecond, PSSelfRefresh}, // 100 us
+		{1500 * sim.Nanosecond, PSActPdn},          // 1 us after the access
+		{3 * sim.Microsecond, PSAwake},             // idle-close at 2 us woke it
+		{6 * sim.Microsecond, PSPrePdnFast},        // 5 us
+		{60 * sim.Microsecond, PSPrePdnSlow},       // 50 us
+		{120 * sim.Microsecond, PSSelfRefresh},     // 100 us
 		{700 * sim.Microsecond, PSSelfRefreshSlow}, // SR entry + 500 us
 	}
 	for _, s := range steps {
@@ -148,31 +149,129 @@ func TestPowerStateTwoStateStaysUntracked(t *testing.T) {
 	}
 }
 
-func TestPsHeapTieBreak(t *testing.T) {
-	// Same-deadline entries must surface in (deadline, rank, deeper
-	// target first) order regardless of insertion order — the explicit
-	// tie-break that keeps two-state configurations bit-identical with
-	// the retired linear scan (strictly-smaller deadline wins, ties to
-	// the lowest rank).
-	var h psHeap
-	h.push(psEntry{at: 10, rank: 2, target: PSPrePdnFast})
-	h.push(psEntry{at: 10, rank: 0, target: PSActPdn})
-	h.push(psEntry{at: 5, rank: 3, target: PSSelfRefresh})
-	h.push(psEntry{at: 10, rank: 0, target: PSSelfRefresh})
-	want := []psEntry{
-		{at: 5, rank: 3, target: PSSelfRefresh},
-		{at: 10, rank: 0, target: PSSelfRefresh}, // deeper target first
-		{at: 10, rank: 0, target: PSActPdn},
-		{at: 10, rank: 2, target: PSPrePdnFast},
+// psSlotConfig is tinyConfig with channels x ranks widened so the slot
+// table has enough ranks to exercise ties and rescans.
+func psSlotConfig(channels, ranks int) config.DRAM {
+	cfg := tinyConfig(64 * sim.Millisecond)
+	cfg.Geometry.Channels = channels
+	cfg.Geometry.Ranks = ranks
+	cfg.Power.Geometry = cfg.Geometry
+	return cfg
+}
+
+// setSlot points rank ri's deadline slot at `at` (the ACT-PDN rung, armed
+// 1 us after lastDemand by psLadderOptions).
+func setSlot(ctl *Controller, ri int, at sim.Time) {
+	ctl.ps.ranks[ri].lastDemand = at - sim.Time(ctl.ps.cfg.ActPdnAfter)
+	ctl.scheduleFrom(ri, PSAwake, 0)
+}
+
+// clearSlot leaves rank ri with no pending transition (nothing lies
+// below SR-slow on the ladder).
+func clearSlot(ctl *Controller, ri int) {
+	ctl.scheduleFrom(ri, PSSelfRefreshSlow, 0)
+}
+
+// bruteNextPowerEvent is the reference for nextPowerEvent: the earliest
+// set slot, ties to the lowest rank.
+func bruteNextPowerEvent(ctl *Controller) (sim.Time, int, bool) {
+	var at sim.Time
+	rank, ok := 0, false
+	for ri, st := range ctl.ps.ranks {
+		if st.hasNext && (!ok || st.nextAt < at) {
+			at, rank, ok = st.nextAt, ri, true
+		}
 	}
-	for i, w := range want {
-		if len(h) == 0 {
-			t.Fatalf("heap empty at pop %d", i)
+	return at, rank, ok
+}
+
+func TestPowerSlotCacheTieBreak(t *testing.T) {
+	// The cached minimum must name the strictly earliest slot, ties to
+	// the lowest rank — the order the retired linear scan produced and
+	// that keeps two-state configurations bit-identical.
+	cfg := psSlotConfig(1, 4)
+	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), psLadderOptions())
+	want := func(step string, at sim.Time, rank int, ok bool) {
+		t.Helper()
+		gAt, gRank, gOK := ctl.nextPowerEvent()
+		if gAt != at || gRank != rank || gOK != ok {
+			t.Fatalf("%s: next = (%v, %d, %v), want (%v, %d, %v)", step, gAt, gRank, gOK, at, rank, ok)
 		}
-		if got := h[0]; got != w {
-			t.Errorf("pop %d = %+v, want %+v", i, got, w)
+	}
+	for ri := range ctl.ps.ranks {
+		setSlot(ctl, ri, 50)
+	}
+	want("four equal deadlines", 50, 0, true)
+	setSlot(ctl, 3, 50) // rewriting an equal slot changes nothing
+	want("equal rewrite of a higher rank", 50, 0, true)
+	setSlot(ctl, 2, 40)
+	want("earlier slot", 40, 2, true)
+	setSlot(ctl, 1, 40)
+	want("equal slot, lower rank", 40, 1, true)
+	setSlot(ctl, 1, 90) // the minimum moved later: rescan
+	want("moved-later minimum", 40, 2, true)
+	setSlot(ctl, 2, 90)
+	want("moved-later minimum, equal survivors", 50, 0, true)
+	clearSlot(ctl, 0) // the minimum cleared: rescan skips it
+	want("cleared minimum", 50, 3, true)
+	clearSlot(ctl, 1) // a cleared non-minimum leaves the cache alone
+	want("cleared non-minimum", 50, 3, true)
+	clearSlot(ctl, 3)
+	want("only rank 2 left", 90, 2, true)
+	clearSlot(ctl, 2)
+	want("every slot cleared", 0, 0, false)
+	setSlot(ctl, 1, 70)
+	want("refilled after empty", 70, 1, true)
+}
+
+// TestPowerSlotCacheMatchesBruteForce cross-checks the cached earliest
+// slot against a brute-force min over ranks after every reschedule, on
+// random slot moves (earlier, later, equal, cleared) and on seeded
+// traffic through the full ladder.
+func TestPowerSlotCacheMatchesBruteForce(t *testing.T) {
+	cfg := psSlotConfig(2, 4)
+	for seed := uint64(1); seed <= 8; seed++ {
+		ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), psLadderOptions())
+		rng := sim.NewRNG(seed)
+		n := len(ctl.ps.ranks)
+		for i := 0; i < 5000; i++ {
+			ri := rng.Intn(n)
+			if rng.Bool(0.1) {
+				clearSlot(ctl, ri)
+			} else {
+				// A narrow deadline range makes ties common.
+				setSlot(ctl, ri, sim.Time(1000+rng.Intn(16)))
+			}
+			if i%3 == 0 {
+				continue // let several moves stack up between peeks
+			}
+			cAt, cRank, cOK := ctl.nextPowerEvent()
+			bAt, bRank, bOK := bruteNextPowerEvent(ctl)
+			if cAt != bAt || cRank != bRank || cOK != bOK {
+				t.Fatalf("seed %d step %d: cache (%v,%d,%v) != brute force (%v,%d,%v)",
+					seed, i, cAt, cRank, cOK, bAt, bRank, bOK)
+			}
 		}
-		h.popHead()
+
+		ctl = MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), psLadderOptions())
+		now := sim.Time(0)
+		for i := 0; i < 2000; i++ {
+			ctl.Submit(Request{
+				Time:  now,
+				Addr:  rng.Uint64() % uint64(ctl.Mapper().Capacity()),
+				Write: rng.Bool(0.3),
+			})
+			// Gaps from sub-microsecond to past the SR threshold walk
+			// ranks down every rung and wake them again.
+			now += sim.Time(rng.Intn(int(150 * sim.Microsecond)))
+			ctl.AdvanceTo(now)
+			cAt, cRank, cOK := ctl.nextPowerEvent()
+			bAt, bRank, bOK := bruteNextPowerEvent(ctl)
+			if cAt != bAt || cRank != bRank || cOK != bOK {
+				t.Fatalf("seed %d request %d: cache (%v,%d,%v) != brute force (%v,%d,%v)",
+					seed, i, cAt, cRank, cOK, bAt, bRank, bOK)
+			}
+		}
 	}
 }
 

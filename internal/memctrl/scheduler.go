@@ -153,7 +153,7 @@ func (s *Scheduler) orderFRFCFS(batch []Request) {
 		pos  int // original position, for stability within a group
 	}
 	mapper := s.ctl.Mapper()
-	g := s.ctl.cfg.Geometry
+	g := &s.ctl.cfg.Geometry
 	first := map[key]int{}
 	entries := make([]entry, len(batch))
 	for i, req := range batch {

@@ -33,7 +33,7 @@ func (c *Controller) rankOf(channel, rank int) int {
 // in a PRE-PDN state descends without an intermediate wake — the module
 // folds the power-down residency at the handoff.
 func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	channel, rank := ri/g.Ranks, ri%g.Ranks
 	st := &c.ps.ranks[ri]
 	if c.rankHasOpenPage(channel, rank) {
@@ -112,7 +112,7 @@ func (c *Controller) restoreRank(t sim.Time, channel, rank int) {
 	if c.checker == nil {
 		return
 	}
-	g := c.cfg.Geometry
+	g := &c.cfg.Geometry
 	for b := 0; b < g.Banks; b++ {
 		for r := 0; r < g.Rows; r++ {
 			c.checker.OnRestore(t, dram.RowID{Channel: channel, Rank: rank, Bank: b, Row: r})

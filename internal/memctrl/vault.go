@@ -75,6 +75,10 @@ type VaultArray struct {
 
 	now     sim.Time
 	lastErr error
+
+	// flush is flushVault bound once at construction, so an epoch hands
+	// the runner a function value without allocating one.
+	flush func(v int)
 }
 
 // NewVaultArray builds one controller per vault of cfg's geometry.
@@ -115,6 +119,7 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		pending: make([][]Request, n),
 		seq:     make([]uint64, n),
 	}
+	va.flush = va.flushVault
 
 	root := sim.NewRNG(opts.Seed)
 	perVault := cfg
@@ -206,14 +211,18 @@ func (va *VaultArray) FlushTo(t sim.Time) {
 		panic(fmt.Sprintf("memctrl: FlushTo(%v) before vault-array time %v", t, va.now))
 	}
 	va.now = t
-	va.runner.Run(len(va.vaults), func(v int) {
-		ctl := va.vaults[v]
-		for _, req := range va.pending[v] {
-			ctl.Submit(req)
-		}
-		va.pending[v] = va.pending[v][:0]
-		ctl.AdvanceTo(t)
-	})
+	va.runner.Run(len(va.vaults), va.flush)
+}
+
+// flushVault is one vault's share of FlushTo: submit its buffered
+// requests in order, then drain to the epoch time va.now.
+func (va *VaultArray) flushVault(v int) {
+	ctl := va.vaults[v]
+	for _, req := range va.pending[v] {
+		ctl.Submit(req)
+	}
+	va.pending[v] = va.pending[v][:0]
+	ctl.AdvanceTo(va.now)
 }
 
 // Finish closes the simulation at end on every vault (parallel, with the
