@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"smartrefresh"
+	"smartrefresh/internal/cache"
+	"smartrefresh/internal/config"
 )
 
 // warmPolicy drives a policy long enough for its internal buffers (and
@@ -194,5 +196,55 @@ func TestVaultedLadderDrainSteadyStateAllocFree(t *testing.T) {
 	}
 	if powerDowns() == before {
 		t.Error("no power-down entries while measured: the ladder was not exercised")
+	}
+}
+
+// The 3D-cache front-end runs once per L2 miss of every stacked job: a
+// warm tag store and grown result buffers must serve it without
+// allocating.
+func TestDRAMCacheAccessSteadyStateAllocFree(t *testing.T) {
+	_, step := warmDRAMCache()
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state DRAMCache.Access allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// The tag store is one pointer-free slice: building the 64 MB Table 2
+// cache is the Cache itself plus its line array, not one object per set.
+// Repeated 8 MB builds keep the GC busy, and AllocsPerRun counts every
+// heap allocation in the process; twenty runs keep a stray allocation
+// from another goroutine from rounding the average up.
+func TestCacheNew3DAllocBudget(t *testing.T) {
+	cfg := config.Table2_3DCache()
+	if avg := testing.AllocsPerRun(20, func() { cache.New(cfg) }); avg > 2 {
+		t.Errorf("cache.New(Table2_3DCache) makes %.0f allocations, want at most 2", avg)
+	}
+}
+
+// Hierarchy.Access cascades misses and write-backs through two scratch
+// buffers; once they have grown it must not allocate.
+func TestHierarchyAccessSteadyStateAllocFree(t *testing.T) {
+	h := cache.NewHierarchy(
+		config.CacheConfig{Name: "l1", SizeBytes: 4 << 10, LineBytes: 64, Ways: 2, WriteBack: true},
+		config.CacheConfig{Name: "l2", SizeBytes: 16 << 10, LineBytes: 64, Ways: 4, WriteBack: true},
+	)
+	var now smartrefresh.Time
+	var i uint64
+	var toMem int
+	access := func() {
+		i++
+		now += smartrefresh.Time(smartrefresh.Nanosecond)
+		// A strided walk over 8x the L2, every third access a write, so
+		// both levels miss and evict dirty lines.
+		toMem += len(h.Access(now, i*4160%(128<<10), i%3 == 0))
+	}
+	for n := 0; n < 4096; n++ {
+		access()
+	}
+	if avg := testing.AllocsPerRun(1000, access); avg != 0 {
+		t.Errorf("steady-state Hierarchy.Access allocates %.1f allocs/op, want 0", avg)
+	}
+	if toMem == 0 {
+		t.Error("no requests reached memory: the cascade was not exercised")
 	}
 }

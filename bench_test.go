@@ -15,8 +15,11 @@ import (
 	"testing"
 
 	"smartrefresh"
+	"smartrefresh/internal/cache"
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/power"
+	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
 
@@ -358,6 +361,59 @@ func BenchmarkWorkloadGenerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := gen.Next(); !ok {
 			b.Fatal("generator ended")
+		}
+	}
+}
+
+// dramCacheFootprint is the address range of the 3D-cache stream: four
+// times the Table 2 cache, so a warm direct-mapped tag store sees about
+// one hit in four and evicts on the rest.
+const dramCacheFootprint = 256 << 20
+
+// warmDRAMCache returns the Table 2 3D-cache front-end and a step
+// function that feeds it, warmed until nearly every set holds a line and
+// the result buffers have reached their working size. Each step issues
+// one access at a uniformly random address in the footprint, one in four
+// a write.
+func warmDRAMCache() (*cache.DRAMCache, func()) {
+	front := cache.NewDRAMCache(config.Table2_3DCache())
+	rng := sim.NewRNG(1)
+	var now sim.Time
+	step := func() {
+		r := rng.Uint64()
+		now += sim.Time(sim.Nanosecond)
+		front.Access(now, r&(dramCacheFootprint-1), r>>62 == 0)
+	}
+	for i := 0; i < 4<<20; i++ {
+		step()
+	}
+	return front, step
+}
+
+// BenchmarkDRAMCacheAccess measures one steady-state 3D-cache front-end
+// access: tag lookup, LRU update, victim selection and the data-array and
+// memory request lists.
+func BenchmarkDRAMCacheAccess(b *testing.B) {
+	front, step := warmDRAMCache()
+	before := front.Tags().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	st := front.Tags().Stats()
+	b.ReportMetric(float64(st.Hits-before.Hits)/float64(st.Accesses-before.Accesses), "hit_rate")
+}
+
+// BenchmarkCacheNew3D measures building the Table 2 3D cache tag store,
+// which every stacked-DRAM job does once.
+func BenchmarkCacheNew3D(b *testing.B) {
+	cfg := config.Table2_3DCache()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if c := cache.New(cfg); c.Stats().Accesses != 0 {
+			b.Fatal("fresh cache has accesses")
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestBenchTiers(t *testing.T) {
 	micro := regexp.MustCompile(MicroBench)
 	for _, name := range []string{
 		"BenchmarkSmartPolicyAdvance", "BenchmarkRAIDRPolicyAdvance",
-		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance",
+		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance", "BenchmarkDRAMCacheAccess",
 	} {
 		if !micro.MatchString(name) {
 			t.Errorf("%s not in the micro tier", name)

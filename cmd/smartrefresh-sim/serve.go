@@ -114,6 +114,13 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		snapEvery: sim.Time(snapshotMS) * sim.Millisecond,
 	}
 	if p.snapEvery > 0 {
+		// Snapshots are written while the trace body is still being
+		// read; without full duplex the HTTP/1.x server may close the
+		// body once the first snapshot flushes the response headers.
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+			http.Error(w, fmt.Sprintf("snapshot-ms needs a full-duplex connection: %v", err), http.StatusBadRequest)
+			return
+		}
 		p.snapEmit = telemetry.JSONLEmitter(w)
 	}
 

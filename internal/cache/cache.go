@@ -43,18 +43,27 @@ type Result struct {
 	FillValid bool
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// The tag store packs each line into one uint64: the tag shifted left by
+// tagShift, the valid bit and the dirty bit. An invalid line is the zero
+// word. config.CacheConfig.Validate guarantees lineBits+setBits >= 2, so
+// every tag fits in the 62 bits above the flags.
+const (
+	dirtyBit = 1 << 0
+	validBit = 1 << 1
+	tagShift = 2
+)
 
 // Cache is a blocking set-associative write-back cache with true-LRU
 // replacement and write-allocate. It is not safe for concurrent use.
 type Cache struct {
-	cfg      config.CacheConfig
-	sets     [][]line // each set ordered most- to least-recently used
+	cfg config.CacheConfig
+	// lines is the whole tag store, sets × ways packed words in one
+	// pointer-free allocation. Set s owns lines[s*ways : (s+1)*ways]; its
+	// valid lines are a prefix of that region, ordered most- to
+	// least-recently used, and the rest are zero.
+	lines    []uint64
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	stats    Stats
 }
@@ -66,17 +75,14 @@ func New(cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	lines := cfg.SizeBytes / int64(cfg.LineBytes)
-	sets := int(lines / int64(cfg.Ways))
-	c := &Cache{
+	sets := uint64(lines) / uint64(cfg.Ways)
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, sets),
-		setMask:  uint64(sets - 1),
+		lines:    make([]uint64, lines),
+		setMask:  sets - 1,
+		setBits:  uint(bits.TrailingZeros64(sets)),
 		lineBits: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, cfg.Ways)
-	}
-	return c
 }
 
 // Config returns the cache configuration.
@@ -88,9 +94,24 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns addr rounded down to its line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// lookup returns the set holding addr, the packed valid clean word its
+// line would have, and the line's position in the set (-1 when absent).
+func (c *Cache) lookup(addr uint64) (setIdx int, set []uint64, key uint64, pos int) {
 	l := addr >> c.lineBits
-	return int(l & c.setMask), l >> bits.TrailingZeros64(c.setMask+1)
+	setIdx = int(l & c.setMask)
+	ways := c.cfg.Ways
+	base := setIdx * ways
+	set = c.lines[base : base+ways : base+ways]
+	key = l>>c.setBits<<tagShift | validBit
+	for i, w := range set {
+		if w&^dirtyBit == key {
+			return setIdx, set, key, i
+		}
+		if w == 0 {
+			break
+		}
+	}
+	return setIdx, set, key, -1
 }
 
 // Access performs a read or write with write-allocate. On a miss the line
@@ -98,106 +119,95 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 // level.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
-	setIdx, tag := c.index(addr)
-	set := c.sets[setIdx]
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			// Hit: move to MRU position.
-			hitLine := set[i]
-			if write {
-				hitLine.dirty = true
-			}
-			copy(set[1:i+1], set[:i])
-			set[0] = hitLine
-			c.stats.Hits++
-			return Result{Hit: true}
-		}
+	setIdx, set, key, pos := c.lookup(addr)
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
+	if pos >= 0 {
+		// Hit: move to MRU position.
+		hitLine := set[pos] | dirty
+		copy(set[1:pos+1], set[:pos])
+		set[0] = hitLine
+		c.stats.Hits++
+		return Result{Hit: true}
 	}
 
-	// Miss.
+	// Miss: shift the valid prefix down one way, dropping the LRU line
+	// when the set is full.
 	c.stats.Misses++
 	res := Result{Fill: c.LineAddr(addr), FillValid: true}
 	c.stats.Fills++
-	newLine := line{tag: tag, valid: true, dirty: write}
-
-	if len(set) < c.cfg.Ways {
-		set = append(set, line{})
-		copy(set[1:], set)
-		set[0] = newLine
-		c.sets[setIdx] = set
-		return res
-	}
 	victim := set[len(set)-1]
-	if victim.valid && victim.dirty {
-		res.Writeback = c.victimAddr(setIdx, victim.tag)
+	if victim&dirtyBit != 0 {
+		res.Writeback = c.victimAddr(setIdx, victim)
 		res.WritebackValid = true
 		c.stats.Writebacks++
 	}
 	copy(set[1:], set)
-	set[0] = newLine
+	set[0] = key | dirty
 	return res
 }
 
 // Contains reports whether the line holding addr is present (no LRU or
 // statistics side effects).
 func (c *Cache) Contains(addr uint64) bool {
-	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, _, pos := c.lookup(addr)
+	return pos >= 0
 }
 
 // Dirty reports whether the line holding addr is present and dirty.
 func (c *Cache) Dirty(addr uint64) bool {
-	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return l.dirty
-		}
-	}
-	return false
+	_, set, _, pos := c.lookup(addr)
+	return pos >= 0 && set[pos]&dirtyBit != 0
 }
 
-func (c *Cache) victimAddr(setIdx int, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros64(c.setMask + 1))
-	return ((tag << setBits) | uint64(setIdx)) << c.lineBits
+// victimAddr rebuilds the line address of packed word w held in setIdx.
+func (c *Cache) victimAddr(setIdx int, w uint64) uint64 {
+	return (w>>tagShift<<c.setBits | uint64(setIdx)) << c.lineBits
 }
 
 // Flush evicts every line, returning the addresses of dirty lines in
-// deterministic order.
+// deterministic order (by set, most recently used first).
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for si := range c.sets {
-		for _, l := range c.sets[si] {
-			if l.valid && l.dirty {
-				dirty = append(dirty, c.victimAddr(si, l.tag))
-			}
+	for i, w := range c.lines {
+		if w&dirtyBit != 0 {
+			dirty = append(dirty, c.victimAddr(i/c.cfg.Ways, w))
 		}
-		c.sets[si] = c.sets[si][:0]
 	}
+	clear(c.lines)
 	return dirty
 }
 
-// Invariant checks internal consistency (used by property tests): no
-// duplicate tags within a set and no over-full sets.
+// Invariant checks internal consistency (used by property tests): each
+// set's valid lines form a prefix of its region, no invalid line carries
+// a tag or dirty bit, and no tag appears twice in a set.
 func (c *Cache) Invariant() error {
-	for si, set := range c.sets {
-		if len(set) > c.cfg.Ways {
-			return fmt.Errorf("cache: set %d holds %d lines, ways %d", si, len(set), c.cfg.Ways)
+	ways := c.cfg.Ways
+	for base := 0; base < len(c.lines); base += ways {
+		set := c.lines[base : base+ways]
+		si := base / ways
+		n := 0
+		for n < len(set) && set[n]&validBit != 0 {
+			n++
 		}
-		seen := map[uint64]bool{}
-		for _, l := range set {
-			if !l.valid {
-				continue
+		for i, w := range set[n:] {
+			switch {
+			case w&validBit != 0:
+				return fmt.Errorf("cache: set %d way %d valid after an invalid way", si, n+i)
+			case w&dirtyBit != 0:
+				return fmt.Errorf("cache: invalid line in set %d way %d marked dirty", si, n+i)
+			case w != 0:
+				return fmt.Errorf("cache: invalid line in set %d way %d holds stale tag %#x", si, n+i, w>>tagShift)
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("cache: duplicate tag %#x in set %d", l.tag, si)
+		}
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if set[i]>>tagShift == set[j]>>tagShift {
+					return fmt.Errorf("cache: duplicate tag %#x in set %d", set[i]>>tagShift, si)
+				}
 			}
-			seen[l.tag] = true
 		}
 	}
 	return nil

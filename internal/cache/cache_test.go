@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,8 +159,8 @@ func TestCacheAccountingProperty(t *testing.T) {
 func TestTable1L2Shape(t *testing.T) {
 	l2 := New(config.Table1L2())
 	// 1 MB / 64 B = 16384 lines / 8 ways = 2048 sets.
-	if len(l2.sets) != 2048 {
-		t.Errorf("L2 sets = %d, want 2048", len(l2.sets))
+	if sets := l2.setMask + 1; sets != 2048 {
+		t.Errorf("L2 sets = %d, want 2048", sets)
 	}
 }
 
@@ -303,5 +306,210 @@ func TestDRAMCacheConflictProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLine and refCache are the per-set [][]line tag store the packed
+// layout replaced, kept verbatim as the reference model for
+// TestCacheMatchesReference.
+type refLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+}
+
+type refCache struct {
+	cfg      config.CacheConfig
+	sets     [][]refLine // each set ordered most- to least-recently used
+	setMask  uint64
+	lineBits uint
+	stats    Stats
+}
+
+func newRefCache(cfg config.CacheConfig) *refCache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	lines := cfg.SizeBytes / int64(cfg.LineBytes)
+	sets := int(lines / int64(cfg.Ways))
+	c := &refCache{
+		cfg:      cfg,
+		sets:     make([][]refLine, sets),
+		setMask:  uint64(sets - 1),
+		lineBits: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+	}
+	for i := range c.sets {
+		c.sets[i] = make([]refLine, 0, cfg.Ways)
+	}
+	return c
+}
+
+func (c *refCache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
+
+func (c *refCache) index(addr uint64) (set int, tag uint64) {
+	l := addr >> c.lineBits
+	return int(l & c.setMask), l >> bits.TrailingZeros64(c.setMask+1)
+}
+
+func (c *refCache) Access(addr uint64, write bool) Result {
+	c.stats.Accesses++
+	setIdx, tag := c.index(addr)
+	set := c.sets[setIdx]
+
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			// Hit: move to MRU position.
+			hitLine := set[i]
+			if write {
+				hitLine.dirty = true
+			}
+			copy(set[1:i+1], set[:i])
+			set[0] = hitLine
+			c.stats.Hits++
+			return Result{Hit: true}
+		}
+	}
+
+	// Miss.
+	c.stats.Misses++
+	res := Result{Fill: c.LineAddr(addr), FillValid: true}
+	c.stats.Fills++
+	newLine := refLine{tag: tag, valid: true, dirty: write}
+
+	if len(set) < c.cfg.Ways {
+		set = append(set, refLine{})
+		copy(set[1:], set)
+		set[0] = newLine
+		c.sets[setIdx] = set
+		return res
+	}
+	victim := set[len(set)-1]
+	if victim.valid && victim.dirty {
+		res.Writeback = c.victimAddr(setIdx, victim.tag)
+		res.WritebackValid = true
+		c.stats.Writebacks++
+	}
+	copy(set[1:], set)
+	set[0] = newLine
+	return res
+}
+
+func (c *refCache) Contains(addr uint64) bool {
+	setIdx, tag := c.index(addr)
+	for _, l := range c.sets[setIdx] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Dirty(addr uint64) bool {
+	setIdx, tag := c.index(addr)
+	for _, l := range c.sets[setIdx] {
+		if l.valid && l.tag == tag {
+			return l.dirty
+		}
+	}
+	return false
+}
+
+func (c *refCache) victimAddr(setIdx int, tag uint64) uint64 {
+	setBits := uint(bits.TrailingZeros64(c.setMask + 1))
+	return ((tag << setBits) | uint64(setIdx)) << c.lineBits
+}
+
+func (c *refCache) Flush() []uint64 {
+	var dirty []uint64
+	for si := range c.sets {
+		for _, l := range c.sets[si] {
+			if l.valid && l.dirty {
+				dirty = append(dirty, c.victimAddr(si, l.tag))
+			}
+		}
+		c.sets[si] = c.sets[si][:0]
+	}
+	return dirty
+}
+
+// TestCacheMatchesReference cross-checks the packed tag store against the
+// [][]line reference on seeded read/write streams: every Access result,
+// Contains and Dirty probes, Stats, the invariant after every step, and
+// the order of every Flush. The stream reuses recent lines so hits land at
+// every LRU depth, and flushes mid-stream so refills start from empty
+// sets.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("ways%d/seed%d", ways, seed), func(t *testing.T) {
+				cfg := config.CacheConfig{
+					Name: "ref", SizeBytes: int64(16 * ways * 64), LineBytes: 64, Ways: ways, WriteBack: true,
+				}
+				got, want := New(cfg), newRefCache(cfg)
+				rng := sim.NewRNG(seed)
+				footprint := uint64(cfg.SizeBytes) * 3
+				recent := make([]uint64, 0, 4*ways)
+				for step := 0; step < 4000; step++ {
+					var addr uint64
+					if len(recent) > 0 && rng.Bool(0.5) {
+						addr = recent[rng.Intn(len(recent))] + rng.Uint64n(64)
+					} else {
+						addr = rng.Uint64n(footprint)
+					}
+					if len(recent) < cap(recent) {
+						recent = append(recent, got.LineAddr(addr))
+					} else {
+						recent[rng.Intn(len(recent))] = got.LineAddr(addr)
+					}
+					write := rng.Bool(0.3)
+					if g, w := got.Access(addr, write), want.Access(addr, write); g != w {
+						t.Fatalf("step %d Access(%#x, %v) = %+v, reference %+v", step, addr, write, g, w)
+					}
+					if err := got.Invariant(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					probe := rng.Uint64n(footprint)
+					if got.Contains(probe) != want.Contains(probe) || got.Dirty(probe) != want.Dirty(probe) {
+						t.Fatalf("step %d probe %#x: Contains/Dirty %v/%v, reference %v/%v", step, probe,
+							got.Contains(probe), got.Dirty(probe), want.Contains(probe), want.Dirty(probe))
+					}
+					if got.Stats() != want.stats {
+						t.Fatalf("step %d Stats = %+v, reference %+v", step, got.Stats(), want.stats)
+					}
+					if step%1000 == 999 {
+						if g, w := got.Flush(), want.Flush(); !slices.Equal(g, w) {
+							t.Fatalf("step %d Flush = %v, reference %v", step, g, w)
+						}
+						if err := got.Invariant(); err != nil {
+							t.Fatalf("after flush: %v", err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCacheInvariantCatchesCorruption checks Invariant reports each broken
+// tag-store property.
+func TestCacheInvariantCatchesCorruption(t *testing.T) {
+	line := func(tag uint64) uint64 { return tag<<tagShift | validBit }
+	for name, set := range map[string][]uint64{
+		"duplicate tag":    {line(3), line(3), 0, 0},
+		"gap in prefix":    {line(3), 0, line(5), 0},
+		"dirty invalid":    {line(3), dirtyBit, 0, 0},
+		"stale tag":        {line(3), 7 << tagShift, 0, 0},
+		"dirty after hole": {0, line(4) | dirtyBit, 0, 0},
+	} {
+		c := tinyCache(4)
+		copy(c.lines[4:], set) // set 1
+		if c.Invariant() == nil {
+			t.Errorf("%s: %v passes Invariant", name, set)
+		}
+	}
+	c := tinyCache(4)
+	copy(c.lines[4:], []uint64{line(3) | dirtyBit, line(4), 0, 0})
+	if err := c.Invariant(); err != nil {
+		t.Errorf("well-formed set rejected: %v", err)
 	}
 }

@@ -17,7 +17,9 @@ type MemRequest struct {
 // DRAM sees — the role Ruby plays in the paper's toolchain.
 type Hierarchy struct {
 	levels []*Cache
-	out    []MemRequest
+	// pending and next are the two scratch buffers Access swaps between
+	// levels: the requests entering a level and those it emits.
+	pending, next []MemRequest
 }
 
 // NewHierarchy builds a hierarchy from outermost CPU-side to innermost
@@ -40,11 +42,10 @@ func (h *Hierarchy) Depth() int { return len(h.levels) }
 // requests that reach DRAM (fills as reads, write-backs as writes). The
 // returned slice is reused across calls; copy it to retain.
 func (h *Hierarchy) Access(t sim.Time, addr uint64, write bool) []MemRequest {
-	h.out = h.out[:0]
-	// Requests cascading into the current level.
-	pending := []MemRequest{{Time: t, Addr: addr, Write: write}}
+	pending := append(h.pending[:0], MemRequest{Time: t, Addr: addr, Write: write})
+	next := h.next
 	for _, lvl := range h.levels {
-		var next []MemRequest
+		next = next[:0]
 		for _, req := range pending {
 			res := lvl.Access(req.Addr, req.Write)
 			if res.WritebackValid {
@@ -54,13 +55,13 @@ func (h *Hierarchy) Access(t sim.Time, addr uint64, write bool) []MemRequest {
 				next = append(next, MemRequest{Time: req.Time, Addr: res.Fill, Write: false})
 			}
 		}
-		pending = next
+		pending, next = next, pending
 		if len(pending) == 0 {
 			break
 		}
 	}
-	h.out = append(h.out, pending...)
-	return h.out
+	h.pending, h.next = pending, next
+	return pending
 }
 
 // FlushAll flushes every level from the CPU side inward and returns the

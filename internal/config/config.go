@@ -241,6 +241,10 @@ func (c CacheConfig) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("config: non-positive cache dimension in %+v", c)
 	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		// The cache splits an address into offset, set and tag bits.
+		return fmt.Errorf("config: cache line %d bytes not a power of two", c.LineBytes)
+	}
 	if c.SizeBytes%int64(c.LineBytes) != 0 {
 		return fmt.Errorf("config: cache size %d not a multiple of line %d", c.SizeBytes, c.LineBytes)
 	}
@@ -251,6 +255,11 @@ func (c CacheConfig) Validate() error {
 	sets := lines / int64(c.Ways)
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("config: set count %d not a power of two", sets)
+	}
+	if sets*int64(c.LineBytes) < 4 {
+		// The tag store packs a tag above two flag bits in 64, so the
+		// offset and set bits together must cover at least two.
+		return fmt.Errorf("config: %d sets of %d-byte lines leave a tag wider than 62 bits", sets, c.LineBytes)
 	}
 	return nil
 }

@@ -128,6 +128,32 @@ func TestCacheValidateRejects(t *testing.T) {
 	}
 }
 
+// TestCacheValidateShapeBoundaries pins both sides of the line-size and
+// tag-width limits: a power-of-two line and at least two offset+set bits.
+func TestCacheValidateShapeBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  CacheConfig
+		ok   bool
+	}{
+		{"48-byte line", CacheConfig{SizeBytes: 48 * 64, LineBytes: 48, Ways: 1}, false},
+		{"96-byte line", CacheConfig{SizeBytes: 96 * 64, LineBytes: 96, Ways: 2}, false},
+		{"32-byte line", CacheConfig{SizeBytes: 32 * 64, LineBytes: 32, Ways: 1}, true},
+		{"1-byte line", CacheConfig{SizeBytes: 64, LineBytes: 1, Ways: 1}, true},
+		{"1 set of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 4}, false},
+		{"2 sets of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 2}, false},
+		{"4 sets of 1-byte lines", CacheConfig{SizeBytes: 8, LineBytes: 1, Ways: 2}, true},
+		{"2 sets of 2-byte lines", CacheConfig{SizeBytes: 8, LineBytes: 2, Ways: 2}, true},
+		{"1 set of 2-byte lines", CacheConfig{SizeBytes: 2, LineBytes: 2, Ways: 1}, false},
+		{"1 set of 4-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 4, Ways: 1}, true},
+		{"fully associative", CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 64}, true},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestCounterAreaMatchesSection47(t *testing.T) {
 	// Ties the preset to the section 4.7 arithmetic: 131,072 counters of
 	// 3 bits = 48 KB.

@@ -286,7 +286,7 @@ type rankState struct {
 
 // activateOKAt returns the earliest time a new activate may issue in the
 // rank under tRRD and tFAW.
-func (r *rankState) activateOKAt(t Timing) sim.Time {
+func (r *rankState) activateOKAt(t *Timing) sim.Time {
 	earliest := r.lastActivate + t.TRRD
 	// The oldest of the last four activates bounds the fifth.
 	oldest := r.actWindow[r.actWindowPos]
@@ -313,6 +313,9 @@ type Module struct {
 	geom Geometry
 	tim  Timing
 	clk  sim.Clock
+	// burst is the data-bus occupancy of one access, fixed by the
+	// geometry's burst length and the timing.
+	burst sim.Duration
 
 	banks    []bankState
 	ranks    []rankState
@@ -359,6 +362,7 @@ func NewModule(g Geometry, t Timing) *Module {
 		geom:        g,
 		tim:         t,
 		clk:         sim.NewClock(t.TCK),
+		burst:       t.BurstDuration(g.BurstLength),
 		banks:       make([]bankState, g.TotalBanks()),
 		ranks:       make([]rankState, g.Channels*g.Ranks),
 		channels:    make([]channelState, g.Channels),
@@ -524,7 +528,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		// Bank precharged: activate then column command.
 		m.stats.RowMisses++
 		act := sim.Max(issue, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(m.tim))
+		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
 		act = m.clk.Next(act)
 		m.openBank(b, ri, addr.Row, act)
 		m.ranks[ri].recordActivate(act)
@@ -551,7 +555,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		m.closeBank(b, ri, pre)
 		m.stats.Precharges++
 		act := sim.Max(pre+m.tim.TRP, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(m.tim))
+		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
 		act = m.clk.Next(act)
 		m.openBank(b, ri, addr.Row, act)
 		m.ranks[ri].recordActivate(act)
@@ -566,9 +570,8 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		}
 	}
 
-	burst := m.tim.BurstDuration(m.geom.BurstLength)
 	dataStart := m.clk.Next(sim.Max(cas+m.tim.TCL, ch.busFreeAt))
-	dataDone := dataStart + burst
+	dataDone := dataStart + m.burst
 	ch.busFreeAt = dataDone
 	res.DataStart = dataStart
 	res.Done = dataDone
@@ -690,7 +693,7 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		m.stats.RefreshConflictOps++
 		start = m.clk.Next(pre + m.tim.TRP)
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 	m.ranks[ri].recordActivate(start)
 	done := m.clk.Next(start + dur)
 
@@ -754,7 +757,7 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 		}
 		start = sim.Max(start, sim.Max(res.Issue, b.activateOKAt))
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 	m.ranks[ri].recordActivate(start)
 	done := m.clk.Next(start + m.tim.AllBankRefreshDuration(m.geom.Banks))
 
@@ -817,7 +820,7 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 		start = m.clk.Next(pre + m.tim.TRP)
 	}
 	start = sim.Max(start, b.activateOKAt)
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 
 	// The refresh itself: internal activate + restore + precharge (the
 	// paper's 70 ns row refresh, or tRFCpb for a per-bank command). The
