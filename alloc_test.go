@@ -209,6 +209,34 @@ func TestDRAMCacheAccessSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// Module.Access — hits, misses, conflicts and the precharges between
+// them — works on fixed per-bank state and must not allocate.
+func TestModuleAccessSteadyStateAllocFree(t *testing.T) {
+	_, step := moduleAccessMix()
+	for n := 0; n < 4096; n++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state Module.Access allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// An idle CBR tick through Controller.AdvanceTo reuses the controller's
+// command buffer once it has grown.
+func TestRefreshDispatchSteadyStateAllocFree(t *testing.T) {
+	ctl, step := refreshDispatch()
+	for n := 0; n < 4096; n++ {
+		step()
+	}
+	before := ctl.Module().Stats().RefreshOps
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state refresh dispatch allocates %.1f allocs/op, want 0", avg)
+	}
+	if ctl.Module().Stats().RefreshOps == before {
+		t.Error("no refreshes while measured: the dispatch was not exercised")
+	}
+}
+
 // The tag store is one pointer-free slice: building the 64 MB Table 2
 // cache is the Cache itself plus its line array, not one object per set.
 // Repeated 8 MB builds keep the GC busy, and AllocsPerRun counts every

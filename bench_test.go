@@ -17,6 +17,7 @@ import (
 	"smartrefresh"
 	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/dram"
 	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
@@ -348,6 +349,91 @@ func BenchmarkControllerSubmit(b *testing.B) {
 		t += 200 * smartrefresh.Nanosecond
 		ctl.Submit(smartrefresh.Request{Time: t, Addr: uint64(i) * 16384})
 	}
+}
+
+// moduleAccessMix returns the Table 1 2 GB module and a step that feeds
+// it one access of a seeded demand mix: a random bank and one of three
+// rows, so row hits and conflicts are both common, with one step in
+// eight first precharging the bank (as an idle close would) so the
+// access is a row miss, and one in four a write. Time advances 0–33 ns
+// per step, so requests arrive both before and after their bank frees.
+func moduleAccessMix() (*dram.Module, func()) {
+	cfg := config.Table1_2GB()
+	g := cfg.Geometry
+	m := dram.NewModule(g, cfg.Timing)
+	rng := sim.NewRNG(1)
+	var now sim.Time
+	step := func() {
+		r := rng.Uint64()
+		now += sim.Time(r & 0x7fff)
+		flat := int(r>>16) % (g.Ranks * g.Banks)
+		addr := dram.Address{
+			RowID:  dram.RowID{Rank: flat / g.Banks, Bank: flat % g.Banks, Row: int(r>>24) % 3},
+			Column: int(r>>32) % g.Columns,
+		}
+		if (r>>28)&7 == 0 {
+			m.PrechargeBank(now, addr.BankOf())
+		}
+		m.Access(now, addr, (r>>31)&3 == 0)
+	}
+	return m, step
+}
+
+// BenchmarkModuleAccess measures one Module.Access of the seeded
+// hit/miss/conflict mix: the open-page decision, the command timing on
+// the clock-rounded delay table, and the bank/rank/bus bookkeeping.
+func BenchmarkModuleAccess(b *testing.B) {
+	m, step := moduleAccessMix()
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	before := m.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	st := m.Stats().Sub(before)
+	b.ReportMetric(float64(st.RowHits)/float64(st.Accesses), "hit_rate")
+	b.ReportMetric(float64(st.RowConflicts)/float64(st.Accesses), "conflict_rate")
+}
+
+// refreshDispatch returns a Table 1 2 GB controller under CBR and a step
+// that lets it idle for one CBR tick period: with no demand, each step
+// drains about one refresh tick through Controller.AdvanceTo.
+func refreshDispatch() (*smartrefresh.Controller, func()) {
+	cfg := smartrefresh.Table1_2GB()
+	ctl, err := smartrefresh.NewController(cfg, smartrefresh.NewCBRPolicy(cfg),
+		smartrefresh.ControllerOptions{})
+	if err != nil {
+		panic(err)
+	}
+	period := cfg.RefreshInterval() / smartrefresh.Duration(cfg.Geometry.TotalRows())
+	var now smartrefresh.Time
+	step := func() {
+		now += period
+		ctl.AdvanceTo(now)
+	}
+	return ctl, step
+}
+
+// BenchmarkRefreshDispatch measures one idle CBR tick through the
+// controller: the event drain, the policy's Advance and the module
+// refresh with its restore fan-out.
+func BenchmarkRefreshDispatch(b *testing.B) {
+	ctl, step := refreshDispatch()
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	before := ctl.Module().Stats().RefreshOps
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ctl.Module().Stats().RefreshOps-before)/float64(b.N), "refresh/op")
 }
 
 func BenchmarkWorkloadGenerator(b *testing.B) {

@@ -13,10 +13,10 @@
 //
 // Examples:
 //
-//	benchdiff run -out BENCH_pr14.json
+//	benchdiff run -out BENCH_pr15.json
 //	benchdiff run -out /tmp/bench.json -bench '^BenchmarkSuiteParallel$' -benchtime 1x
-//	benchdiff compare -baseline BENCH_pr14.json -current /tmp/bench.json
-//	benchdiff compare -baseline BENCH_pr14.json -current /tmp/bench.json -time-tol 300 -alloc-tol 15
+//	benchdiff compare -baseline BENCH_pr15.json -current /tmp/bench.json
+//	benchdiff compare -baseline BENCH_pr15.json -current /tmp/bench.json -time-tol 300 -alloc-tol 15
 //
 // The compare exit status is 1 on any regression beyond tolerance, 2 on
 // usage or I/O errors, 0 otherwise.
@@ -39,8 +39,9 @@ import (
 )
 
 // MicroBench selects the allocation-sensitive micro-benchmarks of the
-// policy/controller and 3D-cache hot paths; they run at MicroBenchtime.
-const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkPowerStateAdvance$|^BenchmarkDRAMCacheAccess$`
+// policy, controller, module and 3D-cache hot paths; they run at
+// MicroBenchtime.
+const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkPowerStateAdvance$|^BenchmarkDRAMCacheAccess$|^BenchmarkModuleAccess$|^BenchmarkRefreshDispatch$`
 
 // MicroBenchtime is the fixed iteration count of the MicroBench tier:
 // enough iterations that set-up and buffer growth amortise away, few

@@ -128,6 +128,7 @@ func TestBenchTiers(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkSmartPolicyAdvance", "BenchmarkRAIDRPolicyAdvance",
 		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance", "BenchmarkDRAMCacheAccess",
+		"BenchmarkModuleAccess", "BenchmarkRefreshDispatch",
 	} {
 		if !micro.MatchString(name) {
 			t.Errorf("%s not in the micro tier", name)

@@ -21,9 +21,9 @@ func NewScenario(seed uint64) Scenario {
 
 	cfg := config.Table1_2GB()
 	cfg.Name = fmt.Sprintf("rand-%d", seed)
-	cfg.Geometry.Ranks = 1 << rng.Intn(2)   // 1 or 2
-	cfg.Geometry.Banks = 2 << rng.Intn(3)   // 2, 4 or 8
-	cfg.Geometry.Rows = 64 << rng.Intn(4)   // 64..512
+	cfg.Geometry.Ranks = 1 << rng.Intn(2) // 1 or 2
+	cfg.Geometry.Banks = 2 << rng.Intn(3) // 2, 4 or 8
+	cfg.Geometry.Rows = 64 << rng.Intn(4) // 64..512
 	cfg.Geometry.Columns = 64 << rng.Intn(2)
 	cfg.Timing.RefreshInterval = sim.Duration(1+rng.Intn(4)) * sim.Millisecond
 	cfg.Power.Geometry = cfg.Geometry

@@ -49,7 +49,11 @@ func (k RefreshKind) String() string {
 	}
 }
 
-// AccessResult describes the outcome of one demand read or write.
+// AccessResult describes the outcome of one demand read or write. The
+// accessed bank's coordinates are the caller's address, so the result
+// carries only what the access decided: every access that is not a
+// RowHit activated the requested row at ActivateAt, and a Conflict first
+// precharged ClosedRow of the same bank.
 type AccessResult struct {
 	Issue     sim.Time // when the first command issued (after bank ready)
 	DataStart sim.Time // first data beat on the bus
@@ -57,18 +61,13 @@ type AccessResult struct {
 	RowHit    bool     // open-page hit: no activate needed
 	Conflict  bool     // another row was open and had to be closed
 
-	// ClosedRow is set when the access precharged a previously open row
-	// (conflict). Closing a page restores the cells, which resets that
-	// row's Smart Refresh counter.
-	ClosedRow    RowID
-	ClosedRowSet bool
+	// ClosedRow is the row index, in the accessed bank, of the page a
+	// Conflict precharged (undefined otherwise). Closing a page restores
+	// the cells, which resets that row's Smart Refresh counter.
+	ClosedRow int
 
-	// OpenedRow is set when the access activated a row (miss or conflict).
-	OpenedRow    RowID
-	OpenedRowSet bool
-
-	// ActivateAt is the activate command time when OpenedRowSet (after
-	// bank, tRRD and tFAW constraints).
+	// ActivateAt is the activate command time of a miss or conflict
+	// (after bank, tRRD and tFAW constraints).
 	ActivateAt sim.Time
 }
 
@@ -87,9 +86,10 @@ type RefreshResult struct {
 	// ClosedOpenRow is true when the refresh found the bank with an open
 	// page and had to close it first — the extra-energy case the paper
 	// calls out when explaining why refresh-count and refresh-energy
-	// reductions are not linearly related.
+	// reductions are not linearly related. ClosedRow is then the closed
+	// page's row index in Row's bank.
 	ClosedOpenRow bool
-	ClosedRow     RowID
+	ClosedRow     int
 }
 
 // ModuleStats aggregates the activity counts and state-residency times the
@@ -285,12 +285,13 @@ type rankState struct {
 }
 
 // activateOKAt returns the earliest time a new activate may issue in the
-// rank under tRRD and tFAW.
-func (r *rankState) activateOKAt(t *Timing) sim.Time {
-	earliest := r.lastActivate + t.TRRD
+// rank under tRRD and tFAW. The recorded activates are clock edges, so
+// with the clock-rounded delays the result is an edge too.
+func (r *rankState) activateOKAt(d *delays) sim.Time {
+	earliest := r.lastActivate + d.rrd
 	// The oldest of the last four activates bounds the fifth.
 	oldest := r.actWindow[r.actWindowPos]
-	if faw := oldest + t.TFAW; faw > earliest {
+	if faw := oldest + d.faw; faw > earliest {
 		earliest = faw
 	}
 	return earliest
@@ -307,6 +308,42 @@ type channelState struct {
 	busFreeAt sim.Time
 }
 
+// delays is the timing set resolved once at NewModule into the offsets
+// the command paths add: each JEDEC constraint rounded up to whole
+// command clocks. Rounding is exact, not an approximation. Every time the
+// module stores (bank and channel horizons, activate history) is a clock
+// edge, and for an edge e, Next(e+x) == e+ceil(x) and Next(max(a, b)) ==
+// max(Next(a), Next(b)); so an edge plus a rounded delay is the edge the
+// unrounded sum would have been quantised to, and only an incoming
+// request time ever needs Clock.Next.
+type delays struct {
+	rcd, cl, ccd, rtp, rp, ras, rc, rrd, faw sim.Duration
+
+	burst   sim.Duration // data-bus occupancy of one access
+	burstWR sim.Duration // first data beat to precharge after a write: burst + tWR
+
+	rfc   sim.Duration // Timing.TRefreshRow (CBR and RAS-only)
+	rfcPB sim.Duration // Timing.PerBankRefreshDuration (REFpb)
+	rfcAB sim.Duration // Timing.AllBankRefreshDuration over the rank's banks (REFab)
+}
+
+// newDelays rounds the timing set onto its command clock for a
+// geometry's burst length and bank count.
+func newDelays(t *Timing, g *Geometry) delays {
+	clk := sim.NewClock(t.TCK)
+	up := func(d sim.Duration) sim.Duration { return clk.Next(d) }
+	burst := t.BurstDuration(g.BurstLength)
+	return delays{
+		rcd: up(t.TRCD), cl: up(t.TCL), ccd: up(t.TCCD), rtp: up(t.TRTP),
+		rp: up(t.TRP), ras: up(t.TRAS), rc: up(t.TRC), rrd: up(t.TRRD), faw: up(t.TFAW),
+		burst:   up(burst),
+		burstWR: up(burst + t.TWR),
+		rfc:     up(t.TRefreshRow),
+		rfcPB:   up(t.PerBankRefreshDuration()),
+		rfcAB:   up(t.AllBankRefreshDuration(g.Banks)),
+	}
+}
+
 // Module is a DRAM module with open-page row-buffer policy. It is not safe
 // for concurrent use; the simulator is single-threaded by design.
 type Module struct {
@@ -314,8 +351,11 @@ type Module struct {
 	tim  Timing
 	clk  sim.Clock
 	// burst is the data-bus occupancy of one access, fixed by the
-	// geometry's burst length and the timing.
+	// geometry's burst length and the timing: the unrounded span
+	// AccessResult.Done reports. d holds the clock-rounded offsets the
+	// command paths add to stored times.
 	burst sim.Duration
+	d     delays
 
 	banks    []bankState
 	ranks    []rankState
@@ -363,6 +403,7 @@ func NewModule(g Geometry, t Timing) *Module {
 		tim:         t,
 		clk:         sim.NewClock(t.TCK),
 		burst:       t.BurstDuration(g.BurstLength),
+		d:           newDelays(&t, &g),
 		banks:       make([]bankState, g.TotalBanks()),
 		ranks:       make([]rankState, g.Channels*g.Ranks),
 		channels:    make([]channelState, g.Channels),
@@ -489,7 +530,7 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 }
 
 // Access performs one demand read or write under the open-page policy and
-// returns the command/data timing plus which rows were opened or closed.
+// returns the command/data timing plus which row, if any, was closed.
 // The request is presented at time t; if the bank is busy the access
 // stalls until it is ready.
 func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
@@ -499,11 +540,13 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	m.observe(t)
 	bi := addr.BankOf().Flat(&m.geom)
 	ri := m.rankIndex(addr.Channel, addr.Rank)
-	if m.ranks[ri].inSelfRefresh {
+	r := &m.ranks[ri]
+	if r.inSelfRefresh {
 		panic(fmt.Sprintf("dram: access to rank ch%d/rk%d in self-refresh", addr.Channel, addr.Rank))
 	}
 	b := &m.banks[bi]
 	ch := &m.channels[addr.Channel]
+	d := &m.d
 
 	res := AccessResult{}
 	ready := b.readyAt
@@ -512,82 +555,68 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		// to it serializes behind the refresh (other subarrays proceed).
 		ready = b.srefUntil
 	}
-	issue := m.clk.Next(sim.Max(t, ready))
+	issue := m.issueAt(t, ready)
 	if issue > t {
 		m.stats.DemandStall += issue - t
 	}
 	res.Issue = issue
 
 	cas := issue // when the column command can go
-	switch {
-	case b.openRow == addr.Row:
+	if b.openRow == addr.Row {
 		// Row hit: column command straight away.
 		res.RowHit = true
 		m.stats.RowHits++
-	case b.openRow == -1:
-		// Bank precharged: activate then column command.
-		m.stats.RowMisses++
-		act := sim.Max(issue, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
-		act = m.clk.Next(act)
-		m.openBank(b, ri, addr.Row, act)
-		m.ranks[ri].recordActivate(act)
-		m.stats.Activates++
-		b.activateOKAt = act + m.tim.TRC
-		b.prechargeOKAt = act + m.tim.TRAS
-		cas = m.clk.Next(act + m.tim.TRCD)
-		res.OpenedRow, res.OpenedRowSet = addr.RowID, true
-		res.ActivateAt = act
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdActivate, bi, addr.Row, act, cas)
+	} else {
+		act := issue
+		if b.openRow == -1 {
+			// Bank precharged: activate then column command.
+			m.stats.RowMisses++
+		} else {
+			// Conflict: close the open page (restoring its cells), then
+			// activate the requested row.
+			m.stats.RowConflicts++
+			res.Conflict = true
+			res.ClosedRow = b.openRow
+			pre := sim.Max(issue, b.prechargeOKAt)
+			if m.trace != nil {
+				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+			}
+			m.closeBank(b, ri, pre)
+			m.stats.Precharges++
+			act = pre + d.rp
 		}
-	default:
-		// Conflict: close the open page (restoring its cells), then
-		// activate the requested row.
-		m.stats.RowConflicts++
-		res.Conflict = true
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
-		res.ClosedRow = RowID{Channel: addr.Channel, Rank: addr.Rank, Bank: addr.Bank, Row: b.openRow}
-		res.ClosedRowSet = true
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
-		}
-		m.closeBank(b, ri, pre)
-		m.stats.Precharges++
-		act := sim.Max(pre+m.tim.TRP, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
-		act = m.clk.Next(act)
+		act = sim.Max(act, b.activateOKAt)
+		act = sim.Max(act, r.activateOKAt(d))
 		m.openBank(b, ri, addr.Row, act)
-		m.ranks[ri].recordActivate(act)
+		r.recordActivate(act)
 		m.stats.Activates++
-		b.activateOKAt = act + m.tim.TRC
-		b.prechargeOKAt = act + m.tim.TRAS
-		cas = m.clk.Next(act + m.tim.TRCD)
-		res.OpenedRow, res.OpenedRowSet = addr.RowID, true
+		b.activateOKAt = act + d.rc
+		b.prechargeOKAt = act + d.ras
+		cas = act + d.rcd
 		res.ActivateAt = act
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdActivate, bi, addr.Row, act, cas)
 		}
 	}
 
-	dataStart := m.clk.Next(sim.Max(cas+m.tim.TCL, ch.busFreeAt))
+	dataStart := sim.Max(cas+d.cl, ch.busFreeAt)
 	dataDone := dataStart + m.burst
-	ch.busFreeAt = dataDone
+	ch.busFreeAt = dataStart + d.burst
 	res.DataStart = dataStart
 	res.Done = dataDone
 
 	// Next column command to this bank.
-	b.readyAt = m.clk.Next(sim.Max(cas+m.tim.TCCD, dataStart))
+	b.readyAt = sim.Max(cas+d.ccd, dataStart)
 	// Write recovery / read-to-precharge constraints.
 	if write {
 		m.stats.Writes++
-		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataDone+m.tim.TWR)
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataStart+d.burstWR)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdWrite, bi, addr.Row, dataStart, dataDone)
 		}
 	} else {
 		m.stats.Reads++
-		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+m.tim.TRTP)
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+d.rtp)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdRead, bi, addr.Row, dataStart, dataDone)
 		}
@@ -595,6 +624,16 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	m.stats.Accesses++
 	m.observe(dataDone)
 	return res
+}
+
+// issueAt returns the first clock edge at or after both the request time
+// t and ready, a stored bank horizon. Every stored horizon is a clock
+// edge (see delays), so only a t past ready needs quantising.
+func (m *Module) issueAt(t, ready sim.Time) sim.Time {
+	if t > ready {
+		return m.clk.Next(t)
+	}
+	return ready
 }
 
 // RefreshRow performs a RAS-only refresh of the addressed row: the
@@ -648,7 +687,7 @@ func subarrayRows(rows int) int {
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
 func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
-	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.tim.PerBankRefreshDuration())
+	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.d.rfcPB)
 }
 
 // RefreshBankOverlapped performs a per-bank refresh that parallelizes
@@ -671,10 +710,9 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
 	}
 	b := &m.banks[bi]
-	dur := m.tim.PerBankRefreshDuration()
 
 	res := RefreshResult{Row: row, Kind: RefreshPerBank}
-	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	issue := m.issueAt(t, b.readyAt)
 	res.Issue = issue
 	start := issue
 
@@ -683,19 +721,19 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		// The open page lives in the refreshing subarray: it must close
 		// first — the same conflict case as a blocking refresh.
 		res.ClosedOpenRow = true
-		res.ClosedRow = RowID{Channel: row.Channel, Rank: row.Rank, Bank: row.Bank, Row: b.openRow}
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+		res.ClosedRow = b.openRow
+		pre := sim.Max(issue, b.prechargeOKAt)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
 		}
 		m.closeBank(b, ri, pre)
 		m.stats.Precharges++
 		m.stats.RefreshConflictOps++
-		start = m.clk.Next(pre + m.tim.TRP)
+		start = pre + m.d.rp
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
+	start = sim.Max(start, m.ranks[ri].activateOKAt(&m.d))
 	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + dur)
+	done := start + m.d.rfcPB
 
 	if b.openRow == -1 {
 		// Bank precharged: the refresh is the only activity; count the
@@ -703,7 +741,7 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		// immediately (two clocks of command-bus turnaround).
 		m.openBank(b, ri, row.Row, start)
 		m.closeBank(b, ri, done)
-		b.readyAt = sim.Max(b.readyAt, m.clk.Next(start+2*m.tim.TCK))
+		b.readyAt = sim.Max(b.readyAt, start+2*m.tim.TCK)
 		b.prechargeOKAt = sim.Max(b.prechargeOKAt, b.readyAt)
 	}
 	// With a surviving open page in another subarray the bank state is
@@ -742,24 +780,25 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 		b := &m.banks[bi]
 		res := &results[bk]
 		res.Kind = RefreshAllBank
-		res.Issue = m.clk.Next(sim.Max(t, b.readyAt))
+		res.Issue = m.issueAt(t, b.readyAt)
 		if b.openRow != -1 {
 			res.ClosedOpenRow = true
-			res.ClosedRow = RowID{Channel: channel, Rank: rank, Bank: bk, Row: b.openRow}
-			pre := m.clk.Next(sim.Max(res.Issue, b.prechargeOKAt))
+			res.ClosedRow = b.openRow
+			pre := sim.Max(res.Issue, b.prechargeOKAt)
 			if m.trace != nil {
 				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
 			}
 			m.closeBank(b, ri, pre)
 			m.stats.Precharges++
 			m.stats.RefreshConflictOps++
-			start = sim.Max(start, pre+m.tim.TRP)
+			start = sim.Max(start, pre+m.d.rp)
 		}
 		start = sim.Max(start, sim.Max(res.Issue, b.activateOKAt))
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
+	// start began at the incoming t; every other term is an edge.
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.d)))
 	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + m.tim.AllBankRefreshDuration(m.geom.Banks))
+	done := start + m.d.rfcAB
 
 	for bk := 0; bk < m.geom.Banks; bk++ {
 		id := BankID{Channel: channel, Rank: rank, Bank: bk}
@@ -771,7 +810,7 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 		m.openBank(b, ri, row.Row, start)
 		m.closeBank(b, ri, done)
 		b.readyAt = done
-		b.activateOKAt = sim.Max(b.activateOKAt, start+m.tim.TRC)
+		b.activateOKAt = sim.Max(b.activateOKAt, start+m.d.rc)
 		b.prechargeOKAt = done
 		m.stats.RefreshOps++
 		if m.trace != nil {
@@ -784,10 +823,11 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 }
 
 func (m *Module) refresh(t sim.Time, row RowID, kind RefreshKind) RefreshResult {
-	return m.refreshDur(t, row, kind, m.tim.TRefreshRow)
+	return m.refreshDur(t, row, kind, m.d.rfc)
 }
 
-// refreshDur is the blocking refresh: the bank is fully occupied for dur.
+// refreshDur is the blocking refresh: the bank is fully occupied for dur,
+// a whole number of clocks.
 func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
 	if !row.Valid(&m.geom) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
@@ -801,7 +841,7 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	b := &m.banks[bi]
 
 	res := RefreshResult{Row: row, Kind: kind}
-	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	issue := m.issueAt(t, b.readyAt)
 	res.Issue = issue
 
 	start := issue
@@ -809,28 +849,28 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 		// Close the open page first; its cells are restored by the
 		// precharge write-back.
 		res.ClosedOpenRow = true
-		res.ClosedRow = RowID{Channel: row.Channel, Rank: row.Rank, Bank: row.Bank, Row: b.openRow}
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+		res.ClosedRow = b.openRow
+		pre := sim.Max(issue, b.prechargeOKAt)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
 		}
 		m.closeBank(b, ri, pre)
 		m.stats.Precharges++
 		m.stats.RefreshConflictOps++
-		start = m.clk.Next(pre + m.tim.TRP)
+		start = pre + m.d.rp
 	}
 	start = sim.Max(start, b.activateOKAt)
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
+	start = sim.Max(start, m.ranks[ri].activateOKAt(&m.d))
 
 	// The refresh itself: internal activate + restore + precharge (the
 	// paper's 70 ns row refresh, or tRFCpb for a per-bank command). The
 	// bank ends precharged. Count the rank as active for the duration.
 	m.openBank(b, ri, row.Row, start)
 	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + dur)
+	done := start + dur
 	m.closeBank(b, ri, done)
 	b.readyAt = done
-	b.activateOKAt = sim.Max(b.activateOKAt, start+m.tim.TRC)
+	b.activateOKAt = sim.Max(b.activateOKAt, start+m.d.rc)
 	b.prechargeOKAt = done
 	res.Done = done
 
@@ -884,7 +924,7 @@ func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
 	ri := m.rankIndex(bank.Channel, bank.Rank)
 	m.closeBank(b, ri, pre)
 	m.stats.Precharges++
-	done := m.clk.Next(pre + m.tim.TRP)
+	done := pre + m.d.rp
 	b.readyAt = sim.Max(b.readyAt, done)
 	b.prechargeOKAt = done
 	m.observe(done)

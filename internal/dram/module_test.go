@@ -54,8 +54,9 @@ func TestAccessRowMissThenHit(t *testing.T) {
 	if r1.RowHit {
 		t.Error("first access reported row hit")
 	}
-	if !r1.OpenedRowSet || r1.OpenedRow != addr.RowID {
-		t.Error("first access did not report opened row")
+	if r1.Conflict || r1.ActivateAt != r1.Issue {
+		t.Errorf("first access: conflict=%v activate at %v, want a plain activate at issue %v",
+			r1.Conflict, r1.ActivateAt, r1.Issue)
 	}
 	// Activate + tRCD + tCL + burst.
 	tt := m.Timing()
@@ -68,8 +69,8 @@ func TestAccessRowMissThenHit(t *testing.T) {
 	if !r2.RowHit {
 		t.Error("second access to same row not a hit")
 	}
-	if r2.OpenedRowSet || r2.ClosedRowSet {
-		t.Error("row hit should not open or close rows")
+	if r2.Conflict {
+		t.Error("row hit should not close rows")
 	}
 	if r2.Done-r2.Issue > tt.TCL+tt.BurstDuration(4)+2*tt.TCK {
 		t.Errorf("hit latency %v too large", r2.Done-r2.Issue)
@@ -89,11 +90,11 @@ func TestAccessConflictClosesRow(t *testing.T) {
 	if !r2.Conflict {
 		t.Fatal("conflict not reported")
 	}
-	if !r2.ClosedRowSet || r2.ClosedRow != a1.RowID {
-		t.Errorf("closed row = %+v (set=%v), want %+v", r2.ClosedRow, r2.ClosedRowSet, a1.RowID)
+	if r2.ClosedRow != a1.Row {
+		t.Errorf("closed row = %d, want %d", r2.ClosedRow, a1.Row)
 	}
-	if !r2.OpenedRowSet || r2.OpenedRow != a2.RowID {
-		t.Error("opened row wrong")
+	if r2.RowHit || m.OpenRow(a2.BankOf()) != a2.Row {
+		t.Error("conflict did not open the requested row")
 	}
 	if m.Stats().RowConflicts != 1 {
 		t.Errorf("RowConflicts = %d", m.Stats().RowConflicts)
@@ -165,7 +166,7 @@ func TestRefreshClosesOpenPage(t *testing.T) {
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
 	r := m.Access(0, a, false)
 	res := m.RefreshRow(r.Done, RowID{0, 0, 0, 9})
-	if !res.ClosedOpenRow || res.ClosedRow != a.RowID {
+	if !res.ClosedOpenRow || res.ClosedRow != a.Row {
 		t.Errorf("refresh did not close open page: %+v", res)
 	}
 	if m.Stats().RefreshConflictOps != 1 {
@@ -386,7 +387,7 @@ func TestActivateRateLimits(t *testing.T) {
 	}
 	for _, a := range reqs {
 		res := m.Access(0, a, false)
-		if !res.OpenedRowSet {
+		if res.RowHit {
 			t.Fatal("expected a row miss")
 		}
 		acts = append(acts, res.ActivateAt)
@@ -678,5 +679,306 @@ func TestAccessLatencyHelper(t *testing.T) {
 	res := m.Access(100, Address{RowID: RowID{0, 0, 0, 0}, Column: 0}, false)
 	if res.Latency(100) != res.Done-100 {
 		t.Error("Latency helper wrong")
+	}
+}
+
+// refModule replays the module's command timing the way it was computed
+// before the clock-rounded delay table: every derived time quantised with
+// Clock.Next and every constraint added unrounded. It tracks only timing
+// state (no stats, trace or power-down), so it covers the streams
+// TestDelayTableMatchesReference drives: demand accesses, blocking
+// refreshes of every kind, and page-close precharges.
+type refModule struct {
+	geom      Geometry
+	tim       Timing
+	clk       sim.Clock
+	burst     sim.Duration
+	banks     []bankState
+	ranks     []rankState
+	busFreeAt []sim.Time
+	counters  []int
+}
+
+func newRefModule(g Geometry, t Timing) *refModule {
+	m := &refModule{
+		geom:      g,
+		tim:       t,
+		clk:       sim.NewClock(t.TCK),
+		burst:     t.BurstDuration(g.BurstLength),
+		banks:     make([]bankState, g.TotalBanks()),
+		ranks:     make([]rankState, g.Channels*g.Ranks),
+		busFreeAt: make([]sim.Time, g.Channels),
+		counters:  make([]int, g.TotalBanks()),
+	}
+	for i := range m.banks {
+		m.banks[i].openRow = -1
+	}
+	const farPast = sim.Time(-1) << 40
+	for i := range m.ranks {
+		m.ranks[i].lastActivate = farPast
+		for j := range m.ranks[i].actWindow {
+			m.ranks[i].actWindow[j] = farPast
+		}
+	}
+	return m
+}
+
+// refActivateOKAt is the rank's tRRD/tFAW bound on unrounded constraints.
+func refActivateOKAt(r *rankState, t *Timing) sim.Time {
+	earliest := r.lastActivate + t.TRRD
+	oldest := r.actWindow[r.actWindowPos]
+	if faw := oldest + t.TFAW; faw > earliest {
+		earliest = faw
+	}
+	return earliest
+}
+
+func (m *refModule) access(t sim.Time, addr Address, write bool) AccessResult {
+	bi := addr.BankOf().Flat(&m.geom)
+	ri := addr.Channel*m.geom.Ranks + addr.Rank
+	b := &m.banks[bi]
+	busFreeAt := &m.busFreeAt[addr.Channel]
+
+	res := AccessResult{}
+	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	res.Issue = issue
+
+	cas := issue
+	switch {
+	case b.openRow == addr.Row:
+		res.RowHit = true
+	case b.openRow == -1:
+		act := sim.Max(issue, b.activateOKAt)
+		act = sim.Max(act, refActivateOKAt(&m.ranks[ri], &m.tim))
+		act = m.clk.Next(act)
+		b.openRow = addr.Row
+		m.ranks[ri].recordActivate(act)
+		b.activateOKAt = act + m.tim.TRC
+		b.prechargeOKAt = act + m.tim.TRAS
+		cas = m.clk.Next(act + m.tim.TRCD)
+		res.ActivateAt = act
+	default:
+		res.Conflict = true
+		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+		res.ClosedRow = b.openRow
+		act := sim.Max(pre+m.tim.TRP, b.activateOKAt)
+		act = sim.Max(act, refActivateOKAt(&m.ranks[ri], &m.tim))
+		act = m.clk.Next(act)
+		b.openRow = addr.Row
+		m.ranks[ri].recordActivate(act)
+		b.activateOKAt = act + m.tim.TRC
+		b.prechargeOKAt = act + m.tim.TRAS
+		cas = m.clk.Next(act + m.tim.TRCD)
+		res.ActivateAt = act
+	}
+
+	dataStart := m.clk.Next(sim.Max(cas+m.tim.TCL, *busFreeAt))
+	dataDone := dataStart + m.burst
+	*busFreeAt = dataDone
+	res.DataStart = dataStart
+	res.Done = dataDone
+
+	b.readyAt = m.clk.Next(sim.Max(cas+m.tim.TCCD, dataStart))
+	if write {
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataDone+m.tim.TWR)
+	} else {
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+m.tim.TRTP)
+	}
+	return res
+}
+
+func (m *refModule) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
+	bi := row.BankOf().Flat(&m.geom)
+	ri := row.Channel*m.geom.Ranks + row.Rank
+	b := &m.banks[bi]
+
+	res := RefreshResult{Row: row, Kind: kind}
+	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	res.Issue = issue
+
+	start := issue
+	if b.openRow != -1 {
+		res.ClosedOpenRow = true
+		res.ClosedRow = b.openRow
+		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+		b.openRow = -1
+		start = m.clk.Next(pre + m.tim.TRP)
+	}
+	start = sim.Max(start, b.activateOKAt)
+	start = m.clk.Next(sim.Max(start, refActivateOKAt(&m.ranks[ri], &m.tim)))
+	m.ranks[ri].recordActivate(start)
+	done := m.clk.Next(start + dur)
+	b.readyAt = done
+	b.activateOKAt = sim.Max(b.activateOKAt, start+m.tim.TRC)
+	b.prechargeOKAt = done
+	res.Done = done
+	return res
+}
+
+func (m *refModule) counterRow(bank BankID) RowID {
+	bi := bank.Flat(&m.geom)
+	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.counters[bi]}
+	m.counters[bi] = (m.counters[bi] + 1) % m.geom.Rows
+	return row
+}
+
+func (m *refModule) precharge(t sim.Time, bank BankID) bool {
+	b := &m.banks[bank.Flat(&m.geom)]
+	if b.openRow == -1 {
+		return false
+	}
+	pre := m.clk.Next(sim.Max(t, b.prechargeOKAt))
+	b.openRow = -1
+	done := m.clk.Next(pre + m.tim.TRP)
+	b.readyAt = sim.Max(b.readyAt, done)
+	b.prechargeOKAt = done
+	return true
+}
+
+// offGridTiming is a DDR-class timing set in which no constraint is a
+// whole number of clocks, so every rounded delay differs from its
+// unrounded value. tCCD exceeds tCL, unlike any real part, so that the
+// column-to-column term of a bank's ready time binds too.
+func offGridTiming() Timing {
+	return Timing{
+		TCK:             2500 * sim.Picosecond,
+		TRCD:            13100 * sim.Picosecond,
+		TRP:             13300 * sim.Picosecond,
+		TCL:             12700 * sim.Picosecond,
+		TRAS:            36100 * sim.Picosecond,
+		TRC:             49900 * sim.Picosecond,
+		TWR:             14300 * sim.Picosecond,
+		TRTP:            7700 * sim.Picosecond,
+		TCCD:            16100 * sim.Picosecond,
+		TRRD:            6700 * sim.Picosecond,
+		TFAW:            31100 * sim.Picosecond,
+		TRefreshRow:     71300 * sim.Picosecond,
+		TRFCpb:          73900 * sim.Picosecond,
+		TRFCab:          201700 * sim.Picosecond,
+		TXSNR:           81100 * sim.Picosecond,
+		RefreshInterval: 64 * sim.Millisecond,
+	}
+}
+
+// The delay table must reproduce the quantise-everything arithmetic bit
+// for bit: on seeded streams mixing row hits, misses and conflicts with
+// every blocking refresh kind and page-close precharges, arriving both
+// before and after their bank frees, every result must match the
+// reference, and every stored horizon must equal the reference's rounded
+// up to the clock.
+func TestDelayTableMatchesReference(t *testing.T) {
+	hmc := Geometry{
+		Channels: 8, Ranks: 4, Banks: 2, Rows: 4096, Columns: 128,
+		DataWidthBits: 72, BurstLength: 4, DevicesPerRank: 2,
+		Vaults: 8, Layers: 4,
+	}
+	// Eight banks per rank let five activates fall inside one tFAW
+	// window (with four, tRC > tFAW keeps the window from binding).
+	offGrid := table1Geom2GB()
+	offGrid.Banks = 8
+	offGrid.BurstLength = 8
+	cases := []struct {
+		name string
+		geom Geometry
+		tim  Timing
+	}{
+		{"table1-2gb", table1Geom2GB(), DDR2_667(64 * sim.Millisecond)},
+		{"hmc-8v-vault", hmc.PerVault(), DDR2_667(32 * sim.Millisecond)},
+		{"off-grid-bl8", offGrid, offGridTiming()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				checkDelayTableStream(t, tc.geom, tc.tim, seed)
+			}
+		})
+	}
+}
+
+func checkDelayTableStream(t *testing.T, g Geometry, tim Timing, seed uint64) {
+	t.Helper()
+	m := NewModule(g, tim)
+	ref := newRefModule(g, tim)
+	rng := sim.NewRNG(seed)
+	var hits, misses, conflicts, closes int
+	now := sim.Time(0)
+	for step := 0; step < 20000; step++ {
+		// Gaps from zero (back-to-back, usually before the bank frees)
+		// through sub-clock offsets to whole idle stretches.
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			now += sim.Time(rng.Intn(int(3 * tim.TCK)))
+		case 2:
+			now += sim.Time(rng.Intn(int(30 * sim.Nanosecond)))
+		default:
+			now += sim.Time(rng.Intn(int(300 * sim.Nanosecond)))
+		}
+		bank := BankID{Channel: rng.Intn(g.Channels), Rank: rng.Intn(g.Ranks), Bank: rng.Intn(g.Banks)}
+		row := rng.Intn(3) // few rows per bank: hits and conflicts both common
+		if rng.Bool(0.1) {
+			row = rng.Intn(g.Rows)
+		}
+		rowID := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: row}
+
+		var got, want any
+		switch op := rng.Intn(20); {
+		case op < 14:
+			addr := Address{RowID: rowID, Column: rng.Intn(g.Columns)}
+			write := rng.Bool(0.3)
+			r := m.Access(now, addr, write)
+			got, want = r, ref.access(now, addr, write)
+			switch {
+			case r.RowHit:
+				hits++
+			case r.Conflict:
+				conflicts++
+			default:
+				misses++
+			}
+		case op < 16:
+			got, want = m.RefreshRow(now, rowID), ref.refreshDur(now, rowID, RefreshRASOnly, tim.TRefreshRow)
+		case op < 17:
+			got = m.RefreshNextCBR(now, bank)
+			want = ref.refreshDur(now, ref.counterRow(bank), RefreshCBR, tim.TRefreshRow)
+		case op < 18:
+			got = m.RefreshBank(now, bank)
+			want = ref.refreshDur(now, ref.counterRow(bank), RefreshPerBank, tim.PerBankRefreshDuration())
+		default:
+			_, closed := m.PrechargeBank(now, bank)
+			got, want = closed, ref.precharge(now, bank)
+			if closed {
+				closes++
+			}
+		}
+		if got != want {
+			t.Fatalf("seed %d step %d at %v: got %+v, reference %+v", seed, step, now, got, want)
+		}
+		for i := range m.banks {
+			b, r := &m.banks[i], &ref.banks[i]
+			if b.openRow != r.openRow ||
+				b.readyAt != ref.clk.Next(r.readyAt) ||
+				b.activateOKAt != ref.clk.Next(r.activateOKAt) ||
+				b.prechargeOKAt != ref.clk.Next(r.prechargeOKAt) {
+				t.Fatalf("seed %d step %d bank %d: open %d ready %v act %v pre %v; reference rounded open %d ready %v act %v pre %v",
+					seed, step, i, b.openRow, b.readyAt, b.activateOKAt, b.prechargeOKAt,
+					r.openRow, ref.clk.Next(r.readyAt), ref.clk.Next(r.activateOKAt), ref.clk.Next(r.prechargeOKAt))
+			}
+		}
+		for i := range m.ranks {
+			a, r := &m.ranks[i], &ref.ranks[i]
+			if a.lastActivate != r.lastActivate || a.actWindow != r.actWindow || a.actWindowPos != r.actWindowPos {
+				t.Fatalf("seed %d step %d rank %d: activate history diverged", seed, step, i)
+			}
+		}
+		for i := range m.channels {
+			if got, want := m.channels[i].busFreeAt, ref.clk.Next(ref.busFreeAt[i]); got != want {
+				t.Fatalf("seed %d step %d channel %d: bus free at %v, reference rounded %v", seed, step, i, got, want)
+			}
+		}
+	}
+	if hits == 0 || misses == 0 || conflicts == 0 || closes == 0 {
+		t.Fatalf("seed %d: stream not mixed: %d hits, %d misses, %d conflicts, %d closes",
+			seed, hits, misses, conflicts, closes)
 	}
 }

@@ -145,7 +145,7 @@ func TestRefreshBankOverlappedSameSubarrayConflictClosesPage(t *testing.T) {
 	a0 := m.Access(0, near, false)
 
 	ref := m.RefreshBankOverlapped(a0.Done, bank)
-	if !ref.ClosedOpenRow || ref.ClosedRow != near.RowID {
+	if !ref.ClosedOpenRow || ref.ClosedRow != near.Row {
 		t.Errorf("same-subarray overlap did not close the page: %+v", ref)
 	}
 	if got := m.OpenRow(bank); got != -1 {
@@ -186,7 +186,7 @@ func TestRefreshAllBanksFreezesRankAndWalksEveryCounter(t *testing.T) {
 			t.Errorf("bank %d ready at %v, want %v", bk, ready, done)
 		}
 	}
-	if !results[2].ClosedOpenRow || results[2].ClosedRow != open.RowID {
+	if !results[2].ClosedOpenRow || results[2].ClosedRow != open.Row {
 		t.Errorf("open page not closed by REFab: %+v", results[2])
 	}
 

@@ -65,11 +65,11 @@ type PowerStatePoint struct {
 	AvgLatencyNS   float64
 	AddedLatencyNS float64
 	// Residency percentages of total rank-time in the measured window.
-	ActPdnPct  float64
-	PrePdnPct  float64
-	SRPct      float64
-	PDEntries  uint64
-	SREntries  uint64
+	ActPdnPct float64
+	PrePdnPct float64
+	SRPct     float64
+	PDEntries uint64
+	SREntries uint64
 	// Pareto marks the point as non-dominated on (TotalEnergyMJ,
 	// AvgLatencyNS) within its workload: no other point is at least as
 	// good on both axes and strictly better on one.
@@ -221,10 +221,10 @@ func (s PowerStateSweep) RenderFingerprints(w io.Writer) {
 // per-vault state machines must compose with the VaultArray epoch
 // barriers without breaking the sharding determinism contract.
 type PowerStateVaultCheck struct {
-	Config       string
-	Policy       string
-	Shards       []int
-	Fingerprints []string
+	Config        string
+	Policy        string
+	Shards        []int
+	Fingerprints  []string
 	Deterministic bool
 }
 

@@ -122,8 +122,17 @@ type Controller struct {
 	lastbusy sim.Time // completion time of the latest demand access
 
 	idleClose   sim.Duration // page-close timeout (<0: never)
-	bankLastUse []sim.Time   // per flat bank: last demand activity
-	idleq       idleHeap     // lazy heap of candidate page-close deadlines
+	bankLastUse []sim.Time   // per flat bank: last demand activity; write via setBankLastUse
+
+	// idleAt/idleFlat cache the earliest page-close deadline
+	// (bankLastUse+idleClose) over the banks, (deadline, flat)-ordered;
+	// idleOK is false when no candidate is cached. The cache is exact
+	// unless idleDirty, which nextIdleClose resolves by rescanning the
+	// open banks. See setBankLastUse.
+	idleAt    sim.Time
+	idleFlat  int
+	idleOK    bool
+	idleDirty bool
 
 	// ps is the per-rank power-state machine (self-refresh is its
 	// deepest rung); armed when SelfRefreshAfter or any PowerStates
@@ -139,7 +148,10 @@ type Controller struct {
 	refreshesDroppedSR uint64
 
 	// interrupt is Options.Interrupt; nil when cancellation is not wired.
-	interrupt func() bool
+	// interruptIn counts drained events down to the next poll; it lives
+	// on the controller so the stride spans Submit and AdvanceTo calls.
+	interrupt   func() bool
+	interruptIn int
 }
 
 // RetentionGrace is the command-latency allowance added to the checked
@@ -308,98 +320,51 @@ func (c *Controller) refreshRestore(t sim.Time, row dram.RowID) {
 	}
 }
 
-// idleEntry is one candidate page-close deadline: bank flat was last used
-// at at-idleClose, so its page should close at at (if still open and not
-// touched since).
-type idleEntry struct {
-	at   sim.Time
-	flat int32
-}
-
-// idleHeap is a binary min-heap of idleEntry ordered by (at, flat) — the
-// same order the old linear bank scan produced (strictly-smaller deadline
-// wins; ties go to the lowest flat index), so close order and tie-breaks
-// are bit-identical. Entries are invalidated lazily: a demand access that
-// touches the bank, or anything that precharges it, makes the entry stale,
-// and stale entries are discarded when they surface at the heap head. The
-// heap holds at most one valid entry per open bank (the one matching the
-// bank's latest bankLastUse), so peeking pops at most O(stale) entries.
-type idleHeap []idleEntry
-
-func (h idleHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].flat < h[j].flat)
-}
-
-func (h *idleHeap) push(e idleEntry) {
-	*h = append(*h, e)
-	// Sift up.
-	hh := *h
-	j := len(hh) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		j = i
-	}
-}
-
-// popHead removes the minimum entry.
-func (h *idleHeap) popHead() {
-	hh := *h
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	// Sift down.
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && hh.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		i = j
-	}
-}
-
-// armIdleClose schedules bank flat's page-close deadline from its latest
-// demand activity. Called on every demand completion; superseded entries
-// for the same bank die lazily in nextIdleClose.
-func (c *Controller) armIdleClose(flat int) {
+// setBankLastUse records bank flat's latest activity, which moves its
+// page-close deadline to t+idleClose, and keeps the cached earliest
+// deadline exact: a deadline ahead of the cache (ties to the lower flat
+// index) replaces it, and the cached bank's own deadline moving later
+// marks it dirty, since another bank may now be earliest. Every
+// bankLastUse write goes through here.
+func (c *Controller) setBankLastUse(flat int, t sim.Time) {
+	c.bankLastUse[flat] = t
 	if c.idleClose < 0 {
 		return
 	}
-	c.idleq.push(idleEntry{at: c.bankLastUse[flat] + c.idleClose, flat: int32(flat)})
+	at := t + c.idleClose
+	switch {
+	case c.idleDirty:
+		// A rescan is already due; it will see this bank.
+	case !c.idleOK || at < c.idleAt || (at == c.idleAt && flat < c.idleFlat):
+		c.idleAt, c.idleFlat, c.idleOK = at, flat, true
+	case flat == c.idleFlat && at > c.idleAt:
+		c.idleDirty = true
+	}
 }
 
 // nextIdleClose returns the earliest pending page-close deadline across
-// banks with an open page, or ok=false when none is pending. An entry is
-// current only if its bank still has an open page and its deadline matches
-// the bank's latest activity; anything else is a superseded remnant and is
-// dropped here.
+// banks with an open page, or ok=false when none is pending. Ties go to
+// the lowest flat bank index. Only demand opens a page, and it always
+// moves the bank's deadline through setBankLastUse, so every open bank
+// is covered by the cache; a page closed by other means (a refresh) is
+// noticed here when its bank is the cached one, and the cache is rebuilt
+// over the open banks.
 func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 	if c.idleClose < 0 {
 		return 0, 0, false
 	}
-	for len(c.idleq) > 0 {
-		e := c.idleq[0]
-		flat := int(e.flat)
-		if c.module.OpenRowFlat(flat) == -1 || e.at != c.bankLastUse[flat]+c.idleClose {
-			c.idleq.popHead()
-			continue
+	if c.idleDirty || (c.idleOK && c.module.OpenRowFlat(c.idleFlat) == -1) {
+		c.idleAt, c.idleFlat, c.idleOK, c.idleDirty = 0, 0, false, false
+		for flat, last := range c.bankLastUse {
+			if c.module.OpenRowFlat(flat) == -1 {
+				continue
+			}
+			if at := last + c.idleClose; !c.idleOK || at < c.idleAt {
+				c.idleAt, c.idleFlat, c.idleOK = at, flat, true
+			}
 		}
-		return e.at, flat, true
 	}
-	return 0, 0, false
+	return c.idleAt, c.idleFlat, c.idleOK
 }
 
 // closeIdleBank precharges one bank at its page-close deadline and
@@ -428,7 +393,7 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 		// module reports not-closed would invent a future deadline for a
 		// bank that was already closed (e.g. by a conflicting refresh) and
 		// could mask its rank's self-refresh idleness.
-		c.bankLastUse[flat] = deadline
+		c.setBankLastUse(flat, deadline)
 	}
 }
 
@@ -438,7 +403,8 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 // baseline/disabled mode).
 func (c *Controller) runRefreshTick(due sim.Time) {
 	c.cmds = c.policy.Advance(due, c.cmds[:0])
-	for _, cmd := range c.cmds {
+	for i := range c.cmds {
+		cmd := &c.cmds[i]
 		if c.selfRefreshActive(cmd.Bank.Channel, cmd.Bank.Rank) {
 			// The rank refreshes itself while asleep.
 			c.refreshesDroppedSR++
@@ -466,7 +432,9 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 		}
 		if res.ClosedOpenRow {
 			// Closing the open page restored that row too.
-			c.restore(res.Issue, res.ClosedRow)
+			closed := res.Row
+			closed.Row = res.ClosedRow
+			c.restore(res.Issue, closed)
 		}
 		c.refreshRestore(res.Done, res.Row)
 	}
@@ -487,9 +455,14 @@ const interruptCheckStride = 1024
 // drain abandons the remaining events — the caller is tearing the run
 // down and its statistics will be discarded.
 func (c *Controller) drainRefreshes(t sim.Time) {
-	for n := 0; ; n++ {
-		if c.interrupt != nil && n&(interruptCheckStride-1) == 0 && c.interrupt() {
-			return
+	for {
+		if c.interrupt != nil {
+			if c.interruptIn--; c.interruptIn <= 0 {
+				c.interruptIn = interruptCheckStride
+				if c.interrupt() {
+					return
+				}
+			}
 		}
 		rt, rok := c.policy.NextTick()
 		ct, flat, cok := c.nextIdleClose()
@@ -536,22 +509,21 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		c.wakeRank(req.Time, addr.Channel, addr.Rank)
 	}
 	res := c.module.Access(req.Time, addr, req.Write)
-	flat := addr.BankOf().Flat(&c.cfg.Geometry)
-	c.bankLastUse[flat] = res.Done
-	c.armIdleClose(flat)
+	c.setBankLastUse(addr.BankOf().Flat(&c.cfg.Geometry), res.Done)
 	c.noteDemand(res.Done, addr.Channel, addr.Rank)
 
-	if res.ClosedRowSet {
-		c.restore(res.Issue, res.ClosedRow)
+	// A row-buffer hit touches only the sense amplifiers; the cells were
+	// already drained by the earlier activate, so a hit restores nothing
+	// and must NOT reset the row's counter deadline. (The activate that
+	// opened the row did.) Every other access activated the requested
+	// row, after a conflict first closed — and so restored — the old one.
+	if res.Conflict {
+		closed := addr.RowID
+		closed.Row = res.ClosedRow
+		c.restore(res.Issue, closed)
 	}
-	if res.OpenedRowSet {
-		c.restore(res.Issue, res.OpenedRow)
-	} else if res.RowHit {
-		// A row-buffer hit touches only the sense amplifiers; the cells
-		// were already drained by the earlier activate, so a hit does not
-		// restore anything and must NOT reset the row's counter deadline.
-		// (The activate that opened the row did.)
-		_ = res
+	if !res.RowHit {
+		c.restore(res.Issue, addr.RowID)
 	}
 
 	c.requests.Inc()

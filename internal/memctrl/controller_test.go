@@ -327,3 +327,44 @@ func TestRefreshRestoreClosedPageCounted(t *testing.T) {
 	}
 	_ = dram.RowID{}
 }
+
+// Options.Interrupt is polled once per interruptCheckStride drained
+// events, counted across calls: a Submit stream drains about one event
+// per request, so polling on every call would poll on every request.
+func TestInterruptPolledOncePerStride(t *testing.T) {
+	cfg := tinyConfig(64 * sim.Millisecond)
+	polls := 0
+	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{
+		Interrupt: func() bool { polls++; return false },
+	})
+	const requests = 100000
+	now := sim.Time(0)
+	for i := 0; i < requests; i++ {
+		ctl.Submit(Request{Time: now, Addr: uint64(i) * 4096 % uint64(ctl.Mapper().Capacity())})
+		now += 20 * sim.Nanosecond
+	}
+	// Every Submit drains at least one event (the check that finds
+	// nothing due), plus the refresh ticks and page-closes of 2 ms.
+	if max := requests/interruptCheckStride + 10; polls == 0 || polls > max {
+		t.Errorf("%d Submits polled Interrupt %d times, want 1..%d", requests, polls, max)
+	}
+}
+
+// A cancelled AdvanceTo over a long idle window stops within one poll
+// stride of drained events instead of running the window out.
+func TestInterruptStopsLongAdvanceWithinStride(t *testing.T) {
+	cfg := tinyConfig(64 * sim.Millisecond)
+	cancelled := false
+	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{
+		Interrupt: func() bool { return cancelled },
+	})
+	ctl.AdvanceTo(sim.Time(sim.Millisecond))
+	before := ctl.Module().Stats().RefreshOps
+	cancelled = true
+	// Ten seconds of CBR ticks on this module is tens of thousands of
+	// refreshes.
+	ctl.AdvanceTo(sim.Time(10 * sim.Second))
+	if n := ctl.Module().Stats().RefreshOps - before; n > interruptCheckStride {
+		t.Errorf("cancelled AdvanceTo ran %d refreshes, want at most one stride (%d)", n, interruptCheckStride)
+	}
+}

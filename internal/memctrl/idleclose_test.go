@@ -3,6 +3,7 @@ package memctrl
 import (
 	"testing"
 
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
@@ -57,8 +58,7 @@ func TestNextIdleCloseTieBreakDeterministic(t *testing.T) {
 			Row:     7,
 		}}
 		ctl.module.Access(0, addr, false)
-		ctl.bankLastUse[flat] = 1000
-		ctl.armIdleClose(flat) // every bankLastUse write arms its deadline
+		ctl.setBankLastUse(flat, 1000)
 	}
 
 	wantAt := sim.Time(1000) + ctl.idleClose
@@ -71,9 +71,9 @@ func TestNextIdleCloseTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// linearNextIdleClose is the O(banks) scan the deadline heap replaced,
-// kept verbatim as the property-test reference: earliest deadline over all
-// open banks, ties to the lowest flat index.
+// linearNextIdleClose is the O(banks) scan the cached deadline slots
+// replaced, kept verbatim as the property-test reference: earliest
+// deadline over all open banks, ties to the lowest flat index.
 func linearNextIdleClose(c *Controller) (sim.Time, int, bool) {
 	if c.idleClose < 0 {
 		return 0, 0, false
@@ -102,35 +102,97 @@ func linearNextIdleClose(c *Controller) (sim.Time, int, bool) {
 	return at, best, true
 }
 
-// TestNextIdleCloseHeapMatchesLinearScan cross-checks the lazy deadline
-// heap against the old linear scan on seeded random traffic: after every
-// submitted request (each of which runs the internal drain loop, closing
-// pages in deadline order) both implementations must agree on the next
-// close — same deadline, same bank, same tie-break.
-func TestNextIdleCloseHeapMatchesLinearScan(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		cfg := tinyConfig(64 * sim.Millisecond)
-		ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{})
-		rng := sim.NewRNG(seed)
-		now := sim.Time(0)
-		for i := 0; i < 3000; i++ {
-			ctl.Submit(Request{
-				Time:  now,
-				Addr:  rng.Uint64() % uint64(ctl.Mapper().Capacity()),
-				Write: rng.Bool(0.3),
-			})
-			// Mix of gaps around the page-close timeout so pages sometimes
-			// survive to the next access and sometimes idle-close first.
-			now += sim.Time(rng.Intn(int(3 * ctl.idleClose)))
-
-			hAt, hFlat, hOk := ctl.nextIdleClose()
-			lAt, lFlat, lOk := linearNextIdleClose(ctl)
-			if hAt != lAt || hFlat != lFlat || hOk != lOk {
-				t.Fatalf("seed %d step %d: heap (%v,%d,%v) != scan (%v,%d,%v)",
-					seed, i, hAt, hFlat, hOk, lAt, lFlat, lOk)
-			}
-		}
+// TestNextIdleCloseSlotsMatchLinearScan cross-checks the cached
+// page-close deadline against the linear scan on seeded random traffic:
+// after every submitted request (each of which runs the internal drain
+// loop, closing pages in deadline order) both must agree on the next
+// close — same deadline, same bank, same tie-break. The cases cover the
+// ways a page closes besides its own deadline: Smart's RAS-only
+// refreshes closing open pages, a 16-bank geometry, and the ladder-full
+// power states, whose idle-close wakes a rank from ACT-PDN.
+func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
+	const us = sim.Microsecond
+	sixteenBanks := func(interval sim.Duration) config.DRAM {
+		cfg := tinyConfig(interval)
+		cfg.Geometry.Banks = 16
+		cfg.Power.Geometry = cfg.Geometry
+		return cfg
 	}
+	smart := func(cfg config.DRAM) core.Policy {
+		return core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart)
+	}
+	cbr := func(cfg config.DRAM) core.Policy { return core.NewCBR(cfg.Geometry, cfg.RefreshInterval()) }
+	cases := []struct {
+		name   string
+		cfg    config.DRAM
+		policy func(config.DRAM) core.Policy
+		opts   Options
+		// check asserts the case exercised what it is there for.
+		check func(*Controller) string
+	}{
+		{name: "cbr", cfg: tinyConfig(64 * sim.Millisecond), policy: cbr},
+		{
+			// A 2 ms interval makes Smart refresh rows throughout the run,
+			// closing pages the idle-close deadlines still cover.
+			name: "smart", cfg: tinyConfig(2 * sim.Millisecond), policy: smart,
+			check: refreshClosedPages,
+		},
+		{name: "smart-16bank", cfg: sixteenBanks(2 * sim.Millisecond), policy: smart, check: refreshClosedPages},
+		{
+			name: "ladder-full", cfg: tinyConfig(2 * sim.Millisecond), policy: smart,
+			opts: Options{SelfRefreshAfter: 200 * us, PowerStates: PowerStateConfig{
+				ActPdnAfter: 1 * us, PrePdnFastAfter: 5 * us, PrePdnSlowAfter: 50 * us, SRSlowAfter: 1000 * us,
+			}},
+			check: func(c *Controller) string {
+				if c.module.Stats().ActPdnTime == 0 {
+					return "no ACT-PDN residency: the ACT-PDN wake path was not exercised"
+				}
+				return refreshClosedPages(c)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 8; seed++ {
+				ctl := MustNew(tc.cfg, tc.policy(tc.cfg), tc.opts)
+				rng := sim.NewRNG(seed)
+				now := sim.Time(0)
+				for i := 0; i < 3000; i++ {
+					ctl.Submit(Request{
+						Time:  now,
+						Addr:  rng.Uint64() % uint64(ctl.Mapper().Capacity()),
+						Write: rng.Bool(0.3),
+					})
+					// Mix of gaps around the page-close timeout so pages
+					// sometimes survive to the next access and sometimes
+					// idle-close first.
+					now += sim.Time(rng.Intn(int(3 * ctl.idleClose)))
+
+					sAt, sFlat, sOk := ctl.nextIdleClose()
+					lAt, lFlat, lOk := linearNextIdleClose(ctl)
+					if sAt != lAt || sFlat != lFlat || sOk != lOk {
+						t.Fatalf("seed %d step %d: slots (%v,%d,%v) != scan (%v,%d,%v)",
+							seed, i, sAt, sFlat, sOk, lAt, lFlat, lOk)
+					}
+				}
+				ctl.Finish(now)
+				if tc.check != nil {
+					if msg := tc.check(ctl); msg != "" {
+						t.Fatalf("seed %d: %s", seed, msg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// refreshClosedPages reports (as a non-empty message) a run in which no
+// refresh found an open page to close.
+func refreshClosedPages(c *Controller) string {
+	if c.module.Stats().RefreshConflictOps == 0 {
+		return "no refresh closed an open page"
+	}
+	return ""
 }
 
 // The controller's trace scope must see idle page-closes and

@@ -92,6 +92,7 @@ type Generator struct {
 	gap    sim.Duration // nominal gap between sweep touches
 	now    sim.Time
 	queued []trace.Record // same-row repeat accesses pending emission
+	head   int            // next queued record to emit; the queue resets once drained
 }
 
 // NewGenerator builds a generator; it panics on an invalid spec.
@@ -124,11 +125,12 @@ func (g *Generator) Spec() StreamSpec { return g.spec }
 // Next implements trace.Source. A stream with an empty footprint produces
 // no records (idle workload).
 func (g *Generator) Next() (trace.Record, bool) {
-	if len(g.queued) > 0 {
-		rec := g.queued[0]
-		g.queued = g.queued[:copy(g.queued, g.queued[1:])]
+	if g.head < len(g.queued) {
+		rec := g.queued[g.head]
+		g.head++
 		return rec, true
 	}
+	g.queued, g.head = g.queued[:0], 0
 	if len(g.order) == 0 {
 		return trace.Record{}, false
 	}
