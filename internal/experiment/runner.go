@@ -192,6 +192,12 @@ func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOption
 // the controller's tick/advance drains check ctx and abort with its
 // error, discarding the partial measurement.
 func RunContext(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) (RunResult, error) {
+	return runTimed(ctx, cfg, prof, kind, opts, nil)
+}
+
+// runTimed is RunContext that also stores a vaulted run's barrier timing
+// in vaultTiming when it is non-nil (monolithic runs leave it untouched).
+func runTimed(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, vaultTiming *memctrl.VaultTiming) (RunResult, error) {
 	opts = opts.withDefaults(cfg.RefreshInterval())
 	j := runJob{
 		cfg:       cfg,
@@ -199,6 +205,8 @@ func RunContext(ctx context.Context, cfg config.DRAM, prof workload.Profile, kin
 		kind:      kind,
 		source:    prof.NewSource(opts.Stacked),
 		opts:      opts,
+
+		vaultTiming: vaultTiming,
 	}
 	if !cfg.Geometry.Vaulted() {
 		// Vaulted runs build one policy per vault inside executeVaulted;
@@ -226,6 +234,9 @@ type runJob struct {
 
 	trace   *telemetry.Tracer
 	metrics *telemetry.Registry
+
+	// vaultTiming, when non-nil, receives a vaulted run's barrier timing.
+	vaultTiming *memctrl.VaultTiming
 }
 
 // execute drives one job's stream through a fresh controller. The warmup
@@ -459,6 +470,9 @@ func executeVaulted(ctx context.Context, j runJob) (RunResult, error) {
 	va.Finish(end)
 	if err := cancelled(); err != nil {
 		return RunResult{}, err
+	}
+	if j.vaultTiming != nil {
+		*j.vaultTiming = va.Timing()
 	}
 
 	// Per-op energies and background rates key off the per-vault

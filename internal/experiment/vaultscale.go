@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/workload"
 )
 
@@ -27,6 +29,10 @@ type VaultScalePoint struct {
 	// (aggregate plus per-vault). Every point of a study must agree —
 	// that is the determinism contract the sharding is built on.
 	Fingerprint string
+	// Timing is the vault array's host-side barrier timing: each vault's
+	// busy time and the barriers' wait beyond an even split of it. It
+	// explains the speedup and is not part of the fingerprint.
+	Timing memctrl.VaultTiming
 }
 
 // VaultScaling is the intra-run scaling study: one vaulted run repeated
@@ -92,8 +98,9 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 		}
 		o := opts
 		o.Shards = s
+		var timing memctrl.VaultTiming
 		start := time.Now()
-		res, err := RunContext(ctx, cfg, prof, kind, o)
+		res, err := runTimed(ctx, cfg, prof, kind, o, &timing)
 		if err != nil {
 			return VaultScaling{}, err
 		}
@@ -101,6 +108,7 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 			Shards:      s,
 			Wall:        time.Since(start),
 			Fingerprint: fingerprintResult(res),
+			Timing:      timing,
 		}
 		if refPrint == "" {
 			refWall, refPrint = pt.Wall, pt.Fingerprint
@@ -120,13 +128,30 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 func (v VaultScaling) Render(w io.Writer) {
 	fmt.Fprintf(w, "Vault scaling: %s / %s / %s (%d vaults)\n",
 		v.Config, v.Benchmark, v.Policy, v.Vaults)
-	fmt.Fprintf(w, "  %8s %14s %9s  %s\n", "shards", "wall", "speedup", "fingerprint")
+	fmt.Fprintf(w, "  %8s %14s %9s %14s %9s %12s  %s\n",
+		"shards", "wall", "speedup", "vault busy", "max/mean", "wait/epoch", "fingerprint")
 	for _, pt := range v.Points {
-		fmt.Fprintf(w, "  %8d %14s %8.2fx  %s\n", pt.Shards, pt.Wall.Round(time.Microsecond), pt.Speedup, pt.Fingerprint[:16])
+		fmt.Fprintf(w, "  %8d %14s %8.2fx %14s %8.2fx %12s  %s\n",
+			pt.Shards, pt.Wall.Round(time.Microsecond), pt.Speedup,
+			pt.Timing.TotalBusy().Round(time.Microsecond), busySkew(pt.Timing),
+			pt.Timing.WaitPerBarrier().Round(time.Microsecond), pt.Fingerprint[:16])
 	}
+	fmt.Fprintf(w, "  vault busy: summed per-vault flush time; max/mean: busiest vault over the mean;\n")
+	fmt.Fprintf(w, "  wait/epoch: barrier time beyond an even split of that work over min(shards, CPUs)\n")
 	if v.Deterministic {
 		fmt.Fprintf(w, "  results bit-identical at every shard count\n")
 	} else {
 		fmt.Fprintf(w, "  WARNING: results differ across shard counts\n")
 	}
+}
+
+// busySkew is the busiest vault's flush time over the mean: the
+// barrier's imbalance bound, since no schedule finishes before its
+// heaviest vault.
+func busySkew(t memctrl.VaultTiming) float64 {
+	total := t.TotalBusy()
+	if total <= 0 {
+		return 0
+	}
+	return float64(slices.Max(t.Busy)) * float64(len(t.Busy)) / float64(total)
 }

@@ -2,6 +2,9 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"time"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
@@ -59,26 +62,45 @@ type VaultOptions struct {
 // consumes its own requests in arrival order, and the vaults share no
 // mutable state, so results are bit-identical at any Workers count. The
 // aggregation in Results folds vaults in index order.
+//
+// Dispatch: at each barrier the vaults are handed to the workers largest
+// pending queue first, ties to the lower index (the LPT schedule), so a
+// heavy vault never starts last and runs alone at the end of the epoch.
+// A serial array keeps index order. Either way the order is invisible in
+// the results, since the vaults share no state.
 type VaultArray struct {
 	cfg    config.DRAM
 	vaults []*Controller
 	rngs   []*sim.RNG
 	remap  *dram.VaultRemap
 	runner sim.ShardRunner
+	// vaultShift is log2 of the vault count: Route's page-to-local
+	// division (Geometry.Validate requires a power-of-two count).
+	vaultShift uint
 
 	// pending holds requests enqueued since the last flush, per physical
 	// vault, in arrival order.
 	pending [][]Request
-	// seq counts per-vault enqueues, the Seq component of the
-	// (Time, vault, seq) ordering key for anything a vault emits.
-	seq []uint64
+	// order is the current barrier's dispatch order over vault indices.
+	order []int
 
-	now     sim.Time
-	lastErr error
+	now sim.Time
+	// finishing makes the barrier close each vault (Controller.Finish at
+	// end) instead of advancing it to now.
+	finishing bool
+	end       sim.Time
 
-	// flush is flushVault bound once at construction, so an epoch hands
-	// the runner a function value without allocating one.
-	flush func(v int)
+	// dispatch runs the i-th vault of order; bound once at construction,
+	// so a barrier hands the runner a function value without allocating.
+	dispatch func(i int)
+
+	// Host-side barrier timing, outside every result and fingerprint.
+	busy     []time.Duration // per vault, summed over barriers
+	wait     time.Duration   // summed barrier time beyond an even split
+	barriers int
+	// parallel is the parallelism a barrier can use: the worker count
+	// capped at GOMAXPROCS.
+	parallel int
 }
 
 // NewVaultArray builds one controller per vault of cfg's geometry.
@@ -109,17 +131,27 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 	if opts.Trace != nil {
 		workers = 1
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 
 	va := &VaultArray{
-		cfg:     cfg,
-		vaults:  make([]*Controller, n),
-		rngs:    make([]*sim.RNG, n),
-		remap:   remap,
-		runner:  sim.ShardRunner{Workers: workers},
-		pending: make([][]Request, n),
-		seq:     make([]uint64, n),
+		cfg:        cfg,
+		vaults:     make([]*Controller, n),
+		rngs:       make([]*sim.RNG, n),
+		remap:      remap,
+		runner:     sim.ShardRunner{Workers: workers},
+		vaultShift: uint(bits.TrailingZeros(uint(n))),
+		pending:    make([][]Request, n),
+		order:      make([]int, n),
+		busy:       make([]time.Duration, n),
 	}
-	va.flush = va.flushVault
+	for v := range va.order {
+		va.order[v] = v
+	}
+	va.parallel = min(workers, runtime.GOMAXPROCS(0))
+	va.dispatch = func(i int) { va.flushVault(va.order[i]) }
 
 	root := sim.NewRNG(opts.Seed)
 	perVault := cfg
@@ -179,11 +211,10 @@ func (va *VaultArray) RNG(v int) *sim.RNG { return va.rngs[v] }
 // Route returns the physical vault servicing addr and the compacted
 // vault-local address (the vault-index bits removed, page offset kept).
 func (va *VaultArray) Route(addr uint64) (vault int, local uint64) {
-	n := uint64(len(va.vaults))
-	logical := int((addr >> vaultPageShift) & (n - 1))
+	page := addr >> vaultPageShift
+	logical := int(page & (uint64(len(va.vaults)) - 1))
 	vault = va.remap.Physical(logical)
-	page := (addr >> vaultPageShift) / n
-	local = page<<vaultPageShift | addr&(VaultPageBytes-1)
+	local = page>>va.vaultShift<<vaultPageShift | addr&(VaultPageBytes-1)
 	return vault, local
 }
 
@@ -197,7 +228,6 @@ func (va *VaultArray) Enqueue(req Request) {
 	v, local := va.Route(req.Addr)
 	req.Addr = local
 	va.pending[v] = append(va.pending[v], req)
-	va.seq[v]++
 }
 
 // FlushTo advances every vault to time t in parallel: each vault submits
@@ -211,33 +241,118 @@ func (va *VaultArray) FlushTo(t sim.Time) {
 		panic(fmt.Sprintf("memctrl: FlushTo(%v) before vault-array time %v", t, va.now))
 	}
 	va.now = t
-	va.runner.Run(len(va.vaults), va.flush)
+	va.barrier()
 }
 
-// flushVault is one vault's share of FlushTo: submit its buffered
-// requests in order, then drain to the epoch time va.now.
+// Finish closes the simulation at end on every vault (parallel, with the
+// usual barrier), submitting any requests still buffered first.
+func (va *VaultArray) Finish(end sim.Time) {
+	if end > va.now {
+		va.now = end
+	}
+	va.finishing, va.end = true, end
+	va.barrier()
+	va.finishing = false
+}
+
+// barrier runs every vault's flush, largest pending queue first, and
+// returns when all have finished. It also charges the barrier's wait:
+// its wall time beyond an even split of the vaults' busy time over the
+// usable parallelism (imbalance plus dispatch overhead).
+func (va *VaultArray) barrier() {
+	busyBefore := sumDurations(va.busy)
+	start := time.Now()
+	va.sortOrder()
+	va.runner.Run(len(va.vaults), va.dispatch)
+	wall := time.Since(start)
+	even := (sumDurations(va.busy) - busyBefore) / time.Duration(va.parallel)
+	va.wait += max(wall-even, 0)
+	va.barriers++
+}
+
+// sortOrder arranges order largest pending queue first, ties to the lower
+// vault index: an insertion sort from the previous barrier's order, which
+// allocates nothing. A serial array keeps index order, so its traces are
+// those of a plain vault loop.
+func (va *VaultArray) sortOrder() {
+	if va.runner.Workers == 1 {
+		return
+	}
+	o := va.order
+	for i := 1; i < len(o); i++ {
+		v, n := o[i], len(va.pending[o[i]])
+		j := i
+		for ; j > 0; j-- {
+			u, m := o[j-1], len(va.pending[o[j-1]])
+			if m > n || m == n && u < v {
+				break
+			}
+			o[j] = u
+		}
+		o[j] = v
+	}
+}
+
+// flushVault is one vault's share of a barrier: submit its buffered
+// requests in order, then drain to the epoch time va.now (or close the
+// vault at va.end when finishing).
 func (va *VaultArray) flushVault(v int) {
+	start := time.Now()
 	ctl := va.vaults[v]
 	for _, req := range va.pending[v] {
 		ctl.Submit(req)
 	}
 	va.pending[v] = va.pending[v][:0]
-	ctl.AdvanceTo(va.now)
+	if va.finishing {
+		ctl.Finish(va.end)
+	} else {
+		ctl.AdvanceTo(va.now)
+	}
+	va.busy[v] += time.Since(start)
 }
 
-// Finish closes the simulation at end on every vault (parallel, with the
-// usual barrier).
-func (va *VaultArray) Finish(end sim.Time) {
-	if end > va.now {
-		va.now = end
+// VaultTiming is the host-side timing of a vault array's barriers. It
+// describes the schedule, not the simulation: it varies from run to run
+// and is kept out of Results and every fingerprint.
+type VaultTiming struct {
+	// Barriers counts FlushTo and Finish calls.
+	Barriers int
+	// Wait is the summed time each barrier ran beyond an even split of
+	// its vault work over its workers (capped at GOMAXPROCS): the cost
+	// of imbalance (a heavy vault finishing alone) plus dispatch
+	// overhead.
+	Wait time.Duration
+	// Busy is each vault's summed flush time, in vault order.
+	Busy []time.Duration
+}
+
+// Timing returns the array's barrier timing so far.
+func (va *VaultArray) Timing() VaultTiming {
+	return VaultTiming{
+		Barriers: va.barriers,
+		Wait:     va.wait,
+		Busy:     append([]time.Duration(nil), va.busy...),
 	}
-	va.runner.Run(len(va.vaults), func(v int) {
-		for _, req := range va.pending[v] {
-			va.vaults[v].Submit(req)
-		}
-		va.pending[v] = va.pending[v][:0]
-		va.vaults[v].Finish(end)
-	})
+}
+
+// TotalBusy is the vaults' summed flush time: the work the barriers
+// divided among their workers.
+func (t VaultTiming) TotalBusy() time.Duration { return sumDurations(t.Busy) }
+
+// WaitPerBarrier is the mean Wait per barrier.
+func (t VaultTiming) WaitPerBarrier() time.Duration {
+	if t.Barriers == 0 {
+		return 0
+	}
+	return t.Wait / time.Duration(t.Barriers)
+}
+
+func sumDurations(ds []time.Duration) time.Duration {
+	var sum time.Duration
+	for _, d := range ds {
+		sum += d
+	}
+	return sum
 }
 
 // RetentionErr returns the first vault's retention violation, scanning in

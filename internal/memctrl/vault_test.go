@@ -44,6 +44,17 @@ func testVaultCfg() config.DRAM {
 func runVaulted(t *testing.T, factory PolicyFactory, workers int) (Results, []Results) {
 	t.Helper()
 	cfg := testVaultCfg()
+	agg, per, _ := runVaultedStream(t, factory, workers, func(rng *sim.RNG) uint64 {
+		return rng.Uint64() % uint64(cfg.Geometry.CapacityBytes())
+	})
+	return agg, per
+}
+
+// runVaultedStream is runVaulted over addresses drawn by addr. It also
+// returns how many epochs dispatched a vault other than vault 0 first.
+func runVaultedStream(t *testing.T, factory PolicyFactory, workers int, addr func(*sim.RNG) uint64) (Results, []Results, int) {
+	t.Helper()
+	cfg := testVaultCfg()
 	va, err := NewVaultArray(cfg, factory, VaultOptions{Workers: workers, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -53,20 +64,24 @@ func runVaulted(t *testing.T, factory PolicyFactory, workers int) (Results, []Re
 	rng := sim.NewRNG(99)
 	var now sim.Time
 	next := epoch
+	reordered := 0
 	for now < end {
 		va.Enqueue(Request{
 			Time:  now,
-			Addr:  rng.Uint64() % uint64(cfg.Geometry.CapacityBytes()),
+			Addr:  addr(rng),
 			Write: rng.Intn(4) == 0,
 		})
 		now += sim.Time(200 + rng.Intn(5000))
 		for now >= next && next < end {
 			va.FlushTo(next)
+			if va.order[0] != 0 {
+				reordered++
+			}
 			next += epoch
 		}
 	}
 	va.Finish(end)
-	return va.Results(end), va.VaultResults(end)
+	return va.Results(end), va.VaultResults(end), reordered
 }
 
 // The determinism keystone at the controller level: aggregate and
@@ -81,6 +96,103 @@ func TestVaultArrayDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(refPer, per) {
 			t.Fatalf("workers=%d: per-vault results differ", workers)
 		}
+	}
+}
+
+// Skewed traffic makes largest-first dispatch differ from index order in
+// most epochs; results must still be bit-identical at every worker count,
+// including counts that do not divide the vault count.
+func TestVaultArraySkewedDeterministicAcrossWorkers(t *testing.T) {
+	cfg := testVaultCfg()
+	pages := uint64(cfg.Geometry.CapacityBytes()) / VaultPageBytes
+	const n = 8
+	// Most pages land in vaults 6 and 5, a few anywhere: vault v of a
+	// page is page mod 8 under the identity remap.
+	skewed := func(rng *sim.RNG) uint64 {
+		page := rng.Uint64() % (pages / n) * n
+		switch r := rng.Intn(10); {
+		case r < 6:
+			page += 6
+		case r < 9:
+			page += 5
+		default:
+			page += uint64(rng.Intn(n))
+		}
+		return page*VaultPageBytes + rng.Uint64()%VaultPageBytes
+	}
+	refAgg, refPer, serialReordered := runVaultedStream(t, smartFactory(), 1, skewed)
+	if serialReordered != 0 {
+		t.Fatalf("serial array reordered %d epochs, want index order", serialReordered)
+	}
+	if refPer[6].Requests <= refPer[0].Requests {
+		t.Fatalf("vault 6 saw %d requests, vault 0 %d: traffic not skewed", refPer[6].Requests, refPer[0].Requests)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		agg, per, reordered := runVaultedStream(t, smartFactory(), workers, skewed)
+		if !reflect.DeepEqual(refAgg, agg) {
+			t.Fatalf("workers=%d: aggregate results differ\nref: %+v\ngot: %+v", workers, refAgg, agg)
+		}
+		if !reflect.DeepEqual(refPer, per) {
+			t.Fatalf("workers=%d: per-vault results differ", workers)
+		}
+		if reordered == 0 {
+			t.Fatalf("workers=%d: no epoch dispatched out of index order", workers)
+		}
+	}
+}
+
+// setPending gives each vault of va a pending queue of the given length.
+func setPending(va *VaultArray, lens []int) {
+	for v, n := range lens {
+		va.pending[v] = make([]Request, n)
+	}
+}
+
+func TestVaultArrayDispatchOrder(t *testing.T) {
+	cfg := config.HMC8Vault()
+	va := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 2})
+	// Largest pending queue first; equal queues in index order.
+	setPending(va, []int{3, 0, 9, 3, 0, 12, 3, 1})
+	va.sortOrder()
+	if want := []int{5, 2, 0, 3, 6, 7, 1, 4}; !reflect.DeepEqual(va.order, want) {
+		t.Fatalf("order %v, want %v", va.order, want)
+	}
+	// The next barrier re-sorts from the previous order, and the index
+	// tie-break still holds.
+	setPending(va, []int{0, 0, 0, 0, 0, 0, 0, 0})
+	va.sortOrder()
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(va.order, want) {
+		t.Fatalf("all-equal order %v, want index order", va.order)
+	}
+
+	// Serial arrays keep index order whatever is pending.
+	serial := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 1})
+	setPending(serial, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	serial.sortOrder()
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(serial.order, want) {
+		t.Fatalf("serial order %v, want index order", serial.order)
+	}
+}
+
+func TestVaultArrayTiming(t *testing.T) {
+	cfg := testVaultCfg()
+	va := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 2})
+	for i := 0; i < 64; i++ {
+		va.Enqueue(Request{Time: sim.Time(i), Addr: uint64(i) * VaultPageBytes})
+	}
+	va.FlushTo(sim.Time(cfg.Timing.RefreshInterval / 4))
+	va.Finish(sim.Time(cfg.Timing.RefreshInterval / 2))
+	tm := va.Timing()
+	if tm.Barriers != 2 || len(tm.Busy) != va.Vaults() {
+		t.Fatalf("timing %+v: want 2 barriers, %d vaults", tm, va.Vaults())
+	}
+	for v, b := range tm.Busy {
+		if b <= 0 {
+			t.Fatalf("vault %d busy %v", v, b)
+		}
+	}
+	if tm.Wait < 0 || tm.WaitPerBarrier() != tm.Wait/2 {
+		t.Fatalf("wait %v, per barrier %v", tm.Wait, tm.WaitPerBarrier())
 	}
 }
 
