@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -193,10 +194,6 @@ func parsePolicies(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
 	}
-	known := make(map[string]bool)
-	for _, n := range check.PolicyNames() {
-		known[n] = true
-	}
 	parts := strings.Split(s, ",")
 	policies := make([]string, 0, len(parts))
 	for _, p := range parts {
@@ -204,7 +201,7 @@ func parsePolicies(s string) ([]string, error) {
 		if p == "" {
 			continue
 		}
-		if !known[p] {
+		if !slices.Contains(check.PolicyNames(), p) {
 			return nil, fmt.Errorf("unknown policy %q (known: %s)", p, strings.Join(check.PolicyNames(), ","))
 		}
 		policies = append(policies, p)
@@ -222,10 +219,8 @@ func vaultPoliciesSelected(policies []string) bool {
 		return true
 	}
 	for _, p := range policies {
-		for _, v := range check.VaultPolicyNames() {
-			if p == v {
-				return true
-			}
+		if slices.Contains(check.VaultPolicyNames(), p) {
+			return true
 		}
 	}
 	return false

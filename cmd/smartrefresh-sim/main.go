@@ -48,7 +48,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("smartrefresh-sim", flag.ContinueOnError)
 	cfgName := fs.String("config", "table1-2gb", "module preset: "+strings.Join(presetNames(), ", "))
-	policyName := fs.String("policy", "smart", "refresh policy: cbr, smart, burst, none, oracle, smart-retention, darp, sarp, raidr")
+	policyName := fs.String("policy", "smart", "refresh policy: "+strings.Join(experiment.PolicyNames(), ", "))
 	benchmark := fs.String("benchmark", "gcc", "benchmark profile (see -list); ignored with -trace")
 	tracePath := fs.String("trace", "", "replay a trace stream instead of a synthetic benchmark (file path, or '-' for stdin; binary/text, gzip auto-detected)")
 	warmupMS := fs.Int("warmup-ms", 64, "warmup excluded from measurement, ms")
@@ -60,7 +60,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	preFastUS := fs.Float64("prepdn-fast-us", 0, "enter fast-exit PRE-PDN after this rank-idle time in us (0 = off; must exceed the page-close timeout)")
 	preSlowUS := fs.Float64("prepdn-slow-us", 0, "deepen to slow-exit (DLL-off) PRE-PDN after this rank-idle time in us (0 = off; requires -prepdn-fast-us)")
 	srSlowUS := fs.Float64("sr-slow-us", 0, "drop to slow-wake self-refresh this long after SR entry in us (0 = off; requires -selfrefresh-us)")
-	list := fs.Bool("list", false, "list benchmarks and presets, then exit")
+	list := fs.Bool("list", false, "list presets, policies and benchmarks, then exit")
 	serveAddr := fs.String("serve", "", "run as a trace-replay service on this address (e.g. localhost:8080) instead of a batch job")
 	capturePath := fs.String("capture", "", "record the replayed or generated access stream to this binary trace file for later bit-exact replay")
 	snapshotMS := fs.Int("snapshot-ms", 0, "emit an incremental telemetry snapshot every N simulated ms during trace replay (0 = off)")
@@ -77,6 +77,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	if *list {
 		fmt.Fprintln(stdout, "presets:   ", strings.Join(presetNames(), ", "))
+		fmt.Fprintln(stdout, "policies:  ", strings.Join(experiment.PolicyNames(), ", "))
 		fmt.Fprintln(stdout, "benchmarks:", strings.Join(workload.Names(), ", "))
 		return nil
 	}
@@ -106,21 +107,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			SRSlowAfter:     usToDuration(*srSlowUS),
 		},
 	}
-	if *policyName == "smart-retention" {
-		return runRetentionAware(cfg, *benchmark, opts, &tf, stdout)
-	}
-	if *policyName == "raidr" {
-		return runRAIDR(cfg, *benchmark, opts, &tf, stdout)
-	}
-	kind, err := parsePolicy(*policyName)
+	policy, err := experiment.ParsePolicy(*policyName)
 	if err != nil {
 		return err
 	}
 
 	if *tracePath != "" {
+		if err := checkReplayable(policy); err != nil {
+			return err
+		}
 		p := replayParams{
 			cfg:       cfg,
-			kind:      kind,
+			policy:    policy,
 			check:     *check,
 			bufKB:     *bufferKB,
 			tornOK:    *tornOK,
@@ -154,13 +152,47 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	eng := experiment.NewEngine(1)
 	eng.Trace = tf.Tracer()
 	eng.Metrics = tf.Registry()
-	res := eng.RunJobs([]experiment.Job{{Cfg: cfg, Prof: prof, Policy: kind, Opts: opts}})[0]
+	res := eng.RunJobs([]experiment.Job{{Cfg: cfg, Prof: prof, Policy: policy.Kind, Opts: opts}})[0]
 	if res.Err != nil {
 		return res.Err
 	}
 	printResults(stdout, cfg, res.Results, opts.Measure, res.RetentionErr)
 	printVaults(stdout, res.Vaults)
+	if policy.Kind == experiment.PolicyRAIDR {
+		printRAIDR(stdout, cfg, prof, res.Results)
+	}
 	return tf.Finish()
+}
+
+// checkReplayable rejects the policies a trace replay cannot build: a
+// trace carries no workload seed to derive a retention map from.
+func checkReplayable(policy experiment.PolicyEntry) error {
+	if policy.RetentionMap {
+		return fmt.Errorf("policy %s needs a per-row retention map derived from a benchmark seed, which trace replay does not have", policy.Name)
+	}
+	return nil
+}
+
+// replayableNames lists the policies checkReplayable accepts.
+func replayableNames() []string {
+	var names []string
+	for _, e := range experiment.Policies() {
+		if checkReplayable(e) == nil {
+			names = append(names, e.Name)
+		}
+	}
+	return names
+}
+
+// printRAIDR appends the multirate wheel's filter summary. The wheel is
+// rebuilt from the seed-derived map the run used, for its analytic
+// share and filter size.
+func printRAIDR(w io.Writer, cfg config.DRAM, prof workload.Profile, res memctrl.Results) {
+	rmap := experiment.DefaultRetentionMap(cfg.Geometry, prof.Seed())
+	wheel := experiment.PolicyRAIDR.Entry().New(cfg, rmap).(*core.RAIDR)
+	fmt.Fprintf(w, "raidr             %.1f%% multirate share, %d KB filter storage, %d bloom lookups, %d false positives\n",
+		100*wheel.RefreshShare(), wheel.FilterSizeBytes()/1024,
+		res.Policy.BloomLookups, res.Policy.BloomFalsePositives)
 }
 
 // printVaults appends the per-vault breakdown of a vaulted run (no-op
@@ -191,27 +223,6 @@ func presetNames() []string {
 	return names
 }
 
-func parsePolicy(name string) (experiment.PolicyKind, error) {
-	switch name {
-	case "cbr":
-		return experiment.PolicyCBR, nil
-	case "smart":
-		return experiment.PolicySmart, nil
-	case "burst":
-		return experiment.PolicyBurst, nil
-	case "none":
-		return experiment.PolicyNone, nil
-	case "oracle":
-		return experiment.PolicyOracle, nil
-	case "darp":
-		return experiment.PolicyDARP, nil
-	case "sarp":
-		return experiment.PolicySARP, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 // captureBenchmark records prof's access stream over the run window as
 // a binary trace, via the atomic writer so an interrupted capture never
 // leaves a torn file that looks like a trace.
@@ -233,90 +244,10 @@ func captureBenchmark(prof workload.Profile, opts experiment.RunOptions, path st
 	})
 }
 
-// runRetentionAware runs the retention-aware extension policy, which the
-// experiment harness does not cover by PolicyKind.
-func runRetentionAware(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf *telemetry.Flags, stdout io.Writer) error {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		return err
-	}
-	cfg.Smart.SelfDisable = false
-	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
-	policy := core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart, rmap)
-	ctl, err := memctrl.New(cfg, policy, memctrl.Options{
-		CheckRetention:   opts.CheckRetention,
-		RetentionSlack:   experiment.RetentionSlack(cfg, experiment.PolicySmart, opts),
-		RetentionMap:     rmap,
-		SelfRefreshAfter: opts.SelfRefreshAfter,
-		PowerStates:      opts.PowerStates,
-		Trace:            tf.Tracer(),
-		Metrics:          tf.Registry(),
-	})
-	if err != nil {
-		return err
-	}
-	gen := prof.NewSource(opts.Stacked)
-	end := opts.Warmup + opts.Measure
-	for {
-		rec, ok := gen.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	ctl.Finish(end)
-	printResults(stdout, cfg, ctl.Results(end), end, ctl.RetentionErr())
-	return tf.Finish()
-}
-
-// runRAIDR runs the multirate Bloom-filter wheel, which the experiment
-// harness does not cover by PolicyKind: the filters are programmed from
-// a profiled retention map derived from the benchmark seed, and the
-// retention checker (under -check) verifies the profiled per-row
-// deadlines.
-func runRAIDR(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf *telemetry.Flags, stdout io.Writer) error {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		return err
-	}
-	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
-	policy := core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), core.DefaultRAIDRConfig(), rmap)
-	ctl, err := memctrl.New(cfg, policy, memctrl.Options{
-		CheckRetention: opts.CheckRetention,
-		// The wheel keeps CBR's drift-free cadence, so CBR's slack model
-		// applies.
-		RetentionSlack:   experiment.RetentionSlack(cfg, experiment.PolicyCBR, opts),
-		RetentionMap:     rmap,
-		SelfRefreshAfter: opts.SelfRefreshAfter,
-		PowerStates:      opts.PowerStates,
-		Trace:            tf.Tracer(),
-		Metrics:          tf.Registry(),
-	})
-	if err != nil {
-		return err
-	}
-	gen := prof.NewSource(opts.Stacked)
-	end := opts.Warmup + opts.Measure
-	for {
-		rec, ok := gen.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	ctl.Finish(end)
-	res := ctl.Results(end)
-	printResults(stdout, cfg, res, end, ctl.RetentionErr())
-	fmt.Fprintf(stdout, "raidr             %.1f%% multirate share, %d KB filter storage, %d bloom lookups, %d false positives\n",
-		100*policy.RefreshShare(), policy.FilterSizeBytes()/1024,
-		res.Policy.BloomLookups, res.Policy.BloomFalsePositives)
-	return tf.Finish()
-}
-
 // replayParams configure one streaming trace replay.
 type replayParams struct {
 	cfg       config.DRAM
-	kind      experiment.PolicyKind
+	policy    experiment.PolicyEntry
 	check     bool
 	bufKB     int
 	tornOK    bool
@@ -375,11 +306,9 @@ func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
 		snap = telemetry.NewSnapshotter(reg, p.snapEvery, p.snapEmit)
 	}
 
-	opts := experiment.RunOptions{CheckRetention: p.check}
-	policy := experiment.NewPolicy(p.cfg, p.kind)
-	ctl, err := memctrl.New(p.cfg, policy, memctrl.Options{
+	ctl, err := memctrl.New(p.cfg, p.policy.New(p.cfg, nil), memctrl.Options{
 		CheckRetention: p.check,
-		RetentionSlack: experiment.RetentionSlack(p.cfg, p.kind, opts),
+		RetentionSlack: p.policy.Slack(p.cfg, false),
 		Trace:          p.tracer,
 		Metrics:        reg,
 	})

@@ -28,8 +28,54 @@ func runQuiet(t *testing.T, args ...string) error {
 }
 
 func TestRunList(t *testing.T) {
-	if err := runQuiet(t, "-list"); err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-list"}, strings.NewReader(""), &out); err != nil {
 		t.Fatal(err)
+	}
+	want := "policies:   " + strings.Join(experiment.PolicyNames(), ", ") + "\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("-list output lacks %q:\n%s", want, out.String())
+	}
+}
+
+// The retention-map policies run through the engine like every other
+// policy: the warmup is excluded and the printed window is the measured
+// one.
+func TestRetentionMapPoliciesMeasureWindow(t *testing.T) {
+	for _, policy := range []string{"smart-retention", "raidr"} {
+		var out bytes.Buffer
+		err := run([]string{"-config", "table1-2gb", "-policy", policy, "-benchmark", "gcc",
+			"-warmup-ms", "16", "-measure-ms", "16"}, strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if !strings.Contains(out.String(), "\nwindow            16ms\n") {
+			t.Errorf("%s: want a 16ms window:\n%s", policy, out.String())
+		}
+	}
+}
+
+// A trace has no workload seed to derive a retention map from, and a
+// vaulted geometry cannot take a monolithic map: both are rejected
+// instead of silently running something else.
+func TestRetentionMapPoliciesRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trc")
+	writeBinaryTrace(t, path, testTraceRecords(t, 1))
+	for _, args := range [][]string{
+		{"-policy", "raidr", "-trace", filepath.Join(t.TempDir(), "missing.trc")},
+		{"-policy", "smart-retention", "-trace", path},
+		{"-policy", "raidr", "-trace", path},
+		{"-config", "hmc-8vault", "-policy", "raidr", "-warmup-ms", "1", "-measure-ms", "1"},
+		{"-config", "hmc-8vault", "-policy", "smart-retention", "-warmup-ms", "1", "-measure-ms", "1"},
+	} {
+		err := runQuiet(t, args...)
+		if err == nil {
+			t.Errorf("%v accepted", args)
+			continue
+		}
+		if args[0] == "-policy" && !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("%v: error %q does not name the policy", args, err)
+		}
 	}
 }
 
@@ -423,9 +469,9 @@ func TestServerReplay(t *testing.T) {
 	// The server's results must match a direct in-process streaming
 	// replay of the identical records.
 	direct, err := replayStream(bytes.NewReader(encodeRecords(t, recs)), replayParams{
-		cfg:   mustPreset(t, "table1-2gb"),
-		kind:  mustPolicy(t, "smart"),
-		bufKB: trace.DefaultStreamBuffer / 1024,
+		cfg:    mustPreset(t, "table1-2gb"),
+		policy: mustPolicy(t, "smart"),
+		bufKB:  trace.DefaultStreamBuffer / 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,6 +490,8 @@ func TestServerRejectsBadParams(t *testing.T) {
 	for _, url := range []string{
 		"/replay?config=nope",
 		"/replay?policy=nope",
+		"/replay?policy=raidr",
+		"/replay?policy=smart-retention",
 		"/replay?snapshot-ms=x",
 		"/replay?buffer-kb=-1",
 	} {
@@ -520,11 +568,11 @@ func mustPreset(t *testing.T, name string) (cfg config.DRAM) {
 	return cfg
 }
 
-func mustPolicy(t *testing.T, name string) experiment.PolicyKind {
+func mustPolicy(t *testing.T, name string) experiment.PolicyEntry {
 	t.Helper()
-	kind, err := parsePolicy(name)
+	policy, err := experiment.ParsePolicy(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kind
+	return policy
 }

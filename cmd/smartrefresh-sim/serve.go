@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/telemetry"
@@ -60,6 +61,7 @@ func newServeMux() *http.ServeMux {
 		}
 		fmt.Fprint(w, "smartrefresh-sim trace-replay service\n\n"+
 			"POST /replay?config=<preset>&policy=<name>[&snapshot-ms=N][&torn-ok=1][&check=1]\n"+
+			"  policies: "+strings.Join(replayableNames(), ", ")+"\n"+
 			"  body: access trace (binary or text codec, gzip or plain, sniffed)\n"+
 			"  response: NDJSON — telemetry snapshots, then one results or error line\n")
 	})
@@ -84,7 +86,10 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 	if policyName == "" {
 		policyName = "smart"
 	}
-	kind, err := parsePolicy(policyName)
+	policy, err := experiment.ParsePolicy(policyName)
+	if err == nil {
+		err = checkReplayable(policy)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -107,7 +112,7 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	p := replayParams{
 		cfg:       cfg,
-		kind:      kind,
+		policy:    policy,
 		check:     boolParam(q.Get("check")),
 		bufKB:     bufKB,
 		tornOK:    boolParam(q.Get("torn-ok")),

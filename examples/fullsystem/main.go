@@ -19,17 +19,7 @@ import (
 
 const instructions = 3_000_000
 
-func run(policyName string) (cpu.Results, smartrefresh.Results) {
-	cfg := smartrefresh.Table1_2GB()
-	var policy smartrefresh.Policy
-	switch policyName {
-	case "cbr":
-		policy = smartrefresh.NewCBRPolicy(cfg)
-	case "smart":
-		policy = smartrefresh.NewSmartPolicy(cfg)
-	default:
-		log.Fatalf("unknown policy %s", policyName)
-	}
+func run(cfg smartrefresh.Config, policy smartrefresh.Policy) (cpu.Results, smartrefresh.Results) {
 	ctl, err := memctrl.New(cfg, policy, memctrl.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -62,8 +52,9 @@ func run(policyName string) (cpu.Results, smartrefresh.Results) {
 }
 
 func main() {
-	base, baseMem := run("cbr")
-	smart, smartMem := run("smart")
+	cfg := smartrefresh.Table1_2GB()
+	base, baseMem := run(cfg, smartrefresh.NewCBRPolicy(cfg))
+	smart, smartMem := run(cfg, smartrefresh.NewSmartPolicy(cfg))
 
 	fmt.Printf("executed %d instructions per run (3 GHz in-order core, L1 32KB + L2 1MB)\n\n", instructions)
 	fmt.Printf("%-22s %14s %14s\n", "", "CBR baseline", "Smart Refresh")

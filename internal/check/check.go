@@ -38,11 +38,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
+	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
@@ -110,97 +112,33 @@ type Report struct {
 // Ok reports whether every invariant held.
 func (r Report) Ok() bool { return len(r.Violations) == 0 }
 
-// policyCase binds a policy constructor to its per-policy checker
-// parameters.
+// policyCase is one registry entry bound to a scenario: the checker
+// slack for the scenario's self-refresh setting, and the seed-derived
+// retention map for the RetentionMap policies.
 type policyCase struct {
-	name string
-	make func() core.Policy
-	// slack widens the retention deadline to the policy's documented
-	// restore bound (burst serialisation, disable/self-refresh
-	// transitions).
-	slack sim.Duration
-	// retMap scales per-row deadlines for the retention-aware policy.
+	experiment.PolicyEntry
+	slack  sim.Duration
 	retMap *core.RetentionMap
-	// refreshes marks policies that must keep every row alive.
-	refreshes bool
-	// perBank marks the refresh-access-parallelism cases and carries
-	// their deferral window for the deficit and pending-burst bounds.
-	perBank *core.PerBankConfig
 }
 
-// baseSlack absorbs command queueing behind demand traffic beyond the
-// controller's own RetentionGrace allowance.
-const baseSlack = 4 * sim.Microsecond
-
-// policyCases enumerates the differential set for a scenario.
+// policyCases enumerates the differential set for a scenario: every
+// registered policy, in registry order.
 func policyCases(sc Scenario) []policyCase {
-	g := sc.Cfg.Geometry
-	interval := sc.Cfg.Timing.RefreshInterval
-	// Entry/exit hides the module walker's phase: a two-interval bound,
-	// exactly as for the section 4.6 disable transitions.
-	transition := sim.Duration(0)
-	if sc.SelfRefreshAfter > 0 {
-		transition = 2 * interval
+	rmap := experiment.DefaultRetentionMap(sc.Cfg.Geometry, sc.Seed)
+	var cases []policyCase
+	for _, e := range experiment.Policies() {
+		pc := policyCase{PolicyEntry: e, slack: e.Slack(sc.Cfg, sc.SelfRefreshAfter > 0)}
+		if e.RetentionMap {
+			pc.retMap = rmap
+		}
+		cases = append(cases, pc)
 	}
-	// With few segments the tick period (counter access period divided by
-	// rows-per-segment) can drop below TRefreshRow, and consecutive ticks
-	// index consecutive rows of the same bank, so due refreshes chain
-	// behind one bank and each completion slips a little further. One
-	// bank's worth of chained refreshes costs Rows x TRefreshRow; doubled
-	// because adjacent passes can slip in opposite directions.
-	serial := 2 * sim.Duration(g.Rows) * sc.Cfg.Timing.TRefreshRow
-	smartSlack := baseSlack + transition + serial
-	if sc.Cfg.Smart.SelfDisable {
-		smartSlack += 2 * interval
-	}
-	// Burst dispatches a whole interval's refreshes at one tick; they
-	// serialise per bank at TRefreshRow each.
-	burstSlack := baseSlack + transition + sim.Duration(g.Rows)*sc.Cfg.Timing.TRefreshRow
-
-	// The per-bank pair walks each bank's counter at Rows slots per
-	// interval. DARP may run a slot MaxPostpone slot periods late, and a
-	// pulled-in pass shifts the walk the other way, so the worst
-	// row-to-row gap stretches by the whole deferral window; SARP keeps
-	// the fixed cadence and only pays stagger and quantization.
-	pbCfg := core.DefaultPerBankConfig()
-	pbSlot := interval / sim.Duration(g.Rows)
-	darpSlack := baseSlack + transition + sim.Duration(pbCfg.MaxPostpone+pbCfg.MaxPullIn+4)*pbSlot
-	sarpSlack := baseSlack + transition + 4*pbSlot
-
-	rmap := core.NewRetentionMap(g, core.DefaultRetentionClasses(), sc.Seed)
-	rcfg := sc.Cfg.Smart
-	rcfg.SelfDisable = false
-	return []policyCase{
-		{name: "smart", refreshes: true, slack: smartSlack,
-			make: func() core.Policy { return core.NewSmart(g, interval, sc.Cfg.Smart) }},
-		{name: "cbr", refreshes: true, slack: baseSlack + transition,
-			make: func() core.Policy { return core.NewCBR(g, interval) }},
-		{name: "burst", refreshes: true, slack: burstSlack,
-			make: func() core.Policy { return core.NewBurst(g, interval) }},
-		{name: "oracle", refreshes: true, slack: baseSlack + transition,
-			make: func() core.Policy { return core.NewOracle(g, interval, sc.Cfg.Timing.TRefreshRow*16) }},
-		{name: "none", refreshes: false, slack: baseSlack,
-			make: func() core.Policy { return core.NoRefresh{} }},
-		{name: "smart-retention", refreshes: true, slack: baseSlack + transition + serial, retMap: rmap,
-			make: func() core.Policy { return core.NewRetentionAwareSmart(g, interval, rcfg, rmap) }},
-		{name: "darp", refreshes: true, slack: darpSlack, perBank: &pbCfg,
-			make: func() core.Policy { return core.NewDARP(g, interval, pbCfg) }},
-		{name: "sarp", refreshes: true, slack: sarpSlack, perBank: &pbCfg,
-			make: func() core.Policy { return core.NewSARP(g, interval, pbCfg) }},
-		// The multirate wheel keeps CBR's drift-free cadence, so it shares
-		// CBR's slack; the retention map gives the checker the *profiled*
-		// per-row deadlines — the tentpole "no row ever crosses its
-		// profiled retention deadline" property.
-		{name: "raidr", refreshes: true, slack: baseSlack + transition, retMap: rmap,
-			make: func() core.Policy { return core.NewRAIDR(g, interval, core.DefaultRAIDRConfig(), rmap) }},
-	}
+	return cases
 }
 
 // PolicyNames lists the differential policy set in run order — the valid
 // inputs to CheckScenarioSelected (and cmd/simcheck's -policies flag).
-func PolicyNames() []string {
-	return []string{"smart", "cbr", "burst", "oracle", "none", "smart-retention", "darp", "sarp", "raidr"}
-}
+func PolicyNames() []string { return experiment.PolicyNames() }
 
 // runPolicy executes one policy over the scenario, converting panics
 // into a recorded failure instead of crashing the harness. The
@@ -209,7 +147,7 @@ func PolicyNames() []string {
 // must discard it, which CheckScenarioContext does by returning ctx's
 // error instead of a report.
 func runPolicy(ctx context.Context, sc Scenario, pc policyCase, tr *telemetry.Tracer, reg *telemetry.Registry) (run PolicyRun) {
-	run.Policy = pc.name
+	run.Policy = pc.Name
 	defer func() {
 		if r := recover(); r != nil {
 			run.Panic = fmt.Sprint(r)
@@ -225,12 +163,12 @@ func runPolicy(ctx context.Context, sc Scenario, pc policyCase, tr *telemetry.Tr
 		PowerStates:      sc.PowerStates,
 		Trace:            tr,
 		Metrics:          reg,
-		MetricsPrefix:    sc.Name + "/" + pc.name,
+		MetricsPrefix:    sc.Name + "/" + pc.Name,
 	}
 	if ctx.Done() != nil {
 		opts.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	ctl, err := memctrl.New(sc.Cfg, pc.make(), opts)
+	ctl, err := memctrl.New(sc.Cfg, pc.New(sc.Cfg, pc.retMap), opts)
 	if err != nil {
 		run.Panic = "construct: " + err.Error()
 		return run
@@ -298,17 +236,9 @@ func CheckScenarioContext(ctx context.Context, sc Scenario, tr *telemetry.Tracer
 // phantom bound violations against runs that did not happen. Unknown
 // names are an error, not a silent no-op.
 func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *telemetry.Registry, policies []string) (Report, error) {
-	selected := map[string]bool{}
-	if len(policies) > 0 {
-		known := map[string]bool{}
-		for _, n := range PolicyNames() {
-			known[n] = true
-		}
-		for _, n := range policies {
-			if !known[n] {
-				return Report{}, fmt.Errorf("check: unknown policy %q (known: %s)", n, strings.Join(PolicyNames(), ", "))
-			}
-			selected[n] = true
+	for _, n := range policies {
+		if !slices.Contains(PolicyNames(), n) {
+			return Report{}, fmt.Errorf("check: unknown policy %q (known: %s)", n, strings.Join(PolicyNames(), ", "))
 		}
 	}
 
@@ -324,7 +254,7 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 
 	byName := map[string]PolicyRun{}
 	for _, pc := range policyCases(sc) {
-		if len(selected) > 0 && !selected[pc.name] {
+		if len(policies) > 0 && !slices.Contains(policies, pc.Name) {
 			continue
 		}
 		run := runPolicy(ctx, sc, pc, tr, reg)
@@ -333,10 +263,10 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 			return Report{Scenario: sc}, err
 		}
 		if !reflect.DeepEqual(run, rerun) {
-			add(pc.name, "determinism", "rerun differs:\n first: %+v\nsecond: %+v", run, rerun)
+			add(pc.Name, "determinism", "rerun differs:\n first: %+v\nsecond: %+v", run, rerun)
 		}
 		rep.Runs = append(rep.Runs, run)
-		byName[pc.name] = run
+		byName[pc.Name] = run
 		checkRun(sc, pc, run, add)
 	}
 	checkRefreshBounds(sc, byName, add)
@@ -351,21 +281,21 @@ func CheckSeed(seed uint64) Report { return CheckScenario(NewScenario(seed)) }
 // checkRun evaluates the per-run invariants.
 func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invariant, format string, args ...any)) {
 	if run.Panic != "" {
-		add(pc.name, "panic", "%s", run.Panic)
+		add(pc.Name, "panic", "%s", run.Panic)
 		return
 	}
-	if pc.refreshes && run.RetentionErr != "" {
-		add(pc.name, "retention", "%s", run.RetentionErr)
+	if pc.Refreshes && run.RetentionErr != "" {
+		add(pc.Name, "retention", "%s", run.RetentionErr)
 	}
 	// The no-refresh run doubles as a sanity check of the checker
 	// itself: on an idle workload with self-refresh disarmed nothing
 	// ever restores a row, so a run longer than the checked deadline
 	// must be flagged. (An armed controller legitimately keeps idle
 	// rows alive through the module's self-refresh engine.)
-	if !pc.refreshes && sc.Spec.FootprintBytes == 0 && sc.SelfRefreshAfter <= 0 {
+	if !pc.Refreshes && sc.Spec.FootprintBytes == 0 && sc.SelfRefreshAfter <= 0 {
 		deadline := sc.Cfg.Timing.RefreshInterval + memctrl.RetentionGrace + pc.slack
 		if sim.Time(sc.Duration) > sim.Time(deadline) && run.RetentionErr == "" {
-			add(pc.name, "checker-sanity", "no-refresh run of %v passed a %v retention deadline", sc.Duration, deadline)
+			add(pc.Name, "checker-sanity", "no-refresh run of %v passed a %v retention deadline", sc.Duration, deadline)
 		}
 	}
 
@@ -376,59 +306,59 @@ func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invari
 	// configured depth. The per-bank pair has its own burst bound instead:
 	// one slot emits at most a full catch-up plus a full pull-in.
 	depth := sc.Cfg.Smart.QueueDepth
-	if pc.perBank != nil {
-		depth = pc.perBank.MaxPostpone + pc.perBank.MaxPullIn
+	if pc.PerBank != nil {
+		depth = pc.PerBank.MaxPostpone + pc.PerBank.MaxPullIn
 	}
 	if ps.MaxPendingPerTick > depth {
-		add(pc.name, "queue-depth", "MaxPendingPerTick %d > depth %d", ps.MaxPendingPerTick, depth)
+		add(pc.Name, "queue-depth", "MaxPendingPerTick %d > depth %d", ps.MaxPendingPerTick, depth)
 	}
 
 	// The per-bank deficit must stay inside the JEDEC-style postponement
 	// window: DARP forces at the cap, SARP never accumulates.
-	if pc.perBank != nil && ps.MaxRefreshDeficit > pc.perBank.MaxPostpone {
-		add(pc.name, "deficit-window", "MaxRefreshDeficit %d > MaxPostpone %d",
-			ps.MaxRefreshDeficit, pc.perBank.MaxPostpone)
+	if pc.PerBank != nil && ps.MaxRefreshDeficit > pc.PerBank.MaxPostpone {
+		add(pc.Name, "deficit-window", "MaxRefreshDeficit %d > MaxPostpone %d",
+			ps.MaxRefreshDeficit, pc.PerBank.MaxPostpone)
 	}
 
 	// Every emitted refresh command either reached the module or was
 	// covered by self-refresh — exactly, no leaks in either direction.
 	if ps.RefreshesRequested != ms.RefreshOps+run.DroppedSelfRefresh {
-		add(pc.name, "refresh-accounting", "requested %d != module ops %d + dropped %d",
+		add(pc.Name, "refresh-accounting", "requested %d != module ops %d + dropped %d",
 			ps.RefreshesRequested, ms.RefreshOps, run.DroppedSelfRefresh)
 	}
 	// The Results surface must agree with the accessor it mirrors.
 	if run.Res.RefreshesDroppedSelfRefresh != run.DroppedSelfRefresh {
-		add(pc.name, "refresh-accounting", "Results dropped-SR %d != accessor %d",
+		add(pc.Name, "refresh-accounting", "Results dropped-SR %d != accessor %d",
 			run.Res.RefreshesDroppedSelfRefresh, run.DroppedSelfRefresh)
 	}
 	if allBank := uint64(sc.Cfg.Geometry.Banks) * ms.RefreshAllBankOps; ms.RefreshOps !=
 		ms.RefreshCBROps+ms.RefreshRASOnlyOps+ms.RefreshPerBankOps+allBank {
-		add(pc.name, "refresh-accounting", "ops %d != CBR %d + RAS-only %d + per-bank %d + %d banks x all-bank %d",
+		add(pc.Name, "refresh-accounting", "ops %d != CBR %d + RAS-only %d + per-bank %d + %d banks x all-bank %d",
 			ms.RefreshOps, ms.RefreshCBROps, ms.RefreshRASOnlyOps, ms.RefreshPerBankOps,
 			sc.Cfg.Geometry.Banks, ms.RefreshAllBankOps)
 	}
-	if pc.name == "none" && ms.RefreshOps != 0 {
-		add(pc.name, "refresh-accounting", "no-refresh policy issued %d refresh ops", ms.RefreshOps)
+	if pc.Name == "none" && ms.RefreshOps != 0 {
+		add(pc.Name, "refresh-accounting", "no-refresh policy issued %d refresh ops", ms.RefreshOps)
 	}
 	// Overlapped issue is a subset of per-bank issue: everything for SARP,
 	// nothing for DARP, impossible for the row-granular policies.
 	if ms.RefreshOverlapOps > ms.RefreshPerBankOps {
-		add(pc.name, "refresh-accounting", "overlap ops %d > per-bank ops %d", ms.RefreshOverlapOps, ms.RefreshPerBankOps)
+		add(pc.Name, "refresh-accounting", "overlap ops %d > per-bank ops %d", ms.RefreshOverlapOps, ms.RefreshPerBankOps)
 	}
-	switch pc.name {
+	switch pc.Name {
 	case "sarp":
 		if ms.RefreshOverlapOps != ms.RefreshPerBankOps {
-			add(pc.name, "refresh-accounting", "sarp issued %d of %d per-bank ops overlapped", ms.RefreshOverlapOps, ms.RefreshPerBankOps)
+			add(pc.Name, "refresh-accounting", "sarp issued %d of %d per-bank ops overlapped", ms.RefreshOverlapOps, ms.RefreshPerBankOps)
 		}
 	case "darp":
 		if ms.RefreshOverlapOps != 0 {
-			add(pc.name, "refresh-accounting", "darp issued %d overlapped ops", ms.RefreshOverlapOps)
+			add(pc.Name, "refresh-accounting", "darp issued %d overlapped ops", ms.RefreshOverlapOps)
 		}
 	}
 
-	checkEnergy(pc.name, run.Res.Energy, add)
-	checkResidency(sc, pc.name, ms, add)
-	checkPowerStateEnergy(sc.Cfg, pc.name, run.Res, add)
+	checkEnergy(pc.Name, run.Res.Energy, add)
+	checkResidency(sc, pc.Name, ms, add)
+	checkPowerStateEnergy(sc.Cfg, pc.Name, run.Res, add)
 
 	// Latency summaries must be finite and ordered (the histogram
 	// quantile overflow clamp).
@@ -437,11 +367,11 @@ func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invari
 		v     float64
 	}{{"avg", run.Res.AvgLatencyNS}, {"p50", run.Res.P50LatencyNS}, {"p99", run.Res.P99LatencyNS}} {
 		if math.IsNaN(q.v) || math.IsInf(q.v, 0) {
-			add(pc.name, "latency", "%s latency %v not finite", q.label, q.v)
+			add(pc.Name, "latency", "%s latency %v not finite", q.label, q.v)
 		}
 	}
 	if run.Res.P50LatencyNS > run.Res.P99LatencyNS {
-		add(pc.name, "latency", "p50 %v > p99 %v", run.Res.P50LatencyNS, run.Res.P99LatencyNS)
+		add(pc.Name, "latency", "p50 %v > p99 %v", run.Res.P50LatencyNS, run.Res.P99LatencyNS)
 	}
 }
 
@@ -662,10 +592,9 @@ func checkRAIDRBounds(sc Scenario, byName map[string]PolicyRun, add func(policy,
 	if !okR || !okC || !okO || raidr.Panic != "" || cbr.Panic != "" || oracle.Panic != "" {
 		return
 	}
-	g := sc.Cfg.Geometry
-	rmap := core.NewRetentionMap(g, core.DefaultRetentionClasses(), sc.Seed)
-	share := core.NewRAIDR(g, sc.Cfg.Timing.RefreshInterval, core.DefaultRAIDRConfig(), rmap).RefreshShare()
-	slack := 2*uint64(g.TotalRows()) + 64
+	rmap := experiment.DefaultRetentionMap(sc.Cfg.Geometry, sc.Seed)
+	share := experiment.PolicyRAIDR.Entry().New(sc.Cfg, rmap).(*core.RAIDR).RefreshShare()
+	slack := 2*uint64(sc.Cfg.Geometry.TotalRows()) + 64
 	r, c, o := raidr.Res.Policy.RefreshesRequested, cbr.Res.Policy.RefreshesRequested, oracle.Res.Policy.RefreshesRequested
 	if r > c+slack {
 		add("raidr", "refresh-bound-upper", "raidr requested %d > cbr %d + slack %d", r, c, slack)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"smartrefresh/internal/experiment"
 )
 
 // TestRandomScenarios is the property suite: every invariant must hold
@@ -101,9 +103,18 @@ func TestPolicyNamesMatchCases(t *testing.T) {
 		t.Fatalf("PolicyNames lists %d policies, policyCases has %d", len(names), len(cases))
 	}
 	for i, pc := range cases {
-		if names[i] != pc.name {
-			t.Errorf("PolicyNames[%d] = %q, policyCases[%d] = %q", i, names[i], i, pc.name)
+		if names[i] != pc.Name {
+			t.Errorf("PolicyNames[%d] = %q, policyCases[%d] = %q", i, names[i], i, pc.Name)
 		}
+	}
+}
+
+// The differential set follows the experiment registry's order, which
+// the report fingerprints (simcheck -fingerprint) depend on.
+func TestPolicyNamesFollowRegistry(t *testing.T) {
+	want := []string{"smart", "cbr", "burst", "oracle", "none", "smart-retention", "darp", "sarp", "raidr"}
+	if got := PolicyNames(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, experiment.PolicyNames()) {
+		t.Errorf("PolicyNames() = %v, want %v (the registry order)", got, want)
 	}
 }
 

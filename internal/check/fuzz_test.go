@@ -30,7 +30,7 @@ func fuzzCfg(rowsExp, banksExp uint8) config.DRAM {
 func smartCase(t *testing.T, sc Scenario) policyCase {
 	t.Helper()
 	for _, pc := range policyCases(sc) {
-		if pc.name == "smart" {
+		if pc.Name == "smart" {
 			return pc
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
@@ -26,45 +27,24 @@ type vaultOutcome struct {
 	Panic string
 }
 
-// vaultPolicyCase names a per-vault policy constructor and the retention
-// slack its deferral behaviour is allowed (the same bounds the monolithic
-// differential set uses — the per-vault geometry keeps Rows per bank, so
-// the formulas carry over unchanged).
-type vaultPolicyCase struct {
-	name    string
-	factory memctrl.PolicyFactory
-	slack   sim.Duration
-}
-
 // vaultPolicyCases is the vault-parallel differential set: the paper's
-// policy and its baseline, each instantiated per vault.
-func vaultPolicyCases(sc Scenario) []vaultPolicyCase {
-	interval := sc.Cfg.Timing.RefreshInterval
-	transition := sim.Duration(0)
-	if sc.SelfRefreshAfter > 0 {
-		transition = 2 * interval
+// policy and its baseline, each instantiated per vault with the
+// monolithic set's slack (the per-vault geometry keeps Rows per bank, so
+// the bounds carry over unchanged).
+func vaultPolicyCases(sc Scenario) []policyCase {
+	var cases []policyCase
+	for _, pc := range policyCases(sc) {
+		if slices.Contains(VaultPolicyNames(), pc.Name) {
+			cases = append(cases, pc)
+		}
 	}
-	serial := 2 * sim.Duration(sc.Cfg.Geometry.Rows) * sc.Cfg.Timing.TRefreshRow
-	smartSlack := baseSlack + transition + serial
-	if sc.Cfg.Smart.SelfDisable {
-		smartSlack += 2 * interval
-	}
-	return []vaultPolicyCase{
-		{name: "smart", slack: smartSlack,
-			factory: func(_ int, vcfg config.DRAM) (core.Policy, error) {
-				return core.NewSmart(vcfg.Geometry, interval, vcfg.Smart), nil
-			}},
-		{name: "cbr", slack: baseSlack + transition,
-			factory: func(_ int, vcfg config.DRAM) (core.Policy, error) {
-				return core.NewCBR(vcfg.Geometry, interval), nil
-			}},
-	}
+	return cases
 }
 
 // runVaultPolicy executes one policy over the scenario through a
 // memctrl.VaultArray at the given worker count, flushing the vaults at
 // quarter-interval epoch barriers. Panics become a recorded failure.
-func runVaultPolicy(ctx context.Context, sc Scenario, pc vaultPolicyCase, workers int) (out vaultOutcome) {
+func runVaultPolicy(ctx context.Context, sc Scenario, pc policyCase, workers int) (out vaultOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.Panic = fmt.Sprint(r)
@@ -85,7 +65,8 @@ func runVaultPolicy(ctx context.Context, sc Scenario, pc vaultPolicyCase, worker
 	if ctx.Done() != nil {
 		opts.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	va, err := memctrl.NewVaultArray(sc.Cfg, pc.factory, opts)
+	factory := func(_ int, vcfg config.DRAM) (core.Policy, error) { return pc.New(vcfg, nil), nil }
+	va, err := memctrl.NewVaultArray(sc.Cfg, factory, opts)
 	if err != nil {
 		out.Panic = "construct: " + err.Error()
 		return out
@@ -148,10 +129,6 @@ func CheckVaultScenario(ctx context.Context, sc Scenario, shards []int) (Report,
 // ignored rather than rejected, so one -policies list can drive the
 // monolithic and vault sweeps together.
 func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, policies []string) (Report, error) {
-	selected := map[string]bool{}
-	for _, n := range policies {
-		selected[n] = true
-	}
 	rep := Report{Scenario: sc}
 	if !sc.Cfg.Geometry.Vaulted() {
 		return rep, nil
@@ -169,10 +146,10 @@ func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, 
 	}
 
 	for _, pc := range vaultPolicyCases(sc) {
-		if len(selected) > 0 && !selected[pc.name] {
+		if len(policies) > 0 && !slices.Contains(policies, pc.Name) {
 			continue
 		}
-		name := "vault-" + pc.name
+		name := "vault-" + pc.Name
 		ref := runVaultPolicy(ctx, sc, pc, 1)
 		rerun := runVaultPolicy(ctx, sc, pc, 1)
 		if err := ctx.Err(); err != nil {

@@ -94,7 +94,7 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 	small.Smart.SelfDisable = false
 
 	interval := small.RefreshInterval()
-	p := core.NewSmart(g, interval, small.Smart)
+	p := NewPolicy(small, PolicySmart)
 	rng := sim.NewRNG(uint64(bits) * 7919)
 	var cmds []core.Command
 
@@ -157,7 +157,7 @@ func StaggerStudy(kind ConfigKind) []StaggerPoint {
 		cfg := kind.DRAM()
 		cfg.Smart.SelfDisable = false
 		cfg.Smart.UniformSeed = !staggered
-		p := core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart)
+		p := NewPolicy(cfg, PolicySmart)
 		interval := cfg.RefreshInterval()
 
 		buckets := make(map[int64]uint64)
@@ -326,27 +326,24 @@ type RetentionAwarePoint struct {
 // RetentionAwareStudy compares CBR, plain Smart Refresh and the combined
 // retention-aware Smart Refresh on one benchmark stream with the default
 // retention-class distribution. The three runs execute on eng's worker
-// pool (nil = default engine); the retention-aware policy is supplied
-// through Job.MakePolicy so each run constructs its own policy state.
+// pool (nil = default engine); the retention-aware run derives its
+// retention map from the benchmark seed like every PolicySmartRetention
+// job.
 func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []RetentionAwarePoint {
 	eng = ensureEngine(eng)
 	cfg := Conv2GB.DRAM()
 	cfg.Smart.SelfDisable = false
-	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
 
-	names := []string{"cbr", "smart", "smart-retention"}
-	res := eng.RunJobs([]Job{
-		{Cfg: cfg, Prof: prof, Policy: PolicyCBR, Opts: opts},
-		{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts},
-		{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts, MakePolicy: func() core.Policy {
-			return core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart, rmap)
-		}},
-	})
+	var jobs []Job
+	for _, kind := range []PolicyKind{PolicyCBR, PolicySmart, PolicySmartRetention} {
+		jobs = append(jobs, Job{Cfg: cfg, Prof: prof, Policy: kind, Opts: opts})
+	}
+	res := eng.RunJobs(jobs)
 
 	out := make([]RetentionAwarePoint, len(res))
 	for i, r := range res {
 		out[i] = RetentionAwarePoint{
-			Policy:          names[i],
+			Policy:          r.Policy.String(),
 			RefreshOps:      r.Results.Module.RefreshOps,
 			RefreshEnergyMJ: r.Results.Energy.RefreshRelated().Millijoules(),
 			TotalEnergyMJ:   r.Results.Energy.Total().Millijoules(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/telemetry"
 	"smartrefresh/internal/workload"
 )
 
@@ -202,6 +203,26 @@ func TestDisableThresholdStudy(t *testing.T) {
 	if pts[0].TotalEnergyMJ > pts[1].TotalEnergyMJ {
 		t.Errorf("disabling cost energy on idle: %.3f > %.3f",
 			pts[0].TotalEnergyMJ, pts[1].TotalEnergyMJ)
+	}
+}
+
+// The retention-aware run registers its controller metrics under its own
+// policy name, not over the plain Smart Refresh run's rows.
+func TestRetentionAwareStudyMetricsPrefix(t *testing.T) {
+	prof, _ := workload.ByName("gcc")
+	eng := NewEngine(1)
+	eng.Metrics = telemetry.NewRegistry()
+	RetentionAwareStudy(eng, prof, fastOpts(false))
+	var smart, aware bool
+	for _, m := range eng.Metrics.Snapshot() {
+		smart = smart || strings.HasPrefix(m.Name, "table1-2gb/gcc/smart/")
+		aware = aware || strings.HasPrefix(m.Name, "table1-2gb/gcc/smart-retention/")
+	}
+	if !smart || !aware {
+		t.Errorf("metrics prefixes: smart %v, smart-retention %v; want both", smart, aware)
+	}
+	if n := eng.Metrics.Replaced(); n != 0 {
+		t.Errorf("%d metric rows replaced; the three runs must not collide", n)
 	}
 }
 

@@ -73,16 +73,16 @@ type Job struct {
 	Prof   workload.Profile
 	Policy PolicyKind
 	Opts   RunOptions
-	// MakePolicy, when non-nil, overrides the Policy kind's constructor
-	// (e.g. the retention-aware study's non-standard policy); Policy is
-	// then only a label.
+	// MakePolicy, when non-nil, overrides the Policy kind's registry
+	// constructor (e.g. the RAIDR study's custom bins); Policy then only
+	// labels the run and picks its retention slack.
 	MakePolicy func() core.Policy
 	// MakeSource, when non-nil, overrides the profile's access stream.
 	MakeSource func() trace.Source
-	// RetentionMap, when non-nil together with Opts.CheckRetention,
-	// gives the run's retention checker per-row deadlines (the
-	// retention-aware and raidr studies check the multirate invariant,
-	// not the uniform base deadline).
+	// RetentionMap, when non-nil, replaces the map a RetentionMap policy
+	// would derive from Prof's seed; with Opts.CheckRetention it also
+	// gives the run's retention checker per-row deadlines (the raidr
+	// study checks the multirate invariant of its injected profile).
 	RetentionMap *core.RetentionMap
 }
 
@@ -298,20 +298,9 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error
 			}
 			close(ent.done)
 		}()
-		cfg := spec.Config.DRAM()
-		j := runJob{
-			cfg:       cfg,
-			benchmark: spec.Benchmark,
-			kind:      spec.Policy,
-			source:    prof.NewSource(spec.Opts.Stacked),
-			opts:      spec.Opts, // normalize() already applied defaults
-			trace:     e.Trace,
-			metrics:   e.Metrics,
-		}
-		if !cfg.Geometry.Vaulted() {
-			// Vaulted runs construct per-vault policies in executeVaulted.
-			j.policy = NewPolicy(cfg, spec.Policy)
-		}
+		// normalize() already applied the option defaults.
+		j := newRunJob(spec.Config.DRAM(), prof, spec.Policy, spec.Opts, prof.NewSource(spec.Opts.Stacked))
+		j.trace, j.metrics = e.Trace, e.Metrics
 		ent.res, ent.err = execute(jobCtx, j)
 	}()
 	wall := time.Since(start)
@@ -398,35 +387,21 @@ func (e *Engine) runJob(ctx context.Context, job Job) RunResult {
 	return res
 }
 
+// failed is the result of a job that could not be simulated.
+func (job Job) failed(err error) RunResult {
+	return RunResult{Benchmark: job.Prof.Name, Policy: job.Policy, Config: job.Cfg.Name, Err: err}
+}
+
 func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
 	if err := ctx.Err(); err != nil {
-		return RunResult{
-			Benchmark: job.Prof.Name,
-			Policy:    job.Policy,
-			Config:    job.Cfg.Name,
-			Err:       err,
-		}
+		return job.failed(err)
 	}
 	opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
-	vaulted := job.Cfg.Geometry.Vaulted()
-	if vaulted && job.MakePolicy != nil {
+	if job.Cfg.Geometry.Vaulted() && job.MakePolicy != nil {
 		// One policy instance cannot be distributed across vaults; the
 		// vaulted path constructs per-vault policies from the kind.
-		return RunResult{
-			Benchmark: job.Prof.Name,
-			Policy:    job.Policy,
-			Config:    job.Cfg.Name,
-			Err: fmt.Errorf("experiment: job %s/%s/%s: MakePolicy overrides are not supported on vaulted geometries",
-				job.Cfg.Name, job.Prof.Name, job.Policy),
-		}
-	}
-	policy := job.MakePolicy
-	if policy == nil {
-		policy = func() core.Policy { return NewPolicy(job.Cfg, job.Policy) }
-	}
-	source := job.MakeSource
-	if source == nil {
-		source = func() trace.Source { return job.Prof.NewSource(opts.Stacked) }
+		return job.failed(fmt.Errorf("experiment: job %s/%s/%s: MakePolicy overrides are not supported on vaulted geometries",
+			job.Cfg.Name, job.Prof.Name, job.Policy))
 	}
 
 	e.mu.Lock()
@@ -450,37 +425,22 @@ func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
 		// job in the batch; it reports through RunResult.Err instead.
 		defer func() {
 			if r := recover(); r != nil {
-				res = RunResult{
-					Benchmark: job.Prof.Name,
-					Policy:    job.Policy,
-					Config:    job.Cfg.Name,
-					Err: fmt.Errorf("experiment: job %s/%s/%s panicked: %v",
-						job.Cfg.Name, job.Prof.Name, job.Policy, r),
-				}
+				res = job.failed(fmt.Errorf("experiment: job %s/%s/%s panicked: %v",
+					job.Cfg.Name, job.Prof.Name, job.Policy, r))
 			}
 		}()
-		j := runJob{
-			cfg:       job.Cfg,
-			benchmark: job.Prof.Name,
-			kind:      job.Policy,
-			source:    source(),
-			opts:      opts,
-			retMap:    job.RetentionMap,
-			trace:     e.Trace,
-			metrics:   e.Metrics,
+		var src trace.Source
+		if job.MakeSource != nil {
+			src = job.MakeSource()
+		} else {
+			src = job.Prof.NewSource(opts.Stacked)
 		}
-		if !vaulted {
-			j.policy = policy()
-		}
+		j := newRunJob(job.Cfg, job.Prof, job.Policy, opts, src)
+		j.makePolicy, j.retMap = job.MakePolicy, job.RetentionMap
+		j.trace, j.metrics = e.Trace, e.Metrics
 		var err error
-		res, err = execute(jobCtx, j)
-		if err != nil {
-			res = RunResult{
-				Benchmark: job.Prof.Name,
-				Policy:    job.Policy,
-				Config:    job.Cfg.Name,
-				Err:       err,
-			}
+		if res, err = execute(jobCtx, j); err != nil {
+			res = job.failed(err)
 		}
 	}()
 	wall := time.Since(start)

@@ -63,7 +63,7 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 	cfg.Smart.SelfDisable = false
 	opts.CheckRetention = true
 
-	nominal := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed()).Multipliers()
+	nominal := DefaultRetentionMap(cfg.Geometry, prof.Seed()).Multipliers()
 
 	type point struct {
 		bins     int
@@ -89,16 +89,14 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			profMap := core.NewRetentionMapFromMultipliers(cfg.Geometry, injected.Profiled())
 			rcfg := core.DefaultRAIDRConfig()
 			rcfg.BinMultipliers = mults
-			analysis := core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), rcfg, profMap)
+			analysis := newRAIDR(cfg, rcfg, profMap)
 			points = append(points, point{bins: bins, profErr: pe, profMap: profMap, analysis: analysis, injected: injected})
 			jobs = append(jobs, Job{
-				// PolicyCBR is a label: raidr is demand-oblivious and
-				// wheel-shaped like CBR, so it shares CBR's slack model.
-				Cfg: cfg, Prof: prof, Policy: PolicyCBR, Opts: opts,
+				// The custom bins and the injected profile replace the
+				// registry's default wheel and seed-derived map.
+				Cfg: cfg, Prof: prof, Policy: PolicyRAIDR, Opts: opts,
 				RetentionMap: profMap,
-				MakePolicy: func() core.Policy {
-					return core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), rcfg, profMap)
-				},
+				MakePolicy:   func() core.Policy { return newRAIDR(cfg, rcfg, profMap) },
 			})
 		}
 	}
@@ -108,7 +106,7 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 	for i, r := range res {
 		p := points[i]
 		out[i] = RAIDRPoint{
-			Policy:          "raidr",
+			Policy:          r.Policy.String(),
 			Bins:            p.bins,
 			ProfileError:    p.profErr,
 			VRTFlipFraction: vrt.FlipFraction,
@@ -119,7 +117,6 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			TotalRows:       cfg.Geometry.TotalRows(),
 		}
 		if p.analysis == nil {
-			out[i].Policy = "cbr"
 			out[i].VRTFlipFraction = 0
 			continue
 		}

@@ -7,76 +7,17 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
-	"smartrefresh/internal/dram"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/telemetry"
 	"smartrefresh/internal/trace"
 	"smartrefresh/internal/workload"
 )
-
-// PolicyKind selects the refresh policy for a run.
-type PolicyKind int
-
-// Available policies.
-const (
-	PolicyCBR PolicyKind = iota
-	PolicySmart
-	PolicyBurst
-	PolicyNone
-	PolicyOracle
-	PolicyDARP
-	PolicySARP
-)
-
-// String names the policy kind.
-func (k PolicyKind) String() string {
-	switch k {
-	case PolicyCBR:
-		return "cbr"
-	case PolicySmart:
-		return "smart"
-	case PolicyBurst:
-		return "burst"
-	case PolicyNone:
-		return "none"
-	case PolicyOracle:
-		return "oracle"
-	case PolicyDARP:
-		return "darp"
-	case PolicySARP:
-		return "sarp"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(k))
-	}
-}
-
-// NewPolicy instantiates a policy for the configuration.
-func NewPolicy(cfg config.DRAM, kind PolicyKind) core.Policy {
-	interval := cfg.RefreshInterval()
-	switch kind {
-	case PolicyCBR:
-		return core.NewCBR(cfg.Geometry, interval)
-	case PolicySmart:
-		return core.NewSmart(cfg.Geometry, interval, cfg.Smart)
-	case PolicyBurst:
-		return core.NewBurst(cfg.Geometry, interval)
-	case PolicyNone:
-		return core.NoRefresh{}
-	case PolicyOracle:
-		return core.NewOracle(cfg.Geometry, interval, cfg.Timing.TRefreshRow*16)
-	case PolicyDARP:
-		return core.NewDARP(cfg.Geometry, interval, core.DefaultPerBankConfig())
-	case PolicySARP:
-		return core.NewSARP(cfg.Geometry, interval, core.DefaultPerBankConfig())
-	default:
-		panic(fmt.Sprintf("experiment: unknown policy kind %d", int(kind)))
-	}
-}
 
 // RunOptions control a single simulation run.
 type RunOptions struct {
@@ -118,39 +59,6 @@ func (o RunOptions) withDefaults(interval sim.Duration) RunOptions {
 		o.Measure = 4 * interval
 	}
 	return o
-}
-
-// RetentionSlack is the deadline widening the retention checker grants a
-// policy's documented deferral behaviour (mirroring internal/check's
-// per-policy bounds): Smart and Burst serialise chained refreshes behind
-// one bank, DARP postpones up to MaxPostpone slot periods and pulls in up
-// to MaxPullIn, SARP only pays stagger and quantization. Beyond this a
-// late refresh is a real bug, not scheduling slack. Self-refresh entry
-// and exit hide the module walker's phase for up to two intervals.
-func RetentionSlack(cfg config.DRAM, kind PolicyKind, opts RunOptions) sim.Duration {
-	const base = 4 * sim.Microsecond
-	interval := cfg.RefreshInterval()
-	slack := base
-	if opts.SelfRefreshAfter > 0 {
-		slack += 2 * interval
-	}
-	serial := sim.Duration(cfg.Geometry.Rows) * cfg.Timing.TRefreshRow
-	pbSlot := interval / sim.Duration(cfg.Geometry.Rows)
-	pb := core.DefaultPerBankConfig()
-	switch kind {
-	case PolicySmart:
-		slack += 2 * serial
-		if cfg.Smart.SelfDisable {
-			slack += 2 * interval
-		}
-	case PolicyBurst:
-		slack += serial
-	case PolicyDARP:
-		slack += sim.Duration(pb.MaxPostpone+pb.MaxPullIn+4) * pbSlot
-	case PolicySARP:
-		slack += 4 * pbSlot
-	}
-	return slack
 }
 
 // RunResult is the measured window of one run.
@@ -199,37 +107,31 @@ func RunContext(ctx context.Context, cfg config.DRAM, prof workload.Profile, kin
 // in vaultTiming when it is non-nil (monolithic runs leave it untouched).
 func runTimed(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, vaultTiming *memctrl.VaultTiming) (RunResult, error) {
 	opts = opts.withDefaults(cfg.RefreshInterval())
-	j := runJob{
-		cfg:       cfg,
-		benchmark: prof.Name,
-		kind:      kind,
-		source:    prof.NewSource(opts.Stacked),
-		opts:      opts,
-
-		vaultTiming: vaultTiming,
-	}
-	if !cfg.Geometry.Vaulted() {
-		// Vaulted runs build one policy per vault inside executeVaulted;
-		// the monolithic instance would be constructed only to be dropped.
-		j.policy = NewPolicy(cfg, kind)
-	}
+	j := newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked))
+	j.vaultTiming = vaultTiming
 	return execute(ctx, j)
 }
 
-// runJob is one fully-resolved simulation: a configuration, a policy
-// instance, an access stream and the measurement window. Every field is
-// owned by this job alone, so jobs are safe to execute concurrently.
-// The telemetry sinks are the exception — they are shared across jobs
-// and internally synchronised (both no-op when nil).
+// runJob is one fully-resolved simulation: a configuration, a policy, an
+// access stream and the measurement window. Every field is owned by this
+// job alone, so jobs are safe to execute concurrently. The telemetry
+// sinks are the exception — they are shared across jobs and internally
+// synchronised (both no-op when nil).
 type runJob struct {
 	cfg       config.DRAM
 	benchmark string
 	kind      PolicyKind
-	policy    core.Policy
-	source    trace.Source
-	opts      RunOptions // defaults already applied
-	// retMap, when non-nil with opts.CheckRetention, scales the
-	// checker's per-row deadlines (see memctrl.Options.RetentionMap).
+	// seed is the workload seed a RetentionMap policy derives its map
+	// from when retMap is nil.
+	seed uint64
+	// makePolicy, when non-nil, replaces the registry constructor
+	// (monolithic geometries only).
+	makePolicy func() core.Policy
+	source     trace.Source
+	opts       RunOptions // defaults already applied
+	// retMap is the per-row retention map of a RetentionMap policy; with
+	// opts.CheckRetention it also scales the checker's per-row deadlines
+	// (see memctrl.Options.RetentionMap).
 	retMap *core.RetentionMap
 
 	trace   *telemetry.Tracer
@@ -239,10 +141,16 @@ type runJob struct {
 	vaultTiming *memctrl.VaultTiming
 }
 
-// execute drives one job's stream through a fresh controller. The warmup
-// snapshot is taken exactly once (at the first measured record, or at the
-// warmup boundary for idle streams), then ctl.Finish finalises the module
-// before the results are read.
+// newRunJob starts a job that runs prof's benchmark from source.
+func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, source trace.Source) runJob {
+	return runJob{cfg: cfg, benchmark: prof.Name, kind: kind, seed: prof.Seed(), opts: opts, source: source}
+}
+
+// execute drives one job's stream through a fresh target — a controller,
+// or a vault array flushed at epoch barriers. The warmup snapshot is
+// taken exactly once (at the first measured record, or at the warmup
+// boundary for idle streams), then the target's Finish finalises the
+// module(s) before the measured window is read.
 //
 // Cancellation points: the record loop checks ctx every cancelCheckStride
 // records, and the controller's long tick/advance drains poll it through
@@ -251,105 +159,114 @@ type runJob struct {
 // of refresh ticks. A non-nil error means the partial result was
 // discarded; the returned RunResult is then zero.
 func execute(ctx context.Context, j runJob) (RunResult, error) {
-	if j.cfg.Geometry.Vaulted() {
-		return executeVaulted(ctx, j)
+	entry := j.kind.Entry()
+	if entry.RetentionMap && j.retMap == nil {
+		j.retMap = DefaultRetentionMap(j.cfg.Geometry, j.seed)
+	}
+	fail := func(err error) (RunResult, error) {
+		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
+	}
+	t, err := newRunTarget(ctx, j, entry)
+	if err != nil {
+		return fail(err)
 	}
 	opts := j.opts
-	mcOpts, cancelled := jobSetup(ctx, j)
-	ctl := memctrl.MustNew(j.cfg, j.policy, mcOpts)
 
 	end := opts.Warmup + opts.Measure
-
 	var front *cache.DRAMCache
 	if opts.Stacked {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
 	}
 
-	var warmModule, warmPolicy = ctl.Module().Stats(), j.policy.Stats()
-	var warmDroppedSR uint64
 	warmed := false
-	takeWarmupSnapshot := func(t sim.Time) {
-		ctl.AdvanceTo(t)
-		ctl.Module().Finalize(t)
-		warmModule, warmPolicy = ctl.Module().Stats(), j.policy.Stats()
-		warmDroppedSR = ctl.RefreshesDroppedSelfRefresh()
-		warmed = true
-	}
-	submit := func(t sim.Time, addr uint64, write bool) {
-		ctl.Submit(memctrl.Request{Time: t, Addr: addr, Write: write})
-	}
-
 	for n := 0; ; n++ {
 		rec, ok := j.source.Next()
 		if !ok || rec.Time >= end {
 			break
 		}
-		if n&(cancelCheckStride-1) == 0 {
-			if err := cancelled(); err != nil {
-				return RunResult{}, err
-			}
+		if n&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
+			return fail(ctx.Err())
+		}
+		for t.next <= rec.Time && t.next < end {
+			t.va.FlushTo(t.next)
+			t.next += t.epoch
 		}
 		if !warmed && rec.Time >= opts.Warmup {
-			takeWarmupSnapshot(rec.Time)
+			t.snapshot(rec.Time)
+			warmed = true
 		}
 		if opts.Stacked {
 			res := front.Access(rec.Time, rec.Addr, rec.Write)
 			for _, da := range res.DataAccesses {
-				submit(da.Time, da.Addr, da.Write)
+				t.submit(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})
 			}
 			// MemoryTraffic goes to the conventional DRAM behind the 3D
 			// cache; the paper found it negligible for these footprints
 			// and we do not simulate that second module here.
 		} else {
-			submit(rec.Time, rec.Addr, rec.Write)
+			t.submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
 		}
 	}
 	if !warmed {
 		// Idle stream: no record ever crossed the warmup boundary.
-		takeWarmupSnapshot(opts.Warmup)
+		t.snapshot(opts.Warmup)
 	}
-	ctl.Finish(end)
-	if err := cancelled(); err != nil {
+	res := RunResult{Benchmark: j.benchmark, Policy: j.kind, Config: j.cfg.Name, Window: opts.Measure}
+	if t.va == nil {
+		t.ctl.Finish(end)
+	} else {
+		t.va.Finish(end)
+	}
+	if err := ctx.Err(); err != nil {
 		// The controller's drains abort early on interrupt, so anything
 		// measured after the cancellation instant is partial state.
-		return RunResult{}, err
+		return fail(err)
 	}
-
-	full := ctl.Results(end)
-	full.Module = full.Module.Sub(warmModule)
-	full.Policy = full.Policy.Sub(warmPolicy)
-	full.RefreshesDroppedSelfRefresh -= warmDroppedSR
-	full.Energy = j.cfg.Power.Evaluate(full.Module, full.Policy)
-	full.RefreshOps = full.Module.RefreshOps
-	full.RefreshCBR = full.Module.RefreshCBROps
-	full.RefreshRASOnly = full.Module.RefreshRASOnlyOps
-	full.RefreshPerBank = full.Module.RefreshPerBankOps
-	full.DemandStall = full.Module.DemandStall
-	if opts.Measure > 0 {
-		full.RefreshPerSecond = float64(full.Module.RefreshOps) / opts.Measure.Seconds()
+	if t.va == nil {
+		res.Results = t.ctl.ResultsSince(end, t.warm[0], opts.Measure)
+		res.RetentionErr = t.ctl.RetentionErr()
+		return res, nil
 	}
-
-	return RunResult{
-		Benchmark:    j.benchmark,
-		Policy:       j.kind,
-		Config:       j.cfg.Name,
-		Window:       opts.Measure,
-		Results:      full,
-		RetentionErr: ctl.RetentionErr(),
-	}, nil
+	if j.vaultTiming != nil {
+		*j.vaultTiming = t.va.Timing()
+	}
+	// Each vault's window is taken against its own warm state, then folded
+	// in vault index order exactly as VaultArray.Results folds whole-run
+	// summaries.
+	res.Results, res.Vaults = t.va.ResultsSince(end, t.warm, opts.Measure)
+	res.RetentionErr = t.va.RetentionErr()
+	return res, nil
 }
 
-// jobSetup builds the controller options and the cancellation probe a
-// job shares between the monolithic and vaulted paths.
-func jobSetup(ctx context.Context, j runJob) (memctrl.Options, func() error) {
-	opts := j.opts
+// runTarget is what execute's record loop drives: one controller for a
+// monolithic geometry, or a memctrl.VaultArray whose vault controllers
+// are advanced in parallel by opts.Shards workers between
+// quarter-interval epoch barriers. The epoch schedule is a pure function
+// of the record stream and the vaults share no mutable state, so a
+// vaulted run's results are bit-identical at every shard count — which
+// is what lets the Engine memoise across differing Shards values.
+type runTarget struct {
+	ctl *memctrl.Controller // monolithic; nil when vaulted
+	va  *memctrl.VaultArray // vaulted; nil when monolithic
+	// next is the next epoch barrier, epoch the barrier spacing; a
+	// monolithic target's next is never reached.
+	next  sim.Time
+	epoch sim.Duration
+	// warm holds each controller's counters at the warmup boundary
+	// (one per vault when vaulted).
+	warm []memctrl.Snapshot
+}
+
+// newRunTarget builds the job's controller, or its vault array, with
+// the controller options the job's run options and telemetry imply.
+func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, error) {
 	mcOpts := memctrl.Options{
-		CheckRetention:   opts.CheckRetention,
-		SelfRefreshAfter: opts.SelfRefreshAfter,
-		PowerStates:      opts.PowerStates,
+		CheckRetention:   j.opts.CheckRetention,
+		SelfRefreshAfter: j.opts.SelfRefreshAfter,
+		PowerStates:      j.opts.PowerStates,
 	}
-	if opts.CheckRetention {
-		mcOpts.RetentionSlack = RetentionSlack(j.cfg, j.kind, opts)
+	if j.opts.CheckRetention {
+		mcOpts.RetentionSlack = entry.Slack(j.cfg, j.opts.SelfRefreshAfter > 0)
 		mcOpts.RetentionMap = j.retMap
 	}
 	if j.trace != nil || j.metrics != nil {
@@ -361,177 +278,56 @@ func jobSetup(ctx context.Context, j runJob) (memctrl.Options, func() error) {
 		// Only a cancellable context pays for the per-drain polls.
 		mcOpts.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	cancelled := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
+	if !j.cfg.Geometry.Vaulted() {
+		var policy core.Policy
+		if j.makePolicy != nil {
+			policy = j.makePolicy()
+		} else {
+			policy = entry.New(j.cfg, j.retMap)
 		}
-		return nil
+		ctl := memctrl.MustNew(j.cfg, policy, mcOpts)
+		return runTarget{ctl: ctl, next: math.MaxInt64, warm: make([]memctrl.Snapshot, 1)}, nil
 	}
-	return mcOpts, cancelled
-}
-
-// executeVaulted is execute for vaulted (HMC-style) geometries: one
-// controller per vault behind a memctrl.VaultArray, advanced in parallel
-// by opts.Shards workers between quarter-interval epoch barriers. The
-// epoch schedule is a pure function of the record stream, and the vaults
-// share no mutable state, so the measured results are bit-identical at
-// every shard count — which is what lets the Engine memoise across
-// differing Shards values.
-//
-// The warmup snapshot is per vault (each vault's module and policy have
-// their own warm state); the measured window is derived per vault and
-// folded in vault index order into the stack-level Results, exactly as
-// VaultArray.Results folds whole-run summaries.
-func executeVaulted(ctx context.Context, j runJob) (RunResult, error) {
-	opts := j.opts
 	if j.retMap != nil {
 		// A per-row retention map is indexed against the monolithic
 		// geometry; reslicing it per vault is future work.
-		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: per-row retention maps are not supported on vaulted geometries",
-			j.cfg.Name, j.benchmark, j.kind)
+		return runTarget{}, fmt.Errorf("per-row retention maps are not supported on vaulted geometries")
 	}
-	mcOpts, cancelled := jobSetup(ctx, j)
-
-	factory := func(_ int, vcfg config.DRAM) (core.Policy, error) {
-		return NewPolicy(vcfg, j.kind), nil
-	}
-	va, err := memctrl.NewVaultArray(j.cfg, factory, memctrl.VaultOptions{
-		Options: mcOpts,
-		Workers: opts.Shards,
-	})
+	va, err := memctrl.NewVaultArray(j.cfg, func(_ int, vcfg config.DRAM) (core.Policy, error) {
+		return entry.New(vcfg, nil), nil
+	}, memctrl.VaultOptions{Options: mcOpts, Workers: j.opts.Shards})
 	if err != nil {
-		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
+		return runTarget{}, err
 	}
-
-	end := opts.Warmup + opts.Measure
 	epoch := j.cfg.RefreshInterval() / 4
+	return runTarget{va: va, next: epoch, epoch: epoch, warm: make([]memctrl.Snapshot, va.Vaults())}, nil
+}
 
-	var front *cache.DRAMCache
-	if opts.Stacked {
-		front = cache.NewDRAMCache(config.Table2_3DCache())
+func (t *runTarget) submit(r memctrl.Request) {
+	if t.va != nil {
+		t.va.Enqueue(r)
+		return
 	}
+	t.ctl.Submit(r)
+}
 
-	n := va.Vaults()
-	warmModule := make([]dram.ModuleStats, n)
-	warmPolicy := make([]core.PolicyStats, n)
-	warmDropped := make([]uint64, n)
-	warmed := false
-	takeWarmupSnapshot := func(t sim.Time) {
-		va.FlushTo(t)
-		for v := 0; v < n; v++ {
-			ctl := va.Vault(v)
-			ctl.Module().Finalize(t)
-			warmModule[v] = ctl.Module().Stats()
-			warmPolicy[v] = ctl.Policy().Stats()
-			warmDropped[v] = ctl.RefreshesDroppedSelfRefresh()
-		}
-		warmed = true
+// snapshot brings the target to at and records every controller's warm
+// state there.
+func (t *runTarget) snapshot(at sim.Time) {
+	if t.va == nil {
+		t.ctl.AdvanceTo(at)
+		t.warm[0] = t.ctl.Snapshot(at)
+		return
 	}
-	submit := func(t sim.Time, addr uint64, write bool) {
-		va.Enqueue(memctrl.Request{Time: t, Addr: addr, Write: write})
+	t.va.FlushTo(at)
+	for v := range t.warm {
+		t.warm[v] = t.va.Vault(v).Snapshot(at)
 	}
-
-	next := sim.Time(epoch)
-	for nrec := 0; ; nrec++ {
-		rec, ok := j.source.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		if nrec&(cancelCheckStride-1) == 0 {
-			if err := cancelled(); err != nil {
-				return RunResult{}, err
-			}
-		}
-		for next <= rec.Time && next < end {
-			va.FlushTo(next)
-			next += sim.Time(epoch)
-		}
-		if !warmed && rec.Time >= opts.Warmup {
-			takeWarmupSnapshot(rec.Time)
-			for next <= rec.Time {
-				// The snapshot flushed to rec.Time; skip epoch boundaries
-				// the array has already passed.
-				next += sim.Time(epoch)
-			}
-		}
-		if opts.Stacked {
-			res := front.Access(rec.Time, rec.Addr, rec.Write)
-			for _, da := range res.DataAccesses {
-				submit(da.Time, da.Addr, da.Write)
-			}
-		} else {
-			submit(rec.Time, rec.Addr, rec.Write)
-		}
+	for t.next <= at {
+		// The snapshot flushed to at; skip epoch barriers the array has
+		// already passed.
+		t.next += t.epoch
 	}
-	if !warmed {
-		// Idle stream: no record ever crossed the warmup boundary.
-		takeWarmupSnapshot(opts.Warmup)
-	}
-	va.Finish(end)
-	if err := cancelled(); err != nil {
-		return RunResult{}, err
-	}
-	if j.vaultTiming != nil {
-		*j.vaultTiming = va.Timing()
-	}
-
-	// Per-op energies and background rates key off the per-vault
-	// geometry, exactly as inside the array.
-	pvCfg := j.cfg
-	pvCfg.Geometry = j.cfg.Geometry.PerVault()
-	pvCfg.Power.Geometry = pvCfg.Geometry
-
-	whole := va.Results(end)
-	agg := memctrl.Results{
-		Span: whole.Span,
-		// Latency is not warm-windowed on the monolithic path either; the
-		// stack-level quantiles come from the merged per-vault histogram.
-		AvgLatencyNS: whole.AvgLatencyNS,
-		P50LatencyNS: whole.P50LatencyNS,
-		P99LatencyNS: whole.P99LatencyNS,
-	}
-	perVault := make([]memctrl.Results, n)
-	for v := 0; v < n; v++ {
-		r := va.Vault(v).Results(end)
-		r.Module = r.Module.Sub(warmModule[v])
-		r.Policy = r.Policy.Sub(warmPolicy[v])
-		r.RefreshesDroppedSelfRefresh -= warmDropped[v]
-		r.Energy = pvCfg.Power.Evaluate(r.Module, r.Policy)
-		r.RefreshOps = r.Module.RefreshOps
-		r.RefreshCBR = r.Module.RefreshCBROps
-		r.RefreshRASOnly = r.Module.RefreshRASOnlyOps
-		r.RefreshPerBank = r.Module.RefreshPerBankOps
-		r.DemandStall = r.Module.DemandStall
-		if opts.Measure > 0 {
-			r.RefreshPerSecond = float64(r.Module.RefreshOps) / opts.Measure.Seconds()
-		}
-		perVault[v] = r
-
-		agg.Requests += r.Requests
-		agg.RowHits += r.RowHits
-		agg.RefreshesDroppedSelfRefresh += r.RefreshesDroppedSelfRefresh
-		agg.Module = agg.Module.Add(r.Module)
-		agg.Policy = agg.Policy.Add(r.Policy)
-		agg.Energy = agg.Energy.Add(r.Energy)
-	}
-	agg.RefreshOps = agg.Module.RefreshOps
-	agg.RefreshCBR = agg.Module.RefreshCBROps
-	agg.RefreshRASOnly = agg.Module.RefreshRASOnlyOps
-	agg.RefreshPerBank = agg.Module.RefreshPerBankOps
-	agg.DemandStall = agg.Module.DemandStall
-	if opts.Measure > 0 {
-		agg.RefreshPerSecond = float64(agg.Module.RefreshOps) / opts.Measure.Seconds()
-	}
-
-	return RunResult{
-		Benchmark:    j.benchmark,
-		Policy:       j.kind,
-		Config:       j.cfg.Name,
-		Window:       opts.Measure,
-		Results:      agg,
-		Vaults:       perVault,
-		RetentionErr: va.RetentionErr(),
-	}, nil
 }
 
 // cancelCheckStride is how many trace records the simulation loop

@@ -138,16 +138,16 @@ func TestRunRetentionHolds(t *testing.T) {
 
 func TestRetentionSlackPerPolicy(t *testing.T) {
 	cfg := Conv2GB.DRAM()
-	base := RetentionSlack(cfg, PolicyCBR, RunOptions{})
+	base := PolicyCBR.Entry().Slack(cfg, false)
 	if base <= 0 {
 		t.Fatalf("base slack = %v", base)
 	}
 	for _, kind := range []PolicyKind{PolicySmart, PolicyBurst, PolicyDARP, PolicySARP} {
-		if s := RetentionSlack(cfg, kind, RunOptions{}); s <= base {
+		if s := kind.Entry().Slack(cfg, false); s <= base {
 			t.Errorf("%v slack %v not above base %v", kind, s, base)
 		}
 	}
-	withSR := RetentionSlack(cfg, PolicyCBR, RunOptions{SelfRefreshAfter: sim.Millisecond})
+	withSR := PolicyCBR.Entry().Slack(cfg, true)
 	if withSR <= base {
 		t.Errorf("self-refresh transition slack %v not above base %v", withSR, base)
 	}

@@ -621,17 +621,12 @@ func (c *Controller) Results(end sim.Time) Results {
 	ms := c.module.Stats()
 	ps := c.policy.Stats()
 	r := Results{
-		Span:           end,
-		Requests:       c.requests.Value(),
-		RowHits:        c.rowHits.Value(),
-		AvgLatencyNS:   c.latency.Mean(),
-		P50LatencyNS:   c.latencyHist.Quantile(0.5),
-		P99LatencyNS:   c.latencyHist.Quantile(0.99),
-		RefreshOps:     ms.RefreshOps,
-		RefreshCBR:     ms.RefreshCBROps,
-		RefreshRASOnly: ms.RefreshRASOnlyOps,
-		RefreshPerBank: ms.RefreshPerBankOps,
-		DemandStall:    ms.DemandStall,
+		Span:         end,
+		Requests:     c.requests.Value(),
+		RowHits:      c.rowHits.Value(),
+		AvgLatencyNS: c.latency.Mean(),
+		P50LatencyNS: c.latencyHist.Quantile(0.5),
+		P99LatencyNS: c.latencyHist.Quantile(0.99),
 
 		RefreshesDroppedSelfRefresh: c.refreshesDroppedSR,
 
@@ -639,8 +634,51 @@ func (c *Controller) Results(end sim.Time) Results {
 		Policy: ps,
 		Energy: c.cfg.Power.Evaluate(ms, ps),
 	}
-	if end > 0 {
-		r.RefreshPerSecond = float64(ms.RefreshOps) / end.Seconds()
-	}
+	r.mirrorModule(end)
 	return r
+}
+
+// Snapshot is a controller's cumulative counters at one instant — the
+// warmup boundary a measured window is taken from.
+type Snapshot struct {
+	Module             dram.ModuleStats
+	Policy             core.PolicyStats
+	DroppedSelfRefresh uint64
+}
+
+// Snapshot finalises the module's time accounting at t (advance the
+// controller to t first) and returns the cumulative counters.
+func (c *Controller) Snapshot(t sim.Time) Snapshot {
+	c.module.Finalize(t)
+	return Snapshot{Module: c.module.Stats(), Policy: c.policy.Stats(), DroppedSelfRefresh: c.refreshesDroppedSR}
+}
+
+// ResultsSince is Results(end) over the window after s: module and
+// policy counters and the self-refresh-dropped count are differenced
+// against s, energy is re-evaluated on the difference, and
+// RefreshPerSecond is taken over window. Requests, row hits and the
+// latency summaries stay whole-run.
+func (c *Controller) ResultsSince(end sim.Time, s Snapshot, window sim.Duration) Results {
+	r := c.Results(end)
+	r.Module = r.Module.Sub(s.Module)
+	r.Policy = r.Policy.Sub(s.Policy)
+	r.RefreshesDroppedSelfRefresh -= s.DroppedSelfRefresh
+	r.Energy = c.cfg.Power.Evaluate(r.Module, r.Policy)
+	r.mirrorModule(window)
+	return r
+}
+
+// mirrorModule derives the refresh fields Results mirrors from Module,
+// with RefreshPerSecond over window (zero for an empty window).
+func (r *Results) mirrorModule(window sim.Duration) {
+	ms := &r.Module
+	r.RefreshOps = ms.RefreshOps
+	r.RefreshCBR = ms.RefreshCBROps
+	r.RefreshRASOnly = ms.RefreshRASOnlyOps
+	r.RefreshPerBank = ms.RefreshPerBankOps
+	r.DemandStall = ms.DemandStall
+	r.RefreshPerSecond = 0
+	if window > 0 {
+		r.RefreshPerSecond = float64(ms.RefreshOps) / window.Seconds()
+	}
 }

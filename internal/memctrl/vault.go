@@ -375,27 +375,38 @@ func (va *VaultArray) VaultResults(end sim.Time) []Results {
 	return out
 }
 
-// Results aggregates all vaults into one stack-level summary: counters
-// and energy sum, the latency distribution is the merged per-vault
+// Results aggregates all vaults into one stack-level summary (see fold).
+func (va *VaultArray) Results(end sim.Time) Results {
+	return va.fold(va.VaultResults(end), end, end)
+}
+
+// ResultsSince is Controller.ResultsSince per vault against that vault's
+// snapshot, returned with its stack-level fold.
+func (va *VaultArray) ResultsSince(end sim.Time, s []Snapshot, window sim.Duration) (Results, []Results) {
+	per := make([]Results, len(va.vaults))
+	for v, ctl := range va.vaults {
+		per[v] = ctl.ResultsSince(end, s[v], window)
+	}
+	return va.fold(per, end, window), per
+}
+
+// fold sums per-vault summaries into the stack-level one: counters and
+// energy add, the latency distribution is the merged per-vault
 // histogram (quantiles over the whole stack, not averages of quantiles),
 // and high-water marks take the maximum. Folding happens in vault index
 // order so the result is bit-identical at any worker count.
-func (va *VaultArray) Results(end sim.Time) Results {
-	var r Results
-	r.Span = end
-
+func (va *VaultArray) fold(per []Results, end sim.Time, window sim.Duration) Results {
+	r := Results{Span: end}
 	var lat stats.Sample
 	hist := stats.NewHistogram(latencyHistBuckets, latencyHistWidth)
-	for _, ctl := range va.vaults {
-		r.Requests += ctl.requests.Value()
-		r.RowHits += ctl.rowHits.Value()
-		r.RefreshesDroppedSelfRefresh += ctl.refreshesDroppedSR
-
-		ms := ctl.module.Stats()
-		ps := ctl.policy.Stats()
-		r.Module = r.Module.Add(ms)
-		r.Policy = r.Policy.Add(ps)
-		r.Energy = r.Energy.Add(ctl.cfg.Power.Evaluate(ms, ps))
+	for v, ctl := range va.vaults {
+		p := &per[v]
+		r.Requests += p.Requests
+		r.RowHits += p.RowHits
+		r.RefreshesDroppedSelfRefresh += p.RefreshesDroppedSelfRefresh
+		r.Module = r.Module.Add(p.Module)
+		r.Policy = r.Policy.Add(p.Policy)
+		r.Energy = r.Energy.Add(p.Energy)
 
 		lat.Merge(&ctl.latency)
 		hist.Merge(ctl.latencyHist)
@@ -403,13 +414,6 @@ func (va *VaultArray) Results(end sim.Time) Results {
 	r.AvgLatencyNS = lat.Mean()
 	r.P50LatencyNS = hist.Quantile(0.5)
 	r.P99LatencyNS = hist.Quantile(0.99)
-	r.RefreshOps = r.Module.RefreshOps
-	r.RefreshCBR = r.Module.RefreshCBROps
-	r.RefreshRASOnly = r.Module.RefreshRASOnlyOps
-	r.RefreshPerBank = r.Module.RefreshPerBankOps
-	r.DemandStall = r.Module.DemandStall
-	if end > 0 {
-		r.RefreshPerSecond = float64(r.Module.RefreshOps) / end.Seconds()
-	}
+	r.mirrorModule(window)
 	return r
 }

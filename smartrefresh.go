@@ -278,6 +278,9 @@ const (
 	PolicyOracle = experiment.PolicyOracle
 	PolicyDARP   = experiment.PolicyDARP
 	PolicySARP   = experiment.PolicySARP
+
+	PolicySmartRetention = experiment.PolicySmartRetention
+	PolicyRAIDR          = experiment.PolicyRAIDR
 )
 
 // Evaluated configurations.
