@@ -248,31 +248,3 @@ func TestCacheNew3DAllocBudget(t *testing.T) {
 		t.Errorf("cache.New(Table2_3DCache) makes %.0f allocations, want at most 2", avg)
 	}
 }
-
-// Hierarchy.Access cascades misses and write-backs through two scratch
-// buffers; once they have grown it must not allocate.
-func TestHierarchyAccessSteadyStateAllocFree(t *testing.T) {
-	h := cache.NewHierarchy(
-		config.CacheConfig{Name: "l1", SizeBytes: 4 << 10, LineBytes: 64, Ways: 2, WriteBack: true},
-		config.CacheConfig{Name: "l2", SizeBytes: 16 << 10, LineBytes: 64, Ways: 4, WriteBack: true},
-	)
-	var now smartrefresh.Time
-	var i uint64
-	var toMem int
-	access := func() {
-		i++
-		now += smartrefresh.Time(smartrefresh.Nanosecond)
-		// A strided walk over 8x the L2, every third access a write, so
-		// both levels miss and evict dirty lines.
-		toMem += len(h.Access(now, i*4160%(128<<10), i%3 == 0))
-	}
-	for n := 0; n < 4096; n++ {
-		access()
-	}
-	if avg := testing.AllocsPerRun(1000, access); avg != 0 {
-		t.Errorf("steady-state Hierarchy.Access allocates %.1f allocs/op, want 0", avg)
-	}
-	if toMem == 0 {
-		t.Error("no requests reached memory: the cascade was not exercised")
-	}
-}

@@ -93,24 +93,6 @@ func NewRAIDRPolicy(cfg Config, raidr RAIDRConfig, rmap *RetentionMap) Policy {
 	return core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), raidr, rmap)
 }
 
-// Dead-row elision (Ohsawa et al., section 8).
-
-type (
-	// DeadRowSet tracks rows software declared dead (no live data).
-	DeadRowSet = core.DeadRowSet
-	// DeadRowFilter wraps a policy, skipping refreshes of dead rows.
-	DeadRowFilter = core.DeadRowFilter
-)
-
-// NewDeadRowSet creates an empty dead-row set.
-func NewDeadRowSet(g Geometry) *DeadRowSet { return core.NewDeadRowSet(g) }
-
-// NewDeadRowFilter wraps a policy with dead-row elision (RAS-only
-// commands only; CBR refresh is not addressable and passes through).
-func NewDeadRowFilter(inner Policy, set *DeadRowSet) *DeadRowFilter {
-	return core.NewDeadRowFilter(inner, set)
-}
-
 // Report rendering.
 
 // ReportFormat selects figure/table output encoding.

@@ -1,7 +1,7 @@
-// Package cache implements the SRAM cache hierarchy the paper's
-// methodology uses (Ruby's role): set-associative write-back caches with
-// LRU replacement for L1/L2, and the 3D die-stacked DRAM cache of section
-// 4.5/6 — a direct-mapped cache whose tag array is SRAM on the processor
+// Package cache implements the caches the paper's methodology uses
+// (Ruby's role): set-associative write-back caches with LRU replacement
+// for L1/L2, and the 3D die-stacked DRAM cache of section 4.5/6 — a
+// direct-mapped cache whose tag array is SRAM on the processor
 // die and whose data array is the stacked DRAM module, so every cache
 // access (hit or fill) becomes DRAM activity in the stacked device.
 package cache

@@ -176,55 +176,6 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-func TestHierarchyFiltersHits(t *testing.T) {
-	h := NewHierarchy(
-		config.CacheConfig{Name: "l1", SizeBytes: 1024, LineBytes: 64, Ways: 2, WriteBack: true},
-		config.CacheConfig{Name: "l2", SizeBytes: 4096, LineBytes: 64, Ways: 4, WriteBack: true},
-	)
-	out := h.Access(0, 0, false)
-	if len(out) != 1 || out[0].Write {
-		t.Fatalf("cold miss should reach memory as one read, got %v", out)
-	}
-	out = h.Access(1, 0, false)
-	if len(out) != 0 {
-		t.Fatalf("L1 hit leaked to memory: %v", out)
-	}
-}
-
-func TestHierarchyWritebackCascade(t *testing.T) {
-	h := NewHierarchy(
-		config.CacheConfig{Name: "l1", SizeBytes: 128, LineBytes: 64, Ways: 1, WriteBack: true},
-		config.CacheConfig{Name: "l2", SizeBytes: 256, LineBytes: 64, Ways: 1, WriteBack: true},
-	)
-	// Dirty a line in tiny L1, then evict it through conflicting lines;
-	// the writeback lands in L2, and further conflict pushes it to memory.
-	h.Access(0, 0, true)
-	var toMem []MemRequest
-	for i := uint64(1); i < 8; i++ {
-		out := h.Access(sim.Time(i), i*128, false)
-		toMem = append(toMem, out...)
-	}
-	foundWrite := false
-	for _, r := range toMem {
-		if r.Write && r.Addr == 0 {
-			foundWrite = true
-		}
-	}
-	if !foundWrite {
-		t.Error("dirty line never written back to memory")
-	}
-}
-
-func TestHierarchyFlushAll(t *testing.T) {
-	h := NewHierarchy(config.CacheConfig{Name: "l1", SizeBytes: 1024, LineBytes: 64, Ways: 2, WriteBack: true})
-	h.Access(0, 0, true)
-	h.Access(0, 64, false)
-	out := h.FlushAll(100)
-	if len(out) != 1 || !out[0].Write || out[0].Addr != 0 {
-		t.Fatalf("FlushAll = %v", out)
-	}
-}
-
 func TestDRAMCacheHitTouchesDataArray(t *testing.T) {
 	d := NewDRAMCache(config.CacheConfig{
 		Name: "3d", SizeBytes: 4096, LineBytes: 64, Ways: 1, WriteBack: true,

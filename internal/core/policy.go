@@ -181,9 +181,9 @@ func (s PolicyStats) Add(o PolicyStats) PolicyStats {
 
 // BankAware is implemented by policies that schedule refreshes around
 // per-bank demand pressure (the DARP/SARP family). The memory controller
-// type-asserts for it and, when present, reports every demand access —
-// both at enqueue into its reorder buffer and at issue — so the policy
-// can postpone refreshes to contended banks and pull them into idle ones.
+// type-asserts for it and, when present, reports every demand access at
+// issue, so the policy can postpone refreshes to contended banks and pull
+// them into idle ones.
 type BankAware interface {
 	Policy
 
@@ -191,7 +191,6 @@ type BankAware interface {
 	// observed at time t. Writes are reported with write=true; the DARP
 	// write-refresh parallelization treats them as non-blocking (a bank
 	// absorbing writes can refresh without hurting read latency).
-	// Observations may repeat and arrive for multiple queue stages; only
-	// the latest time per bank matters.
+	// Observations may repeat; only the latest time per bank matters.
 	OnDemandObserved(t sim.Time, bank dram.BankID, write bool)
 }

@@ -441,11 +441,6 @@ func (s *Smart) Stats() PolicyStats {
 // Disabled reports whether the policy is currently in CBR fallback mode.
 func (s *Smart) Disabled() bool { return s.disabled }
 
-// CounterValue exposes a row's counter (for tests).
-func (s *Smart) CounterValue(row dram.RowID) uint8 {
-	return s.counters[s.slot(row.Flat(&s.geom))]
-}
-
 // CounterAccessPeriod returns interval / 2^bits (section 4.2).
 func (s *Smart) CounterAccessPeriod() sim.Duration { return s.capPeriod }
 

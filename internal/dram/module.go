@@ -121,10 +121,10 @@ type ModuleStats struct {
 	ActiveTime sim.Duration
 	IdleTime   sim.Duration
 
-	// PowerDownTime is the part of IdleTime spent in precharge
-	// power-down, tracked when SetPowerDown has armed the explicit
-	// power-down state machine (otherwise zero, and the power model's
-	// PowerDownFraction calibration applies instead).
+	// PowerDownTime is always zero: power-down residency is reported
+	// per ladder state (ActPdnTime, PrePdnFastTime, PrePdnSlowTime).
+	// The field is kept only so the fingerprinted Results JSON keeps
+	// its shape.
 	PowerDownTime sim.Duration
 
 	// SelfRefreshTime is the part of IdleTime spent in self-refresh mode
@@ -255,12 +255,6 @@ type rankState struct {
 	actWindow    [4]sim.Time
 	actWindowPos int
 
-	// Power-down state machine (armed by Module.SetPowerDown): idleSince
-	// is when the last bank closed; powerDownTime accumulates time past
-	// idleSince+pdAfter.
-	idleSince     sim.Time
-	powerDownTime sim.Duration
-
 	// Self-refresh state: while inSelfRefresh, the module maintains
 	// retention internally and accepts no commands for this rank.
 	inSelfRefresh   bool
@@ -376,12 +370,6 @@ type Module struct {
 	stats ModuleStats
 	now   sim.Time // latest time observed, for Finalize
 
-	// pdAfter, when positive, arms explicit precharge power-down: a rank
-	// whose banks have all been closed for pdAfter enters power-down
-	// until its next activate. Energy-only: the small exit latency (tXP,
-	// about two clocks) is not modelled in command timing.
-	pdAfter sim.Duration
-
 	// trace, when non-nil, receives one timeline event per DRAM command
 	// (ACT/PRE/READ/WRITE and both refresh kinds) on the flat-bank
 	// thread. The nil check is the entire disabled-path cost.
@@ -448,30 +436,6 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 // events onto the same process.
 func (m *Module) TraceScope() *telemetry.Scope { return m.trace }
 
-// SetPowerDown arms the explicit precharge power-down state machine: a
-// rank with every bank closed for the given duration enters power-down
-// until its next activate, and the time is reported in
-// ModuleStats.PowerDownTime. Call before simulation starts.
-func (m *Module) SetPowerDown(after sim.Duration) {
-	if after <= 0 {
-		panic("dram: non-positive power-down threshold")
-	}
-	m.pdAfter = after
-}
-
-// accumulatePowerDown folds the power-down span of an idle rank ending
-// at time t into its accumulator. Self-refresh spans are accounted
-// separately and exclude power-down.
-func (m *Module) accumulatePowerDown(r *rankState, t sim.Time) {
-	if m.pdAfter <= 0 || r.openBanks != 0 || r.inSelfRefresh {
-		return
-	}
-	enter := r.idleSince + m.pdAfter
-	if t > enter {
-		r.powerDownTime += t - enter
-	}
-}
-
 // Geometry returns the module geometry.
 func (m *Module) Geometry() Geometry { return m.geom }
 
@@ -509,9 +473,6 @@ func (m *Module) updateRank(ri int, t sim.Time) {
 func (m *Module) openBank(b *bankState, ri int, row int, t sim.Time) {
 	m.updateRank(ri, t)
 	if b.openRow == -1 {
-		if m.ranks[ri].openBanks == 0 {
-			m.accumulatePowerDown(&m.ranks[ri], t)
-		}
 		m.ranks[ri].openBanks++
 	}
 	b.openRow = row
@@ -522,9 +483,6 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 	m.updateRank(ri, t)
 	if b.openRow != -1 {
 		m.ranks[ri].openBanks--
-		if m.ranks[ri].openBanks == 0 {
-			m.ranks[ri].idleSince = t
-		}
 	}
 	b.openRow = -1
 }
@@ -652,11 +610,6 @@ func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
 	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
 	return m.refresh(t, row, RefreshCBR)
-}
-
-// CBRCounter exposes a bank's internal refresh counter (for tests).
-func (m *Module) CBRCounter(bank BankID) int {
-	return m.cbrCounters[bank.Flat(&m.geom)]
 }
 
 // nextCounterRow reads and advances a bank's internal refresh counter.
@@ -936,11 +889,6 @@ func (m *Module) BankReadyAt(bank BankID) sim.Time {
 	return m.banks[bank.Flat(&m.geom)].readyAt
 }
 
-// InSelfRefresh reports whether the rank is in self-refresh mode.
-func (m *Module) InSelfRefresh(channel, rank int) bool {
-	return m.ranks[m.rankIndex(channel, rank)].inSelfRefresh
-}
-
 // EnterSelfRefresh puts a rank into self-refresh at time t: the module
 // maintains retention from its internal oscillator and draws IDD6. All
 // banks of the rank must be precharged, and the rank accepts no commands
@@ -974,7 +922,6 @@ func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 	}
 	m.observe(t)
 	m.updateRank(ri, t)
-	m.accumulatePowerDown(r, t)
 	if r.pdKind != PDNone {
 		// Descending from an explicit power-down state straight into
 		// self-refresh: fold the power-down residency up to the entry
@@ -1004,7 +951,6 @@ func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 	m.updateRank(ri, t)
 	r.selfRefreshTime += t - r.srSince
 	r.inSelfRefresh = false
-	r.idleSince = t // power-down clock restarts now
 	exitLat := m.tim.TXSNR
 	if r.srSlow {
 		// Slow-wake residency [srSlowSince, t] drew IDD6L; the exit pays
@@ -1033,7 +979,6 @@ func (m *Module) Finalize(end sim.Time) {
 	m.observe(end)
 	m.stats.ActiveTime = 0
 	m.stats.IdleTime = 0
-	m.stats.PowerDownTime = 0
 	m.stats.SelfRefreshTime = 0
 	m.stats.ActPdnTime = 0
 	m.stats.PrePdnFastTime = 0
@@ -1041,7 +986,6 @@ func (m *Module) Finalize(end sim.Time) {
 	m.stats.SelfRefreshSlowTime = 0
 	for i := range m.ranks {
 		m.updateRank(i, m.now)
-		m.accumulatePowerDown(&m.ranks[i], m.now)
 		if m.ranks[i].inSelfRefresh {
 			// Extend the open self-refresh span; advance srSince so a
 			// repeated Finalize does not double-count.
@@ -1058,17 +1002,8 @@ func (m *Module) Finalize(end sim.Time) {
 			// double-counts.
 			m.foldPowerDown(&m.ranks[i], m.now)
 		}
-		// accumulatePowerDown is not idempotent across Finalize calls;
-		// advance idleSince so a repeated Finalize extends rather than
-		// double-counts.
-		if m.pdAfter > 0 && m.ranks[i].openBanks == 0 {
-			if enter := m.ranks[i].idleSince + m.pdAfter; m.now > enter {
-				m.ranks[i].idleSince = m.now - m.pdAfter
-			}
-		}
 		m.stats.ActiveTime += m.ranks[i].activeTime
 		m.stats.IdleTime += m.ranks[i].idleTime
-		m.stats.PowerDownTime += m.ranks[i].powerDownTime
 		m.stats.SelfRefreshTime += m.ranks[i].selfRefreshTime
 		m.stats.ActPdnTime += m.ranks[i].actPdnTime
 		m.stats.PrePdnFastTime += m.ranks[i].preFastTime

@@ -136,9 +136,6 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	}
 	m.foldPowerDown(r, t)
 	r.pdKind = PDNone
-	if r.openBanks == 0 {
-		r.idleSince = t // legacy power-down clock restarts now
-	}
 	ready := m.clk.Next(t + exit)
 	// Every bank of the rank honours the exit latency.
 	for b := 0; b < m.geom.Banks; b++ {

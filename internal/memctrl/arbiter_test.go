@@ -118,25 +118,6 @@ func TestArbiterPostponedRefreshesNeverStarve(t *testing.T) {
 	}
 }
 
-// TestArbiterSchedulerLookahead checks that requests report pressure at
-// reorder-buffer enqueue time, before the batch issues: a queued (not yet
-// submitted) read is enough to make DARP postpone that bank's slot.
-func TestArbiterSchedulerLookahead(t *testing.T) {
-	interval := sim.Duration(1 * sim.Millisecond)
-	ctl, p := darpController(interval)
-	sched, err := NewScheduler(ctl, 8, FRFCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enqueue a single read to bank 0 at t=0; the window (8) is not full,
-	// so nothing has issued yet — but the policy must already see it.
-	sched.Enqueue(Request{Time: 0, Addr: 0})
-	ctl.AdvanceTo(1) // drain the t=0 refresh slot
-	if p.Stats().RefreshesPostponed == 0 {
-		t.Error("queued demand did not postpone the colliding refresh slot")
-	}
-}
-
 // TestControllerSARPOverlapDispatch checks the controller issues SARP
 // commands in the overlapped form.
 func TestControllerSARPOverlapDispatch(t *testing.T) {

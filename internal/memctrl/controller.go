@@ -102,12 +102,11 @@ type Controller struct {
 	// bankAware is non-nil when the policy schedules refreshes around
 	// per-bank demand pressure (the DARP/SARP family). The controller
 	// then acts as a refresh-vs-demand arbiter: every demand access is
-	// reported to the policy — at reorder-buffer enqueue and again at
-	// issue — *before* refresh events at the same instant are drained,
-	// so a per-bank refresh colliding with a demand access on its bank
-	// deterministically yields (is postponed) unless the bank's deficit
-	// window forces it. Legacy policies leave this nil and see the
-	// original, bit-identical event order.
+	// reported to the policy at issue, *before* refresh events at the
+	// same instant are drained, so a per-bank refresh colliding with a
+	// demand access on its bank deterministically yields (is postponed)
+	// unless the bank's deficit window forces it. Legacy policies leave
+	// this nil and see the original, bit-identical event order.
 	bankAware core.BankAware
 
 	checker *core.RetentionChecker
@@ -538,21 +537,6 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	}
 	return res
 }
-
-// observeQueuedDemand gives a bank-aware policy lookahead into the
-// reorder buffer: the scheduler reports each request at enqueue time,
-// before the batch issues, so per-bank refreshes can be deferred around
-// demand that is queued but not yet submitted. A no-op for legacy
-// policies.
-func (c *Controller) observeQueuedDemand(req Request) {
-	if c.bankAware == nil {
-		return
-	}
-	c.bankAware.OnDemandObserved(req.Time, c.mapper.Map(req.Addr).BankOf(), req.Write)
-}
-
-// LastCompletion returns the completion time of the latest demand access.
-func (c *Controller) LastCompletion() sim.Time { return c.lastbusy }
 
 // AdvanceTo lets simulated time pass without demand traffic: refreshes
 // due up to t are dispatched.

@@ -409,12 +409,3 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 		st.enteredAt = end
 	}
 }
-
-// PowerStateOf reports the controller's view of a rank's power state
-// (for tests and the differential checker).
-func (c *Controller) PowerStateOf(channel, rank int) PowerState {
-	if !c.ps.armed {
-		return PSAwake
-	}
-	return c.ps.ranks[c.rankOf(channel, rank)].state
-}

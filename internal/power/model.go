@@ -383,9 +383,9 @@ func (m Model) Evaluate(ms dram.ModuleStats, ps core.PolicyStats) Breakdown {
 		float64(ps.CounterWrites)*m.Counter.WriteEnergyPJ)
 
 	// Background: mW * ms = µJ = 1e6 pJ. Self-refresh residency (IDD6) is
-	// carved out of idle time first; then explicit power-down residency,
-	// when tracked, splits the remainder, otherwise the calibrated
-	// PowerDownFraction does.
+	// carved out of idle time first. The rest takes one of two paths:
+	// the ladder's residency vector when the controller tracked power
+	// states, otherwise the calibrated PowerDownFraction.
 	activeMS := ms.ActiveTime.Milliseconds()
 	srMS := ms.SelfRefreshTime.Milliseconds()
 	idleMS := ms.IdleTime.Milliseconds() - srMS
@@ -426,17 +426,7 @@ func (m Model) Evaluate(ms dram.ModuleStats, ps core.PolicyStats) Breakdown {
 			m.standbyPowerMW(cur.SelfRefreshSlow())*srSlowMS
 	} else {
 		bg = m.backgroundPowerMW(true)*activeMS + m.standbyPowerMW(m.Currents.IDD6)*srMS
-		if ms.PowerDownTime > 0 {
-			pdMS := ms.PowerDownTime.Milliseconds()
-			rest := idleMS - pdMS
-			if rest < 0 {
-				rest = 0
-			}
-			bg += m.standbyPowerMW(m.Currents.IDD2N)*rest +
-				m.standbyPowerMW(m.Currents.IDD2P)*pdMS
-		} else {
-			bg += m.backgroundPowerMW(false) * idleMS
-		}
+		bg += m.backgroundPowerMW(false) * idleMS
 	}
 	b.Background = Energy(bg * 1e6)
 	return b

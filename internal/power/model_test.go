@@ -254,34 +254,6 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
-func TestExplicitPowerDownOverridesFraction(t *testing.T) {
-	m := paperModel()
-	// Same idle time; explicit full power-down vs the 30% fraction.
-	base := dram.ModuleStats{IdleTime: 100 * sim.Millisecond}
-	withPD := base
-	withPD.PowerDownTime = 100 * sim.Millisecond
-	eFrac := m.Evaluate(base, core.PolicyStats{}).Background
-	ePD := m.Evaluate(withPD, core.PolicyStats{}).Background
-	if ePD >= eFrac {
-		t.Errorf("full power-down %v not below 30%%-fraction %v", ePD, eFrac)
-	}
-	// Full power-down energy = IDD2P * VDD * devices * time.
-	want := 7.0 * 1.8 * 18 * 100 * 1e6
-	if math.Abs(float64(ePD)-want) > 1 {
-		t.Errorf("PD background = %v, want %v", float64(ePD), want)
-	}
-}
-
-func TestExplicitPowerDownPartial(t *testing.T) {
-	m := paperModel()
-	ms := dram.ModuleStats{IdleTime: 100 * sim.Millisecond, PowerDownTime: 40 * sim.Millisecond}
-	got := float64(m.Evaluate(ms, core.PolicyStats{}).Background)
-	want := (35.0*1.8*18*60 + 7.0*1.8*18*40) * 1e6
-	if math.Abs(got-want) > 1 {
-		t.Errorf("partial PD background = %v, want %v", got, want)
-	}
-}
-
 func TestSelfRefreshEnergy(t *testing.T) {
 	m := paperModel()
 	idle := dram.ModuleStats{IdleTime: 100 * sim.Millisecond}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -10,9 +9,7 @@ import (
 // This file is the parallel substrate for vault-sharded simulation. A
 // stacked-DRAM run decomposes into independent vault controllers whose
 // interactions are confined to epoch boundaries; within an epoch each
-// shard advances alone, and anything a shard emits for cross-vault
-// consumption is stamped (Time, Shard, Seq) so the global order is a pure
-// function of the simulation, never of the goroutine schedule.
+// shard advances alone.
 
 // ShardRunner executes a parallel-for over shard indices with a barrier
 // at the end: Run returns only after every shard function has returned.
@@ -63,44 +60,4 @@ func (r ShardRunner) Run(n int, fn func(shard int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ShardEvent identifies one cross-shard observation: something a vault
-// produced that the merged, global view must order deterministically
-// (a telemetry record, a completion, a checkpointable result).
-type ShardEvent struct {
-	At    Time   // simulated time of the observation
-	Shard int    // producing vault/shard index
-	Seq   uint64 // per-shard emission order
-}
-
-// Less orders events by (Time, Shard, Seq): simulated time first, then
-// producing shard, then per-shard emission order. Every component is a
-// pure function of the simulation, so the merged order is bit-identical
-// at any worker count.
-func (e ShardEvent) Less(o ShardEvent) bool {
-	if e.At != o.At {
-		return e.At < o.At
-	}
-	if e.Shard != o.Shard {
-		return e.Shard < o.Shard
-	}
-	return e.Seq < o.Seq
-}
-
-// MergeShardEvents merges per-shard event streams (each already in
-// per-shard order) into one deterministic global order. The inner slices
-// may be produced concurrently; only the outer index (the shard number)
-// matters for ordering ties.
-func MergeShardEvents(streams [][]ShardEvent) []ShardEvent {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]ShardEvent, 0, total)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestShardRunnerCoversAllShards(t *testing.T) {
@@ -26,83 +24,5 @@ func TestShardRunnerZeroShards(t *testing.T) {
 	ShardRunner{}.Run(-3, func(int) { ran = true })
 	if ran {
 		t.Fatal("shard function ran for n <= 0")
-	}
-}
-
-func TestShardEventOrdering(t *testing.T) {
-	a := ShardEvent{At: 5, Shard: 1, Seq: 9}
-	cases := []struct {
-		b    ShardEvent
-		less bool
-	}{
-		{ShardEvent{At: 6, Shard: 0, Seq: 0}, true},   // time dominates
-		{ShardEvent{At: 5, Shard: 2, Seq: 0}, true},   // then shard
-		{ShardEvent{At: 5, Shard: 1, Seq: 10}, true},  // then seq
-		{ShardEvent{At: 5, Shard: 1, Seq: 9}, false},  // equal
-		{ShardEvent{At: 4, Shard: 9, Seq: 99}, false}, // earlier time wins
-	}
-	for _, tc := range cases {
-		if got := a.Less(tc.b); got != tc.less {
-			t.Errorf("%+v.Less(%+v) = %v, want %v", a, tc.b, got, tc.less)
-		}
-	}
-}
-
-// shardedDrain runs nShards independent event queues under the given
-// worker count: each shard forks its own RNG substream, schedules a
-// random workload into a private EventQueue, drains it, and emits one
-// ShardEvent per fired event. The returned slice is the merged global
-// order.
-func shardedDrain(seed uint64, nShards, workers int) []ShardEvent {
-	streams := make([][]ShardEvent, nShards)
-	root := NewRNG(seed)
-	seeds := make([]uint64, nShards)
-	for i := range seeds {
-		seeds[i] = root.Uint64()
-	}
-	ShardRunner{Workers: workers}.Run(nShards, func(shard int) {
-		rng := NewRNG(seeds[shard])
-		var q EventQueue
-		var seq uint64
-		emit := func(now Time) {
-			streams[shard] = append(streams[shard], ShardEvent{At: now, Shard: shard, Seq: seq})
-			seq++
-		}
-		for i := 0; i < 50; i++ {
-			q.Schedule(Time(rng.Intn(20)), emit)
-		}
-		q.RunUntil(Time(100))
-	})
-	return MergeShardEvents(streams)
-}
-
-// Property (the determinism keystone): the merged cross-shard event
-// order is a pure function of the simulation — independent of how many
-// workers drained the shard queues.
-func TestMergeOrderIndependentOfWorkerCount(t *testing.T) {
-	f := func(rawSeed uint16) bool {
-		seed := uint64(rawSeed) + 1
-		ref := shardedDrain(seed, 8, 1)
-		for _, workers := range []int{2, 3, 8} {
-			if !reflect.DeepEqual(ref, shardedDrain(seed, 8, workers)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeShardEventsGlobalOrder(t *testing.T) {
-	merged := shardedDrain(42, 4, 2)
-	if len(merged) != 4*50 {
-		t.Fatalf("merged %d events, want 200", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Less(merged[i-1]) {
-			t.Fatalf("merge out of order at %d: %+v before %+v", i, merged[i-1], merged[i])
-		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package sim provides the simulation substrate shared by every other
 // package in the repository: a picosecond time base, a deterministic
-// pseudo-random number generator, and a discrete event queue.
+// pseudo-random number generator, and the shard runner that executes
+// vault-sharded simulation in parallel.
 //
 // All simulations in this repository are deterministic: given the same
 // configuration and seed they produce bit-identical results. Nothing in

@@ -41,11 +41,11 @@ func ExampleGenerator() {
 }
 
 // ExampleNewMerge interleaves two streams in time order (the 2-process
-// methodology of section 6).
+// methodology of section 6), the second offset into a disjoint region.
 func ExampleNewMerge() {
 	a, _ := workload.ByName("gcc")
 	b, _ := workload.ByName("twolf")
-	src := workload.NewTwoProcessSource(a, b, false)
+	src := workload.NewMerge(a.NewSource(false), workload.NewOffset(b.NewSource(false), 1<<30))
 	n := 0
 	for i := 0; i < 1000; i++ {
 		if _, ok := src.Next(); ok {

@@ -129,26 +129,6 @@ func (p Profile) NewSource(stacked bool) trace.Source {
 	return NewMerge(fastGen, slowGen)
 }
 
-// NewTwoProcessSource composes a multiprogrammed mix from two
-// single-process profiles the way the paper's methodology does ("we
-// selectively pair off any two SPECint benchmark programs and run them
-// together", section 6): each process keeps its own stream, offset into a
-// disjoint address region, and the merged stream interleaves them in time
-// order. The pre-calibrated pair profiles (gcc_parser etc.) remain the
-// figures' inputs; this constructor exists for composing new mixes.
-func NewTwoProcessSource(a, b Profile, stacked bool) trace.Source {
-	srcA := a.NewSource(stacked)
-	// Offset process B past the device midpoint so the processes touch
-	// disjoint rows, reproducing the reduced spatial locality of the
-	// paper's 2-process runs.
-	capacity := uint64(mainCapacityBytes)
-	if stacked {
-		capacity = uint64(stackedCapacityBytes)
-	}
-	srcB := NewOffset(b.NewSource(stacked), capacity/2)
-	return NewMerge(srcA, srcB)
-}
-
 // Seed derives a deterministic per-benchmark seed.
 func (p Profile) Seed() uint64 {
 	var h uint64 = 14695981039346656037

@@ -197,33 +197,6 @@ func TestSeedsDistinctAndStable(t *testing.T) {
 	}
 }
 
-func TestTwoProcessSourceComposition(t *testing.T) {
-	a, _ := ByName("gcc")
-	b, _ := ByName("parser")
-	src := NewTwoProcessSource(a, b, false)
-	half := uint64(int64(2)<<30) / 2
-	lowSeen, highSeen := false, false
-	var last sim.Time
-	for i := 0; i < 20000; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			t.Fatal("merged stream ended")
-		}
-		if rec.Time < last {
-			t.Fatalf("merged stream out of order at %d", i)
-		}
-		last = rec.Time
-		if rec.Addr < half {
-			lowSeen = true
-		} else {
-			highSeen = true
-		}
-	}
-	if !lowSeen || !highSeen {
-		t.Errorf("processes not both present (low=%v high=%v)", lowSeen, highSeen)
-	}
-}
-
 func TestIdleProfileDensity(t *testing.T) {
 	idle := Idle()
 	spec := idle.MainSpec()

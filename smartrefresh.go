@@ -3,8 +3,8 @@
 // and 3D Die-Stacked DRAMs" (Ghosh & Lee, MICRO-40, 2007).
 //
 // The library bundles a DDR2 DRAM device and timing model, a Micron-style
-// energy model, a memory controller, an SRAM cache hierarchy with a 3D
-// die-stacked DRAM cache, the Smart Refresh policy itself (per-row
+// energy model, a memory controller, SRAM caches and a 3D die-stacked
+// DRAM cache, the Smart Refresh policy itself (per-row
 // time-out counters with staggered countdown and a bounded pending refresh
 // queue) alongside CBR/burst/oracle baselines, synthetic benchmark
 // workloads calibrated to the paper's evaluation, and an experiment
