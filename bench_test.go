@@ -504,6 +504,37 @@ func BenchmarkCacheNew3D(b *testing.B) {
 	}
 }
 
+// BenchmarkSmartSetup2GB measures what every Smart job on the Table 1
+// 2 GB module pays before its first record: NewSmart (counter array and
+// staggered seeding) plus the controller, whose start-of-run Reset seeds
+// the counters again.
+func BenchmarkSmartSetup2GB(b *testing.B) {
+	cfg := smartrefresh.Table1_2GB()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := smartrefresh.NewController(cfg, smartrefresh.NewSmartPolicy(cfg),
+			smartrefresh.ControllerOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVaultArraySetup measures building the 8-vault HMC stack with
+// a Smart policy per vault: eight controllers, eight seeded counter
+// arrays.
+func BenchmarkVaultArraySetup(b *testing.B) {
+	cfg := smartrefresh.HMC8Vault()
+	smart := func(_ int, vcfg smartrefresh.Config) (smartrefresh.Policy, error) {
+		return smartrefresh.NewSmartPolicy(vcfg), nil
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := smartrefresh.NewVaultArray(cfg, smart, smartrefresh.VaultOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Vault-parallel stacked run: one benchmark through the 8-vault HMC
 // preset, serially and with one shard worker per CPU. Results are
 // bit-identical between the two, so the pair isolates the sharding

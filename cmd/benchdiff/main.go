@@ -49,8 +49,10 @@ const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkCo
 const MicroBenchtime = "20000x"
 
 // DefaultBench selects the figure benchmarks plus the headline sweep —
-// the set the regression gate names — and the MicroBench tier.
-const DefaultBench = `^BenchmarkSuiteParallel$|^BenchmarkFig[6-9]|^BenchmarkVaultShardedRun|` + MicroBench
+// the set the regression gate names — the per-job set-up benchmarks and
+// the MicroBench tier.
+const DefaultBench = `^BenchmarkSuiteParallel$|^BenchmarkFig[6-9]|^BenchmarkVaultShardedRun|` +
+	`^BenchmarkSmartSetup2GB$|^BenchmarkVaultArraySetup$|` + MicroBench
 
 // Run is one recorded benchmark execution: for every benchmark, every
 // metric the testing package printed (unit -> value).

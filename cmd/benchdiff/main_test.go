@@ -136,6 +136,7 @@ func TestBenchTiers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"BenchmarkSuiteParallel", "BenchmarkFig6RefreshesPerSec2GB", "BenchmarkVaultShardedRunSerial",
+		"BenchmarkSmartSetup2GB", "BenchmarkVaultArraySetup",
 	} {
 		if micro.MatchString(name) {
 			t.Errorf("%s in the micro tier", name)

@@ -167,19 +167,6 @@ func (c *Cache) victimAddr(setIdx int, w uint64) uint64 {
 	return (w>>tagShift<<c.setBits | uint64(setIdx)) << c.lineBits
 }
 
-// Flush evicts every line, returning the addresses of dirty lines in
-// deterministic order (by set, most recently used first).
-func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	for i, w := range c.lines {
-		if w&dirtyBit != 0 {
-			dirty = append(dirty, c.victimAddr(i/c.cfg.Ways, w))
-		}
-	}
-	clear(c.lines)
-	return dirty
-}
-
 // Invariant checks internal consistency (used by property tests): each
 // set's valid lines form a prefix of its region, no invalid line carries
 // a tag or dirty bit, and no tag appears twice in a set.

@@ -15,13 +15,10 @@ import (
 // to demand traffic, so every row is refreshed every interval regardless of
 // recent accesses — exactly the waste Smart Refresh removes.
 type CBR struct {
-	geom     dram.Geometry
-	interval sim.Duration
-	start    sim.Time
-	tick     int64    // next refresh slot index
-	nextAt   sim.Time // slotTime(tick), cached for the hot NextTick path
-	bank     int      // next flat bank index (round-robin)
-	stats    PolicyStats
+	geom  dram.Geometry
+	clock slotClock // TotalRows slots per interval
+	bank  int       // next flat bank index (round-robin)
+	stats PolicyStats
 }
 
 // NewCBR constructs the distributed CBR policy.
@@ -29,7 +26,7 @@ func NewCBR(g dram.Geometry, interval sim.Duration) *CBR {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CBR{geom: g, interval: interval}
+	c := &CBR{geom: g, clock: newSlotClock(interval, int64(g.TotalRows()))}
 	c.Reset(0)
 	return c
 }
@@ -39,9 +36,7 @@ func (c *CBR) Name() string { return "cbr" }
 
 // Reset implements Policy.
 func (c *CBR) Reset(start sim.Time) {
-	c.start = start
-	c.tick = 0
-	c.nextAt = start // slotTime(0)
+	c.clock.reset(start)
 	c.bank = 0
 	c.stats = PolicyStats{}
 }
@@ -49,33 +44,17 @@ func (c *CBR) Reset(start sim.Time) {
 // OnRowRestore implements Policy; CBR ignores demand traffic.
 func (c *CBR) OnRowRestore(sim.Time, dram.RowID) {}
 
-// slotTime returns the time of refresh slot k, spreading TotalRows slots
-// evenly over each interval without cumulative drift.
-func (c *CBR) slotTime(k int64) sim.Time {
-	total := int64(c.geom.TotalRows())
-	whole := k / total
-	frac := k % total
-	return c.start + sim.Time(whole)*c.interval + sim.Time(frac)*c.interval/sim.Time(total)
-}
-
 // NextTick implements Policy.
-func (c *CBR) NextTick() (sim.Time, bool) { return c.nextAt, true }
+func (c *CBR) NextTick() (sim.Time, bool) { return c.clock.at, true }
 
 // Advance implements Policy.
 func (c *CBR) Advance(t sim.Time, dst []Command) []Command {
-	banks := c.geom.TotalBanks()
-	for c.nextAt <= t {
+	bankMask := c.geom.TotalBanks() - 1
+	for c.clock.at <= t {
 		b := c.bank
-		c.bank = (c.bank + 1) % banks
-		c.tick++
-		c.nextAt = c.slotTime(c.tick)
-		ch := b / (c.geom.Ranks * c.geom.Banks)
-		rem := b % (c.geom.Ranks * c.geom.Banks)
-		dst = append(dst, Command{
-			Bank: dram.BankID{Channel: ch, Rank: rem / c.geom.Banks, Bank: rem % c.geom.Banks},
-			Row:  -1,
-			Kind: dram.RefreshCBR,
-		})
+		c.bank = (b + 1) & bankMask
+		c.clock.next()
+		dst = append(dst, Command{Bank: dram.BankFromFlat(&c.geom, b), Row: -1, Kind: dram.RefreshCBR})
 		c.stats.RefreshesRequested++
 	}
 	return dst
@@ -153,7 +132,6 @@ func (b *Burst) NextTick() (sim.Time, bool) { return b.cycleTime(b.cycle) }
 // Advance implements Policy. At most burstChunk commands are emitted per
 // call; the burst resumes where it left off on the next call.
 func (b *Burst) Advance(t sim.Time, dst []Command) []Command {
-	rows := b.geom.Rows
 	total := b.geom.TotalRows()
 	for {
 		at, ok := b.cycleTime(b.cycle)
@@ -161,16 +139,8 @@ func (b *Burst) Advance(t sim.Time, dst []Command) []Command {
 			return dst
 		}
 		emitted := 0
-		bank := -1
-		var id dram.BankID
 		for b.pos < total && emitted < burstChunk {
-			if nb := b.pos / rows; nb != bank {
-				bank = nb
-				ch := bank / (b.geom.Ranks * b.geom.Banks)
-				rem := bank % (b.geom.Ranks * b.geom.Banks)
-				id = dram.BankID{Channel: ch, Rank: rem / b.geom.Banks, Bank: rem % b.geom.Banks}
-			}
-			dst = append(dst, Command{Bank: id, Row: -1, Kind: dram.RefreshCBR})
+			dst = append(dst, Command{Bank: dram.RowFromFlat(&b.geom, b.pos).BankOf(), Row: -1, Kind: dram.RefreshCBR})
 			b.pos++
 			emitted++
 		}
@@ -314,9 +284,14 @@ func (o *Oracle) Reset(start sim.Time) {
 	o.lastRestore = make([]sim.Time, total)
 	o.h = o.h[:0]
 	o.stats = PolicyStats{}
+	// Row i is first due at slot i+1 of a TotalRows-slot clock over the
+	// first interval, less the guard.
+	clock := newSlotClock(o.interval, int64(total))
+	clock.reset(start)
 	for i := 0; i < total; i++ {
 		o.lastRestore[i] = start
-		due := start + sim.Time(int64(i)+1)*o.interval/sim.Time(total) - o.guard
+		clock.next()
+		due := clock.at - o.guard
 		if due < start {
 			due = start
 		}
@@ -356,7 +331,7 @@ func (o *Oracle) Advance(t sim.Time, dst []Command) []Command {
 			return dst
 		}
 		o.h.pop()
-		row := dram.RowFromFlat(o.geom, e.flat)
+		row := dram.RowFromFlat(&o.geom, e.flat)
 		dst = append(dst, Command{Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly})
 		o.stats.RefreshesRequested++
 		// The refresh itself restores the row; the controller reports it

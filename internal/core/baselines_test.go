@@ -74,7 +74,7 @@ func TestCBRIgnoresTraffic(t *testing.T) {
 	a = c.Advance(testInterval, a)
 	c2 := NewCBR(g, testInterval)
 	for i := 0; i < 100; i++ {
-		c2.OnRowRestore(sim.Time(i), dram.RowFromFlat(g, i%g.TotalRows()))
+		c2.OnRowRestore(sim.Time(i), dram.RowFromFlat(&g, i%g.TotalRows()))
 	}
 	b = c2.Advance(testInterval, b)
 	if len(a) != len(b) {
@@ -276,7 +276,7 @@ func TestOracleFewerRefreshesThanSmart(t *testing.T) {
 			for _, c := range cmds {
 				_ = c
 			}
-			p.OnRowRestore(now, dram.RowFromFlat(g, rng.Intn(g.TotalRows())))
+			p.OnRowRestore(now, dram.RowFromFlat(&g, rng.Intn(g.TotalRows())))
 			now += 2 * sim.Millisecond
 		}
 		return p.Stats().RefreshesRequested
@@ -346,7 +346,7 @@ func TestSmartVsCBRReduction(t *testing.T) {
 		for now < 9*testInterval {
 			cmds = p.Advance(now, cmds[:0])
 			for i := 0; i < hot; i++ {
-				p.OnRowRestore(now, dram.RowFromFlat(g, i))
+				p.OnRowRestore(now, dram.RowFromFlat(&g, i))
 			}
 			now += step
 		}

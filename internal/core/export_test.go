@@ -6,3 +6,7 @@ import "smartrefresh/internal/dram"
 func (s *Smart) CounterValue(row dram.RowID) uint8 {
 	return s.counters[s.slot(row.Flat(&s.geom))]
 }
+
+// SeedState exposes the packed counter array and its per-position zero
+// counts.
+func (s *Smart) SeedState() ([]uint8, []uint16) { return s.counters, s.zeroCnt }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
@@ -196,9 +197,8 @@ func (c RAIDRConfig) validate() error {
 // refreshes with explicit row addresses, since the module's internal
 // CBR counter cannot skip rows.
 type RAIDR struct {
-	geom     dram.Geometry
-	interval sim.Duration
-	cfg      RAIDRConfig
+	geom dram.Geometry
+	cfg  RAIDRConfig
 
 	// filters holds one Bloom filter per explicit (non-final) bin, in
 	// BinMultipliers order; the last bin is implicit.
@@ -210,10 +210,15 @@ type RAIDR struct {
 	// verdict against the profile.
 	prof *RetentionMap
 
-	start  sim.Time
-	tick   int64    // wheel slot counter; pass = tick / TotalRows
-	nextAt sim.Time // slotTime(tick), cached for the hot NextTick path
-	stats  PolicyStats
+	// clock walks the wheel: TotalRows slots per base interval, so
+	// clock.frac is the slot within the pass and clock.whole the pass.
+	clock    slotClock
+	bankBits uint // log2 of TotalBanks, for slotFlat
+	// dueBins has bit i set when bin i refreshes on the current pass
+	// (the pass is a multiple of its multiplier); set at each pass's
+	// first slot.
+	dueBins uint32
+	stats   PolicyStats
 }
 
 // NewRAIDR builds the policy and programs its bin filters from the
@@ -232,7 +237,13 @@ func NewRAIDR(g dram.Geometry, interval sim.Duration, cfg RAIDRConfig, prof *Ret
 	if prof == nil {
 		panic("core: raidr needs a profiled retention map")
 	}
-	r := &RAIDR{geom: g, interval: interval, cfg: cfg, prof: prof}
+	r := &RAIDR{
+		geom:     g,
+		cfg:      cfg,
+		prof:     prof,
+		clock:    newSlotClock(interval, int64(g.TotalRows())),
+		bankBits: uint(bits.TrailingZeros(uint(g.TotalBanks()))),
+	}
 	r.filters = make([]*BloomFilter, len(cfg.BinMultipliers)-1)
 	for i := range r.filters {
 		r.filters[i] = NewBloomFilter(cfg.BloomBits, cfg.BloomHashes, bloomMix(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15))
@@ -262,7 +273,7 @@ func (r *RAIDR) binIndexFor(mult int) int {
 	return bin
 }
 
-// lookupBin resolves a row's refresh multiplier through the Bloom
+// lookupBin resolves a row's refresh bin index through the Bloom
 // filters: probe weakest-first, first positive wins, no match means the
 // implicit strongest bin. This is the only input to the refresh
 // decision.
@@ -270,17 +281,17 @@ func (r *RAIDR) lookupBin(flat int) int {
 	key := uint64(flat)
 	for i, f := range r.filters {
 		if f.Contains(key) {
-			return r.cfg.BinMultipliers[i]
+			return i
 		}
 	}
-	return r.cfg.BinMultipliers[len(r.cfg.BinMultipliers)-1]
+	return len(r.filters)
 }
 
 // BinMultiplier returns the refresh-rate multiplier the wheel applies to
 // the row with the given flat index — the Bloom-filter verdict,
 // including any false-positive demotions to weaker bins. The ablation
 // harness uses it to compare the operating rate against true retention.
-func (r *RAIDR) BinMultiplier(flat int) int { return r.lookupBin(flat) }
+func (r *RAIDR) BinMultiplier(flat int) int { return r.cfg.BinMultipliers[r.lookupBin(flat)] }
 
 // RefreshShare returns the fraction of CBR's refresh work the wheel
 // performs per base interval: sum over rows of 1/binMultiplier, divided
@@ -290,7 +301,7 @@ func (r *RAIDR) RefreshShare() float64 {
 	total := r.geom.TotalRows()
 	share := 0.0
 	for flat := 0; flat < total; flat++ {
-		share += 1 / float64(r.lookupBin(flat))
+		share += 1 / float64(r.BinMultiplier(flat))
 	}
 	return share / float64(total)
 }
@@ -311,60 +322,53 @@ func (r *RAIDR) Name() string { return "raidr" }
 // Reset implements Policy. The filters keep their programming — they
 // are profile state, not run state.
 func (r *RAIDR) Reset(start sim.Time) {
-	r.start = start
-	r.tick = 0
-	r.nextAt = start // slotTime(0)
+	r.clock.reset(start)
 	r.stats = PolicyStats{}
 }
 
 // OnRowRestore implements Policy; the wheel is demand-oblivious.
 func (r *RAIDR) OnRowRestore(sim.Time, dram.RowID) {}
 
-// slotTime returns the time of wheel slot k, spreading TotalRows slots
-// evenly over each base interval without cumulative drift (the CBR
-// cadence).
-func (r *RAIDR) slotTime(k int64) sim.Time {
-	total := int64(r.geom.TotalRows())
-	whole := k / total
-	frac := k % total
-	return r.start + sim.Time(whole)*r.interval + sim.Time(frac)*r.interval/sim.Time(total)
-}
-
 // slotFlat maps a wheel slot within a pass to a flat row index,
 // interleaving banks round-robin (consecutive slots hit different
 // banks, so due refreshes never chain behind one bank — the same shape
 // as CBR's bank walk).
 func (r *RAIDR) slotFlat(slot int64) int {
-	banks := int64(r.geom.TotalBanks())
-	return int((slot%banks)*int64(r.geom.Rows) + slot/banks)
+	bank := int(slot) & (1<<r.bankBits - 1)
+	return bank*r.geom.Rows + int(slot)>>r.bankBits
 }
 
 // NextTick implements Policy.
-func (r *RAIDR) NextTick() (sim.Time, bool) { return r.nextAt, true }
+func (r *RAIDR) NextTick() (sim.Time, bool) { return r.clock.at, true }
 
 // Advance implements Policy: constant work per wheel slot — one filter
 // chain lookup, then either a RAS-only refresh command or a skip.
 func (r *RAIDR) Advance(t sim.Time, dst []Command) []Command {
-	total := int64(r.geom.TotalRows())
-	for r.nextAt <= t {
-		slot := r.tick % total
-		pass := r.tick / total
-		r.tick++
-		r.nextAt = r.slotTime(r.tick)
+	for r.clock.at <= t {
+		slot := r.clock.frac
+		if slot == 0 {
+			// A new pass: a class-c row refreshes on every c-th pass only.
+			r.dueBins = 0
+			for i, m := range r.cfg.BinMultipliers {
+				if r.clock.whole%int64(m) == 0 {
+					r.dueBins |= 1 << i
+				}
+			}
+		}
+		r.clock.next()
 
 		flat := r.slotFlat(slot)
-		mult := r.lookupBin(flat)
+		bin := r.lookupBin(flat)
 		r.stats.BloomLookups++
-		if r.prof != nil && mult < r.cfg.BinMultipliers[r.binIndexFor(r.prof.multiplierFlat(flat))] {
+		if r.prof != nil && bin < r.binIndexFor(r.prof.multiplierFlat(flat)) {
 			r.stats.BloomFalsePositives++
 		}
-		if pass%int64(mult) != 0 {
-			// Not this row's pass: a class-c row refreshes on every c-th
-			// pass only.
+		if r.dueBins&(1<<bin) == 0 {
+			// Not this row's pass.
 			r.stats.SkippedIndexings++
 			continue
 		}
-		row := dram.RowFromFlat(r.geom, flat)
+		row := dram.RowFromFlat(&r.geom, flat)
 		dst = append(dst, Command{Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly})
 		r.stats.RefreshesRequested++
 	}

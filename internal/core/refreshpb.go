@@ -64,8 +64,9 @@ func (c PerBankConfig) withDefaults() PerBankConfig {
 
 // pbBank is one bank's scheduling state.
 type pbBank struct {
-	tick   int64    // next slot index
-	nextAt sim.Time // slotTime(tick), cached for the hot NextTick path
+	// clock walks the bank's slots: Rows per interval, offset from the
+	// policy start by the bank's stagger.
+	clock slotClock
 	// credit is the bank's refresh deficit: positive = owed (postponed)
 	// refreshes, negative = refreshes issued ahead of schedule. Bounded
 	// by [-MaxPullIn, MaxPostpone].
@@ -85,7 +86,6 @@ type PerBank struct {
 	geom     dram.Geometry
 	interval sim.Duration
 	cfg      PerBankConfig
-	start    sim.Time
 
 	// dodge selects DARP's demand arbitration; overlap marks emitted
 	// commands for the SARP-style overlapped issue form.
@@ -150,32 +150,23 @@ const farPast = sim.Time(-1) << 40
 
 // Reset implements Policy.
 func (p *PerBank) Reset(start sim.Time) {
-	p.start = start
 	for i := range p.banks {
-		p.banks[i] = pbBank{nextAt: p.slotTime(i, 0), lastDemand: farPast, prevDemand: farPast}
+		p.banks[i] = pbBank{clock: newSlotClock(p.interval, int64(p.geom.Rows)), lastDemand: farPast, prevDemand: farPast}
+		// Banks are staggered by a fraction of a slot so the nominal
+		// schedules never collide.
+		p.banks[i].clock.reset(start + sim.Time(i)*p.interval/sim.Time(p.geom.Rows*len(p.banks)))
 	}
 	p.stats = PolicyStats{}
 	p.recomputeNext()
 }
 
-// slotTime returns the time of bank b's k-th refresh slot: Rows slots per
-// interval without cumulative drift, banks staggered by a fraction of a
-// slot so the nominal schedules never collide.
-func (p *PerBank) slotTime(b int, k int64) sim.Time {
-	rows := int64(p.geom.Rows)
-	whole := k / rows
-	frac := k % rows
-	at := p.start + sim.Time(whole)*p.interval + sim.Time(frac)*p.interval/sim.Time(rows)
-	return at + sim.Time(b)*p.interval/sim.Time(rows*int64(len(p.banks)))
-}
-
 // recomputeNext rescans the cached earliest slot.
 func (p *PerBank) recomputeNext() {
 	p.nextBank = 0
-	p.next = p.banks[0].nextAt
+	p.next = p.banks[0].clock.at
 	for i := 1; i < len(p.banks); i++ {
-		if p.banks[i].nextAt < p.next {
-			p.next = p.banks[i].nextAt
+		if p.banks[i].clock.at < p.next {
+			p.next = p.banks[i].clock.at
 			p.nextBank = i
 		}
 	}
@@ -204,18 +195,11 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank dram.BankID, write bool) {
 // NextTick implements Policy.
 func (p *PerBank) NextTick() (sim.Time, bool) { return p.next, true }
 
-// bankID converts a flat bank index back to a BankID.
-func (p *PerBank) bankID(flat int) dram.BankID {
-	ch := flat / (p.geom.Ranks * p.geom.Banks)
-	rem := flat % (p.geom.Ranks * p.geom.Banks)
-	return dram.BankID{Channel: ch, Rank: rem / p.geom.Banks, Bank: rem % p.geom.Banks}
-}
-
 // emit appends one per-bank refresh command for flat bank b.
 func (p *PerBank) emit(b int, dst []Command) []Command {
 	p.banks[b].credit--
 	p.stats.RefreshesRequested++
-	return append(dst, Command{Bank: p.bankID(b), Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
+	return append(dst, Command{Bank: dram.BankFromFlat(&p.geom, b), Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
 }
 
 // slotBusy reports whether a slot at time at has read demand within the
@@ -242,8 +226,7 @@ func (p *PerBank) Advance(t sim.Time, dst []Command) []Command {
 		b := p.nextBank
 		at := p.next
 		bank := &p.banks[b]
-		bank.tick++
-		bank.nextAt = p.slotTime(b, bank.tick)
+		bank.clock.next()
 		bank.credit++ // this slot's refresh is now owed
 
 		emitted := len(dst)

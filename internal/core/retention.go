@@ -88,7 +88,7 @@ func (c *RetentionChecker) CheckEnd(end sim.Time) {
 		}
 		if gap > c.deadlineFor(flat) {
 			if c.violations == 0 {
-				c.firstBad = dram.RowFromFlat(c.geom, flat)
+				c.firstBad = dram.RowFromFlat(&c.geom, flat)
 				c.firstBadGap = gap
 			}
 			c.violations++

@@ -38,7 +38,7 @@ func TestRetentionMapDeterministic(t *testing.T) {
 	a := NewRetentionMap(g, DefaultRetentionClasses(), 7)
 	b := NewRetentionMap(g, DefaultRetentionClasses(), 7)
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		row := dram.RowFromFlat(g, flat)
+		row := dram.RowFromFlat(&g, flat)
 		if a.Multiplier(row) != b.Multiplier(row) {
 			t.Fatalf("map not deterministic at %v", row)
 		}
@@ -49,7 +49,7 @@ func TestRetentionMapDeadline(t *testing.T) {
 	g := smallGeom()
 	m := testRetentionMap(t, g)
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		row := dram.RowFromFlat(g, flat)
+		row := dram.RowFromFlat(&g, flat)
 		want := sim.Duration(m.Multiplier(row)) * testInterval
 		if got := m.Deadline(row, testInterval); got != want {
 			t.Fatalf("deadline of %v = %v, want %v", row, got, want)
@@ -211,7 +211,7 @@ func TestRetentionAwareIdleRates(t *testing.T) {
 		}
 	}
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		row := dram.RowFromFlat(g, flat)
+		row := dram.RowFromFlat(&g, flat)
 		mult := m.Multiplier(row)
 		want := intervals / mult
 		got := counts[row]
@@ -234,7 +234,7 @@ func TestRetentionAwareFewerRefreshes(t *testing.T) {
 		var now sim.Time
 		for now < 10*testInterval {
 			cmds = p.Advance(now, cmds[:0])
-			p.OnRowRestore(now, dram.RowFromFlat(g, rng.Intn(g.TotalRows())))
+			p.OnRowRestore(now, dram.RowFromFlat(&g, rng.Intn(g.TotalRows())))
 			now += 3 * sim.Millisecond
 		}
 		return p.Stats().RefreshesRequested
@@ -279,7 +279,7 @@ func TestRetentionAwareCorrectness(t *testing.T) {
 				break
 			}
 			now = nextAccess
-			row := dram.RowFromFlat(g, rng.Intn(g.TotalRows()))
+			row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
 			p.OnRowRestore(now, row)
 			chk.OnRestore(now, row)
 			nextAccess = now + 1 + sim.Time(rng.Int63n(int64(5*sim.Millisecond)))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
@@ -105,15 +106,16 @@ type Smart struct {
 	// (retention-aware extension); nil means the uniform maximum.
 	maxFor func(flat int) uint8
 
+	// rowsPerSeg is a power of two: the row count is one (Geometry.Validate)
+	// and Segments divides it. posBits is its log2.
 	rowsPerSeg int
+	posBits    uint
 
-	// Tick bookkeeping. Tick k indexes position (k mod rowsPerSeg) of
-	// every segment. A full pass over a segment takes one counter access
-	// period = interval / 2^bits.
-	capPeriod sim.Duration // counter access period
-	start     sim.Time
-	tick      int64    // next tick index to execute
-	nextAt    sim.Time // tickTime(tick), cached for the hot NextTick path
+	// clock schedules the ticks: rowsPerSeg ticks per counter access
+	// period (interval / 2^bits), and tick k indexes position
+	// clock.frac = k mod rowsPerSeg of every segment, so a full pass over
+	// a segment takes one counter access period.
+	clock slotClock
 
 	pending []Command // bounded by cfg.QueueDepth
 
@@ -144,16 +146,18 @@ func NewSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig) *Smart {
 	if total%cfg.Segments != 0 {
 		panic(fmt.Sprintf("core: %d rows not divisible into %d segments", total, cfg.Segments))
 	}
+	rowsPerSeg := total / cfg.Segments
 	s := &Smart{
 		geom:       g,
 		interval:   interval,
 		cfg:        cfg,
 		counters:   make([]uint8, total),
-		zeroCnt:    make([]uint16, total/cfg.Segments),
+		zeroCnt:    make([]uint16, rowsPerSeg),
 		modulus:    1 << cfg.CounterBits,
 		max:        uint8(1<<cfg.CounterBits - 1),
-		rowsPerSeg: total / cfg.Segments,
-		capPeriod:  interval / sim.Duration(int64(1)<<cfg.CounterBits),
+		rowsPerSeg: rowsPerSeg,
+		posBits:    uint(bits.TrailingZeros(uint(rowsPerSeg))),
+		clock:      newSlotClock(interval/sim.Duration(int64(1)<<cfg.CounterBits), int64(rowsPerSeg)),
 		pending:    make([]Command, 0, cfg.QueueDepth),
 		cbr:        NewCBR(g, interval),
 	}
@@ -177,9 +181,7 @@ func (s *Smart) Config() SmartConfig { return s.cfg }
 // counters indexed at any tick are zero and refreshes stay evenly
 // distributed.
 func (s *Smart) Reset(start sim.Time) {
-	s.start = start
-	s.tick = 0
-	s.nextAt = start
+	s.clock.reset(start)
 	s.pending = s.pending[:0]
 	s.disabled = false
 	s.windowStart = start
@@ -192,44 +194,60 @@ func (s *Smart) Reset(start sim.Time) {
 // slot maps a logical flat row index to its packed counter slot
 // (position-major storage; see the counters field).
 func (s *Smart) slot(flat int) int {
-	return (flat%s.rowsPerSeg)*s.cfg.Segments + flat/s.rowsPerSeg
-}
-
-// rebuildZeroCounts recomputes the per-position zero-counter summary from
-// the counter array (called after bulk reseeding).
-func (s *Smart) rebuildZeroCounts() {
-	segs := s.cfg.Segments
-	for pos := range s.zeroCnt {
-		n := uint16(0)
-		for _, c := range s.counters[pos*segs : (pos+1)*segs] {
-			if c == 0 {
-				n++
-			}
-		}
-		s.zeroCnt[pos] = n
-	}
+	return (flat&(s.rowsPerSeg-1))*s.cfg.Segments + flat>>s.posBits
 }
 
 // seedStagger initialises the counters so refresh requests are spread
-// uniformly: the in-segment position staggers counters across the counter
-// access period, and an extra per-segment offset staggers the segments
-// against each other (figure 3), so the counters indexed together at one
-// tick do not reach zero together.
+// uniformly: the in-segment position p staggers counters across the
+// counter access period (⌊p*2^bits/rowsPerSeg⌋), and an extra per-segment
+// offset staggers the segments against each other (figure 3), so the
+// counters indexed together at one tick do not reach zero together. The
+// pass runs in storage order, one position's block of Segments counters
+// at a time, and counts that position's zero counters as it goes.
 func (s *Smart) seedStagger() {
-	if s.cfg.UniformSeed {
-		for i := range s.counters {
-			s.counters[s.slot(i)] = s.resetValue(i)
+	counters, rowsPerSeg, segs := s.counters, s.rowsPerSeg, s.cfg.Segments
+	maxFor, uniform := s.maxFor, s.cfg.UniformSeed
+	counterBits, mask := s.cfg.CounterBits, s.modulus-1
+	// stagger = ⌊p*modulus/rowsPerSeg⌋, stepped with an exact remainder
+	// carry: each position adds modulus/rowsPerSeg and carries modulus's
+	// remainder.
+	dq, dr := s.modulus/rowsPerSeg, s.modulus%rowsPerSeg
+	stagger, carry := 0, 0
+	for p := range s.zeroCnt {
+		block := counters[p*segs : (p+1)*segs]
+		zeros := 0
+		switch {
+		case maxFor != nil:
+			for seg := range block {
+				v := maxFor(seg*rowsPerSeg + p)
+				if !uniform {
+					v = uint8((stagger + seg) % (int(v) + 1))
+				}
+				block[seg] = v
+				if v == 0 {
+					zeros++
+				}
+			}
+		case uniform:
+			// The maximum is at least 1, so no counter starts at zero.
+			for seg := range block {
+				block[seg] = s.max
+			}
+		default:
+			for seg := range block {
+				block[seg] = uint8((stagger + seg) & mask)
+			}
+			// Counter seg is zero when stagger+seg is a multiple of
+			// modulus: count the multiples in [stagger, stagger+segs).
+			zeros = (stagger+segs+mask)>>counterBits - (stagger+mask)>>counterBits
 		}
-		s.rebuildZeroCounts()
-		return
+		s.zeroCnt[p] = uint16(zeros)
+		stagger += dq
+		if carry += dr; carry >= rowsPerSeg {
+			carry -= rowsPerSeg
+			stagger++
+		}
 	}
-	for i := range s.counters {
-		seg := i / s.rowsPerSeg
-		p := i % s.rowsPerSeg
-		span := int(s.resetValue(i)) + 1
-		s.counters[s.slot(i)] = uint8((p*s.modulus/s.rowsPerSeg + seg) % span)
-	}
-	s.rebuildZeroCounts()
 }
 
 // resetValue returns the counter reload value for a row: the uniform
@@ -239,16 +257,6 @@ func (s *Smart) resetValue(flat int) uint8 {
 		return s.maxFor(flat)
 	}
 	return s.max
-}
-
-// tickTime returns the simulated time of tick k without cumulative
-// rounding drift: k/rowsPerSeg whole counter access periods plus the
-// fractional position inside the current period.
-func (s *Smart) tickTime(k int64) sim.Time {
-	whole := k / int64(s.rowsPerSeg)
-	frac := k % int64(s.rowsPerSeg)
-	return s.start + sim.Time(whole)*s.capPeriod +
-		sim.Time(frac)*s.capPeriod/sim.Time(s.rowsPerSeg)
 }
 
 // OnRowRestore implements Policy: the row's counter is reset to its
@@ -267,7 +275,7 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 	flat := row.Flat(&s.geom)
 	slot := s.slot(flat)
 	if s.counters[slot] == 0 {
-		s.zeroCnt[flat%s.rowsPerSeg]--
+		s.zeroCnt[flat&(s.rowsPerSeg-1)]--
 	}
 	s.counters[slot] = s.resetValue(flat)
 	s.stats.AccessResets++
@@ -285,7 +293,7 @@ func (s *Smart) NextTick() (sim.Time, bool) {
 		}
 		return next, true
 	}
-	return s.nextAt, true
+	return s.clock.at, true
 }
 
 // Advance implements Policy.
@@ -308,7 +316,7 @@ func (s *Smart) Advance(t sim.Time, dst []Command) []Command {
 			s.maybeSwitchMode(boundary)
 			continue
 		}
-		next := s.nextAt
+		next := s.clock.at
 		if next > t {
 			return dst
 		}
@@ -322,7 +330,7 @@ func (s *Smart) Advance(t sim.Time, dst []Command) []Command {
 // decrement. At most Segments requests are generated, which is the queue
 // bound of section 5.
 func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
-	pos := int(s.tick % int64(s.rowsPerSeg))
+	pos := int(s.clock.frac)
 	segs := s.cfg.Segments
 	slots := s.counters[pos*segs : (pos+1)*segs]
 	generated := 0
@@ -346,7 +354,7 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 				flat := seg*s.rowsPerSeg + pos
 				slots[seg] = s.resetValue(flat)
 				s.zeroCnt[pos]--
-				row := dram.RowFromFlat(s.geom, flat)
+				row := dram.RowFromFlat(&s.geom, flat)
 				if len(s.pending) >= s.cfg.QueueDepth {
 					// Unreachable when QueueDepth >= Segments because the
 					// queue drains every Advance; guarded as an invariant.
@@ -378,8 +386,7 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 		dst = append(dst, s.pending...)
 		s.pending = s.pending[:0]
 	}
-	s.tick++
-	s.nextAt = s.tickTime(s.tick)
+	s.clock.next()
 	return dst
 }
 
@@ -413,9 +420,7 @@ func (s *Smart) maybeSwitchMode(now sim.Time) {
 			// interval + counter access period. The sweep emits at most
 			// Segments requests per tick, so the pending queue bound
 			// still holds.
-			s.start = boundary
-			s.tick = 0
-			s.nextAt = boundary
+			s.clock.reset(boundary)
 			for i := range s.counters {
 				s.counters[i] = 0
 			}
@@ -442,9 +447,9 @@ func (s *Smart) Stats() PolicyStats {
 func (s *Smart) Disabled() bool { return s.disabled }
 
 // CounterAccessPeriod returns interval / 2^bits (section 4.2).
-func (s *Smart) CounterAccessPeriod() sim.Duration { return s.capPeriod }
+func (s *Smart) CounterAccessPeriod() sim.Duration { return s.clock.interval }
 
 // TickPeriod returns the spacing between counter indexing ticks.
 func (s *Smart) TickPeriod() sim.Duration {
-	return s.capPeriod / sim.Duration(s.rowsPerSeg)
+	return s.clock.interval / sim.Duration(s.rowsPerSeg)
 }

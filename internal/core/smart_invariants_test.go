@@ -41,10 +41,10 @@ func TestSmartCounterValuesBounded(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			now += sim.Time(rng.Intn(int(2 * sim.Millisecond)))
 			cmds = s.Advance(now, cmds[:0])
-			row := dram.RowFromFlat(g, rng.Intn(g.TotalRows()))
+			row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
 			s.OnRowRestore(now, row)
 			for flat := 0; flat < g.TotalRows(); flat++ {
-				if v := s.CounterValue(dram.RowFromFlat(g, flat)); v > 7 {
+				if v := s.CounterValue(dram.RowFromFlat(&g, flat)); v > 7 {
 					return false
 				}
 			}
@@ -68,7 +68,7 @@ func TestSmartStatsConsistency(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		now += sim.Time(rng.Intn(int(sim.Millisecond)))
 		cmds = s.Advance(now, cmds[:0])
-		s.OnRowRestore(now, dram.RowFromFlat(g, rng.Intn(g.TotalRows())))
+		s.OnRowRestore(now, dram.RowFromFlat(&g, rng.Intn(g.TotalRows())))
 	}
 	st := s.Stats()
 	if st.CounterReads != st.SkippedIndexings+st.RefreshesRequested {
@@ -103,7 +103,7 @@ func TestSmartRefreshVolumeNeverExceedsBaseline(t *testing.T) {
 		for now < end {
 			now += sim.Time(rng.Int63n(int64(gap))) + 1
 			cmds = s.Advance(now, cmds[:0])
-			s.OnRowRestore(now, dram.RowFromFlat(g, rng.Intn(g.TotalRows())))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, rng.Intn(g.TotalRows())))
 		}
 		cmds = s.Advance(end, cmds[:0])
 		issued := s.Stats().RefreshesRequested - base

@@ -99,7 +99,7 @@ func TestSmartBestCase(t *testing.T) {
 	// Warm up past the seeded stagger.
 	for now < testInterval {
 		for flat := 0; flat < g.TotalRows(); flat++ {
-			s.OnRowRestore(now, dram.RowFromFlat(g, flat))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, flat))
 		}
 		cmds = s.Advance(now+step, cmds[:0])
 		now += step
@@ -107,7 +107,7 @@ func TestSmartBestCase(t *testing.T) {
 	before := s.Stats().RefreshesRequested
 	for now < 3*testInterval {
 		for flat := 0; flat < g.TotalRows(); flat++ {
-			s.OnRowRestore(now, dram.RowFromFlat(g, flat))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, flat))
 		}
 		cmds = s.Advance(now+step, cmds[:0])
 		now += step
@@ -145,7 +145,7 @@ func TestSmartQueueBound(t *testing.T) {
 	for now < 4*testInterval {
 		// Random accesses try to align counters.
 		for i := 0; i < 8; i++ {
-			s.OnRowRestore(now, dram.RowFromFlat(g, rng.Intn(g.TotalRows())))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, rng.Intn(g.TotalRows())))
 		}
 		now += sim.Time(rng.Intn(int(s.TickPeriod()) * 3))
 		cmds = s.Advance(now, cmds[:0])
@@ -243,7 +243,7 @@ func runSmartLoop(t *testing.T, g dram.Geometry, p Policy, seed uint64, length s
 			break
 		}
 		now = nextAccess
-		row := dram.RowFromFlat(g, rng.Intn(g.TotalRows()))
+		row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
 		p.OnRowRestore(now, row)
 		chk.OnRestore(now, row)
 		nextAccess = now + 1 + sim.Time(rng.Int63n(int64(accessEvery)))
@@ -385,7 +385,7 @@ func TestSmartDisabledDeltaSnapshotSafe(t *testing.T) {
 	// the same Advance call that then keeps draining CBR commands.
 	now := 2 * testInterval
 	for i := 0; i < g.TotalRows(); i++ {
-		s.OnRowRestore(now, dram.RowFromFlat(g, i))
+		s.OnRowRestore(now, dram.RowFromFlat(&g, i))
 	}
 	advance(4 * testInterval)
 	st := s.Stats()
@@ -414,7 +414,7 @@ func TestSmartReEnableOnHotTraffic(t *testing.T) {
 	now := 3 * testInterval
 	for w := 0; w < 2; w++ {
 		for i := 0; i < g.TotalRows(); i++ {
-			s.OnRowRestore(now, dram.RowFromFlat(g, i%g.TotalRows()))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, i%g.TotalRows()))
 		}
 		now += testInterval
 		cmds = s.Advance(now, cmds[:0])
@@ -446,7 +446,7 @@ func TestSmartDisableHysteresis(t *testing.T) {
 	now := sim.Time(0)
 	for w := 0; w < 4; w++ {
 		for i := 0; i < perWindow; i++ {
-			s.OnRowRestore(now, dram.RowFromFlat(g, i))
+			s.OnRowRestore(now, dram.RowFromFlat(&g, i))
 		}
 		now += testInterval
 		cmds = s.Advance(now, cmds[:0])
@@ -536,7 +536,7 @@ func TestSmartModeSwitchAcrossMultipleWindows(t *testing.T) {
 
 	// Hot traffic in window [i, 2i): density 1.0, far above EnableAbove.
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		s.OnRowRestore(testInterval+sim.Time(flat), dram.RowFromFlat(g, flat))
+		s.OnRowRestore(testInterval+sim.Time(flat), dram.RowFromFlat(&g, flat))
 	}
 	// One Advance over three more windows: re-enable at 2i (hot window),
 	// full counter-zeroing sweep during [2i, 3i), idle density disables
@@ -601,7 +601,7 @@ func TestSmartCorrectnessWithDisable(t *testing.T) {
 		}
 		if phaseHot {
 			for i := 0; i < 4; i++ {
-				row := dram.RowFromFlat(g, rng.Intn(g.TotalRows()))
+				row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
 				s.OnRowRestore(now, row)
 				chk.OnRestore(now, row)
 			}

@@ -13,6 +13,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Geometry describes the physical organisation of a DRAM module, following
@@ -221,15 +222,11 @@ func (r RowID) Flat(g *Geometry) int {
 	return ((r.Channel*g.Ranks+r.Rank)*g.Banks+r.Bank)*g.Rows + r.Row
 }
 
-// RowFromFlat is the inverse of RowID.Flat.
-func RowFromFlat(g Geometry, flat int) RowID {
-	row := flat % g.Rows
-	flat /= g.Rows
-	bank := flat % g.Banks
-	flat /= g.Banks
-	rank := flat % g.Ranks
-	ch := flat / g.Ranks
-	return RowID{Channel: ch, Rank: rank, Bank: bank, Row: row}
+// RowFromFlat is the inverse of RowID.Flat. Validate guarantees every
+// dimension is a power of two, so the decode is shifts and masks.
+func RowFromFlat(g *Geometry, flat int) RowID {
+	b := BankFromFlat(g, flat>>bits.TrailingZeros(uint(g.Rows)))
+	return RowID{Channel: b.Channel, Rank: b.Rank, Bank: b.Bank, Row: flat & (g.Rows - 1)}
 }
 
 // Address is a fully decoded DRAM address.
@@ -256,6 +253,17 @@ func (r RowID) BankOf() BankID {
 // Flat returns a dense bank index in [0, Channels*Ranks*Banks).
 func (b BankID) Flat(g *Geometry) int {
 	return (b.Channel*g.Ranks+b.Rank)*g.Banks + b.Bank
+}
+
+// BankFromFlat is the inverse of BankID.Flat, by shifts and masks like
+// RowFromFlat.
+func BankFromFlat(g *Geometry, flat int) BankID {
+	flatRank := flat >> bits.TrailingZeros(uint(g.Banks))
+	return BankID{
+		Channel: flatRank >> bits.TrailingZeros(uint(g.Ranks)),
+		Rank:    flatRank & (g.Ranks - 1),
+		Bank:    flat & (g.Banks - 1),
+	}
 }
 
 // TotalBanks returns the number of banks across the module.

@@ -89,8 +89,15 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestRowIDFlatRoundTrip(t *testing.T) {
-	g := table1Geom2GB()
-	f := func(c, r, b, row uint16) bool {
+	// Random valid geometries (Validate requires every dimension to be a
+	// power of two), with unequal widths so a swapped shift or mask shows.
+	f := func(lc, lr, lb, lrow uint8, c, r, b, row uint32) bool {
+		g := table1Geom2GB()
+		g.Channels, g.Ranks, g.Banks, g.Rows = 1<<(lc%5), 1<<(lr%4), 1<<(lb%6), 1<<(lrow%17)
+		if err := g.Validate(); err != nil {
+			t.Log(err)
+			return false
+		}
 		id := RowID{
 			Channel: int(c) % g.Channels,
 			Rank:    int(r) % g.Ranks,
@@ -101,9 +108,10 @@ func TestRowIDFlatRoundTrip(t *testing.T) {
 		if flat < 0 || flat >= g.TotalRows() {
 			return false
 		}
-		return RowFromFlat(g, flat) == id
+		bank := id.BankOf()
+		return RowFromFlat(&g, flat) == id && BankFromFlat(&g, bank.Flat(&g)) == bank
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -606,17 +606,14 @@ func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
 func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	bi := bank.Flat(&m.geom)
-	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
-	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
-	return m.refresh(t, row, RefreshCBR)
+	return m.refresh(t, m.nextCounterRow(bank), RefreshCBR)
 }
 
 // nextCounterRow reads and advances a bank's internal refresh counter.
 func (m *Module) nextCounterRow(bank BankID) RowID {
 	bi := bank.Flat(&m.geom)
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
-	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
+	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) & (m.geom.Rows - 1)
 	return row
 }
 

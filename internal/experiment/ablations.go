@@ -107,7 +107,7 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 		// Access a random row at a random phase.
 		at := now + sim.Time(rng.Int63n(int64(interval/2)))
 		cmds = p.Advance(at, cmds[:0])
-		row := dram.RowFromFlat(g, rng.Intn(g.TotalRows()))
+		row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
 		p.OnRowRestore(at, row)
 
 		// Run tick by tick until that row's next refresh.

@@ -369,13 +369,7 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	g := &c.cfg.Geometry
-	rem := flat % (g.Ranks * g.Banks)
-	bank := dram.BankID{
-		Channel: flat / (g.Ranks * g.Banks),
-		Rank:    rem / g.Banks,
-		Bank:    rem % g.Banks,
-	}
+	bank := dram.BankFromFlat(&c.cfg.Geometry, flat)
 	if c.ps.enabled && c.ps.ranks[c.rankOf(bank.Channel, bank.Rank)].state == PSActPdn {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge

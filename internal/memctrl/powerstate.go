@@ -288,8 +288,7 @@ func (c *Controller) rankHasOpenPage(channel, rank int) bool {
 func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 	st := &c.ps.ranks[ri]
 	target := st.nextTarget
-	g := &c.cfg.Geometry
-	channel, rank := ri/g.Ranks, ri%g.Ranks
+	channel, rank := c.rankCoords(ri)
 	switch target {
 	case PSActPdn:
 		if st.state == PSActPdn || !c.rankHasOpenPage(channel, rank) {
@@ -391,7 +390,6 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 	if !c.ps.armed {
 		return
 	}
-	g := &c.cfg.Geometry
 	for ri := range c.ps.ranks {
 		st := &c.ps.ranks[ri]
 		if st.state == PSAwake || st.enteredAt >= end {
@@ -402,7 +400,8 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 			if c.trace != nil {
 				c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, end)
 			}
-			c.coverSelfRefresh(st.enteredAt, end, ri/g.Ranks, ri%g.Ranks)
+			channel, rank := c.rankCoords(ri)
+			c.coverSelfRefresh(st.enteredAt, end, channel, rank)
 		default:
 			c.tracePowerDown(ri, end)
 		}

@@ -27,14 +27,19 @@ func (c *Controller) rankOf(channel, rank int) int {
 	return channel*c.cfg.Geometry.Ranks + rank
 }
 
+// rankCoords is the inverse of rankOf.
+func (c *Controller) rankCoords(ri int) (channel, rank int) {
+	b := dram.BankFromFlat(&c.cfg.Geometry, ri*c.cfg.Geometry.Banks)
+	return b.Channel, b.Rank
+}
+
 // enterSelfRefresh puts rank ri into self-refresh at time t, provided its
 // banks are closed (otherwise the entry is deferred: the idle-close
 // machinery will close them and the deadline fires again). A rank asleep
 // in a PRE-PDN state descends without an intermediate wake — the module
 // folds the power-down residency at the handoff.
 func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
-	g := &c.cfg.Geometry
-	channel, rank := ri/g.Ranks, ri%g.Ranks
+	channel, rank := c.rankCoords(ri)
 	st := &c.ps.ranks[ri]
 	if c.rankHasOpenPage(channel, rank) {
 		// Pages still open: wait for idle-close. Re-arm the deadline

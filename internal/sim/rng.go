@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256**, seeded via splitmix64). Every stochastic component in the
@@ -68,8 +71,12 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform uint64 in [0, n) using Lemire's method with a
-// rejection step to remove modulo bias.
+// Uint64n returns a uniform uint64 in [0, n) using Lemire's
+// nearly-divisionless method: a draw v maps to the high word of v*n and
+// is rejected when the low word falls below 2^64 mod n, which removes the
+// modulo bias. That threshold is below n, so it is computed (one
+// division) only when the low word is below n too — rarely, for n much
+// smaller than 2^64.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("sim: Uint64n with n == 0")
@@ -78,31 +85,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 computes the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a0 * b0
-	lo = t & mask
-	c := t >> 32
-	t = a1*b0 + c
-	c = t >> 32
-	m := t & mask
-	t = a0*b1 + m
-	lo |= (t & mask) << 32
-	hi = a1*b1 + c + (t >> 32)
-	return hi, lo
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -197,20 +198,38 @@ func TestInt63nBoundProperty(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// uint64nEager is the eager-threshold form of Lemire's method: it takes
+// 2^64 mod n on every call. Uint64n defers that division but keeps the
+// same accept set, so the two must return identical values and consume
+// identical streams.
+func uint64nEager(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+	threshold := -n % n
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+func TestUint64nMatchesEagerThreshold(t *testing.T) {
+	ns := []uint64{3, 6, 1e9 + 7, 1<<63 + 1, math.MaxUint64}
+	pick := NewRNG(99)
+	for i := 0; i < 64; i++ {
+		ns = append(ns, max(pick.Uint64()>>pick.Intn(64), 1))
+	}
+	for _, n := range ns {
+		got, want := NewRNG(n), NewRNG(n)
+		for i := 0; i < 2000; i++ {
+			if g, w := got.Uint64n(n), uint64nEager(want, n); g != w {
+				t.Fatalf("n=%d draw %d: Uint64n = %d, eager reference = %d", n, i, g, w)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d: streams diverged after 2000 draws", n)
 		}
 	}
 }

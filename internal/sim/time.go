@@ -98,15 +98,6 @@ func NewClock(period Duration) Clock {
 // Period returns the clock period.
 func (c Clock) Period() Duration { return c.period }
 
-// Cycles converts a duration to a cycle count, rounding up so that timing
-// constraints are never violated by quantisation.
-func (c Clock) Cycles(d Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + c.period - 1) / c.period)
-}
-
 // Next returns the first clock edge at or after t.
 func (c Clock) Next(t Time) Time {
 	if t <= 0 {

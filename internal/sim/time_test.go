@@ -101,21 +101,6 @@ func TestClockNext(t *testing.T) {
 	}
 }
 
-func TestClockCycles(t *testing.T) {
-	c := NewClock(3000)
-	cases := []struct {
-		in   Duration
-		want int64
-	}{
-		{0, 0}, {-1, 0}, {1, 1}, {3000, 1}, {3001, 2}, {6000, 2},
-	}
-	for _, cse := range cases {
-		if got := c.Cycles(cse.in); got != cse.want {
-			t.Errorf("Cycles(%d) = %d, want %d", int64(cse.in), got, cse.want)
-		}
-	}
-}
-
 func TestClockAfter(t *testing.T) {
 	c := NewClock(3000)
 	if got := c.After(3000, 100); got != 6000 {

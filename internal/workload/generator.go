@@ -90,6 +90,7 @@ type Generator struct {
 	order  []int // visit order over footprint rows
 	pos    int
 	gap    sim.Duration // nominal gap between sweep touches
+	repeat float64      // geometric continue-probability of a same-row repeat
 	now    sim.Time
 	queued []trace.Record // same-row repeat accesses pending emission
 	head   int            // next queued record to emit; the queue resets once drained
@@ -100,7 +101,7 @@ func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{spec: spec, rng: sim.NewRNG(seed)}
+	g := &Generator{spec: spec, rng: sim.NewRNG(seed), repeat: spec.RowRepeats / (1 + spec.RowRepeats)}
 	rows := int(spec.Rows())
 	if rows > 0 {
 		g.order = make([]int, rows)
@@ -149,9 +150,8 @@ func (g *Generator) Next() (trace.Record, bool) {
 	}
 
 	// Queue geometric same-row repeats at short offsets after the touch.
-	p := g.spec.RowRepeats / (1 + g.spec.RowRepeats) // geometric continue-prob
 	at := g.now
-	for g.rng.Bool(p) {
+	for g.rng.Bool(g.repeat) {
 		at += 60 * sim.Nanosecond
 		col := g.rng.Int63n(g.spec.StrideBytes) &^ 63
 		g.queued = append(g.queued, trace.Record{
