@@ -156,7 +156,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if res.Err != nil {
 		return res.Err
 	}
-	printResults(stdout, cfg, res.Results, opts.Measure, res.RetentionErr)
+	printResults(stdout, cfg, res.Results, res.Window, res.RetentionErr)
 	printVaults(stdout, res.Vaults)
 	if policy.Kind == experiment.PolicyRAIDR {
 		printRAIDR(stdout, cfg, prof, res.Results)

@@ -124,6 +124,39 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// A negative window is rejected rather than run and mislabelled:
+// -measure-ms -5 used to print "0 refresh ops (-0/s)", and -warmup-ms -3
+// silently shortened a 16 ms window to 13 ms.
+func TestRunRejectsNegativeWindow(t *testing.T) {
+	for _, args := range [][]string{
+		{"-benchmark", "fasta", "-measure-ms", "-5"},
+		{"-benchmark", "fasta", "-warmup-ms", "-3", "-measure-ms", "16"},
+	} {
+		if err := runQuiet(t, args...); err == nil || !strings.Contains(err.Error(), "negative window") {
+			t.Errorf("%v: err = %v, want a negative-window error", args, err)
+		}
+	}
+}
+
+// -measure-ms 0 measures the default window (four refresh intervals), and
+// the printed window and refresh rate are that window's, not "0ps" and
+// "+Inf/s".
+func TestRunZeroMeasurePrintsEffectiveWindow(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-config", "table1-2gb", "-benchmark", "fasta", "-warmup-ms", "16", "-measure-ms", "0"},
+		strings.NewReader(""), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 4 * config.Table1_2GB().RefreshInterval()
+	if !strings.Contains(out.String(), "\nwindow            "+want.String()+"\n") {
+		t.Errorf("want a %v window:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "Inf") {
+		t.Errorf("infinite rate printed:\n%s", out.String())
+	}
+}
+
 // testTraceRecords builds a deterministic generator-derived trace.
 func testTraceRecords(t *testing.T, ms int) []trace.Record {
 	t.Helper()

@@ -111,11 +111,6 @@ func WriteFigure(w io.Writer, fig Figure, format ReportFormat) error {
 	return report.WriteFigure(w, fig, format)
 }
 
-// WritePairMetrics renders a sweep's baseline-vs-Smart comparison table.
-func WritePairMetrics(w io.Writer, rows []PairMetrics, format ReportFormat) error {
-	return report.WritePairMetrics(w, rows, format)
-}
-
 // WriteEngineStats renders an engine's job counters (simulations run,
 // memoisation hits, summed simulation wall time).
 func WriteEngineStats(w io.Writer, st EngineStats, format ReportFormat) error {
@@ -252,13 +247,6 @@ func HMC8Vault() Config { return config.HMC8Vault() }
 func NewVaultArray(cfg Config, factory VaultPolicyFactory, opts VaultOptions) (*VaultArray, error) {
 	return memctrl.NewVaultArray(cfg, factory, opts)
 }
-
-// IdentityVaultRemap returns the identity vault permutation.
-func IdentityVaultRemap(n int) *VaultRemap { return dram.IdentityRemap(n) }
-
-// RotatedVaultRemap returns the permutation rotating logical vaults by
-// rot physical positions (a simple wear/thermal-balancing layout).
-func RotatedVaultRemap(n, rot int) *VaultRemap { return dram.RotatedRemap(n, rot) }
 
 // RunVaultScaling sweeps a vaulted run across intra-run shard counts,
 // timing each and digesting its results; the study reports whether every

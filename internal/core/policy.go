@@ -10,6 +10,7 @@ package core
 import (
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/stats"
 )
 
 // Command is one refresh operation requested by a policy.
@@ -93,7 +94,7 @@ type PolicyStats struct {
 	// MaxPendingPerTick is the largest number of refresh requests a single
 	// counter-indexing tick generated (bounded by the segment count; this
 	// is the section 5 queue-overflow argument).
-	MaxPendingPerTick int
+	MaxPendingPerTick int `stat:"max"`
 
 	// Disable/enable telemetry for the section 4.6 self-configuration.
 	DisableSwitches uint64
@@ -112,7 +113,7 @@ type PolicyStats struct {
 	// MaxRefreshDeficit is the high-water per-bank refresh deficit (owed,
 	// unissued refreshes) after each slot decision; the JEDEC-style
 	// postponement window bounds it by PerBankConfig.MaxPostpone.
-	MaxRefreshDeficit int
+	MaxRefreshDeficit int `stat:"max"`
 
 	// Bloom-filter bin telemetry (RAIDR; zero for the other policies).
 	// BloomLookups counts wheel-slot bin resolutions through the filter
@@ -123,61 +124,17 @@ type PolicyStats struct {
 	BloomFalsePositives uint64
 }
 
-// Sub returns the field-wise difference s - earlier for the monotone
-// counters (MaxPendingPerTick, a high-water mark, is carried over); the
+var policyStatsRule = stats.RuleFor[PolicyStats]()
+
+// Sub returns s over the window after earlier (stats.Rule): counters
+// difference and the high-water marks keep s's full-run value. The
 // experiment harness uses it to exclude warmup from measured windows.
-func (s PolicyStats) Sub(earlier PolicyStats) PolicyStats {
-	return PolicyStats{
-		RefreshesRequested: s.RefreshesRequested - earlier.RefreshesRequested,
-		CounterReads:       s.CounterReads - earlier.CounterReads,
-		CounterWrites:      s.CounterWrites - earlier.CounterWrites,
-		AccessResets:       s.AccessResets - earlier.AccessResets,
-		SkippedIndexings:   s.SkippedIndexings - earlier.SkippedIndexings,
-		MaxPendingPerTick:  s.MaxPendingPerTick,
-		DisableSwitches:    s.DisableSwitches - earlier.DisableSwitches,
-		EnableSwitches:     s.EnableSwitches - earlier.EnableSwitches,
-		TimeDisabled:       s.TimeDisabled - earlier.TimeDisabled,
-		RefreshesPostponed: s.RefreshesPostponed - earlier.RefreshesPostponed,
-		RefreshesPulledIn:  s.RefreshesPulledIn - earlier.RefreshesPulledIn,
-		RefreshesForced:    s.RefreshesForced - earlier.RefreshesForced,
-		MaxRefreshDeficit:  s.MaxRefreshDeficit,
+func (s PolicyStats) Sub(earlier PolicyStats) PolicyStats { return policyStatsRule.Window(s, earlier) }
 
-		BloomLookups:        s.BloomLookups - earlier.BloomLookups,
-		BloomFalsePositives: s.BloomFalsePositives - earlier.BloomFalsePositives,
-	}
-}
-
-// Add returns the element-wise sum of two stat snapshots for aggregating
-// per-vault policies into stack-level totals. Counters sum; high-water
-// marks (MaxPendingPerTick, MaxRefreshDeficit) take the maximum, since
-// each vault's policy ticks independently.
-func (s PolicyStats) Add(o PolicyStats) PolicyStats {
-	out := PolicyStats{
-		RefreshesRequested: s.RefreshesRequested + o.RefreshesRequested,
-		CounterReads:       s.CounterReads + o.CounterReads,
-		CounterWrites:      s.CounterWrites + o.CounterWrites,
-		AccessResets:       s.AccessResets + o.AccessResets,
-		SkippedIndexings:   s.SkippedIndexings + o.SkippedIndexings,
-		MaxPendingPerTick:  s.MaxPendingPerTick,
-		DisableSwitches:    s.DisableSwitches + o.DisableSwitches,
-		EnableSwitches:     s.EnableSwitches + o.EnableSwitches,
-		TimeDisabled:       s.TimeDisabled + o.TimeDisabled,
-		RefreshesPostponed: s.RefreshesPostponed + o.RefreshesPostponed,
-		RefreshesPulledIn:  s.RefreshesPulledIn + o.RefreshesPulledIn,
-		RefreshesForced:    s.RefreshesForced + o.RefreshesForced,
-		MaxRefreshDeficit:  s.MaxRefreshDeficit,
-
-		BloomLookups:        s.BloomLookups + o.BloomLookups,
-		BloomFalsePositives: s.BloomFalsePositives + o.BloomFalsePositives,
-	}
-	if o.MaxPendingPerTick > out.MaxPendingPerTick {
-		out.MaxPendingPerTick = o.MaxPendingPerTick
-	}
-	if o.MaxRefreshDeficit > out.MaxRefreshDeficit {
-		out.MaxRefreshDeficit = o.MaxRefreshDeficit
-	}
-	return out
-}
+// Add returns s and o folded (stats.Rule) for aggregating per-vault
+// policies into stack-level totals: counters sum and high-water marks
+// take the maximum, since each vault's policy ticks independently.
+func (s PolicyStats) Add(o PolicyStats) PolicyStats { return policyStatsRule.Fold(s, o) }
 
 // BankAware is implemented by policies that schedule refreshes around
 // per-bank demand pressure (the DARP/SARP family). The memory controller

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/stats"
 	"smartrefresh/internal/telemetry"
 )
 
@@ -159,75 +160,15 @@ type ModuleStats struct {
 	DemandStall sim.Duration
 }
 
-// Sub returns the field-wise difference s - earlier; the experiment
-// harness uses it to exclude warmup from measured windows.
-func (s ModuleStats) Sub(earlier ModuleStats) ModuleStats {
-	return ModuleStats{
-		Accesses:           s.Accesses - earlier.Accesses,
-		Reads:              s.Reads - earlier.Reads,
-		Writes:             s.Writes - earlier.Writes,
-		RowHits:            s.RowHits - earlier.RowHits,
-		RowMisses:          s.RowMisses - earlier.RowMisses,
-		RowConflicts:       s.RowConflicts - earlier.RowConflicts,
-		Activates:          s.Activates - earlier.Activates,
-		Precharges:         s.Precharges - earlier.Precharges,
-		RefreshOps:         s.RefreshOps - earlier.RefreshOps,
-		RefreshCBROps:      s.RefreshCBROps - earlier.RefreshCBROps,
-		RefreshRASOnlyOps:  s.RefreshRASOnlyOps - earlier.RefreshRASOnlyOps,
-		RefreshPerBankOps:  s.RefreshPerBankOps - earlier.RefreshPerBankOps,
-		RefreshOverlapOps:  s.RefreshOverlapOps - earlier.RefreshOverlapOps,
-		RefreshAllBankOps:  s.RefreshAllBankOps - earlier.RefreshAllBankOps,
-		RefreshConflictOps: s.RefreshConflictOps - earlier.RefreshConflictOps,
-		ActiveTime:         s.ActiveTime - earlier.ActiveTime,
-		IdleTime:           s.IdleTime - earlier.IdleTime,
-		PowerDownTime:      s.PowerDownTime - earlier.PowerDownTime,
-		SelfRefreshTime:    s.SelfRefreshTime - earlier.SelfRefreshTime,
-		SelfRefreshEntries: s.SelfRefreshEntries - earlier.SelfRefreshEntries,
-		DemandStall:        s.DemandStall - earlier.DemandStall,
+var moduleStatsRule = stats.RuleFor[ModuleStats]()
 
-		ActPdnTime:          s.ActPdnTime - earlier.ActPdnTime,
-		PrePdnFastTime:      s.PrePdnFastTime - earlier.PrePdnFastTime,
-		PrePdnSlowTime:      s.PrePdnSlowTime - earlier.PrePdnSlowTime,
-		SelfRefreshSlowTime: s.SelfRefreshSlowTime - earlier.SelfRefreshSlowTime,
-		PowerDownEntries:    s.PowerDownEntries - earlier.PowerDownEntries,
-		PowerStatesTracked:  s.PowerStatesTracked,
-	}
-}
+// Sub returns s over the window after earlier (stats.Rule); the
+// experiment harness uses it to exclude warmup from measured windows.
+func (s ModuleStats) Sub(earlier ModuleStats) ModuleStats { return moduleStatsRule.Window(s, earlier) }
 
-// Add returns the element-wise sum of two stat snapshots, used to
-// aggregate per-vault modules into stack-level totals.
-func (s ModuleStats) Add(o ModuleStats) ModuleStats {
-	return ModuleStats{
-		Accesses:           s.Accesses + o.Accesses,
-		Reads:              s.Reads + o.Reads,
-		Writes:             s.Writes + o.Writes,
-		RowHits:            s.RowHits + o.RowHits,
-		RowMisses:          s.RowMisses + o.RowMisses,
-		RowConflicts:       s.RowConflicts + o.RowConflicts,
-		Activates:          s.Activates + o.Activates,
-		Precharges:         s.Precharges + o.Precharges,
-		RefreshOps:         s.RefreshOps + o.RefreshOps,
-		RefreshCBROps:      s.RefreshCBROps + o.RefreshCBROps,
-		RefreshRASOnlyOps:  s.RefreshRASOnlyOps + o.RefreshRASOnlyOps,
-		RefreshPerBankOps:  s.RefreshPerBankOps + o.RefreshPerBankOps,
-		RefreshOverlapOps:  s.RefreshOverlapOps + o.RefreshOverlapOps,
-		RefreshAllBankOps:  s.RefreshAllBankOps + o.RefreshAllBankOps,
-		RefreshConflictOps: s.RefreshConflictOps + o.RefreshConflictOps,
-		ActiveTime:         s.ActiveTime + o.ActiveTime,
-		IdleTime:           s.IdleTime + o.IdleTime,
-		PowerDownTime:      s.PowerDownTime + o.PowerDownTime,
-		SelfRefreshTime:    s.SelfRefreshTime + o.SelfRefreshTime,
-		SelfRefreshEntries: s.SelfRefreshEntries + o.SelfRefreshEntries,
-		DemandStall:        s.DemandStall + o.DemandStall,
-
-		ActPdnTime:          s.ActPdnTime + o.ActPdnTime,
-		PrePdnFastTime:      s.PrePdnFastTime + o.PrePdnFastTime,
-		PrePdnSlowTime:      s.PrePdnSlowTime + o.PrePdnSlowTime,
-		SelfRefreshSlowTime: s.SelfRefreshSlowTime + o.SelfRefreshSlowTime,
-		PowerDownEntries:    s.PowerDownEntries + o.PowerDownEntries,
-		PowerStatesTracked:  s.PowerStatesTracked || o.PowerStatesTracked,
-	}
-}
+// Add returns s and o folded (stats.Rule), used to aggregate per-vault
+// modules into stack-level totals.
+func (s ModuleStats) Add(o ModuleStats) ModuleStats { return moduleStatsRule.Fold(s, o) }
 
 type bankState struct {
 	openRow       int // -1 when precharged

@@ -574,15 +574,6 @@ func TestSelfRefreshEntryClampedBehindBusyRank(t *testing.T) {
 	}
 }
 
-func TestModuleStatsSub(t *testing.T) {
-	a := ModuleStats{Accesses: 10, Reads: 7, RefreshOps: 5, ActiveTime: 100, DemandStall: 30}
-	b := ModuleStats{Accesses: 4, Reads: 2, RefreshOps: 1, ActiveTime: 40, DemandStall: 10}
-	d := a.Sub(b)
-	if d.Accesses != 6 || d.Reads != 5 || d.RefreshOps != 4 || d.ActiveTime != 60 || d.DemandStall != 20 {
-		t.Errorf("Sub = %+v", d)
-	}
-}
-
 func TestRefreshKindString(t *testing.T) {
 	if RefreshCBR.String() != "CBR" || RefreshRASOnly.String() != "RAS-only" {
 		t.Error("RefreshKind strings wrong")

@@ -26,7 +26,7 @@ type RunOptions struct {
 	// like the baseline during the first interval).
 	Warmup sim.Duration
 	// Measure is the measured window after warmup (defaults to four
-	// refresh intervals).
+	// refresh intervals). A negative Warmup or Measure is rejected.
 	Measure sim.Duration
 	// Stacked runs the stream through the Table 2 3D DRAM cache front-end
 	// (SRAM tags + DRAM data array) instead of directly against the
@@ -76,8 +76,9 @@ type RunResult struct {
 	RetentionErr error
 	// Err is non-nil when the job could not be simulated at all (the
 	// configuration or option combination was rejected); the remaining
-	// fields are meaningless then. Only Engine.RunJobs populates it —
-	// Engine.Run reports the same failures through its error return.
+	// fields are meaningless then. Run and Engine.RunJobs populate it;
+	// RunContext and Engine.Run report the same failures through their
+	// error return instead.
 	Err error
 }
 
@@ -90,10 +91,13 @@ func (r RunResult) RefreshesPerSecond() float64 {
 }
 
 // Run simulates one benchmark profile against one configuration and
-// policy and returns the post-warmup measured window.
+// policy and returns the post-warmup measured window. A run that could
+// not be simulated (a rejected configuration, policy or window) comes
+// back with RunResult.Err set.
 func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) RunResult {
-	res, _ := RunContext(context.Background(), cfg, prof, kind, opts)
-	return res // the background context never cancels, so err is nil
+	res, err := RunContext(context.Background(), cfg, prof, kind, opts)
+	res.Err = err
+	return res
 }
 
 // RunContext is Run with cooperative cancellation: the record loop and
@@ -159,18 +163,21 @@ func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts Run
 // of refresh ticks. A non-nil error means the partial result was
 // discarded; the returned RunResult is then zero.
 func execute(ctx context.Context, j runJob) (RunResult, error) {
+	fail := func(err error) (RunResult, error) {
+		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
+	}
+	opts := j.opts
+	if opts.Warmup < 0 || opts.Measure < 0 {
+		return fail(fmt.Errorf("negative window (warmup %v, measure %v)", opts.Warmup, opts.Measure))
+	}
 	entry := j.kind.Entry()
 	if entry.RetentionMap && j.retMap == nil {
 		j.retMap = DefaultRetentionMap(j.cfg.Geometry, j.seed)
-	}
-	fail := func(err error) (RunResult, error) {
-		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
 	}
 	t, err := newRunTarget(ctx, j, entry)
 	if err != nil {
 		return fail(err)
 	}
-	opts := j.opts
 
 	end := opts.Warmup + opts.Measure
 	var front *cache.DRAMCache

@@ -341,3 +341,43 @@ func TestRefreshPerBankWindowed(t *testing.T) {
 		})
 	}
 }
+
+// Run reports a job it could not build through RunResult.Err instead of
+// a zero result that looks like a measurement: the vaulted presets
+// reject the retention-map policies.
+func TestRunReportsConstructionError(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Run(config.HMC8Vault(), prof, PolicyRAIDR, fastOpts(false))
+	if res.Err == nil {
+		t.Fatalf("Run(HMC8Vault, gcc, raidr) = %+v with nil Err", res)
+	}
+}
+
+// A negative warmup or measured window is rejected on every entry
+// point — Run, Engine.Run and Engine.RunJobs — rather than measuring a
+// shorter window than the one labelled.
+func TestNegativeWindowRejected(t *testing.T) {
+	prof, err := workload.ByName("fasta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []RunOptions{
+		{Measure: -5 * sim.Millisecond},
+		{Warmup: -3 * sim.Millisecond, Measure: 16 * sim.Millisecond},
+	} {
+		if res := Run(config.Table1_2GB(), prof, PolicyCBR, opts); res.Err == nil {
+			t.Errorf("Run %+v: nil Err", opts)
+		}
+		eng := NewEngine(1)
+		if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: opts}); err == nil {
+			t.Errorf("Engine.Run %+v: nil error", opts)
+		}
+		job := Job{Cfg: config.Table1_2GB(), Prof: prof, Policy: PolicyCBR, Opts: opts}
+		if res := eng.RunJobs([]Job{job})[0]; res.Err == nil {
+			t.Errorf("Engine.RunJobs %+v: nil Err", opts)
+		}
+	}
+}

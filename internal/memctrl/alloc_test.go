@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/sim"
 )
 
 // Ordering the vaults for dispatch runs at every barrier, so it must not
@@ -25,5 +26,27 @@ func TestVaultDispatchOrderAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("dispatch ordering allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// A vaulted measured window differences every vault's stats against its
+// snapshot and folds them in vault order. The stats rule behind Sub and
+// Add must not move those value copies to the heap: the three
+// allocations are the per-vault results slice and the fold's merged
+// latency histogram (its struct and its bucket array).
+func TestVaultResultsSinceAllocs(t *testing.T) {
+	va := MustNewVaultArray(config.HMC8Vault(), cbrFactory(), VaultOptions{Workers: 1})
+	const warm, end = 2 * sim.Millisecond, 4 * sim.Millisecond
+	va.FlushTo(warm)
+	snaps := make([]Snapshot, va.Vaults())
+	for v := range snaps {
+		snaps[v] = va.Vault(v).Snapshot(warm)
+	}
+	va.Finish(end)
+	avg := testing.AllocsPerRun(50, func() {
+		va.ResultsSince(end, snaps, end-warm)
+	})
+	if avg > 3 {
+		t.Errorf("VaultArray.ResultsSince allocates %.1f allocs/op, want <= 3", avg)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/stats"
 )
 
 // Energy is an amount of energy in picojoules. (1 mA * 1 V * 1 ns = 1 pJ,
@@ -342,19 +343,11 @@ type Breakdown struct {
 	RefreshCounter Energy // Smart Refresh counter-array accesses
 }
 
-// Add returns the component-wise sum of two breakdowns, used to
-// aggregate per-vault energy into stack totals.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Background:     b.Background + o.Background,
-		ActPre:         b.ActPre + o.ActPre,
-		Read:           b.Read + o.Read,
-		Write:          b.Write + o.Write,
-		RefreshArray:   b.RefreshArray + o.RefreshArray,
-		RefreshBus:     b.RefreshBus + o.RefreshBus,
-		RefreshCounter: b.RefreshCounter + o.RefreshCounter,
-	}
-}
+var breakdownRule = stats.RuleFor[Breakdown]()
+
+// Add returns the component-wise sum of two breakdowns (stats.Rule),
+// used to aggregate per-vault energy into stack totals.
+func (b Breakdown) Add(o Breakdown) Breakdown { return breakdownRule.Fold(b, o) }
 
 // RefreshRelated returns the refresh-side energy the paper's Figures 7,
 // 10, 13 and 16 compare: the refresh operations themselves plus every

@@ -373,3 +373,30 @@ func TestHistogramMergeShapeMismatch(t *testing.T) {
 	b.Observe(1)
 	NewHistogram(8, 1).Merge(b)
 }
+
+// RuleFor panics on any field it has no rule for, so a new stat cannot
+// be silently left out of a window or a fold.
+func TestRuleForRejectsUnsupportedFields(t *testing.T) {
+	type str struct{ Name string }
+	type nested struct{ Inner struct{ N uint64 } }
+	type unexported struct{ n uint64 }
+	type badTag struct {
+		N uint64 `stat:"min"`
+	}
+	for name, build := range map[string]func(){
+		"string":     func() { RuleFor[str]() },
+		"struct":     func() { RuleFor[nested]() },
+		"unexported": func() { RuleFor[unexported]() },
+		"bad tag":    func() { RuleFor[badTag]() },
+		"non-struct": func() { RuleFor[int]() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}

@@ -107,10 +107,6 @@ type (
 	RefreshCommand = core.Command
 )
 
-// DefaultSmartConfig returns the paper's simulated configuration: 3-bit
-// counters, 8 segments, an 8-entry pending queue, 1%/2% self-disable.
-func DefaultSmartConfig() SmartConfig { return core.DefaultSmartConfig() }
-
 // NewSmartPolicy builds the Smart Refresh policy for a configuration.
 func NewSmartPolicy(cfg Config) Policy {
 	return core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart)
@@ -330,7 +326,8 @@ func NewSuite() *Suite { return experiment.NewSuite() }
 // (workers <= 0 means one worker per CPU).
 func NewEngine(workers int) *Engine { return experiment.NewEngine(workers) }
 
-// Run simulates one benchmark against one configuration and policy.
+// Run simulates one benchmark against one configuration and policy. A
+// run that could not be simulated comes back with RunResult.Err set.
 func Run(cfg Config, prof Profile, kind PolicyKind, opts RunOptions) RunResult {
 	return experiment.Run(cfg, prof, kind, opts)
 }
@@ -338,10 +335,4 @@ func Run(cfg Config, prof Profile, kind PolicyKind, opts RunOptions) RunResult {
 // RunPair runs CBR and Smart Refresh on the same stream and compares them.
 func RunPair(cfg Config, prof Profile, opts RunOptions) PairMetrics {
 	return experiment.RunPair(cfg, prof, opts)
-}
-
-// PairFrom derives the comparison metrics from a finished baseline run
-// and a Smart Refresh run of the same stream.
-func PairFrom(base, smart RunResult) PairMetrics {
-	return experiment.PairFrom(base, smart)
 }
