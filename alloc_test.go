@@ -237,11 +237,11 @@ func TestRefreshDispatchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// The tag store is one pointer-free slice: building the 64 MB Table 2
-// cache is the Cache itself plus its line array, not one object per set.
-// Repeated 8 MB builds keep the GC busy, and AllocsPerRun counts every
-// heap allocation in the process; twenty runs keep a stray allocation
-// from another goroutine from rounding the average up.
+// The tag store's chunks are allocated on first install: building the
+// 64 MB Table 2 cache is the Cache itself plus its 256-entry chunk table,
+// not one object per set or per chunk. AllocsPerRun counts every heap
+// allocation in the process; twenty runs keep a stray allocation from
+// another goroutine from rounding the average up.
 func TestCacheNew3DAllocBudget(t *testing.T) {
 	cfg := config.Table2_3DCache()
 	if avg := testing.AllocsPerRun(20, func() { cache.New(cfg) }); avg > 2 {

@@ -492,8 +492,9 @@ func BenchmarkDRAMCacheAccess(b *testing.B) {
 	b.ReportMetric(float64(st.Hits-before.Hits)/float64(st.Accesses-before.Accesses), "hit_rate")
 }
 
-// BenchmarkCacheNew3D measures building the Table 2 3D cache tag store,
-// which every stacked-DRAM job does once.
+// BenchmarkCacheNew3D measures building the Table 2 3D cache, which every
+// stacked-DRAM job does once: the chunk table only, since chunks are
+// allocated on first install.
 func BenchmarkCacheNew3D(b *testing.B) {
 	cfg := config.Table2_3DCache()
 	b.ReportAllocs()

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,6 +117,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err := checkReplayable(policy); err != nil {
 			return err
 		}
+		if err := checkReplayFlags(fs); err != nil {
+			return err
+		}
 		p := replayParams{
 			cfg:       cfg,
 			policy:    policy,
@@ -169,6 +173,27 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 func checkReplayable(policy experiment.PolicyEntry) error {
 	if policy.RetentionMap {
 		return fmt.Errorf("policy %s needs a per-row retention map derived from a benchmark seed, which trace replay does not have", policy.Name)
+	}
+	return nil
+}
+
+// replayUnusedFlags are the run flags a trace replay has no use for: it
+// measures the whole stream, without power-down or self-refresh.
+var replayUnusedFlags = []string{
+	"warmup-ms", "measure-ms", "selfrefresh-us", "actpdn-us", "prepdn-fast-us", "prepdn-slow-us", "sr-slow-us",
+}
+
+// checkReplayFlags rejects the replayUnusedFlags set on the command line,
+// naming each, instead of replaying as if they were absent.
+func checkReplayFlags(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(replayUnusedFlags, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("%s not supported with -trace: a replay measures the whole stream, without power-down or self-refresh", strings.Join(set, ", "))
 	}
 	return nil
 }

@@ -206,6 +206,26 @@ func TestRunTraceReplay(t *testing.T) {
 	}
 }
 
+// Replay has no window and no power-down or self-refresh ladder, so each
+// of those flags is rejected by name instead of silently dropped.
+func TestReplayRejectsUnusedFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trc")
+	writeBinaryTrace(t, path, testTraceRecords(t, 1))
+	for _, fv := range [][2]string{
+		{"-selfrefresh-us", "20"}, {"-actpdn-us", "0.5"}, {"-prepdn-fast-us", "3"}, {"-prepdn-slow-us", "9"},
+		{"-sr-slow-us", "5"}, {"-warmup-ms", "1"}, {"-measure-ms", "256"},
+	} {
+		err := runQuiet(t, "-config", "table1-2gb", "-policy", "smart", "-trace", path, fv[0], fv[1])
+		if err == nil || !strings.Contains(err.Error(), fv[0]) {
+			t.Errorf("-trace with %s %s: err = %v, want an error naming %s", fv[0], fv[1], err, fv[0])
+		}
+	}
+	err := runQuiet(t, "-trace", path, "-selfrefresh-us", "20", "-actpdn-us", "0.5", "-prepdn-fast-us", "3")
+	if err == nil || !strings.Contains(err.Error(), "-actpdn-us, -prepdn-fast-us, -selfrefresh-us") {
+		t.Errorf("err = %v, want all three flags named", err)
+	}
+}
+
 func TestRunTextTraceReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.txt")
 	if err := os.WriteFile(path, []byte("# test\n0 0x1000 R\n1500 0x2000 W\n"), 0o644); err != nil {

@@ -53,19 +53,30 @@ const (
 	tagShift = 2
 )
 
+// The tag store is split into chunks of chunkSets sets (one smaller chunk
+// when the cache has fewer sets), each allocated on the first install
+// into one of its sets.
+const (
+	chunkBits = 12
+	chunkSets = 1 << chunkBits
+	chunkMask = chunkSets - 1
+)
+
 // Cache is a blocking set-associative write-back cache with true-LRU
 // replacement and write-allocate. It is not safe for concurrent use.
 type Cache struct {
 	cfg config.CacheConfig
-	// lines is the whole tag store, sets × ways packed words in one
-	// pointer-free allocation. Set s owns lines[s*ways : (s+1)*ways]; its
-	// valid lines are a prefix of that region, ordered most- to
-	// least-recently used, and the rest are zero.
-	lines    []uint64
-	setMask  uint64
-	setBits  uint
-	lineBits uint
-	stats    Stats
+	// chunks is the tag store, sets × ways packed words. Set s lives in
+	// chunks[s>>chunkBits] at words [(s&chunkMask)*ways, +ways); its valid
+	// lines are a prefix of that region, ordered most- to least-recently
+	// used, and the rest are zero. A nil chunk is all-zero sets that have
+	// never held a line.
+	chunks     [][]uint64
+	chunkWords int
+	setMask    uint64
+	setBits    uint
+	lineBits   uint
+	stats      Stats
 }
 
 // New builds a cache from a validated configuration; it panics on an
@@ -74,14 +85,14 @@ func New(cfg config.CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lines := cfg.SizeBytes / int64(cfg.LineBytes)
-	sets := uint64(lines) / uint64(cfg.Ways)
+	sets := uint64(cfg.SizeBytes/int64(cfg.LineBytes)) / uint64(cfg.Ways)
 	return &Cache{
-		cfg:      cfg,
-		lines:    make([]uint64, lines),
-		setMask:  sets - 1,
-		setBits:  uint(bits.TrailingZeros64(sets)),
-		lineBits: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		cfg:        cfg,
+		chunks:     make([][]uint64, (sets+chunkMask)>>chunkBits),
+		chunkWords: int(min(sets, chunkSets)) * cfg.Ways,
+		setMask:    sets - 1,
+		setBits:    uint(bits.TrailingZeros64(sets)),
+		lineBits:   uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
 }
 
@@ -94,24 +105,45 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns addr rounded down to its line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
-// lookup returns the set holding addr, the packed valid clean word its
-// line would have, and the line's position in the set (-1 when absent).
-func (c *Cache) lookup(addr uint64) (setIdx int, set []uint64, key uint64, pos int) {
+// lookup returns the set holding addr (nil when its chunk was never
+// allocated) and the packed valid clean word its line would have. The
+// search is left to find so that lookup stays within the inlining budget
+// of Access, Contains and Dirty.
+func (c *Cache) lookup(addr uint64) (setIdx int, set []uint64, key uint64) {
 	l := addr >> c.lineBits
 	setIdx = int(l & c.setMask)
-	ways := c.cfg.Ways
-	base := setIdx * ways
-	set = c.lines[base : base+ways : base+ways]
-	key = l>>c.setBits<<tagShift | validBit
+	if chunk := c.chunks[setIdx>>chunkBits]; chunk != nil {
+		set = c.setIn(chunk, setIdx)
+	}
+	return setIdx, set, l>>c.setBits<<tagShift | validBit
+}
+
+// find returns the position of key's line in set, -1 when absent.
+func find(set []uint64, key uint64) int {
 	for i, w := range set {
 		if w&^dirtyBit == key {
-			return setIdx, set, key, i
+			return i
 		}
 		if w == 0 {
 			break
 		}
 	}
-	return setIdx, set, key, -1
+	return -1
+}
+
+// setIn returns setIdx's region of its chunk.
+func (c *Cache) setIn(chunk []uint64, setIdx int) []uint64 {
+	ways := c.cfg.Ways
+	base := (setIdx & chunkMask) * ways
+	return chunk[base : base+ways : base+ways]
+}
+
+// allocChunk allocates the all-zero chunk holding setIdx and returns
+// setIdx's region of it.
+func (c *Cache) allocChunk(setIdx int) []uint64 {
+	chunk := make([]uint64, c.chunkWords)
+	c.chunks[setIdx>>chunkBits] = chunk
+	return c.setIn(chunk, setIdx)
 }
 
 // Access performs a read or write with write-allocate. On a miss the line
@@ -119,7 +151,8 @@ func (c *Cache) lookup(addr uint64) (setIdx int, set []uint64, key uint64, pos i
 // level.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
-	setIdx, set, key, pos := c.lookup(addr)
+	setIdx, set, key := c.lookup(addr)
+	pos := find(set, key)
 	var dirty uint64
 	if write {
 		dirty = dirtyBit
@@ -134,8 +167,11 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 
 	// Miss: shift the valid prefix down one way, dropping the LRU line
-	// when the set is full.
+	// when the set is full. The first install into a chunk allocates it.
 	c.stats.Misses++
+	if set == nil {
+		set = c.allocChunk(setIdx)
+	}
 	res := Result{Fill: c.LineAddr(addr), FillValid: true}
 	c.stats.Fills++
 	victim := set[len(set)-1]
@@ -152,13 +188,14 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // Contains reports whether the line holding addr is present (no LRU or
 // statistics side effects).
 func (c *Cache) Contains(addr uint64) bool {
-	_, _, _, pos := c.lookup(addr)
-	return pos >= 0
+	_, set, key := c.lookup(addr)
+	return find(set, key) >= 0
 }
 
 // Dirty reports whether the line holding addr is present and dirty.
 func (c *Cache) Dirty(addr uint64) bool {
-	_, set, _, pos := c.lookup(addr)
+	_, set, key := c.lookup(addr)
+	pos := find(set, key)
 	return pos >= 0 && set[pos]&dirtyBit != 0
 }
 
@@ -172,28 +209,36 @@ func (c *Cache) victimAddr(setIdx int, w uint64) uint64 {
 // a tag or dirty bit, and no tag appears twice in a set.
 func (c *Cache) Invariant() error {
 	ways := c.cfg.Ways
-	for base := 0; base < len(c.lines); base += ways {
-		set := c.lines[base : base+ways]
-		si := base / ways
-		n := 0
-		for n < len(set) && set[n]&validBit != 0 {
-			n++
-		}
-		for i, w := range set[n:] {
-			switch {
-			case w&validBit != 0:
-				return fmt.Errorf("cache: set %d way %d valid after an invalid way", si, n+i)
-			case w&dirtyBit != 0:
-				return fmt.Errorf("cache: invalid line in set %d way %d marked dirty", si, n+i)
-			case w != 0:
-				return fmt.Errorf("cache: invalid line in set %d way %d holds stale tag %#x", si, n+i, w>>tagShift)
+	for ci, chunk := range c.chunks {
+		for base := 0; base < len(chunk); base += ways {
+			if err := setInvariant(chunk[base:base+ways], ci<<chunkBits|base/ways); err != nil {
+				return err
 			}
 		}
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if set[i]>>tagShift == set[j]>>tagShift {
-					return fmt.Errorf("cache: duplicate tag %#x in set %d", set[i]>>tagShift, si)
-				}
+	}
+	return nil
+}
+
+// setInvariant checks one set's region for Invariant.
+func setInvariant(set []uint64, si int) error {
+	n := 0
+	for n < len(set) && set[n]&validBit != 0 {
+		n++
+	}
+	for i, w := range set[n:] {
+		switch {
+		case w&validBit != 0:
+			return fmt.Errorf("cache: set %d way %d valid after an invalid way", si, n+i)
+		case w&dirtyBit != 0:
+			return fmt.Errorf("cache: invalid line in set %d way %d marked dirty", si, n+i)
+		case w != 0:
+			return fmt.Errorf("cache: invalid line in set %d way %d holds stale tag %#x", si, n+i, w>>tagShift)
+		}
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if set[i]>>tagShift == set[j]>>tagShift {
+				return fmt.Errorf("cache: duplicate tag %#x in set %d", set[i]>>tagShift, si)
 			}
 		}
 	}
