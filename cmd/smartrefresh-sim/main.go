@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -124,6 +125,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			cfg:       cfg,
 			policy:    policy,
 			check:     *check,
+			shards:    *shards,
 			bufKB:     *bufferKB,
 			tornOK:    *tornOK,
 			tracer:    tf.Tracer(),
@@ -144,21 +146,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *capturePath != "" {
-		// Record the generator stream over the run window first; the
-		// generators are deterministic per seed, so the engine run below
-		// sees a bit-identical stream and a later replay of the capture
-		// reproduces exactly what was simulated.
-		if err := captureBenchmark(prof, opts, *capturePath); err != nil {
-			return err
-		}
-	}
 	eng := experiment.NewEngine(1)
 	eng.Trace = tf.Tracer()
 	eng.Metrics = tf.Registry()
-	res := eng.RunJobs([]experiment.Job{{Cfg: cfg, Prof: prof, Policy: policy.Kind, Opts: opts}})[0]
-	if res.Err != nil {
-		return res.Err
+	res, err := runBenchmark(eng, experiment.Job{Cfg: cfg, Prof: prof, Policy: policy.Kind, Opts: opts}, *capturePath)
+	if err != nil {
+		return err
 	}
 	printResults(stdout, cfg, res.Results, res.Window, res.RetentionErr)
 	printVaults(stdout, res.Vaults)
@@ -166,6 +159,34 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		printRAIDR(stdout, cfg, prof, res.Results)
 	}
 	return tf.Finish()
+}
+
+// runBenchmark runs one benchmark job. With a capture path it also
+// records the stream the job consumed: the capture wraps the job's own
+// source, so it holds exactly the window the run simulated. It goes
+// through the atomic writer, so a failed run leaves no torn trace.
+func runBenchmark(eng *experiment.Engine, job experiment.Job, capturePath string) (experiment.RunResult, error) {
+	if capturePath == "" {
+		res := eng.RunJobs([]experiment.Job{job})[0]
+		return res, res.Err
+	}
+	var res experiment.RunResult
+	err := atomicio.WriteFile(capturePath, func(w io.Writer) error {
+		bw := trace.NewBinaryWriter(w)
+		var capture *trace.Capture
+		job.MakeSource = func() trace.Source {
+			capture = trace.NewCapture(job.Prof.NewSource(job.Opts.Stacked), bw)
+			return capture
+		}
+		if res = eng.RunJobs([]experiment.Job{job})[0]; res.Err != nil {
+			return res.Err
+		}
+		if err := capture.Err(); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+	return res, err
 }
 
 // checkReplayable rejects the policies a trace replay cannot build: a
@@ -248,32 +269,12 @@ func presetNames() []string {
 	return names
 }
 
-// captureBenchmark records prof's access stream over the run window as
-// a binary trace, via the atomic writer so an interrupted capture never
-// leaves a torn file that looks like a trace.
-func captureBenchmark(prof workload.Profile, opts experiment.RunOptions, path string) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		bw := trace.NewBinaryWriter(w)
-		src := trace.NewCapture(prof.NewSource(opts.Stacked), bw)
-		end := opts.Warmup + opts.Measure
-		for {
-			rec, ok := src.Next()
-			if !ok || rec.Time >= end {
-				break
-			}
-		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-}
-
 // replayParams configure one streaming trace replay.
 type replayParams struct {
 	cfg       config.DRAM
 	policy    experiment.PolicyEntry
 	check     bool
+	shards    int
 	bufKB     int
 	tornOK    bool
 	snapEvery sim.Duration
@@ -283,24 +284,31 @@ type replayParams struct {
 	capture   *trace.BinaryWriter
 }
 
-// replayOutcome is what a streaming replay produced.
+// replayOutcome is what a streaming replay produced: the run (its Window
+// ends one refresh interval after the last record) and the ingest facts.
 type replayOutcome struct {
-	Records      uint64
-	End          sim.Time
-	Format       trace.StreamFormat
-	Gzipped      bool
-	Torn         bool
-	Results      memctrl.Results
-	RetentionErr error
+	experiment.RunResult
+	Records uint64
+	Format  trace.StreamFormat
+	Gzipped bool
+	Torn    bool
 }
 
-// replayStream drives a trace stream through a fresh controller with
-// bounded memory: the raw bytes are decoded chunk by chunk (gzip and
+// errSource is a trace.Source that latches its first error.
+type errSource interface {
+	trace.Source
+	Err() error
+}
+
+// replayStream drives a trace stream through the experiment record loop
+// with bounded memory: the raw bytes are decoded chunk by chunk (gzip and
 // format auto-detected), every record is validated against the Source
 // contract (nondecreasing, nonnegative time — a malformed trace fails
 // at its offending record index instead of corrupting accounting), and
 // incremental telemetry snapshots are emitted on the simulated-time
-// cadence of p.snapEvery.
+// cadence of p.snapEvery. The replay has no warmup and an open end (see
+// experiment.RunStream); a vaulted preset replays through its vault
+// array with p.shards workers.
 func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
 	var out replayOutcome
 
@@ -313,15 +321,10 @@ func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
 	}
 	out.Format, out.Gzipped = stream.Format(), stream.Gzipped()
 
-	v := trace.NewValidator(stream)
-	var src interface {
-		trace.Source
-		Err() error
-	} = v
+	var src errSource = trace.NewValidator(stream)
 	if p.capture != nil {
-		src = trace.NewCapture(v, p.capture)
+		src = trace.NewCapture(src, p.capture)
 	}
-
 	reg := p.reg
 	var snap *telemetry.Snapshotter
 	if p.snapEvery > 0 && p.snapEmit != nil {
@@ -330,44 +333,62 @@ func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
 		}
 		snap = telemetry.NewSnapshotter(reg, p.snapEvery, p.snapEmit)
 	}
+	obs := &observer{src: src, snap: snap}
 
-	ctl, err := memctrl.New(p.cfg, p.policy.New(p.cfg, nil), memctrl.Options{
-		CheckRetention: p.check,
-		RetentionSlack: p.policy.Slack(p.cfg, false),
-		Trace:          p.tracer,
-		Metrics:        reg,
-	})
+	res, err := experiment.RunStream(context.TODO(), p.cfg, p.policy.Kind,
+		experiment.RunOptions{CheckRetention: p.check, Shards: p.shards},
+		experiment.Stream{Source: obs, Trace: p.tracer, Metrics: reg})
+	out.RunResult, out.Records = res.RunResult, obs.records
+	if err == nil {
+		err = obs.Err()
+	}
 	if err != nil {
 		return out, err
 	}
-
-	var end sim.Time
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-		end = rec.Time
-		out.Records++
-		if err := snap.Observe(rec.Time, out.Records); err != nil {
-			return out, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	if err := src.Err(); err != nil {
-		return out, err
-	}
 	out.Torn = stream.Torn()
-
-	end += p.cfg.Timing.RefreshInterval
-	ctl.Finish(end)
-	out.End = end
-	out.Results = ctl.Results(end)
-	out.RetentionErr = ctl.RetentionErr()
-	if err := snap.Final(end, out.Records); err != nil {
+	if err := snap.Final(out.Window, out.Records); err != nil {
 		return out, fmt.Errorf("snapshot: %w", err)
 	}
 	return out, nil
+}
+
+// observer counts the records a replay consumed and advances the
+// snapshot clock. A record is observed when the run asks for the next
+// one, after it was simulated, so a snapshot's metrics include it. A
+// snapshot emit failure ends the stream and latches in Err.
+type observer struct {
+	src     errSource
+	snap    *telemetry.Snapshotter
+	records uint64
+	last    sim.Time
+	err     error
+}
+
+// Next implements trace.Source.
+func (o *observer) Next() (trace.Record, bool) {
+	if o.err != nil {
+		return trace.Record{}, false
+	}
+	if o.records > 0 {
+		if err := o.snap.Observe(o.last, o.records); err != nil {
+			o.err = fmt.Errorf("snapshot: %w", err)
+			return trace.Record{}, false
+		}
+	}
+	rec, ok := o.src.Next()
+	if ok {
+		o.records++
+		o.last = rec.Time
+	}
+	return rec, ok
+}
+
+// Err returns the snapshot error, or the wrapped source's.
+func (o *observer) Err() error {
+	if o.err != nil {
+		return o.err
+	}
+	return o.src.Err()
 }
 
 // runTrace replays a trace stream (file or stdin) against the
@@ -410,7 +431,8 @@ func runTrace(path string, stdin io.Reader, capturePath string, p replayParams, 
 	if out.Torn {
 		fmt.Fprintf(os.Stderr, "smartrefresh-sim: warning: trace was cut mid-record; replayed the complete prefix (%d records)\n", out.Records)
 	}
-	printResults(stdout, p.cfg, out.Results, out.End, out.RetentionErr)
+	printResults(stdout, p.cfg, out.Results, out.Window, out.RetentionErr)
+	printVaults(stdout, out.Vaults)
 	return tf.Finish()
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -160,7 +161,14 @@ func TestRunZeroMeasurePrintsEffectiveWindow(t *testing.T) {
 // testTraceRecords builds a deterministic generator-derived trace.
 func testTraceRecords(t *testing.T, ms int) []trace.Record {
 	t.Helper()
-	prof, err := workload.ByName("fasta")
+	return benchmarkRecords(t, "fasta", ms)
+}
+
+// benchmarkRecords is the main-memory stream of one benchmark over its
+// first ms milliseconds, as tracegen writes it.
+func benchmarkRecords(t *testing.T, benchmark string, ms int) []trace.Record {
+	t.Helper()
+	prof, err := workload.ByName(benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +363,110 @@ func TestBenchmarkCaptureReplays(t *testing.T) {
 	}
 	if err := runQuiet(t, "-policy", "smart", "-trace", out); err != nil {
 		t.Fatalf("replay of benchmark capture failed: %v", err)
+	}
+}
+
+// TestBenchmarkCaptureIsSimulatedStream: -capture records the stream the
+// run consumed, after the window defaults apply. -measure-ms 0 measures
+// the default four refresh intervals (256 ms on table1-2gb), so its
+// capture must equal the explicit -measure-ms 256 one byte for byte.
+func TestBenchmarkCaptureIsSimulatedStream(t *testing.T) {
+	dir := t.TempDir()
+	var caps [2][]byte
+	for i, measure := range []string{"0", "256"} {
+		path := filepath.Join(dir, "m"+measure+".trc")
+		if err := runQuiet(t, "-config", "table1-2gb", "-benchmark", "gcc", "-measure-ms", measure, "-capture", path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if caps[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(caps[0], caps[1]) {
+		t.Errorf("-measure-ms 0 captured %d bytes, -measure-ms 256 %d: the capture is not the simulated stream",
+			len(caps[0]), len(caps[1]))
+	}
+}
+
+// TestVaultedTraceReplay: a trace replay on a vaulted preset runs
+// through the vault array: it honours -shards with byte-identical output
+// at every count and prints the per-vault breakdown, whose accesses sum
+// to the stack's demand accesses.
+func TestVaultedTraceReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	writeBinaryTrace(t, path, benchmarkRecords(t, "gcc", 16))
+	var ref string
+	for _, shards := range []string{"1", "2", "8"} {
+		out, err := runCapture(t, strings.NewReader(""), "-config", "hmc-8vault", "-policy", "smart", "-trace", path, "-shards", shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == "" {
+			ref = out
+		} else if out != ref {
+			t.Fatalf("-shards %s output differs from -shards 1:\n%s\nvs\n%s", shards, out, ref)
+		}
+	}
+	if !strings.Contains(ref, "\nvaults            8\n") {
+		t.Fatalf("no 8-vault breakdown:\n%s", ref)
+	}
+	var demand, sum uint64
+	for _, line := range strings.Split(ref, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 2 && f[0] == "demand" && f[1] == "accesses":
+			demand = mustUint(t, f[2])
+		case len(f) > 1 && strings.HasPrefix(f[0], "vault0"):
+			sum += mustUint(t, strings.TrimSuffix(f[1], ","))
+		}
+	}
+	if demand == 0 || sum != demand {
+		t.Errorf("per-vault accesses sum to %d, demand accesses %d", sum, demand)
+	}
+}
+
+func mustUint(t *testing.T, s string) uint64 {
+	t.Helper()
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestServerVaultedReplayMatchesCLI: a -serve replay on a vaulted preset
+// goes through the same vault array as the CLI, so its terminal results
+// render to the CLI's aggregate lines.
+func TestServerVaultedReplayMatchesCLI(t *testing.T) {
+	recs := benchmarkRecords(t, "gcc", 16)
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	writeBinaryTrace(t, path, recs)
+	cli, err := runCapture(t, strings.NewReader(""), "-config", "hmc-8vault", "-policy", "smart", "-trace", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(newServeMux())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/replay?config=hmc-8vault&policy=smart", "application/octet-stream",
+		bytes.NewReader(encodeRecords(t, recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var final replayResponse
+	if err := json.NewDecoder(resp.Body).Decode(&final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Type != "results" || final.Results == nil {
+		t.Fatalf("terminal line = %+v", final)
+	}
+	var served bytes.Buffer
+	printResults(&served, mustPreset(t, "hmc-8vault"), *final.Results, final.EndPS, nil)
+	aggregate, _, _ := strings.Cut(cli, "vaults ")
+	if served.String() != aggregate {
+		t.Errorf("served results differ from the CLI's:\nserved:\n%s\ncli:\n%s", served.String(), aggregate)
 	}
 }
 

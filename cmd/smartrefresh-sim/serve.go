@@ -3,8 +3,9 @@
 // it never trusts headers) and read back a streaming NDJSON response:
 // incremental telemetry snapshots every N simulated milliseconds while
 // the replay runs, then one terminal line carrying either the full
-// results or the ingest error. Each request gets its own controller and
-// metrics registry, so concurrent replays are independent.
+// results or the ingest error. Each request gets its own controller (one
+// per vault on a vaulted preset) and metrics registry, so concurrent
+// replays are independent.
 package main
 
 import (
@@ -111,9 +112,12 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	p := replayParams{
-		cfg:       cfg,
-		policy:    policy,
-		check:     boolParam(q.Get("check")),
+		cfg:    cfg,
+		policy: policy,
+		check:  boolParam(q.Get("check")),
+		// One request advances a vaulted preset's vaults serially, so it
+		// cannot take every CPU; results are the same at any count.
+		shards:    1,
 		bufKB:     bufKB,
 		tornOK:    boolParam(q.Get("torn-ok")),
 		snapEvery: sim.Time(snapshotMS) * sim.Millisecond,
@@ -138,7 +142,7 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		Gzipped: out.Gzipped,
 		Torn:    out.Torn,
 		Records: out.Records,
-		EndPS:   out.End,
+		EndPS:   out.Window,
 		Results: &out.Results,
 	}
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
-	"smartrefresh/internal/dram"
 	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/report"
@@ -222,14 +221,11 @@ type (
 	// vaulted stacked-DRAM geometry, advancing them across a bounded
 	// worker pool. Results are bit-identical at every worker count.
 	VaultArray = memctrl.VaultArray
-	// VaultOptions extends ControllerOptions with the worker bound, the
-	// RNG fork seed and an optional physical-vault remap.
+	// VaultOptions extends ControllerOptions with the worker bound.
 	VaultOptions = memctrl.VaultOptions
 	// VaultPolicyFactory builds the refresh policy for one vault from its
 	// per-vault configuration slice.
 	VaultPolicyFactory = memctrl.PolicyFactory
-	// VaultRemap is a logical-to-physical vault permutation.
-	VaultRemap = dram.VaultRemap
 	// VaultScaling is one intra-run shard-count scaling study.
 	VaultScaling = experiment.VaultScaling
 	// VaultScalePoint is one shard count's wall time and result digest.

@@ -112,26 +112,19 @@ type Report struct {
 // Ok reports whether every invariant held.
 func (r Report) Ok() bool { return len(r.Violations) == 0 }
 
-// policyCase is one registry entry bound to a scenario: the checker
-// slack for the scenario's self-refresh setting, and the seed-derived
-// retention map for the RetentionMap policies.
+// policyCase is one registry entry bound to a scenario, with the checker
+// slack for the scenario's self-refresh setting.
 type policyCase struct {
 	experiment.PolicyEntry
-	slack  sim.Duration
-	retMap *core.RetentionMap
+	slack sim.Duration
 }
 
 // policyCases enumerates the differential set for a scenario: every
 // registered policy, in registry order.
 func policyCases(sc Scenario) []policyCase {
-	rmap := experiment.DefaultRetentionMap(sc.Cfg.Geometry, sc.Seed)
 	var cases []policyCase
 	for _, e := range experiment.Policies() {
-		pc := policyCase{PolicyEntry: e, slack: e.Slack(sc.Cfg, sc.SelfRefreshAfter > 0)}
-		if e.RetentionMap {
-			pc.retMap = rmap
-		}
-		cases = append(cases, pc)
+		cases = append(cases, policyCase{PolicyEntry: e, slack: e.Slack(sc.Cfg, sc.SelfRefreshAfter > 0)})
 	}
 	return cases
 }
@@ -140,68 +133,67 @@ func policyCases(sc Scenario) []policyCase {
 // inputs to CheckScenarioSelected (and cmd/simcheck's -policies flag).
 func PolicyNames() []string { return experiment.PolicyNames() }
 
-// runPolicy executes one policy over the scenario, converting panics
-// into a recorded failure instead of crashing the harness. The
-// telemetry sinks may be nil (the disabled path). A cancelled context
-// aborts the simulation early and leaves the run partial — the caller
-// must discard it, which CheckScenarioContext does by returning ctx's
-// error instead of a report.
-func runPolicy(ctx context.Context, sc Scenario, pc policyCase, tr *telemetry.Tracer, reg *telemetry.Registry) (run PolicyRun) {
-	run.Policy = pc.Name
-	defer func() {
-		if r := recover(); r != nil {
-			run.Panic = fmt.Sprint(r)
-		}
-	}()
-
-	opts := memctrl.Options{
-		CheckRetention:   true,
-		RetentionSlack:   pc.slack,
-		RetentionMap:     pc.retMap,
-		SelfRefreshAfter: sc.SelfRefreshAfter,
-		IdleClose:        sc.IdleClose,
-		PowerStates:      sc.PowerStates,
-		Trace:            tr,
-		Metrics:          reg,
-		MetricsPrefix:    sc.Name + "/" + pc.Name,
-	}
-	if ctx.Done() != nil {
-		opts.Interrupt = func() bool { return ctx.Err() != nil }
-	}
-	ctl, err := memctrl.New(sc.Cfg, pc.New(sc.Cfg, pc.retMap), opts)
-	if err != nil {
-		run.Panic = "construct: " + err.Error()
-		return run
-	}
-
-	src := workload.NewGenerator(sc.Spec, sc.Seed)
-	end := sim.Time(sc.Duration)
-	for n := 0; ; n++ {
-		if n&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
-			return run
-		}
-		rec, ok := src.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	ctl.Finish(end)
-	if ctx.Err() != nil {
-		return run
-	}
-
-	run.Res = ctl.Results(end)
-	run.DroppedSelfRefresh = ctl.RefreshesDroppedSelfRefresh()
-	if rerr := ctl.RetentionErr(); rerr != nil {
-		run.RetentionErr = rerr.Error()
-	}
-	return run
+// runOutcome is one policy's execution of a scenario: the PolicyRun the
+// invariants and the report read, plus a vaulted run's per-vault
+// breakdown. Its shape is deterministic, so DeepEqual-ing or
+// fingerprinting two outcomes is exactly the bit-identical contract.
+type runOutcome struct {
+	PolicyRun
+	// Per is each vault's result (nil when monolithic); Dropped is each
+	// controller's self-refresh-covered command count, one per vault.
+	Per     []memctrl.Results
+	Dropped []uint64
 }
 
-// cancelCheckStride spaces the context polls in runPolicy's submit loop
-// so the check costs one cheap comparison per record on the hot path.
-const cancelCheckStride = 1024
+// runPolicy executes one policy over [0, Duration] of the scenario's
+// workload through experiment.RunStream: on one controller for a
+// monolithic scenario, through a memctrl.VaultArray advanced by shards
+// workers for a vaulted one. Panics and rejected options become a
+// recorded failure instead of crashing the harness. The telemetry sinks
+// may be nil (the disabled path). A cancelled context aborts the
+// simulation early and leaves the run partial — the caller must discard
+// it, which CheckScenarioContext does by returning ctx's error instead of
+// a report.
+func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *telemetry.Tracer, reg *telemetry.Registry) (out runOutcome) {
+	out.Policy = pc.Name
+	defer func() {
+		if r := recover(); r != nil {
+			out.Panic = fmt.Sprint(r)
+		}
+	}()
+	if sc.Duration <= 0 {
+		// RunStream would read a zero window as open-ended.
+		out.Panic = fmt.Sprintf("non-positive duration %v", sc.Duration)
+		return out
+	}
+
+	res, err := experiment.RunStream(ctx, sc.Cfg, pc.Kind, experiment.RunOptions{
+		Measure:          sc.Duration,
+		CheckRetention:   true,
+		SelfRefreshAfter: sc.SelfRefreshAfter,
+		PowerStates:      sc.PowerStates,
+		Shards:           shards,
+	}, experiment.Stream{
+		Source:    workload.NewGenerator(sc.Spec, sc.Seed),
+		Name:      sc.Name,
+		Seed:      sc.Seed,
+		IdleClose: sc.IdleClose,
+		Trace:     tr,
+		Metrics:   reg,
+	})
+	if err != nil {
+		out.Panic = err.Error()
+		return out
+	}
+	out.Res, out.Per, out.Dropped = res.Results, res.Vaults, res.Dropped
+	for _, d := range res.Dropped {
+		out.DroppedSelfRefresh += d
+	}
+	if res.RetentionErr != nil {
+		out.RetentionErr = res.RetentionErr.Error()
+	}
+	return out
+}
 
 // CheckScenario runs every policy (twice, for the determinism check)
 // and evaluates all invariants.
@@ -252,13 +244,19 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 		})
 	}
 
+	// The differential set runs every scenario on one controller over the
+	// whole geometry, a vaulted preset's too; CheckVaultScenario runs the
+	// vault array.
+	whole := sc
+	whole.Cfg.Geometry.Vaults = 0
+
 	byName := map[string]PolicyRun{}
 	for _, pc := range policyCases(sc) {
 		if len(policies) > 0 && !slices.Contains(policies, pc.Name) {
 			continue
 		}
-		run := runPolicy(ctx, sc, pc, tr, reg)
-		rerun := runPolicy(ctx, sc, pc, nil, nil)
+		run := runPolicy(ctx, whole, pc, 1, tr, reg).PolicyRun
+		rerun := runPolicy(ctx, whole, pc, 1, nil, nil).PolicyRun
 		if err := ctx.Err(); err != nil {
 			return Report{Scenario: sc}, err
 		}

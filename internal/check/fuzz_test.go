@@ -42,7 +42,7 @@ func smartCase(t *testing.T, sc Scenario) policyCase {
 // invariant as a test error.
 func checkCase(t *testing.T, sc Scenario, pc policyCase) PolicyRun {
 	t.Helper()
-	run := runPolicy(context.Background(), sc, pc, nil, nil)
+	run := runPolicy(context.Background(), sc, pc, 1, nil, nil).PolicyRun
 	checkRun(sc, pc, run, func(policy, invariant, format string, args ...any) {
 		t.Errorf("%s/%s: %s: %s", sc.Name, policy, invariant, fmt.Sprintf(format, args...))
 	})
@@ -160,7 +160,7 @@ func FuzzSelfRefreshOptions(f *testing.F) {
 		}
 
 		pc := smartCase(t, sc)
-		run := runPolicy(context.Background(), sc, pc, nil, nil)
+		run := runPolicy(context.Background(), sc, pc, 1, nil, nil).PolicyRun
 
 		// Mirror the controller's documented acceptance rule.
 		effIdle := idleClose

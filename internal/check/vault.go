@@ -7,25 +7,9 @@ import (
 	"slices"
 
 	"smartrefresh/internal/config"
-	"smartrefresh/internal/core"
-	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
-
-// vaultOutcome is everything one vault-parallel execution produces, in a
-// deterministic shape: fingerprinting it (or DeepEqual-ing two of them)
-// is exactly the "bit-identical at any shard count" contract.
-type vaultOutcome struct {
-	Agg memctrl.Results
-	Per []memctrl.Results
-	// Dropped is each vault's self-refresh-covered command count.
-	Dropped []uint64
-	// RetentionErr is the first vault's checker verdict ("" = clean).
-	RetentionErr string
-	// Panic is non-empty when the run panicked or was rejected.
-	Panic string
-}
 
 // vaultPolicyCases is the vault-parallel differential set: the paper's
 // policy and its baseline, each instantiated per vault with the
@@ -39,72 +23,6 @@ func vaultPolicyCases(sc Scenario) []policyCase {
 		}
 	}
 	return cases
-}
-
-// runVaultPolicy executes one policy over the scenario through a
-// memctrl.VaultArray at the given worker count, flushing the vaults at
-// quarter-interval epoch barriers. Panics become a recorded failure.
-func runVaultPolicy(ctx context.Context, sc Scenario, pc policyCase, workers int) (out vaultOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.Panic = fmt.Sprint(r)
-		}
-	}()
-
-	opts := memctrl.VaultOptions{
-		Options: memctrl.Options{
-			CheckRetention:   true,
-			RetentionSlack:   pc.slack,
-			SelfRefreshAfter: sc.SelfRefreshAfter,
-			IdleClose:        sc.IdleClose,
-			PowerStates:      sc.PowerStates,
-		},
-		Workers: workers,
-		Seed:    sc.Seed,
-	}
-	if ctx.Done() != nil {
-		opts.Interrupt = func() bool { return ctx.Err() != nil }
-	}
-	factory := func(_ int, vcfg config.DRAM) (core.Policy, error) { return pc.New(vcfg, nil), nil }
-	va, err := memctrl.NewVaultArray(sc.Cfg, factory, opts)
-	if err != nil {
-		out.Panic = "construct: " + err.Error()
-		return out
-	}
-
-	src := workload.NewGenerator(sc.Spec, sc.Seed)
-	end := sim.Time(sc.Duration)
-	epoch := sc.Cfg.Timing.RefreshInterval / 4
-	next := sim.Time(epoch)
-	for n := 0; ; n++ {
-		if n&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
-			return out
-		}
-		rec, ok := src.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		for next <= rec.Time && next < end {
-			va.FlushTo(next)
-			next += sim.Time(epoch)
-		}
-		va.Enqueue(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	va.Finish(end)
-	if ctx.Err() != nil {
-		return out
-	}
-
-	out.Agg = va.Results(end)
-	out.Per = va.VaultResults(end)
-	out.Dropped = make([]uint64, va.Vaults())
-	for v := 0; v < va.Vaults(); v++ {
-		out.Dropped[v] = va.Vault(v).RefreshesDroppedSelfRefresh()
-	}
-	if rerr := va.RetentionErr(); rerr != nil {
-		out.RetentionErr = rerr.Error()
-	}
-	return out
 }
 
 // VaultPolicyNames lists the policies the vault-parallel differential
@@ -150,8 +68,8 @@ func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, 
 			continue
 		}
 		name := "vault-" + pc.Name
-		ref := runVaultPolicy(ctx, sc, pc, 1)
-		rerun := runVaultPolicy(ctx, sc, pc, 1)
+		ref := runPolicy(ctx, sc, pc, 1, nil, nil)
+		rerun := runPolicy(ctx, sc, pc, 1, nil, nil)
 		if err := ctx.Err(); err != nil {
 			return Report{Scenario: sc}, err
 		}
@@ -174,7 +92,7 @@ func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, 
 			if s == 1 {
 				continue
 			}
-			got := runVaultPolicy(ctx, sc, pc, s)
+			got := runPolicy(ctx, sc, pc, s, nil, nil)
 			if err := ctx.Err(); err != nil {
 				return Report{Scenario: sc}, err
 			}
@@ -204,26 +122,23 @@ func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, 
 			dropped += ref.Dropped[v]
 			requested += r.Policy.RefreshesRequested
 		}
-		if ref.Agg.Requests != req || ref.Agg.Module.RefreshOps != ops ||
-			ref.Agg.RefreshesDroppedSelfRefresh != dropped ||
-			ref.Agg.Policy.RefreshesRequested != requested {
+		if ref.Res.Requests != req || ref.Res.Module.RefreshOps != ops ||
+			ref.Res.RefreshesDroppedSelfRefresh != dropped ||
+			ref.Res.Policy.RefreshesRequested != requested {
 			add(name, "vault-aggregation", "aggregate %d/%d/%d/%d != vault sums %d/%d/%d/%d",
-				ref.Agg.Requests, ref.Agg.Module.RefreshOps,
-				ref.Agg.RefreshesDroppedSelfRefresh, ref.Agg.Policy.RefreshesRequested,
+				ref.Res.Requests, ref.Res.Module.RefreshOps,
+				ref.Res.RefreshesDroppedSelfRefresh, ref.Res.Policy.RefreshesRequested,
 				req, ops, dropped, requested)
 		}
-		checkEnergy(name, ref.Agg.Energy, add)
+		checkEnergy(name, ref.Res.Energy, add)
 		// The residency subsets and the background-energy recompute are
 		// linear, so they must also hold for the vault-summed aggregate.
-		checkPowerStateResidency(name, ref.Agg.Module, sc.PowerStates.Enabled(), add)
-		checkPowerStateEnergy(sc.Cfg, name, ref.Agg, add)
+		checkPowerStateResidency(name, ref.Res.Module, sc.PowerStates.Enabled(), add)
+		checkPowerStateEnergy(sc.Cfg, name, ref.Res, add)
 
-		rep.Runs = append(rep.Runs, PolicyRun{
-			Policy:             name,
-			Res:                ref.Agg,
-			DroppedSelfRefresh: dropped,
-			RetentionErr:       ref.RetentionErr,
-		})
+		run := ref.PolicyRun
+		run.Policy = name
+		rep.Runs = append(rep.Runs, run)
 	}
 	return rep, nil
 }

@@ -37,12 +37,12 @@ func TestCheckVaultScenarioSweep(t *testing.T) {
 func TestVaultFingerprintEqualAcrossShards(t *testing.T) {
 	sc := NewVaultScenario(3)
 	pc := vaultPolicyCases(sc)[0] // smart
-	ref := runVaultPolicy(context.Background(), sc, pc, 1)
+	ref := runPolicy(context.Background(), sc, pc, 1, nil, nil)
 	if ref.Panic != "" {
 		t.Fatal(ref.Panic)
 	}
 	for _, shards := range []int{2, 4, sc.Cfg.Geometry.VaultCount()} {
-		got := runVaultPolicy(context.Background(), sc, pc, shards)
+		got := runPolicy(context.Background(), sc, pc, shards, nil, nil)
 		if got.Panic != "" {
 			t.Fatalf("shards=%d: %s", shards, got.Panic)
 		}

@@ -104,16 +104,67 @@ func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOption
 // the controller's tick/advance drains check ctx and abort with its
 // error, discarding the partial measurement.
 func RunContext(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) (RunResult, error) {
-	return runTimed(ctx, cfg, prof, kind, opts, nil)
+	opts = opts.withDefaults(cfg.RefreshInterval())
+	return execute(ctx, newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked)))
 }
 
-// runTimed is RunContext that also stores a vaulted run's barrier timing
-// in vaultTiming when it is non-nil (monolithic runs leave it untouched).
-func runTimed(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, vaultTiming *memctrl.VaultTiming) (RunResult, error) {
-	opts = opts.withDefaults(cfg.RefreshInterval())
-	j := newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked))
-	j.vaultTiming = vaultTiming
-	return execute(ctx, j)
+// Stream is an access stream a caller supplies in place of a
+// benchmark's generator: a replayed trace, or a check scenario's
+// synthetic workload.
+type Stream struct {
+	// Source yields the records. Wrappers around it (validation,
+	// capture, progress observers) stay the caller's: one that latches
+	// an error ends the stream, and the caller reads the error after
+	// the run.
+	Source trace.Source
+	// Name labels the run (empty means the configuration's name): errors
+	// name "<Name>/<policy>", and so do the metrics and trace scope when
+	// telemetry is attached.
+	Name string
+	// Seed derives a RetentionMap policy's per-row map, as a benchmark's
+	// seed does.
+	Seed uint64
+	// IdleClose overrides the page-close timeout; see
+	// memctrl.Options.IdleClose.
+	IdleClose sim.Duration
+	// Trace and Metrics are the telemetry sinks (nil = disabled).
+	Trace   *telemetry.Tracer
+	Metrics *telemetry.Registry
+}
+
+// StreamResult is a RunStream outcome.
+type StreamResult struct {
+	RunResult
+	// Dropped is each controller's RefreshesDroppedSelfRefresh after the
+	// run (one entry per vault when vaulted). It is read from the
+	// controllers, apart from Results, so invariant checks can hold the
+	// two against each other.
+	Dropped []uint64
+}
+
+// RunStream runs s through the record loop every Run uses, with two
+// differences: opts gets no defaults applied, and the stream never goes
+// through the 3D-cache front end (it already is the DRAM's stream), so
+// opts.Stacked is rejected. Warmup 0 means no warmup: the measured
+// window starts at t=0 from the zero Snapshot. Measure 0 runs open-ended:
+// until the source is exhausted, closing one refresh interval after the
+// last record.
+func RunStream(ctx context.Context, cfg config.DRAM, kind PolicyKind, opts RunOptions, s Stream) (StreamResult, error) {
+	name := s.Name
+	if name == "" {
+		name = cfg.Name
+	}
+	label := name + "/" + kind.String()
+	if opts.Stacked {
+		return StreamResult{}, fmt.Errorf("experiment: run %s: a stream is already the DRAM access stream; Stacked is not supported", label)
+	}
+	j := runJob{cfg: cfg, kind: kind, label: label, seed: s.Seed, source: s.Source, opts: opts,
+		idleClose: s.IdleClose, trace: s.Trace, metrics: s.Metrics}
+	var out StreamResult
+	j.inspect = func(t *runTarget) { out.Dropped = t.dropped() }
+	var err error
+	out.RunResult, err = execute(ctx, j)
+	return out, err
 }
 
 // runJob is one fully-resolved simulation: a configuration, a policy, an
@@ -125,6 +176,9 @@ type runJob struct {
 	cfg       config.DRAM
 	benchmark string
 	kind      PolicyKind
+	// label names the run in errors and, with telemetry attached,
+	// prefixes its metric names and trace scope.
+	label string
 	// seed is the workload seed a RetentionMap policy derives its map
 	// from when retMap is nil.
 	seed uint64
@@ -132,7 +186,9 @@ type runJob struct {
 	// (monolithic geometries only).
 	makePolicy func() core.Policy
 	source     trace.Source
-	opts       RunOptions // defaults already applied
+	opts       RunOptions // defaults already applied (RunStream: literal)
+	// idleClose is the controllers' page-close timeout (0 = default).
+	idleClose sim.Duration
 	// retMap is the per-row retention map of a RetentionMap policy; with
 	// opts.CheckRetention it also scales the checker's per-row deadlines
 	// (see memctrl.Options.RetentionMap).
@@ -141,20 +197,32 @@ type runJob struct {
 	trace   *telemetry.Tracer
 	metrics *telemetry.Registry
 
-	// vaultTiming, when non-nil, receives a vaulted run's barrier timing.
-	vaultTiming *memctrl.VaultTiming
+	// inspect, when non-nil, sees the finished target before its results
+	// are read (a vaulted run's barrier timing, the dropped counts).
+	inspect func(*runTarget)
 }
 
 // newRunJob starts a job that runs prof's benchmark from source.
 func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, source trace.Source) runJob {
-	return runJob{cfg: cfg, benchmark: prof.Name, kind: kind, seed: prof.Seed(), opts: opts, source: source}
+	return runJob{cfg: cfg, benchmark: prof.Name, kind: kind, label: cfg.Name + "/" + prof.Name + "/" + kind.String(),
+		seed: prof.Seed(), opts: opts, source: source}
 }
 
 // execute drives one job's stream through a fresh target — a controller,
-// or a vault array flushed at epoch barriers. The warmup snapshot is
-// taken exactly once (at the first measured record, or at the warmup
-// boundary for idle streams), then the target's Finish finalises the
-// module(s) before the measured window is read.
+// or a vault array flushed at epoch barriers. It is the one record loop
+// every run goes through, in one of three window shapes:
+//
+//   - warmup then measure (every benchmark run): the warmup snapshot is
+//     taken exactly once, at the first measured record or at the warmup
+//     boundary for idle streams, and the run closes at Warmup+Measure;
+//   - no warmup (Warmup 0, RunStream only): the zero Snapshot is the warm
+//     state, so nothing is advanced or finalised at t=0;
+//   - open end (Measure 0, RunStream only): the source runs until it is
+//     exhausted and the run closes one refresh interval after its last
+//     record.
+//
+// The target's Finish finalises the module(s) before the measured window
+// is read.
 //
 // Cancellation points: the record loop checks ctx every cancelCheckStride
 // records, and the controller's long tick/advance drains poll it through
@@ -164,7 +232,7 @@ func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts Run
 // discarded; the returned RunResult is then zero.
 func execute(ctx context.Context, j runJob) (RunResult, error) {
 	fail := func(err error) (RunResult, error) {
-		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
+		return RunResult{}, fmt.Errorf("experiment: run %s: %w", j.label, err)
 	}
 	opts := j.opts
 	if opts.Warmup < 0 || opts.Measure < 0 {
@@ -180,12 +248,17 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	}
 
 	end := opts.Warmup + opts.Measure
+	open := opts.Measure == 0
+	if open {
+		end = math.MaxInt64
+	}
 	var front *cache.DRAMCache
 	if opts.Stacked {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
 	}
 
-	warmed := false
+	warmed := opts.Warmup == 0
+	var last sim.Time
 	for n := 0; ; n++ {
 		rec, ok := j.source.Next()
 		if !ok || rec.Time >= end {
@@ -213,12 +286,18 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 		} else {
 			t.submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
 		}
+		last = rec.Time
 	}
 	if !warmed {
 		// Idle stream: no record ever crossed the warmup boundary.
 		t.snapshot(opts.Warmup)
 	}
-	res := RunResult{Benchmark: j.benchmark, Policy: j.kind, Config: j.cfg.Name, Window: opts.Measure}
+	window := opts.Measure
+	if open {
+		end = last + j.cfg.RefreshInterval()
+		window = end - opts.Warmup
+	}
+	res := RunResult{Benchmark: j.benchmark, Policy: j.kind, Config: j.cfg.Name, Window: window}
 	if t.va == nil {
 		t.ctl.Finish(end)
 	} else {
@@ -229,18 +308,18 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 		// measured after the cancellation instant is partial state.
 		return fail(err)
 	}
+	if j.inspect != nil {
+		j.inspect(&t)
+	}
 	if t.va == nil {
-		res.Results = t.ctl.ResultsSince(end, t.warm[0], opts.Measure)
+		res.Results = t.ctl.ResultsSince(end, t.warm[0], window)
 		res.RetentionErr = t.ctl.RetentionErr()
 		return res, nil
-	}
-	if j.vaultTiming != nil {
-		*j.vaultTiming = t.va.Timing()
 	}
 	// Each vault's window is taken against its own warm state, then folded
 	// in vault index order exactly as VaultArray.Results folds whole-run
 	// summaries.
-	res.Results, res.Vaults = t.va.ResultsSince(end, t.warm, opts.Measure)
+	res.Results, res.Vaults = t.va.ResultsSince(end, t.warm, window)
 	res.RetentionErr = t.va.RetentionErr()
 	return res, nil
 }
@@ -270,6 +349,7 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 	mcOpts := memctrl.Options{
 		CheckRetention:   j.opts.CheckRetention,
 		SelfRefreshAfter: j.opts.SelfRefreshAfter,
+		IdleClose:        j.idleClose,
 		PowerStates:      j.opts.PowerStates,
 	}
 	if j.opts.CheckRetention {
@@ -279,7 +359,7 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 	if j.trace != nil || j.metrics != nil {
 		mcOpts.Trace = j.trace
 		mcOpts.Metrics = j.metrics
-		mcOpts.MetricsPrefix = j.cfg.Name + "/" + j.benchmark + "/" + j.kind.String()
+		mcOpts.MetricsPrefix = j.label
 	}
 	if ctx.Done() != nil {
 		// Only a cancellable context pays for the per-drain polls.
@@ -335,6 +415,19 @@ func (t *runTarget) snapshot(at sim.Time) {
 		// already passed.
 		t.next += t.epoch
 	}
+}
+
+// dropped returns each controller's self-refresh-covered refresh count,
+// one per vault when vaulted.
+func (t *runTarget) dropped() []uint64 {
+	if t.va == nil {
+		return []uint64{t.ctl.RefreshesDroppedSelfRefresh()}
+	}
+	out := make([]uint64, t.va.Vaults())
+	for v := range out {
+		out[v] = t.va.Vault(v).RefreshesDroppedSelfRefresh()
+	}
+	return out
 }
 
 // cancelCheckStride is how many trace records the simulation loop

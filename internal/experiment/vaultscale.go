@@ -96,11 +96,13 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 		if s < 1 {
 			return VaultScaling{}, fmt.Errorf("experiment: shard count %d < 1", s)
 		}
-		o := opts
+		o := opts.withDefaults(cfg.RefreshInterval())
 		o.Shards = s
 		var timing memctrl.VaultTiming
 		start := time.Now()
-		res, err := runTimed(ctx, cfg, prof, kind, o, &timing)
+		j := newRunJob(cfg, prof, kind, o, prof.NewSource(o.Stacked))
+		j.inspect = func(t *runTarget) { timing = t.va.Timing() }
+		res, err := execute(ctx, j)
 		if err != nil {
 			return VaultScaling{}, err
 		}

@@ -8,7 +8,6 @@ import (
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
-	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/stats"
 )
@@ -41,16 +40,6 @@ type VaultOptions struct {
 	// means GOMAXPROCS, one means serial — the reference schedule the
 	// determinism tests compare all other worker counts against.
 	Workers int
-
-	// Seed is the root of the per-vault RNG tree: vault v gets the v-th
-	// fork of NewRNG(Seed), a fixed function of (Seed, v) regardless of
-	// worker count.
-	Seed uint64
-
-	// Remap overrides the identity logical-to-physical vault mapping
-	// (thermal/wear leveling). Nil means identity. Its length must equal
-	// the vault count.
-	Remap *dram.VaultRemap
 }
 
 // VaultArray is N independent vault controllers behind a single
@@ -71,15 +60,13 @@ type VaultOptions struct {
 type VaultArray struct {
 	cfg    config.DRAM
 	vaults []*Controller
-	rngs   []*sim.RNG
-	remap  *dram.VaultRemap
 	runner sim.ShardRunner
 	// vaultShift is log2 of the vault count: Route's page-to-local
 	// division (Geometry.Validate requires a power-of-two count).
 	vaultShift uint
 
-	// pending holds requests enqueued since the last flush, per physical
-	// vault, in arrival order.
+	// pending holds requests enqueued since the last flush, per vault, in
+	// arrival order.
 	pending [][]Request
 	// order is the current barrier's dispatch order over vault indices.
 	order []int
@@ -116,16 +103,6 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		return nil, fmt.Errorf("memctrl: nil policy factory")
 	}
 	n := g.VaultCount()
-	remap := opts.Remap
-	if remap == nil {
-		remap = dram.IdentityRemap(n)
-	}
-	if remap.Len() != n {
-		return nil, fmt.Errorf("memctrl: remap over %d vaults for a %d-vault geometry", remap.Len(), n)
-	}
-	if err := remap.Check(); err != nil {
-		return nil, err
-	}
 
 	workers := opts.Workers
 	if opts.Trace != nil {
@@ -139,8 +116,6 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 	va := &VaultArray{
 		cfg:        cfg,
 		vaults:     make([]*Controller, n),
-		rngs:       make([]*sim.RNG, n),
-		remap:      remap,
 		runner:     sim.ShardRunner{Workers: workers},
 		vaultShift: uint(bits.TrailingZeros(uint(n))),
 		pending:    make([][]Request, n),
@@ -153,7 +128,6 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 	va.parallel = min(workers, runtime.GOMAXPROCS(0))
 	va.dispatch = func(i int) { va.flushVault(va.order[i]) }
 
-	root := sim.NewRNG(opts.Seed)
 	perVault := cfg
 	perVault.Geometry = g.PerVault()
 	// The power model's per-op energies key off the geometry it carries;
@@ -161,10 +135,6 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 	// times sum across vaults exactly as they do across ranks).
 	perVault.Power.Geometry = perVault.Geometry
 	for v := 0; v < n; v++ {
-		// Fork in vault order so vault v's stream depends only on
-		// (Seed, v), never on construction concurrency.
-		va.rngs[v] = root.Fork()
-
 		vcfg := perVault
 		vcfg.Name = fmt.Sprintf("%s/vault%02d", cfg.Name, v)
 		policy, err := factory(v, vcfg)
@@ -204,16 +174,11 @@ func (va *VaultArray) Vaults() int { return len(va.vaults) }
 // Vault exposes one vault's controller (tests and invariant checks).
 func (va *VaultArray) Vault(v int) *Controller { return va.vaults[v] }
 
-// RNG returns vault v's private random stream, a fixed fork of the
-// array's seed independent of worker count.
-func (va *VaultArray) RNG(v int) *sim.RNG { return va.rngs[v] }
-
-// Route returns the physical vault servicing addr and the compacted
-// vault-local address (the vault-index bits removed, page offset kept).
+// Route returns the vault servicing addr and the compacted vault-local
+// address (the vault-index bits removed, page offset kept).
 func (va *VaultArray) Route(addr uint64) (vault int, local uint64) {
 	page := addr >> vaultPageShift
-	logical := int(page & (uint64(len(va.vaults)) - 1))
-	vault = va.remap.Physical(logical)
+	vault = int(page & (uint64(len(va.vaults)) - 1))
 	local = page>>va.vaultShift<<vaultPageShift | addr&(VaultPageBytes-1)
 	return vault, local
 }

@@ -55,7 +55,7 @@ func runVaulted(t *testing.T, factory PolicyFactory, workers int) (Results, []Re
 func runVaultedStream(t *testing.T, factory PolicyFactory, workers int, addr func(*sim.RNG) uint64) (Results, []Results, int) {
 	t.Helper()
 	cfg := testVaultCfg()
-	va, err := NewVaultArray(cfg, factory, VaultOptions{Workers: workers, Seed: 7})
+	va, err := NewVaultArray(cfg, factory, VaultOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,32 +248,9 @@ func TestVaultArrayRouting(t *testing.T) {
 	}
 }
 
-func TestVaultArrayRemapRouting(t *testing.T) {
-	cfg := config.HMC8Vault()
-	remap := dram.RotatedRemap(8, 3)
-	va := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 1, Remap: remap})
-	for page := uint64(0); page < 8; page++ {
-		v, _ := va.Route(page * VaultPageBytes)
-		if want := remap.Physical(int(page % 8)); v != want {
-			t.Fatalf("page %d -> vault %d, want %d", page, v, want)
-		}
-	}
-}
-
 func TestVaultArrayRejectsMonolithic(t *testing.T) {
 	if _, err := NewVaultArray(config.Table1_2GB(), cbrFactory(), VaultOptions{}); err == nil {
 		t.Fatal("monolithic geometry accepted")
-	}
-}
-
-func TestVaultArrayRNGForksIndependentOfWorkers(t *testing.T) {
-	cfg := config.HMC8Vault()
-	a := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 1, Seed: 42})
-	b := MustNewVaultArray(cfg, cbrFactory(), VaultOptions{Workers: 8, Seed: 42})
-	for v := 0; v < a.Vaults(); v++ {
-		if a.RNG(v).Uint64() != b.RNG(v).Uint64() {
-			t.Fatalf("vault %d RNG differs across worker counts", v)
-		}
 	}
 }
 
