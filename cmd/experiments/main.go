@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -138,7 +139,6 @@ func run(ctx context.Context, args []string) error {
 
 	suite := experiment.NewSuite()
 	suite.Engine = eng
-	suite.Ctx = ctx
 	suite.Opts = experiment.RunOptions{
 		Warmup:           sim.Time(*warmupMS) * sim.Millisecond,
 		Measure:          sim.Time(*measureMS) * sim.Millisecond,
@@ -172,7 +172,13 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *ablations || *figures == "none" {
-		if err := runAblations(ctx, eng, suite.Opts); err != nil {
+		// The vault studies' wall-time tables are measurements, not
+		// results: they go to stderr with the progress lines.
+		timing := io.Writer(os.Stderr)
+		if *quiet {
+			timing = io.Discard
+		}
+		if err := runAblations(ctx, eng, suite.Opts, timing); err != nil {
 			return interruptedErr(ctx, checkpoint, err)
 		}
 	}
@@ -197,7 +203,7 @@ func interruptedErr(ctx context.Context, cp *experiment.Checkpoint, err error) e
 	return fmt.Errorf("%w; rerun with -checkpoint to make interrupted sweeps resumable", ctx.Err())
 }
 
-func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.RunOptions) error {
+func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.RunOptions, timing io.Writer) error {
 	gcc, err := workload.ByName("gcc")
 	if err != nil {
 		return err
@@ -314,14 +320,16 @@ func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.R
 		return err
 	}
 	fmt.Println("== Vault-parallel scaling (HMC-style stack, benchmark: gcc) ==")
-	vopts := opts
-	vopts.Shards = 0 // the study sweeps its own shard counts
 	study, err := experiment.RunVaultScaling(ctx, experiment.HMC8V.DRAM(), gcc,
-		experiment.PolicySmart, vopts, []int{1, 2, 4, 8})
+		experiment.PolicySmart, opts, []int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
 	study.Render(os.Stdout)
+	study.RenderTiming(timing)
+	if err := shardsAgree(study); err != nil {
+		return err
+	}
 	fmt.Println()
 
 	if err := ctx.Err(); err != nil {
@@ -330,12 +338,46 @@ func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.R
 	fmt.Println("== Power-state ladder Pareto sweep (ACT-PDN / PRE-PDN / SR idle policies) ==")
 	sweep := experiment.RunPowerStateSweep(eng, nil, opts)
 	sweep.Render(os.Stdout)
-	vc, err := experiment.RunPowerStateVaultCheck(ctx, opts, []int{1, 8})
+	vaults, pol, err := powerStateVaults(ctx, opts)
 	if err != nil {
 		return err
 	}
-	vc.Render(os.Stdout)
+	fmt.Printf("Power-state vault determinism: %s\n", pol)
+	vaults.Render(os.Stdout)
+	vaults.RenderTiming(timing)
+	if err := shardsAgree(vaults); err != nil {
+		return err
+	}
 	return ctx.Err()
+}
+
+// powerStateVaults runs the power-state sweep's vaulted leg: the
+// ladder-full policy on the HMC-style stack at 1 and 8 shards, whose
+// per-vault state machines must compose with the epoch barriers without
+// breaking the bit-identical sharding contract. It returns the study
+// and the policy's name.
+func powerStateVaults(ctx context.Context, opts experiment.RunOptions) (experiment.VaultScaling, string, error) {
+	policies := experiment.PowerStatePolicies()
+	pol := policies[len(policies)-1] // ladder-full
+	gcc, err := workload.ByName("gcc")
+	if err != nil {
+		return experiment.VaultScaling{}, pol.Name, err
+	}
+	opts.SelfRefreshAfter = pol.SelfRefreshAfter
+	opts.PowerStates = pol.Cfg
+	study, err := experiment.RunVaultScaling(ctx, experiment.HMC8V.DRAM(), gcc,
+		experiment.PolicySmart, opts, []int{1, 8})
+	return study, pol.Name, err
+}
+
+// shardsAgree fails a shard study whose points fingerprinted
+// differently: a vaulted run must be bit-identical at every shard count.
+func shardsAgree(v experiment.VaultScaling) error {
+	if v.Deterministic {
+		return nil
+	}
+	return fmt.Errorf("vault scaling %s/%s/%s: fingerprints differ across shard counts",
+		v.Config, v.Benchmark, v.Policy)
 }
 
 // powerStateSmoke runs the power-state sweep at fixed short windows and
@@ -348,15 +390,15 @@ func powerStateSmoke(ctx context.Context, eng *experiment.Engine) error {
 	}
 	sweep := experiment.RunPowerStateSweep(eng, nil, opts)
 	sweep.RenderFingerprints(os.Stdout)
-	vc, err := experiment.RunPowerStateVaultCheck(ctx, opts, []int{1, 8})
+	vaults, pol, err := powerStateVaults(ctx, opts)
 	if err != nil {
 		return err
 	}
-	for i, s := range vc.Shards {
-		fmt.Printf("%s/%s/shards=%d %s\n", vc.Config, vc.Policy, s, vc.Fingerprints[i])
+	for _, pt := range vaults.Points {
+		fmt.Printf("%s/%s/shards=%d %s\n", vaults.Config, pol, pt.Shards, pt.Fingerprint)
 	}
-	if !vc.Deterministic {
-		return fmt.Errorf("power-state vault check: fingerprints differ across shard counts")
+	if err := shardsAgree(vaults); err != nil {
+		return err
 	}
 	return ctx.Err()
 }

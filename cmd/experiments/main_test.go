@@ -184,3 +184,16 @@ func TestRunCancelled(t *testing.T) {
 		t.Errorf("cancellation error %q does not mention -resume", err)
 	}
 }
+
+// A shard study whose points fingerprinted differently fails the run —
+// the -ablations and -powerstate-smoke paths share this check.
+func TestShardsAgree(t *testing.T) {
+	if err := shardsAgree(experiment.VaultScaling{Deterministic: true}); err != nil {
+		t.Errorf("deterministic study failed the check: %v", err)
+	}
+	bad := experiment.VaultScaling{Config: "hmc-8vault", Benchmark: "gcc", Policy: experiment.PolicySmart}
+	err := shardsAgree(bad)
+	if err == nil || !strings.Contains(err.Error(), "hmc-8vault/gcc/smart") {
+		t.Errorf("non-deterministic study: err = %v, want one naming the study", err)
+	}
+}

@@ -195,8 +195,6 @@ type (
 	PowerStateSweep = experiment.PowerStateSweep
 	// PowerStatePoint is one (policy, workload) cell of the sweep.
 	PowerStatePoint = experiment.PowerStatePoint
-	// PowerStateVaultCheck is the sweep's sharded-determinism leg.
-	PowerStateVaultCheck = experiment.PowerStateVaultCheck
 )
 
 // PowerStatePolicies returns the sweep's built-in threshold grid.
@@ -206,12 +204,6 @@ func PowerStatePolicies() []PowerStatePolicy { return experiment.PowerStatePolic
 // the Pareto frontier of the (energy, added latency) trade-off.
 func RunPowerStateSweep(eng *Engine, profiles []Profile, opts RunOptions) PowerStateSweep {
 	return experiment.RunPowerStateSweep(eng, profiles, opts)
-}
-
-// RunPowerStateVaultCheck runs the full ladder on the vaulted stack at
-// several shard counts and verifies the fingerprints agree bit for bit.
-func RunPowerStateVaultCheck(ctx context.Context, opts RunOptions, shards []int) (PowerStateVaultCheck, error) {
-	return experiment.RunPowerStateVaultCheck(ctx, opts, shards)
 }
 
 // Vault-parallel stacked DRAM (HMC-style scale-out).

@@ -17,12 +17,11 @@ func resumeOpts() experiment.RunOptions {
 	return experiment.RunOptions{Warmup: 16 * sim.Millisecond, Measure: 32 * sim.Millisecond}
 }
 
-func resumeSuite(benchmarks []string, eng *experiment.Engine, ctx context.Context) *experiment.Suite {
+func resumeSuite(benchmarks []string, eng *experiment.Engine) *experiment.Suite {
 	s := experiment.NewSuite()
 	s.Benchmarks = benchmarks
 	s.Opts = resumeOpts()
 	s.Engine = eng
-	s.Ctx = ctx
 	return s
 }
 
@@ -62,7 +61,7 @@ func TestResumedSweepBitIdenticalFigures(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted baseline.
 			want := figureFingerprints(t,
-				resumeSuite(tc.benchmarks, experiment.NewEngine(2), context.Background()), tc.figures)
+				resumeSuite(tc.benchmarks, experiment.NewEngine(2)), tc.figures)
 
 			// Interrupted run: serial engine (so "after N jobs" is
 			// deterministic), cancelled from the job-done hook.
@@ -79,7 +78,7 @@ func TestResumedSweepBitIdenticalFigures(t *testing.T) {
 					cancel()
 				}
 			}
-			if _, err := resumeSuite(tc.benchmarks, eng, ctx).Sweep(experiment.Conv2GB); err == nil {
+			if _, err := resumeSuite(tc.benchmarks, eng).Sweep(experiment.Conv2GB); err == nil {
 				t.Fatal("cancelled sweep reported no error")
 			}
 
@@ -97,7 +96,7 @@ func TestResumedSweepBitIdenticalFigures(t *testing.T) {
 			resumedEng := experiment.NewEngine(2)
 			resumedEng.Checkpoint = cp
 			got := figureFingerprints(t,
-				resumeSuite(tc.benchmarks, resumedEng, context.Background()), tc.figures)
+				resumeSuite(tc.benchmarks, resumedEng), tc.figures)
 
 			for _, id := range tc.figures {
 				if got[id] != want[id] {
@@ -128,7 +127,7 @@ func TestCheckpointRoundTripStable(t *testing.T) {
 
 	eng := experiment.NewEngine(2)
 	eng.Checkpoint = experiment.NewCheckpoint(first)
-	s := resumeSuite([]string{"fasta"}, eng, context.Background())
+	s := resumeSuite([]string{"fasta"}, eng)
 	if _, err := s.Sweep(experiment.Conv2GB); err != nil {
 		t.Fatal(err)
 	}

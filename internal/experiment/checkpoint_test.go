@@ -8,9 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"smartrefresh/internal/core"
 	"smartrefresh/internal/workload"
 )
 
@@ -149,16 +147,17 @@ func TestCheckpointWriteFailureSurfaces(t *testing.T) {
 	}
 }
 
-// Cancelling the batch context aborts in-flight simulations, returns
-// the context's error, and — critically — does not poison the memo:
-// the same spec re-run on a live context simulates afresh.
-func TestRunContextCancelledMidFlight(t *testing.T) {
+// Cancelling the engine's context aborts in-flight simulations, returns
+// the context's error, and — critically — does not poison the memo: the
+// same spec re-run on an engine with a live context simulates afresh.
+func TestEngineCtxCancelledMidFlight(t *testing.T) {
 	eng := NewEngine(1)
 	ctx, cancel := context.WithCancel(context.Background())
+	eng.Ctx = ctx
 	spec := RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()}
 
 	eng.OnJobStart = func(JobEvent) { cancel() } // cancel once the flight has begun
-	if _, err := eng.RunContext(ctx, spec); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Run(spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 	if st := eng.Stats(); st.Finished != 0 {
@@ -166,6 +165,7 @@ func TestRunContextCancelledMidFlight(t *testing.T) {
 	}
 
 	eng.OnJobStart = nil
+	eng.Ctx = nil
 	res, err := eng.Run(spec)
 	if err != nil {
 		t.Fatalf("re-run after cancellation: %v", err)
@@ -179,8 +179,9 @@ func TestRunContextCancelledMidFlight(t *testing.T) {
 	eng2 := NewEngine(1)
 	eng2.Checkpoint = NewCheckpoint(path)
 	ctx2, cancel2 := context.WithCancel(context.Background())
+	eng2.Ctx = ctx2
 	eng2.OnJobStart = func(JobEvent) { cancel2() }
-	if _, err := eng2.RunContext(ctx2, spec); err == nil {
+	if _, err := eng2.Run(spec); err == nil {
 		t.Fatal("cancelled run reported no error")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -188,20 +189,21 @@ func TestRunContextCancelledMidFlight(t *testing.T) {
 	}
 }
 
-// A pre-cancelled context skips RunJobs work entirely: every result
-// carries the context error, and neither the stats nor the hooks see
-// phantom jobs.
-func TestRunJobsContextPreCancelled(t *testing.T) {
+// A pre-cancelled engine context skips RunJobs work entirely: every
+// result carries the context error, and neither the stats nor the hooks
+// see phantom jobs.
+func TestRunJobsPreCancelled(t *testing.T) {
 	eng := NewEngine(4)
 	eng.OnJobStart = func(JobEvent) { t.Error("hook fired for a cancelled job") }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	eng.Ctx = ctx
 
 	jobs := []Job{
 		{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "fasta"), Policy: PolicyCBR, Opts: engineOpts()},
 		{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "gcc"), Policy: PolicySmart, Opts: engineOpts()},
 	}
-	res := eng.RunJobsContext(ctx, jobs)
+	res := eng.RunJobs(jobs)
 	for i, r := range res {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("job %d: Err = %v, want context.Canceled", i, r.Err)
@@ -212,82 +214,5 @@ func TestRunJobsContextPreCancelled(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Started != 0 || st.Finished != 0 {
 		t.Errorf("cancelled batch counted work: %+v", st)
-	}
-}
-
-// JobTimeout bounds one job without cancelling the batch: the timed-out
-// spec reports DeadlineExceeded and stays memoised as a failure (the
-// simulation is deterministic — it would time out again), while other
-// specs run normally.
-func TestJobTimeout(t *testing.T) {
-	eng := NewEngine(2)
-	eng.JobTimeout = time.Nanosecond // expires before the first record
-	spec := RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()}
-	if _, err := eng.Run(spec); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Run under a 1ns timeout returned %v, want DeadlineExceeded", err)
-	}
-	// Memoised as a failure: the retry costs a cache hit, not a flight.
-	if _, err := eng.Run(spec); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("memoised timeout returned %v", err)
-	}
-	if st := eng.Stats(); st.Started != 1 || st.CacheHits != 1 {
-		t.Errorf("started=%d hits=%d, want 1 flight and 1 memoised failure", st.Started, st.CacheHits)
-	}
-
-	eng.JobTimeout = time.Minute // generous: a real run takes milliseconds
-	res, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicySmart, Opts: engineOpts()})
-	if err != nil {
-		t.Fatalf("run under a generous timeout failed: %v", err)
-	}
-	if res.Results.Module.RefreshOps == 0 {
-		t.Error("timed run produced no refresh activity")
-	}
-
-	// On the RunJobs path the timeout lands in RunResult.Err.
-	eng2 := NewEngine(1)
-	eng2.JobTimeout = time.Nanosecond
-	res2 := eng2.RunJobs([]Job{{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "fasta"), Policy: PolicyCBR, Opts: engineOpts()}})
-	if !errors.Is(res2[0].Err, context.DeadlineExceeded) {
-		t.Errorf("RunJobs under timeout: Err = %v, want DeadlineExceeded", res2[0].Err)
-	}
-}
-
-// Retries re-attempt failing RunJobs jobs (observable through the start
-// hook) but never help a deterministic failure — and never fire once
-// the context is cancelled.
-func TestRunJobsRetries(t *testing.T) {
-	eng := NewEngine(1)
-	eng.Retries = 2
-	starts := 0
-	eng.OnJobStart = func(JobEvent) { starts++ }
-
-	res := eng.RunJobs([]Job{{
-		Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "fasta"), Policy: PolicyCBR, Opts: engineOpts(),
-		MakePolicy: func() core.Policy { panic("always fails") },
-	}})
-	if res[0].Err == nil {
-		t.Fatal("failing job reported nil Err")
-	}
-	if starts != 3 {
-		t.Errorf("start hook fired %d times, want 3 (1 attempt + 2 retries)", starts)
-	}
-
-	// Cancellation suppresses retries.
-	eng2 := NewEngine(1)
-	eng2.Retries = 5
-	starts2 := 0
-	ctx, cancel := context.WithCancel(context.Background())
-	eng2.OnJobStart = func(JobEvent) {
-		starts2++
-		cancel() // fail the attempt via cancellation; retries must not follow
-	}
-	res2 := eng2.RunJobsContext(ctx, []Job{{
-		Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "fasta"), Policy: PolicyCBR, Opts: engineOpts(),
-	}})
-	if res2[0].Err == nil {
-		t.Fatal("cancelled job reported nil Err")
-	}
-	if starts2 != 1 {
-		t.Errorf("cancelled job was retried: %d starts", starts2)
 	}
 }

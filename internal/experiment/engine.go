@@ -66,8 +66,9 @@ func (s RunSpec) profile() (workload.Profile, error) {
 // Job is one fully-specified simulation for Engine.RunJobs. Unlike a
 // RunSpec it carries an arbitrary configuration (the ablation studies
 // sweep non-preset configs) and optional policy/source constructors, so
-// it is executed without memoisation. The constructors run inside the
-// job, giving each run its own policy and generator state.
+// it is executed without memoisation; Engine.Run resolves a spec to the
+// Job it describes and runs it the same way. The constructors run inside
+// the job, giving each run its own policy and generator state.
 type Job struct {
 	Cfg    config.DRAM
 	Prof   workload.Profile
@@ -84,6 +85,11 @@ type Job struct {
 	// gives the run's retention checker per-row deadlines (the raidr
 	// study checks the multirate invariant of its injected profile).
 	RetentionMap *core.RetentionMap
+}
+
+// label names the job in errors and its trace span.
+func (job *Job) label() string {
+	return job.Cfg.Name + "/" + job.Prof.Name + "/" + job.Policy.String()
 }
 
 // JobEvent describes one engine job to the instrumentation hooks.
@@ -124,29 +130,15 @@ type EngineStats struct {
 type Engine struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// JobTimeout, when positive, bounds each job's simulation wall time
-	// with a per-job deadline. A job that exceeds it reports a
-	// DeadlineExceeded error (through the error return on the memoised
-	// path, through RunResult.Err on the RunJobs path); the rest of the
-	// batch is unaffected.
-	JobTimeout time.Duration
-	// Retries re-attempts a RunJobs job that returned a non-nil
-	// RunResult.Err, up to this many extra times. Cancellation is never
-	// retried: once the batch context is done, failed jobs are returned
-	// as-is. Memoised Run results are never retried either — the
-	// simulations are deterministic, so a genuine failure would simply
-	// repeat.
-	Retries int
 	// Checkpoint, when non-nil, persists every completed memoised result
 	// and pre-warms the memo: a spec whose key is already in the
 	// checkpoint is served as a cache hit without simulating. This is
 	// what makes an interrupted sweep resumable; see Checkpoint.
 	Checkpoint *Checkpoint
-	// Ctx is the base context used by the context-free entry points
-	// (Run, RunAll, RunJobs) — and therefore by every consumer that
-	// predates cancellation, such as the ablation studies. Nil means
-	// context.Background(). The *Context methods ignore it and use their
-	// argument.
+	// Ctx, when non-nil, cancels the engine's work: once it is done, Run
+	// and RunAll return its error and RunJobs results carry it. It is the
+	// one context every job runs under — the suites and studies that
+	// share the engine inherit it. Nil means never cancelled.
 	Ctx context.Context
 	// OnJobStart and OnJobDone, when non-nil, observe jobs as they begin
 	// and finish (including cache hits). The engine serialises hook
@@ -178,9 +170,8 @@ type Engine struct {
 
 // memoEntry is a singleflight slot: the first claimant simulates and
 // closes done; later claimants wait on done and read res/err. A panic in
-// the simulation is converted into err for every claimant — done is
-// closed unconditionally (in a defer), so waiters can never hang on a
-// failed flight.
+// the simulation is converted into err for every claimant (Engine.run
+// recovers it), so waiters can never hang on a failed flight.
 type memoEntry struct {
 	done chan struct{}
 	res  RunResult
@@ -224,20 +215,14 @@ var closedDone = func() chan struct{} {
 
 // Run returns the result for one spec, simulating it at most once per
 // engine lifetime. Concurrent calls with equal (canonicalised) specs
-// share a single simulation; the duplicates count as cache hits.
+// share a single simulation; the duplicates count as cache hits. The
+// simulation checks Engine.Ctx at record and tick/advance boundaries, so
+// a cancelled sweep stops within microseconds of simulated progress
+// rather than after the current job. A flight aborted by that context is
+// removed from the memo and never checkpointed — its partial state must
+// never be served later.
 func (e *Engine) Run(spec RunSpec) (RunResult, error) {
-	return e.RunContext(e.baseCtx(), spec)
-}
-
-// RunContext is Run with cooperative cancellation. The simulation loop
-// checks the context at record and tick/advance boundaries, so a
-// cancelled sweep stops within microseconds of simulated progress rather
-// than after the current job. A job aborted by the parent context is
-// removed from the memo — its partial state must never be served later —
-// whereas a job that merely exceeded Engine.JobTimeout stays memoised as
-// a failure (re-running a deterministic simulation would time out
-// again).
-func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
+	ctx := e.baseCtx()
 	spec = spec.normalize()
 	prof, err := spec.profile()
 	if err != nil {
@@ -246,6 +231,8 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
+	// normalize() already applied the option defaults.
+	job := Job{Cfg: spec.Config.DRAM(), Prof: prof, Policy: spec.Policy, Opts: spec.Opts}
 
 	key := spec.Key()
 	e.mu.Lock()
@@ -257,7 +244,7 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error
 		case <-ctx.Done():
 			return RunResult{}, ctx.Err()
 		}
-		e.emit(e.OnJobDone, spec.Config.String(), spec.Benchmark, spec.Policy, true, 0)
+		e.emit(e.OnJobDone, &job, true, 0)
 		return ent.res, ent.err
 	}
 	if e.memo == nil {
@@ -269,57 +256,23 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error
 		e.memo[key] = &memoEntry{done: closedDone, res: res}
 		e.stats.CacheHits++
 		e.mu.Unlock()
-		e.emit(e.OnJobDone, spec.Config.String(), spec.Benchmark, spec.Policy, true, 0)
+		e.emit(e.OnJobDone, &job, true, 0)
 		return res, nil
 	}
 	ent := &memoEntry{done: make(chan struct{})}
 	e.memo[key] = ent
-	e.stats.Started++
 	e.mu.Unlock()
 
-	e.registerEngineMetrics()
-	e.emit(e.OnJobStart, spec.Config.String(), spec.Benchmark, spec.Policy, false, 0)
-
-	jobCtx := ctx
-	if e.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jobCtx, cancel = context.WithTimeout(ctx, e.JobTimeout)
-		defer cancel()
-	}
-	jobStart := e.Trace.JobStart()
-	start := time.Now()
-	func() {
-		// Close done even if the simulation panics (e.g. an option
-		// combination the controller rejects); otherwise every concurrent
-		// claimant of this spec would wait forever.
-		defer func() {
-			if r := recover(); r != nil {
-				ent.err = fmt.Errorf("experiment: run %s panicked: %v", spec.Key(), r)
-			}
-			close(ent.done)
-		}()
-		// normalize() already applied the option defaults.
-		j := newRunJob(spec.Config.DRAM(), prof, spec.Policy, spec.Opts, prof.NewSource(spec.Opts.Stacked))
-		j.trace, j.metrics = e.Trace, e.Metrics
-		ent.res, ent.err = execute(jobCtx, j)
-	}()
-	wall := time.Since(start)
-
+	ent.res, ent.err = e.run(ctx, &job)
+	close(ent.done)
 	if ent.err != nil && ctx.Err() != nil {
-		// Aborted by the caller, not by the job: forget the flight so a
-		// later call (or a resumed engine) re-simulates, and do not count
-		// it as finished work.
+		// Aborted by the engine's context: forget the flight so a resumed
+		// engine re-simulates it.
 		e.mu.Lock()
 		delete(e.memo, key)
 		e.mu.Unlock()
 		return RunResult{}, ent.err
 	}
-
-	if e.Trace.Enabled() {
-		e.Trace.JobSpan(spec.Config.String()+"/"+spec.Benchmark+"/"+spec.Policy.String(), jobStart, wall)
-	}
-	e.finish(wall)
-	e.emit(e.OnJobDone, spec.Config.String(), spec.Benchmark, spec.Policy, false, wall)
 	if ent.err == nil {
 		if cerr := e.Checkpoint.record(key, ent.res); cerr != nil {
 			// The result is valid but not durably recorded; surface the
@@ -333,22 +286,17 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (RunResult, error
 // RunAll executes the specs across the worker pool and returns their
 // results in spec order: result i belongs to specs[i] for any worker
 // count. Duplicate and previously-run specs are served from the memo.
+// Once Engine.Ctx is done, in-flight jobs abort at their next
+// cancellation point, remaining jobs are skipped, and the batch returns
+// the context's error. Partial results are never returned — a resumed
+// sweep re-derives them from the engine memo and checkpoint instead.
 func (e *Engine) RunAll(specs []RunSpec) ([]RunResult, error) {
-	return e.RunAllContext(e.baseCtx(), specs)
-}
-
-// RunAllContext is RunAll with cooperative cancellation: once ctx is
-// done, in-flight jobs abort at their next cancellation point, remaining
-// jobs are skipped, and the batch returns the context's error. Partial
-// results are never returned — a resumed sweep re-derives them from the
-// engine memo and checkpoint instead.
-func (e *Engine) RunAllContext(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
 	out := make([]RunResult, len(specs))
 	errs := make([]error, len(specs))
 	e.forEach(len(specs), func(i int) {
-		out[i], errs[i] = e.RunContext(ctx, specs[i])
+		out[i], errs[i] = e.Run(specs[i])
 	})
-	if err := ctx.Err(); err != nil {
+	if err := e.baseCtx().Err(); err != nil {
 		return nil, err
 	}
 	for _, err := range errs {
@@ -361,74 +309,49 @@ func (e *Engine) RunAllContext(ctx context.Context, specs []RunSpec) ([]RunResul
 
 // RunJobs executes fully-specified jobs across the worker pool without
 // memoisation (their configurations need not be presets), returning
-// results in job order.
+// results in job order. A job that fails — or is skipped or aborted
+// because Engine.Ctx is done — comes back with RunResult.Err set.
 func (e *Engine) RunJobs(jobs []Job) []RunResult {
-	return e.RunJobsContext(e.baseCtx(), jobs)
-}
-
-// RunJobsContext is RunJobs with cooperative cancellation and bounded
-// retry: a job whose RunResult.Err is non-nil is re-attempted up to
-// Engine.Retries extra times, but never once ctx is done — cancelled
-// jobs come back with Err set to the context's error, in job order like
-// every other result.
-func (e *Engine) RunJobsContext(ctx context.Context, jobs []Job) []RunResult {
+	ctx := e.baseCtx()
 	out := make([]RunResult, len(jobs))
 	e.forEach(len(jobs), func(i int) {
-		out[i] = e.runJob(ctx, jobs[i])
+		job := &jobs[i]
+		res, err := e.run(ctx, job)
+		if err != nil {
+			res = RunResult{Benchmark: job.Prof.Name, Policy: job.Policy, Config: job.Cfg.Name, Err: err}
+		}
+		out[i] = res
 	})
 	return out
 }
 
-func (e *Engine) runJob(ctx context.Context, job Job) RunResult {
-	res := e.runJobOnce(ctx, job)
-	for retry := 0; retry < e.Retries && res.Err != nil && ctx.Err() == nil; retry++ {
-		res = e.runJobOnce(ctx, job)
-	}
-	return res
-}
-
-// failed is the result of a job that could not be simulated.
-func (job Job) failed(err error) RunResult {
-	return RunResult{Benchmark: job.Prof.Name, Policy: job.Policy, Config: job.Cfg.Name, Err: err}
-}
-
-func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
+// run is the one job runner behind Run, RunAll and RunJobs. It counts
+// the job, fires OnJobStart, builds the job's source and policy and
+// executes it, then counts the finished job, records its trace span and
+// fires OnJobDone — in that order: set-up is timed from OnJobStart to
+// the source's first record. A panicking job (a rejected configuration
+// or constructor) reports through the error instead of taking down the
+// worker pool. A job skipped or aborted because ctx is done counts as
+// no finished work and fires no OnJobDone.
+func (e *Engine) run(ctx context.Context, job *Job) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
-		return job.failed(err)
+		return RunResult{}, err
 	}
-	opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
-	if job.Cfg.Geometry.Vaulted() && job.MakePolicy != nil {
-		// One policy instance cannot be distributed across vaults; the
-		// vaulted path constructs per-vault policies from the kind.
-		return job.failed(fmt.Errorf("experiment: job %s/%s/%s: MakePolicy overrides are not supported on vaulted geometries",
-			job.Cfg.Name, job.Prof.Name, job.Policy))
-	}
-
 	e.mu.Lock()
 	e.stats.Started++
 	e.mu.Unlock()
 	e.registerEngineMetrics()
-	e.emit(e.OnJobStart, job.Cfg.Name, job.Prof.Name, job.Policy, false, 0)
+	e.emit(e.OnJobStart, job, false, 0)
 
-	jobCtx := ctx
-	if e.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jobCtx, cancel = context.WithTimeout(ctx, e.JobTimeout)
-		defer cancel()
-	}
 	jobStart := e.Trace.JobStart()
 	start := time.Now()
-	var res RunResult
-	func() {
-		// A job with a rejected configuration (or a panicking constructor)
-		// must not take down the worker pool — and with it every other
-		// job in the batch; it reports through RunResult.Err instead.
+	res, err := func() (res RunResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				res = job.failed(fmt.Errorf("experiment: job %s/%s/%s panicked: %v",
-					job.Cfg.Name, job.Prof.Name, job.Policy, r))
+				res, err = RunResult{}, fmt.Errorf("experiment: run %s panicked: %v", job.label(), r)
 			}
 		}()
+		opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
 		var src trace.Source
 		if job.MakeSource != nil {
 			src = job.MakeSource()
@@ -438,41 +361,31 @@ func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
 		j := newRunJob(job.Cfg, job.Prof, job.Policy, opts, src)
 		j.makePolicy, j.retMap = job.MakePolicy, job.RetentionMap
 		j.trace, j.metrics = e.Trace, e.Metrics
-		var err error
-		if res, err = execute(jobCtx, j); err != nil {
-			res = job.failed(err)
-		}
+		return execute(ctx, j)
 	}()
 	wall := time.Since(start)
-
-	if res.Err != nil && ctx.Err() != nil {
-		// Aborted by the caller: not finished work, and nothing the
-		// instrumentation should count.
-		return res
+	if err != nil && ctx.Err() != nil {
+		return RunResult{}, err
 	}
 
 	if e.Trace.Enabled() {
-		e.Trace.JobSpan(job.Cfg.Name+"/"+job.Prof.Name+"/"+job.Policy.String(), jobStart, wall)
+		e.Trace.JobSpan(job.label(), jobStart, wall)
 	}
-	e.finish(wall)
-	e.emit(e.OnJobDone, job.Cfg.Name, job.Prof.Name, job.Policy, false, wall)
-	return res
-}
-
-func (e *Engine) finish(wall time.Duration) {
 	e.mu.Lock()
 	e.stats.Finished++
 	e.stats.SimWall += wall
 	e.mu.Unlock()
+	e.emit(e.OnJobDone, job, false, wall)
+	return res, err
 }
 
-func (e *Engine) emit(hook func(JobEvent), cfg, benchmark string, kind PolicyKind, cached bool, wall time.Duration) {
+func (e *Engine) emit(hook func(JobEvent), job *Job, cached bool, wall time.Duration) {
 	if hook == nil {
 		return
 	}
 	e.hookMu.Lock()
 	defer e.hookMu.Unlock()
-	hook(JobEvent{Config: cfg, Benchmark: benchmark, Policy: kind, Cached: cached, Wall: wall})
+	hook(JobEvent{Config: job.Cfg.Name, Benchmark: job.Prof.Name, Policy: job.Policy, Cached: cached, Wall: wall})
 }
 
 func (e *Engine) baseCtx() context.Context {

@@ -200,6 +200,46 @@ func TestEngineRunJobsOrderAndEquivalence(t *testing.T) {
 	}
 }
 
+// A RunSpec and the Job it describes run through the same runner: the
+// same result, the same hook events (labelled by the configuration's
+// name) and one started and finished job each.
+func TestEngineSpecAndJobShareRunner(t *testing.T) {
+	spec := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()}
+	job := Job{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "gcc"), Policy: PolicySmart, Opts: engineOpts()}
+
+	record := func(eng *Engine) *[]JobEvent {
+		var evs []JobEvent
+		hook := func(ev JobEvent) {
+			ev.Wall = 0 // host timing, not part of the event's identity
+			evs = append(evs, ev)
+		}
+		eng.OnJobStart, eng.OnJobDone = hook, hook
+		return &evs
+	}
+	specEng, jobEng := NewEngine(1), NewEngine(1)
+	specEvs, jobEvs := record(specEng), record(jobEng)
+
+	specRes, err := specEng.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobRes := jobEng.RunJobs([]Job{job})[0]
+	if !reflect.DeepEqual(specRes, jobRes) {
+		t.Errorf("spec and job results differ:\n spec: %+v\n  job: %+v", specRes, jobRes)
+	}
+	if !reflect.DeepEqual(*specEvs, *jobEvs) {
+		t.Errorf("spec and job events differ:\n spec: %+v\n  job: %+v", *specEvs, *jobEvs)
+	}
+	if want := "table1-2gb"; len(*specEvs) == 0 || (*specEvs)[0].Config != want {
+		t.Errorf("spec events = %+v, want Config %q", *specEvs, want)
+	}
+	for name, eng := range map[string]*Engine{"spec": specEng, "job": jobEng} {
+		if st := eng.Stats(); st.Started != 1 || st.Finished != 1 || st.CacheHits != 0 {
+			t.Errorf("%s engine stats = %+v, want one started and finished job", name, st)
+		}
+	}
+}
+
 // panicSpec is a spec whose simulation panics: SelfRefreshAfter below
 // the default idle-close timeout is rejected by memctrl.New, and
 // experiment.Run constructs the controller with MustNew.
@@ -350,7 +390,7 @@ func TestEngineTelemetry(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"2GB/gcc/smart", "table1-2gb/fasta/cbr"} {
+	for _, want := range []string{"table1-2gb/gcc/smart", "table1-2gb/fasta/cbr"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing job span %q", want)
 		}

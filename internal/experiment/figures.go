@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -108,10 +107,9 @@ type Suite struct {
 	// Engine executes and memoises the sweep's runs. Leave nil for a
 	// default engine (one worker per CPU); set it to share runs and
 	// instrumentation with other consumers or to bound the worker count.
+	// Its Ctx cancels in-flight sweeps: once it is done every
+	// Sweep/figure call returns its error.
 	Engine *Engine
-	// Ctx, when non-nil, cancels in-flight sweeps: once it is done every
-	// Sweep/figure call returns its error. Nil means never cancelled.
-	Ctx context.Context
 
 	progressed map[ConfigKind]bool
 }
@@ -124,13 +122,6 @@ func (s *Suite) engine() *Engine {
 		s.Engine = NewEngine(0)
 	}
 	return s.Engine
-}
-
-func (s *Suite) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
 }
 
 func (s *Suite) profiles() []workload.Profile {
@@ -156,7 +147,7 @@ func (s *Suite) profiles() []workload.Profile {
 // parallelises them across its worker pool and memoises each (config,
 // benchmark, policy) result, so repeated sweeps — every figure sharing a
 // configuration — cost no further simulation. A non-nil error means the
-// sweep did not complete — the suite's context was cancelled or a run
+// sweep did not complete — the engine's context was cancelled or a run
 // failed — and no partial metrics are returned.
 func (s *Suite) Sweep(kind ConfigKind) ([]PairMetrics, error) {
 	profs := s.profiles()
@@ -166,7 +157,7 @@ func (s *Suite) Sweep(kind ConfigKind) ([]PairMetrics, error) {
 			specs = append(specs, RunSpec{Config: kind, Benchmark: prof.Name, Policy: pol, Opts: s.Opts})
 		}
 	}
-	results, err := s.engine().RunAllContext(s.ctx(), specs)
+	results, err := s.engine().RunAll(specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: sweep %v: %w", kind, err)
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -212,67 +211,5 @@ func (s PowerStateSweep) RenderFingerprints(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "%s/%s/%s %s\n", s.Config, pt.Benchmark, pt.Policy, pt.Fingerprint)
-	}
-}
-
-// PowerStateVaultCheck is the vaulted leg of the sweep: the same
-// power-state configuration run on the HMC-style stack at several shard
-// counts, whose result fingerprints must agree bit for bit — the
-// per-vault state machines must compose with the VaultArray epoch
-// barriers without breaking the sharding determinism contract.
-type PowerStateVaultCheck struct {
-	Config        string
-	Policy        string
-	Shards        []int
-	Fingerprints  []string
-	Deterministic bool
-}
-
-// RunPowerStateVaultCheck runs the ladder-full policy on the hmc-8vault
-// configuration at each shard count (nil defaults to {1, 8}) and
-// compares fingerprints. It bypasses the engine memo on purpose: every
-// shard count must actually execute.
-func RunPowerStateVaultCheck(ctx context.Context, opts RunOptions, shards []int) (PowerStateVaultCheck, error) {
-	if len(shards) == 0 {
-		shards = []int{1, 8}
-	}
-	cfg := HMC8V.DRAM()
-	policies := PowerStatePolicies()
-	pol := policies[len(policies)-1] // ladder-full
-	check := PowerStateVaultCheck{Config: cfg.Name, Policy: pol.Name, Deterministic: true}
-	gcc, err := workload.ByName("gcc")
-	if err != nil {
-		return check, err
-	}
-	for _, s := range shards {
-		o := opts
-		o.SelfRefreshAfter = pol.SelfRefreshAfter
-		o.PowerStates = pol.Cfg
-		o.Shards = s
-		res, err := RunContext(ctx, cfg, gcc, PolicySmart, o)
-		if err != nil {
-			return check, err
-		}
-		check.Shards = append(check.Shards, s)
-		check.Fingerprints = append(check.Fingerprints, fingerprintResult(res))
-	}
-	for _, fp := range check.Fingerprints {
-		if fp != check.Fingerprints[0] {
-			check.Deterministic = false
-		}
-	}
-	return check, nil
-}
-
-// Render writes the vault check as text.
-func (v PowerStateVaultCheck) Render(w io.Writer) {
-	fmt.Fprintf(w, "Power-state vault determinism: %s / %s\n", v.Config, v.Policy)
-	for i, s := range v.Shards {
-		fmt.Fprintf(w, "  shards=%-3d %s\n", s, v.Fingerprints[i][:16])
-	}
-	if v.Deterministic {
-		fmt.Fprintf(w, "  results bit-identical at every shard count\n")
-	} else {
-		fmt.Fprintf(w, "  WARNING: results differ across shard counts\n")
 	}
 }

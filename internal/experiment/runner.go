@@ -77,8 +77,8 @@ type RunResult struct {
 	// Err is non-nil when the job could not be simulated at all (the
 	// configuration or option combination was rejected); the remaining
 	// fields are meaningless then. Run and Engine.RunJobs populate it;
-	// RunContext and Engine.Run report the same failures through their
-	// error return instead.
+	// Engine.Run and RunAll report the same failures through their error
+	// return instead.
 	Err error
 }
 
@@ -95,17 +95,10 @@ func (r RunResult) RefreshesPerSecond() float64 {
 // not be simulated (a rejected configuration, policy or window) comes
 // back with RunResult.Err set.
 func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) RunResult {
-	res, err := RunContext(context.Background(), cfg, prof, kind, opts)
+	opts = opts.withDefaults(cfg.RefreshInterval())
+	res, err := execute(context.Background(), newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked)))
 	res.Err = err
 	return res
-}
-
-// RunContext is Run with cooperative cancellation: the record loop and
-// the controller's tick/advance drains check ctx and abort with its
-// error, discarding the partial measurement.
-func RunContext(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) (RunResult, error) {
-	opts = opts.withDefaults(cfg.RefreshInterval())
-	return execute(ctx, newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked)))
 }
 
 // Stream is an access stream a caller supplies in place of a
@@ -374,6 +367,11 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 		}
 		ctl := memctrl.MustNew(j.cfg, policy, mcOpts)
 		return runTarget{ctl: ctl, next: math.MaxInt64, warm: make([]memctrl.Snapshot, 1)}, nil
+	}
+	if j.makePolicy != nil {
+		// One policy instance cannot be distributed across vaults; the
+		// vaulted path constructs per-vault policies from the kind.
+		return runTarget{}, fmt.Errorf("MakePolicy overrides are not supported on vaulted geometries")
 	}
 	if j.retMap != nil {
 		// A per-row retention map is indexed against the monolithic

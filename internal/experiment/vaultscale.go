@@ -69,9 +69,10 @@ func fingerprintResult(res RunResult) string {
 
 // RunVaultScaling executes the same vaulted run once per shard count and
 // compares wall time and result fingerprints. A nil or empty shard list
-// defaults to {1, 2, vaults}. The serial point (shards = 1) is always
-// run first and is the speedup and fingerprint reference; if absent from
-// the list it is prepended.
+// defaults to {1, 2, vaults}; a shard count below 1 is rejected before
+// anything runs. The serial point (shards = 1) is always run first, once,
+// and is the speedup and fingerprint reference; if absent from the list
+// it is prepended.
 func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, shards []int) (VaultScaling, error) {
 	if !cfg.Geometry.Vaulted() {
 		return VaultScaling{}, fmt.Errorf("experiment: %s is not a vaulted geometry", cfg.Name)
@@ -79,9 +80,12 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 	if len(shards) == 0 {
 		shards = []int{1, 2, cfg.Geometry.VaultCount()}
 	}
-	if shards[0] != 1 {
-		shards = append([]int{1}, shards...)
+	for _, s := range shards {
+		if s < 1 {
+			return VaultScaling{}, fmt.Errorf("experiment: shard count %d < 1", s)
+		}
 	}
+	shards = append([]int{1}, slices.DeleteFunc(slices.Clone(shards), func(s int) bool { return s == 1 })...)
 
 	study := VaultScaling{
 		Config:        cfg.Name,
@@ -93,9 +97,6 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 	var refWall time.Duration
 	var refPrint string
 	for _, s := range shards {
-		if s < 1 {
-			return VaultScaling{}, fmt.Errorf("experiment: shard count %d < 1", s)
-		}
 		o := opts.withDefaults(cfg.RefreshInterval())
 		o.Shards = s
 		var timing memctrl.VaultTiming
@@ -126,25 +127,39 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 	return study, nil
 }
 
-// Render writes the study as an aligned text table.
+// Render writes the study's deterministic part — each shard count's
+// result fingerprint and the verdict — so the text is byte-stable across
+// runs and machines. RenderTiming writes the measured wall times.
 func (v VaultScaling) Render(w io.Writer) {
 	fmt.Fprintf(w, "Vault scaling: %s / %s / %s (%d vaults)\n",
 		v.Config, v.Benchmark, v.Policy, v.Vaults)
-	fmt.Fprintf(w, "  %8s %14s %9s %14s %9s %12s  %s\n",
-		"shards", "wall", "speedup", "vault busy", "max/mean", "wait/epoch", "fingerprint")
+	fmt.Fprintf(w, "  %8s  %s\n", "shards", "fingerprint")
 	for _, pt := range v.Points {
-		fmt.Fprintf(w, "  %8d %14s %8.2fx %14s %8.2fx %12s  %s\n",
-			pt.Shards, pt.Wall.Round(time.Microsecond), pt.Speedup,
-			pt.Timing.TotalBusy().Round(time.Microsecond), busySkew(pt.Timing),
-			pt.Timing.WaitPerBarrier().Round(time.Microsecond), pt.Fingerprint[:16])
+		fmt.Fprintf(w, "  %8d  %s\n", pt.Shards, pt.Fingerprint[:16])
 	}
-	fmt.Fprintf(w, "  vault busy: summed per-vault flush time; max/mean: busiest vault over the mean;\n")
-	fmt.Fprintf(w, "  wait/epoch: barrier time beyond an even split of that work over min(shards, CPUs)\n")
 	if v.Deterministic {
 		fmt.Fprintf(w, "  results bit-identical at every shard count\n")
 	} else {
 		fmt.Fprintf(w, "  WARNING: results differ across shard counts\n")
 	}
+}
+
+// RenderTiming writes the study's host-side measurement as an aligned
+// text table: each shard count's wall time and speedup over the serial
+// point, with the per-vault busy time and barrier wait that explain it.
+func (v VaultScaling) RenderTiming(w io.Writer) {
+	fmt.Fprintf(w, "Vault scaling timing: %s / %s / %s (%d vaults)\n",
+		v.Config, v.Benchmark, v.Policy, v.Vaults)
+	fmt.Fprintf(w, "  %8s %14s %9s %14s %9s %12s\n",
+		"shards", "wall", "speedup", "vault busy", "max/mean", "wait/epoch")
+	for _, pt := range v.Points {
+		fmt.Fprintf(w, "  %8d %14s %8.2fx %14s %8.2fx %12s\n",
+			pt.Shards, pt.Wall.Round(time.Microsecond), pt.Speedup,
+			pt.Timing.TotalBusy().Round(time.Microsecond), busySkew(pt.Timing),
+			pt.Timing.WaitPerBarrier().Round(time.Microsecond))
+	}
+	fmt.Fprintf(w, "  vault busy: summed per-vault flush time; max/mean: busiest vault over the mean;\n")
+	fmt.Fprintf(w, "  wait/epoch: barrier time beyond an even split of that work over min(shards, CPUs)\n")
 }
 
 // busySkew is the busiest vault's flush time over the mean: the
