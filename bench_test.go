@@ -19,6 +19,7 @@ import (
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/experiment"
+	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
@@ -404,8 +405,23 @@ func BenchmarkModuleAccess(b *testing.B) {
 // drains about one refresh tick through Controller.AdvanceTo.
 func refreshDispatch() (*smartrefresh.Controller, func()) {
 	cfg := smartrefresh.Table1_2GB()
-	ctl, err := smartrefresh.NewController(cfg, smartrefresh.NewCBRPolicy(cfg),
-		smartrefresh.ControllerOptions{})
+	return idleDispatch(cfg, smartrefresh.NewCBRPolicy(cfg))
+}
+
+// smartRefreshDispatch is refreshDispatch under Smart Refresh, the
+// RAS-only twin: with the self-disable off (it would hand the idle module
+// to CBR after one window), every row's counter expires once per
+// interval, so each step drains about one RAS-only refresh.
+func smartRefreshDispatch() (*smartrefresh.Controller, func()) {
+	cfg := smartrefresh.Table1_2GB()
+	cfg.Smart.SelfDisable = false
+	return idleDispatch(cfg, smartrefresh.NewSmartPolicy(cfg))
+}
+
+// idleDispatch returns a controller for cfg under policy and a step that
+// lets it idle for one CBR tick period.
+func idleDispatch(cfg smartrefresh.Config, policy smartrefresh.Policy) (*smartrefresh.Controller, func()) {
+	ctl, err := smartrefresh.NewController(cfg, policy, smartrefresh.ControllerOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -422,7 +438,20 @@ func refreshDispatch() (*smartrefresh.Controller, func()) {
 // controller: the event drain, the policy's Advance and the module
 // refresh with its restore fan-out.
 func BenchmarkRefreshDispatch(b *testing.B) {
-	ctl, step := refreshDispatch()
+	benchDispatch(b, refreshDispatch)
+}
+
+// BenchmarkSmartRefreshDispatch measures one idle tick period under
+// Smart Refresh through the controller: the event drain, the counter
+// ticks and the RAS-only module refreshes with their restore fan-out.
+func BenchmarkSmartRefreshDispatch(b *testing.B) {
+	benchDispatch(b, smartRefreshDispatch)
+}
+
+// benchDispatch runs an idle-dispatch step b.N times after a warmup and
+// reports the refreshes per step.
+func benchDispatch(b *testing.B, setup func() (*smartrefresh.Controller, func())) {
+	ctl, step := setup()
 	for i := 0; i < 4096; i++ {
 		step()
 	}
@@ -434,6 +463,28 @@ func BenchmarkRefreshDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(ctl.Module().Stats().RefreshOps-before)/float64(b.N), "refresh/op")
+}
+
+// BenchmarkMapperMap measures one physical-address decode through the
+// Table 1 2 GB mapper: the bit-field split into the flat bank, row and
+// column, and the coordinate struct Map returns.
+func BenchmarkMapperMap(b *testing.B) {
+	m := memctrl.NewMapper(config.Table1_2GB().Geometry, memctrl.RowRankBankColumn)
+	rng := sim.NewRNG(1)
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = rng.Uint64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows += m.Map(addrs[i&(len(addrs)-1)]).Row
+	}
+	b.StopTimer()
+	if rows < 0 {
+		b.Fatal("negative row")
+	}
 }
 
 func BenchmarkWorkloadGenerator(b *testing.B) {

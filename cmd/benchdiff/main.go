@@ -39,9 +39,9 @@ import (
 )
 
 // MicroBench selects the allocation-sensitive micro-benchmarks of the
-// policy, controller, module and 3D-cache hot paths; they run at
+// policy, controller, mapper, module and 3D-cache hot paths; they run at
 // MicroBenchtime.
-const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkPowerStateAdvance$|^BenchmarkDRAMCacheAccess$|^BenchmarkModuleAccess$|^BenchmarkRefreshDispatch$`
+const MicroBench = `^Benchmark(Smart|DARP|SARP|RAIDR)PolicyAdvance$|^BenchmarkControllerSubmit$|^BenchmarkPowerStateAdvance$|^BenchmarkDRAMCacheAccess$|^BenchmarkModuleAccess$|^Benchmark(Smart)?RefreshDispatch$|^BenchmarkMapperMap$`
 
 // MicroBenchtime is the fixed iteration count of the MicroBench tier:
 // enough iterations that set-up and buffer growth amortise away, few

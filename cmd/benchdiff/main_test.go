@@ -128,7 +128,8 @@ func TestBenchTiers(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkSmartPolicyAdvance", "BenchmarkRAIDRPolicyAdvance",
 		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance", "BenchmarkDRAMCacheAccess",
-		"BenchmarkModuleAccess", "BenchmarkRefreshDispatch",
+		"BenchmarkModuleAccess", "BenchmarkRefreshDispatch", "BenchmarkSmartRefreshDispatch",
+		"BenchmarkMapperMap",
 	} {
 		if !micro.MatchString(name) {
 			t.Errorf("%s not in the micro tier", name)

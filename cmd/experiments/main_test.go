@@ -42,6 +42,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// An unknown -benchmarks name fails the run, naming each unknown name,
+// instead of printing a figure over a silently shrunken sweep.
+func TestRunRejectsUnknownBenchmarks(t *testing.T) {
+	err := run(context.Background(), []string{
+		"-benchmarks", "nosuchname,fasta,alsonot", "-figures", "fig6",
+		"-warmup-ms", "16", "-measure-ms", "16", "-quiet",
+	})
+	if err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+	for _, name := range []string{`"nosuchname"`, `"alsonot"`} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+	if strings.Contains(err.Error(), "fasta") {
+		t.Errorf("error %q names the known benchmark fasta", err)
+	}
+}
+
 // TestRunTraceAndMetricsOutputs drives a figure regeneration plus the
 // ablation studies with the telemetry flags and checks the trace holds
 // every command event type (the idle-power study arms self-refresh, so

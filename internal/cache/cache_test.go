@@ -624,3 +624,54 @@ func TestCacheInvariantCatchesCorruption(t *testing.T) {
 		t.Errorf("well-formed set rejected: %v", err)
 	}
 }
+
+// Access and AppendAccess share one core. On seeded random streams over
+// a direct-mapped and a set-associative cache, Access's Hit and
+// DataAccesses must equal what AppendAccess reports, and with
+// MemoryTraffic must equal what the reference tag model's result
+// implies: a hit is one data-array access; a miss reads a dirty victim
+// out of the data array and writes it back to memory, then fetches the
+// line and fills the data array.
+func TestDRAMCacheAccessMatchesCore(t *testing.T) {
+	for _, ways := range []int{1, 4} {
+		cfg := config.CacheConfig{Name: "t", SizeBytes: 64 << 10, LineBytes: 64, Ways: ways, WriteBack: true}
+		whole, lean, ref := NewDRAMCache(cfg), NewDRAMCache(cfg), newRefCache(cfg)
+		size := uint64(cfg.SizeBytes)
+		rng := sim.NewRNG(uint64(ways))
+		var got []MemRequest
+		var hits, writebacks int
+		for step := 0; step < 20000; step++ {
+			r := rng.Uint64()
+			at, addr, write := sim.Time(step), r&(4*size-1), r>>62 == 0
+			res := whole.Access(at, addr, write)
+			var hit bool
+			got, hit = lean.AppendAccess(got[:0], at, addr, write)
+
+			tag := ref.Access(addr, write)
+			var data, mem []MemRequest
+			if tag.Hit {
+				data = append(data, MemRequest{Time: at, Addr: addr % size, Write: write})
+			} else {
+				if tag.WritebackValid {
+					data = append(data, MemRequest{Time: at, Addr: tag.Writeback % size})
+					mem = append(mem, MemRequest{Time: at, Addr: tag.Writeback, Write: true})
+					writebacks++
+				}
+				data = append(data, MemRequest{Time: at, Addr: tag.Fill % size, Write: true})
+				mem = append(mem, MemRequest{Time: at, Addr: tag.Fill})
+			}
+			if tag.Hit {
+				hits++
+			}
+			if res.Hit != hit || hit != tag.Hit ||
+				!slices.Equal(res.DataAccesses, got) || !slices.Equal(got, data) ||
+				!slices.Equal(res.MemoryTraffic, mem) {
+				t.Fatalf("%d-way step %d: Access %+v, AppendAccess hit %v data %v; reference hit %v data %v memory %v",
+					ways, step, res, hit, got, tag.Hit, data, mem)
+			}
+		}
+		if hits == 0 || writebacks == 0 {
+			t.Fatalf("%d-way: stream not mixed: %d hits, %d dirty evictions", ways, hits, writebacks)
+		}
+	}
+}

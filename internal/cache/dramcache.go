@@ -27,9 +27,9 @@ type DRAMCacheResult struct {
 
 // DRAMCache is the 3D die-stacked DRAM cache: an SRAM tag array (on the
 // processor die) in front of a DRAM data array (the stacked module). The
-// caller forwards DataAccesses to the stacked module's memory controller
-// — that is what makes hits refresh-relevant — and MemoryTraffic to the
-// backing store.
+// caller forwards the data-array accesses to the stacked module's memory
+// controller — that is what makes hits refresh-relevant — and
+// MemoryTraffic to the backing store.
 type DRAMCache struct {
 	tags      *Cache
 	dataRes   []MemRequest
@@ -54,25 +54,38 @@ func (d *DRAMCache) dataAddr(addr uint64) uint64 { return addr % uint64(d.sizeBy
 // Access runs one L2-miss access against the 3D cache. The returned
 // slices are reused across calls.
 func (d *DRAMCache) Access(t sim.Time, addr uint64, write bool) DRAMCacheResult {
-	d.dataRes = d.dataRes[:0]
 	d.memRes = d.memRes[:0]
-	line := d.tags.LineAddr(addr)
+	var hit bool
+	d.dataRes, hit = d.access(d.dataRes[:0], &d.memRes, t, addr, write)
+	return DRAMCacheResult{Hit: hit, DataAccesses: d.dataRes, MemoryTraffic: d.memRes}
+}
+
+// AppendAccess is Access for a caller that needs only the data-array
+// accesses: it appends them to dst, in DataAccesses order, and reports
+// whether the access hit. The memory traffic is not built.
+func (d *DRAMCache) AppendAccess(dst []MemRequest, t sim.Time, addr uint64, write bool) ([]MemRequest, bool) {
+	return d.access(dst, nil, t, addr, write)
+}
+
+// access is the one access core: the tag lookup, with the data-array
+// accesses appended to data and, when mem is not nil, the memory traffic
+// appended to *mem. It returns data and whether the access hit.
+func (d *DRAMCache) access(data []MemRequest, mem *[]MemRequest, t sim.Time, addr uint64, write bool) ([]MemRequest, bool) {
 	res := d.tags.Access(addr, write)
-	out := DRAMCacheResult{Hit: res.Hit}
 	if res.Hit {
 		// Hit: one data-array access in the stacked DRAM.
-		d.dataRes = append(d.dataRes, MemRequest{Time: t, Addr: d.dataAddr(addr), Write: write})
-	} else {
-		if res.WritebackValid {
-			// Read the victim out of the data array, write it to memory.
-			d.dataRes = append(d.dataRes, MemRequest{Time: t, Addr: d.dataAddr(res.Writeback), Write: false})
-			d.memRes = append(d.memRes, MemRequest{Time: t, Addr: res.Writeback, Write: true})
-		}
-		// Fetch the line from memory and fill the data array.
-		d.memRes = append(d.memRes, MemRequest{Time: t, Addr: line, Write: false})
-		d.dataRes = append(d.dataRes, MemRequest{Time: t, Addr: d.dataAddr(line), Write: true})
+		return append(data, MemRequest{Time: t, Addr: d.dataAddr(addr), Write: write}), true
 	}
-	out.DataAccesses = d.dataRes
-	out.MemoryTraffic = d.memRes
-	return out
+	if res.WritebackValid {
+		// Read the victim out of the data array, write it to memory.
+		data = append(data, MemRequest{Time: t, Addr: d.dataAddr(res.Writeback), Write: false})
+		if mem != nil {
+			*mem = append(*mem, MemRequest{Time: t, Addr: res.Writeback, Write: true})
+		}
+	}
+	// Fetch the line from memory and fill the data array.
+	if mem != nil {
+		*mem = append(*mem, MemRequest{Time: t, Addr: res.Fill, Write: false})
+	}
+	return append(data, MemRequest{Time: t, Addr: d.dataAddr(res.Fill), Write: true}), false
 }

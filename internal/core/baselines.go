@@ -54,7 +54,7 @@ func (c *CBR) Advance(t sim.Time, dst []Command) []Command {
 		b := c.bank
 		c.bank = (b + 1) & bankMask
 		c.clock.next()
-		dst = append(dst, Command{Bank: dram.BankFromFlat(&c.geom, b), Row: -1, Kind: dram.RefreshCBR})
+		dst = append(dst, Command{Bank: b, Row: -1, Kind: dram.RefreshCBR})
 		c.stats.RefreshesRequested++
 	}
 	return dst
@@ -140,7 +140,8 @@ func (b *Burst) Advance(t sim.Time, dst []Command) []Command {
 		}
 		emitted := 0
 		for b.pos < total && emitted < burstChunk {
-			dst = append(dst, Command{Bank: dram.RowFromFlat(&b.geom, b.pos).BankOf(), Row: -1, Kind: dram.RefreshCBR})
+			bank, _ := dram.SplitRow(&b.geom, b.pos)
+			dst = append(dst, Command{Bank: bank, Row: -1, Kind: dram.RefreshCBR})
 			b.pos++
 			emitted++
 		}
@@ -331,8 +332,8 @@ func (o *Oracle) Advance(t sim.Time, dst []Command) []Command {
 			return dst
 		}
 		o.h.pop()
-		row := dram.RowFromFlat(&o.geom, e.flat)
-		dst = append(dst, Command{Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly})
+		bank, row := dram.SplitRow(&o.geom, e.flat)
+		dst = append(dst, Command{Bank: bank, Row: row, Kind: dram.RefreshRASOnly})
 		o.stats.RefreshesRequested++
 		// The refresh itself restores the row; the controller reports it
 		// back via OnRowRestore, but schedule defensively here as well in

@@ -37,7 +37,7 @@ func TestCBRBankRoundRobin(t *testing.T) {
 	}
 	for i, cmd := range cmds {
 		wantBank := i % g.TotalBanks()
-		if cmd.Bank.Flat(&g) != wantBank {
+		if cmd.Bank != wantBank {
 			t.Fatalf("command %d bank %+v, want flat %d", i, cmd.Bank, wantBank)
 		}
 	}
@@ -149,11 +149,9 @@ func TestBurstChunkedEmission(t *testing.T) {
 	}
 	// Bank-major order: rows of bank 0, then bank 1, ...
 	for i, c := range cmds {
-		bank := i / g.Rows
-		rem := bank % (g.Ranks * g.Banks)
-		want := dram.BankID{Channel: bank / (g.Ranks * g.Banks), Rank: rem / g.Banks, Bank: rem % g.Banks}
+		want := i / g.Rows
 		if c.Bank != want || c.Row != -1 || c.Kind != dram.RefreshCBR {
-			t.Fatalf("cmd %d = %+v, want bank %+v row -1 CBR", i, c, want)
+			t.Fatalf("cmd %d = %+v, want bank %d row -1 CBR", i, c, want)
 		}
 	}
 	if next, ok := b.NextTick(); !ok || next != testInterval {
@@ -214,7 +212,7 @@ func TestOracleIdleRate(t *testing.T) {
 	}
 	seen := map[dram.RowID]int{}
 	for _, c := range cmds {
-		seen[c.RowID()]++
+		seen[c.RowID(&g)]++
 	}
 	for id, n := range seen {
 		if n != 1 {
@@ -233,14 +231,14 @@ func TestOracleDelaysAfterAccess(t *testing.T) {
 	var cmds []Command
 	cmds = o.Advance(testInterval-guard-1, cmds)
 	for _, c := range cmds {
-		if c.RowID() == row {
+		if c.RowID(&g) == row {
 			t.Fatal("accessed row refreshed before its extended deadline")
 		}
 	}
 	cmds = o.Advance(at+testInterval-guard, cmds[:0])
 	found := false
 	for _, c := range cmds {
-		if c.RowID() == row {
+		if c.RowID(&g) == row {
 			found = true
 		}
 	}
@@ -300,12 +298,13 @@ func TestOracleGuardValidation(t *testing.T) {
 
 func TestCommandRowIDPanicsOnCBR(t *testing.T) {
 	c := Command{Row: -1}
+	g := smallGeom()
 	defer func() {
 		if recover() == nil {
 			t.Error("RowID of CBR command did not panic")
 		}
 	}()
-	c.RowID()
+	c.RowID(&g)
 }
 
 func TestPolicyNames(t *testing.T) {

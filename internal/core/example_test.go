@@ -32,7 +32,7 @@ func Example_smartRefreshBasics() {
 	for now := sim.Time(0); now < 5*interval; now += interval / 64 {
 		cmds = policy.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			counts[c.RowID()]++
+			counts[c.RowID(&g)]++
 		}
 		policy.OnRowRestore(now, touched)
 	}

@@ -15,7 +15,9 @@ import (
 
 // Command is one refresh operation requested by a policy.
 type Command struct {
-	Bank dram.BankID
+	// Bank is the flat bank index (dram.BankID.Flat): its rank is
+	// Bank >> log2 Banks and that rank's channel rank >> log2 Ranks.
+	Bank int
 	// Row is the explicit row for RAS-only refresh. It is -1 for CBR and
 	// per-bank refresh, where the module's internal counter supplies the
 	// row.
@@ -27,13 +29,13 @@ type Command struct {
 	Overlap bool
 }
 
-// RowID returns the explicit row of a RAS-only command. It panics for CBR
-// commands, which carry no row.
-func (c Command) RowID() dram.RowID {
+// RowID returns the explicit row of a RAS-only command in geometry g. It
+// panics for CBR commands, which carry no row.
+func (c Command) RowID(g *dram.Geometry) dram.RowID {
 	if c.Row < 0 {
 		panic("core: RowID of CBR command")
 	}
-	return dram.RowID{Channel: c.Bank.Channel, Rank: c.Bank.Rank, Bank: c.Bank.Bank, Row: c.Row}
+	return dram.RowInBank(g, c.Bank, c.Row)
 }
 
 // Policy is a refresh scheduling policy. The memory controller drives it:
@@ -149,5 +151,5 @@ type BankAware interface {
 	// write-refresh parallelization treats them as non-blocking (a bank
 	// absorbing writes can refresh without hurting read latency).
 	// Observations may repeat; only the latest time per bank matters.
-	OnDemandObserved(t sim.Time, bank dram.BankID, write bool)
+	OnDemandObserved(t sim.Time, bank int, write bool)
 }

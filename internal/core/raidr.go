@@ -368,8 +368,8 @@ func (r *RAIDR) Advance(t sim.Time, dst []Command) []Command {
 			r.stats.SkippedIndexings++
 			continue
 		}
-		row := dram.RowFromFlat(&r.geom, flat)
-		dst = append(dst, Command{Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly})
+		bank, row := dram.SplitRow(&r.geom, flat)
+		dst = append(dst, Command{Bank: bank, Row: row, Kind: dram.RefreshRASOnly})
 		r.stats.RefreshesRequested++
 	}
 	return dst

@@ -162,7 +162,7 @@ func runRAIDRWheel(t *testing.T, r *RAIDR, g dram.Geometry, end sim.Time) [][]si
 			if c.Kind != dram.RefreshRASOnly || c.Row < 0 {
 				t.Fatalf("raidr emitted non-RAS-only command %+v", c)
 			}
-			flat := c.RowID().Flat(&g)
+			flat := c.RowID(&g).Flat(&g)
 			times[flat] = append(times[flat], now)
 		}
 	}
@@ -282,7 +282,7 @@ func TestRAIDRProfiledDeadlines(t *testing.T) {
 		}
 		cmds = r.Advance(next, cmds[:0])
 		for _, c := range cmds {
-			chk.OnRestore(next, c.RowID())
+			chk.OnRestore(next, c.RowID(&g))
 		}
 	}
 	chk.CheckEnd(end)

@@ -181,11 +181,11 @@ func (p *PerBank) OnRowRestore(sim.Time, dram.RowID) {}
 // pressure; writes are deliberately ignored (write-refresh
 // parallelization — refreshing under a write burst does not lengthen any
 // read's critical path).
-func (p *PerBank) OnDemandObserved(t sim.Time, bank dram.BankID, write bool) {
+func (p *PerBank) OnDemandObserved(t sim.Time, bank int, write bool) {
 	if write {
 		return
 	}
-	b := &p.banks[bank.Flat(&p.geom)]
+	b := &p.banks[bank]
 	if t > b.lastDemand {
 		b.prevDemand = b.lastDemand
 		b.lastDemand = t
@@ -199,7 +199,7 @@ func (p *PerBank) NextTick() (sim.Time, bool) { return p.next, true }
 func (p *PerBank) emit(b int, dst []Command) []Command {
 	p.banks[b].credit--
 	p.stats.RefreshesRequested++
-	return append(dst, Command{Bank: dram.BankFromFlat(&p.geom, b), Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
+	return append(dst, Command{Bank: b, Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
 }
 
 // slotBusy reports whether a slot at time at has read demand within the

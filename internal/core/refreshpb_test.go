@@ -39,7 +39,7 @@ func TestSARPFixedCadenceAndOverlap(t *testing.T) {
 	if len(cmds) < want-g.TotalBanks() || len(cmds) > want {
 		t.Fatalf("SARP emitted %d commands over one interval, want about %d", len(cmds), want)
 	}
-	perBank := map[dram.BankID]int{}
+	perBank := map[int]int{}
 	for _, c := range cmds {
 		if c.Kind != dram.RefreshPerBank {
 			t.Fatalf("kind = %v", c.Kind)
@@ -68,7 +68,7 @@ func TestDARPPostponesUnderReadPressureAndForcesAtCap(t *testing.T) {
 	cfg := DefaultPerBankConfig()
 	p := NewDARP(g, interval, cfg)
 	slot := interval / sim.Duration(g.Rows)
-	bank := dram.BankID{Channel: 0, Rank: 0, Bank: 0}
+	bank := 0
 
 	// Keep bank 0 under continuous read pressure for many slots.
 	var cmds []Command
@@ -116,7 +116,7 @@ func TestDARPPullsInToIdleBanks(t *testing.T) {
 	if st := p.Stats(); st.RefreshesPulledIn == 0 {
 		t.Error("no pull-in on idle banks")
 	}
-	perBank := map[dram.BankID]int{}
+	perBank := map[int]int{}
 	for _, c := range cmds {
 		perBank[c.Bank]++
 	}
@@ -133,7 +133,7 @@ func TestDARPWritePressureDoesNotPostpone(t *testing.T) {
 	interval := sim.Duration(1 * sim.Millisecond)
 	p := NewDARP(g, interval, PerBankConfig{})
 	slot := interval / sim.Duration(g.Rows)
-	bank := dram.BankID{Channel: 0, Rank: 0, Bank: 0}
+	bank := 0
 
 	for t := sim.Time(0); t <= sim.Time(20*slot); t += sim.Time(slot / 4) {
 		p.OnDemandObserved(t, bank, true) // writes only
@@ -157,15 +157,14 @@ func TestPerBankDeficitWindowProperty(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewDARP(g, interval, cfg)
-		issued := map[dram.BankID]int{}
+		issued := map[int]int{}
 		var cmds []Command
 		slots := 4 * g.Rows // four intervals
 		for s := 0; s < slots; s++ {
 			now := sim.Time(s) * sim.Time(slot)
 			// Random read/write pressure on random banks.
 			for k := 0; k < rng.Intn(4); k++ {
-				b := dram.BankID{Channel: 0, Rank: 0, Bank: rng.Intn(g.Banks)}
-				p.OnDemandObserved(now, b, rng.Intn(2) == 0)
+				p.OnDemandObserved(now, rng.Intn(g.Banks), rng.Intn(2) == 0)
 			}
 			cmds = drainPB(p, now, cmds[:0])
 			for _, c := range cmds {
@@ -178,10 +177,9 @@ func TestPerBankDeficitWindowProperty(t *testing.T) {
 		// No starvation: each bank has issued at least its nominal slot
 		// count minus the postponement window.
 		for b := 0; b < g.Banks; b++ {
-			id := dram.BankID{Channel: 0, Rank: 0, Bank: b}
-			if min := slots - cfg.MaxPostpone - 1; issued[id] < min {
-				t.Errorf("seed %d: bank %v issued %d refreshes over %d slots, want >= %d (no starvation)",
-					seed, id, issued[id], slots, min)
+			if min := slots - cfg.MaxPostpone - 1; issued[b] < min {
+				t.Errorf("seed %d: bank %d issued %d refreshes over %d slots, want >= %d (no starvation)",
+					seed, b, issued[b], slots, min)
 			}
 		}
 	}
@@ -197,7 +195,7 @@ func TestPerBankDeterminism(t *testing.T) {
 		for s := 0; s < 3*g.Rows; s++ {
 			now := sim.Time(s) * sim.Time(slot)
 			if s%3 == 0 {
-				p.OnDemandObserved(now, dram.BankID{Channel: 0, Rank: 0, Bank: s % g.Banks}, false)
+				p.OnDemandObserved(now, s%g.Banks, false)
 			}
 			out = drainPB(p, now, out)
 		}

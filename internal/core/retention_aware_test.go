@@ -207,7 +207,7 @@ func TestRetentionAwareIdleRates(t *testing.T) {
 	for now := 4 * testInterval; now <= (4+intervals)*testInterval; now += testInterval / 64 {
 		cmds = p.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			counts[c.RowID()]++
+			counts[c.RowID(&g)]++
 		}
 	}
 	for flat := 0; flat < g.TotalRows(); flat++ {
@@ -271,7 +271,7 @@ func TestRetentionAwareCorrectness(t *testing.T) {
 				now = sim.Max(now, pt)
 				cmds = p.Advance(pt, cmds[:0])
 				for _, c := range cmds {
-					chk.OnRestore(pt, c.RowID())
+					chk.OnRestore(pt, c.RowID(&g))
 				}
 				continue
 			}
@@ -304,7 +304,7 @@ func TestRetentionAwareExceedsBaseDeadline(t *testing.T) {
 	for now := sim.Time(0); now < 6*testInterval; now += testInterval / 128 {
 		cmds = p.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			chk.OnRestore(now, c.RowID())
+			chk.OnRestore(now, c.RowID(&g))
 		}
 	}
 	if chk.Violations() == 0 {

@@ -354,14 +354,14 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 				flat := seg*s.rowsPerSeg + pos
 				slots[seg] = s.resetValue(flat)
 				s.zeroCnt[pos]--
-				row := dram.RowFromFlat(&s.geom, flat)
+				bank, row := dram.SplitRow(&s.geom, flat)
 				if len(s.pending) >= s.cfg.QueueDepth {
 					// Unreachable when QueueDepth >= Segments because the
 					// queue drains every Advance; guarded as an invariant.
 					panic("core: pending refresh request queue overflow")
 				}
 				s.pending = append(s.pending, Command{
-					Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly,
+					Bank: bank, Row: row, Kind: dram.RefreshRASOnly,
 				})
 				generated++
 			} else {

@@ -194,7 +194,7 @@ func TestSmartDelaysRefreshAfterAccess(t *testing.T) {
 	for now := access; now < access+2*testInterval; now += step {
 		cmds = s.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			if c.Row == row.Row && c.Bank == row.BankOf() {
+			if c.Row == row.Row && c.Bank == row.BankOf().Flat(&g) {
 				refreshAt = now
 			}
 		}
@@ -235,7 +235,7 @@ func runSmartLoop(t *testing.T, g dram.Geometry, p Policy, seed uint64, length s
 				if c.Row < 0 {
 					t.Fatal("CBR command from smart-mode policy in this harness")
 				}
-				chk.OnRestore(pt, c.RowID())
+				chk.OnRestore(pt, c.RowID(&g))
 			}
 			continue
 		}
@@ -299,7 +299,7 @@ func TestSmartOptimalityBound(t *testing.T) {
 		for now := sim.Time(0); now < 5*testInterval; now += step {
 			cmds = s.Advance(now, cmds[:0])
 			for _, c := range cmds {
-				id := c.RowID()
+				id := c.RowID(&g)
 				if prev, ok := last[id]; ok && prev > testInterval {
 					// Ignore the seeded warmup interval.
 					if gap := now - prev; gap < minGap {
@@ -559,7 +559,7 @@ func TestSmartModeSwitchAcrossMultipleWindows(t *testing.T) {
 	swept := map[dram.RowID]bool{}
 	for _, c := range cmds {
 		if c.Kind == dram.RefreshRASOnly && c.Row >= 0 {
-			swept[c.RowID()] = true
+			swept[c.RowID(&g)] = true
 		}
 	}
 	if len(swept) != g.TotalRows() {
@@ -578,11 +578,11 @@ func TestSmartCorrectnessWithDisable(t *testing.T) {
 	cfg := DefaultSmartConfig()
 	s := NewSmart(g, testInterval, cfg)
 	// Per-bank emulation of the module's internal CBR counters.
-	cbrState := map[dram.BankID]int{}
-	cbrEmu := func(b dram.BankID) dram.RowID {
+	cbrState := map[int]int{}
+	cbrEmu := func(b int) dram.RowID {
 		r := cbrState[b]
 		cbrState[b] = (r + 1) % g.Rows
-		return dram.RowID{Channel: b.Channel, Rank: b.Rank, Bank: b.Bank, Row: r}
+		return dram.RowInBank(&g, b, r)
 	}
 	chk := NewRetentionChecker(g, 2*testInterval, 0)
 	var cmds []Command
@@ -594,7 +594,7 @@ func TestSmartCorrectnessWithDisable(t *testing.T) {
 		cmds = s.Advance(now, cmds[:0])
 		for _, c := range cmds {
 			if c.Row >= 0 {
-				chk.OnRestore(now, c.RowID())
+				chk.OnRestore(now, c.RowID(&g))
 			} else {
 				chk.OnRestore(now, cbrEmu(c.Bank))
 			}

@@ -225,8 +225,20 @@ func (r RowID) Flat(g *Geometry) int {
 // RowFromFlat is the inverse of RowID.Flat. Validate guarantees every
 // dimension is a power of two, so the decode is shifts and masks.
 func RowFromFlat(g *Geometry, flat int) RowID {
-	b := BankFromFlat(g, flat>>bits.TrailingZeros(uint(g.Rows)))
-	return RowID{Channel: b.Channel, Rank: b.Rank, Bank: b.Bank, Row: flat & (g.Rows - 1)}
+	bank, row := SplitRow(g, flat)
+	return RowInBank(g, bank, row)
+}
+
+// SplitRow splits a flat row index into its flat bank index and its row
+// within that bank: flat >> log2 Rows and flat & (Rows-1).
+func SplitRow(g *Geometry, flat int) (bank, row int) {
+	return flat >> bits.TrailingZeros(uint(g.Rows)), flat & (g.Rows - 1)
+}
+
+// RowInBank returns the RowID of row within flat bank bank.
+func RowInBank(g *Geometry, bank, row int) RowID {
+	b := BankFromFlat(g, bank)
+	return RowID{Channel: b.Channel, Rank: b.Rank, Bank: b.Bank, Row: row}
 }
 
 // Address is a fully decoded DRAM address.
@@ -255,8 +267,16 @@ func (b BankID) Flat(g *Geometry) int {
 	return (b.Channel*g.Ranks+b.Rank)*g.Banks + b.Bank
 }
 
+// Valid reports whether b addresses a bank inside g.
+func (b BankID) Valid(g *Geometry) bool {
+	return b.Channel >= 0 && b.Channel < g.Channels &&
+		b.Rank >= 0 && b.Rank < g.Ranks &&
+		b.Bank >= 0 && b.Bank < g.Banks
+}
+
 // BankFromFlat is the inverse of BankID.Flat, by shifts and masks like
-// RowFromFlat.
+// RowFromFlat: the flat rank is flat >> log2 Banks and the channel is the
+// flat rank >> log2 Ranks.
 func BankFromFlat(g *Geometry, flat int) BankID {
 	flatRank := flat >> bits.TrailingZeros(uint(g.Banks))
 	return BankID{

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/stats"
@@ -292,9 +293,15 @@ type Module struct {
 	burst sim.Duration
 	d     delays
 
-	banks    []bankState
-	ranks    []rankState
-	channels []channelState
+	// banks, ranks and channels are indexed flat: bank BankID.Flat, rank
+	// channel*Ranks+rank. A flat bank's rank is bank >> bankShift and a
+	// flat rank's channel is rank >> rankShift (log2 Banks and log2
+	// Ranks; Validate makes both dimensions powers of two).
+	banks     []bankState
+	ranks     []rankState
+	channels  []channelState
+	bankShift uint
+	rankShift uint
 
 	// cbrCounters holds the module-internal CBR row counter per bank. The
 	// counter initialises to zero at power-up and wraps at Rows; it cannot
@@ -338,6 +345,8 @@ func NewModule(g Geometry, t Timing) *Module {
 		channels:    make([]channelState, g.Channels),
 		cbrCounters: make([]int, g.TotalBanks()),
 		subRows:     subarrayRows(g.Rows),
+		bankShift:   uint(bits.TrailingZeros(uint(g.Banks))),
+		rankShift:   uint(bits.TrailingZeros(uint(g.Ranks))),
 	}
 	for i := range m.banks {
 		m.banks[i].openRow = -1
@@ -362,13 +371,9 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 	if s == nil {
 		return
 	}
-	for ch := 0; ch < m.geom.Channels; ch++ {
-		for rk := 0; rk < m.geom.Ranks; rk++ {
-			for b := 0; b < m.geom.Banks; b++ {
-				id := BankID{Channel: ch, Rank: rk, Bank: b}
-				s.NameThread(id.Flat(&m.geom), fmt.Sprintf("ch%d/rk%d/bk%d", ch, rk, b))
-			}
-		}
+	for flat := range m.banks {
+		id := BankFromFlat(&m.geom, flat)
+		s.NameThread(flat, fmt.Sprintf("ch%d/rk%d/bk%d", id.Channel, id.Rank, id.Bank))
 	}
 }
 
@@ -387,7 +392,7 @@ func (m *Module) Timing() Timing { return m.tim }
 // first to flush background-state residency up to the end of simulation.
 func (m *Module) Stats() ModuleStats { return m.stats }
 
-func (m *Module) rankIndex(ch, rank int) int { return ch*m.geom.Ranks + rank }
+func (m *Module) rankIndex(ch, rank int) int { return ch<<m.rankShift | rank }
 
 func (m *Module) observe(t sim.Time) {
 	if t > m.now {
@@ -431,25 +436,52 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 // Access performs one demand read or write under the open-page policy and
 // returns the command/data timing plus which row, if any, was closed.
 // The request is presented at time t; if the bank is busy the access
-// stalls until it is ready.
+// stalls until it is ready. An address outside the geometry panics.
 func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	if !addr.Valid(&m.geom) {
-		panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
+		badAddress(addr)
 	}
+	var res AccessResult
+	m.access(&res, t, addr.BankOf().Flat(&m.geom), addr.Row, write)
+	return res
+}
+
+// badAddress is Access's panic, out of line like badIndex.
+func badAddress(addr Address) {
+	panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
+}
+
+// AccessFlat is Access addressed by flat bank index (BankID.Flat) and row
+// within that bank; the column does not affect timing, so it is not an
+// argument. An out-of-range bank or row, or a rank in self-refresh,
+// panics.
+func (m *Module) AccessFlat(t sim.Time, bank, row int, write bool) AccessResult {
+	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
+		badIndex("access", bank, row)
+	}
+	var res AccessResult
+	m.access(&res, t, bank, row, write)
+	return res
+}
+
+// access is the one demand-access core, behind Access and AccessFlat:
+// it fills res, which the caller has zeroed, for a bank and row already
+// checked. Filling the caller's result, rather than returning one that
+// both wrappers would copy again, keeps Access as cheap as before
+// (DESIGN §15).
+func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool) {
 	m.observe(t)
-	bi := addr.BankOf().Flat(&m.geom)
-	ri := m.rankIndex(addr.Channel, addr.Rank)
+	ri := bank >> m.bankShift
 	r := &m.ranks[ri]
 	if r.inSelfRefresh {
-		panic(fmt.Sprintf("dram: access to rank ch%d/rk%d in self-refresh", addr.Channel, addr.Rank))
+		panic(fmt.Sprintf("dram: access to rank %s in self-refresh", m.rankName(ri)))
 	}
-	b := &m.banks[bi]
-	ch := &m.channels[addr.Channel]
+	b := &m.banks[bank]
+	ch := &m.channels[ri>>m.rankShift]
 	d := &m.d
 
-	res := AccessResult{}
 	ready := b.readyAt
-	if b.srefUntil > t && addr.Row/m.subRows == b.srefSub && b.srefUntil > ready {
+	if b.srefUntil > t && row/m.subRows == b.srefSub && b.srefUntil > ready {
 		// An overlapped refresh is restoring this row's subarray: demand
 		// to it serializes behind the refresh (other subarrays proceed).
 		ready = b.srefUntil
@@ -461,7 +493,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	res.Issue = issue
 
 	cas := issue // when the column command can go
-	if b.openRow == addr.Row {
+	if b.openRow == row {
 		// Row hit: column command straight away.
 		res.RowHit = true
 		m.stats.RowHits++
@@ -478,7 +510,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 			res.ClosedRow = b.openRow
 			pre := sim.Max(issue, b.prechargeOKAt)
 			if m.trace != nil {
-				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+				m.trace.Command(telemetry.CmdPrecharge, bank, b.openRow, pre, pre+m.tim.TRP)
 			}
 			m.closeBank(b, ri, pre)
 			m.stats.Precharges++
@@ -486,7 +518,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		}
 		act = sim.Max(act, b.activateOKAt)
 		act = sim.Max(act, r.activateOKAt(d))
-		m.openBank(b, ri, addr.Row, act)
+		m.openBank(b, ri, row, act)
 		r.recordActivate(act)
 		m.stats.Activates++
 		b.activateOKAt = act + d.rc
@@ -494,7 +526,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		cas = act + d.rcd
 		res.ActivateAt = act
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdActivate, bi, addr.Row, act, cas)
+			m.trace.Command(telemetry.CmdActivate, bank, row, act, cas)
 		}
 	}
 
@@ -511,18 +543,38 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		m.stats.Writes++
 		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataStart+d.burstWR)
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdWrite, bi, addr.Row, dataStart, dataDone)
+			m.trace.Command(telemetry.CmdWrite, bank, row, dataStart, dataDone)
 		}
 	} else {
 		m.stats.Reads++
 		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+d.rtp)
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRead, bi, addr.Row, dataStart, dataDone)
+			m.trace.Command(telemetry.CmdRead, bank, row, dataStart, dataDone)
 		}
 	}
 	m.stats.Accesses++
 	m.observe(dataDone)
-	return res
+}
+
+// badIndex is the panic of the flat core's bounds checks, out of line so
+// that they cost a compare and a branch: a flat bank outside the module,
+// or a row outside the bank, is a controller bug.
+func badIndex(op string, bank, row int) {
+	panic(fmt.Sprintf("dram: %s of invalid flat bank %d row %d", op, bank, row))
+}
+
+// validBank returns bank's flat index, panicking when bank lies outside
+// the geometry; op names the command in the message.
+func (m *Module) validBank(op string, bank BankID) int {
+	if !bank.Valid(&m.geom) {
+		panic(fmt.Sprintf("dram: %s of invalid bank %+v", op, bank))
+	}
+	return bank.Flat(&m.geom)
+}
+
+// rankName renders flat rank ri as ch<channel>/rk<rank> for messages.
+func (m *Module) rankName(ri int) string {
+	return fmt.Sprintf("ch%d/rk%d", ri>>m.rankShift, ri&(m.geom.Ranks-1))
 }
 
 // issueAt returns the first clock edge at or after both the request time
@@ -535,26 +587,68 @@ func (m *Module) issueAt(t, ready sim.Time) sim.Time {
 	return ready
 }
 
+// Refreshed is the outcome of one refresh on the flat-indexed core: the
+// bank was occupied from Issue to Done restoring Row, after first
+// closing the open page ClosedRow (-1 when the bank was precharged or an
+// overlapped refresh left the page open). Both are rows of the refreshed
+// bank.
+type Refreshed struct {
+	Issue, Done    sim.Time
+	Row, ClosedRow int
+}
+
+// result expands a core refresh of flat bank bank into the RefreshResult
+// the BankID/RowID entry points return.
+func (m *Module) result(bank int, kind RefreshKind, r Refreshed) RefreshResult {
+	res := RefreshResult{Row: RowInBank(&m.geom, bank, r.Row), Kind: kind, Issue: r.Issue, Done: r.Done}
+	if r.ClosedRow >= 0 {
+		res.ClosedOpenRow, res.ClosedRow = true, r.ClosedRow
+	}
+	return res
+}
+
 // RefreshRow performs a RAS-only refresh of the addressed row: the
 // controller supplies the row address. If the bank has an open page it is
 // closed first (counted as a conflict refresh; this is the higher-energy
-// case the paper describes).
+// case the paper describes). A row outside the geometry panics.
 func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
-	return m.refresh(t, row, RefreshRASOnly)
+	if !row.Valid(&m.geom) {
+		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
+	}
+	bank := row.BankOf().Flat(&m.geom)
+	return m.result(bank, RefreshRASOnly, m.RefreshRowFlat(t, bank, row.Row))
+}
+
+// RefreshRowFlat is RefreshRow addressed by flat bank index and row
+// within that bank.
+func (m *Module) RefreshRowFlat(t sim.Time, bank, row int) Refreshed {
+	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
+		badIndex("refresh", bank, row)
+	}
+	return m.refreshBlocking(t, bank, row, RefreshRASOnly, m.d.rfc)
 }
 
 // RefreshNextCBR performs a CBR refresh on the given bank: the module's
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
 func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	return m.refresh(t, m.nextCounterRow(bank), RefreshCBR)
+	bi := m.validBank("refresh", bank)
+	return m.result(bi, RefreshCBR, m.RefreshCBRFlat(t, bi))
 }
 
-// nextCounterRow reads and advances a bank's internal refresh counter.
-func (m *Module) nextCounterRow(bank BankID) RowID {
-	bi := bank.Flat(&m.geom)
-	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
-	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) & (m.geom.Rows - 1)
+// RefreshCBRFlat is RefreshNextCBR addressed by flat bank index.
+func (m *Module) RefreshCBRFlat(t sim.Time, bank int) Refreshed {
+	if uint(bank) >= uint(len(m.banks)) {
+		badIndex("refresh", bank, 0)
+	}
+	return m.refreshBlocking(t, bank, m.counterRow(bank), RefreshCBR, m.d.rfc)
+}
+
+// counterRow reads and advances flat bank bank's internal refresh
+// counter.
+func (m *Module) counterRow(bank int) int {
+	row := m.cbrCounters[bank]
+	m.cbrCounters[bank] = (row + 1) & (m.geom.Rows - 1)
 	return row
 }
 
@@ -578,7 +672,8 @@ func subarrayRows(rows int) int {
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
 func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
-	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.d.rfcPB)
+	bi := m.validBank("refresh", bank)
+	return m.result(bi, RefreshPerBank, m.RefreshBankFlat(t, bi, false))
 }
 
 // RefreshBankOverlapped performs a per-bank refresh that parallelizes
@@ -590,32 +685,46 @@ func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
 // The rank-level activate-rate limits (tRRD, tFAW) still apply, since
 // the hidden activate draws real current.
 func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
-	row := m.nextCounterRow(bank)
-	if !row.Valid(&m.geom) {
-		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
-	}
-	m.observe(t)
-	bi := row.BankOf().Flat(&m.geom)
-	ri := m.rankIndex(row.Channel, row.Rank)
-	if m.ranks[ri].inSelfRefresh {
-		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
-	}
-	b := &m.banks[bi]
+	bi := m.validBank("refresh", bank)
+	return m.result(bi, RefreshPerBank, m.RefreshBankFlat(t, bi, true))
+}
 
-	res := RefreshResult{Row: row, Kind: RefreshPerBank}
+// RefreshBankFlat is RefreshBank, or RefreshBankOverlapped when overlap
+// is set, addressed by flat bank index.
+func (m *Module) RefreshBankFlat(t sim.Time, bank int, overlap bool) Refreshed {
+	if uint(bank) >= uint(len(m.banks)) {
+		badIndex("refresh", bank, 0)
+	}
+	row := m.counterRow(bank)
+	if overlap {
+		return m.refreshOverlapped(t, bank, row)
+	}
+	return m.refreshBlocking(t, bank, row, RefreshPerBank, m.d.rfcPB)
+}
+
+// refreshOverlapped is the overlapped per-bank refresh of row in flat
+// bank bank (see RefreshBankOverlapped).
+func (m *Module) refreshOverlapped(t sim.Time, bank, row int) Refreshed {
+	m.observe(t)
+	ri := bank >> m.bankShift
+	if m.ranks[ri].inSelfRefresh {
+		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
+	}
+	b := &m.banks[bank]
+
+	res := Refreshed{Row: row, ClosedRow: -1}
 	issue := m.issueAt(t, b.readyAt)
 	res.Issue = issue
 	start := issue
 
-	sameSub := b.openRow != -1 && b.openRow/m.subRows == row.Row/m.subRows
+	sameSub := b.openRow != -1 && b.openRow/m.subRows == row/m.subRows
 	if sameSub {
 		// The open page lives in the refreshing subarray: it must close
 		// first — the same conflict case as a blocking refresh.
-		res.ClosedOpenRow = true
 		res.ClosedRow = b.openRow
 		pre := sim.Max(issue, b.prechargeOKAt)
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+			m.trace.Command(telemetry.CmdPrecharge, bank, b.openRow, pre, pre+m.tim.TRP)
 		}
 		m.closeBank(b, ri, pre)
 		m.stats.Precharges++
@@ -630,7 +739,7 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		// Bank precharged: the refresh is the only activity; count the
 		// rank active for its duration, bank commandable again almost
 		// immediately (two clocks of command-bus turnaround).
-		m.openBank(b, ri, row.Row, start)
+		m.openBank(b, ri, row, start)
 		m.closeBank(b, ri, done)
 		b.readyAt = sim.Max(b.readyAt, start+2*m.tim.TCK)
 		b.prechargeOKAt = sim.Max(b.prechargeOKAt, b.readyAt)
@@ -638,14 +747,14 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 	// With a surviving open page in another subarray the bank state is
 	// untouched: demand row hits keep streaming during the refresh.
 	b.srefUntil = done
-	b.srefSub = row.Row / m.subRows
+	b.srefSub = row / m.subRows
 	res.Done = done
 
 	m.stats.RefreshOps++
 	m.stats.RefreshPerBankOps++
 	m.stats.RefreshOverlapOps++
 	if m.trace != nil {
-		m.trace.Command(telemetry.CmdRefreshPB, bi, row.Row, start, done)
+		m.trace.Command(telemetry.CmdRefreshPB, bank, row, start, done)
 	}
 	m.observe(done)
 	return res
@@ -658,17 +767,17 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult {
 	ri := m.rankIndex(channel, rank)
 	if m.ranks[ri].inSelfRefresh {
-		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", channel, rank))
+		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
 	}
 	m.observe(t)
 	results := make([]RefreshResult, m.geom.Banks)
+	base := ri << m.bankShift
+	banks := m.rankBanks(ri)
 
 	// Close any open pages and find when the whole rank is quiet.
 	start := t
-	for bk := 0; bk < m.geom.Banks; bk++ {
-		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(&m.geom)
-		b := &m.banks[bi]
+	for bk := range banks {
+		b := &banks[bk]
 		res := &results[bk]
 		res.Kind = RefreshAllBank
 		res.Issue = m.issueAt(t, b.readyAt)
@@ -677,7 +786,7 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 			res.ClosedRow = b.openRow
 			pre := sim.Max(res.Issue, b.prechargeOKAt)
 			if m.trace != nil {
-				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+				m.trace.Command(telemetry.CmdPrecharge, base+bk, b.openRow, pre, pre+m.tim.TRP)
 			}
 			m.closeBank(b, ri, pre)
 			m.stats.Precharges++
@@ -691,21 +800,19 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 	m.ranks[ri].recordActivate(start)
 	done := start + m.d.rfcAB
 
-	for bk := 0; bk < m.geom.Banks; bk++ {
-		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(&m.geom)
-		b := &m.banks[bi]
-		row := m.nextCounterRow(id)
-		results[bk].Row = row
+	for bk := range banks {
+		b := &banks[bk]
+		row := m.counterRow(base + bk)
+		results[bk].Row = RowID{Channel: channel, Rank: rank, Bank: bk, Row: row}
 		results[bk].Done = done
-		m.openBank(b, ri, row.Row, start)
+		m.openBank(b, ri, row, start)
 		m.closeBank(b, ri, done)
 		b.readyAt = done
 		b.activateOKAt = sim.Max(b.activateOKAt, start+m.d.rc)
 		b.prechargeOKAt = done
 		m.stats.RefreshOps++
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshAB, bi, row.Row, start, done)
+			m.trace.Command(telemetry.CmdRefreshAB, base+bk, row, start, done)
 		}
 	}
 	m.stats.RefreshAllBankOps++
@@ -713,25 +820,17 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 	return results
 }
 
-func (m *Module) refresh(t sim.Time, row RowID, kind RefreshKind) RefreshResult {
-	return m.refreshDur(t, row, kind, m.d.rfc)
-}
-
-// refreshDur is the blocking refresh: the bank is fully occupied for dur,
-// a whole number of clocks.
-func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
-	if !row.Valid(&m.geom) {
-		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
-	}
+// refreshBlocking is the blocking refresh of row in flat bank bank: the
+// bank is fully occupied for dur, a whole number of clocks.
+func (m *Module) refreshBlocking(t sim.Time, bank, row int, kind RefreshKind, dur sim.Duration) Refreshed {
 	m.observe(t)
-	bi := row.BankOf().Flat(&m.geom)
-	ri := m.rankIndex(row.Channel, row.Rank)
+	ri := bank >> m.bankShift
 	if m.ranks[ri].inSelfRefresh {
-		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
+		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
 	}
-	b := &m.banks[bi]
+	b := &m.banks[bank]
 
-	res := RefreshResult{Row: row, Kind: kind}
+	res := Refreshed{Row: row, ClosedRow: -1}
 	issue := m.issueAt(t, b.readyAt)
 	res.Issue = issue
 
@@ -739,11 +838,10 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	if b.openRow != -1 {
 		// Close the open page first; its cells are restored by the
 		// precharge write-back.
-		res.ClosedOpenRow = true
 		res.ClosedRow = b.openRow
 		pre := sim.Max(issue, b.prechargeOKAt)
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+			m.trace.Command(telemetry.CmdPrecharge, bank, b.openRow, pre, pre+m.tim.TRP)
 		}
 		m.closeBank(b, ri, pre)
 		m.stats.Precharges++
@@ -756,7 +854,7 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	// The refresh itself: internal activate + restore + precharge (the
 	// paper's 70 ns row refresh, or tRFCpb for a per-bank command). The
 	// bank ends precharged. Count the rank as active for the duration.
-	m.openBank(b, ri, row.Row, start)
+	m.openBank(b, ri, row, start)
 	m.ranks[ri].recordActivate(start)
 	done := start + dur
 	m.closeBank(b, ri, done)
@@ -770,17 +868,17 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	case RefreshCBR:
 		m.stats.RefreshCBROps++
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshCBR, bi, row.Row, start, done)
+			m.trace.Command(telemetry.CmdRefreshCBR, bank, row, start, done)
 		}
 	case RefreshRASOnly:
 		m.stats.RefreshRASOnlyOps++
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshRASOnly, bi, row.Row, start, done)
+			m.trace.Command(telemetry.CmdRefreshRASOnly, bank, row, start, done)
 		}
 	case RefreshPerBank:
 		m.stats.RefreshPerBankOps++
 		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshPB, bi, row.Row, start, done)
+			m.trace.Command(telemetry.CmdRefreshPB, bank, row, start, done)
 		}
 	}
 	m.observe(done)
@@ -789,12 +887,10 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 
 // OpenRow reports the row currently open in a bank, or -1 if precharged.
 func (m *Module) OpenRow(bank BankID) int {
-	return m.banks[bank.Flat(&m.geom)].openRow
+	return m.OpenRowFlat(bank.Flat(&m.geom))
 }
 
-// OpenRowFlat is OpenRow addressed by flat bank index — the controller's
-// page-close bookkeeping already works in flat indices, and skipping the
-// BankID round-trip matters on that hot path.
+// OpenRowFlat is OpenRow addressed by flat bank index.
 func (m *Module) OpenRowFlat(flat int) int {
 	return m.banks[flat].openRow
 }
@@ -805,15 +901,26 @@ func (m *Module) OpenRowFlat(flat int) int {
 // Memory controllers use this to close idle pages so ranks can enter
 // precharge power-down.
 func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
-	bi := bank.Flat(&m.geom)
-	b := &m.banks[bi]
-	if b.openRow == -1 {
+	row, closed := m.PrechargeFlat(t, m.validBank("precharge", bank))
+	if !closed {
 		return RowID{}, false
 	}
+	return RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: row}, true
+}
+
+// PrechargeFlat is PrechargeBank addressed by flat bank index; it returns
+// the restored row within the bank.
+func (m *Module) PrechargeFlat(t sim.Time, bank int) (int, bool) {
+	if uint(bank) >= uint(len(m.banks)) {
+		badIndex("precharge", bank, 0)
+	}
+	b := &m.banks[bank]
+	if b.openRow == -1 {
+		return -1, false
+	}
 	pre := m.clk.Next(sim.Max(t, b.prechargeOKAt))
-	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: b.openRow}
-	ri := m.rankIndex(bank.Channel, bank.Rank)
-	m.closeBank(b, ri, pre)
+	row := b.openRow
+	m.closeBank(b, bank>>m.bankShift, pre)
 	m.stats.Precharges++
 	done := pre + m.d.rp
 	b.readyAt = sim.Max(b.readyAt, done)
@@ -825,6 +932,12 @@ func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
 // BankReadyAt reports the earliest time the bank accepts another command.
 func (m *Module) BankReadyAt(bank BankID) sim.Time {
 	return m.banks[bank.Flat(&m.geom)].readyAt
+}
+
+// rankBanks returns flat rank ri's banks, which BankID.Flat lays out
+// contiguously.
+func (m *Module) rankBanks(ri int) []bankState {
+	return m.banks[ri<<m.bankShift : (ri+1)<<m.bankShift]
 }
 
 // EnterSelfRefresh puts a rank into self-refresh at time t: the module
@@ -849,12 +962,7 @@ func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 		panic(fmt.Sprintf("dram: self-refresh entry with %d open banks on ch%d/rk%d",
 			r.openBanks, channel, rank))
 	}
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
-		if ready := m.banks[bi].readyAt; ready > t {
-			t = ready
-		}
-	}
+	t = m.rankReadyAt(ri, t)
 	if r.lastUpdate > t {
 		t = r.lastUpdate
 	}
@@ -899,15 +1007,33 @@ func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 	}
 	ready := m.clk.Next(t + exitLat)
 	// Every bank of the rank honours the exit latency.
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
-		bk := &m.banks[bi]
+	m.holdRank(ri, ready)
+	m.observe(ready)
+	return ready
+}
+
+// rankReadyAt returns the later of t and the time every bank of flat rank
+// ri has finished its scheduled work.
+func (m *Module) rankReadyAt(ri int, t sim.Time) sim.Time {
+	banks := m.rankBanks(ri)
+	for i := range banks {
+		if ready := banks[i].readyAt; ready > t {
+			t = ready
+		}
+	}
+	return t
+}
+
+// holdRank makes every bank of flat rank ri wait for ready, the end of a
+// low-power exit.
+func (m *Module) holdRank(ri int, ready sim.Time) {
+	banks := m.rankBanks(ri)
+	for i := range banks {
+		bk := &banks[i]
 		bk.readyAt = sim.Max(bk.readyAt, ready)
 		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)
 		bk.prechargeOKAt = sim.Max(bk.prechargeOKAt, ready)
 	}
-	m.observe(ready)
-	return ready
 }
 
 // Finalize flushes background-state accounting up to time end and folds the

@@ -76,12 +76,7 @@ func (m *Module) EnterPowerDown(t sim.Time, channel, rank int, kind PowerDownKin
 		panic(fmt.Sprintf("dram: %v entry with %d open banks on ch%d/rk%d",
 			kind, r.openBanks, channel, rank))
 	}
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
-		if ready := m.banks[bi].readyAt; ready > t {
-			t = ready
-		}
-	}
+	t = m.rankReadyAt(ri, t)
 	if r.lastUpdate > t {
 		t = r.lastUpdate
 	}
@@ -138,13 +133,7 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	r.pdKind = PDNone
 	ready := m.clk.Next(t + exit)
 	// Every bank of the rank honours the exit latency.
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(&m.geom)
-		bk := &m.banks[bi]
-		bk.readyAt = sim.Max(bk.readyAt, ready)
-		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)
-		bk.prechargeOKAt = sim.Max(bk.prechargeOKAt, ready)
-	}
+	m.holdRank(ri, ready)
 	m.observe(ready)
 	return ready
 }

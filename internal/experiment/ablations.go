@@ -108,6 +108,7 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 		at := now + sim.Time(rng.Int63n(int64(interval/2)))
 		cmds = p.Advance(at, cmds[:0])
 		row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
+		bank := row.BankOf().Flat(&g)
 		p.OnRowRestore(at, row)
 
 		// Run tick by tick until that row's next refresh.
@@ -119,7 +120,7 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 			cmds = p.Advance(due, cmds[:0])
 			found := false
 			for _, c := range cmds {
-				if c.Row == row.Row && c.Bank == row.BankOf() {
+				if c.Row == row.Row && c.Bank == bank {
 					found = true
 				}
 			}

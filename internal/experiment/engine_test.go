@@ -40,7 +40,10 @@ func sweepWith(t *testing.T, workers int) []PairMetrics {
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	// The sweep reports benchmarks in the paper's figure order; build the
 	// serial expectation in the same order.
-	profs := (&Suite{Benchmarks: engineSubset}).profiles()
+	profs, err := (&Suite{Benchmarks: engineSubset}).profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(profs) != len(engineSubset) {
 		t.Fatalf("resolved %d of %d profiles", len(profs), len(engineSubset))
 	}

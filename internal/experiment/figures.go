@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/sim"
@@ -124,10 +126,13 @@ func (s *Suite) engine() *Engine {
 	return s.Engine
 }
 
-func (s *Suite) profiles() []workload.Profile {
+// profiles resolves Benchmarks to profiles in the paper's benchmark
+// order. A name that is not a benchmark is an error naming every such
+// name: dropping it would shrink the sweep silently.
+func (s *Suite) profiles() ([]workload.Profile, error) {
 	all := workload.Profiles()
 	if s.Benchmarks == nil {
-		return all
+		return all, nil
 	}
 	want := map[string]bool{}
 	for _, b := range s.Benchmarks {
@@ -137,9 +142,20 @@ func (s *Suite) profiles() []workload.Profile {
 	for _, p := range all {
 		if want[p.Name] {
 			out = append(out, p)
+			delete(want, p.Name)
 		}
 	}
-	return out
+	if len(want) > 0 {
+		var unknown []string
+		for _, b := range s.Benchmarks {
+			if want[b] {
+				unknown = append(unknown, strconv.Quote(b))
+				delete(want, b)
+			}
+		}
+		return nil, fmt.Errorf("experiment: unknown benchmarks %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
 }
 
 // Sweep returns the pair metrics for a configuration, in the paper's
@@ -150,7 +166,10 @@ func (s *Suite) profiles() []workload.Profile {
 // sweep did not complete — the engine's context was cancelled or a run
 // failed — and no partial metrics are returned.
 func (s *Suite) Sweep(kind ConfigKind) ([]PairMetrics, error) {
-	profs := s.profiles()
+	profs, err := s.profiles()
+	if err != nil {
+		return nil, err
+	}
 	specs := make([]RunSpec, 0, 2*len(profs))
 	for _, prof := range profs {
 		for _, pol := range []PolicyKind{PolicyCBR, PolicySmart} {

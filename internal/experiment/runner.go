@@ -246,6 +246,7 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 		end = math.MaxInt64
 	}
 	var front *cache.DRAMCache
+	var data []cache.MemRequest // one record's data-array accesses, reused
 	if opts.Stacked {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
 	}
@@ -269,13 +270,13 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 			warmed = true
 		}
 		if opts.Stacked {
-			res := front.Access(rec.Time, rec.Addr, rec.Write)
-			for _, da := range res.DataAccesses {
+			// The memory traffic behind the 3D cache goes to the
+			// conventional DRAM; the paper found it negligible for these
+			// footprints and that second module is not simulated here.
+			data, _ = front.AppendAccess(data[:0], rec.Time, rec.Addr, rec.Write)
+			for _, da := range data {
 				t.submit(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})
 			}
-			// MemoryTraffic goes to the conventional DRAM behind the 3D
-			// cache; the paper found it negligible for these footprints
-			// and we do not simulate that second module here.
 		} else {
 			t.submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
 		}

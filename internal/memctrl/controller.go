@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
@@ -99,6 +100,12 @@ type Controller struct {
 	policy core.Policy
 	mapper *Mapper
 
+	// bankShift is log2 Banks and rankShift log2 Ranks: flat bank b
+	// (BankID.Flat) lies in flat rank b >> bankShift, and flat rank ri
+	// in channel ri >> rankShift.
+	bankShift uint
+	rankShift uint
+
 	// bankAware is non-nil when the policy schedules refreshes around
 	// per-bank demand pressure (the DARP/SARP family). The controller
 	// then acts as a refresh-vs-demand arbiter: every demand access is
@@ -179,6 +186,8 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		idleClose:   idleClose,
 		bankLastUse: make([]sim.Time, cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
+		bankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
+		rankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Ranks))),
 	}
 	if ba, ok := policy.(core.BankAware); ok {
 		c.bankAware = ba
@@ -301,21 +310,13 @@ func (c *Controller) Policy() core.Policy { return c.policy }
 // Mapper exposes the address mapper.
 func (c *Controller) Mapper() *Mapper { return c.mapper }
 
-// restore fans a row-restore event out to the policy and the checker.
-func (c *Controller) restore(t sim.Time, row dram.RowID) {
-	c.policy.OnRowRestore(t, row)
+// restore fans a restore of row in flat bank bank out to the policy and
+// the checker.
+func (c *Controller) restore(t sim.Time, bank, row int) {
+	id := dram.RowInBank(&c.cfg.Geometry, bank, row)
+	c.policy.OnRowRestore(t, id)
 	if c.checker != nil {
-		c.checker.OnRestore(t, row)
-	}
-}
-
-// refreshRestore records a refresh-driven restore (the policy already
-// accounted for its own refreshes; only Smart counter state must not be
-// double-reset, which is safe because resetting an already-max counter is
-// idempotent — but CBR-kind refreshes bypass the policy entirely).
-func (c *Controller) refreshRestore(t sim.Time, row dram.RowID) {
-	if c.checker != nil {
-		c.checker.OnRestore(t, row)
+		c.checker.OnRestore(t, id)
 	}
 }
 
@@ -369,17 +370,16 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	bank := dram.BankFromFlat(&c.cfg.Geometry, flat)
-	if c.ps.enabled && c.ps.ranks[c.rankOf(bank.Channel, bank.Rank)].state == PSActPdn {
+	if ri := flat >> c.bankShift; c.ps.enabled && c.ps.ranks[ri].state == PSActPdn {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge
 		// can issue. It pays the tXP exit via the raised bank timings.
-		c.exitPowerDown(deadline, bank.Channel, bank.Rank, false)
+		c.exitPowerDown(deadline, ri, false)
 	}
-	if row, closed := c.module.PrechargeBank(deadline, bank); closed {
-		c.restore(deadline, row)
+	if row, closed := c.module.PrechargeFlat(deadline, flat); closed {
+		c.restore(deadline, flat, row)
 		if c.trace != nil {
-			c.trace.Command(telemetry.CmdIdleClose, flat, row.Row, deadline, deadline+c.cfg.Timing.TRP)
+			c.trace.Command(telemetry.CmdIdleClose, flat, row, deadline, deadline+c.cfg.Timing.TRP)
 		}
 		// Re-arm only on an actual close: the bank stays precharged until
 		// the next demand access refreshes bankLastUse. Re-arming when the
@@ -398,7 +398,8 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 	c.cmds = c.policy.Advance(due, c.cmds[:0])
 	for i := range c.cmds {
 		cmd := &c.cmds[i]
-		if c.selfRefreshActive(cmd.Bank.Channel, cmd.Bank.Rank) {
+		ri := cmd.Bank >> c.bankShift
+		if c.selfRefreshActive(ri) {
 			// The rank refreshes itself while asleep.
 			c.refreshesDroppedSR++
 			continue
@@ -407,29 +408,29 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 			// A refresh cannot issue with CKE low: wake a powered-down
 			// rank first. The wake is not demand (lastDemand stays), so
 			// the rank descends again as soon as the refresh drains.
-			switch c.ps.ranks[c.rankOf(cmd.Bank.Channel, cmd.Bank.Rank)].state {
+			switch c.ps.ranks[ri].state {
 			case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-				c.exitPowerDown(due, cmd.Bank.Channel, cmd.Bank.Rank, false)
+				c.exitPowerDown(due, ri, false)
 			}
 		}
-		var res dram.RefreshResult
+		var res dram.Refreshed
 		switch {
-		case cmd.Kind == dram.RefreshPerBank && cmd.Overlap:
-			res = c.module.RefreshBankOverlapped(due, cmd.Bank)
 		case cmd.Kind == dram.RefreshPerBank:
-			res = c.module.RefreshBank(due, cmd.Bank)
+			res = c.module.RefreshBankFlat(due, cmd.Bank, cmd.Overlap)
 		case cmd.Row >= 0:
-			res = c.module.RefreshRow(due, cmd.RowID())
+			res = c.module.RefreshRowFlat(due, cmd.Bank, cmd.Row)
 		default:
-			res = c.module.RefreshNextCBR(due, cmd.Bank)
+			res = c.module.RefreshCBRFlat(due, cmd.Bank)
 		}
-		if res.ClosedOpenRow {
+		if res.ClosedRow >= 0 {
 			// Closing the open page restored that row too.
-			closed := res.Row
-			closed.Row = res.ClosedRow
-			c.restore(res.Issue, closed)
+			c.restore(res.Issue, cmd.Bank, res.ClosedRow)
 		}
-		c.refreshRestore(res.Done, res.Row)
+		if c.checker != nil {
+			// The policy accounted for its own refresh (and CBR-kind
+			// refreshes bypass it); only the checker sees the restore.
+			c.checker.OnRestore(res.Done, dram.RowInBank(&c.cfg.Geometry, cmd.Bank, res.Row))
+		}
 	}
 }
 
@@ -487,23 +488,24 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		panic(fmt.Sprintf("memctrl: request at %v before controller time %v", req.Time, c.now))
 	}
 	c.now = req.Time
-	addr := c.mapper.Map(req.Addr)
+	bank, row, _ := c.mapper.locate(req.Addr)
 	if c.bankAware != nil {
 		// Arbitration: report the demand before draining refresh events at
 		// or before req.Time, so a per-bank refresh due exactly now on this
 		// bank sees the pressure and defers (demand-first tie-break) —
 		// unless its deficit window forces it, in which case refresh-first
 		// is the correct, retention-safe order.
-		c.bankAware.OnDemandObserved(req.Time, addr.BankOf(), req.Write)
+		c.bankAware.OnDemandObserved(req.Time, bank, req.Write)
 	}
 	c.drainRefreshes(req.Time)
 
+	ri := bank >> c.bankShift
 	if c.ps.armed {
-		c.wakeRank(req.Time, addr.Channel, addr.Rank)
+		c.wakeRank(req.Time, ri)
 	}
-	res := c.module.Access(req.Time, addr, req.Write)
-	c.setBankLastUse(addr.BankOf().Flat(&c.cfg.Geometry), res.Done)
-	c.noteDemand(res.Done, addr.Channel, addr.Rank)
+	res := c.module.AccessFlat(req.Time, bank, row, req.Write)
+	c.setBankLastUse(bank, res.Done)
+	c.noteDemand(res.Done, ri)
 
 	// A row-buffer hit touches only the sense amplifiers; the cells were
 	// already drained by the earlier activate, so a hit restores nothing
@@ -511,12 +513,10 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	// opened the row did.) Every other access activated the requested
 	// row, after a conflict first closed — and so restored — the old one.
 	if res.Conflict {
-		closed := addr.RowID
-		closed.Row = res.ClosedRow
-		c.restore(res.Issue, closed)
+		c.restore(res.Issue, bank, res.ClosedRow)
 	}
 	if !res.RowHit {
-		c.restore(res.Issue, addr.RowID)
+		c.restore(res.Issue, bank, row)
 	}
 
 	c.requests.Inc()

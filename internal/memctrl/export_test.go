@@ -5,5 +5,5 @@ func (c *Controller) PowerStateOf(channel, rank int) PowerState {
 	if !c.ps.armed {
 		return PSAwake
 	}
-	return c.ps.ranks[c.rankOf(channel, rank)].state
+	return c.ps.ranks[channel<<c.rankShift|rank].state
 }

@@ -46,8 +46,11 @@ type Mapper struct {
 	geom   dram.Geometry
 	scheme Interleave
 
-	lineShift  uint // log2 of burst bytes
-	colBits    uint
+	lineShift uint // log2 of burst bytes
+	colBits   uint
+	// flatBits is the width of the flat bank field: log2 of Banks,
+	// Ranks and Channels summed (see locate).
+	flatBits   uint
 	bankBits   uint
 	rankBits   uint
 	chanBits   uint
@@ -71,7 +74,7 @@ func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
 	if colUnits <= 0 || colUnits&(colUnits-1) != 0 {
 		panic(fmt.Sprintf("memctrl: %d column units not a power of two", colUnits))
 	}
-	return &Mapper{
+	m := &Mapper{
 		geom:       g,
 		scheme:     scheme,
 		lineShift:  uint(bits.TrailingZeros64(uint64(burst))),
@@ -83,6 +86,8 @@ func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
 		capacity:   g.CapacityBytes(),
 		burstBytes: burst,
 	}
+	m.flatBits = m.bankBits + m.rankBits + m.chanBits
+	return m
 }
 
 // Capacity returns the addressable bytes.
@@ -95,6 +100,15 @@ func (m *Mapper) BurstBytes() int64 { return m.burstBytes }
 // DRAM coordinates. The returned Column is in burst units scaled back to
 // device columns.
 func (m *Mapper) Map(phys uint64) dram.Address {
+	bank, row, col := m.locate(phys)
+	return dram.Address{RowID: dram.RowInBank(&m.geom, bank, row), Column: col}
+}
+
+// locate is Map's core: it returns the flat bank index (BankID.Flat),
+// the row within that bank and the device column. Under both interleaves
+// the bank, rank and channel fields are adjacent, lowest first, which is
+// BankID.Flat's layout, so the flat bank is one flatBits-wide field.
+func (m *Mapper) locate(phys uint64) (bank, row, col int) {
 	a := phys % uint64(m.capacity)
 	a >>= m.lineShift
 
@@ -104,27 +118,19 @@ func (m *Mapper) Map(phys uint64) dram.Address {
 		return v
 	}
 
-	var col, bank, rank, ch, row int
 	switch m.scheme {
 	case RowRankBankColumn:
 		col = take(m.colBits)
-		bank = take(m.bankBits)
-		rank = take(m.rankBits)
-		ch = take(m.chanBits)
+		bank = take(m.flatBits)
 		row = take(m.rowBits)
 	case RowColumnRankBank:
-		bank = take(m.bankBits)
-		rank = take(m.rankBits)
-		ch = take(m.chanBits)
+		bank = take(m.flatBits)
 		col = take(m.colBits)
 		row = take(m.rowBits)
 	default:
 		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(m.scheme)))
 	}
-	return dram.Address{
-		RowID:  dram.RowID{Channel: ch, Rank: rank, Bank: bank, Row: row},
-		Column: col * m.geom.BurstLength,
-	}
+	return bank, row, col * m.geom.BurstLength
 }
 
 // Unmap is the inverse of Map for addresses aligned to a burst; it returns

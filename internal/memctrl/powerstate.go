@@ -270,11 +270,11 @@ func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
 	return ps.minAt, ps.minRank, ps.minOK
 }
 
-// rankHasOpenPage reports whether any bank of the rank has an open row.
-func (c *Controller) rankHasOpenPage(channel, rank int) bool {
-	g := &c.cfg.Geometry
-	for b := 0; b < g.Banks; b++ {
-		if c.module.OpenRow(dram.BankID{Channel: channel, Rank: rank, Bank: b}) != -1 {
+// rankHasOpenPage reports whether any bank of flat rank ri has an open
+// row.
+func (c *Controller) rankHasOpenPage(ri int) bool {
+	for b := ri << c.bankShift; b < (ri+1)<<c.bankShift; b++ {
+		if c.module.OpenRowFlat(b) != -1 {
 			return true
 		}
 	}
@@ -291,7 +291,7 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 	channel, rank := c.rankCoords(ri)
 	switch target {
 	case PSActPdn:
-		if st.state == PSActPdn || !c.rankHasOpenPage(channel, rank) {
+		if st.state == PSActPdn || !c.rankHasOpenPage(ri) {
 			// Already there (a deferred deeper rung re-walked the ladder),
 			// or no page to hold open — skip to the precharged rungs.
 			c.scheduleFrom(ri, PSActPdn, t)
@@ -305,7 +305,7 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 			c.scheduleFrom(ri, target, t)
 			return
 		}
-		if c.rankHasOpenPage(channel, rank) {
+		if c.rankHasOpenPage(ri) {
 			// Pages still open: wait for idle-close, exactly like the
 			// deferred self-refresh entry. Re-arm past the close horizon.
 			st.lastDemand = t
@@ -339,13 +339,13 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 	}
 }
 
-// exitPowerDown wakes rank ri from an explicit power-down state at time
-// t. demand marks a demand-driven wake (resets the idle clock); wakes
-// for refreshes and idle-closes leave lastDemand alone, so the rank
-// drops straight back down the ladder once the interruption drains.
-func (c *Controller) exitPowerDown(t sim.Time, channel, rank int, demand bool) {
-	ri := c.rankOf(channel, rank)
+// exitPowerDown wakes flat rank ri from an explicit power-down state at
+// time t. demand marks a demand-driven wake (resets the idle clock);
+// wakes for refreshes and idle-closes leave lastDemand alone, so the
+// rank drops straight back down the ladder once the interruption drains.
+func (c *Controller) exitPowerDown(t sim.Time, ri int, demand bool) {
 	st := &c.ps.ranks[ri]
+	channel, rank := c.rankCoords(ri)
 	c.module.ExitPowerDown(t, channel, rank)
 	c.tracePowerDown(ri, t)
 	st.state = PSAwake
@@ -355,13 +355,14 @@ func (c *Controller) exitPowerDown(t sim.Time, channel, rank int, demand bool) {
 	c.scheduleFrom(ri, PSAwake, t)
 }
 
-// wakeRank wakes a rank in any low-power state for a demand access.
-func (c *Controller) wakeRank(t sim.Time, channel, rank int) {
-	switch c.ps.ranks[c.rankOf(channel, rank)].state {
+// wakeRank wakes flat rank ri from any low-power state for a demand
+// access.
+func (c *Controller) wakeRank(t sim.Time, ri int) {
+	switch c.ps.ranks[ri].state {
 	case PSSelfRefresh, PSSelfRefreshSlow:
-		c.exitSelfRefresh(t, channel, rank)
+		c.exitSelfRefresh(t, ri)
 	case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-		c.exitPowerDown(t, channel, rank, true)
+		c.exitPowerDown(t, ri, true)
 	}
 }
 
@@ -400,8 +401,7 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 			if c.trace != nil {
 				c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, end)
 			}
-			channel, rank := c.rankCoords(ri)
-			c.coverSelfRefresh(st.enteredAt, end, channel, rank)
+			c.coverSelfRefresh(st.enteredAt, end, ri)
 		default:
 			c.tracePowerDown(ri, end)
 		}

@@ -23,14 +23,9 @@ import (
 // one; the retention checker treats self-refresh residency accordingly by
 // recording a whole-rank restore at entry and exit.
 
-func (c *Controller) rankOf(channel, rank int) int {
-	return channel*c.cfg.Geometry.Ranks + rank
-}
-
-// rankCoords is the inverse of rankOf.
+// rankCoords returns flat rank ri's channel and rank within it.
 func (c *Controller) rankCoords(ri int) (channel, rank int) {
-	b := dram.BankFromFlat(&c.cfg.Geometry, ri*c.cfg.Geometry.Banks)
-	return b.Channel, b.Rank
+	return ri >> c.rankShift, ri & (c.cfg.Geometry.Ranks - 1)
 }
 
 // enterSelfRefresh puts rank ri into self-refresh at time t, provided its
@@ -39,9 +34,8 @@ func (c *Controller) rankCoords(ri int) (channel, rank int) {
 // in a PRE-PDN state descends without an intermediate wake — the module
 // folds the power-down residency at the handoff.
 func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
-	channel, rank := c.rankCoords(ri)
 	st := &c.ps.ranks[ri]
-	if c.rankHasOpenPage(channel, rank) {
+	if c.rankHasOpenPage(ri) {
 		// Pages still open: wait for idle-close. Re-arm the deadline
 		// just past the page-close horizon.
 		st.lastDemand = t
@@ -52,6 +46,7 @@ func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
 	// refreshes can extend past the idle deadline); the effective time
 	// drives the checker coverage so it never claims a span the rank
 	// spent executing commands.
+	channel, rank := c.rankCoords(ri)
 	entered := c.module.EnterSelfRefresh(t, channel, rank)
 	if st.state == PSPrePdnFast || st.state == PSPrePdnSlow {
 		// Descending from PRE-PDN: close that span's trace at the
@@ -62,17 +57,17 @@ func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
 	st.enteredAt = entered
 	// The internal engine keeps every row fresh; mark the handoff for the
 	// checker (see the transition-bound note above).
-	c.restoreRank(entered, channel, rank)
+	c.restoreRank(entered, ri)
 	c.scheduleFrom(ri, PSSelfRefresh, t)
 }
 
-// exitSelfRefresh wakes a rank for a demand access at time t.
-func (c *Controller) exitSelfRefresh(t sim.Time, channel, rank int) {
-	ri := c.rankOf(channel, rank)
+// exitSelfRefresh wakes flat rank ri for a demand access at time t.
+func (c *Controller) exitSelfRefresh(t sim.Time, ri int) {
 	st := &c.ps.ranks[ri]
 	if st.state != PSSelfRefresh && st.state != PSSelfRefreshSlow {
 		return
 	}
+	channel, rank := c.rankCoords(ri)
 	c.module.ExitSelfRefresh(t, channel, rank)
 	st.state = PSAwake
 	st.lastDemand = t
@@ -80,18 +75,18 @@ func (c *Controller) exitSelfRefresh(t sim.Time, channel, rank int) {
 		c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, t)
 	}
 	// The engine refreshed throughout; rows are at most one interval old.
-	c.coverSelfRefresh(st.enteredAt, t, channel, rank)
+	c.coverSelfRefresh(st.enteredAt, t, ri)
 	c.scheduleFrom(ri, PSAwake, t)
 }
 
-// coverSelfRefresh reports a rank's self-refresh residency [from, to] to
+// coverSelfRefresh reports flat rank ri's self-refresh residency [from, to] to
 // the retention checker as one whole-rank restore per refresh interval:
 // the module's internal walker refreshes every row once per interval
 // while the rank sleeps, so without this coverage any residency longer
 // than the checked deadline would be flagged as a (phantom) violation.
 // The walker's phase is invisible to the controller, which is why the
 // transition bound quoted above is two intervals, not one.
-func (c *Controller) coverSelfRefresh(from, to sim.Time, channel, rank int) {
+func (c *Controller) coverSelfRefresh(from, to sim.Time, ri int) {
 	if c.checker == nil {
 		return
 	}
@@ -100,47 +95,48 @@ func (c *Controller) coverSelfRefresh(from, to sim.Time, channel, rank int) {
 		if t > to {
 			t = to
 		}
-		c.restoreRank(t, channel, rank)
+		c.restoreRank(t, ri)
 		if t >= to {
 			return
 		}
 	}
 }
 
-// restoreRank reports a whole-rank restore to the retention checker only.
+// restoreRank reports a restore of every row of flat rank ri to the
+// retention checker only.
 // The policy is deliberately not notified: its refresh commands keep
 // being generated (and dropped) during self-refresh, which resets its
 // counters exactly as if it had issued them — so its state stays
 // consistent — and whole-rank notifications would flood the section 4.6
 // access-density window with phantom accesses.
-func (c *Controller) restoreRank(t sim.Time, channel, rank int) {
+func (c *Controller) restoreRank(t sim.Time, ri int) {
 	if c.checker == nil {
 		return
 	}
 	g := &c.cfg.Geometry
-	for b := 0; b < g.Banks; b++ {
+	for b := ri << c.bankShift; b < (ri+1)<<c.bankShift; b++ {
 		for r := 0; r < g.Rows; r++ {
-			c.checker.OnRestore(t, dram.RowID{Channel: channel, Rank: rank, Bank: b, Row: r})
+			c.checker.OnRestore(t, dram.RowInBank(g, b, r))
 		}
 	}
 }
 
-// noteDemand records rank activity (defers every downward transition).
-func (c *Controller) noteDemand(t sim.Time, channel, rank int) {
+// noteDemand records flat rank ri's activity (defers every downward
+// transition).
+func (c *Controller) noteDemand(t sim.Time, ri int) {
 	if !c.ps.armed {
 		return
 	}
-	ri := c.rankOf(channel, rank)
 	c.ps.ranks[ri].lastDemand = t
 	c.scheduleFrom(ri, PSAwake, t)
 }
 
-// selfRefreshActive reports whether the rank is in self-refresh.
-func (c *Controller) selfRefreshActive(channel, rank int) bool {
+// selfRefreshActive reports whether flat rank ri is in self-refresh.
+func (c *Controller) selfRefreshActive(ri int) bool {
 	if !c.ps.armed {
 		return false
 	}
-	s := c.ps.ranks[c.rankOf(channel, rank)].state
+	s := c.ps.ranks[ri].state
 	return s == PSSelfRefresh || s == PSSelfRefreshSlow
 }
 
