@@ -201,23 +201,45 @@ func TestVaultedLadderDrainSteadyStateAllocFree(t *testing.T) {
 
 // The 3D-cache front-end runs once per L2 miss of every stacked job: a
 // warm tag store and grown result buffers must serve it without
-// allocating.
+// allocating, through AppendAccess and through the Access wrapper.
 func TestDRAMCacheAccessSteadyStateAllocFree(t *testing.T) {
-	_, step := warmDRAMCache()
-	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
-		t.Errorf("steady-state DRAMCache.Access allocates %.1f allocs/op, want 0", avg)
+	for _, appendOnly := range []bool{true, false} {
+		_, step := warmDRAMCache(appendOnly)
+		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+			t.Errorf("steady-state DRAMCache access (append %v) allocates %.1f allocs/op, want 0", appendOnly, avg)
+		}
 	}
 }
 
 // Module.Access — hits, misses, conflicts and the precharges between
-// them — works on fixed per-bank state and must not allocate.
+// them — works on fixed per-bank state and must not allocate, through
+// the flat cores and through the struct wrappers.
 func TestModuleAccessSteadyStateAllocFree(t *testing.T) {
-	_, step := moduleAccessMix()
+	for _, flat := range []bool{true, false} {
+		_, step := moduleAccessMix(flat)
+		for n := 0; n < 4096; n++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+			t.Errorf("steady-state Module access (flat %v) allocates %.1f allocs/op, want 0", flat, avg)
+		}
+	}
+}
+
+// A refresh that wakes a powered-down rank, and the rank's settle back
+// onto its rung, write fixed per-rank state: the idle ladder must not
+// allocate.
+func TestLadderRefreshWakeSteadyStateAllocFree(t *testing.T) {
+	ctl, step := ladderRefreshWake()
 	for n := 0; n < 4096; n++ {
 		step()
 	}
+	before := ctl.Module().Stats().PowerDownEntries
 	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
-		t.Errorf("steady-state Module.Access allocates %.1f allocs/op, want 0", avg)
+		t.Errorf("steady-state ladder refresh wake allocates %.1f allocs/op, want 0", avg)
+	}
+	if ctl.Module().Stats().PowerDownEntries == before {
+		t.Error("no power-down entries while measured: no rank was woken")
 	}
 }
 

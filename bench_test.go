@@ -17,6 +17,7 @@ import (
 	"smartrefresh"
 	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/experiment"
 	"smartrefresh/internal/memctrl"
@@ -358,7 +359,10 @@ func BenchmarkControllerSubmit(b *testing.B) {
 // eight first precharging the bank (as an idle close would) so the
 // access is a row miss, and one in four a write. Time advances 0–33 ns
 // per step, so requests arrive both before and after their bank frees.
-func moduleAccessMix() (*dram.Module, func()) {
+// flat issues the mix through the flat cores the controller runs
+// (PrechargeFlat, AccessFlat); otherwise through the struct-addressed
+// wrappers.
+func moduleAccessMix(flat bool) (*dram.Module, func()) {
 	cfg := config.Table1_2GB()
 	g := cfg.Geometry
 	m := dram.NewModule(g, cfg.Timing)
@@ -367,24 +371,34 @@ func moduleAccessMix() (*dram.Module, func()) {
 	step := func() {
 		r := rng.Uint64()
 		now += sim.Time(r & 0x7fff)
-		flat := int(r>>16) % (g.Ranks * g.Banks)
+		bank := int(r>>16) % (g.Ranks * g.Banks)
+		row := int(r>>24) % 3
+		pre, write := (r>>28)&7 == 0, (r>>31)&3 == 0
+		if flat {
+			if pre {
+				m.PrechargeFlat(now, bank)
+			}
+			m.AccessFlat(now, bank, row, write)
+			return
+		}
 		addr := dram.Address{
-			RowID:  dram.RowID{Rank: flat / g.Banks, Bank: flat % g.Banks, Row: int(r>>24) % 3},
+			RowID:  dram.RowID{Rank: bank / g.Banks, Bank: bank % g.Banks, Row: row},
 			Column: int(r>>32) % g.Columns,
 		}
-		if (r>>28)&7 == 0 {
+		if pre {
 			m.PrechargeBank(now, addr.BankOf())
 		}
-		m.Access(now, addr, (r>>31)&3 == 0)
+		m.Access(now, addr, write)
 	}
 	return m, step
 }
 
-// BenchmarkModuleAccess measures one Module.Access of the seeded
-// hit/miss/conflict mix: the open-page decision, the command timing on
-// the clock-rounded delay table, and the bank/rank/bus bookkeeping.
+// BenchmarkModuleAccess measures one Module.AccessFlat of the seeded
+// hit/miss/conflict mix, the core Controller.Submit runs: the open-page
+// decision, the command timing on the clock-rounded delay table, and the
+// bank/rank/bus bookkeeping.
 func BenchmarkModuleAccess(b *testing.B) {
-	m, step := moduleAccessMix()
+	m, step := moduleAccessMix(true)
 	for i := 0; i < 4096; i++ {
 		step()
 	}
@@ -511,15 +525,22 @@ const dramCacheFootprint = 256 << 20
 // function that feeds it, warmed until nearly every set holds a line and
 // the result buffers have reached their working size. Each step issues
 // one access at a uniformly random address in the footprint, one in four
-// a write.
-func warmDRAMCache() (*cache.DRAMCache, func()) {
+// a write: through AppendAccess into a reused buffer, as the record loop
+// does, when appendOnly, and through the Access wrapper otherwise.
+func warmDRAMCache(appendOnly bool) (*cache.DRAMCache, func()) {
 	front := cache.NewDRAMCache(config.Table2_3DCache())
 	rng := sim.NewRNG(1)
 	var now sim.Time
+	var buf []cache.MemRequest
 	step := func() {
 		r := rng.Uint64()
 		now += sim.Time(sim.Nanosecond)
-		front.Access(now, r&(dramCacheFootprint-1), r>>62 == 0)
+		addr, write := r&(dramCacheFootprint-1), r>>62 == 0
+		if appendOnly {
+			buf, _ = front.AppendAccess(buf[:0], now, addr, write)
+			return
+		}
+		front.Access(now, addr, write)
 	}
 	for i := 0; i < 4<<20; i++ {
 		step()
@@ -528,10 +549,10 @@ func warmDRAMCache() (*cache.DRAMCache, func()) {
 }
 
 // BenchmarkDRAMCacheAccess measures one steady-state 3D-cache front-end
-// access: tag lookup, LRU update, victim selection and the data-array and
-// memory request lists.
+// access through AppendAccess, the path stacked runs take: tag lookup,
+// LRU update, victim selection and the data-array request list.
 func BenchmarkDRAMCacheAccess(b *testing.B) {
-	front, step := warmDRAMCache()
+	front, step := warmDRAMCache(true)
 	before := front.Tags().Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -648,4 +669,57 @@ func BenchmarkPowerStateAdvance(b *testing.B) {
 		now += 10 * smartrefresh.Microsecond
 		ctl.AdvanceTo(now)
 	}
+}
+
+// ladderRefreshWake returns one vault of the HMC-8V stack under CBR with
+// the ladder-full power states, and a step that idles it one CBR tick
+// period. CBR walks the vault's banks round-robin, so each tick refreshes
+// a rank that went back to sleep after its previous refresh. A demand to
+// every rank each 100 us keeps the ranks out of self-refresh (200 us), so
+// between demands they sit in PRE-PDN and nearly every step's refresh
+// wakes a powered-down rank, which then settles back down.
+func ladderRefreshWake() (*memctrl.Controller, func()) {
+	cfg := config.HMC8Vault()
+	cfg.Geometry = cfg.Geometry.PerVault()
+	cfg.Power.Geometry = cfg.Geometry
+	var full experiment.PowerStatePolicy
+	for _, p := range experiment.PowerStatePolicies() {
+		if p.Name == "ladder-full" {
+			full = p
+		}
+	}
+	ctl := memctrl.MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()),
+		memctrl.Options{SelfRefreshAfter: full.SelfRefreshAfter, PowerStates: full.Cfg})
+	period := cfg.RefreshInterval() / sim.Duration(cfg.Geometry.TotalRows())
+	var now, demandAt sim.Time
+	step := func() {
+		now += period
+		if now >= demandAt {
+			for r := 0; r < cfg.Geometry.Ranks; r++ {
+				ctl.Submit(memctrl.Request{Time: now, Addr: ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Rank: r}})})
+			}
+			demandAt = now + 100*sim.Microsecond
+		}
+		ctl.AdvanceTo(now)
+	}
+	return ctl, step
+}
+
+// BenchmarkLadderRefreshWake measures one idle CBR tick period on a
+// vault whose ranks are powered down: the refresh's wake, the refresh,
+// and the rank's settle back onto its rung.
+func BenchmarkLadderRefreshWake(b *testing.B) {
+	ctl, step := ladderRefreshWake()
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	before := ctl.Module().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	st := ctl.Module().Stats().Sub(before)
+	b.ReportMetric(float64(st.PowerDownEntries)/float64(b.N), "pdn_entries/op")
 }

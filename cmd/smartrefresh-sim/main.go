@@ -25,9 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"slices"
 	"sort"
 	"strings"
+	"syscall"
 
 	"smartrefresh/internal/atomicio"
 	"smartrefresh/internal/config"
@@ -308,8 +310,9 @@ type errSource interface {
 // incremental telemetry snapshots are emitted on the simulated-time
 // cadence of p.snapEvery. The replay has no warmup and an open end (see
 // experiment.RunStream); a vaulted preset replays through its vault
-// array with p.shards workers.
-func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
+// array with p.shards workers. Cancelling ctx ends the replay with its
+// error.
+func replayStream(ctx context.Context, r io.Reader, p replayParams) (replayOutcome, error) {
 	var out replayOutcome
 
 	stream, err := trace.NewStreamSource(r, trace.StreamOptions{
@@ -335,7 +338,7 @@ func replayStream(r io.Reader, p replayParams) (replayOutcome, error) {
 	}
 	obs := &observer{src: src, snap: snap}
 
-	res, err := experiment.RunStream(context.TODO(), p.cfg, p.policy.Kind,
+	res, err := experiment.RunStream(ctx, p.cfg, p.policy.Kind,
 		experiment.RunOptions{CheckRetention: p.check, Shards: p.shards},
 		experiment.Stream{Source: obs, Trace: p.tracer, Metrics: reg})
 	out.RunResult, out.Records = res.RunResult, obs.records
@@ -392,8 +395,10 @@ func (o *observer) Err() error {
 }
 
 // runTrace replays a trace stream (file or stdin) against the
-// controller.
+// controller; SIGINT or SIGTERM stops the replay with an error.
 func runTrace(path string, stdin io.Reader, capturePath string, p replayParams, tf *telemetry.Flags, stdout io.Writer) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var r io.Reader
 	if path == "-" {
 		r = stdin
@@ -416,14 +421,14 @@ func runTrace(path string, stdin io.Reader, capturePath string, p replayParams, 
 			bw := trace.NewBinaryWriter(w)
 			p.capture = bw
 			var rerr error
-			out, rerr = replayStream(r, p)
+			out, rerr = replayStream(ctx, r, p)
 			if rerr != nil {
 				return rerr
 			}
 			return bw.Flush()
 		})
 	} else {
-		out, err = replayStream(r, p)
+		out, err = replayStream(ctx, r, p)
 	}
 	if err != nil {
 		return err

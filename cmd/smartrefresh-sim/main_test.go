@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -633,7 +634,7 @@ func TestServerReplay(t *testing.T) {
 
 	// The server's results must match a direct in-process streaming
 	// replay of the identical records.
-	direct, err := replayStream(bytes.NewReader(encodeRecords(t, recs)), replayParams{
+	direct, err := replayStream(context.Background(), bytes.NewReader(encodeRecords(t, recs)), replayParams{
 		cfg:    mustPreset(t, "table1-2gb"),
 		policy: mustPolicy(t, "smart"),
 		bufKB:  trace.DefaultStreamBuffer / 1024,
@@ -692,6 +693,24 @@ func TestServerReplayErrorLine(t *testing.T) {
 	}
 	if final.Type != "error" || !strings.Contains(final.Error, "record 2") {
 		t.Errorf("terminal line = %+v, want out-of-order error naming record 2", final)
+	}
+}
+
+// A request whose context is cancelled — the client went away — stops
+// its replay, which ends with an error line instead of results.
+func TestServerReplayCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/replay?policy=cbr",
+		strings.NewReader("0 0x1000 R\n200 0x2000 W\n")).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	newServeMux().ServeHTTP(rec, req)
+	var final replayResponse
+	if err := json.Unmarshal(bytes.TrimSpace(rec.Body.Bytes()), &final); err != nil {
+		t.Fatalf("%v in %q", err, rec.Body.String())
+	}
+	if final.Type != "error" || !strings.Contains(final.Error, context.Canceled.Error()) {
+		t.Errorf("terminal line = %+v, want a cancellation error", final)
 	}
 }
 

@@ -133,7 +133,8 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		p.snapEmit = telemetry.JSONLEmitter(w)
 	}
 
-	out, err := replayStream(r.Body, p)
+	// A client that goes away cancels r.Context(), which stops the run.
+	out, err := replayStream(r.Context(), r.Body, p)
 	resp := replayResponse{
 		Type:    "results",
 		Config:  cfgName,

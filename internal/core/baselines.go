@@ -15,10 +15,10 @@ import (
 // to demand traffic, so every row is refreshed every interval regardless of
 // recent accesses — exactly the waste Smart Refresh removes.
 type CBR struct {
-	geom  dram.Geometry
-	clock slotClock // TotalRows slots per interval
-	bank  int       // next flat bank index (round-robin)
-	stats PolicyStats
+	clock    slotClock // TotalRows slots per interval
+	bank     int       // next flat bank index (round-robin)
+	bankMask int       // TotalBanks-1; the bank count is a power of two
+	stats    PolicyStats
 }
 
 // NewCBR constructs the distributed CBR policy.
@@ -26,7 +26,7 @@ func NewCBR(g dram.Geometry, interval sim.Duration) *CBR {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CBR{geom: g, clock: newSlotClock(interval, int64(g.TotalRows()))}
+	c := &CBR{clock: newSlotClock(interval, int64(g.TotalRows())), bankMask: g.TotalBanks() - 1}
 	c.Reset(0)
 	return c
 }
@@ -49,10 +49,9 @@ func (c *CBR) NextTick() (sim.Time, bool) { return c.clock.at, true }
 
 // Advance implements Policy.
 func (c *CBR) Advance(t sim.Time, dst []Command) []Command {
-	bankMask := c.geom.TotalBanks() - 1
 	for c.clock.at <= t {
 		b := c.bank
-		c.bank = (b + 1) & bankMask
+		c.bank = (b + 1) & c.bankMask
 		c.clock.next()
 		dst = append(dst, Command{Bank: b, Row: -1, Kind: dram.RefreshCBR})
 		c.stats.RefreshesRequested++

@@ -292,6 +292,9 @@ type Module struct {
 	// command paths add to stored times.
 	burst sim.Duration
 	d     delays
+	// pdExit is the power-down exit latency by kind: the fast exit for
+	// ACT-PDN and fast PRE-PDN, the slow exit for slow PRE-PDN.
+	pdExit [PDPrechargeSlow + 1]sim.Duration
 
 	// banks, ranks and channels are indexed flat: bank BankID.Flat, rank
 	// channel*Ranks+rank. A flat bank's rank is bank >> bankShift and a
@@ -335,11 +338,16 @@ func NewModule(g Geometry, t Timing) *Module {
 		panic(err)
 	}
 	m := &Module{
-		geom:        g,
-		tim:         t,
-		clk:         sim.NewClock(t.TCK),
-		burst:       t.BurstDuration(g.BurstLength),
-		d:           newDelays(&t, &g),
+		geom:  g,
+		tim:   t,
+		clk:   sim.NewClock(t.TCK),
+		burst: t.BurstDuration(g.BurstLength),
+		d:     newDelays(&t, &g),
+		pdExit: [...]sim.Duration{
+			PDActive:        t.PowerDownExitFast(),
+			PDPrechargeFast: t.PowerDownExitFast(),
+			PDPrechargeSlow: t.PowerDownExitSlow(),
+		},
 		banks:       make([]bankState, g.TotalBanks()),
 		ranks:       make([]rankState, g.Channels*g.Ranks),
 		channels:    make([]channelState, g.Channels),
@@ -894,6 +902,10 @@ func (m *Module) OpenRow(bank BankID) int {
 func (m *Module) OpenRowFlat(flat int) int {
 	return m.banks[flat].openRow
 }
+
+// OpenBanks reports how many banks of flat rank ri (channel*Ranks+rank)
+// hold an open row.
+func (m *Module) OpenBanks(ri int) int { return m.ranks[ri].openBanks }
 
 // PrechargeBank closes the bank's open page at time t (no earlier than the
 // bank's tRAS/write-recovery constraints allow) and returns the restored

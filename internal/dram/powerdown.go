@@ -125,10 +125,7 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	}
 	m.observe(t)
 	m.updateRank(ri, t)
-	exit := m.tim.PowerDownExitFast()
-	if r.pdKind == PDPrechargeSlow {
-		exit = m.tim.PowerDownExitSlow()
-	}
+	exit := m.pdExit[r.pdKind]
 	m.foldPowerDown(r, t)
 	r.pdKind = PDNone
 	ready := m.clk.Next(t + exit)

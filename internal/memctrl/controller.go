@@ -118,6 +118,7 @@ type Controller struct {
 
 	checker *core.RetentionChecker
 	cmds    []core.Command
+	woken   []int // flat ranks a refresh tick woke from power-down
 
 	latency     stats.Sample
 	latencyHist *stats.Histogram
@@ -370,11 +371,14 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	if ri := flat >> c.bankShift; c.ps.enabled && c.ps.ranks[ri].state == PSActPdn {
+	ri := flat >> c.bankShift
+	woke := c.ps.enabled && c.ps.ranks[ri].state == PSActPdn
+	if woke {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge
-		// can issue. It pays the tXP exit via the raised bank timings.
-		c.exitPowerDown(deadline, ri, false)
+		// can issue. It pays the tXP exit via the raised bank timings,
+		// and settles back down once the page is closed.
+		c.exitPowerDown(deadline, ri)
 	}
 	if row, closed := c.module.PrechargeFlat(deadline, flat); closed {
 		c.restore(deadline, flat, row)
@@ -388,6 +392,9 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 		// could mask its rank's self-refresh idleness.
 		c.setBankLastUse(flat, deadline)
 	}
+	if woke {
+		c.settle(ri, deadline)
+	}
 }
 
 // runRefreshTick advances the policy through one tick at time due and
@@ -398,19 +405,19 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 	c.cmds = c.policy.Advance(due, c.cmds[:0])
 	for i := range c.cmds {
 		cmd := &c.cmds[i]
-		ri := cmd.Bank >> c.bankShift
-		if c.selfRefreshActive(ri) {
-			// The rank refreshes itself while asleep.
-			c.refreshesDroppedSR++
-			continue
-		}
-		if c.ps.enabled {
-			// A refresh cannot issue with CKE low: wake a powered-down
-			// rank first. The wake is not demand (lastDemand stays), so
-			// the rank descends again as soon as the refresh drains.
+		if ri := cmd.Bank >> c.bankShift; c.ps.armed {
 			switch c.ps.ranks[ri].state {
+			case PSSelfRefresh, PSSelfRefreshSlow:
+				// The rank refreshes itself while asleep.
+				c.refreshesDroppedSR++
+				continue
 			case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-				c.exitPowerDown(due, ri, false)
+				// A refresh cannot issue with CKE low: wake a
+				// powered-down rank first. The wake is not demand
+				// (lastDemand stays), so the rank settles back down
+				// once the tick's commands issue.
+				c.exitPowerDown(due, ri)
+				c.woken = append(c.woken, ri)
 			}
 		}
 		var res dram.Refreshed
@@ -432,6 +439,10 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 			c.checker.OnRestore(res.Done, dram.RowInBank(&c.cfg.Geometry, cmd.Bank, res.Row))
 		}
 	}
+	for _, ri := range c.woken {
+		c.settle(ri, due)
+	}
+	c.woken = c.woken[:0]
 }
 
 // interruptCheckStride is how many drained events pass between

@@ -209,17 +209,21 @@ func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) 
 
 // scheduleFrom computes rank ri's next transition, starting strictly
 // below rung `from` on the ladder, and stores it in the rank's slot.
-// Deadlines derive from lastDemand (entry time for the SR-slow rung) and
-// are clamped to now so a rung skipped in the past fires immediately
-// rather than rewinding the drain. Unarmed rungs are passed over; when
-// no rung remains the rank has no pending transition.
 func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
+	target, at, ok := c.nextRung(ri, from, now)
+	c.setSlot(ri, target, at, ok)
+}
+
+// nextRung returns rank ri's next transition strictly below rung `from`
+// on the ladder. Deadlines derive from lastDemand (entry time for the
+// SR-slow rung) and are clamped to now so a rung skipped in the past
+// fires immediately rather than rewinding the drain. Unarmed rungs are
+// passed over; ok is false when no rung remains.
+func (c *Controller) nextRung(ri int, from PowerState, now sim.Time) (target PowerState, at sim.Time, ok bool) {
 	ps := &c.ps
 	st := &ps.ranks[ri]
 	cfg := &ps.cfg
 	d := st.lastDemand
-	var target PowerState
-	var at sim.Time
 	switch {
 	case from < PSActPdn && cfg.ActPdnAfter > 0:
 		target, at = PSActPdn, d+cfg.ActPdnAfter
@@ -232,14 +236,22 @@ func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
 	case from == PSSelfRefresh && cfg.SRSlowAfter > 0:
 		target, at = PSSelfRefreshSlow, st.enteredAt+cfg.SRSlowAfter
 	default:
+		return 0, 0, false
+	}
+	return target, max(at, now), true
+}
+
+// setSlot stores rank ri's pending transition (none when !ok) and keeps
+// the cached minimum exact or marks it dirty.
+func (c *Controller) setSlot(ri int, target PowerState, at sim.Time, ok bool) {
+	ps := &c.ps
+	st := &ps.ranks[ri]
+	if !ok {
 		st.hasNext = false
 		if ps.minOK && ri == ps.minRank {
 			ps.minDirty = true
 		}
 		return
-	}
-	if at < now {
-		at = now
 	}
 	st.nextTarget, st.nextAt, st.hasNext = target, at, true
 	switch {
@@ -272,9 +284,16 @@ func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
 
 // rankHasOpenPage reports whether any bank of flat rank ri has an open
 // row.
-func (c *Controller) rankHasOpenPage(ri int) bool {
+func (c *Controller) rankHasOpenPage(ri int) bool { return c.module.OpenBanks(ri) > 0 }
+
+// rankCloseDue reports whether an open bank of flat rank ri has its
+// page-close deadline at or before t.
+func (c *Controller) rankCloseDue(ri int, t sim.Time) bool {
+	if c.idleClose < 0 || !c.rankHasOpenPage(ri) {
+		return false
+	}
 	for b := ri << c.bankShift; b < (ri+1)<<c.bankShift; b++ {
-		if c.module.OpenRowFlat(b) != -1 {
+		if c.module.OpenRowFlat(b) != -1 && c.bankLastUse[b]+c.idleClose <= t {
 			return true
 		}
 	}
@@ -286,31 +305,32 @@ func (c *Controller) rankHasOpenPage(ri int) bool {
 // or no rung), overwriting the fired slot, so the drain makes monotone
 // progress — at most one firing per rung per instant.
 func (c *Controller) runPowerEvent(t sim.Time, ri int) {
+	c.scheduleFrom(ri, c.fire(t, ri, c.ps.ranks[ri].nextTarget), t)
+}
+
+// fire performs rank ri's transition to target at time t and returns the
+// rung its next transition is scheduled from.
+func (c *Controller) fire(t sim.Time, ri int, target PowerState) PowerState {
 	st := &c.ps.ranks[ri]
-	target := st.nextTarget
 	channel, rank := c.rankCoords(ri)
 	switch target {
 	case PSActPdn:
-		if st.state == PSActPdn || !c.rankHasOpenPage(ri) {
-			// Already there (a deferred deeper rung re-walked the ladder),
-			// or no page to hold open — skip to the precharged rungs.
-			c.scheduleFrom(ri, PSActPdn, t)
-			return
+		// Already there (a deferred deeper rung re-walked the ladder), or
+		// no page to hold open: skip to the precharged rungs.
+		if st.state != PSActPdn && c.rankHasOpenPage(ri) {
+			st.enteredAt = c.module.EnterPowerDown(t, channel, rank, dram.PDActive)
+			st.state = PSActPdn
 		}
-		st.enteredAt = c.module.EnterPowerDown(t, channel, rank, dram.PDActive)
-		st.state = PSActPdn
-		c.scheduleFrom(ri, PSActPdn, t)
+		return PSActPdn
 	case PSPrePdnFast, PSPrePdnSlow:
 		if st.state == target {
-			c.scheduleFrom(ri, target, t)
-			return
+			return target
 		}
 		if c.rankHasOpenPage(ri) {
 			// Pages still open: wait for idle-close, exactly like the
 			// deferred self-refresh entry. Re-arm past the close horizon.
 			st.lastDemand = t
-			c.scheduleFrom(ri, st.state, t)
-			return
+			return st.state
 		}
 		kind := dram.PDPrechargeFast
 		if target == PSPrePdnSlow {
@@ -324,35 +344,62 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 		}
 		st.state = target
 		st.enteredAt = entered
-		c.scheduleFrom(ri, target, t)
+		return target
 	case PSSelfRefresh:
-		c.enterSelfRefresh(t, ri)
+		return c.enterSelfRefresh(t, ri)
 	case PSSelfRefreshSlow:
 		if st.state == PSSelfRefresh {
 			c.module.SlowSelfRefresh(t, channel, rank)
 			st.state = PSSelfRefreshSlow
 		}
-		c.scheduleFrom(ri, PSSelfRefreshSlow, t)
+		return PSSelfRefreshSlow
 	default:
 		// PSAwake is never a target.
-		c.scheduleFrom(ri, st.state, t)
+		return st.state
 	}
 }
 
 // exitPowerDown wakes flat rank ri from an explicit power-down state at
-// time t. demand marks a demand-driven wake (resets the idle clock);
-// wakes for refreshes and idle-closes leave lastDemand alone, so the
-// rank drops straight back down the ladder once the interruption drains.
-func (c *Controller) exitPowerDown(t sim.Time, ri int, demand bool) {
-	st := &c.ps.ranks[ri]
+// time t. It leaves lastDemand and the rank's slot alone: a demand wake
+// reschedules through noteDemand once the access is issued, and a
+// refresh or idle-close wake settles the rank back down.
+func (c *Controller) exitPowerDown(t sim.Time, ri int) {
 	channel, rank := c.rankCoords(ri)
 	c.module.ExitPowerDown(t, channel, rank)
 	c.tracePowerDown(ri, t)
-	st.state = PSAwake
-	if demand {
-		st.lastDemand = t
+	c.ps.ranks[ri].state = PSAwake
+}
+
+// settle returns flat rank ri, woken at t by a refresh or an idle-close
+// rather than by demand, to the rung it would walk back down to. The
+// wake left lastDemand alone, so the walk is a function of it, the armed
+// thresholds and the rank's open pages: settle enters each rung the walk
+// reaches at t, in walk order, so the module's entries and the trace
+// spans are those of the walk, and writes the rank's slot only when the
+// walk ends on a transition other than the one the slot holds. When the
+// rung is unchanged the slot already holds the walk's final value, so
+// the cached minimum stays exact and nothing is rescanned. Two
+// same-instant events would run in the drain before the walk — a second
+// policy tick at t, and an idle-close due by t on one of the rank's open
+// banks — so then the walk is left to the drain, from a slot due at t.
+func (c *Controller) settle(ri int, t sim.Time) {
+	if rt, ok := c.policy.NextTick(); (ok && rt <= t) || c.rankCloseDue(ri, t) {
+		c.scheduleFrom(ri, PSAwake, t)
+		return
 	}
-	c.scheduleFrom(ri, PSAwake, t)
+	st := &c.ps.ranks[ri]
+	from := PSAwake
+	for {
+		target, at, ok := c.nextRung(ri, from, t)
+		if ok && at <= t {
+			from = c.fire(t, ri, target)
+			continue
+		}
+		if ok != st.hasNext || ok && (target != st.nextTarget || at != st.nextAt) {
+			c.setSlot(ri, target, at, ok)
+		}
+		return
+	}
 }
 
 // wakeRank wakes flat rank ri from any low-power state for a demand
@@ -362,7 +409,7 @@ func (c *Controller) wakeRank(t sim.Time, ri int) {
 	case PSSelfRefresh, PSSelfRefreshSlow:
 		c.exitSelfRefresh(t, ri)
 	case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-		c.exitPowerDown(t, ri, true)
+		c.exitPowerDown(t, ri)
 	}
 }
 

@@ -32,15 +32,15 @@ func (c *Controller) rankCoords(ri int) (channel, rank int) {
 // banks are closed (otherwise the entry is deferred: the idle-close
 // machinery will close them and the deadline fires again). A rank asleep
 // in a PRE-PDN state descends without an intermediate wake — the module
-// folds the power-down residency at the handoff.
-func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
+// folds the power-down residency at the handoff. It returns the rung the
+// rank's next transition is scheduled from.
+func (c *Controller) enterSelfRefresh(t sim.Time, ri int) PowerState {
 	st := &c.ps.ranks[ri]
 	if c.rankHasOpenPage(ri) {
 		// Pages still open: wait for idle-close. Re-arm the deadline
 		// just past the page-close horizon.
 		st.lastDemand = t
-		c.scheduleFrom(ri, PSAwake, t)
-		return
+		return PSAwake
 	}
 	// The module clamps entry behind the rank's in-flight work (queued
 	// refreshes can extend past the idle deadline); the effective time
@@ -58,7 +58,7 @@ func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
 	// The internal engine keeps every row fresh; mark the handoff for the
 	// checker (see the transition-bound note above).
 	c.restoreRank(entered, ri)
-	c.scheduleFrom(ri, PSSelfRefresh, t)
+	return PSSelfRefresh
 }
 
 // exitSelfRefresh wakes flat rank ri for a demand access at time t.
@@ -129,15 +129,6 @@ func (c *Controller) noteDemand(t sim.Time, ri int) {
 	}
 	c.ps.ranks[ri].lastDemand = t
 	c.scheduleFrom(ri, PSAwake, t)
-}
-
-// selfRefreshActive reports whether flat rank ri is in self-refresh.
-func (c *Controller) selfRefreshActive(ri int) bool {
-	if !c.ps.armed {
-		return false
-	}
-	s := c.ps.ranks[ri].state
-	return s == PSSelfRefresh || s == PSSelfRefreshSlow
 }
 
 // SelfRefreshStats summarises self-refresh behaviour as the module saw
