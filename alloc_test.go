@@ -243,6 +243,23 @@ func TestLadderRefreshWakeSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// A demand that first drains idle page-closes, and the earliest-deadline
+// rescans they trigger, writes only fixed per-bank state: the open-page
+// path must not allocate.
+func TestIdleCloseDrainSteadyStateAllocFree(t *testing.T) {
+	ctl, step := idleCloseDrain()
+	for n := 0; n < 4096; n++ {
+		step()
+	}
+	before := ctl.Module().Stats().RowMisses
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state idle-close drain allocates %.1f allocs/op, want 0", avg)
+	}
+	if ctl.Module().Stats().RowMisses == before {
+		t.Error("no row misses while measured: no page was closed by its timeout")
+	}
+}
+
 // An idle CBR tick through Controller.AdvanceTo reuses the controller's
 // command buffer once it has grown.
 func TestRefreshDispatchSteadyStateAllocFree(t *testing.T) {

@@ -368,6 +368,7 @@ func moduleAccessMix(flat bool) (*dram.Module, func()) {
 	m := dram.NewModule(g, cfg.Timing)
 	rng := sim.NewRNG(1)
 	var now sim.Time
+	var res dram.AccessResult
 	step := func() {
 		r := rng.Uint64()
 		now += sim.Time(r & 0x7fff)
@@ -378,7 +379,7 @@ func moduleAccessMix(flat bool) (*dram.Module, func()) {
 			if pre {
 				m.PrechargeFlat(now, bank)
 			}
-			m.AccessFlat(now, bank, row, write)
+			m.AccessFlat(&res, now, bank, row, write)
 			return
 		}
 		addr := dram.Address{
@@ -412,6 +413,56 @@ func BenchmarkModuleAccess(b *testing.B) {
 	st := m.Stats().Sub(before)
 	b.ReportMetric(float64(st.RowHits)/float64(st.Accesses), "hit_rate")
 	b.ReportMetric(float64(st.RowConflicts)/float64(st.Accesses), "conflict_rate")
+}
+
+// idleCloseDrain returns a Table 1 2 GB controller under Smart Refresh
+// and a step that submits one demand, round-robin over every bank, after
+// a seeded gap of 0-600 ns. A bank is revisited after eight gaps, about
+// 2.4 us on average, so its 2 us page-close timeout falls inside the
+// spread: most demands first drain another bank's idle close, and with
+// it a rescan of the earliest page-close deadline, while the rest find
+// their page still open.
+func idleCloseDrain() (*memctrl.Controller, func()) {
+	cfg := config.Table1_2GB()
+	ctl := memctrl.MustNew(cfg, core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart), memctrl.Options{})
+	g := cfg.Geometry
+	banks := g.TotalBanks()
+	addrs := make([]uint64, banks)
+	for flat := range addrs {
+		id := dram.BankFromFlat(&g, flat)
+		addrs[flat] = ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Channel: id.Channel, Rank: id.Rank, Bank: id.Bank, Row: flat}})
+	}
+	rng := sim.NewRNG(1)
+	var now sim.Time
+	var i int
+	step := func() {
+		now += sim.Time(rng.Uint64n(600)) * sim.Nanosecond
+		ctl.Submit(memctrl.Request{Time: now, Addr: addrs[i]})
+		if i++; i == banks {
+			i = 0
+		}
+	}
+	return ctl, step
+}
+
+// BenchmarkIdleCloseDrain measures one demand on the conventional
+// module's open-page path where page-close timeouts dominate: the drain
+// of the idle closes due before it, the earliest-deadline rescans they
+// trigger, and the access itself.
+func BenchmarkIdleCloseDrain(b *testing.B) {
+	ctl, step := idleCloseDrain()
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	before := ctl.Module().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	st := ctl.Module().Stats().Sub(before)
+	b.ReportMetric(float64(st.RowMisses)/float64(st.Accesses), "miss_rate")
 }
 
 // refreshDispatch returns a Table 1 2 GB controller under CBR and a step

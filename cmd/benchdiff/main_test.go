@@ -129,7 +129,7 @@ func TestBenchTiers(t *testing.T) {
 		"BenchmarkSmartPolicyAdvance", "BenchmarkRAIDRPolicyAdvance",
 		"BenchmarkControllerSubmit", "BenchmarkPowerStateAdvance", "BenchmarkDRAMCacheAccess",
 		"BenchmarkModuleAccess", "BenchmarkRefreshDispatch", "BenchmarkSmartRefreshDispatch",
-		"BenchmarkMapperMap", "BenchmarkLadderRefreshWake",
+		"BenchmarkMapperMap", "BenchmarkLadderRefreshWake", "BenchmarkIdleCloseDrain",
 	} {
 		if !micro.MatchString(name) {
 			t.Errorf("%s not in the micro tier", name)

@@ -251,10 +251,12 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 	whole.Cfg.Geometry.Vaults = 0
 
 	byName := map[string]PolicyRun{}
+	cases := map[string]policyCase{}
 	for _, pc := range policyCases(sc) {
 		if len(policies) > 0 && !slices.Contains(policies, pc.Name) {
 			continue
 		}
+		cases[pc.Name] = pc
 		run := runPolicy(ctx, whole, pc, 1, tr, reg).PolicyRun
 		rerun := runPolicy(ctx, whole, pc, 1, nil, nil).PolicyRun
 		if err := ctx.Err(); err != nil {
@@ -267,7 +269,10 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 		byName[pc.Name] = run
 		checkRun(sc, pc, run, add)
 	}
-	checkRefreshBounds(sc, byName, add)
+	checkRefreshBounds(ctx, whole, byName, cases, add)
+	if err := ctx.Err(); err != nil {
+		return Report{Scenario: sc}, err
+	}
 	checkPerBankBounds(sc, byName, add)
 	checkRAIDRBounds(sc, byName, add)
 	return rep, nil
@@ -517,12 +522,38 @@ func checkPowerStateEnergy(cfg config.DRAM, policy string, res memctrl.Results, 
 	}
 }
 
+// firstIntervalGap is how many fewer refreshes Smart Refresh requests
+// than the oracle over the scenario's first refresh interval (zero when
+// it requests as many or more), taken from runs of both cut at the end of
+// that interval. In the first interval each policy refreshes every row at
+// most once, at a seeded stagger time. The oracle staggers rows in flat
+// order, so a sequential sweep reaches each row just after its refresh;
+// Smart's position-major counter seeding does not follow the sweep, so
+// the sweep restores most of its rows before their counters expire. The
+// gap is up to one refresh per row, and it says nothing about Smart
+// under-refreshing, so the lower bound leaves it out. cases must hold
+// both policies.
+func firstIntervalGap(ctx context.Context, sc Scenario, cases map[string]policyCase) uint64 {
+	head := sc
+	head.Duration = min(sc.Duration, sc.Cfg.RefreshInterval())
+	s := runPolicy(ctx, head, cases["smart"], 1, nil, nil).Res.Policy.RefreshesRequested
+	o := runPolicy(ctx, head, cases["oracle"], 1, nil, nil).Res.Policy.RefreshesRequested
+	if o <= s {
+		return 0
+	}
+	return o - s
+}
+
 // checkRefreshBounds places Smart Refresh's request count between the
 // oracle's (the section 4.4 optimum) and distributed CBR's (the
 // baseline it improves on), and the retention-aware extension at or
 // below plain Smart Refresh. Counter quantization, segment stagger and
 // mode switches shift counts by bounded amounts, absorbed by boundSlack.
-func checkRefreshBounds(sc Scenario, byName map[string]PolicyRun, add func(policy, invariant, format string, args ...any)) {
+// The lower leg compares counts from the second refresh interval on: when
+// Smart falls short of the oracle, its first-interval shortfall
+// (firstIntervalGap, two more runs of one interval each) is added to its
+// side.
+func checkRefreshBounds(ctx context.Context, sc Scenario, byName map[string]PolicyRun, cases map[string]policyCase, add func(policy, invariant, format string, args ...any)) {
 	smart, okS := byName["smart"]
 	cbr, okC := byName["cbr"]
 	oracle, okO := byName["oracle"]
@@ -539,7 +570,9 @@ func checkRefreshBounds(sc Scenario, byName map[string]PolicyRun, add func(polic
 		add("smart", "refresh-bound-upper", "smart requested %d > cbr %d + slack %d", s, c, slack)
 	}
 	if s+slack < o {
-		add("smart", "refresh-bound-lower", "smart requested %d + slack %d < oracle %d", s, slack, o)
+		if first := firstIntervalGap(ctx, sc, cases); s+slack+first < o {
+			add("smart", "refresh-bound-lower", "smart requested %d + slack %d + first-interval gap %d < oracle %d", s, slack, first, o)
+		}
 	}
 	if r := rar.Res.Policy.RefreshesRequested; r > s+slack {
 		add("smart-retention", "refresh-bound-upper", "retention-aware requested %d > smart %d + slack %d", r, s, slack)

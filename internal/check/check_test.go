@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -23,6 +24,33 @@ func TestRandomScenarios(t *testing.T) {
 			rep := CheckSeed(seed)
 			for _, v := range rep.Violations {
 				t.Errorf("seed %d: %s (replay: go run ./cmd/simcheck -seeds 1 -start %d)", seed, v, seed)
+			}
+		})
+	}
+}
+
+// TestRefreshBoundLowerFromSecondInterval replays the seeds whose
+// whole-run Smart count fell below the oracle's by more than boundSlack,
+// all of it in the first interval (seed 264: Smart 727 + slack 140 <
+// oracle 981). Counted from the second interval on, Smart is at or above
+// the oracle on each, so every one must come back clean, and the
+// first-interval gap must be what closed it.
+func TestRefreshBoundLowerFromSecondInterval(t *testing.T) {
+	for _, seed := range []uint64{258, 264, 360, 397} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			sc := NewScenario(seed)
+			rep := CheckScenario(sc)
+			for _, v := range rep.Violations {
+				t.Errorf("%s", v)
+			}
+			cases := map[string]policyCase{}
+			for _, pc := range policyCases(sc) {
+				cases[pc.Name] = pc
+			}
+			if gap := firstIntervalGap(context.Background(), sc, cases); gap == 0 {
+				t.Error("no first-interval gap: the whole-run bound would have held")
 			}
 		})
 	}

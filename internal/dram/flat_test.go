@@ -35,7 +35,7 @@ type flatOp struct {
 // addressed to flat bank bank and row row (the counter forms ignore row).
 func flatOps(m *Module, t sim.Time, bank, row int) []flatOp {
 	return []flatOp{
-		{"AccessFlat", func() { m.AccessFlat(t, bank, row, false) }},
+		{"AccessFlat", func() { m.AccessFlat(new(AccessResult), t, bank, row, false) }},
 		{"RefreshRowFlat", func() { m.RefreshRowFlat(t, bank, row) }},
 		{"RefreshCBRFlat", func() { m.RefreshCBRFlat(t, bank) }},
 		{"RefreshBankFlat", func() { m.RefreshBankFlat(t, bank, false) }},
@@ -58,7 +58,7 @@ func TestFlatCorePanicsOutOfRange(t *testing.T) {
 	}
 	for _, row := range []int{-1, g.Rows} {
 		m := testModule()
-		mustPanic(t, "AccessFlat", "invalid flat bank", func() { m.AccessFlat(0, 1, row, true) })
+		mustPanic(t, "AccessFlat", "invalid flat bank", func() { m.AccessFlat(new(AccessResult), 0, 1, row, true) })
 		mustPanic(t, "RefreshRowFlat", "invalid flat bank", func() { m.RefreshRowFlat(0, 1, row) })
 	}
 }
@@ -99,7 +99,8 @@ func TestFlatCoreSelfRefreshGuard(t *testing.T) {
 		m.EnterSelfRefresh(0, 0, 0)
 		op := flatOps(m, sim.Microsecond, 1, 2)[i]
 		mustPanic(t, op.name, "in self-refresh", op.run)
-		if res := m.AccessFlat(2*sim.Microsecond, g.Banks, 2, false); res.Done == 0 {
+		var res AccessResult
+		if m.AccessFlat(&res, 2*sim.Microsecond, g.Banks, 2, false); res.Done == 0 {
 			t.Errorf("%s: rank 1 blocked by rank 0's self-refresh", op.name)
 		}
 	}

@@ -460,23 +460,22 @@ func badAddress(addr Address) {
 }
 
 // AccessFlat is Access addressed by flat bank index (BankID.Flat) and row
-// within that bank; the column does not affect timing, so it is not an
-// argument. An out-of-range bank or row, or a rank in self-refresh,
-// panics.
-func (m *Module) AccessFlat(t sim.Time, bank, row int, write bool) AccessResult {
+// within that bank, filling the caller's res in place: every field is
+// written, so res need not be zeroed. The column does not affect timing,
+// so it is not an argument. An out-of-range bank or row, or a rank in
+// self-refresh, panics.
+func (m *Module) AccessFlat(res *AccessResult, t sim.Time, bank, row int, write bool) {
 	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
 		badIndex("access", bank, row)
 	}
-	var res AccessResult
-	m.access(&res, t, bank, row, write)
-	return res
+	m.access(res, t, bank, row, write)
 }
 
 // access is the one demand-access core, behind Access and AccessFlat:
-// it fills res, which the caller has zeroed, for a bank and row already
-// checked. Filling the caller's result, rather than returning one that
-// both wrappers would copy again, keeps Access as cheap as before
-// (DESIGN §15).
+// it fills every field of res for a bank and row already checked.
+// Filling the caller's result, rather than returning one by value, spares
+// the hot path a copy of the struct and the store-forwarding stall of
+// reading back fields just written (DESIGN §15).
 func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool) {
 	m.observe(t)
 	ri := bank >> m.bankShift
@@ -498,12 +497,11 @@ func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool
 	if issue > t {
 		m.stats.DemandStall += issue - t
 	}
-	res.Issue = issue
+	*res = AccessResult{Issue: issue, RowHit: b.openRow == row}
 
 	cas := issue // when the column command can go
-	if b.openRow == row {
+	if res.RowHit {
 		// Row hit: column command straight away.
-		res.RowHit = true
 		m.stats.RowHits++
 	} else {
 		act := issue

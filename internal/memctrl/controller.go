@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"smartrefresh/internal/config"
@@ -349,23 +350,56 @@ func (c *Controller) setBankLastUse(flat int, t sim.Time) {
 // moves the bank's deadline through setBankLastUse, so every open bank
 // is covered by the cache; a page closed by other means (a refresh) is
 // noticed here when its bank is the cached one, and the cache is rebuilt
-// over the open banks.
+// over the open banks. With idle closing disabled the cache is never
+// set, so ok stays false.
 func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
-	if c.idleClose < 0 {
-		return 0, 0, false
-	}
 	if c.idleDirty || (c.idleOK && c.module.OpenRowFlat(c.idleFlat) == -1) {
-		c.idleAt, c.idleFlat, c.idleOK, c.idleDirty = 0, 0, false, false
-		for flat, last := range c.bankLastUse {
-			if c.module.OpenRowFlat(flat) == -1 {
-				continue
-			}
-			if at := last + c.idleClose; !c.idleOK || at < c.idleAt {
-				c.idleAt, c.idleFlat, c.idleOK = at, flat, true
-			}
-		}
+		c.rescanIdleClose()
 	}
 	return c.idleAt, c.idleFlat, c.idleOK
+}
+
+// rescanIdleClose rebuilds the cached earliest page-close deadline over
+// the banks with an open page.
+func (c *Controller) rescanIdleClose() {
+	m, idle := c.module, c.idleClose
+	minAt, minFlat := never, 0
+	for flat, last := range c.bankLastUse {
+		at := last + idle
+		if m.OpenRowFlat(flat) == -1 {
+			at = never
+		}
+		minAt, minFlat = earlier(at, flat, minAt, minFlat)
+	}
+	c.idleAt, c.idleFlat, c.idleOK = found(minAt, minFlat)
+	c.idleDirty = false
+}
+
+// never is the deadline of an absent entry in an earliest-deadline
+// rescan (a closed bank, an empty power-state slot): it sorts after
+// every real deadline.
+const never = sim.Time(math.MaxInt64)
+
+// earlier is one step of an earliest-deadline rescan: entry i, due at
+// at, replaces the running minimum (minAt, minI) only when strictly
+// earlier, so ties keep the lower index. It compiles to conditional
+// moves, so a rescan takes no data-dependent branch (DESIGN §15).
+func earlier(at sim.Time, i int, minAt sim.Time, minI int) (sim.Time, int) {
+	// One select per result: the compiler turns a branch that merges a
+	// single value into a CMOV, but keeps a branch merging two.
+	if at < minAt {
+		minI = i
+	}
+	return min(at, minAt), minI
+}
+
+// found turns a rescan's minimum into a cache entry: ok is false, with a
+// zero deadline and index, when every entry was absent.
+func found(minAt sim.Time, minI int) (sim.Time, int, bool) {
+	if minAt == never {
+		return 0, 0, false
+	}
+	return minAt, minI, true
 }
 
 // closeIdleBank precharges one bank at its page-close deadline and
@@ -514,7 +548,8 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	if c.ps.armed {
 		c.wakeRank(req.Time, ri)
 	}
-	res := c.module.AccessFlat(req.Time, bank, row, req.Write)
+	var res dram.AccessResult
+	c.module.AccessFlat(&res, req.Time, bank, row, req.Write)
 	c.setBankLastUse(bank, res.Done)
 	c.noteDemand(res.Done, ri)
 

@@ -271,15 +271,24 @@ func (c *Controller) setSlot(ri int, target PowerState, at sim.Time, ok bool) {
 func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
 	ps := &c.ps
 	if ps.minDirty {
-		ps.minAt, ps.minRank, ps.minOK, ps.minDirty = 0, 0, false, false
-		for ri := range ps.ranks {
-			st := &ps.ranks[ri]
-			if st.hasNext && (!ps.minOK || st.nextAt < ps.minAt) {
-				ps.minAt, ps.minRank, ps.minOK = st.nextAt, ri, true
-			}
-		}
+		ps.rescan()
 	}
 	return ps.minAt, ps.minRank, ps.minOK
+}
+
+// rescan rebuilds the cached earliest slot over the ranks' slots.
+func (ps *powerStates) rescan() {
+	minAt, minRank := never, 0
+	for ri := range ps.ranks {
+		st := &ps.ranks[ri]
+		at := st.nextAt
+		if !st.hasNext {
+			at = never
+		}
+		minAt, minRank = earlier(at, ri, minAt, minRank)
+	}
+	ps.minAt, ps.minRank, ps.minOK = found(minAt, minRank)
+	ps.minDirty = false
 }
 
 // rankHasOpenPage reports whether any bank of flat rank ri has an open

@@ -111,6 +111,40 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// Chance is a probability prepared for Hit: the number of the 2^53
+// 53-bit draws that count as a hit.
+type Chance uint64
+
+// chanceAlways is the Chance of a certain event (p >= 1).
+const chanceAlways Chance = 1 << 53
+
+// NewChance prepares p for Hit as ceil(p·2^53), clamped to [0, 2^53].
+// For an integer draw x < 2^53, Float64() < p is x/2^53 < p, and both
+// sides are exact, so it is x < ceil(p·2^53): Hit(NewChance(p)) is
+// Bool(p) on the same draw. NaN panics, since Bool(NaN) draws and never
+// hits, which no prepared chance expresses.
+func NewChance(p float64) Chance {
+	switch {
+	case math.IsNaN(p):
+		panic("sim: NewChance of NaN")
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return chanceAlways
+	}
+	return Chance(math.Ceil(p * (1 << 53)))
+}
+
+// Hit returns true with the prepared probability c. It draws exactly as
+// Bool does: nothing for a chance of 0 or 1, one Uint64 otherwise.
+func (r *RNG) Hit(c Chance) bool {
+	if c-1 >= chanceAlways-1 {
+		// c == 0 wraps; c == chanceAlways is certain.
+		return c != 0
+	}
+	return Chance(r.Uint64()>>11) < c
+}
+
 // Exp returns an exponentially distributed value with the given mean.
 // It is used for Poisson inter-arrival times in workload generators.
 func (r *RNG) Exp(mean float64) float64 {

@@ -132,6 +132,59 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// chanceProbabilities spans both clamps, the smallest and largest
+// probabilities strictly inside (0, 1), and values with and without an
+// exact 53-bit scaling.
+var chanceProbabilities = []float64{-1, 0, 0x1p-60, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 2}
+
+func TestHitMatchesBoolDrawForDraw(t *testing.T) {
+	for i, p := range chanceProbabilities {
+		a, b := NewRNG(uint64(100+i)), NewRNG(uint64(100+i))
+		c := NewChance(p)
+		for n := 0; n < 100000; n++ {
+			if want, got := a.Bool(p), b.Hit(c); got != want {
+				t.Fatalf("p=%v draw %d: Hit %v, Bool %v", p, n, got, want)
+			}
+		}
+		if a.s != b.s {
+			t.Errorf("p=%v: RNG states differ after the draws", p)
+		}
+	}
+}
+
+// TestChanceThresholdExact checks the boundary draw on both sides: the
+// largest 53-bit draw Hit accepts is one Bool accepts, and the next one
+// is rejected by both.
+func TestChanceThresholdExact(t *testing.T) {
+	for _, p := range chanceProbabilities {
+		c := NewChance(p)
+		if c == 0 || c == chanceAlways {
+			continue
+		}
+		if x := uint64(c) - 1; !(float64(x)/(1<<53) < p) {
+			t.Errorf("p=%v: draw %d below NewChance is not a Bool hit", p, x)
+		}
+		if x := uint64(c); float64(x)/(1<<53) < p {
+			t.Errorf("p=%v: draw %d at NewChance is a Bool hit", p, x)
+		}
+	}
+	if got := NewChance(0x1p-60); got != 1 {
+		t.Errorf("NewChance(2^-60) = %d, want 1", got)
+	}
+	if got := NewChance(1 - 0x1p-53); got != chanceAlways-1 {
+		t.Errorf("NewChance(1-2^-53) = %d, want 2^53-1", got)
+	}
+}
+
+func TestNewChanceNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewChance(NaN) did not panic")
+		}
+	}()
+	NewChance(math.NaN())
+}
+
 func TestExpMean(t *testing.T) {
 	r := NewRNG(17)
 	var sum float64

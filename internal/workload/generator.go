@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/trace"
@@ -55,10 +56,12 @@ func (s StreamSpec) Validate() error {
 	if s.FootprintBytes > 0 && s.SweepPeriod <= 0 {
 		return fmt.Errorf("workload: non-positive sweep period")
 	}
-	if s.RowRepeats < 0 || s.WriteFraction < 0 || s.WriteFraction > 1 {
+	// The comparisons are written to fail on NaN, and RowRepeats must be
+	// finite: an infinite mean makes the repeat probability NaN.
+	if !(s.RowRepeats >= 0 && s.RowRepeats <= math.MaxFloat64) || !(s.WriteFraction >= 0 && s.WriteFraction <= 1) {
 		return fmt.Errorf("workload: bad repeats/writes %v/%v", s.RowRepeats, s.WriteFraction)
 	}
-	if s.JitterFraction < 0 || s.JitterFraction >= 1 {
+	if !(s.JitterFraction >= 0 && s.JitterFraction < 1) {
 		return fmt.Errorf("workload: jitter %v outside [0,1)", s.JitterFraction)
 	}
 	return nil
@@ -87,10 +90,15 @@ type Generator struct {
 	spec StreamSpec
 	rng  *sim.RNG
 
-	order  []int // visit order over footprint rows
-	pos    int
-	gap    sim.Duration // nominal gap between sweep touches
-	repeat float64      // geometric continue-probability of a same-row repeat
+	order []int // visit order over footprint rows
+	pos   int
+	gap   sim.Duration // nominal gap between sweep touches
+	// write and repeat are the write probability and the geometric
+	// continue-probability of a same-row repeat, prepared for RNG.Hit;
+	// jitter is the largest gap offset either way (0: no jitter draw).
+	write  sim.Chance
+	repeat sim.Chance
+	jitter float64
 	now    sim.Time
 	queued []trace.Record // same-row repeat accesses pending emission
 	head   int            // next queued record to emit; the queue resets once drained
@@ -101,7 +109,12 @@ func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{spec: spec, rng: sim.NewRNG(seed), repeat: spec.RowRepeats / (1 + spec.RowRepeats)}
+	g := &Generator{
+		spec:   spec,
+		rng:    sim.NewRNG(seed),
+		write:  sim.NewChance(spec.WriteFraction),
+		repeat: sim.NewChance(spec.RowRepeats / (1 + spec.RowRepeats)),
+	}
 	rows := int(spec.Rows())
 	if rows > 0 {
 		g.order = make([]int, rows)
@@ -116,6 +129,7 @@ func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 		if g.gap <= 0 {
 			g.gap = 1
 		}
+		g.jitter = float64(g.gap) * spec.JitterFraction
 	}
 	return g
 }
@@ -146,18 +160,18 @@ func (g *Generator) Next() (trace.Record, bool) {
 	rec := trace.Record{
 		Time:  g.now,
 		Addr:  base,
-		Write: g.rng.Bool(g.spec.WriteFraction),
+		Write: g.rng.Hit(g.write),
 	}
 
 	// Queue geometric same-row repeats at short offsets after the touch.
 	at := g.now
-	for g.rng.Bool(g.repeat) {
+	for g.rng.Hit(g.repeat) {
 		at += 60 * sim.Nanosecond
 		col := g.rng.Int63n(g.spec.StrideBytes) &^ 63
 		g.queued = append(g.queued, trace.Record{
 			Time:  at,
 			Addr:  base + uint64(col),
-			Write: g.rng.Bool(g.spec.WriteFraction),
+			Write: g.rng.Hit(g.write),
 		})
 	}
 
@@ -165,9 +179,8 @@ func (g *Generator) Next() (trace.Record, bool) {
 	// than the queued same-row repeats (the stream must stay
 	// time-ordered).
 	gap := g.gap
-	if g.spec.JitterFraction > 0 {
-		span := float64(gap) * g.spec.JitterFraction
-		gap += sim.Duration((g.rng.Float64()*2 - 1) * span)
+	if g.jitter > 0 {
+		gap += sim.Duration((g.rng.Float64()*2 - 1) * g.jitter)
 		if gap < 1 {
 			gap = 1
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,28 @@ func TestSpecValidate(t *testing.T) {
 	bad.WriteFraction = 1.5
 	if bad.Validate() == nil {
 		t.Error("write fraction > 1 accepted")
+	}
+}
+
+// TestSpecValidateRejectsNonFinite covers the fractions a NaN or infinity
+// slips past one-sided comparisons on: a NaN write fraction would give an
+// all-read stream, a NaN jitter a NaN gap, an infinite repeat mean a NaN
+// repeat probability.
+func TestSpecValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*StreamSpec){
+		"RowRepeats NaN":      func(s *StreamSpec) { s.RowRepeats = nan },
+		"RowRepeats +Inf":     func(s *StreamSpec) { s.RowRepeats = inf },
+		"WriteFraction NaN":   func(s *StreamSpec) { s.WriteFraction = nan },
+		"WriteFraction +Inf":  func(s *StreamSpec) { s.WriteFraction = inf },
+		"JitterFraction NaN":  func(s *StreamSpec) { s.JitterFraction = nan },
+		"JitterFraction -Inf": func(s *StreamSpec) { s.JitterFraction = -inf },
+	} {
+		s := basicSpec()
+		mutate(&s)
+		if s.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
