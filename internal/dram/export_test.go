@@ -5,7 +5,6 @@ func (m *Module) CBRCounter(bank BankID) int {
 	return m.cbrCounters[bank.Flat(&m.geom)]
 }
 
-// InSelfRefresh reports whether the rank is in self-refresh mode.
-func (m *Module) InSelfRefresh(channel, rank int) bool {
-	return m.ranks[m.rankIndex(channel, rank)].inSelfRefresh
-}
+// InSelfRefresh reports whether flat rank ri is in either self-refresh
+// state.
+func (m *Module) InSelfRefresh(ri int) bool { return m.ranks[ri].state.SelfRefresh() }

@@ -96,7 +96,7 @@ func TestFlatCoreSelfRefreshGuard(t *testing.T) {
 	// Flat bank 1 is rank 0's; flat bank g.Banks is rank 1's bank 0.
 	for i := range flatOps(nil, 0, 0, 0) {
 		m := testModule()
-		m.EnterSelfRefresh(0, 0, 0)
+		m.Enter(0, 0, PSSelfRefresh)
 		op := flatOps(m, sim.Microsecond, 1, 2)[i]
 		mustPanic(t, op.name, "in self-refresh", op.run)
 		var res AccessResult

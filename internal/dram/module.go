@@ -29,10 +29,6 @@ const (
 	// command the refresh-access-parallelism policies (DARP, SARP) build
 	// on.
 	RefreshPerBank
-	// RefreshAllBank is the conventional all-bank refresh command
-	// (REFab): one counter row per bank, every bank of the rank frozen
-	// for tRFCab. It exists as the contrast case for REFpb.
-	RefreshAllBank
 )
 
 // String names the refresh kind.
@@ -44,8 +40,6 @@ func (k RefreshKind) String() string {
 		return "RAS-only"
 	case RefreshPerBank:
 		return "per-bank"
-	case RefreshAllBank:
-		return "all-bank"
 	default:
 		return fmt.Sprintf("RefreshKind(%d)", int(k))
 	}
@@ -108,14 +102,15 @@ type ModuleStats struct {
 
 	// RefreshOps counts row-refresh operations of every kind; the
 	// invariant RefreshOps == RefreshCBROps + RefreshRASOnlyOps +
-	// RefreshPerBankOps + Banks×RefreshAllBankOps holds (one REFab
-	// restores one counter row in each bank of the rank).
+	// RefreshPerBankOps holds. RefreshAllBankOps is always zero: the
+	// module issues no all-bank refresh (REFab), and the field is kept,
+	// in place, only so the fingerprinted Results JSON keeps its shape.
 	RefreshOps         uint64
 	RefreshCBROps      uint64
 	RefreshRASOnlyOps  uint64
 	RefreshPerBankOps  uint64 // REFpb row refreshes
 	RefreshOverlapOps  uint64 // subset of RefreshPerBankOps issued overlapped (SARP)
-	RefreshAllBankOps  uint64 // REFab commands (each restores Banks rows)
+	RefreshAllBankOps  uint64 // always zero (see above)
 	RefreshConflictOps uint64 // refreshes that had to close an open page
 
 	// Background state residency summed over all ranks: a rank is active
@@ -197,27 +192,12 @@ type rankState struct {
 	actWindow    [4]sim.Time
 	actWindowPos int
 
-	// Self-refresh state: while inSelfRefresh, the module maintains
-	// retention internally and accepts no commands for this rank.
-	inSelfRefresh   bool
-	srSince         sim.Time
-	selfRefreshTime sim.Duration
-
-	// Slow-wake self-refresh: set when the controller deepens an
-	// in-progress self-refresh to the DLL-off mode; exit then pays the
-	// relock latency and the [srSlowSince, exit] span draws IDD6L.
-	srSlow      bool
-	srSlowSince sim.Time
-	srSlowTime  sim.Duration
-
-	// Explicit controller-driven power-down (EnterPowerDown): the rank
-	// has been in pdKind since pdSince; per-kind accumulators fold at
-	// exit and Finalize.
-	pdKind      PowerDownKind
-	pdSince     sim.Time
-	actPdnTime  sim.Duration
-	preFastTime sim.Duration
-	preSlowTime sim.Duration
+	// state is the rank's power state, entered at since (Enter, Exit);
+	// resid holds each state's residency up to since, folded by Enter,
+	// Exit and Finalize.
+	state PowerState
+	since sim.Time
+	resid [numPowerStates]sim.Duration
 }
 
 // activateOKAt returns the earliest time a new activate may issue in the
@@ -260,7 +240,6 @@ type delays struct {
 
 	rfc   sim.Duration // Timing.TRefreshRow (CBR and RAS-only)
 	rfcPB sim.Duration // Timing.PerBankRefreshDuration (REFpb)
-	rfcAB sim.Duration // Timing.AllBankRefreshDuration over the rank's banks (REFab)
 }
 
 // newDelays rounds the timing set onto its command clock for a
@@ -276,7 +255,6 @@ func newDelays(t *Timing, g *Geometry) delays {
 		burstWR: up(burst + t.TWR),
 		rfc:     up(t.TRefreshRow),
 		rfcPB:   up(t.PerBankRefreshDuration()),
-		rfcAB:   up(t.AllBankRefreshDuration(g.Banks)),
 	}
 }
 
@@ -292,9 +270,8 @@ type Module struct {
 	// command paths add to stored times.
 	burst sim.Duration
 	d     delays
-	// pdExit is the power-down exit latency by kind: the fast exit for
-	// ACT-PDN and fast PRE-PDN, the slow exit for slow PRE-PDN.
-	pdExit [PDPrechargeSlow + 1]sim.Duration
+	// exit is the wake latency by power state (Exit).
+	exit [numPowerStates]sim.Duration
 
 	// banks, ranks and channels are indexed flat: bank BankID.Flat, rank
 	// channel*Ranks+rank. A flat bank's rank is bank >> bankShift and a
@@ -308,9 +285,9 @@ type Module struct {
 
 	// cbrCounters holds the module-internal CBR row counter per bank. The
 	// counter initialises to zero at power-up and wraps at Rows; it cannot
-	// be reset (section 3). Per-bank refresh (REFpb) and all-bank refresh
-	// (REFab) walk the same counters — JEDEC specifies a single internal
-	// refresh pointer per bank regardless of command style.
+	// be reset (section 3). Per-bank refresh (REFpb) walks the same
+	// counters — JEDEC specifies a single internal refresh pointer per
+	// bank regardless of command style.
 	cbrCounters []int
 
 	// subRows is the number of rows per subarray, used by the overlapped
@@ -343,10 +320,12 @@ func NewModule(g Geometry, t Timing) *Module {
 		clk:   sim.NewClock(t.TCK),
 		burst: t.BurstDuration(g.BurstLength),
 		d:     newDelays(&t, &g),
-		pdExit: [...]sim.Duration{
-			PDActive:        t.PowerDownExitFast(),
-			PDPrechargeFast: t.PowerDownExitFast(),
-			PDPrechargeSlow: t.PowerDownExitSlow(),
+		exit: [numPowerStates]sim.Duration{
+			PSActPdn:          t.PowerDownExitFast(),
+			PSPrePdnFast:      t.PowerDownExitFast(),
+			PSPrePdnSlow:      t.PowerDownExitSlow(),
+			PSSelfRefresh:     t.TXSNR,
+			PSSelfRefreshSlow: t.SelfRefreshSlowExit(),
 		},
 		banks:       make([]bankState, g.TotalBanks()),
 		ranks:       make([]rankState, g.Channels*g.Ranks),
@@ -385,11 +364,6 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 	}
 }
 
-// TraceScope returns the attached command tracer scope (nil when
-// tracing is disabled), so the owning controller can emit its own
-// events onto the same process.
-func (m *Module) TraceScope() *telemetry.Scope { return m.trace }
-
 // Geometry returns the module geometry.
 func (m *Module) Geometry() Geometry { return m.geom }
 
@@ -399,8 +373,6 @@ func (m *Module) Timing() Timing { return m.tim }
 // Stats returns a snapshot of the accumulated statistics. Call Finalize
 // first to flush background-state residency up to the end of simulation.
 func (m *Module) Stats() ModuleStats { return m.stats }
-
-func (m *Module) rankIndex(ch, rank int) int { return ch<<m.rankShift | rank }
 
 func (m *Module) observe(t sim.Time) {
 	if t > m.now {
@@ -480,7 +452,7 @@ func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool
 	m.observe(t)
 	ri := bank >> m.bankShift
 	r := &m.ranks[ri]
-	if r.inSelfRefresh {
+	if r.state.SelfRefresh() {
 		panic(fmt.Sprintf("dram: access to rank %s in self-refresh", m.rankName(ri)))
 	}
 	b := &m.banks[bank]
@@ -713,7 +685,7 @@ func (m *Module) RefreshBankFlat(t sim.Time, bank int, overlap bool) Refreshed {
 func (m *Module) refreshOverlapped(t sim.Time, bank, row int) Refreshed {
 	m.observe(t)
 	ri := bank >> m.bankShift
-	if m.ranks[ri].inSelfRefresh {
+	if m.ranks[ri].state.SelfRefresh() {
 		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
 	}
 	b := &m.banks[bank]
@@ -766,72 +738,12 @@ func (m *Module) refreshOverlapped(t sim.Time, bank, row int) Refreshed {
 	return res
 }
 
-// RefreshAllBanks performs one all-bank refresh (REFab) on a rank: every
-// bank's counter row is restored, and the whole rank is frozen for
-// Timing.AllBankRefreshDuration. Open pages are closed first (each a
-// conflict refresh). Results are returned in bank order.
-func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult {
-	ri := m.rankIndex(channel, rank)
-	if m.ranks[ri].inSelfRefresh {
-		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
-	}
-	m.observe(t)
-	results := make([]RefreshResult, m.geom.Banks)
-	base := ri << m.bankShift
-	banks := m.rankBanks(ri)
-
-	// Close any open pages and find when the whole rank is quiet.
-	start := t
-	for bk := range banks {
-		b := &banks[bk]
-		res := &results[bk]
-		res.Kind = RefreshAllBank
-		res.Issue = m.issueAt(t, b.readyAt)
-		if b.openRow != -1 {
-			res.ClosedOpenRow = true
-			res.ClosedRow = b.openRow
-			pre := sim.Max(res.Issue, b.prechargeOKAt)
-			if m.trace != nil {
-				m.trace.Command(telemetry.CmdPrecharge, base+bk, b.openRow, pre, pre+m.tim.TRP)
-			}
-			m.closeBank(b, ri, pre)
-			m.stats.Precharges++
-			m.stats.RefreshConflictOps++
-			start = sim.Max(start, pre+m.d.rp)
-		}
-		start = sim.Max(start, sim.Max(res.Issue, b.activateOKAt))
-	}
-	// start began at the incoming t; every other term is an edge.
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.d)))
-	m.ranks[ri].recordActivate(start)
-	done := start + m.d.rfcAB
-
-	for bk := range banks {
-		b := &banks[bk]
-		row := m.counterRow(base + bk)
-		results[bk].Row = RowID{Channel: channel, Rank: rank, Bank: bk, Row: row}
-		results[bk].Done = done
-		m.openBank(b, ri, row, start)
-		m.closeBank(b, ri, done)
-		b.readyAt = done
-		b.activateOKAt = sim.Max(b.activateOKAt, start+m.d.rc)
-		b.prechargeOKAt = done
-		m.stats.RefreshOps++
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshAB, base+bk, row, start, done)
-		}
-	}
-	m.stats.RefreshAllBankOps++
-	m.observe(done)
-	return results
-}
-
 // refreshBlocking is the blocking refresh of row in flat bank bank: the
 // bank is fully occupied for dur, a whole number of clocks.
 func (m *Module) refreshBlocking(t sim.Time, bank, row int, kind RefreshKind, dur sim.Duration) Refreshed {
 	m.observe(t)
 	ri := bank >> m.bankShift
-	if m.ranks[ri].inSelfRefresh {
+	if m.ranks[ri].state.SelfRefresh() {
 		panic(fmt.Sprintf("dram: refresh to rank %s in self-refresh", m.rankName(ri)))
 	}
 	b := &m.banks[bank]
@@ -950,78 +862,6 @@ func (m *Module) rankBanks(ri int) []bankState {
 	return m.banks[ri<<m.bankShift : (ri+1)<<m.bankShift]
 }
 
-// EnterSelfRefresh puts a rank into self-refresh at time t: the module
-// maintains retention from its internal oscillator and draws IDD6. All
-// banks of the rank must be precharged, and the rank accepts no commands
-// until ExitSelfRefresh. Entering twice is a controller bug and panics.
-//
-// Self-refresh entry cannot precede the rank's in-flight work: the SRE
-// command queues behind the rank's last scheduled operation, so a t
-// before that horizon (a controller deciding on a wall-clock idle
-// deadline while queued refreshes are still completing) is clamped
-// forward — otherwise the overlap would be double-counted as both
-// active and self-refresh residency. The effective entry time is
-// returned.
-func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
-	ri := m.rankIndex(channel, rank)
-	r := &m.ranks[ri]
-	if r.inSelfRefresh {
-		panic(fmt.Sprintf("dram: rank ch%d/rk%d already in self-refresh", channel, rank))
-	}
-	if r.openBanks != 0 {
-		panic(fmt.Sprintf("dram: self-refresh entry with %d open banks on ch%d/rk%d",
-			r.openBanks, channel, rank))
-	}
-	t = m.rankReadyAt(ri, t)
-	if r.lastUpdate > t {
-		t = r.lastUpdate
-	}
-	m.observe(t)
-	m.updateRank(ri, t)
-	if r.pdKind != PDNone {
-		// Descending from an explicit power-down state straight into
-		// self-refresh: fold the power-down residency up to the entry
-		// point (the SRE transition itself is not charged a wake).
-		m.foldPowerDown(r, t)
-		r.pdKind = PDNone
-	}
-	r.inSelfRefresh = true
-	r.srSince = t
-	m.stats.SelfRefreshEntries++
-	return t
-}
-
-// ExitSelfRefresh leaves self-refresh at time t and returns when the rank
-// accepts its next command (t + TXSNR). Exiting a rank that is not in
-// self-refresh panics.
-func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
-	ri := m.rankIndex(channel, rank)
-	r := &m.ranks[ri]
-	if !r.inSelfRefresh {
-		panic(fmt.Sprintf("dram: rank ch%d/rk%d not in self-refresh", channel, rank))
-	}
-	if t < r.srSince {
-		t = r.srSince
-	}
-	m.observe(t)
-	m.updateRank(ri, t)
-	r.selfRefreshTime += t - r.srSince
-	r.inSelfRefresh = false
-	exitLat := m.tim.TXSNR
-	if r.srSlow {
-		// Slow-wake residency [srSlowSince, t] drew IDD6L; the exit pays
-		// the DLL relock instead of the plain TXSNR.
-		r.srSlowTime += t - r.srSlowSince
-		r.srSlow = false
-		exitLat = m.tim.SelfRefreshSlowExit()
-	}
-	ready := m.clk.Next(t + exitLat)
-	// Every bank of the rank honours the exit latency.
-	m.holdRank(ri, ready)
-	m.observe(ready)
-	return ready
-}
-
 // rankReadyAt returns the later of t and the time every bank of flat rank
 // ri has finished its scheduled work.
 func (m *Module) rankReadyAt(ri int, t sim.Time) sim.Time {
@@ -1051,44 +891,22 @@ func (m *Module) holdRank(ri int, ready sim.Time) {
 // simulation (calling again extends the accounting window).
 func (m *Module) Finalize(end sim.Time) {
 	m.observe(end)
-	m.stats.ActiveTime = 0
-	m.stats.IdleTime = 0
-	m.stats.SelfRefreshTime = 0
-	m.stats.ActPdnTime = 0
-	m.stats.PrePdnFastTime = 0
-	m.stats.PrePdnSlowTime = 0
-	m.stats.SelfRefreshSlowTime = 0
+	var active, idle sim.Duration
+	var resid [numPowerStates]sim.Duration
 	for i := range m.ranks {
+		r := &m.ranks[i]
 		m.updateRank(i, m.now)
-		if m.ranks[i].inSelfRefresh {
-			// Extend the open self-refresh span; advance srSince so a
-			// repeated Finalize does not double-count.
-			m.ranks[i].selfRefreshTime += m.now - m.ranks[i].srSince
-			m.ranks[i].srSince = m.now
-			if m.ranks[i].srSlow {
-				m.ranks[i].srSlowTime += m.now - m.ranks[i].srSlowSince
-				m.ranks[i].srSlowSince = m.now
-			}
+		r.fold(m.now)
+		active += r.activeTime
+		idle += r.idleTime
+		for s, d := range r.resid {
+			resid[s] += d
 		}
-		if m.ranks[i].pdKind != PDNone {
-			// Extend the open power-down span; foldPowerDown advances
-			// pdSince, so a repeated Finalize extends, never
-			// double-counts.
-			m.foldPowerDown(&m.ranks[i], m.now)
-		}
-		m.stats.ActiveTime += m.ranks[i].activeTime
-		m.stats.IdleTime += m.ranks[i].idleTime
-		m.stats.SelfRefreshTime += m.ranks[i].selfRefreshTime
-		m.stats.ActPdnTime += m.ranks[i].actPdnTime
-		m.stats.PrePdnFastTime += m.ranks[i].preFastTime
-		m.stats.PrePdnSlowTime += m.ranks[i].preSlowTime
-		m.stats.SelfRefreshSlowTime += m.ranks[i].srSlowTime
 	}
+	m.stats.ActiveTime, m.stats.IdleTime = active, idle
+	m.stats.ActPdnTime = resid[PSActPdn]
+	m.stats.PrePdnFastTime = resid[PSPrePdnFast]
+	m.stats.PrePdnSlowTime = resid[PSPrePdnSlow]
+	m.stats.SelfRefreshTime = resid[PSSelfRefresh] + resid[PSSelfRefreshSlow]
+	m.stats.SelfRefreshSlowTime = resid[PSSelfRefreshSlow]
 }
-
-// Horizon reports the latest time the module has observed — the end of
-// the residency accounting window Finalize folds. It can exceed the
-// nominal simulation end when an in-flight operation ran past it, and is
-// the exact wall the residency-conservation invariant checks against:
-// after Finalize, ActiveTime + IdleTime == ranks × Horizon.
-func (m *Module) Horizon() sim.Time { return m.now }

@@ -464,12 +464,12 @@ func TestPowerDownDisabledByDefault(t *testing.T) {
 
 func TestSelfRefreshResidency(t *testing.T) {
 	m := testModule()
-	m.EnterSelfRefresh(sim.Millisecond, 0, 0)
-	if !m.InSelfRefresh(0, 0) {
+	m.Enter(sim.Millisecond, 0, PSSelfRefresh)
+	if !m.InSelfRefresh(0) {
 		t.Fatal("rank not in self-refresh")
 	}
-	ready := m.ExitSelfRefresh(5*sim.Millisecond, 0, 0)
-	if m.InSelfRefresh(0, 0) {
+	ready := m.Exit(5*sim.Millisecond, 0)
+	if m.InSelfRefresh(0) {
 		t.Fatal("rank still in self-refresh")
 	}
 	if ready < 5*sim.Millisecond+m.Timing().TXSNR {
@@ -493,7 +493,7 @@ func TestSelfRefreshResidency(t *testing.T) {
 func TestSelfRefreshGuards(t *testing.T) {
 	m := testModule()
 	// Access to a rank in self-refresh panics.
-	m.EnterSelfRefresh(0, 0, 0)
+	m.Enter(0, 0, PSSelfRefresh)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -509,7 +509,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 				t.Error("double SR entry did not panic")
 			}
 		}()
-		m.EnterSelfRefresh(1, 0, 0)
+		m.Enter(1, 0, PSSelfRefresh)
 	}()
 	// Exit of a rank not in SR panics.
 	func() {
@@ -518,7 +518,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 				t.Error("exit of non-SR rank did not panic")
 			}
 		}()
-		m.ExitSelfRefresh(1, 0, 1)
+		m.Exit(1, 1)
 	}()
 	// Entry with an open page panics.
 	m2 := testModule()
@@ -529,7 +529,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 				t.Error("SR entry with open page did not panic")
 			}
 		}()
-		m2.EnterSelfRefresh(sim.Microsecond, 0, 0)
+		m2.Enter(sim.Microsecond, 0, PSSelfRefresh)
 	}()
 	// The other rank can still operate during rank 0's self-refresh.
 	if res := m.Access(2, Address{RowID: RowID{0, 1, 0, 1}, Column: 0}, false); res.Done == 0 {
@@ -558,7 +558,7 @@ func TestSelfRefreshEntryClampedBehindBusyRank(t *testing.T) {
 	}
 
 	// Entry requested mid-chain: must be deferred to the busy horizon.
-	entered := m.EnterSelfRefresh(sim.Microsecond, 0, 0)
+	entered := m.Enter(sim.Microsecond, 0, PSSelfRefresh)
 	if entered < horizon {
 		t.Errorf("entry at %v predates the rank's busy horizon %v", entered, horizon)
 	}

@@ -11,9 +11,6 @@ func TestPerBankRefreshTimingDerivation(t *testing.T) {
 	if got := tt.PerBankRefreshDuration(); got != 70*sim.Nanosecond {
 		t.Errorf("DDR2 PerBankRefreshDuration = %v, want 70ns", got)
 	}
-	if got := tt.AllBankRefreshDuration(4); got != 195*sim.Nanosecond {
-		t.Errorf("DDR2 AllBankRefreshDuration = %v, want 195ns", got)
-	}
 	// Zeroed fields derive from the per-row cost.
 	tt.TRFCpb, tt.TRFCab = 0, 0
 	if err := tt.Validate(); err != nil {
@@ -21,9 +18,6 @@ func TestPerBankRefreshTimingDerivation(t *testing.T) {
 	}
 	if got := tt.PerBankRefreshDuration(); got != tt.TRefreshRow {
 		t.Errorf("derived PerBankRefreshDuration = %v, want %v", got, tt.TRefreshRow)
-	}
-	if got := tt.AllBankRefreshDuration(4); got != 4*tt.TRefreshRow {
-		t.Errorf("derived AllBankRefreshDuration = %v, want %v", got, 4*tt.TRefreshRow)
 	}
 }
 
@@ -153,57 +147,5 @@ func TestRefreshBankOverlappedSameSubarrayConflictClosesPage(t *testing.T) {
 	}
 	if m.Stats().RefreshConflictOps != 1 {
 		t.Errorf("conflict not counted: %+v", m.Stats())
-	}
-}
-
-func TestRefreshAllBanksFreezesRankAndWalksEveryCounter(t *testing.T) {
-	m := testModule()
-	g := m.Geometry()
-	// Open a page in bank 2 to exercise the conflict path.
-	open := Address{RowID: RowID{0, 0, 2, 7}, Column: 0}
-	a0 := m.Access(0, open, false)
-
-	results := m.RefreshAllBanks(a0.Done, 0, 0)
-	if len(results) != g.Banks {
-		t.Fatalf("got %d results, want %d", len(results), g.Banks)
-	}
-	done := results[0].Done
-	for bk, res := range results {
-		if res.Kind != RefreshAllBank {
-			t.Errorf("bank %d kind = %v", bk, res.Kind)
-		}
-		if res.Done != done {
-			t.Errorf("bank %d done %v, want rank-wide %v", bk, res.Done, done)
-		}
-		if res.Row.Row != 0 {
-			t.Errorf("bank %d refreshed row %d, want counter row 0", bk, res.Row.Row)
-		}
-		id := BankID{Channel: 0, Rank: 0, Bank: bk}
-		if got := m.CBRCounter(id); got != 1 {
-			t.Errorf("bank %d counter = %d, want 1", bk, got)
-		}
-		if ready := m.BankReadyAt(id); ready != done {
-			t.Errorf("bank %d ready at %v, want %v", bk, ready, done)
-		}
-	}
-	if !results[2].ClosedOpenRow || results[2].ClosedRow != open.Row {
-		t.Errorf("open page not closed by REFab: %+v", results[2])
-	}
-
-	st := m.Stats()
-	if st.RefreshAllBankOps != 1 {
-		t.Errorf("RefreshAllBankOps = %d", st.RefreshAllBankOps)
-	}
-	if st.RefreshOps != uint64(g.Banks) {
-		t.Errorf("RefreshOps = %d, want %d", st.RefreshOps, g.Banks)
-	}
-	// The kind-wise decomposition invariant.
-	if st.RefreshOps != st.RefreshCBROps+st.RefreshRASOnlyOps+st.RefreshPerBankOps+uint64(g.Banks)*st.RefreshAllBankOps {
-		t.Errorf("refresh op decomposition broken: %+v", st)
-	}
-	// One REFab is far cheaper than per-bank serialization.
-	width := done - results[0].Issue
-	if serial := sim.Duration(g.Banks) * m.Timing().PerBankRefreshDuration(); sim.Duration(width) >= serial {
-		t.Errorf("REFab width %v not below serialized %v", width, serial)
 	}
 }

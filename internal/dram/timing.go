@@ -35,10 +35,10 @@ type Timing struct {
 	// than a bare row cycle. Optional: zero means "derive".
 	TRFCpb sim.Duration
 
-	// TRFCab is the rank-wide occupancy of one all-bank refresh command
-	// (REFab), the conventional REF that freezes every bank at once — the
-	// contrast case for the per-bank path. Optional: zero derives the
-	// serialized equivalent (TRefreshRow per bank).
+	// TRFCab is the datasheet's rank-wide occupancy of one all-bank
+	// refresh command (REFab), the conventional REF that freezes every
+	// bank at once. The module issues no REFab, so only Validate reads
+	// it. Optional: zero leaves it unset.
 	TRFCab sim.Duration
 
 	// TXSNR is the self-refresh exit latency before the next command
@@ -159,18 +159,6 @@ func (t Timing) PerBankRefreshDuration() sim.Duration {
 		return t.TRFCpb
 	}
 	return t.TRefreshRow
-}
-
-// AllBankRefreshDuration returns the rank occupancy of one REFab command
-// across banks banks: TRFCab when set, else the serialized per-bank
-// equivalent. The all-bank command's efficiency (one row per bank in a
-// single tRFCab well below banks × tRFCpb) only appears when TRFCab is
-// configured, as DDR2_667 does.
-func (t Timing) AllBankRefreshDuration(banks int) sim.Duration {
-	if t.TRFCab > 0 {
-		return t.TRFCab
-	}
-	return sim.Duration(banks) * t.PerBankRefreshDuration()
 }
 
 // BurstDuration returns the data-bus occupancy of one burst of length bl

@@ -406,13 +406,13 @@ func found(minAt sim.Time, minI int) (sim.Time, int, bool) {
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 	ri := flat >> c.bankShift
-	woke := c.ps.enabled && c.ps.ranks[ri].state == PSActPdn
+	woke := c.module.RankState(ri) == PSActPdn
 	if woke {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge
 		// can issue. It pays the tXP exit via the raised bank timings,
 		// and settles back down once the page is closed.
-		c.exitPowerDown(deadline, ri)
+		c.wakeRank(deadline, ri)
 	}
 	if row, closed := c.module.PrechargeFlat(deadline, flat); closed {
 		c.restore(deadline, flat, row)
@@ -439,20 +439,18 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 	c.cmds = c.policy.Advance(due, c.cmds[:0])
 	for i := range c.cmds {
 		cmd := &c.cmds[i]
-		if ri := cmd.Bank >> c.bankShift; c.ps.armed {
-			switch c.ps.ranks[ri].state {
-			case PSSelfRefresh, PSSelfRefreshSlow:
-				// The rank refreshes itself while asleep.
-				c.refreshesDroppedSR++
-				continue
-			case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-				// A refresh cannot issue with CKE low: wake a
-				// powered-down rank first. The wake is not demand
-				// (lastDemand stays), so the rank settles back down
-				// once the tick's commands issue.
-				c.exitPowerDown(due, ri)
-				c.woken = append(c.woken, ri)
-			}
+		ri := cmd.Bank >> c.bankShift
+		switch state := c.module.RankState(ri); {
+		case state.SelfRefresh():
+			// The rank refreshes itself while asleep.
+			c.refreshesDroppedSR++
+			continue
+		case state != PSAwake:
+			// A refresh cannot issue with CKE low: wake a powered-down
+			// rank first. The wake is not demand (lastDemand stays), so
+			// the rank settles back down once the tick's commands issue.
+			c.wakeRank(due, ri)
+			c.woken = append(c.woken, ri)
 		}
 		var res dram.Refreshed
 		switch {

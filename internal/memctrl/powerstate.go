@@ -42,46 +42,19 @@ import (
 // SelfRefreshAfter armed) still replays the historical self-refresh
 // controller bit for bit.
 
-// PowerState is a rank's position on the power-state ladder as the
-// controller tracks it. The order is the descent order; comparisons in
-// the scheduler rely on deeper states having larger values.
-type PowerState uint8
+// PowerState is a rank's rung on the ladder. The module owns each rank's
+// state (dram.Module.RankState); the controller keeps no copy.
+type PowerState = dram.PowerState
 
+// The ladder's rungs, in descent order (see dram.PowerState).
 const (
-	// PSAwake covers both IDLE-OPEN and IDLE-CLOSED: the rank accepts
-	// commands immediately.
-	PSAwake PowerState = iota
-	// PSActPdn is active power-down: pages open, clock stopped.
-	PSActPdn
-	// PSPrePdnFast is precharge power-down with the DLL running.
-	PSPrePdnFast
-	// PSPrePdnSlow is precharge power-down with the DLL frozen.
-	PSPrePdnSlow
-	// PSSelfRefresh is module self-refresh.
-	PSSelfRefresh
-	// PSSelfRefreshSlow is self-refresh deepened to the DLL-off mode.
-	PSSelfRefreshSlow
+	PSAwake           = dram.PSAwake
+	PSActPdn          = dram.PSActPdn
+	PSPrePdnFast      = dram.PSPrePdnFast
+	PSPrePdnSlow      = dram.PSPrePdnSlow
+	PSSelfRefresh     = dram.PSSelfRefresh
+	PSSelfRefreshSlow = dram.PSSelfRefreshSlow
 )
-
-// String names the power state.
-func (s PowerState) String() string {
-	switch s {
-	case PSAwake:
-		return "awake"
-	case PSActPdn:
-		return "act-pdn"
-	case PSPrePdnFast:
-		return "pre-pdn-fast"
-	case PSPrePdnSlow:
-		return "pre-pdn-slow"
-	case PSSelfRefresh:
-		return "sr"
-	case PSSelfRefreshSlow:
-		return "sr-slow"
-	default:
-		return fmt.Sprintf("PowerState(%d)", int(s))
-	}
-}
 
 // PowerStateConfig arms the power-down rungs of the ladder. Each
 // threshold is demand-idle time before the transition; zero leaves the
@@ -157,14 +130,15 @@ func (c PowerStateConfig) validate(idleClose, srAfter sim.Duration) error {
 	return nil
 }
 
-// psState tracks one rank's controller-side power state.
+// psState is the controller's scheduling view of one rank: the rank's
+// power state itself lives in the module.
 type psState struct {
 	lastDemand sim.Time
-	state      PowerState
 	// enteredAt is the current low-power span's effective start (module
-	// entry time); it drives trace spans and checker coverage, and is
-	// advanced by finishPowerStates so a repeated Finish extends rather
-	// than double-counts.
+	// entry time; the SR entry for SR-slow); it drives trace spans, the
+	// SR-slow deadline and checker coverage, and is advanced by
+	// finishPowerStates so a repeated Finish extends rather than
+	// double-counts.
 	enteredAt sim.Time
 	// nextTarget/nextAt are the rank's deadline slot: the one pending
 	// transition, overwritten in place by every reschedule.
@@ -178,7 +152,6 @@ type psState struct {
 type powerStates struct {
 	srAfter sim.Duration // self-refresh threshold; <=0 leaves the SR rung unarmed
 	cfg     PowerStateConfig
-	enabled bool // cfg.Enabled(): some power-down rung armed
 	armed   bool // any rung armed (srAfter or cfg)
 	ranks   []psState
 
@@ -198,7 +171,6 @@ func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) 
 	c.ps = powerStates{
 		srAfter: srAfter,
 		cfg:     cfg,
-		enabled: cfg.Enabled(),
 		armed:   true,
 		ranks:   make([]psState, c.cfg.Geometry.Channels*c.cfg.Geometry.Ranks),
 	}
@@ -318,65 +290,42 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 }
 
 // fire performs rank ri's transition to target at time t and returns the
-// rung its next transition is scheduled from.
+// rung its next transition is scheduled from. ACT-PDN needs an open page
+// to hold and is skipped without one; every deeper rung needs the banks
+// closed and waits for idle-close while a page is open. A rank asleep in
+// a power-down state descends without an intermediate wake: the module
+// folds the shallower residency at the handoff, and its trace span
+// closes there. The SR-slow deepen keeps the SR span and its coverage.
 func (c *Controller) fire(t sim.Time, ri int, target PowerState) PowerState {
 	st := &c.ps.ranks[ri]
-	channel, rank := c.rankCoords(ri)
-	switch target {
-	case PSActPdn:
-		// Already there (a deferred deeper rung re-walked the ladder), or
-		// no page to hold open: skip to the precharged rungs.
-		if st.state != PSActPdn && c.rankHasOpenPage(ri) {
-			st.enteredAt = c.module.EnterPowerDown(t, channel, rank, dram.PDActive)
-			st.state = PSActPdn
-		}
-		return PSActPdn
-	case PSPrePdnFast, PSPrePdnSlow:
-		if st.state == target {
-			return target
-		}
-		if c.rankHasOpenPage(ri) {
-			// Pages still open: wait for idle-close, exactly like the
-			// deferred self-refresh entry. Re-arm past the close horizon.
-			st.lastDemand = t
-			return st.state
-		}
-		kind := dram.PDPrechargeFast
-		if target == PSPrePdnSlow {
-			kind = dram.PDPrechargeSlow
-		}
-		entered := c.module.EnterPowerDown(t, channel, rank, kind)
-		if st.state == PSPrePdnFast {
-			// Deepening fast → slow: close the fast span's trace at the
-			// deepen point (the module folded its residency there too).
-			c.tracePowerDown(ri, entered)
-		}
-		st.state = target
-		st.enteredAt = entered
+	state := c.module.RankState(ri)
+	open := c.rankHasOpenPage(ri)
+	switch {
+	case state == target || target == PSActPdn && !open:
 		return target
-	case PSSelfRefresh:
-		return c.enterSelfRefresh(t, ri)
-	case PSSelfRefreshSlow:
-		if st.state == PSSelfRefresh {
-			c.module.SlowSelfRefresh(t, channel, rank)
-			st.state = PSSelfRefreshSlow
-		}
-		return PSSelfRefreshSlow
-	default:
-		// PSAwake is never a target.
-		return st.state
+	case target != PSActPdn && open:
+		// Re-arm the deadline just past the page-close horizon.
+		st.lastDemand = t
+		return state
 	}
-}
-
-// exitPowerDown wakes flat rank ri from an explicit power-down state at
-// time t. It leaves lastDemand and the rank's slot alone: a demand wake
-// reschedules through noteDemand once the access is issued, and a
-// refresh or idle-close wake settles the rank back down.
-func (c *Controller) exitPowerDown(t sim.Time, ri int) {
-	channel, rank := c.rankCoords(ri)
-	c.module.ExitPowerDown(t, channel, rank)
-	c.tracePowerDown(ri, t)
-	c.ps.ranks[ri].state = PSAwake
+	// The module clamps entry behind the rank's in-flight work (queued
+	// refreshes can extend past the idle deadline); the effective time
+	// drives the trace and checker spans, so they never claim a span the
+	// rank spent executing commands.
+	entered := c.module.Enter(t, ri, target)
+	if target == PSSelfRefreshSlow {
+		return target
+	}
+	if state != PSAwake {
+		c.tracePowerDown(ri, state, entered)
+	}
+	st.enteredAt = entered
+	if target == PSSelfRefresh {
+		// The internal engine keeps every row fresh; mark the handoff for
+		// the checker (see coverSelfRefresh).
+		c.restoreRank(entered, ri)
+	}
+	return target
 }
 
 // settle returns flat rank ri, woken at t by a refresh or an idle-close
@@ -411,21 +360,40 @@ func (c *Controller) settle(ri int, t sim.Time) {
 	}
 }
 
-// wakeRank wakes flat rank ri from any low-power state for a demand
-// access.
+// wakeRank wakes flat rank ri at time t if it is asleep, closing the
+// state's trace span and, for self-refresh, reporting the span to the
+// retention checker. It leaves lastDemand and the rank's slot alone: a
+// demand wake reschedules through noteDemand once the access is issued,
+// and a refresh or idle-close wake settles the rank back down.
 func (c *Controller) wakeRank(t sim.Time, ri int) {
-	switch c.ps.ranks[ri].state {
-	case PSSelfRefresh, PSSelfRefreshSlow:
-		c.exitSelfRefresh(t, ri)
-	case PSActPdn, PSPrePdnFast, PSPrePdnSlow:
-		c.exitPowerDown(t, ri)
+	state := c.module.RankState(ri)
+	if state == PSAwake {
+		return
 	}
+	c.module.Exit(t, ri)
+	c.closeSpan(ri, state, t)
+}
+
+// closeSpan reports rank ri's residency in state from enteredAt to end:
+// a PWR-DN trace span for a power-down state; for self-refresh, a
+// SELF-REF span and checker coverage (the engine refreshed throughout,
+// so rows are at most one interval old).
+func (c *Controller) closeSpan(ri int, state PowerState, end sim.Time) {
+	if !state.SelfRefresh() {
+		c.tracePowerDown(ri, state, end)
+		return
+	}
+	st := &c.ps.ranks[ri]
+	if c.trace != nil {
+		c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, end)
+	}
+	c.coverSelfRefresh(st.enteredAt, end, ri)
 }
 
 // tracePowerDown emits the closing CmdPowerDown span for rank ri's
-// current power-down residency, [enteredAt, end], with the state as the
-// event argument. Call before mutating st.state/enteredAt.
-func (c *Controller) tracePowerDown(ri int, end sim.Time) {
+// residency in power-down state state, [enteredAt, end], with the state
+// as the event argument.
+func (c *Controller) tracePowerDown(ri int, state PowerState, end sim.Time) {
 	if c.trace == nil {
 		return
 	}
@@ -435,7 +403,7 @@ func (c *Controller) tracePowerDown(ri int, end sim.Time) {
 		// charged zero residency); keep the span non-negative.
 		end = st.enteredAt
 	}
-	c.trace.Command(telemetry.CmdPowerDown, c.rankTid(ri), int(st.state), st.enteredAt, end)
+	c.trace.Command(telemetry.CmdPowerDown, c.rankTid(ri), int(state), st.enteredAt, end)
 }
 
 // finishPowerStates reports the still-open residency of every sleeping
@@ -449,18 +417,9 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 	}
 	for ri := range c.ps.ranks {
 		st := &c.ps.ranks[ri]
-		if st.state == PSAwake || st.enteredAt >= end {
-			continue
+		if state := c.module.RankState(ri); state != PSAwake && st.enteredAt < end {
+			c.closeSpan(ri, state, end)
+			st.enteredAt = end
 		}
-		switch st.state {
-		case PSSelfRefresh, PSSelfRefreshSlow:
-			if c.trace != nil {
-				c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, end)
-			}
-			c.coverSelfRefresh(st.enteredAt, end, ri)
-		default:
-			c.tracePowerDown(ri, end)
-		}
-		st.enteredAt = end
 	}
 }

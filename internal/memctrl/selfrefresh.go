@@ -3,7 +3,6 @@ package memctrl
 import (
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
-	"smartrefresh/internal/telemetry"
 )
 
 // Self-refresh orchestration: when a rank has seen no demand for
@@ -12,8 +11,7 @@ import (
 // internal self-refresh engine (IDD6 instead of controller-issued
 // refreshes), and wakes the rank on the next demand access, paying tXSNR.
 // Self-refresh is the deepest rung of the power-state ladder in
-// powerstate.go; this file keeps the SR-specific mechanics (checker
-// coverage, residency spans, entry deferral).
+// powerstate.go; this file keeps the SR-specific checker coverage.
 //
 // While a rank is in self-refresh the controller drops the policy's
 // refresh commands for it — they are covered internally. As with the
@@ -22,62 +20,6 @@ import (
 // entry/exit transition is bounded by two refresh intervals rather than
 // one; the retention checker treats self-refresh residency accordingly by
 // recording a whole-rank restore at entry and exit.
-
-// rankCoords returns flat rank ri's channel and rank within it.
-func (c *Controller) rankCoords(ri int) (channel, rank int) {
-	return ri >> c.rankShift, ri & (c.cfg.Geometry.Ranks - 1)
-}
-
-// enterSelfRefresh puts rank ri into self-refresh at time t, provided its
-// banks are closed (otherwise the entry is deferred: the idle-close
-// machinery will close them and the deadline fires again). A rank asleep
-// in a PRE-PDN state descends without an intermediate wake — the module
-// folds the power-down residency at the handoff. It returns the rung the
-// rank's next transition is scheduled from.
-func (c *Controller) enterSelfRefresh(t sim.Time, ri int) PowerState {
-	st := &c.ps.ranks[ri]
-	if c.rankHasOpenPage(ri) {
-		// Pages still open: wait for idle-close. Re-arm the deadline
-		// just past the page-close horizon.
-		st.lastDemand = t
-		return PSAwake
-	}
-	// The module clamps entry behind the rank's in-flight work (queued
-	// refreshes can extend past the idle deadline); the effective time
-	// drives the checker coverage so it never claims a span the rank
-	// spent executing commands.
-	channel, rank := c.rankCoords(ri)
-	entered := c.module.EnterSelfRefresh(t, channel, rank)
-	if st.state == PSPrePdnFast || st.state == PSPrePdnSlow {
-		// Descending from PRE-PDN: close that span's trace at the
-		// module-effective handoff point.
-		c.tracePowerDown(ri, entered)
-	}
-	st.state = PSSelfRefresh
-	st.enteredAt = entered
-	// The internal engine keeps every row fresh; mark the handoff for the
-	// checker (see the transition-bound note above).
-	c.restoreRank(entered, ri)
-	return PSSelfRefresh
-}
-
-// exitSelfRefresh wakes flat rank ri for a demand access at time t.
-func (c *Controller) exitSelfRefresh(t sim.Time, ri int) {
-	st := &c.ps.ranks[ri]
-	if st.state != PSSelfRefresh && st.state != PSSelfRefreshSlow {
-		return
-	}
-	channel, rank := c.rankCoords(ri)
-	c.module.ExitSelfRefresh(t, channel, rank)
-	st.state = PSAwake
-	st.lastDemand = t
-	if c.trace != nil {
-		c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, t)
-	}
-	// The engine refreshed throughout; rows are at most one interval old.
-	c.coverSelfRefresh(st.enteredAt, t, ri)
-	c.scheduleFrom(ri, PSAwake, t)
-}
 
 // coverSelfRefresh reports flat rank ri's self-refresh residency [from, to] to
 // the retention checker as one whole-rank restore per refresh interval:
