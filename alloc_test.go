@@ -6,11 +6,15 @@
 package smartrefresh_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"smartrefresh"
 	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
+	"smartrefresh/internal/sim"
+	"smartrefresh/internal/workload"
 )
 
 // warmPolicy drives a policy long enough for its internal buffers (and
@@ -285,5 +289,77 @@ func TestCacheNew3DAllocBudget(t *testing.T) {
 	cfg := config.Table2_3DCache()
 	if avg := testing.AllocsPerRun(20, func() { cache.New(cfg) }); avg > 2 {
 		t.Errorf("cache.New(Table2_3DCache) makes %.0f allocations, want at most 2", avg)
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, read from
+// runtime.MemStats.TotalAlloc around it. Like testing.AllocsPerRun it
+// runs at GOMAXPROCS 1, so no other goroutine allocates meanwhile.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A generator keeps a row table only when it shuffles, and then at 4
+// bytes a row: a sequential sweep's row is its position.
+func TestGeneratorRowTableBytes(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := prof.MainSpec()
+	if seq.Shuffle || seq.Rows() == 0 {
+		t.Fatalf("gcc main spec %+v is not a sequential sweep", seq)
+	}
+	if got := allocBytes(func() { workload.NewGenerator(seq, 1) }); got >= 4<<10 {
+		t.Errorf("sequential NewGenerator over %d rows allocates %d bytes, want under 4 KiB", seq.Rows(), got)
+	}
+
+	const rows = 1 << 16
+	shuffled := workload.StreamSpec{
+		FootprintBytes: rows * 1024, StrideBytes: 1024, SweepPeriod: sim.Millisecond, Shuffle: true,
+	}
+	if got := allocBytes(func() { workload.NewGenerator(shuffled, 1) }); got < 4*rows || got >= 4*rows+4<<10 {
+		t.Errorf("shuffled NewGenerator over %d rows allocates %d bytes, want 4·%d plus under 4 KiB", rows, got, rows)
+	}
+}
+
+// The first install into an empty chunk of the Table 2 tag store
+// allocates that chunk and nothing else: 4096 sets × ways 4-byte words.
+func TestCacheChunkInstallBytes(t *testing.T) {
+	cfg := config.Table2_3DCache()
+	c := cache.New(cfg)
+	if got, want := allocBytes(func() { c.Access(0, true) }), uint64(4096*cfg.Ways*4); got != want {
+		t.Errorf("first install into a Table 2 chunk allocates %d bytes, want %d", got, want)
+	}
+}
+
+// StreamSpec.Validate bounds a shuffled spec's rows by the generator's
+// 32-bit permutation, and only a shuffled one; checking the bound
+// allocates nothing on either side of it.
+func TestStreamSpecShuffleRowBound(t *testing.T) {
+	spec := func(rows int64, shuffle bool) workload.StreamSpec {
+		return workload.StreamSpec{FootprintBytes: rows, StrideBytes: 1, SweepPeriod: sim.Second, Shuffle: shuffle}
+	}
+	for _, tc := range []struct {
+		rows    int64
+		shuffle bool
+		ok      bool
+	}{
+		{math.MaxUint32, true, true},
+		{math.MaxUint32 + 1, true, false},
+		{math.MaxUint32 + 1, false, true},
+	} {
+		s := spec(tc.rows, tc.shuffle)
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d rows, shuffle %v: Validate() = %v, want ok=%v", tc.rows, tc.shuffle, err, tc.ok)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = s.Validate() }); avg != 0 {
+			t.Errorf("%d rows, shuffle %v: Validate allocates %.1f allocs/op, want 0", tc.rows, tc.shuffle, avg)
+		}
 	}
 }

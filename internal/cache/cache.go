@@ -7,6 +7,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -43,15 +44,20 @@ type Result struct {
 	FillValid bool
 }
 
-// The tag store packs each line into one uint64: the tag shifted left by
+// The tag store packs each line into one uint32: the tag shifted left by
 // tagShift, the valid bit and the dirty bit. An invalid line is the zero
-// word. config.CacheConfig.Validate guarantees lineBits+setBits >= 2, so
-// every tag fits in the 62 bits above the flags.
+// word. A tag is the address bits above the offset and set bits, so it
+// fits the tagBits above the flags only for an address below AddrLimit.
 const (
 	dirtyBit = 1 << 0
 	validBit = 1 << 1
 	tagShift = 2
+	tagBits  = 32 - tagShift
 )
+
+// ErrAddrRange reports an address at or above a cache's AddrLimit, whose
+// tag the tag store cannot hold.
+var ErrAddrRange = errors.New("cache: address beyond the tag store's range")
 
 // The tag store is split into chunks of chunkSets sets (one smaller chunk
 // when the cache has fewer sets), each allocated on the first install
@@ -71,11 +77,13 @@ type Cache struct {
 	// lines are a prefix of that region, ordered most- to least-recently
 	// used, and the rest are zero. A nil chunk is all-zero sets that have
 	// never held a line.
-	chunks     [][]uint64
+	chunks     [][]uint32
 	chunkWords int
+	ways       int // cfg.Ways; one load, not two, keeps lookup inlinable
 	setMask    uint64
 	setBits    uint
 	lineBits   uint
+	addrLimit  uint64
 	stats      Stats
 }
 
@@ -86,13 +94,17 @@ func New(cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	sets := uint64(cfg.SizeBytes/int64(cfg.LineBytes)) / uint64(cfg.Ways)
+	setBits := uint(bits.TrailingZeros64(sets))
+	lineBits := uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	return &Cache{
 		cfg:        cfg,
-		chunks:     make([][]uint64, (sets+chunkMask)>>chunkBits),
+		chunks:     make([][]uint32, (sets+chunkMask)>>chunkBits),
 		chunkWords: int(min(sets, chunkSets)) * cfg.Ways,
+		ways:       cfg.Ways,
 		setMask:    sets - 1,
-		setBits:    uint(bits.TrailingZeros64(sets)),
-		lineBits:   uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		setBits:    setBits,
+		lineBits:   lineBits,
+		addrLimit:  1 << (tagBits + lineBits + setBits),
 	}
 }
 
@@ -105,21 +117,31 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns addr rounded down to its line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
+// AddrLimit returns the first address whose tag the tag store cannot
+// hold: 1 << (30 + offset bits + set bits), 2^56 for the Table 2 cache.
+// config.CacheConfig.Validate keeps it within 64 bits.
+func (c *Cache) AddrLimit() uint64 { return c.addrLimit }
+
 // lookup returns the set holding addr (nil when its chunk was never
-// allocated) and the packed valid clean word its line would have. The
-// search is left to find so that lookup stays within the inlining budget
-// of Access, Contains and Dirty.
-func (c *Cache) lookup(addr uint64) (setIdx int, set []uint64, key uint64) {
+// allocated) and the packed valid clean word its line would have. It
+// panics with ErrAddrRange on an address at or above AddrLimit rather
+// than let two addresses share a tag. The search is left to find, and
+// the panic carries no address, so that lookup stays within the
+// inlining budget of Access, Contains and Dirty.
+func (c *Cache) lookup(addr uint64) (setIdx int, set []uint32, key uint32) {
+	if addr >= c.addrLimit {
+		panic(ErrAddrRange)
+	}
 	l := addr >> c.lineBits
 	setIdx = int(l & c.setMask)
 	if chunk := c.chunks[setIdx>>chunkBits]; chunk != nil {
 		set = c.setIn(chunk, setIdx)
 	}
-	return setIdx, set, l>>c.setBits<<tagShift | validBit
+	return setIdx, set, uint32(l>>c.setBits)<<tagShift | validBit
 }
 
 // find returns the position of key's line in set, -1 when absent.
-func find(set []uint64, key uint64) int {
+func find(set []uint32, key uint32) int {
 	for i, w := range set {
 		if w&^dirtyBit == key {
 			return i
@@ -132,16 +154,16 @@ func find(set []uint64, key uint64) int {
 }
 
 // setIn returns setIdx's region of its chunk.
-func (c *Cache) setIn(chunk []uint64, setIdx int) []uint64 {
-	ways := c.cfg.Ways
+func (c *Cache) setIn(chunk []uint32, setIdx int) []uint32 {
+	ways := c.ways
 	base := (setIdx & chunkMask) * ways
 	return chunk[base : base+ways : base+ways]
 }
 
 // allocChunk allocates the all-zero chunk holding setIdx and returns
 // setIdx's region of it.
-func (c *Cache) allocChunk(setIdx int) []uint64 {
-	chunk := make([]uint64, c.chunkWords)
+func (c *Cache) allocChunk(setIdx int) []uint32 {
+	chunk := make([]uint32, c.chunkWords)
 	c.chunks[setIdx>>chunkBits] = chunk
 	return c.setIn(chunk, setIdx)
 }
@@ -153,7 +175,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
 	setIdx, set, key := c.lookup(addr)
 	pos := find(set, key)
-	var dirty uint64
+	var dirty uint32
 	if write {
 		dirty = dirtyBit
 	}
@@ -199,9 +221,10 @@ func (c *Cache) Dirty(addr uint64) bool {
 	return pos >= 0 && set[pos]&dirtyBit != 0
 }
 
-// victimAddr rebuilds the line address of packed word w held in setIdx.
-func (c *Cache) victimAddr(setIdx int, w uint64) uint64 {
-	return (w>>tagShift<<c.setBits | uint64(setIdx)) << c.lineBits
+// victimAddr rebuilds the line address of packed word w held in setIdx,
+// widening the tag to 64 bits before shifting it into place.
+func (c *Cache) victimAddr(setIdx int, w uint32) uint64 {
+	return (uint64(w>>tagShift)<<c.setBits | uint64(setIdx)) << c.lineBits
 }
 
 // Invariant checks internal consistency (used by property tests): each
@@ -220,7 +243,7 @@ func (c *Cache) Invariant() error {
 }
 
 // setInvariant checks one set's region for Invariant.
-func setInvariant(set []uint64, si int) error {
+func setInvariant(set []uint32, si int) error {
 	n := 0
 	for n < len(set) && set[n]&validBit != 0 {
 		n++

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -568,11 +569,14 @@ func TestCacheChunksFollowFootprint(t *testing.T) {
 // four chunks at 1 to 8 ways, and arbitrary operation streams against
 // the [][]line reference. Each four-byte group of ops is one operation:
 // the first byte picks a read, a write, a Contains/Dirty probe or (rarely)
-// a Flush; the next two pick the set and the last the tag.
+// a Flush; the next two pick the set and the last the tag: below 0x80 a
+// small tag, from 0x80 on one as far below the 30-bit top, so the widest
+// tags the store holds are installed, hit and written back too.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{0, 1, 0, 0, 1, 1, 0, 1, 2, 1, 0, 0, 15, 0, 0, 0})
 	f.Add(uint8(13), uint8(1), []byte{1, 0, 0, 2, 0, 0xff, 0x1f, 1, 2, 0, 0x10, 2, 0, 0, 0, 4})
 	f.Add(uint8(14), uint8(3), []byte{1, 7, 0x30, 9, 0, 7, 0x30, 1, 2, 0, 0x20, 0, 15, 0, 0, 0})
+	f.Add(uint8(0), uint8(2), []byte{1, 0, 0, 0x80, 0, 0, 0, 0x81, 1, 0, 0, 0x82, 0, 0, 0, 0x83, 1, 0, 0, 0x84, 2, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, setsLog, waysLog uint8, ops []byte) {
 		sets := 1 << (setsLog % 15)
 		ways := 1 << (waysLog % 4)
@@ -585,7 +589,10 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		for i := range n {
 			op := ops[4*i]
 			set := (uint64(ops[4*i+1]) | uint64(ops[4*i+2])<<8) & uint64(sets-1)
-			tag := uint64(ops[4*i+3]) % uint64(3*ways+1)
+			tag := uint64(ops[4*i+3]&0x7f) % uint64(3*ways+1)
+			if ops[4*i+3]&0x80 != 0 {
+				tag = 1<<tagBits - 1 - tag
+			}
 			addr := (tag<<setBits|set)<<6 | uint64(op>>4)<<2
 			switch {
 			case op&0x0f == 0x0f:
@@ -601,11 +608,53 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	})
 }
 
+// TestCacheAddrLimit pins the tag store's range at its boundary: the
+// limit's value, a dirty line with the all-ones tag written back to its
+// exact address, and a panic one address further.
+func TestCacheAddrLimit(t *testing.T) {
+	c := New(config.Table2_3DCache())
+	if got := c.AddrLimit(); got != 1<<56 {
+		t.Errorf("Table 2 AddrLimit = %#x, want 2^56", got)
+	}
+	// One set of four 64-byte lines: 30 tag bits above 6 offset bits.
+	oneSet := New(config.CacheConfig{Name: "t", SizeBytes: 4 * 64, LineBytes: 64, Ways: 4})
+	if got := oneSet.AddrLimit(); got != 1<<36 {
+		t.Errorf("one-set AddrLimit = %#x, want 2^36", got)
+	}
+
+	top := c.AddrLimit() - 1
+	c.Access(top, true)
+	if !c.Dirty(top) {
+		t.Fatalf("line at %#x not resident and dirty after a write", top)
+	}
+	// Same set, tag one below all ones: evicts the top line.
+	res := c.Access(top-uint64(c.Config().SizeBytes), true)
+	if want := c.LineAddr(top); !res.WritebackValid || res.Writeback != want {
+		t.Errorf("conflicting write reported writeback %#x (valid %v), want %#x", res.Writeback, res.WritebackValid, want)
+	}
+
+	for name, probe := range map[string]func(uint64){
+		"Access":   func(a uint64) { c.Access(a, false) },
+		"Contains": func(a uint64) { c.Contains(a) },
+		"Dirty":    func(a uint64) { c.Dirty(a) },
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, ErrAddrRange) {
+					t.Errorf("%s(AddrLimit) recovered %v, want a panic with ErrAddrRange", name, err)
+				}
+			}()
+			probe(c.AddrLimit())
+		}()
+	}
+}
+
 // TestCacheInvariantCatchesCorruption checks Invariant reports each broken
 // tag-store property.
 func TestCacheInvariantCatchesCorruption(t *testing.T) {
-	line := func(tag uint64) uint64 { return tag<<tagShift | validBit }
-	for name, set := range map[string][]uint64{
+	line := func(tag uint32) uint32 { return tag<<tagShift | validBit }
+	for name, set := range map[string][]uint32{
 		"duplicate tag":    {line(3), line(3), 0, 0},
 		"gap in prefix":    {line(3), 0, line(5), 0},
 		"dirty invalid":    {line(3), dirtyBit, 0, 0},
@@ -619,7 +668,7 @@ func TestCacheInvariantCatchesCorruption(t *testing.T) {
 		}
 	}
 	c := tinyCache(4)
-	copy(c.allocChunk(1), []uint64{line(3) | dirtyBit, line(4), 0, 0})
+	copy(c.allocChunk(1), []uint32{line(3) | dirtyBit, line(4), 0, 0})
 	if err := c.Invariant(); err != nil {
 		t.Errorf("well-formed set rejected: %v", err)
 	}
@@ -674,4 +723,19 @@ func TestDRAMCacheAccessMatchesCore(t *testing.T) {
 			t.Fatalf("%d-way: stream not mixed: %d hits, %d dirty evictions", ways, hits, writebacks)
 		}
 	}
+}
+
+// The data array maps an address by masking with its size, so a 3D cache
+// whose size is not a power of two is rejected like an invalid shape.
+func TestNewDRAMCacheRejectsNonPowerOfTwoSize(t *testing.T) {
+	cfg := config.CacheConfig{Name: "t", SizeBytes: 3 * 4 * 64, LineBytes: 64, Ways: 3, WriteBack: true}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("3-way shape rejected by Validate: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewDRAMCache accepted a 768-byte data array")
+		}
+	}()
+	NewDRAMCache(cfg)
 }

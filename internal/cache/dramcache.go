@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/sim"
 )
@@ -31,15 +33,20 @@ type DRAMCacheResult struct {
 // controller — that is what makes hits refresh-relevant — and
 // MemoryTraffic to the backing store.
 type DRAMCache struct {
-	tags      *Cache
-	dataRes   []MemRequest
-	memRes    []MemRequest
-	sizeBytes int64
+	tags     *Cache
+	dataRes  []MemRequest
+	memRes   []MemRequest
+	sizeMask uint64 // data-array size - 1
 }
 
-// NewDRAMCache builds the Table 2 3D cache front-end.
+// NewDRAMCache builds the Table 2 3D cache front-end. Like New, it panics
+// on an invalid configuration, and on a size that is not a power of two.
 func NewDRAMCache(cfg config.CacheConfig) *DRAMCache {
-	return &DRAMCache{tags: New(cfg), sizeBytes: cfg.SizeBytes}
+	tags := New(cfg)
+	if cfg.SizeBytes&(cfg.SizeBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: 3D cache size %d not a power of two", cfg.SizeBytes))
+	}
+	return &DRAMCache{tags: tags, sizeMask: uint64(cfg.SizeBytes) - 1}
 }
 
 // Tags exposes the SRAM tag array.
@@ -47,9 +54,10 @@ func (d *DRAMCache) Tags() *Cache { return d.tags }
 
 // dataAddr maps a physical address to its slot in the cache data array:
 // set index * line size + offset, which for a direct-mapped cache is
-// simply the address modulo the cache size. (For associative data arrays
-// the way index would be folded in; Table 2 is direct mapped.)
-func (d *DRAMCache) dataAddr(addr uint64) uint64 { return addr % uint64(d.sizeBytes) }
+// simply the address modulo the cache size, taken as a mask. (For
+// associative data arrays the way index would be folded in; Table 2 is
+// direct mapped.)
+func (d *DRAMCache) dataAddr(addr uint64) uint64 { return addr & d.sizeMask }
 
 // Access runs one L2-miss access against the 3D cache. The returned
 // slices are reused across calls.

@@ -256,10 +256,10 @@ func (c CacheConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("config: set count %d not a power of two", sets)
 	}
-	if sets*int64(c.LineBytes) < 4 {
-		// The tag store packs a tag above two flag bits in 64, so the
-		// offset and set bits together must cover at least two.
-		return fmt.Errorf("config: %d sets of %d-byte lines leave a tag wider than 62 bits", sets, c.LineBytes)
+	if sets*int64(c.LineBytes) > 1<<33 {
+		// The tag store holds 30-bit tags, so it serves addresses below
+		// 2^30 times one way's span; that limit must fit in 64 bits.
+		return fmt.Errorf("config: %d sets of %d-byte lines span more than 2^33 bytes a way: the tag store's address limit would not fit in 64 bits", sets, c.LineBytes)
 	}
 	return nil
 }

@@ -129,7 +129,9 @@ func TestCacheValidateRejects(t *testing.T) {
 }
 
 // TestCacheValidateShapeBoundaries pins both sides of the line-size and
-// tag-width limits: a power-of-two line and at least two offset+set bits.
+// address-limit rules: a power-of-two line, and at most 2^33 bytes a way
+// so that the tag store's limit of 2^30 ways' spans fits in 64 bits. Any
+// smaller shape holds its 30-bit tags, down to one set of 1-byte lines.
 func TestCacheValidateShapeBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -140,13 +142,14 @@ func TestCacheValidateShapeBoundaries(t *testing.T) {
 		{"96-byte line", CacheConfig{SizeBytes: 96 * 64, LineBytes: 96, Ways: 2}, false},
 		{"32-byte line", CacheConfig{SizeBytes: 32 * 64, LineBytes: 32, Ways: 1}, true},
 		{"1-byte line", CacheConfig{SizeBytes: 64, LineBytes: 1, Ways: 1}, true},
-		{"1 set of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 4}, false},
-		{"2 sets of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 2}, false},
-		{"4 sets of 1-byte lines", CacheConfig{SizeBytes: 8, LineBytes: 1, Ways: 2}, true},
-		{"2 sets of 2-byte lines", CacheConfig{SizeBytes: 8, LineBytes: 2, Ways: 2}, true},
-		{"1 set of 2-byte lines", CacheConfig{SizeBytes: 2, LineBytes: 2, Ways: 1}, false},
-		{"1 set of 4-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 4, Ways: 1}, true},
+		{"1 set of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 4}, true},
+		{"2 sets of 1-byte lines", CacheConfig{SizeBytes: 4, LineBytes: 1, Ways: 2}, true},
+		{"1 set of 2-byte lines", CacheConfig{SizeBytes: 2, LineBytes: 2, Ways: 1}, true},
 		{"fully associative", CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 64}, true},
+		{"2^33 bytes a way", CacheConfig{SizeBytes: 1 << 33, LineBytes: 64, Ways: 1}, true},
+		{"2^33 bytes in each of 2 ways", CacheConfig{SizeBytes: 1 << 34, LineBytes: 64, Ways: 2}, true},
+		{"2^34 bytes a way", CacheConfig{SizeBytes: 1 << 34, LineBytes: 64, Ways: 1}, false},
+		{"2^34 bytes of 1-byte lines", CacheConfig{SizeBytes: 1 << 34, LineBytes: 1, Ways: 1}, false},
 	} {
 		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)

@@ -247,8 +247,10 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	}
 	var front *cache.DRAMCache
 	var data []cache.MemRequest // one record's data-array accesses, reused
+	var addrLimit uint64        // the 3D cache's tag range
 	if opts.Stacked {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
+		addrLimit = front.Tags().AddrLimit()
 	}
 
 	warmed := opts.Warmup == 0
@@ -273,6 +275,10 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 			// The memory traffic behind the 3D cache goes to the
 			// conventional DRAM; the paper found it negligible for these
 			// footprints and that second module is not simulated here.
+			if rec.Addr >= addrLimit {
+				return fail(fmt.Errorf("%w: record %d has address %#x, at or above %#x",
+					cache.ErrAddrRange, n, rec.Addr, addrLimit))
+			}
 			data, _ = front.AppendAccess(data[:0], rec.Time, rec.Addr, rec.Write)
 			for _, da := range data {
 				t.submit(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})

@@ -1,12 +1,16 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/trace"
 	"smartrefresh/internal/workload"
 )
 
@@ -379,5 +383,36 @@ func TestNegativeWindowRejected(t *testing.T) {
 		if res := eng.RunJobs([]Job{job})[0]; res.Err == nil {
 			t.Errorf("Engine.RunJobs %+v: nil Err", opts)
 		}
+	}
+}
+
+// A stacked job whose stream carries an address the 3D cache's tags
+// cannot hold fails with cache.ErrAddrRange naming the record, instead of
+// aliasing it onto another line; one line below the limit runs clean.
+func TestStackedJobRejectsAddressBeyondTagRange(t *testing.T) {
+	const k = 3
+	limit := cache.New(config.Table2_3DCache()).AddrLimit()
+	job := func(addr uint64) Job {
+		return Job{
+			Cfg:    config.Table2_3D32(),
+			Prof:   workload.Idle(),
+			Policy: PolicySmart,
+			Opts:   RunOptions{Warmup: sim.Microsecond, Measure: sim.Millisecond, Stacked: true},
+			MakeSource: func() trace.Source {
+				recs := make([]trace.Record, 6)
+				for i := range recs {
+					recs[i] = trace.Record{Time: sim.Time(i) * 100 * sim.Nanosecond, Addr: uint64(i) * 64}
+				}
+				recs[k].Addr = addr
+				return trace.NewSliceSource(recs)
+			},
+		}
+	}
+	res := NewEngine(1).RunJobs([]Job{job(limit), job(limit - 64)})
+	if err := res[0].Err; !errors.Is(err, cache.ErrAddrRange) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", k)) {
+		t.Errorf("address %#x: err = %v, want cache.ErrAddrRange at record %d", limit, err, k)
+	}
+	if err := res[1].Err; err != nil {
+		t.Errorf("address %#x: err = %v, want a clean run", limit-64, err)
 	}
 }

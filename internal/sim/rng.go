@@ -159,10 +159,11 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
+// Perm fills out with a uniform random permutation of [0, len(out)),
+// which must not exceed 2^32 elements.
+func (r *RNG) Perm(out []uint32) {
 	for i := range out {
-		out[i] = i
+		out[i] = uint32(i)
 	}
 	for i := len(out) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

@@ -211,11 +211,11 @@ func TestExpNonPositiveMean(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(19)
-	out := make([]int, 64)
+	out := make([]uint32, 64)
 	r.Perm(out)
 	seen := make([]bool, 64)
 	for _, v := range out {
-		if v < 0 || v >= 64 || seen[v] {
+		if v >= 64 || seen[v] {
 			t.Fatalf("Perm produced invalid permutation: %v", out)
 		}
 		seen[v] = true

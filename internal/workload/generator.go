@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -64,8 +65,16 @@ func (s StreamSpec) Validate() error {
 	if !(s.JitterFraction >= 0 && s.JitterFraction < 1) {
 		return fmt.Errorf("workload: jitter %v outside [0,1)", s.JitterFraction)
 	}
+	if s.Shuffle && s.Rows() > math.MaxUint32 {
+		return errShuffleRows
+	}
 	return nil
 }
+
+// errShuffleRows rejects a shuffled spec whose visit order would not fit
+// the generator's 32-bit permutation. It is a fixed error so that
+// Validate allocates nothing on either side of the bound.
+var errShuffleRows = errors.New("workload: shuffled footprint has more than 2^32-1 rows")
 
 // Rows returns the number of distinct stride-sized rows in the footprint.
 func (s StreamSpec) Rows() int64 {
@@ -90,9 +99,13 @@ type Generator struct {
 	spec StreamSpec
 	rng  *sim.RNG
 
-	order []int // visit order over footprint rows
-	pos   int
-	gap   sim.Duration // nominal gap between sweep touches
+	// rows is the number of footprint rows and pos the next to touch in
+	// visit order. A sequential sweep visits row pos; a shuffled one
+	// visits perm[pos], a fixed permutation (nil when sequential).
+	rows int
+	pos  int
+	perm []uint32
+	gap  sim.Duration // nominal gap between sweep touches
 	// write and repeat are the write probability and the geometric
 	// continue-probability of a same-row repeat, prepared for RNG.Hit;
 	// jitter is the largest gap offset either way (0: no jitter draw).
@@ -116,14 +129,11 @@ func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 		repeat: sim.NewChance(spec.RowRepeats / (1 + spec.RowRepeats)),
 	}
 	rows := int(spec.Rows())
+	g.rows = rows
 	if rows > 0 {
-		g.order = make([]int, rows)
 		if spec.Shuffle {
-			g.rng.Perm(g.order)
-		} else {
-			for i := range g.order {
-				g.order[i] = i
-			}
+			g.perm = make([]uint32, rows)
+			g.rng.Perm(g.perm)
 		}
 		g.gap = spec.SweepPeriod / sim.Duration(rows)
 		if g.gap <= 0 {
@@ -146,13 +156,16 @@ func (g *Generator) Next() (trace.Record, bool) {
 		return rec, true
 	}
 	g.queued, g.head = g.queued[:0], 0
-	if len(g.order) == 0 {
+	if g.rows == 0 {
 		return trace.Record{}, false
 	}
 
-	row := g.order[g.pos]
+	row := g.pos
+	if g.perm != nil {
+		row = int(g.perm[row])
+	}
 	g.pos++
-	if g.pos == len(g.order) {
+	if g.pos == g.rows {
 		g.pos = 0
 	}
 
