@@ -328,16 +328,6 @@ func TestGeneratorRowTableBytes(t *testing.T) {
 	}
 }
 
-// The first install into an empty chunk of the Table 2 tag store
-// allocates that chunk and nothing else: 4096 sets × ways 4-byte words.
-func TestCacheChunkInstallBytes(t *testing.T) {
-	cfg := config.Table2_3DCache()
-	c := cache.New(cfg)
-	if got, want := allocBytes(func() { c.Access(0, true) }), uint64(4096*cfg.Ways*4); got != want {
-		t.Errorf("first install into a Table 2 chunk allocates %d bytes, want %d", got, want)
-	}
-}
-
 // StreamSpec.Validate bounds a shuffled spec's rows by the generator's
 // 32-bit permutation, and only a shuffled one; checking the bound
 // allocates nothing on either side of it.

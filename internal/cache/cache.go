@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"smartrefresh/internal/config"
 )
@@ -160,12 +161,38 @@ func (c *Cache) setIn(chunk []uint32, setIdx int) []uint32 {
 	return chunk[base : base+ways : base+ways]
 }
 
-// allocChunk allocates the all-zero chunk holding setIdx and returns
+// chunkPool holds chunks (as *[]uint32) that Release gave back, for the
+// next cache's allocChunk on any goroutine. The pool may drop them at a
+// GC; the next install then allocates a fresh chunk, so no result
+// depends on it.
+var chunkPool sync.Pool
+
+// allocChunk installs an all-zero chunk holding setIdx, a released one
+// cleared when the pool has one of this cache's length, and returns
 // setIdx's region of it.
 func (c *Cache) allocChunk(setIdx int) []uint32 {
-	chunk := make([]uint32, c.chunkWords)
+	var chunk []uint32
+	if p, _ := chunkPool.Get().(*[]uint32); p != nil && len(*p) == c.chunkWords {
+		chunk = *p
+		clear(chunk)
+	} else {
+		chunk = make([]uint32, c.chunkWords)
+	}
 	c.chunks[setIdx>>chunkBits] = chunk
 	return c.setIn(chunk, setIdx)
+}
+
+// Release gives every allocated chunk back for reuse by later caches and
+// leaves this one empty; the statistics are kept. A cache used after
+// Release allocates its chunks afresh.
+func (c *Cache) Release() {
+	for i, chunk := range c.chunks {
+		if chunk != nil {
+			released := chunk // the pool's 24-byte slice header
+			chunkPool.Put(&released)
+			c.chunks[i] = nil
+		}
+	}
 }
 
 // Access performs a read or write with write-allocate. On a miss the line

@@ -12,7 +12,7 @@ func (c *Cache) Flush() []uint64 {
 			}
 		}
 	}
-	clear(c.chunks)
+	c.Release()
 	return dirty
 }
 
@@ -25,4 +25,11 @@ func (c *Cache) residentChunks() int {
 		}
 	}
 	return n
+}
+
+// drainChunkPool empties the chunk pool, so that the next install
+// allocates a fresh chunk.
+func drainChunkPool() {
+	for chunkPool.Get() != nil {
+	}
 }

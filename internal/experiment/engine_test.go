@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +200,48 @@ func TestEngineRunJobsOrderAndEquivalence(t *testing.T) {
 		direct := Run(cfg, job.Prof, job.Policy, opts)
 		if !reflect.DeepEqual(parallelRes[i], direct) {
 			t.Errorf("result %d differs from direct Run", i)
+		}
+	}
+}
+
+// Stacked and vaulted jobs give their 3D-cache tag chunks and vault
+// pending queues back when they finish, for the next job on any worker.
+// Run twice over two workers, so that jobs reuse buffers released by
+// jobs of the other kind and on the other worker, every job must
+// fingerprint exactly as it does on one worker.
+func TestEngineReusedBuffersKeepResults(t *testing.T) {
+	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond}
+	stacked := opts
+	stacked.Stacked = true
+	var jobs []Job
+	for _, name := range []string{"gcc", "radix"} {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []PolicyKind{PolicyCBR, PolicySmart} {
+			jobs = append(jobs,
+				Job{Cfg: Stacked3D32.DRAM(), Prof: prof, Policy: kind, Opts: stacked},
+				Job{Cfg: HMC8V.DRAM(), Prof: prof, Policy: kind, Opts: opts})
+		}
+	}
+	want := make([]string, len(jobs))
+	for i, res := range NewEngine(1).RunJobs(jobs) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Results.Requests == 0 {
+			t.Fatalf("job %d (%s/%s) served no requests", i, res.Config, res.Benchmark)
+		}
+		want[i] = fingerprintResult(res)
+	}
+	for i, res := range NewEngine(2).RunJobs(append(slices.Clone(jobs), jobs...)) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if got := fingerprintResult(res); got != want[i%len(jobs)] {
+			t.Errorf("job %d (%s/%s/%s) on two workers fingerprints %s, one worker %s",
+				i, res.Config, res.Benchmark, res.Policy, got, want[i%len(jobs)])
 		}
 	}
 }

@@ -239,6 +239,11 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	if err != nil {
 		return fail(err)
 	}
+	if t.va != nil {
+		// The job's largest buffers go back for the next job, on every
+		// path out of here.
+		defer t.va.Release()
+	}
 
 	end := opts.Warmup + opts.Measure
 	open := opts.Measure == 0
@@ -250,6 +255,7 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	var addrLimit uint64        // the 3D cache's tag range
 	if opts.Stacked {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
+		defer front.Tags().Release()
 		addrLimit = front.Tags().AddrLimit()
 	}
 

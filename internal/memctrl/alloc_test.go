@@ -3,6 +3,8 @@
 package memctrl
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"smartrefresh/internal/config"
@@ -48,5 +50,67 @@ func TestVaultResultsSinceAllocs(t *testing.T) {
 	})
 	if avg > 3 {
 		t.Errorf("VaultArray.ResultsSince allocates %.1f allocs/op, want <= 3", avg)
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, read from
+// runtime.MemStats.TotalAlloc around it.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A released array's pending queues serve the next array of its vault
+// count, each vault getting back its own queue, emptied even when the
+// array was released mid-epoch (a job that failed): replaying the same
+// stream enqueues without growing any of them, and gives the same
+// results. The test runs at GOMAXPROCS 1, so that the release and the
+// next array's take meet on one P and no other goroutine allocates.
+func TestVaultArrayReleaseReusesPendingQueues(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testVaultCfg()
+	end := sim.Time(cfg.Timing.RefreshInterval)
+	// 4096 requests in one epoch, weighted towards the high vaults so
+	// that the queues grow to different lengths.
+	rng := sim.NewRNG(7)
+	pages := uint64(cfg.Geometry.CapacityBytes()) / VaultPageBytes
+	var stream []Request
+	for i := 0; i < 4096; i++ {
+		vault := uint64(max(rng.Intn(8), rng.Intn(8)))
+		page := rng.Uint64()%(pages/8)*8 + vault
+		stream = append(stream, Request{Time: sim.Time(i) * 100, Addr: page * VaultPageBytes, Write: i%3 == 0})
+	}
+	enqueue := func(va *VaultArray) {
+		for _, r := range stream {
+			va.Enqueue(r)
+		}
+	}
+	replay := func() (agg Results, per []Results, grown uint64) {
+		va := MustNewVaultArray(cfg, smartFactory(), VaultOptions{Workers: 1})
+		defer va.Release()
+		grown = allocBytes(func() { enqueue(va) })
+		va.Finish(end)
+		return va.Results(end), va.VaultResults(end), grown
+	}
+
+	runtime.GC()
+	for pendingPool.Get() != nil {
+	}
+	agg, per, grown := replay()
+	if grown == 0 {
+		t.Fatal("the first array's queues did not grow: nothing to reuse")
+	}
+	aborted := MustNewVaultArray(cfg, smartFactory(), VaultOptions{Workers: 1})
+	enqueue(aborted)
+	aborted.Release()
+	agg2, per2, grown2 := replay()
+	if grown2 != 0 && !raceEnabled { // under -race the pool may drop the table
+		t.Errorf("enqueueing into an array built after Release allocates %d bytes, want 0", grown2)
+	}
+	if !reflect.DeepEqual(agg, agg2) || !reflect.DeepEqual(per, per2) {
+		t.Error("the replay over reused queues gives different results")
 	}
 }

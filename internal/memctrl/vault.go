@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 	"time"
 
 	"smartrefresh/internal/config"
@@ -66,7 +67,8 @@ type VaultArray struct {
 	vaultShift uint
 
 	// pending holds requests enqueued since the last flush, per vault, in
-	// arrival order.
+	// arrival order. The table and its queues come from pendingPool when
+	// a released one of this vault count is there.
 	pending [][]Request
 	// order is the current barrier's dispatch order over vault indices.
 	order []int
@@ -103,6 +105,12 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		return nil, fmt.Errorf("memctrl: nil policy factory")
 	}
 	n := g.VaultCount()
+	var pending [][]Request
+	if p, _ := pendingPool.Get().(*[][]Request); p != nil && len(*p) == n {
+		pending = *p
+	} else {
+		pending = make([][]Request, n)
+	}
 
 	workers := opts.Workers
 	if opts.Trace != nil {
@@ -118,7 +126,7 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		vaults:     make([]*Controller, n),
 		runner:     sim.ShardRunner{Workers: workers},
 		vaultShift: uint(bits.TrailingZeros(uint(n))),
-		pending:    make([][]Request, n),
+		pending:    pending,
 		order:      make([]int, n),
 		busy:       make([]time.Duration, n),
 	}
@@ -154,6 +162,27 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		va.vaults[v] = ctl
 	}
 	return va, nil
+}
+
+// pendingPool holds pending tables (as *[][]Request) that Release gave
+// back, each queue emptied but keeping its capacity, so that a later
+// array of the same vault count, on any goroutine, enqueues without
+// regrowing them. The pool may drop them at a GC; the next array then
+// grows its queues afresh, so no result depends on it.
+var pendingPool sync.Pool
+
+// Release gives the pending queues back for reuse by a later array. The
+// array must not enqueue or flush after it; its results stay readable.
+func (va *VaultArray) Release() {
+	if va.pending == nil {
+		return
+	}
+	pending := va.pending
+	for v := range pending {
+		pending[v] = pending[v][:0]
+	}
+	va.pending = nil
+	pendingPool.Put(&pending)
 }
 
 // MustNewVaultArray is NewVaultArray for vetted presets.
