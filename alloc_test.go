@@ -247,8 +247,8 @@ func TestLadderRefreshWakeSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// A demand that first drains idle page-closes, and the earliest-deadline
-// rescans they trigger, writes only fixed per-bank state: the open-page
+// A demand that first drains idle page-closes, and the page-close index
+// updates they make, writes only fixed per-bank state: the open-page
 // path must not allocate.
 func TestIdleCloseDrainSteadyStateAllocFree(t *testing.T) {
 	ctl, step := idleCloseDrain()

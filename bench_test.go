@@ -419,9 +419,9 @@ func BenchmarkModuleAccess(b *testing.B) {
 // and a step that submits one demand, round-robin over every bank, after
 // a seeded gap of 0-600 ns. A bank is revisited after eight gaps, about
 // 2.4 us on average, so its 2 us page-close timeout falls inside the
-// spread: most demands first drain another bank's idle close, and with
-// it a rescan of the earliest page-close deadline, while the rest find
-// their page still open.
+// spread: most demands first drain another bank's idle close, which
+// clears that bank's page-close deadline, while the rest find their page
+// still open.
 func idleCloseDrain() (*memctrl.Controller, func()) {
 	cfg := config.Table1_2GB()
 	ctl := memctrl.MustNew(cfg, core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart), memctrl.Options{})
@@ -447,8 +447,8 @@ func idleCloseDrain() (*memctrl.Controller, func()) {
 
 // BenchmarkIdleCloseDrain measures one demand on the conventional
 // module's open-page path where page-close timeouts dominate: the drain
-// of the idle closes due before it, the earliest-deadline rescans they
-// trigger, and the access itself.
+// of the idle closes due before it, the page-close index updates of the
+// closes and the demand, and the access itself.
 func BenchmarkIdleCloseDrain(b *testing.B) {
 	ctl, step := idleCloseDrain()
 	for i := 0; i < 4096; i++ {

@@ -94,10 +94,9 @@ type PerBank struct {
 	name    string
 
 	banks []pbBank
-	// next caches the earliest bank slot for NextTick; nextBank is its
-	// owner (lowest flat index on ties, for determinism).
-	next     sim.Time
-	nextBank int
+	// slots holds each bank's clock.at, so its minimum is the next slot
+	// due (lowest flat index on ties, for determinism).
+	slots sim.MinIndex
 
 	idleWindow sim.Duration // resolved PerBankConfig.IdleWindow
 	stats      PolicyStats
@@ -133,6 +132,7 @@ func newPerBank(g dram.Geometry, interval sim.Duration, cfg PerBankConfig, name 
 		overlap:  overlap,
 		name:     name,
 		banks:    make([]pbBank, g.TotalBanks()),
+		slots:    sim.NewMinIndex(g.TotalBanks()),
 	}
 	p.idleWindow = p.cfg.IdleWindow
 	if p.idleWindow <= 0 {
@@ -155,21 +155,9 @@ func (p *PerBank) Reset(start sim.Time) {
 		// Banks are staggered by a fraction of a slot so the nominal
 		// schedules never collide.
 		p.banks[i].clock.reset(start + sim.Time(i)*p.interval/sim.Time(p.geom.Rows*len(p.banks)))
+		p.slots.Set(i, p.banks[i].clock.at)
 	}
 	p.stats = PolicyStats{}
-	p.recomputeNext()
-}
-
-// recomputeNext rescans the cached earliest slot.
-func (p *PerBank) recomputeNext() {
-	p.nextBank = 0
-	p.next = p.banks[0].clock.at
-	for i := 1; i < len(p.banks); i++ {
-		if p.banks[i].clock.at < p.next {
-			p.next = p.banks[i].clock.at
-			p.nextBank = i
-		}
-	}
 }
 
 // OnRowRestore implements Policy. The per-bank family is row-oblivious —
@@ -193,7 +181,10 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank int, write bool) {
 }
 
 // NextTick implements Policy.
-func (p *PerBank) NextTick() (sim.Time, bool) { return p.next, true }
+func (p *PerBank) NextTick() (sim.Time, bool) {
+	at, _, ok := p.slots.Min()
+	return at, ok
+}
 
 // emit appends one per-bank refresh command for flat bank b.
 func (p *PerBank) emit(b int, dst []Command) []Command {
@@ -222,11 +213,14 @@ func (p *PerBank) slotBusy(b *pbBank, at sim.Time) bool {
 // Advance implements Policy: processes every bank slot due at or before
 // t in global time order (earliest slot first, lowest bank on ties).
 func (p *PerBank) Advance(t sim.Time, dst []Command) []Command {
-	for p.next <= t {
-		b := p.nextBank
-		at := p.next
+	for {
+		at, b, _ := p.slots.Min()
+		if at > t {
+			return dst
+		}
 		bank := &p.banks[b]
 		bank.clock.next()
+		p.slots.Set(b, bank.clock.at)
 		bank.credit++ // this slot's refresh is now owed
 
 		emitted := len(dst)
@@ -272,12 +266,7 @@ func (p *PerBank) Advance(t sim.Time, dst []Command) []Command {
 		if bank.credit > p.stats.MaxRefreshDeficit {
 			p.stats.MaxRefreshDeficit = bank.credit
 		}
-
-		// The processed bank's slot moved forward; the cached minimum
-		// may now belong to any bank.
-		p.recomputeNext()
 	}
-	return dst
 }
 
 // Stats implements Policy.

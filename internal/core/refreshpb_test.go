@@ -225,3 +225,48 @@ func TestPerBankReset(t *testing.T) {
 		t.Errorf("stats survive Reset: %+v", st)
 	}
 }
+
+// TestPerBankSlotOrderMatchesBruteForce checks DARP's and SARP's slot
+// order on seeded read/write demand: after every Advance the next slot
+// must be the earliest bank clock, ties to the lowest bank, and
+// NextTick its time. At a 100 ps interval the banks' staggers and slot
+// steps truncate to whole picoseconds and collide, so ties are common.
+func TestPerBankSlotOrderMatchesBruteForce(t *testing.T) {
+	g := pbGeom()
+	for _, interval := range []sim.Duration{sim.Millisecond, 100} {
+		for _, newPolicy := range []func(dram.Geometry, sim.Duration, PerBankConfig) *PerBank{NewDARP, NewSARP} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				p := newPolicy(g, interval, PerBankConfig{})
+				rng := sim.NewRNG(seed)
+				var cmds []Command
+				now, ties := sim.Time(0), 0
+				for i := 0; i < 2000; i++ {
+					now += sim.Time(rng.Intn(int(interval/16) + 1))
+					p.OnDemandObserved(now, rng.Intn(len(p.banks)), rng.Bool(0.3))
+					cmds = p.Advance(now, cmds[:0])
+
+					wantAt, want, tied := p.banks[0].clock.at, 0, false
+					for b := 1; b < len(p.banks); b++ {
+						switch at := p.banks[b].clock.at; {
+						case at < wantAt:
+							wantAt, want, tied = at, b, false
+						case at == wantAt:
+							tied = true
+						}
+					}
+					if tied {
+						ties++
+					}
+					at, b, _ := p.slots.Min()
+					if next, _ := p.NextTick(); at != wantAt || b != want || next != wantAt {
+						t.Fatalf("%s interval %v seed %d step %d: next slot (%v, bank %d), NextTick %v; brute force (%v, bank %d)",
+							p.Name(), interval, seed, i, at, b, next, wantAt, want)
+					}
+				}
+				if interval == 100 && ties == 0 {
+					t.Fatalf("%s seed %d: no tied slots at a 100 ps interval", p.Name(), seed)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"smartrefresh/internal/config"
@@ -129,18 +128,12 @@ type Controller struct {
 	now      sim.Time
 	lastbusy sim.Time // completion time of the latest demand access
 
-	idleClose   sim.Duration // page-close timeout (<0: never)
-	bankLastUse []sim.Time   // per flat bank: last demand activity; write via setBankLastUse
+	idleClose sim.Duration // page-close timeout (<0: never)
 
-	// idleAt/idleFlat cache the earliest page-close deadline
-	// (bankLastUse+idleClose) over the banks, (deadline, flat)-ordered;
-	// idleOK is false when no candidate is cached. The cache is exact
-	// unless idleDirty, which nextIdleClose resolves by rescanning the
-	// open banks. See setBankLastUse.
-	idleAt    sim.Time
-	idleFlat  int
-	idleOK    bool
-	idleDirty bool
+	// idle holds, per flat bank with an open page, its page-close
+	// deadline: the bank's last demand completion plus idleClose. A
+	// demand sets it; every path that closes the page clears it.
+	idle sim.MinIndex
 
 	// ps is the per-rank power-state machine (self-refresh is its
 	// deepest rung); armed when SelfRefreshAfter or any PowerStates
@@ -186,7 +179,7 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		mapper:      NewMapper(cfg.Geometry, opts.Interleave),
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
 		idleClose:   idleClose,
-		bankLastUse: make([]sim.Time, cfg.Geometry.TotalBanks()),
+		idle:        sim.NewMinIndex(cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
 		bankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
 		rankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Ranks))),
@@ -322,86 +315,6 @@ func (c *Controller) restore(t sim.Time, bank, row int) {
 	}
 }
 
-// setBankLastUse records bank flat's latest activity, which moves its
-// page-close deadline to t+idleClose, and keeps the cached earliest
-// deadline exact: a deadline ahead of the cache (ties to the lower flat
-// index) replaces it, and the cached bank's own deadline moving later
-// marks it dirty, since another bank may now be earliest. Every
-// bankLastUse write goes through here.
-func (c *Controller) setBankLastUse(flat int, t sim.Time) {
-	c.bankLastUse[flat] = t
-	if c.idleClose < 0 {
-		return
-	}
-	at := t + c.idleClose
-	switch {
-	case c.idleDirty:
-		// A rescan is already due; it will see this bank.
-	case !c.idleOK || at < c.idleAt || (at == c.idleAt && flat < c.idleFlat):
-		c.idleAt, c.idleFlat, c.idleOK = at, flat, true
-	case flat == c.idleFlat && at > c.idleAt:
-		c.idleDirty = true
-	}
-}
-
-// nextIdleClose returns the earliest pending page-close deadline across
-// banks with an open page, or ok=false when none is pending. Ties go to
-// the lowest flat bank index. Only demand opens a page, and it always
-// moves the bank's deadline through setBankLastUse, so every open bank
-// is covered by the cache; a page closed by other means (a refresh) is
-// noticed here when its bank is the cached one, and the cache is rebuilt
-// over the open banks. With idle closing disabled the cache is never
-// set, so ok stays false.
-func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
-	if c.idleDirty || (c.idleOK && c.module.OpenRowFlat(c.idleFlat) == -1) {
-		c.rescanIdleClose()
-	}
-	return c.idleAt, c.idleFlat, c.idleOK
-}
-
-// rescanIdleClose rebuilds the cached earliest page-close deadline over
-// the banks with an open page.
-func (c *Controller) rescanIdleClose() {
-	m, idle := c.module, c.idleClose
-	minAt, minFlat := never, 0
-	for flat, last := range c.bankLastUse {
-		at := last + idle
-		if m.OpenRowFlat(flat) == -1 {
-			at = never
-		}
-		minAt, minFlat = earlier(at, flat, minAt, minFlat)
-	}
-	c.idleAt, c.idleFlat, c.idleOK = found(minAt, minFlat)
-	c.idleDirty = false
-}
-
-// never is the deadline of an absent entry in an earliest-deadline
-// rescan (a closed bank, an empty power-state slot): it sorts after
-// every real deadline.
-const never = sim.Time(math.MaxInt64)
-
-// earlier is one step of an earliest-deadline rescan: entry i, due at
-// at, replaces the running minimum (minAt, minI) only when strictly
-// earlier, so ties keep the lower index. It compiles to conditional
-// moves, so a rescan takes no data-dependent branch (DESIGN §15).
-func earlier(at sim.Time, i int, minAt sim.Time, minI int) (sim.Time, int) {
-	// One select per result: the compiler turns a branch that merges a
-	// single value into a CMOV, but keeps a branch merging two.
-	if at < minAt {
-		minI = i
-	}
-	return min(at, minAt), minI
-}
-
-// found turns a rescan's minimum into a cache entry: ok is false, with a
-// zero deadline and index, when every entry was absent.
-func found(minAt sim.Time, minI int) (sim.Time, int, bool) {
-	if minAt == never {
-		return 0, 0, false
-	}
-	return minAt, minI, true
-}
-
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
@@ -419,13 +332,9 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 		if c.trace != nil {
 			c.trace.Command(telemetry.CmdIdleClose, flat, row, deadline, deadline+c.cfg.Timing.TRP)
 		}
-		// Re-arm only on an actual close: the bank stays precharged until
-		// the next demand access refreshes bankLastUse. Re-arming when the
-		// module reports not-closed would invent a future deadline for a
-		// bank that was already closed (e.g. by a conflicting refresh) and
-		// could mask its rank's self-refresh idleness.
-		c.setBankLastUse(flat, deadline)
 	}
+	// The bank stays precharged until the next demand sets a deadline.
+	c.idle.Clear(flat)
 	if woke {
 		c.settle(ri, deadline)
 	}
@@ -462,7 +371,9 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 			res = c.module.RefreshCBRFlat(due, cmd.Bank)
 		}
 		if res.ClosedRow >= 0 {
-			// Closing the open page restored that row too.
+			// Closing the open page restored that row too, and leaves
+			// the bank no page to close.
+			c.idle.Clear(cmd.Bank)
 			c.restore(res.Issue, cmd.Bank, res.ClosedRow)
 		}
 		if c.checker != nil {
@@ -502,8 +413,8 @@ func (c *Controller) drainRefreshes(t sim.Time) {
 			}
 		}
 		rt, rok := c.policy.NextTick()
-		ct, flat, cok := c.nextIdleClose()
-		pt, ri, pok := c.nextPowerEvent()
+		ct, flat, cok := c.idle.Min()
+		pt, ri, pok := c.ps.slots.Min()
 		// Same-timestamp tie-break, explicit and deterministic: a
 		// refresh tick wins over an idle page-close, which wins over a
 		// power-state transition. Within each source the order is also
@@ -548,7 +459,9 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	}
 	var res dram.AccessResult
 	c.module.AccessFlat(&res, req.Time, bank, row, req.Write)
-	c.setBankLastUse(bank, res.Done)
+	if c.idleClose >= 0 {
+		c.idle.Set(bank, res.Done+c.idleClose)
+	}
 	c.noteDemand(res.Done, ri)
 
 	// A row-buffer hit touches only the sense amplifiers; the cells were

@@ -10,33 +10,34 @@ import (
 	"smartrefresh/internal/telemetry"
 )
 
-// Regression: closeIdleBank used to re-arm bankLastUse even when the
-// module reported the bank was already closed, inventing a future
-// page-close deadline for a precharged bank.
+// A closed bank must never hold a page-close deadline: a close of a
+// precharged bank leaves its slot empty rather than inventing a future
+// deadline (which could mask its rank's self-refresh idleness), and a
+// close of an open bank clears the slot its demand set.
 func TestCloseIdleBankNoRearmWhenNotClosed(t *testing.T) {
 	cfg := tinyConfig(64 * sim.Millisecond)
 	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{})
 
 	deadline := sim.Time(5 * sim.Microsecond)
-	// Bank 0 has no open page: the close must be a no-op, including the
-	// last-use re-arm.
 	ctl.closeIdleBank(deadline, 0)
-	if got := ctl.bankLastUse[0]; got != 0 {
-		t.Errorf("bankLastUse re-armed to %v on a not-closed bank, want 0", got)
+	if at, ok := ctl.idle.Key(0); ok {
+		t.Errorf("closing a precharged bank armed a deadline at %v", at)
 	}
 
-	// With an open page the close precharges the bank and re-arms.
 	bank := dram.BankID{Channel: 0, Rank: 0, Bank: 0}
-	ctl.module.Access(0, dram.Address{RowID: dram.RowID{Row: 3}, Column: 0}, false)
+	res := ctl.Submit(Request{Time: 0, Addr: ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Row: 3}})})
 	if ctl.module.OpenRow(bank) != 3 {
 		t.Fatal("setup: page not open")
+	}
+	if at, ok := ctl.idle.Key(0); !ok || at != res.Done+ctl.idleClose {
+		t.Fatalf("demand set deadline (%v, %v), want (%v, true)", at, ok, res.Done+ctl.idleClose)
 	}
 	ctl.closeIdleBank(deadline, 0)
 	if ctl.module.OpenRow(bank) != -1 {
 		t.Error("closeIdleBank left the page open")
 	}
-	if got := ctl.bankLastUse[0]; got != deadline {
-		t.Errorf("bankLastUse = %v after closing, want %v", got, deadline)
+	if at, ok := ctl.idle.Key(0); ok {
+		t.Errorf("closing an open bank left a deadline at %v", at)
 	}
 }
 
@@ -47,52 +48,36 @@ func TestNextIdleCloseTieBreakDeterministic(t *testing.T) {
 	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{})
 	g := cfg.Geometry
 
-	// Open pages in flat banks 2 and 1 (opened in that order) and give
-	// them identical last-use times, so their deadlines tie exactly.
+	// Open pages in flat banks 2 and 1 (opened in that order) with
+	// identical deadlines.
+	wantAt := sim.Time(1000) + ctl.idleClose
 	for _, flat := range []int{2, 1} {
-		rem := flat % (g.Ranks * g.Banks)
-		addr := dram.Address{RowID: dram.RowID{
-			Channel: flat / (g.Ranks * g.Banks),
-			Rank:    rem / g.Banks,
-			Bank:    rem % g.Banks,
-			Row:     7,
-		}}
-		ctl.module.Access(0, addr, false)
-		ctl.setBankLastUse(flat, 1000)
+		ctl.module.Access(0, dram.Address{RowID: dram.RowInBank(&g, flat, 7)}, false)
+		ctl.idle.Set(flat, wantAt)
 	}
 
-	wantAt := sim.Time(1000) + ctl.idleClose
 	for i := 0; i < 10; i++ {
-		at, flat, ok := ctl.nextIdleClose()
+		at, flat, ok := ctl.idle.Min()
 		if !ok || at != wantAt || flat != 1 {
-			t.Fatalf("iteration %d: nextIdleClose = (%v, %d, %v), want (%v, 1, true)",
+			t.Fatalf("iteration %d: next idle close = (%v, %d, %v), want (%v, 1, true)",
 				i, at, flat, ok, wantAt)
 		}
 	}
 }
 
-// linearNextIdleClose is the O(banks) scan the cached deadline slots
-// replaced, kept verbatim as the property-test reference: earliest
-// deadline over all open banks, ties to the lowest flat index.
-func linearNextIdleClose(c *Controller) (sim.Time, int, bool) {
-	if c.idleClose < 0 {
-		return 0, 0, false
-	}
+// linearNextIdleClose is the reference for the page-close index, built
+// from the test's own bookkeeping: lastDone holds, per flat bank, the
+// completion of the latest demand the test submitted to it, and the
+// module says which banks have a page open. It returns the earliest
+// deadline over the open banks, ties to the lowest flat index.
+func linearNextIdleClose(c *Controller, lastDone []sim.Time) (sim.Time, int, bool) {
 	best := -1
 	var at sim.Time
-	g := c.cfg.Geometry
-	for flat := range c.bankLastUse {
-		rem := flat % (g.Ranks * g.Banks)
-		bank := dram.BankID{
-			Channel: flat / (g.Ranks * g.Banks),
-			Rank:    rem / g.Banks,
-			Bank:    rem % g.Banks,
-		}
-		if c.module.OpenRow(bank) == -1 {
+	for flat, done := range lastDone {
+		if c.module.OpenRowFlat(flat) == -1 {
 			continue
 		}
-		deadline := c.bankLastUse[flat] + c.idleClose
-		if best == -1 || deadline < at {
+		if deadline := done + c.idleClose; best == -1 || deadline < at {
 			best, at = flat, deadline
 		}
 	}
@@ -102,14 +87,16 @@ func linearNextIdleClose(c *Controller) (sim.Time, int, bool) {
 	return at, best, true
 }
 
-// TestNextIdleCloseSlotsMatchLinearScan cross-checks the cached
-// page-close deadline against the linear scan on seeded random traffic:
-// after every submitted request (each of which runs the internal drain
-// loop, closing pages in deadline order) both must agree on the next
-// close — same deadline, same bank, same tie-break. The cases cover the
-// ways a page closes besides its own deadline: Smart's RAS-only
-// refreshes closing open pages, a 16-bank geometry, and the ladder-full
-// power states, whose idle-close wakes a rank from ACT-PDN.
+// TestNextIdleCloseSlotsMatchLinearScan cross-checks the page-close
+// index against the linear scan on seeded random traffic: after every
+// submitted request (each of which runs the internal drain loop,
+// closing pages in deadline order) both must agree on the next close —
+// same deadline, same bank, same tie-break. The cases cover the ways a
+// page closes besides its own deadline: Smart's RAS-only refreshes, a
+// 16-bank geometry, the ladder-full power states, whose idle-close
+// wakes a rank from ACT-PDN, and DARP's and SARP's per-bank refreshes;
+// SARP's overlapped refresh closes the page only when it lies in the
+// refreshing subarray and otherwise leaves it open.
 func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
 	const us = sim.Microsecond
 	sixteenBanks := func(interval sim.Duration) config.DRAM {
@@ -122,6 +109,12 @@ func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
 		return core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart)
 	}
 	cbr := func(cfg config.DRAM) core.Policy { return core.NewCBR(cfg.Geometry, cfg.RefreshInterval()) }
+	darp := func(cfg config.DRAM) core.Policy {
+		return core.NewDARP(cfg.Geometry, cfg.RefreshInterval(), core.PerBankConfig{})
+	}
+	sarp := func(cfg config.DRAM) core.Policy {
+		return core.NewSARP(cfg.Geometry, cfg.RefreshInterval(), core.PerBankConfig{})
+	}
 	cases := []struct {
 		name   string
 		cfg    config.DRAM
@@ -150,28 +143,30 @@ func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
 				return refreshClosedPages(c)
 			},
 		},
+		{name: "darp", cfg: tinyConfig(2 * sim.Millisecond), policy: darp, check: refreshClosedPages},
+		{name: "sarp", cfg: tinyConfig(2 * sim.Millisecond), policy: sarp, check: refreshClosedPages},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 8; seed++ {
 				ctl := MustNew(tc.cfg, tc.policy(tc.cfg), tc.opts)
 				rng := sim.NewRNG(seed)
+				g := tc.cfg.Geometry
+				lastDone := make([]sim.Time, g.TotalBanks())
 				now := sim.Time(0)
 				for i := 0; i < 3000; i++ {
-					ctl.Submit(Request{
-						Time:  now,
-						Addr:  rng.Uint64() % uint64(ctl.Mapper().Capacity()),
-						Write: rng.Bool(0.3),
-					})
+					addr := rng.Uint64() % uint64(ctl.Mapper().Capacity())
+					res := ctl.Submit(Request{Time: now, Addr: addr, Write: rng.Bool(0.3)})
+					lastDone[ctl.Mapper().Map(addr).BankOf().Flat(&g)] = res.Done
 					// Mix of gaps around the page-close timeout so pages
 					// sometimes survive to the next access and sometimes
 					// idle-close first.
 					now += sim.Time(rng.Intn(int(3 * ctl.idleClose)))
 
-					sAt, sFlat, sOk := ctl.nextIdleClose()
-					lAt, lFlat, lOk := linearNextIdleClose(ctl)
+					sAt, sFlat, sOk := ctl.idle.Min()
+					lAt, lFlat, lOk := linearNextIdleClose(ctl, lastDone)
 					if sAt != lAt || sFlat != lFlat || sOk != lOk {
-						t.Fatalf("seed %d step %d: slots (%v,%d,%v) != scan (%v,%d,%v)",
+						t.Fatalf("seed %d step %d: index (%v,%d,%v) != scan (%v,%d,%v)",
 							seed, i, sAt, sFlat, sOk, lAt, lFlat, lOk)
 					}
 				}

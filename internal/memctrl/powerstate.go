@@ -28,19 +28,11 @@ import (
 // Every rung is armed independently by its threshold; unarmed rungs are
 // skipped.
 //
-// Scheduling. Only the next rung is ever pending, so each rank keeps its
-// one pending transition in a slot of its psState (nextAt, nextTarget,
-// hasNext) that every reschedule overwrites in place. The drain takes
-// the earliest slot, ordered by (nextAt, rank), from a cached minimum:
-// scheduleFrom replaces it when a slot moves ahead of it, and marks it
-// dirty when the cached rank's own slot moves later or is cleared; a
-// dirty cache is rebuilt by scanning the slots with a strict <, so equal
-// deadlines go to the lowest rank. That is the order the retired lazy
-// heap produced — its extra target tie-break only ever ordered stale
-// duplicates of one rank's slot — and the order of the linear scan
-// before it, so the classic two-state configuration (only
-// SelfRefreshAfter armed) still replays the historical self-refresh
-// controller bit for bit.
+// Scheduling. Only the next rung is ever pending, so each rank has at
+// most one pending transition: its deadline is the rank's key in
+// powerStates.slots and its rung is psState.nextTarget, both overwritten
+// in place by every reschedule. The drain fires the earliest deadline,
+// ties to the lowest rank.
 
 // PowerState is a rank's rung on the ladder. The module owns each rank's
 // state (dram.Module.RankState); the controller keeps no copy.
@@ -140,11 +132,9 @@ type psState struct {
 	// finishPowerStates so a repeated Finish extends rather than
 	// double-counts.
 	enteredAt sim.Time
-	// nextTarget/nextAt are the rank's deadline slot: the one pending
-	// transition, overwritten in place by every reschedule.
+	// nextTarget is the rung of the rank's pending transition; its
+	// deadline is the rank's key in powerStates.slots.
 	nextTarget PowerState
-	nextAt     sim.Time
-	hasNext    bool
 }
 
 // powerStates is embedded in Controller when any rung (self-refresh
@@ -154,25 +144,20 @@ type powerStates struct {
 	cfg     PowerStateConfig
 	armed   bool // any rung armed (srAfter or cfg)
 	ranks   []psState
-
-	// minAt/minRank cache the earliest slot, (nextAt, rank)-ordered;
-	// minOK is false when no slot is set. The cache is exact unless
-	// minDirty, which nextPowerEvent resolves by rescanning the slots.
-	minAt    sim.Time
-	minRank  int
-	minOK    bool
-	minDirty bool
+	slots   sim.MinIndex // per rank: the pending transition's deadline
 }
 
 // armPowerStates initialises the state machine; every rank starts awake
 // with its first transition scheduled from time zero, exactly as the
 // retired scan derived deadlines from zero-valued lastDemand.
 func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) {
+	n := c.cfg.Geometry.Channels * c.cfg.Geometry.Ranks
 	c.ps = powerStates{
 		srAfter: srAfter,
 		cfg:     cfg,
 		armed:   true,
-		ranks:   make([]psState, c.cfg.Geometry.Channels*c.cfg.Geometry.Ranks),
+		ranks:   make([]psState, n),
+		slots:   sim.NewMinIndex(n),
 	}
 	for ri := range c.ps.ranks {
 		c.scheduleFrom(ri, PSAwake, 0)
@@ -213,54 +198,14 @@ func (c *Controller) nextRung(ri int, from PowerState, now sim.Time) (target Pow
 	return target, max(at, now), true
 }
 
-// setSlot stores rank ri's pending transition (none when !ok) and keeps
-// the cached minimum exact or marks it dirty.
+// setSlot stores rank ri's pending transition (none when !ok).
 func (c *Controller) setSlot(ri int, target PowerState, at sim.Time, ok bool) {
-	ps := &c.ps
-	st := &ps.ranks[ri]
 	if !ok {
-		st.hasNext = false
-		if ps.minOK && ri == ps.minRank {
-			ps.minDirty = true
-		}
+		c.ps.slots.Clear(ri)
 		return
 	}
-	st.nextTarget, st.nextAt, st.hasNext = target, at, true
-	switch {
-	case ps.minDirty:
-		// A rescan is already due; it will see this slot.
-	case !ps.minOK || at < ps.minAt || (at == ps.minAt && ri < ps.minRank):
-		ps.minAt, ps.minRank, ps.minOK = at, ri, true
-	case ri == ps.minRank && at > ps.minAt:
-		// The minimum moved later: another rank may now be earliest.
-		ps.minDirty = true
-	}
-}
-
-// nextPowerEvent returns the earliest pending transition deadline and
-// its rank, or ok=false when none is pending. Ties go to the lowest rank
-// (the strict < of the rescan walks ranks in index order).
-func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
-	ps := &c.ps
-	if ps.minDirty {
-		ps.rescan()
-	}
-	return ps.minAt, ps.minRank, ps.minOK
-}
-
-// rescan rebuilds the cached earliest slot over the ranks' slots.
-func (ps *powerStates) rescan() {
-	minAt, minRank := never, 0
-	for ri := range ps.ranks {
-		st := &ps.ranks[ri]
-		at := st.nextAt
-		if !st.hasNext {
-			at = never
-		}
-		minAt, minRank = earlier(at, ri, minAt, minRank)
-	}
-	ps.minAt, ps.minRank, ps.minOK = found(minAt, minRank)
-	ps.minDirty = false
+	c.ps.ranks[ri].nextTarget = target
+	c.ps.slots.Set(ri, at)
 }
 
 // rankHasOpenPage reports whether any bank of flat rank ri has an open
@@ -270,11 +215,11 @@ func (c *Controller) rankHasOpenPage(ri int) bool { return c.module.OpenBanks(ri
 // rankCloseDue reports whether an open bank of flat rank ri has its
 // page-close deadline at or before t.
 func (c *Controller) rankCloseDue(ri int, t sim.Time) bool {
-	if c.idleClose < 0 || !c.rankHasOpenPage(ri) {
+	if !c.rankHasOpenPage(ri) {
 		return false
 	}
 	for b := ri << c.bankShift; b < (ri+1)<<c.bankShift; b++ {
-		if c.module.OpenRowFlat(b) != -1 && c.bankLastUse[b]+c.idleClose <= t {
+		if at, ok := c.idle.Key(b); ok && at <= t {
 			return true
 		}
 	}
@@ -333,19 +278,16 @@ func (c *Controller) fire(t sim.Time, ri int, target PowerState) PowerState {
 // wake left lastDemand alone, so the walk is a function of it, the armed
 // thresholds and the rank's open pages: settle enters each rung the walk
 // reaches at t, in walk order, so the module's entries and the trace
-// spans are those of the walk, and writes the rank's slot only when the
-// walk ends on a transition other than the one the slot holds. When the
-// rung is unchanged the slot already holds the walk's final value, so
-// the cached minimum stays exact and nothing is rescanned. Two
-// same-instant events would run in the drain before the walk — a second
-// policy tick at t, and an idle-close due by t on one of the rank's open
-// banks — so then the walk is left to the drain, from a slot due at t.
+// spans are those of the walk, and stores the walk's final transition
+// in the rank's slot. Two same-instant events would run in the drain
+// before the walk — a second policy tick at t, and an idle-close due by
+// t on one of the rank's open banks — so then the walk is left to the
+// drain, from a slot due at t.
 func (c *Controller) settle(ri int, t sim.Time) {
 	if rt, ok := c.policy.NextTick(); (ok && rt <= t) || c.rankCloseDue(ri, t) {
 		c.scheduleFrom(ri, PSAwake, t)
 		return
 	}
-	st := &c.ps.ranks[ri]
 	from := PSAwake
 	for {
 		target, at, ok := c.nextRung(ri, from, t)
@@ -353,9 +295,7 @@ func (c *Controller) settle(ri int, t sim.Time) {
 			from = c.fire(t, ri, target)
 			continue
 		}
-		if ok != st.hasNext || ok && (target != st.nextTarget || at != st.nextAt) {
-			c.setSlot(ri, target, at, ok)
-		}
+		c.setSlot(ri, target, at, ok)
 		return
 	}
 }

@@ -150,7 +150,7 @@ func TestPowerStateTwoStateStaysUntracked(t *testing.T) {
 }
 
 // psSlotConfig is tinyConfig with channels x ranks widened so the slot
-// table has enough ranks to exercise ties and rescans.
+// table has enough ranks to exercise ties.
 func psSlotConfig(channels, ranks int) config.DRAM {
 	cfg := tinyConfig(64 * sim.Millisecond)
 	cfg.Geometry.Channels = channels
@@ -172,60 +172,21 @@ func clearSlot(ctl *Controller, ri int) {
 	ctl.scheduleFrom(ri, PSSelfRefreshSlow, 0)
 }
 
-// bruteNextPowerEvent is the reference for nextPowerEvent: the earliest
-// set slot, ties to the lowest rank.
+// bruteNextPowerEvent is the reference for the drain's next power
+// event: the earliest set slot, ties to the lowest rank.
 func bruteNextPowerEvent(ctl *Controller) (sim.Time, int, bool) {
 	var at sim.Time
 	rank, ok := 0, false
-	for ri, st := range ctl.ps.ranks {
-		if st.hasNext && (!ok || st.nextAt < at) {
-			at, rank, ok = st.nextAt, ri, true
+	for ri := range ctl.ps.ranks {
+		if k, set := ctl.ps.slots.Key(ri); set && (!ok || k < at) {
+			at, rank, ok = k, ri, true
 		}
 	}
 	return at, rank, ok
 }
 
-func TestPowerSlotCacheTieBreak(t *testing.T) {
-	// The cached minimum must name the strictly earliest slot, ties to
-	// the lowest rank — the order the retired linear scan produced and
-	// that keeps two-state configurations bit-identical.
-	cfg := psSlotConfig(1, 4)
-	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), psLadderOptions())
-	want := func(step string, at sim.Time, rank int, ok bool) {
-		t.Helper()
-		gAt, gRank, gOK := ctl.nextPowerEvent()
-		if gAt != at || gRank != rank || gOK != ok {
-			t.Fatalf("%s: next = (%v, %d, %v), want (%v, %d, %v)", step, gAt, gRank, gOK, at, rank, ok)
-		}
-	}
-	for ri := range ctl.ps.ranks {
-		setSlot(ctl, ri, 50)
-	}
-	want("four equal deadlines", 50, 0, true)
-	setSlot(ctl, 3, 50) // rewriting an equal slot changes nothing
-	want("equal rewrite of a higher rank", 50, 0, true)
-	setSlot(ctl, 2, 40)
-	want("earlier slot", 40, 2, true)
-	setSlot(ctl, 1, 40)
-	want("equal slot, lower rank", 40, 1, true)
-	setSlot(ctl, 1, 90) // the minimum moved later: rescan
-	want("moved-later minimum", 40, 2, true)
-	setSlot(ctl, 2, 90)
-	want("moved-later minimum, equal survivors", 50, 0, true)
-	clearSlot(ctl, 0) // the minimum cleared: rescan skips it
-	want("cleared minimum", 50, 3, true)
-	clearSlot(ctl, 1) // a cleared non-minimum leaves the cache alone
-	want("cleared non-minimum", 50, 3, true)
-	clearSlot(ctl, 3)
-	want("only rank 2 left", 90, 2, true)
-	clearSlot(ctl, 2)
-	want("every slot cleared", 0, 0, false)
-	setSlot(ctl, 1, 70)
-	want("refilled after empty", 70, 1, true)
-}
-
-// TestPowerSlotCacheMatchesBruteForce cross-checks the cached earliest
-// slot against a brute-force min over ranks after every reschedule, on
+// TestPowerSlotCacheMatchesBruteForce cross-checks the earliest slot
+// against a brute-force min over ranks after every reschedule, on
 // random slot moves (earlier, later, equal, cleared) and on seeded
 // traffic through the full ladder.
 func TestPowerSlotCacheMatchesBruteForce(t *testing.T) {
@@ -245,10 +206,10 @@ func TestPowerSlotCacheMatchesBruteForce(t *testing.T) {
 			if i%3 == 0 {
 				continue // let several moves stack up between peeks
 			}
-			cAt, cRank, cOK := ctl.nextPowerEvent()
+			cAt, cRank, cOK := ctl.ps.slots.Min()
 			bAt, bRank, bOK := bruteNextPowerEvent(ctl)
 			if cAt != bAt || cRank != bRank || cOK != bOK {
-				t.Fatalf("seed %d step %d: cache (%v,%d,%v) != brute force (%v,%d,%v)",
+				t.Fatalf("seed %d step %d: index (%v,%d,%v) != brute force (%v,%d,%v)",
 					seed, i, cAt, cRank, cOK, bAt, bRank, bOK)
 			}
 		}
@@ -265,10 +226,10 @@ func TestPowerSlotCacheMatchesBruteForce(t *testing.T) {
 			// ranks down every rung and wake them again.
 			now += sim.Time(rng.Intn(int(150 * sim.Microsecond)))
 			ctl.AdvanceTo(now)
-			cAt, cRank, cOK := ctl.nextPowerEvent()
+			cAt, cRank, cOK := ctl.ps.slots.Min()
 			bAt, bRank, bOK := bruteNextPowerEvent(ctl)
 			if cAt != bAt || cRank != bRank || cOK != bOK {
-				t.Fatalf("seed %d request %d: cache (%v,%d,%v) != brute force (%v,%d,%v)",
+				t.Fatalf("seed %d request %d: index (%v,%d,%v) != brute force (%v,%d,%v)",
 					seed, i, cAt, cRank, cOK, bAt, bRank, bOK)
 			}
 		}

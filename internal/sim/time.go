@@ -1,7 +1,8 @@
 // Package sim provides the simulation substrate shared by every other
 // package in the repository: a picosecond time base, a deterministic
-// pseudo-random number generator, and the shard runner that executes
-// vault-sharded simulation in parallel.
+// pseudo-random number generator, the earliest-deadline index the event
+// sources share, and the shard runner that executes vault-sharded
+// simulation in parallel.
 //
 // All simulations in this repository are deterministic: given the same
 // configuration and seed they produce bit-identical results. Nothing in
