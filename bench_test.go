@@ -534,7 +534,7 @@ func benchDispatch(b *testing.B, setup func() (*smartrefresh.Controller, func())
 // Table 1 2 GB mapper: the bit-field split into the flat bank, row and
 // column, and the coordinate struct Map returns.
 func BenchmarkMapperMap(b *testing.B) {
-	m := memctrl.NewMapper(config.Table1_2GB().Geometry, memctrl.RowRankBankColumn)
+	m := memctrl.NewMapper(config.Table1_2GB().Geometry)
 	rng := sim.NewRNG(1)
 	addrs := make([]uint64, 4096)
 	for i := range addrs {

@@ -66,6 +66,10 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 		fmt.Fprintln(w, "simcheck: -seeds must be >= 0")
 		return 2
 	}
+	if *vaultSeeds < 0 {
+		fmt.Fprintln(w, "simcheck: -vault-seeds must be >= 0")
+		return 2
+	}
 	policies, err := parsePolicies(*policiesFlag)
 	if err != nil {
 		fmt.Fprintln(w, "simcheck:", err)
@@ -96,7 +100,7 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 	// rather than padding the summary with empty reports.
 	if vaultPoliciesSelected(policies) {
 		for i := 0; i < *vaultSeeds; i++ {
-			rep, err := check.CheckVaultScenarioSelected(ctx, check.NewVaultScenario(*start+uint64(i)), nil, policies)
+			rep, err := check.CheckVaultScenario(ctx, check.NewVaultScenario(*start+uint64(i)), nil, policies)
 			if err != nil {
 				fmt.Fprintf(w, "simcheck: interrupted during vault scenario %d of %d\n", i+1, *vaultSeeds)
 				return 130
@@ -152,7 +156,7 @@ func checkAll(ctx context.Context, scenarios []check.Scenario, workers int, tf *
 	done := make([]bool, len(scenarios))
 	if workers <= 1 {
 		for i, sc := range scenarios {
-			rep, err := check.CheckScenarioSelected(ctx, sc, tr, reg, policies)
+			rep, err := check.CheckScenario(ctx, sc, tr, reg, policies)
 			if err != nil {
 				return completed(out, done)
 			}
@@ -167,7 +171,7 @@ func checkAll(ctx context.Context, scenarios []check.Scenario, workers int, tf *
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				rep, err := check.CheckScenarioSelected(ctx, scenarios[i], tr, reg, policies)
+				rep, err := check.CheckScenario(ctx, scenarios[i], tr, reg, policies)
 				if err != nil {
 					continue // drain remaining indices without running them
 				}

@@ -71,6 +71,13 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	if code := run(context.Background(), []string{"-seeds", "-3"}, &out); code != 2 {
 		t.Errorf("negative seed count: exit %d, want 2", code)
 	}
+	out.Reset()
+	if code := run(context.Background(), []string{"-seeds", "0", "-presets=false", "-vault-seeds", "-1"}, &out); code != 2 {
+		t.Errorf("negative vault seed count: exit %d, want 2", code)
+	}
+	if !strings.Contains(out.String(), "-vault-seeds must be >= 0") {
+		t.Errorf("negative vault seed count not reported:\n%s", out.String())
+	}
 }
 
 // The fingerprint is stable across worker counts (the report order is)

@@ -66,9 +66,6 @@ type Scenario struct {
 	Duration sim.Duration
 	// SelfRefreshAfter arms controller self-refresh when positive.
 	SelfRefreshAfter sim.Duration
-	// IdleClose overrides the page-close timeout (zero = controller
-	// default, negative = never close).
-	IdleClose sim.Duration
 	// PowerStates arms the explicit per-rank power-down ladder (ACT-PDN /
 	// PRE-PDN fast / PRE-PDN slow / SR slow-wake) when any threshold is
 	// set; the zero value keeps the historical two-state behaviour.
@@ -130,7 +127,7 @@ func policyCases(sc Scenario) []policyCase {
 }
 
 // PolicyNames lists the differential policy set in run order — the valid
-// inputs to CheckScenarioSelected (and cmd/simcheck's -policies flag).
+// inputs to CheckScenario's filter (and cmd/simcheck's -policies flag).
 func PolicyNames() []string { return experiment.PolicyNames() }
 
 // runOutcome is one policy's execution of a scenario: the PolicyRun the
@@ -152,7 +149,7 @@ type runOutcome struct {
 // recorded failure instead of crashing the harness. The telemetry sinks
 // may be nil (the disabled path). A cancelled context aborts the
 // simulation early and leaves the run partial — the caller must discard
-// it, which CheckScenarioContext does by returning ctx's error instead of
+// it, which CheckScenario does by returning ctx's error instead of
 // a report.
 func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *telemetry.Tracer, reg *telemetry.Registry) (out runOutcome) {
 	out.Policy = pc.Name
@@ -174,12 +171,11 @@ func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *
 		PowerStates:      sc.PowerStates,
 		Shards:           shards,
 	}, experiment.Stream{
-		Source:    workload.NewGenerator(sc.Spec, sc.Seed),
-		Name:      sc.Name,
-		Seed:      sc.Seed,
-		IdleClose: sc.IdleClose,
-		Trace:     tr,
-		Metrics:   reg,
+		Source:  workload.NewGenerator(sc.Spec, sc.Seed),
+		Name:    sc.Name,
+		Seed:    sc.Seed,
+		Trace:   tr,
+		Metrics: reg,
 	})
 	if err != nil {
 		out.Panic = err.Error()
@@ -195,39 +191,27 @@ func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *
 	return out
 }
 
-// CheckScenario runs every policy (twice, for the determinism check)
-// and evaluates all invariants.
-func CheckScenario(sc Scenario) Report { return CheckScenarioTraced(sc, nil, nil) }
-
-// CheckScenarioTraced is CheckScenario with telemetry attached to the
-// first run of each policy: every DRAM command lands in tr and each
-// controller's metrics register into reg under "<scenario>/<policy>".
-// The determinism rerun deliberately runs without telemetry, so the
-// comparison also proves tracing does not perturb simulated results.
-// Both sinks may be nil.
-func CheckScenarioTraced(sc Scenario, tr *telemetry.Tracer, reg *telemetry.Registry) Report {
-	rep, _ := CheckScenarioContext(context.Background(), sc, tr, reg) // background is never cancelled
-	return rep
-}
-
-// CheckScenarioContext is CheckScenarioTraced with cooperative
-// cancellation: the context is polled between policy runs and, through
-// the controller's Interrupt hook, inside each simulation's event
-// drains, so a SIGINT lands within milliseconds even mid-scenario. A
-// cancelled check returns ctx's error and no report — partial runs are
-// never evaluated against the invariants, which would produce phantom
+// CheckScenario runs every selected policy twice, for the determinism
+// check, and evaluates all invariants. policies names the subset of the
+// differential set to run (nil or empty = everything); cross-policy
+// refresh-count bounds are evaluated only when every policy they relate
+// is selected, so a filtered sweep never reports phantom bound
+// violations against runs that did not happen. Unknown names are an
+// error, not a silent no-op.
+//
+// Telemetry attaches to the first run of each policy: every DRAM command
+// lands in tr and each controller's metrics register into reg under
+// "<scenario>/<policy>". The determinism rerun deliberately runs without
+// telemetry, so the comparison also proves tracing does not perturb
+// simulated results. Both sinks may be nil.
+//
+// The context is polled between policy runs and, through the
+// controller's Interrupt hook, inside each simulation's event drains, so
+// a SIGINT lands within milliseconds even mid-scenario. A cancelled
+// check returns ctx's error and no report: partial runs are never
+// evaluated against the invariants, which would produce phantom
 // violations.
-func CheckScenarioContext(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *telemetry.Registry) (Report, error) {
-	return CheckScenarioSelected(ctx, sc, tr, reg, nil)
-}
-
-// CheckScenarioSelected is CheckScenarioContext restricted to a subset of
-// the differential set: only the named policies run (nil or empty =
-// everything). Cross-policy refresh-count bounds are evaluated only when
-// every policy they relate is selected, so a filtered sweep never reports
-// phantom bound violations against runs that did not happen. Unknown
-// names are an error, not a silent no-op.
-func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *telemetry.Registry, policies []string) (Report, error) {
+func CheckScenario(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *telemetry.Registry, policies []string) (Report, error) {
 	for _, n := range policies {
 		if !slices.Contains(PolicyNames(), n) {
 			return Report{}, fmt.Errorf("check: unknown policy %q (known: %s)", n, strings.Join(PolicyNames(), ", "))
@@ -277,9 +261,6 @@ func CheckScenarioSelected(ctx context.Context, sc Scenario, tr *telemetry.Trace
 	checkRAIDRBounds(sc, byName, add)
 	return rep, nil
 }
-
-// CheckSeed generates and checks the scenario for one seed.
-func CheckSeed(seed uint64) Report { return CheckScenario(NewScenario(seed)) }
 
 // checkRun evaluates the per-run invariants.
 func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invariant, format string, args ...any)) {
@@ -511,12 +492,12 @@ func checkPowerStateEnergy(cfg config.DRAM, policy string, res memctrl.Results, 
 	slowMS := ms.PrePdnSlowTime.Milliseconds()
 	srSlowMS := ms.SelfRefreshSlowTime.Milliseconds()
 	want := pw(cur.IDD3N)*clamp(ms.ActiveTime.Milliseconds()-actPdnMS) +
-		pw(cur.ActivePowerDown())*actPdnMS +
+		pw(cur.IDD3P)*actPdnMS +
 		pw(cur.IDD2N)*clamp(idleMS-fastMS-slowMS) +
 		pw(cur.IDD2P)*fastMS +
-		pw(cur.PrechargePowerDownSlow())*slowMS +
+		pw(cur.IDD2P0)*slowMS +
 		pw(cur.IDD6)*clamp(srMS-srSlowMS) +
-		pw(cur.SelfRefreshSlow())*srSlowMS
+		pw(cur.IDD6L)*srSlowMS
 	if got := float64(res.Energy.Background); !closeEnough(want*1e6, got) {
 		add(policy, "residency-energy", "background %v pJ != residency recompute %v pJ", got, want*1e6)
 	}

@@ -9,6 +9,16 @@ import (
 	"smartrefresh/internal/experiment"
 )
 
+// checkAll runs the whole differential set over sc.
+func checkAll(t *testing.T, sc Scenario) Report {
+	t.Helper()
+	rep, err := CheckScenario(context.Background(), sc, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestRandomScenarios is the property suite: every invariant must hold
 // on a block of seeded random scenarios. A failure names the seed so it
 // can be replayed with `go run ./cmd/simcheck -seeds 1 -start <seed>`.
@@ -21,7 +31,7 @@ func TestRandomScenarios(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rep := CheckSeed(seed)
+			rep := checkAll(t, NewScenario(seed))
 			for _, v := range rep.Violations {
 				t.Errorf("seed %d: %s (replay: go run ./cmd/simcheck -seeds 1 -start %d)", seed, v, seed)
 			}
@@ -41,7 +51,7 @@ func TestRefreshBoundLowerFromSecondInterval(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := NewScenario(seed)
-			rep := CheckScenario(sc)
+			rep := checkAll(t, sc)
 			for _, v := range rep.Violations {
 				t.Errorf("%s", v)
 			}
@@ -66,7 +76,7 @@ func TestPresetScenarios(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			rep := CheckScenario(sc)
+			rep := checkAll(t, sc)
 			for _, v := range rep.Violations {
 				t.Errorf("%s", v)
 			}
@@ -116,9 +126,9 @@ func TestScenarioGeneration(t *testing.T) {
 // A whole report — runs included — must be bit-identical when repeated:
 // the differential harness itself is deterministic.
 func TestReportDeterminism(t *testing.T) {
-	a, b := CheckSeed(7), CheckSeed(7)
+	a, b := checkAll(t, NewScenario(7)), checkAll(t, NewScenario(7))
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("CheckSeed(7) not reproducible:\n first: %+v\nsecond: %+v", a, b)
+		t.Fatalf("seed 7 not reproducible:\n first: %+v\nsecond: %+v", a, b)
 	}
 }
 
@@ -151,7 +161,7 @@ func TestPolicyNamesFollowRegistry(t *testing.T) {
 // violations against runs that did not happen.
 func TestCheckScenarioSelected(t *testing.T) {
 	sc := NewScenario(5)
-	rep, err := CheckScenarioSelected(t.Context(), sc, nil, nil, []string{"darp", "sarp"})
+	rep, err := CheckScenario(t.Context(), sc, nil, nil, []string{"darp", "sarp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +172,17 @@ func TestCheckScenarioSelected(t *testing.T) {
 		t.Errorf("filtered check: %s", v)
 	}
 
-	if _, err := CheckScenarioSelected(t.Context(), sc, nil, nil, []string{"smart", "bogus"}); err == nil {
+	if _, err := CheckScenario(t.Context(), sc, nil, nil, []string{"smart", "bogus"}); err == nil {
 		t.Error("unknown policy name accepted")
 	}
 
-	// nil filter must stay equivalent to the full check.
-	full, err := CheckScenarioSelected(t.Context(), sc, nil, nil, nil)
+	// A nil filter must stay equivalent to naming every policy.
+	all, err := CheckScenario(t.Context(), sc, nil, nil, PolicyNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(full, CheckScenario(sc)) {
-		t.Error("nil filter differs from CheckScenario")
+	if !reflect.DeepEqual(all, checkAll(t, sc)) {
+		t.Error("nil filter differs from the full policy list")
 	}
 }
 
@@ -183,7 +193,7 @@ func TestCheckScenarioSelected(t *testing.T) {
 // invariant knowingly by shrinking the queue bound after the fact.
 func TestHarnessDetectsViolations(t *testing.T) {
 	sc := NewScenario(3)
-	rep := CheckScenario(sc)
+	rep := checkAll(t, sc)
 	if !rep.Ok() {
 		t.Skipf("seed 3 unexpectedly dirty: %v", rep.Violations)
 	}
@@ -192,7 +202,7 @@ func TestHarnessDetectsViolations(t *testing.T) {
 	broken := sc
 	broken.Cfg.Smart.QueueDepth = 0
 	broken.Cfg.Smart.Segments = 0 // invalid too: construction must be caught, not crash
-	brokenRep := CheckScenario(broken)
+	brokenRep := checkAll(t, broken)
 	if brokenRep.Ok() {
 		t.Fatal("harness reported a zero-depth, zero-segment config as clean")
 	}

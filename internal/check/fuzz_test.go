@@ -126,23 +126,21 @@ func FuzzSelfDisableThresholds(f *testing.F) {
 	})
 }
 
-// FuzzSelfRefreshOptions drives the (IdleClose, SelfRefreshAfter) option
-// matrix: the controller must reject self-refresh with idle page-closing
-// disabled (or a threshold at or below the page-close timeout) and
-// simulate every accepted combination — including interleaved idle-close
-// and self-refresh transitions — without violating retention, refresh
+// FuzzSelfRefreshOptions drives the SelfRefreshAfter option: the
+// controller must reject a threshold at or below the page-close timeout
+// and simulate every accepted one — including interleaved idle-close and
+// self-refresh transitions — without violating retention, refresh
 // accounting or residency.
 func FuzzSelfRefreshOptions(f *testing.F) {
-	f.Add(int64(0), int64(0), uint8(1), false)
-	f.Add(int64(-1), int64(50*sim.Microsecond), uint8(0), true)                 // SR with idle-close disabled: rejected
-	f.Add(int64(30*sim.Microsecond), int64(20*sim.Microsecond), uint8(2), true) // SR at or below page-close: rejected
-	f.Add(int64(5*sim.Microsecond), int64(120*sim.Microsecond), uint8(1), true) // sparse demand: repeated sleep/wake
-	f.Fuzz(func(t *testing.T, idleRaw, srRaw int64, rowsExp uint8, sparse bool) {
+	f.Add(int64(0), uint8(1), false)
+	f.Add(int64(50*sim.Microsecond), uint8(0), true)
+	f.Add(int64(memctrl.DefaultIdleClose), uint8(2), true) // SR at the page-close timeout: rejected
+	f.Add(int64(120*sim.Microsecond), uint8(1), true)      // sparse demand: repeated sleep/wake
+	f.Fuzz(func(t *testing.T, srRaw int64, rowsExp uint8, sparse bool) {
 		cfg := fuzzCfg(rowsExp, 1)
 		interval := cfg.Timing.RefreshInterval
-		// Map the raw values into [-200us, 200us] keeping sign; negative
-		// SelfRefreshAfter means disarmed, negative IdleClose never closes.
-		idleClose := sim.Duration(idleRaw % int64(200*sim.Microsecond))
+		// Map the raw value into [-200us, 200us] keeping sign; a
+		// non-positive SelfRefreshAfter means disarmed.
 		srAfter := sim.Duration(srRaw % int64(200*sim.Microsecond))
 
 		sc := Scenario{
@@ -152,7 +150,6 @@ func FuzzSelfRefreshOptions(f *testing.F) {
 			Duration:         3 * interval,
 			Spec:             workload.StreamSpec{StrideBytes: cfg.Geometry.RowBytes()},
 			SelfRefreshAfter: srAfter,
-			IdleClose:        idleClose,
 		}
 		if sparse {
 			sc.Spec.FootprintBytes = 8 * cfg.Geometry.RowBytes()
@@ -163,18 +160,14 @@ func FuzzSelfRefreshOptions(f *testing.F) {
 		run := runPolicy(context.Background(), sc, pc, 1, nil, nil).PolicyRun
 
 		// Mirror the controller's documented acceptance rule.
-		effIdle := idleClose
-		if effIdle == 0 {
-			effIdle = memctrl.DefaultIdleClose
-		}
-		if srAfter > 0 && (idleClose < 0 || srAfter <= effIdle) {
+		if srAfter > 0 && srAfter <= memctrl.DefaultIdleClose {
 			if run.Panic == "" {
-				t.Errorf("IdleClose %v + SelfRefreshAfter %v accepted; want construction rejected", idleClose, srAfter)
+				t.Errorf("SelfRefreshAfter %v accepted; want construction rejected", srAfter)
 			}
 			return
 		}
 		if run.Panic != "" {
-			t.Fatalf("IdleClose %v + SelfRefreshAfter %v rejected: %s", idleClose, srAfter, run.Panic)
+			t.Fatalf("SelfRefreshAfter %v rejected: %s", srAfter, run.Panic)
 		}
 		checkRun(sc, pc, run, func(policy, invariant, format string, args ...any) {
 			t.Errorf("%s/%s: %s: %s", sc.Name, policy, invariant, fmt.Sprintf(format, args...))

@@ -37,16 +37,12 @@ func VaultPolicyNames() []string { return []string{"smart", "cbr"} }
 // across every shard count in shards (nil or empty defaults to
 // {1, 2, vaults}). Presence-gated: a monolithic scenario returns an
 // empty clean report, so existing sweeps can call this unconditionally.
-func CheckVaultScenario(ctx context.Context, sc Scenario, shards []int) (Report, error) {
-	return CheckVaultScenarioSelected(ctx, sc, shards, nil)
-}
-
-// CheckVaultScenarioSelected is CheckVaultScenario with the policy
-// filter of CheckScenarioSelected: only the named policies run (nil or
-// empty = the full vault set); names outside VaultPolicyNames are
+//
+// policies is CheckScenario's filter: only the named policies run (nil
+// or empty = the full vault set); names outside VaultPolicyNames are
 // ignored rather than rejected, so one -policies list can drive the
 // monolithic and vault sweeps together.
-func CheckVaultScenarioSelected(ctx context.Context, sc Scenario, shards []int, policies []string) (Report, error) {
+func CheckVaultScenario(ctx context.Context, sc Scenario, shards []int, policies []string) (Report, error) {
 	rep := Report{Scenario: sc}
 	if !sc.Cfg.Geometry.Vaulted() {
 		return rep, nil

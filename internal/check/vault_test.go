@@ -11,7 +11,7 @@ import (
 func TestCheckVaultScenarioSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		sc := NewVaultScenario(seed)
-		rep, err := CheckVaultScenario(context.Background(), sc, nil)
+		rep, err := CheckVaultScenario(context.Background(), sc, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -55,7 +55,7 @@ func TestVaultFingerprintEqualAcrossShards(t *testing.T) {
 // Presence gate: a monolithic scenario produces an empty clean report,
 // so sweeps may call the vault checker unconditionally.
 func TestCheckVaultScenarioGatesOnGeometry(t *testing.T) {
-	rep, err := CheckVaultScenario(context.Background(), NewScenario(1), nil)
+	rep, err := CheckVaultScenario(context.Background(), NewScenario(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -763,7 +763,6 @@ func offGridTiming() Timing {
 		TFAW:            31100 * sim.Picosecond,
 		TRefreshRow:     71300 * sim.Picosecond,
 		TRFCpb:          73900 * sim.Picosecond,
-		TRFCab:          201700 * sim.Picosecond,
 		TXSNR:           81100 * sim.Picosecond,
 		RefreshInterval: 64 * sim.Millisecond,
 	}

@@ -12,9 +12,9 @@ func TestPerBankRefreshTimingDerivation(t *testing.T) {
 		t.Errorf("DDR2 PerBankRefreshDuration = %v, want 70ns", got)
 	}
 	// Zeroed fields derive from the per-row cost.
-	tt.TRFCpb, tt.TRFCab = 0, 0
+	tt.TRFCpb = 0
 	if err := tt.Validate(); err != nil {
-		t.Fatalf("zero tRFC fields rejected: %v", err)
+		t.Fatalf("zero TRFCpb rejected: %v", err)
 	}
 	if got := tt.PerBankRefreshDuration(); got != tt.TRefreshRow {
 		t.Errorf("derived PerBankRefreshDuration = %v, want %v", got, tt.TRefreshRow)
@@ -31,11 +31,6 @@ func TestPerBankRefreshTimingValidate(t *testing.T) {
 	tt.TRFCpb = tt.TRefreshRow / 2
 	if err := tt.Validate(); err == nil {
 		t.Error("TRFCpb below TRefreshRow accepted")
-	}
-	tt = DDR2_667(64 * sim.Millisecond)
-	tt.TRFCab = tt.TRFCpb / 2
-	if err := tt.Validate(); err == nil {
-		t.Error("TRFCab below TRFCpb accepted")
 	}
 }
 

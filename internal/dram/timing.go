@@ -35,12 +35,6 @@ type Timing struct {
 	// than a bare row cycle. Optional: zero means "derive".
 	TRFCpb sim.Duration
 
-	// TRFCab is the datasheet's rank-wide occupancy of one all-bank
-	// refresh command (REFab), the conventional REF that freezes every
-	// bank at once. The module issues no REFab, so only Validate reads
-	// it. Optional: zero leaves it unset.
-	TRFCab sim.Duration
-
 	// TXSNR is the self-refresh exit latency before the next command
 	// (DDR2: tRFC + 10 ns).
 	TXSNR sim.Duration
@@ -91,16 +85,13 @@ func (t Timing) Validate() error {
 	if t.RefreshInterval < 100*t.TRC {
 		return fmt.Errorf("dram: refresh interval %v implausibly short", t.RefreshInterval)
 	}
-	// The per/all-bank refresh occupancies are optional (zero = derived)
-	// but must be self-consistent when set.
-	if t.TRFCpb < 0 || t.TRFCab < 0 {
-		return fmt.Errorf("dram: negative refresh occupancy (TRFCpb %v, TRFCab %v)", t.TRFCpb, t.TRFCab)
+	// The per-bank refresh occupancy is optional (zero = derived) but
+	// must cover one row refresh when set.
+	if t.TRFCpb < 0 {
+		return fmt.Errorf("dram: negative refresh occupancy TRFCpb %v", t.TRFCpb)
 	}
 	if t.TRFCpb > 0 && t.TRFCpb < t.TRefreshRow {
 		return fmt.Errorf("dram: TRFCpb (%v) < TRefreshRow (%v)", t.TRFCpb, t.TRefreshRow)
-	}
-	if t.TRFCpb > 0 && t.TRFCab > 0 && t.TRFCab < t.TRFCpb {
-		return fmt.Errorf("dram: TRFCab (%v) < TRFCpb (%v)", t.TRFCab, t.TRFCpb)
 	}
 	// The power-down exit latencies are optional (zero = derived from
 	// TCK) but must be self-consistent when set: slow exits cannot be
@@ -185,8 +176,7 @@ func DDR2_667(refreshInterval sim.Duration) Timing {
 		TRRD:            7500 * sim.Picosecond,
 		TFAW:            37500 * sim.Picosecond,
 		TRefreshRow:     70 * sim.Nanosecond,
-		TRFCpb:          70 * sim.Nanosecond,  // one counter row per REFpb
-		TRFCab:          195 * sim.Nanosecond, // Micron 2Gb-class tRFC
+		TRFCpb:          70 * sim.Nanosecond, // one counter row per REFpb
 		TXSNR:           80 * sim.Nanosecond,
 		TXP:             6 * sim.Nanosecond,   // 2 tCK fast power-down exit
 		TXPDLL:          24 * sim.Nanosecond,  // 8 tCK slow power-down exit

@@ -117,9 +117,6 @@ type Stream struct {
 	// Seed derives a RetentionMap policy's per-row map, as a benchmark's
 	// seed does.
 	Seed uint64
-	// IdleClose overrides the page-close timeout; see
-	// memctrl.Options.IdleClose.
-	IdleClose sim.Duration
 	// Trace and Metrics are the telemetry sinks (nil = disabled).
 	Trace   *telemetry.Tracer
 	Metrics *telemetry.Registry
@@ -152,7 +149,7 @@ func RunStream(ctx context.Context, cfg config.DRAM, kind PolicyKind, opts RunOp
 		return StreamResult{}, fmt.Errorf("experiment: run %s: a stream is already the DRAM access stream; Stacked is not supported", label)
 	}
 	j := runJob{cfg: cfg, kind: kind, label: label, seed: s.Seed, source: s.Source, opts: opts,
-		idleClose: s.IdleClose, trace: s.Trace, metrics: s.Metrics}
+		trace: s.Trace, metrics: s.Metrics}
 	var out StreamResult
 	j.inspect = func(t *runTarget) { out.Dropped = t.dropped() }
 	var err error
@@ -180,8 +177,6 @@ type runJob struct {
 	makePolicy func() core.Policy
 	source     trace.Source
 	opts       RunOptions // defaults already applied (RunStream: literal)
-	// idleClose is the controllers' page-close timeout (0 = default).
-	idleClose sim.Duration
 	// retMap is the per-row retention map of a RetentionMap policy; with
 	// opts.CheckRetention it also scales the checker's per-row deadlines
 	// (see memctrl.Options.RetentionMap).
@@ -355,7 +350,6 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 	mcOpts := memctrl.Options{
 		CheckRetention:   j.opts.CheckRetention,
 		SelfRefreshAfter: j.opts.SelfRefreshAfter,
-		IdleClose:        j.idleClose,
 		PowerStates:      j.opts.PowerStates,
 	}
 	if j.opts.CheckRetention {

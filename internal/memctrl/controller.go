@@ -24,8 +24,6 @@ type Request struct {
 
 // Options tune controller construction.
 type Options struct {
-	// Interleave selects the address mapping (default RowRankBankColumn).
-	Interleave Interleave
 	// CheckRetention attaches a retention checker that validates every
 	// row's restore deadline during simulation (costs memory proportional
 	// to row count; meant for tests and debug runs).
@@ -38,11 +36,6 @@ type Options struct {
 	// invariant the retention-aware policy must satisfy instead of the
 	// uniform deadline.
 	RetentionMap *core.RetentionMap
-	// IdleClose precharges a bank whose page has been idle this long, so
-	// idle ranks can enter precharge power-down (the page-close timeout
-	// every open-page controller implements). Zero selects the default
-	// (DefaultIdleClose); a negative value disables idle closing.
-	IdleClose sim.Duration
 	// SelfRefreshAfter, when positive, puts a rank into module
 	// self-refresh after that much demand-idle time; it must exceed the
 	// page-close timeout. The policy's refreshes to that rank are covered
@@ -75,7 +68,10 @@ type Options struct {
 	Interrupt func() bool
 }
 
-// DefaultIdleClose is the default page-close timeout.
+// DefaultIdleClose is the page-close timeout: the controller precharges
+// a bank whose page has been idle this long, so idle ranks can enter
+// precharge power-down (the timeout every open-page controller
+// implements).
 const DefaultIdleClose = 2 * sim.Microsecond
 
 // Latency histogram shape: 2 ns buckets up to 2 us cover every DRAM
@@ -128,11 +124,9 @@ type Controller struct {
 	now      sim.Time
 	lastbusy sim.Time // completion time of the latest demand access
 
-	idleClose sim.Duration // page-close timeout (<0: never)
-
 	// idle holds, per flat bank with an open page, its page-close
-	// deadline: the bank's last demand completion plus idleClose. A
-	// demand sets it; every path that closes the page clears it.
+	// deadline: the bank's last demand completion plus DefaultIdleClose.
+	// A demand sets it; every path that closes the page clears it.
 	idle sim.MinIndex
 
 	// ps is the per-rank power-state machine (self-refresh is its
@@ -168,17 +162,12 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 	if policy == nil {
 		return nil, fmt.Errorf("memctrl: nil policy")
 	}
-	idleClose := opts.IdleClose
-	if idleClose == 0 {
-		idleClose = DefaultIdleClose
-	}
 	c := &Controller{
 		cfg:         cfg,
 		module:      dram.NewModule(cfg.Geometry, cfg.Timing),
 		policy:      policy,
-		mapper:      NewMapper(cfg.Geometry, opts.Interleave),
+		mapper:      NewMapper(cfg.Geometry),
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
-		idleClose:   idleClose,
 		idle:        sim.NewMinIndex(cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
 		bankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
@@ -219,20 +208,7 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 	if opts.Metrics != nil {
 		c.registerMetrics(opts.Metrics, opts.MetricsPrefix)
 	}
-	if opts.SelfRefreshAfter > 0 {
-		if idleClose < 0 {
-			// With idle page-closing disabled nothing ever precharges an
-			// idle bank, so a rank with an open page would re-arm its
-			// self-refresh deadline forever and never sleep.
-			return nil, fmt.Errorf("memctrl: SelfRefreshAfter %v requires idle page-closing; IdleClose %v disables it",
-				opts.SelfRefreshAfter, opts.IdleClose)
-		}
-		if opts.SelfRefreshAfter <= idleClose {
-			return nil, fmt.Errorf("memctrl: SelfRefreshAfter %v must exceed the page-close timeout %v",
-				opts.SelfRefreshAfter, idleClose)
-		}
-	}
-	if err := opts.PowerStates.validate(idleClose, opts.SelfRefreshAfter); err != nil {
+	if err := opts.PowerStates.validate(opts.SelfRefreshAfter); err != nil {
 		return nil, err
 	}
 	if opts.SelfRefreshAfter > 0 || opts.PowerStates.Enabled() {
@@ -459,9 +435,7 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	}
 	var res dram.AccessResult
 	c.module.AccessFlat(&res, req.Time, bank, row, req.Write)
-	if c.idleClose >= 0 {
-		c.idle.Set(bank, res.Done+c.idleClose)
-	}
+	c.idle.Set(bank, res.Done+DefaultIdleClose)
 	c.noteDemand(res.Done, ri)
 
 	// A row-buffer hit touches only the sense amplifiers; the cells were

@@ -314,13 +314,15 @@ func TestRefreshRestoreClosedPageCounted(t *testing.T) {
 	cfg := tinyConfig(64 * sim.Millisecond)
 	cfg.Smart.SelfDisable = false
 	p := core.NewSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart)
-	// Disable the idle-page-close timeout so the page is still open when
-	// the refresh arrives.
-	ctl := MustNew(cfg, p, Options{IdleClose: -1})
-	// Open a page and leave it open; an eventual refresh of another row in
-	// the same bank must close it, which counts as a conflict refresh.
-	ctl.Submit(Request{Time: 0, Addr: 0})
+	ctl := MustNew(cfg, p, Options{})
+	// Keep one page open by timing alone: a demand every microsecond
+	// re-arms its bank's page-close deadline (DefaultIdleClose, 2 us)
+	// before it fires, so every refresh of another row in that bank finds
+	// the page open and must close it, which counts as a conflict refresh.
 	end := sim.Time(cfg.RefreshInterval() / 4)
+	for now := sim.Time(0); now < end; now += sim.Time(sim.Microsecond) {
+		ctl.Submit(Request{Time: now, Addr: 0})
+	}
 	ctl.Finish(end)
 	if ctl.Results(end).Module.RefreshConflictOps == 0 {
 		t.Error("no conflict refresh recorded despite open page")

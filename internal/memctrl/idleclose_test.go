@@ -29,8 +29,8 @@ func TestCloseIdleBankNoRearmWhenNotClosed(t *testing.T) {
 	if ctl.module.OpenRow(bank) != 3 {
 		t.Fatal("setup: page not open")
 	}
-	if at, ok := ctl.idle.Key(0); !ok || at != res.Done+ctl.idleClose {
-		t.Fatalf("demand set deadline (%v, %v), want (%v, true)", at, ok, res.Done+ctl.idleClose)
+	if at, ok := ctl.idle.Key(0); !ok || at != res.Done+DefaultIdleClose {
+		t.Fatalf("demand set deadline (%v, %v), want (%v, true)", at, ok, res.Done+DefaultIdleClose)
 	}
 	ctl.closeIdleBank(deadline, 0)
 	if ctl.module.OpenRow(bank) != -1 {
@@ -50,7 +50,7 @@ func TestNextIdleCloseTieBreakDeterministic(t *testing.T) {
 
 	// Open pages in flat banks 2 and 1 (opened in that order) with
 	// identical deadlines.
-	wantAt := sim.Time(1000) + ctl.idleClose
+	wantAt := sim.Time(1000) + DefaultIdleClose
 	for _, flat := range []int{2, 1} {
 		ctl.module.Access(0, dram.Address{RowID: dram.RowInBank(&g, flat, 7)}, false)
 		ctl.idle.Set(flat, wantAt)
@@ -77,7 +77,7 @@ func linearNextIdleClose(c *Controller, lastDone []sim.Time) (sim.Time, int, boo
 		if c.module.OpenRowFlat(flat) == -1 {
 			continue
 		}
-		if deadline := done + c.idleClose; best == -1 || deadline < at {
+		if deadline := done + DefaultIdleClose; best == -1 || deadline < at {
 			best, at = flat, deadline
 		}
 	}
@@ -161,7 +161,7 @@ func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
 					// Mix of gaps around the page-close timeout so pages
 					// sometimes survive to the next access and sometimes
 					// idle-close first.
-					now += sim.Time(rng.Intn(int(3 * ctl.idleClose)))
+					now += sim.Time(rng.Intn(int(3 * DefaultIdleClose)))
 
 					sAt, sFlat, sOk := ctl.idle.Min()
 					lAt, lFlat, lOk := linearNextIdleClose(ctl, lastDone)

@@ -12,39 +12,11 @@ import (
 	"smartrefresh/internal/dram"
 )
 
-// Interleave selects how a physical byte address is split into DRAM
-// coordinates.
-type Interleave int
-
-const (
-	// RowRankBankColumn is the open-page-friendly mapping the paper's
-	// open-page row-buffer policy implies: column bits lowest, then bank,
-	// then rank, then row — consecutive lines stay in one row, and rows
-	// interleave across banks at row-buffer granularity.
-	RowRankBankColumn Interleave = iota
-	// RowColumnRankBank interleaves banks at line granularity
-	// (close-page-friendly); included for mapping ablations.
-	RowColumnRankBank
-)
-
-// String names the interleave.
-func (i Interleave) String() string {
-	switch i {
-	case RowRankBankColumn:
-		return "row:rank:bank:column"
-	case RowColumnRankBank:
-		return "row:column:rank:bank"
-	default:
-		return fmt.Sprintf("Interleave(%d)", int(i))
-	}
-}
-
 // Mapper translates physical byte addresses to DRAM coordinates. The unit
 // of a "column" here is one burst (AccessBytes), so one mapped column
 // corresponds to one data transfer.
 type Mapper struct {
-	geom   dram.Geometry
-	scheme Interleave
+	geom dram.Geometry
 
 	lineShift uint // log2 of burst bytes
 	colBits   uint
@@ -59,9 +31,13 @@ type Mapper struct {
 	burstBytes int64
 }
 
-// NewMapper builds a mapper for the geometry. It panics on a geometry
-// whose dimensions are not powers of two (Validate enforces that).
-func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
+// NewMapper builds a mapper for the geometry. The mapping is the
+// open-page-friendly row:rank:bank:column layout of the paper's Table 1:
+// column bits lowest, then bank, then rank (and channel), then row, so
+// consecutive lines stay in one row and rows interleave across banks at
+// row-buffer granularity. It panics on a geometry whose dimensions are
+// not powers of two (Validate enforces that).
+func NewMapper(g dram.Geometry) *Mapper {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
@@ -76,7 +52,6 @@ func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
 	}
 	m := &Mapper{
 		geom:       g,
-		scheme:     scheme,
 		lineShift:  uint(bits.TrailingZeros64(uint64(burst))),
 		colBits:    uint(bits.TrailingZeros64(uint64(colUnits))),
 		bankBits:   uint(bits.TrailingZeros64(uint64(g.Banks))),
@@ -105,9 +80,9 @@ func (m *Mapper) Map(phys uint64) dram.Address {
 }
 
 // locate is Map's core: it returns the flat bank index (BankID.Flat),
-// the row within that bank and the device column. Under both interleaves
-// the bank, rank and channel fields are adjacent, lowest first, which is
-// BankID.Flat's layout, so the flat bank is one flatBits-wide field.
+// the row within that bank and the device column. The bank, rank and
+// channel fields are adjacent, lowest first, which is BankID.Flat's
+// layout, so the flat bank is one flatBits-wide field.
 func (m *Mapper) locate(phys uint64) (bank, row, col int) {
 	a := phys % uint64(m.capacity)
 	a >>= m.lineShift
@@ -118,18 +93,9 @@ func (m *Mapper) locate(phys uint64) (bank, row, col int) {
 		return v
 	}
 
-	switch m.scheme {
-	case RowRankBankColumn:
-		col = take(m.colBits)
-		bank = take(m.flatBits)
-		row = take(m.rowBits)
-	case RowColumnRankBank:
-		bank = take(m.flatBits)
-		col = take(m.colBits)
-		row = take(m.rowBits)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(m.scheme)))
-	}
+	col = take(m.colBits)
+	bank = take(m.flatBits)
+	row = take(m.rowBits)
 	return bank, row, col * m.geom.BurstLength
 }
 
@@ -142,22 +108,10 @@ func (m *Mapper) Unmap(addr dram.Address) uint64 {
 	ch := uint64(addr.Channel)
 	row := uint64(addr.Row)
 
-	var a uint64
-	switch m.scheme {
-	case RowRankBankColumn:
-		a = col
-		a |= bank << m.colBits
-		a |= rank << (m.colBits + m.bankBits)
-		a |= ch << (m.colBits + m.bankBits + m.rankBits)
-		a |= row << (m.colBits + m.bankBits + m.rankBits + m.chanBits)
-	case RowColumnRankBank:
-		a = bank
-		a |= rank << m.bankBits
-		a |= ch << (m.bankBits + m.rankBits)
-		a |= col << (m.bankBits + m.rankBits + m.chanBits)
-		a |= row << (m.bankBits + m.rankBits + m.chanBits + m.colBits)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(m.scheme)))
-	}
+	a := col
+	a |= bank << m.colBits
+	a |= rank << (m.colBits + m.bankBits)
+	a |= ch << (m.colBits + m.bankBits + m.rankBits)
+	a |= row << (m.colBits + m.bankBits + m.rankBits + m.chanBits)
 	return a << m.lineShift
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMapperCapacity(t *testing.T) {
-	m := NewMapper(config.Table1_2GB().Geometry, RowRankBankColumn)
+	m := NewMapper(config.Table1_2GB().Geometry)
 	if m.Capacity() != 2<<30 {
 		t.Fatalf("capacity = %d", m.Capacity())
 	}
@@ -19,24 +19,22 @@ func TestMapperCapacity(t *testing.T) {
 }
 
 func TestMapperValidCoordinates(t *testing.T) {
-	for _, scheme := range []Interleave{RowRankBankColumn, RowColumnRankBank} {
-		g := config.Table1_2GB().Geometry
-		m := NewMapper(g, scheme)
-		for _, phys := range []uint64{0, 31, 32, 4095, 1 << 20, 1<<31 - 1, 1 << 31, 1<<40 + 12345} {
-			a := m.Map(phys)
-			if !a.Valid(&g) {
-				t.Errorf("%v: Map(%d) = %+v invalid", scheme, phys, a)
-			}
-			if a.Column%g.BurstLength != 0 {
-				t.Errorf("%v: column %d not burst aligned", scheme, a.Column)
-			}
+	g := config.Table1_2GB().Geometry
+	m := NewMapper(g)
+	for _, phys := range []uint64{0, 31, 32, 4095, 1 << 20, 1<<31 - 1, 1 << 31, 1<<40 + 12345} {
+		a := m.Map(phys)
+		if !a.Valid(&g) {
+			t.Errorf("Map(%d) = %+v invalid", phys, a)
+		}
+		if a.Column%g.BurstLength != 0 {
+			t.Errorf("column %d not burst aligned", a.Column)
 		}
 	}
 }
 
 func TestMapperOpenPageLocality(t *testing.T) {
 	g := config.Table1_2GB().Geometry
-	m := NewMapper(g, RowRankBankColumn)
+	m := NewMapper(g)
 	// Consecutive lines within a 16 KB row-spread must land in the same
 	// row with the open-page mapping.
 	base := uint64(1 << 20)
@@ -55,19 +53,9 @@ func TestMapperOpenPageLocality(t *testing.T) {
 	}
 }
 
-func TestMapperBankInterleaveScheme(t *testing.T) {
-	g := config.Table1_2GB().Geometry
-	m := NewMapper(g, RowColumnRankBank)
-	a0 := m.Map(0)
-	a1 := m.Map(uint64(m.BurstBytes()))
-	if a0.Bank == a1.Bank {
-		t.Error("line-interleaved scheme did not change bank on next line")
-	}
-}
-
 func TestMapperWrapsModuloCapacity(t *testing.T) {
 	g := config.Table1_2GB().Geometry
-	m := NewMapper(g, RowRankBankColumn)
+	m := NewMapper(g)
 	if m.Map(123456) != m.Map(123456+uint64(m.Capacity())) {
 		t.Error("addresses do not wrap modulo capacity")
 	}
@@ -76,20 +64,18 @@ func TestMapperWrapsModuloCapacity(t *testing.T) {
 // Property: Map is a bijection between burst-aligned addresses and
 // coordinates; Unmap inverts it.
 func TestMapperRoundTripProperty(t *testing.T) {
-	for _, scheme := range []Interleave{RowRankBankColumn, RowColumnRankBank} {
-		g := dram.Geometry{
-			Channels: 2, Ranks: 2, Banks: 4, Rows: 64, Columns: 64,
-			DataWidthBits: 72, BurstLength: 4, DevicesPerRank: 2,
-		}
-		m := NewMapper(g, scheme)
-		f := func(raw uint64) bool {
-			phys := (raw % uint64(m.Capacity())) &^ uint64(m.BurstBytes()-1)
-			a := m.Map(phys)
-			return m.Unmap(a) == phys
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%v: %v", scheme, err)
-		}
+	g := dram.Geometry{
+		Channels: 2, Ranks: 2, Banks: 4, Rows: 64, Columns: 64,
+		DataWidthBits: 72, BurstLength: 4, DevicesPerRank: 2,
+	}
+	m := NewMapper(g)
+	f := func(raw uint64) bool {
+		phys := (raw % uint64(m.Capacity())) &^ uint64(m.BurstBytes()-1)
+		a := m.Map(phys)
+		return m.Unmap(a) == phys
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -100,7 +86,7 @@ func TestMapperInjective(t *testing.T) {
 		Channels: 1, Ranks: 2, Banks: 2, Rows: 16, Columns: 32,
 		DataWidthBits: 72, BurstLength: 4, DevicesPerRank: 2,
 	}
-	m := NewMapper(g, RowRankBankColumn)
+	m := NewMapper(g)
 	seen := map[dram.Address]uint64{}
 	for phys := uint64(0); phys < uint64(m.Capacity()); phys += uint64(m.BurstBytes()) {
 		a := m.Map(phys)
@@ -108,17 +94,5 @@ func TestMapperInjective(t *testing.T) {
 			t.Fatalf("addresses %d and %d both map to %+v", prev, phys, a)
 		}
 		seen[a] = phys
-	}
-}
-
-func TestInterleaveString(t *testing.T) {
-	if RowRankBankColumn.String() != "row:rank:bank:column" {
-		t.Error("scheme 0 name")
-	}
-	if RowColumnRankBank.String() != "row:column:rank:bank" {
-		t.Error("scheme 1 name")
-	}
-	if Interleave(9).String() == "" {
-		t.Error("unknown scheme should render")
 	}
 }

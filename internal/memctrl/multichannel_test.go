@@ -33,7 +33,7 @@ func TestDualChannelConfigValid(t *testing.T) {
 
 func TestDualChannelMapperCoversBothChannels(t *testing.T) {
 	c := dualChannelConfig()
-	m := NewMapper(c.Geometry, RowRankBankColumn)
+	m := NewMapper(c.Geometry)
 	seen := map[int]bool{}
 	for phys := uint64(0); phys < uint64(m.Capacity()); phys += uint64(m.BurstBytes()) {
 		seen[m.Map(phys).Channel] = true
@@ -94,39 +94,5 @@ func TestDualChannelRefreshCoversAllRows(t *testing.T) {
 	// Steady state: every row of both channels refreshed per interval.
 	if res.RefreshOps < uint64(c.Geometry.TotalRows()) {
 		t.Errorf("refresh ops = %d, want >= %d", res.RefreshOps, c.Geometry.TotalRows())
-	}
-}
-
-// TestInterleaveAblation: on spatially bursty traffic (a few adjacent
-// lines per region, regions scattered) the open-page mapping
-// (row:rank:bank:column) keeps each burst inside one row and converts it
-// to row hits, while line-interleaved mapping scatters the burst across
-// banks — the reason Table 1's open-page policy pairs with the former.
-func TestInterleaveAblation(t *testing.T) {
-	run := func(scheme Interleave) float64 {
-		c := tinyConfig(64 * sim.Millisecond)
-		ctl := MustNew(c, core.NewCBR(c.Geometry, c.RefreshInterval()), Options{Interleave: scheme})
-		rng := sim.NewRNG(17)
-		var now sim.Time
-		rowBytes := uint64(c.Geometry.DataRowBytes())
-		for b := 0; b < 2000; b++ {
-			region := (rng.Uint64() % uint64(ctl.Mapper().Capacity())) &^ (rowBytes - 1)
-			for l := uint64(0); l < 4; l++ { // 4-line burst within 256 B
-				ctl.Submit(Request{Time: now, Addr: region + l*64})
-				now += 50 * sim.Nanosecond
-			}
-		}
-		res := ctl.Results(now)
-		return float64(res.RowHits) / float64(res.Requests)
-	}
-	openPage := run(RowRankBankColumn)
-	lineInterleave := run(RowColumnRankBank)
-	if openPage <= lineInterleave {
-		t.Errorf("open-page mapping hit rate %.3f <= line-interleaved %.3f",
-			openPage, lineInterleave)
-	}
-	// Three of every four burst accesses hit the open row.
-	if openPage < 0.7 {
-		t.Errorf("bursty stream hit rate %.3f unexpectedly low", openPage)
 	}
 }

@@ -80,22 +80,17 @@ func (c PowerStateConfig) Enabled() bool {
 
 // validate checks the ladder's ordering constraints against the
 // page-close timeout and self-refresh threshold it interleaves with.
-func (c PowerStateConfig) validate(idleClose, srAfter sim.Duration) error {
+func (c PowerStateConfig) validate(srAfter sim.Duration) error {
 	if c.ActPdnAfter < 0 || c.PrePdnFastAfter < 0 || c.PrePdnSlowAfter < 0 || c.SRSlowAfter < 0 {
 		return fmt.Errorf("memctrl: negative power-state threshold %+v", c)
 	}
-	if c.ActPdnAfter > 0 && idleClose >= 0 && c.ActPdnAfter >= idleClose {
+	if c.ActPdnAfter > 0 && c.ActPdnAfter >= DefaultIdleClose {
 		return fmt.Errorf("memctrl: ActPdnAfter %v must undercut the page-close timeout %v",
-			c.ActPdnAfter, idleClose)
+			c.ActPdnAfter, DefaultIdleClose)
 	}
-	if c.PrePdnFastAfter > 0 {
-		if idleClose < 0 {
-			return fmt.Errorf("memctrl: PrePdnFastAfter %v requires idle page-closing", c.PrePdnFastAfter)
-		}
-		if c.PrePdnFastAfter <= idleClose {
-			return fmt.Errorf("memctrl: PrePdnFastAfter %v must exceed the page-close timeout %v",
-				c.PrePdnFastAfter, idleClose)
-		}
+	if c.PrePdnFastAfter > 0 && c.PrePdnFastAfter <= DefaultIdleClose {
+		return fmt.Errorf("memctrl: PrePdnFastAfter %v must exceed the page-close timeout %v",
+			c.PrePdnFastAfter, DefaultIdleClose)
 	}
 	if c.PrePdnSlowAfter > 0 {
 		if c.PrePdnFastAfter <= 0 {
@@ -106,15 +101,11 @@ func (c PowerStateConfig) validate(idleClose, srAfter sim.Duration) error {
 				c.PrePdnSlowAfter, c.PrePdnFastAfter)
 		}
 	}
-	if srAfter > 0 {
-		deepest := c.PrePdnSlowAfter
-		if deepest == 0 {
-			deepest = c.PrePdnFastAfter
-		}
-		if deepest > 0 && srAfter <= deepest {
-			return fmt.Errorf("memctrl: SelfRefreshAfter %v must exceed the deepest PRE-PDN threshold %v",
-				srAfter, deepest)
-		}
+	// Self-refresh is the deepest rung: it must come after the page
+	// close and after every armed PRE-PDN rung.
+	if deepest := max(DefaultIdleClose, c.PrePdnFastAfter, c.PrePdnSlowAfter); srAfter > 0 && srAfter <= deepest {
+		return fmt.Errorf("memctrl: SelfRefreshAfter %v must exceed the page-close timeout and every PRE-PDN threshold (%v)",
+			srAfter, deepest)
 	}
 	if c.SRSlowAfter > 0 && srAfter <= 0 {
 		return fmt.Errorf("memctrl: SRSlowAfter %v requires SelfRefreshAfter", c.SRSlowAfter)

@@ -107,8 +107,6 @@ func TestPowerStateConfigValidation(t *testing.T) {
 			PowerStates: PowerStateConfig{ActPdnAfter: 2 * us}}},
 		{"pre-pdn-fast below page-close timeout", Options{
 			PowerStates: PowerStateConfig{PrePdnFastAfter: 1 * us}}},
-		{"pre-pdn-fast with idle-close disabled", Options{
-			IdleClose: -1, PowerStates: PowerStateConfig{PrePdnFastAfter: 5 * us}}},
 		{"pre-pdn-slow without fast", Options{
 			PowerStates: PowerStateConfig{PrePdnSlowAfter: 50 * us}}},
 		{"pre-pdn-slow at fast threshold", Options{

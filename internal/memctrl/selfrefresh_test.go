@@ -124,25 +124,10 @@ func TestSelfRefreshWithSmartPolicy(t *testing.T) {
 func TestSelfRefreshValidation(t *testing.T) {
 	cfg := tinyConfig(64 * sim.Millisecond)
 	_, err := New(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{
-		IdleClose:        10 * sim.Microsecond,
-		SelfRefreshAfter: 5 * sim.Microsecond,
+		SelfRefreshAfter: DefaultIdleClose,
 	})
 	if err == nil {
 		t.Error("SelfRefreshAfter below page-close timeout accepted")
-	}
-}
-
-func TestSelfRefreshRejectsDisabledIdleClose(t *testing.T) {
-	// Regression: with idle page-closing disabled (IdleClose < 0) a rank
-	// with an open page re-arms its self-refresh deadline forever and
-	// never sleeps; the combination must be rejected up front.
-	cfg := tinyConfig(64 * sim.Millisecond)
-	_, err := New(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{
-		IdleClose:        -1,
-		SelfRefreshAfter: 500 * sim.Microsecond,
-	})
-	if err == nil {
-		t.Fatal("SelfRefreshAfter with IdleClose < 0 accepted")
 	}
 }
 

@@ -33,11 +33,7 @@ func (e Energy) PowerOver(d sim.Duration) float64 {
 }
 
 // DDR2Currents is the per-device IDD current set from the vendor
-// datasheet, in milliamps, plus the supply voltage. The power-down
-// entries (IDD3P, IDD2P0, IDD6L) are optional: zero means the state has
-// no distinct datasheet current and the model falls back to the nearest
-// shallower state (IDD3N, IDD2P, IDD6 respectively), so legacy current
-// tables keep evaluating unchanged.
+// datasheet, in milliamps, plus the supply voltage.
 type DDR2Currents struct {
 	VDD   float64 // supply voltage, volts
 	IDD0  float64 // one-bank activate-precharge current
@@ -50,14 +46,13 @@ type DDR2Currents struct {
 	IDD6  float64 // self-refresh current
 
 	// IDD3P is the active power-down current (ACT-PDN: clock enable low
-	// with pages open). Optional; zero falls back to IDD3N (no saving).
+	// with pages open).
 	IDD3P float64
 	// IDD2P0 is the slow-exit precharge power-down current (PRE-PDN with
-	// the DLL frozen, woken over tXPDLL). Optional; zero falls back to
-	// IDD2P.
+	// the DLL frozen, woken over tXPDLL).
 	IDD2P0 float64
 	// IDD6L is the low-power self-refresh current of the slow-wake mode
-	// (DLL off, exit pays a relock). Optional; zero falls back to IDD6.
+	// (DLL off, exit pays a relock).
 	IDD6L float64
 }
 
@@ -76,45 +71,18 @@ func (c DDR2Currents) Validate() error {
 	if c.IDD6 <= 0 || c.IDD6 > c.IDD2P {
 		return fmt.Errorf("power: IDD6 (%v) must be positive and at most IDD2P (%v)", c.IDD6, c.IDD2P)
 	}
-	// The optional power-down currents, when set, must slot into the
-	// same monotone ladder: deeper states draw less.
-	if c.IDD3P != 0 && (c.IDD3P < c.IDD2P || c.IDD3P > c.IDD3N) {
+	// The power-down currents slot into the same monotone ladder:
+	// deeper states draw less.
+	if c.IDD3P < c.IDD2P || c.IDD3P > c.IDD3N {
 		return fmt.Errorf("power: IDD3P (%v) must lie in [IDD2P, IDD3N] = [%v, %v]", c.IDD3P, c.IDD2P, c.IDD3N)
 	}
-	if c.IDD2P0 != 0 && (c.IDD2P0 < c.IDD6 || c.IDD2P0 > c.IDD2P) {
+	if c.IDD2P0 < c.IDD6 || c.IDD2P0 > c.IDD2P {
 		return fmt.Errorf("power: IDD2P0 (%v) must lie in [IDD6, IDD2P] = [%v, %v]", c.IDD2P0, c.IDD6, c.IDD2P)
 	}
-	if c.IDD6L != 0 && (c.IDD6L < 0 || c.IDD6L > c.IDD6) {
+	if c.IDD6L <= 0 || c.IDD6L > c.IDD6 {
 		return fmt.Errorf("power: IDD6L (%v) must be positive and at most IDD6 (%v)", c.IDD6L, c.IDD6)
 	}
 	return nil
-}
-
-// ActivePowerDown returns the ACT-PDN current: IDD3P when the table has
-// one, else IDD3N (the state then saves nothing).
-func (c DDR2Currents) ActivePowerDown() float64 {
-	if c.IDD3P > 0 {
-		return c.IDD3P
-	}
-	return c.IDD3N
-}
-
-// PrechargePowerDownSlow returns the slow-exit PRE-PDN current: IDD2P0
-// when the table has one, else the fast-exit IDD2P.
-func (c DDR2Currents) PrechargePowerDownSlow() float64 {
-	if c.IDD2P0 > 0 {
-		return c.IDD2P0
-	}
-	return c.IDD2P
-}
-
-// SelfRefreshSlow returns the slow-wake self-refresh current: IDD6L when
-// the table has one, else IDD6.
-func (c DDR2Currents) SelfRefreshSlow() float64 {
-	if c.IDD6L > 0 {
-		return c.IDD6L
-	}
-	return c.IDD6
 }
 
 // MicronDDR2_667 returns the datasheet current set for the Micron DDR2-667
@@ -214,11 +182,6 @@ type Model struct {
 	// for idle ranks; 0 disables power-down.
 	PowerDownFraction float64
 
-	// RowAddressBits is the width of the address transfer charged to each
-	// RAS-only refresh. Zero means derive from the geometry (row bits +
-	// bank bits).
-	RowAddressBits int
-
 	// BackgroundScale scales background (standby) energy; 1 is the plain
 	// datasheet model. The 3D die-stacked preset uses a reduced value:
 	// the stacked device has no DIMM interface circuitry, which is where
@@ -246,11 +209,9 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// rowAddressBits resolves the configured or derived address width.
+// rowAddressBits is the width of the address transfer charged to each
+// RAS-only refresh: the geometry's row bits plus bank bits.
 func (m Model) rowAddressBits() int {
-	if m.RowAddressBits > 0 {
-		return m.RowAddressBits
-	}
 	bits := 0
 	for v := m.Geometry.Rows; v > 1; v >>= 1 {
 		bits++
@@ -312,24 +273,6 @@ func (m Model) RefreshConflictExtraEnergy() Energy {
 // the module).
 func (m Model) RASOnlyBusEnergy() Energy {
 	return m.Bus.EnergyPerAccess(m.rowAddressBits())
-}
-
-// BackgroundPower returns the standby power in milliwatts for the whole
-// module in the given state.
-func (m Model) backgroundPowerMW(active bool) float64 {
-	c := m.Currents
-	devices := float64(m.Geometry.DevicesPerRank)
-	scale := m.BackgroundScale
-	if scale == 0 {
-		scale = 1
-	}
-	var i float64
-	if active {
-		i = c.IDD3N
-	} else {
-		i = m.PowerDownFraction*c.IDD2P + (1-m.PowerDownFraction)*c.IDD2N
-	}
-	return i * c.VDD * devices * scale
 }
 
 // Breakdown is the per-component energy attribution for one simulation.
@@ -411,15 +354,17 @@ func (m Model) Evaluate(ms dram.ModuleStats, ps core.PolicyStats) Breakdown {
 			srFastMS = 0
 		}
 		bg = m.standbyPowerMW(cur.IDD3N)*awakeActiveMS +
-			m.standbyPowerMW(cur.ActivePowerDown())*actPdnMS +
+			m.standbyPowerMW(cur.IDD3P)*actPdnMS +
 			m.standbyPowerMW(cur.IDD2N)*awakeIdleMS +
 			m.standbyPowerMW(cur.IDD2P)*fastMS +
-			m.standbyPowerMW(cur.PrechargePowerDownSlow())*slowMS +
+			m.standbyPowerMW(cur.IDD2P0)*slowMS +
 			m.standbyPowerMW(cur.IDD6)*srFastMS +
-			m.standbyPowerMW(cur.SelfRefreshSlow())*srSlowMS
+			m.standbyPowerMW(cur.IDD6L)*srSlowMS
 	} else {
-		bg = m.backgroundPowerMW(true)*activeMS + m.standbyPowerMW(m.Currents.IDD6)*srMS
-		bg += m.backgroundPowerMW(false) * idleMS
+		cur := m.Currents
+		idleMA := m.PowerDownFraction*cur.IDD2P + (1-m.PowerDownFraction)*cur.IDD2N
+		bg = m.standbyPowerMW(cur.IDD3N)*activeMS + m.standbyPowerMW(cur.IDD6)*srMS
+		bg += m.standbyPowerMW(idleMA) * idleMS
 	}
 	b.Background = Energy(bg * 1e6)
 	return b

@@ -47,6 +47,24 @@ func TestCurrentsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero VDD accepted")
 	}
+	// The power-down currents are required and must fit the ladder.
+	for _, tc := range []struct {
+		name string
+		set  func(*DDR2Currents)
+	}{
+		{"zero IDD3P", func(c *DDR2Currents) { c.IDD3P = 0 }},
+		{"IDD3P above IDD3N", func(c *DDR2Currents) { c.IDD3P = c.IDD3N + 1 }},
+		{"zero IDD2P0", func(c *DDR2Currents) { c.IDD2P0 = 0 }},
+		{"IDD2P0 above IDD2P", func(c *DDR2Currents) { c.IDD2P0 = c.IDD2P + 1 }},
+		{"zero IDD6L", func(c *DDR2Currents) { c.IDD6L = 0 }},
+		{"IDD6L above IDD6", func(c *DDR2Currents) { c.IDD6L = c.IDD6 + 1 }},
+	} {
+		bad = MicronDDR2_667()
+		tc.set(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
 }
 
 func TestTable3LoadCapacitance(t *testing.T) {
@@ -116,34 +134,40 @@ func TestRowAddressBitsDerived(t *testing.T) {
 	if got := m.rowAddressBits(); got != 16 {
 		t.Errorf("derived address bits = %d, want 16", got)
 	}
-	m.RowAddressBits = 14
-	if got := m.rowAddressBits(); got != 14 {
-		t.Errorf("override ignored: %d", got)
+}
+
+// standbyMW reads the module's standby power back from Evaluate: one
+// millisecond in one state costs its power in mW times 1e6 pJ.
+func standbyMW(m Model, active bool) float64 {
+	ms := dram.ModuleStats{IdleTime: sim.Millisecond}
+	if active {
+		ms = dram.ModuleStats{ActiveTime: sim.Millisecond}
 	}
+	return float64(m.Evaluate(ms, core.PolicyStats{}).Background) / 1e6
 }
 
 func TestBackgroundPower(t *testing.T) {
 	m := paperModel()
 	// Active: 45 mA * 1.8 V * 18 devices = 1458 mW per rank.
-	if got := m.backgroundPowerMW(true); math.Abs(got-1458) > 1e-9 {
+	if got := standbyMW(m, true); math.Abs(got-1458) > 1e-6 {
 		t.Errorf("active standby = %v mW, want 1458", got)
 	}
 	// Idle at 30% power-down: (0.3*7 + 0.7*35) * 1.8 * 18 = 861.84 mW.
-	if got := m.backgroundPowerMW(false); math.Abs(got-861.84) > 1e-9 {
+	if got := standbyMW(m, false); math.Abs(got-861.84) > 1e-6 {
 		t.Errorf("idle standby = %v mW, want 861.84", got)
 	}
 	// Full power-down floor.
 	m.PowerDownFraction = 1
-	if got := m.backgroundPowerMW(false); math.Abs(got-7*1.8*18) > 1e-9 {
+	if got := standbyMW(m, false); math.Abs(got-7*1.8*18) > 1e-6 {
 		t.Errorf("full powerdown = %v mW", got)
 	}
 }
 
 func TestBackgroundScale(t *testing.T) {
 	m := paperModel()
-	base := m.backgroundPowerMW(false)
+	base := standbyMW(m, false)
 	m.BackgroundScale = 0.5
-	if got := m.backgroundPowerMW(false); math.Abs(got-base/2) > 1e-9 {
+	if got := standbyMW(m, false); math.Abs(got-base/2) > 1e-6 {
 		t.Errorf("scaled background = %v, want %v", got, base/2)
 	}
 }
@@ -178,7 +202,7 @@ func TestEvaluateBreakdown(t *testing.T) {
 	if math.Abs(float64(b.RefreshCounter)-wantCtr) > 1e-6 {
 		t.Error("RefreshCounter wrong")
 	}
-	wantBG := (m.backgroundPowerMW(true)*10 + m.backgroundPowerMW(false)*90) * 1e6
+	wantBG := (standbyMW(m, true)*10 + standbyMW(m, false)*90) * 1e6
 	if math.Abs(float64(b.Background)-wantBG) > 1 {
 		t.Errorf("Background = %v, want %v", float64(b.Background), wantBG)
 	}
