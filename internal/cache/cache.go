@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"smartrefresh/internal/config"
 )
@@ -78,7 +77,10 @@ type Cache struct {
 	// lines are a prefix of that region, ordered most- to least-recently
 	// used, and the rest are zero. A nil chunk is all-zero sets that have
 	// never held a line.
-	chunks     [][]uint32
+	chunks [][]uint32
+	// spare holds the chunks Reset took out of the tag store, for
+	// allocChunk to clear and reinstall before it allocates.
+	spare      [][]uint32
 	chunkWords int
 	ways       int // cfg.Ways; one load, not two, keeps lookup inlinable
 	setMask    uint64
@@ -161,19 +163,14 @@ func (c *Cache) setIn(chunk []uint32, setIdx int) []uint32 {
 	return chunk[base : base+ways : base+ways]
 }
 
-// chunkPool holds chunks (as *[]uint32) that Release gave back, for the
-// next cache's allocChunk on any goroutine. The pool may drop them at a
-// GC; the next install then allocates a fresh chunk, so no result
-// depends on it.
-var chunkPool sync.Pool
-
-// allocChunk installs an all-zero chunk holding setIdx, a released one
-// cleared when the pool has one of this cache's length, and returns
-// setIdx's region of it.
+// allocChunk installs an all-zero chunk holding setIdx, a spare one
+// cleared when there is one, and returns setIdx's region of it.
 func (c *Cache) allocChunk(setIdx int) []uint32 {
 	var chunk []uint32
-	if p, _ := chunkPool.Get().(*[]uint32); p != nil && len(*p) == c.chunkWords {
-		chunk = *p
+	if n := len(c.spare); n > 0 {
+		chunk = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
 		clear(chunk)
 	} else {
 		chunk = make([]uint32, c.chunkWords)
@@ -182,17 +179,18 @@ func (c *Cache) allocChunk(setIdx int) []uint32 {
 	return c.setIn(chunk, setIdx)
 }
 
-// Release gives every allocated chunk back for reuse by later caches and
-// leaves this one empty; the statistics are kept. A cache used after
-// Release allocates its chunks afresh.
-func (c *Cache) Release() {
+// Reset empties the cache and zeroes its statistics: the cache New
+// returns. The allocated chunks stay with it as spares, so a run after
+// Reset installs lines without allocating until it needs more chunks
+// than the runs before it did.
+func (c *Cache) Reset() {
 	for i, chunk := range c.chunks {
 		if chunk != nil {
-			released := chunk // the pool's 24-byte slice header
-			chunkPool.Put(&released)
+			c.spare = append(c.spare, chunk)
 			c.chunks[i] = nil
 		}
 	}
+	c.stats = Stats{}
 }
 
 // Access performs a read or write with write-allocate. On a miss the line

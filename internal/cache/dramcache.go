@@ -49,6 +49,14 @@ func NewDRAMCache(cfg config.CacheConfig) *DRAMCache {
 	return &DRAMCache{tags: tags, sizeMask: uint64(cfg.SizeBytes) - 1}
 }
 
+// Reset empties the cache and zeroes its statistics, keeping the tag
+// store's chunks and the result buffers: the cache NewDRAMCache returns.
+func (d *DRAMCache) Reset() {
+	d.tags.Reset()
+	d.dataRes = d.dataRes[:0]
+	d.memRes = d.memRes[:0]
+}
+
 // Tags exposes the SRAM tag array.
 func (d *DRAMCache) Tags() *Cache { return d.tags }
 

@@ -1,8 +1,8 @@
 package cache
 
 // Flush evicts every line, returning the addresses of dirty lines in
-// deterministic order (by set, most recently used first), and releases
-// every chunk.
+// deterministic order (by set, most recently used first); the
+// statistics are kept.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
 	for ci, chunk := range c.chunks {
@@ -12,7 +12,9 @@ func (c *Cache) Flush() []uint64 {
 			}
 		}
 	}
-	c.Release()
+	st := c.stats
+	c.Reset()
+	c.stats = st
 	return dirty
 }
 
@@ -25,11 +27,4 @@ func (c *Cache) residentChunks() int {
 		}
 	}
 	return n
-}
-
-// drainChunkPool empties the chunk pool, so that the next install
-// allocates a fresh chunk.
-func drainChunkPool() {
-	for chunkPool.Get() != nil {
-	}
 }

@@ -281,7 +281,9 @@ func (o *Oracle) Name() string { return "oracle" }
 // (the same burst hazard Smart Refresh's stagger avoids, figure 2).
 func (o *Oracle) Reset(start sim.Time) {
 	total := o.geom.TotalRows()
-	o.lastRestore = make([]sim.Time, total)
+	if o.lastRestore == nil {
+		o.lastRestore = make([]sim.Time, total)
+	}
 	o.h = o.h[:0]
 	o.stats = PolicyStats{}
 	// Row i is first due at slot i+1 of a TotalRows-slot clock over the

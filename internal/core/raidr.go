@@ -323,6 +323,7 @@ func (r *RAIDR) Name() string { return "raidr" }
 // are profile state, not run state.
 func (r *RAIDR) Reset(start sim.Time) {
 	r.clock.reset(start)
+	r.dueBins = 0
 	r.stats = PolicyStats{}
 }
 

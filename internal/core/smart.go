@@ -184,6 +184,7 @@ func (s *Smart) Reset(start sim.Time) {
 	s.clock.reset(start)
 	s.pending = s.pending[:0]
 	s.disabled = false
+	s.disabledSince = 0
 	s.windowStart = start
 	s.windowAccesses = 0
 	s.stats = PolicyStats{}

@@ -335,19 +335,29 @@ func NewModule(g Geometry, t Timing) *Module {
 		bankShift:   uint(bits.TrailingZeros(uint(g.Banks))),
 		rankShift:   uint(bits.TrailingZeros(uint(g.Ranks))),
 	}
+	m.Reset()
+	return m
+}
+
+// Reset returns the module to power-up, keeping its tables: every bank
+// precharged, every rank awake with no activate history, the internal
+// refresh counters at row zero, the statistics zero and tracing off —
+// the module NewModule returns.
+func (m *Module) Reset() {
 	for i := range m.banks {
-		m.banks[i].openRow = -1
+		m.banks[i] = bankState{openRow: -1}
 	}
 	// Seed the activate-rate trackers far in the past so the first
 	// activates are not rate-limited by the zero value.
 	const farPast = sim.Time(-1) << 40
 	for i := range m.ranks {
-		m.ranks[i].lastActivate = farPast
-		for j := range m.ranks[i].actWindow {
-			m.ranks[i].actWindow[j] = farPast
-		}
+		m.ranks[i] = rankState{lastActivate: farPast, actWindow: [4]sim.Time{farPast, farPast, farPast, farPast}}
 	}
-	return m
+	clear(m.channels)
+	clear(m.cbrCounters)
+	m.stats = ModuleStats{}
+	m.now = 0
+	m.trace = nil
 }
 
 // SetTraceScope attaches a command tracer to the module and labels one

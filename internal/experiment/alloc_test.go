@@ -1,0 +1,137 @@
+package experiment
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"smartrefresh/internal/sim"
+	"smartrefresh/internal/workload"
+)
+
+// ladderJobs is the benchmark's hmc-ladder job set at short windows:
+// the 8-vault stack on the full power-state ladder, two shards, gcc and
+// the idle OS profile under CBR and Smart Refresh.
+func ladderJobs(t *testing.T) []Job {
+	ladder := PowerStatePolicies()
+	full := ladder[len(ladder)-1]
+	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond,
+		SelfRefreshAfter: full.SelfRefreshAfter, PowerStates: full.Cfg, Shards: 2}
+	var jobs []Job
+	for _, prof := range []workload.Profile{mustProfile(t, "gcc"), workload.Idle()} {
+		for _, kind := range []PolicyKind{PolicyCBR, PolicySmart} {
+			jobs = append(jobs, Job{Cfg: HMC8V.DRAM(), Prof: prof, Policy: kind, Opts: opts})
+		}
+	}
+	return jobs
+}
+
+// totalAlloc returns the bytes f allocates, read from
+// runtime.MemStats.TotalAlloc around it.
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocatedIn returns, per function name, the bytes allocated so far
+// with that function on the allocating stack, from the heap profile
+// (complete only while runtime.MemProfileRate is 1).
+func allocatedIn(fns ...string) map[string]int64 {
+	// The profile is published at the end of a collection cycle: two
+	// make it current.
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	out := map[string]int64{}
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		seen := map[string]bool{}
+		for {
+			fr, more := frames.Next()
+			for _, fn := range fns {
+				if !seen[fn] && strings.HasSuffix(fr.Function, fn) {
+					seen[fn] = true
+					out[fn] += r.AllocBytes
+				}
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// A fresh Engine that runs jobs an earlier Engine ran takes its
+// machines from the idle store: the hmc-ladder job set's second run
+// allocates only its sources, results and closures, not its controllers,
+// histograms, policies or vault queues (about 25 KB). The bound counts
+// bytes, not time, so it does not depend on the host; rebuilding the
+// machines per job, as the engine once did, allocates about 1 MB here.
+func TestWarmEngineAllocationFence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	jobs := ladderJobs(t)
+	run := func() {
+		for i, res := range NewEngine(1).RunJobs(jobs) {
+			if res.Err != nil {
+				t.Fatalf("job %d: %v", i, res.Err)
+			}
+		}
+	}
+	run()
+	const bound = 128 << 10
+	if got := totalAlloc(run); got > bound {
+		t.Errorf("second run of the hmc-ladder jobs allocates %d bytes, want at most %d", got, bound)
+	}
+}
+
+// A job on a warm machine grows none of its buffers: a stacked job
+// installs its 3D-cache lines in the chunks the previous job used, and
+// a vaulted job enqueues into the queues the previous job grew. Each
+// job set runs alone, since at GOMAXPROCS 1 the store keeps one idle
+// machine.
+func TestWarmJobGrowsNoBuffers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	machines.empty()
+	stacked := Job{Cfg: Stacked3D32.DRAM(), Prof: mustProfile(t, "gcc"), Policy: PolicySmart,
+		Opts: RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond, Stacked: true}}
+	for _, tc := range []struct {
+		fn   string
+		jobs []Job
+	}{
+		{"cache.(*Cache).allocChunk", []Job{stacked}},
+		{"memctrl.(*VaultArray).Enqueue", ladderJobs(t)[:2]},
+	} {
+		run := func() {
+			for i, res := range NewEngine(1).RunJobs(tc.jobs) {
+				if res.Err != nil {
+					t.Fatalf("job %d: %v", i, res.Err)
+				}
+			}
+		}
+		runtime.MemProfileRate = 1
+		before := allocatedIn(tc.fn)
+		run()
+		cold := allocatedIn(tc.fn)[tc.fn] - before[tc.fn]
+		if cold == 0 {
+			t.Fatalf("the cold run allocates nothing in %s: nothing to reuse", tc.fn)
+		}
+		run()
+		if warm := allocatedIn(tc.fn)[tc.fn] - before[tc.fn] - cold; warm != 0 {
+			t.Errorf("warm jobs allocate %d bytes in %s, want 0 (%d cold)", warm, tc.fn, cold)
+		}
+	}
+}

@@ -122,8 +122,9 @@ type EngineStats struct {
 // memoises RunSpec results, so sweeps that share runs (Figures 6/7/8 and
 // friends) simulate each (config, benchmark, policy) combination exactly
 // once. Results are deterministic and independent of the worker count:
-// every job builds its own controller, module, policy and generator, and
-// batch results are ordered by job index, never by completion order.
+// every job builds its own generator and runs alone on its machine (an
+// idle one reset to the state a new one has, or a new one), and batch
+// results are ordered by job index, never by completion order.
 //
 // An Engine is safe for concurrent use once running; configure Workers
 // and the hooks before submitting the first job.

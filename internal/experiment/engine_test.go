@@ -2,16 +2,19 @@ package experiment
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"smartrefresh/internal/cache"
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/telemetry"
+	"smartrefresh/internal/trace"
 	"smartrefresh/internal/workload"
 )
 
@@ -204,46 +207,131 @@ func TestEngineRunJobsOrderAndEquivalence(t *testing.T) {
 	}
 }
 
-// Stacked and vaulted jobs give their 3D-cache tag chunks and vault
-// pending queues back when they finish, for the next job on any worker.
-// Run twice over two workers, so that jobs reuse buffers released by
-// jobs of the other kind and on the other worker, every job must
-// fingerprint exactly as it does on one worker.
+// Machines outlive their Engine, so the test drives the engine the way
+// the benchmark does: two fresh Engines in sequence, one and two
+// workers, over interleaved configurations (the 2 GB module, the 32 ms
+// 3D cache, the 8-vault stack on the full power-state ladder), CBR and
+// Smart jobs, a retention-map policy and a MakePolicy job; between the
+// engines a job is cancelled mid-stream, and in the list a stacked job
+// fails on an address beyond the tag store, both leaving their machine
+// mid-run. Every job's result must equal the same job's run against an
+// emptied machine store.
 func TestEngineReusedBuffersKeepResults(t *testing.T) {
 	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond}
 	stacked := opts
 	stacked.Stacked = true
-	var jobs []Job
-	for _, name := range []string{"gcc", "radix"} {
-		prof, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
+	ladder := PowerStatePolicies()
+	full := ladder[len(ladder)-1]
+	hmc := opts
+	hmc.SelfRefreshAfter, hmc.PowerStates, hmc.Shards = full.SelfRefreshAfter, full.Cfg, 2
+	gcc, radix := mustProfile(t, "gcc"), mustProfile(t, "radix")
+	conv, s32, hmc8 := Conv2GB.DRAM(), Stacked3D32.DRAM(), HMC8V.DRAM()
+	// A stacked stream that runs into an address the tag store cannot
+	// hold once it is well under way.
+	beyond := func() trace.Source {
+		src := gcc.NewSource(true)
+		n := 0
+		return sourceFunc(func() (trace.Record, bool) {
+			rec, ok := src.Next()
+			if n++; n == 3000 {
+				rec.Addr = 1 << 60
+			}
+			return rec, ok
+		})
+	}
+	rawCBR := func() core.Policy { return core.NewCBR(conv.Geometry, conv.RefreshInterval()) }
+	jobs := []Job{
+		{Cfg: conv, Prof: gcc, Policy: PolicyCBR, Opts: opts},
+		{Cfg: s32, Prof: gcc, Policy: PolicySmart, Opts: stacked},
+		{Cfg: hmc8, Prof: gcc, Policy: PolicySmart, Opts: hmc},
+		{Cfg: conv, Prof: radix, Policy: PolicySmart, Opts: opts},
+		{Cfg: s32, Prof: radix, Policy: PolicyCBR, Opts: stacked, MakeSource: beyond},
+		{Cfg: conv, Prof: gcc, Policy: PolicySmartRetention, Opts: opts},
+		{Cfg: s32, Prof: radix, Policy: PolicySmart, Opts: stacked},
+		{Cfg: hmc8, Prof: workload.Idle(), Policy: PolicyCBR, Opts: hmc},
+		{Cfg: conv, Prof: radix, Policy: PolicySmart, Opts: opts, MakePolicy: rawCBR},
+		{Cfg: conv, Prof: gcc, Policy: PolicySmart, Opts: opts},
+		{Cfg: s32, Prof: gcc, Policy: PolicyCBR, Opts: stacked},
+		{Cfg: hmc8, Prof: gcc, Policy: PolicyCBR, Opts: hmc},
+		{Cfg: conv, Prof: radix, Policy: PolicyCBR, Opts: opts},
+	}
+	const failing = 4
+	outcome := func(res RunResult) string {
+		if res.Err != nil {
+			return "error: " + res.Err.Error()
 		}
-		for _, kind := range []PolicyKind{PolicyCBR, PolicySmart} {
-			jobs = append(jobs,
-				Job{Cfg: Stacked3D32.DRAM(), Prof: prof, Policy: kind, Opts: stacked},
-				Job{Cfg: HMC8V.DRAM(), Prof: prof, Policy: kind, Opts: opts})
-		}
+		return fingerprintResult(res)
 	}
 	want := make([]string, len(jobs))
-	for i, res := range NewEngine(1).RunJobs(jobs) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Results.Requests == 0 {
+	for i, job := range jobs {
+		machines.empty()
+		res := NewEngine(1).RunJobs([]Job{job})[0]
+		switch {
+		case i == failing && !errors.Is(res.Err, cache.ErrAddrRange):
+			t.Fatalf("job %d: error %v, want ErrAddrRange", i, res.Err)
+		case i != failing && res.Err != nil:
+			t.Fatalf("job %d: %v", i, res.Err)
+		case i != failing && res.Results.Requests == 0 && job.Prof.Name != "idle-os":
 			t.Fatalf("job %d (%s/%s) served no requests", i, res.Config, res.Benchmark)
 		}
-		want[i] = fingerprintResult(res)
+		want[i] = outcome(res)
 	}
-	for i, res := range NewEngine(2).RunJobs(append(slices.Clone(jobs), jobs...)) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if got := fingerprintResult(res); got != want[i%len(jobs)] {
-			t.Errorf("job %d (%s/%s/%s) on two workers fingerprints %s, one worker %s",
-				i, res.Config, res.Benchmark, res.Policy, got, want[i%len(jobs)])
+
+	machines.empty()
+	check := func(name string, got []RunResult) {
+		t.Helper()
+		for i, res := range got {
+			if o := outcome(res); o != want[i] {
+				t.Errorf("%s: job %d (%s/%s/%s) gives %s, on an empty store %s",
+					name, i, res.Config, res.Benchmark, res.Policy, o, want[i])
+			}
 		}
 	}
+	check("first engine, one worker", NewEngine(1).RunJobs(jobs))
+	if n := idleMachines(); n == 0 {
+		t.Fatal("the first engine left no idle machine to reuse")
+	}
+
+	// A job cancelled mid-stream on a reused machine.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := jobs[3]
+	cancelled.MakeSource = func() trace.Source {
+		src := radix.NewSource(false)
+		n := 0
+		return sourceFunc(func() (trace.Record, bool) {
+			if n++; n == 3*cancelCheckStride {
+				cancel()
+			}
+			return src.Next()
+		})
+	}
+	eng := NewEngine(1)
+	eng.Ctx = ctx
+	if res := eng.RunJobs([]Job{cancelled})[0]; !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled job: error %v, want context.Canceled", res.Err)
+	}
+
+	check("second engine, two workers", NewEngine(2).RunJobs(jobs))
+}
+
+// sourceFunc adapts a function to trace.Source.
+type sourceFunc func() (trace.Record, bool)
+
+func (f sourceFunc) Next() (trace.Record, bool) { return f() }
+
+// empty drops every idle machine.
+func (s *machineStore) empty() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idle = nil
+}
+
+// idleMachines counts the store's idle machines.
+func idleMachines() int {
+	machines.mu.Lock()
+	defer machines.mu.Unlock()
+	return len(machines.idle)
 }
 
 // A RunSpec and the Job it describes run through the same runner: the

@@ -1,0 +1,108 @@
+package experiment
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+
+	"smartrefresh/internal/cache"
+	"smartrefresh/internal/config"
+	"smartrefresh/internal/core"
+	"smartrefresh/internal/memctrl"
+)
+
+// machineKey names the machines a job can run on: its configuration and
+// whether its stream goes through the 3D-cache front end. These fix the
+// shape of every buffer a machine holds. The policy kind, the windows
+// and the per-job controller options are not part of it: Reset rebinds
+// them.
+type machineKey struct {
+	cfg     config.DRAM
+	stacked bool
+}
+
+// machine is what execute's record loop runs on: one controller for a
+// monolithic geometry or a vault array, the 3D-cache front end when the
+// job is stacked, and the policies the machine has run. A finished job
+// puts its machine in the idle store, and the next job of the same key
+// resets it instead of building one.
+type machine struct {
+	key   machineKey
+	ctl   *memctrl.Controller // monolithic; nil when vaulted
+	va    *memctrl.VaultArray // vaulted; nil when monolithic
+	front *cache.DRAMCache    // stacked; nil otherwise
+	// policies holds, per registered kind the machine has run, that
+	// kind's policy (one per vault when vaulted); the controller's Reset
+	// resets it for the next job of the kind. MakePolicy instances and
+	// retention-map policies belong to their job and are never kept.
+	policies map[PolicyKind][]core.Policy
+	// warm holds each controller's counters at the warmup boundary
+	// (one per vault when vaulted).
+	warm []memctrl.Snapshot
+}
+
+// policy returns the machine's policy of kind for vault v (0 when
+// monolithic), built by build the first time the machine runs the kind.
+func (m *machine) policy(kind PolicyKind, v int, build func() core.Policy) core.Policy {
+	set := m.policies[kind]
+	if set == nil {
+		n := 1
+		if m.key.cfg.Geometry.Vaulted() {
+			n = m.key.cfg.Geometry.VaultCount()
+		}
+		set = make([]core.Policy, n)
+		m.policies[kind] = set
+	}
+	if set[v] == nil {
+		set[v] = build()
+	}
+	return set[v]
+}
+
+// resetSnapshots returns s, or a new slice when it is shorter, as n zero
+// snapshots.
+func resetSnapshots(s []memctrl.Snapshot, n int) []memctrl.Snapshot {
+	if len(s) < n {
+		return make([]memctrl.Snapshot, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// machineStore is the process's idle machines, oldest first. It holds
+// at most GOMAXPROCS of them, which is as many jobs as can run at once
+// on a host's cores; putting one more evicts the oldest. A job takes
+// the newest idle machine of its key.
+type machineStore struct {
+	mu   sync.Mutex
+	idle []*machine
+}
+
+// machines is the one store every Engine, RunStream and Run share, so
+// that a machine outlives the Engine whose job built it.
+var machines machineStore
+
+// take removes and returns the newest idle machine of key k, nil when
+// there is none.
+func (s *machineStore) take(k machineKey) *machine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.idle) - 1; i >= 0; i-- {
+		if m := s.idle[i]; m.key == k {
+			s.idle = slices.Delete(s.idle, i, i+1)
+			return m
+		}
+	}
+	return nil
+}
+
+// put makes m idle, evicting the oldest idle machines beyond the bound.
+func (s *machineStore) put(m *machine) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if over := len(s.idle) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+		s.idle = slices.Delete(s.idle, 0, min(over, len(s.idle)))
+	}
+	s.idle = append(s.idle, m)
+}

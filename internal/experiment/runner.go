@@ -196,9 +196,11 @@ func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts Run
 		seed: prof.Seed(), opts: opts, source: source}
 }
 
-// execute drives one job's stream through a fresh target — a controller,
-// or a vault array flushed at epoch barriers. It is the one record loop
-// every run goes through, in one of three window shapes:
+// execute drives one job's stream through its machine — a controller,
+// or a vault array flushed at epoch barriers — taken from the idle store
+// and reset, or built when the store has none of the job's key. It is
+// the one record loop every run goes through, in one of three window
+// shapes:
 //
 //   - warmup then measure (every benchmark run): the warmup snapshot is
 //     taken exactly once, at the first measured record or at the warmup
@@ -218,6 +220,11 @@ func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts Run
 // idle streams where the final Finish drains a whole measurement window
 // of refresh ticks. A non-nil error means the partial result was
 // discarded; the returned RunResult is then zero.
+//
+// The machine goes back to the idle store when the job ends, with a
+// result or with an error of its input, but not when the job was
+// cancelled or panicked, nor when it registered metrics: the registry
+// keeps reading the machine's counters.
 func execute(ctx context.Context, j runJob) (RunResult, error) {
 	fail := func(err error) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: run %s: %w", j.label, err)
@@ -234,24 +241,28 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if t.va != nil {
-		// The job's largest buffers go back for the next job, on every
-		// path out of here.
-		defer t.va.Release()
+	res, err := t.run(ctx, j)
+	if ctx.Err() == nil && j.metrics == nil {
+		machines.put(t.machine)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return res, nil
+}
 
+// run is execute's record loop over t.
+func (t *runTarget) run(ctx context.Context, j runJob) (RunResult, error) {
+	opts := j.opts
 	end := opts.Warmup + opts.Measure
 	open := opts.Measure == 0
 	if open {
 		end = math.MaxInt64
 	}
-	var front *cache.DRAMCache
 	var data []cache.MemRequest // one record's data-array accesses, reused
 	var addrLimit uint64        // the 3D cache's tag range
 	if opts.Stacked {
-		front = cache.NewDRAMCache(config.Table2_3DCache())
-		defer front.Tags().Release()
-		addrLimit = front.Tags().AddrLimit()
+		addrLimit = t.front.Tags().AddrLimit()
 	}
 
 	warmed := opts.Warmup == 0
@@ -262,7 +273,7 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 			break
 		}
 		if n&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
-			return fail(ctx.Err())
+			return RunResult{}, ctx.Err()
 		}
 		for t.next <= rec.Time && t.next < end {
 			t.va.FlushTo(t.next)
@@ -277,10 +288,10 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 			// conventional DRAM; the paper found it negligible for these
 			// footprints and that second module is not simulated here.
 			if rec.Addr >= addrLimit {
-				return fail(fmt.Errorf("%w: record %d has address %#x, at or above %#x",
-					cache.ErrAddrRange, n, rec.Addr, addrLimit))
+				return RunResult{}, fmt.Errorf("%w: record %d has address %#x, at or above %#x",
+					cache.ErrAddrRange, n, rec.Addr, addrLimit)
 			}
-			data, _ = front.AppendAccess(data[:0], rec.Time, rec.Addr, rec.Write)
+			data, _ = t.front.AppendAccess(data[:0], rec.Time, rec.Addr, rec.Write)
 			for _, da := range data {
 				t.submit(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})
 			}
@@ -307,10 +318,10 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		// The controller's drains abort early on interrupt, so anything
 		// measured after the cancellation instant is partial state.
-		return fail(err)
+		return RunResult{}, err
 	}
 	if j.inspect != nil {
-		j.inspect(&t)
+		j.inspect(t)
 	}
 	if t.va == nil {
 		res.Results = t.ctl.ResultsSince(end, t.warm[0], window)
@@ -325,27 +336,24 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	return res, nil
 }
 
-// runTarget is what execute's record loop drives: one controller for a
-// monolithic geometry, or a memctrl.VaultArray whose vault controllers
-// are advanced in parallel by opts.Shards workers between
-// quarter-interval epoch barriers. The epoch schedule is a pure function
-// of the record stream and the vaults share no mutable state, so a
-// vaulted run's results are bit-identical at every shard count — which
-// is what lets the Engine memoise across differing Shards values.
+// runTarget is one job's view of its machine: a monolithic controller,
+// or a memctrl.VaultArray whose vault controllers are advanced in
+// parallel by opts.Shards workers between quarter-interval epoch
+// barriers. The epoch schedule is a pure function of the record stream
+// and the vaults share no mutable state, so a vaulted run's results are
+// bit-identical at every shard count — which is what lets the Engine
+// memoise across differing Shards values.
 type runTarget struct {
-	ctl *memctrl.Controller // monolithic; nil when vaulted
-	va  *memctrl.VaultArray // vaulted; nil when monolithic
+	*machine
 	// next is the next epoch barrier, epoch the barrier spacing; a
 	// monolithic target's next is never reached.
 	next  sim.Time
 	epoch sim.Duration
-	// warm holds each controller's counters at the warmup boundary
-	// (one per vault when vaulted).
-	warm []memctrl.Snapshot
 }
 
-// newRunTarget builds the job's controller, or its vault array, with
-// the controller options the job's run options and telemetry imply.
+// newRunTarget readies a machine for the job — an idle one of the job's
+// key, reset, or a new one — with the controller options the job's run
+// options and telemetry imply.
 func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, error) {
 	mcOpts := memctrl.Options{
 		CheckRetention:   j.opts.CheckRetention,
@@ -365,34 +373,64 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 		// Only a cancellable context pays for the per-drain polls.
 		mcOpts.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	if !j.cfg.Geometry.Vaulted() {
-		var policy core.Policy
-		if j.makePolicy != nil {
-			policy = j.makePolicy()
-		} else {
-			policy = entry.New(j.cfg, j.retMap)
-		}
-		ctl := memctrl.MustNew(j.cfg, policy, mcOpts)
-		return runTarget{ctl: ctl, next: math.MaxInt64, warm: make([]memctrl.Snapshot, 1)}, nil
-	}
-	if j.makePolicy != nil {
+	vaulted := j.cfg.Geometry.Vaulted()
+	if vaulted && j.makePolicy != nil {
 		// One policy instance cannot be distributed across vaults; the
 		// vaulted path constructs per-vault policies from the kind.
 		return runTarget{}, fmt.Errorf("MakePolicy overrides are not supported on vaulted geometries")
 	}
-	if j.retMap != nil {
+	if vaulted && j.retMap != nil {
 		// A per-row retention map is indexed against the monolithic
 		// geometry; reslicing it per vault is future work.
 		return runTarget{}, fmt.Errorf("per-row retention maps are not supported on vaulted geometries")
 	}
-	va, err := memctrl.NewVaultArray(j.cfg, func(_ int, vcfg config.DRAM) (core.Policy, error) {
-		return entry.New(vcfg, nil), nil
-	}, memctrl.VaultOptions{Options: mcOpts, Workers: j.opts.Shards})
+
+	key := machineKey{cfg: j.cfg, stacked: j.opts.Stacked}
+	m := machines.take(key)
+	if m == nil {
+		m = &machine{key: key, policies: map[PolicyKind][]core.Policy{}}
+	}
+	if j.opts.Stacked {
+		if m.front == nil {
+			m.front = cache.NewDRAMCache(config.Table2_3DCache())
+		} else {
+			m.front.Reset()
+		}
+	}
+	if !vaulted {
+		var policy core.Policy
+		switch {
+		case j.makePolicy != nil:
+			policy = j.makePolicy()
+		case entry.RetentionMap:
+			policy = entry.New(j.cfg, j.retMap)
+		default:
+			policy = m.policy(j.kind, 0, func() core.Policy { return entry.New(j.cfg, nil) })
+		}
+		if m.ctl == nil {
+			m.ctl = memctrl.MustNew(j.cfg, policy, mcOpts)
+		} else if err := m.ctl.Reset(policy, mcOpts); err != nil {
+			panic(err)
+		}
+		m.warm = resetSnapshots(m.warm, 1)
+		return runTarget{machine: m, next: math.MaxInt64}, nil
+	}
+	factory := func(v int, vcfg config.DRAM) (core.Policy, error) {
+		return m.policy(j.kind, v, func() core.Policy { return entry.New(vcfg, nil) }), nil
+	}
+	vopts := memctrl.VaultOptions{Options: mcOpts, Workers: j.opts.Shards}
+	var err error
+	if m.va == nil {
+		m.va, err = memctrl.NewVaultArray(j.cfg, factory, vopts)
+	} else {
+		err = m.va.Reset(factory, vopts)
+	}
 	if err != nil {
 		return runTarget{}, err
 	}
+	m.warm = resetSnapshots(m.warm, m.va.Vaults())
 	epoch := j.cfg.RefreshInterval() / 4
-	return runTarget{va: va, next: epoch, epoch: epoch, warm: make([]memctrl.Snapshot, va.Vaults())}, nil
+	return runTarget{machine: m, next: epoch, epoch: epoch}, nil
 }
 
 func (t *runTarget) submit(r memctrl.Request) {

@@ -33,9 +33,9 @@ func TestVaultDispatchOrderAllocFree(t *testing.T) {
 
 // A vaulted measured window differences every vault's stats against its
 // snapshot and folds them in vault order. The stats rule behind Sub and
-// Add must not move those value copies to the heap: the three
-// allocations are the per-vault results slice and the fold's merged
-// latency histogram (its struct and its bucket array).
+// Add must not move those value copies to the heap, and the fold merges
+// the latency histograms into the array's own: the one allocation is the
+// per-vault results slice.
 func TestVaultResultsSinceAllocs(t *testing.T) {
 	va := MustNewVaultArray(config.HMC8Vault(), cbrFactory(), VaultOptions{Workers: 1})
 	const warm, end = 2 * sim.Millisecond, 4 * sim.Millisecond
@@ -48,8 +48,8 @@ func TestVaultResultsSinceAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(50, func() {
 		va.ResultsSince(end, snaps, end-warm)
 	})
-	if avg > 3 {
-		t.Errorf("VaultArray.ResultsSince allocates %.1f allocs/op, want <= 3", avg)
+	if avg > 1 {
+		t.Errorf("VaultArray.ResultsSince allocates %.1f allocs/op, want <= 1", avg)
 	}
 }
 
@@ -63,14 +63,11 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A released array's pending queues serve the next array of its vault
-// count, each vault getting back its own queue, emptied even when the
-// array was released mid-epoch (a job that failed): replaying the same
-// stream enqueues without growing any of them, and gives the same
-// results. The test runs at GOMAXPROCS 1, so that the release and the
-// next array's take meet on one P and no other goroutine allocates.
-func TestVaultArrayReleaseReusesPendingQueues(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// A reset array's pending queues serve its next run, each vault getting
+// back its own queue, emptied even when the array was reset mid-epoch (a
+// job that failed): replaying the same stream enqueues without growing
+// any of them, and gives the same results as a new array.
+func TestVaultArrayResetReusesPendingQueues(t *testing.T) {
 	cfg := testVaultCfg()
 	end := sim.Time(cfg.Timing.RefreshInterval)
 	// 4096 requests in one epoch, weighted towards the high vaults so
@@ -88,27 +85,27 @@ func TestVaultArrayReleaseReusesPendingQueues(t *testing.T) {
 			va.Enqueue(r)
 		}
 	}
-	replay := func() (agg Results, per []Results, grown uint64) {
-		va := MustNewVaultArray(cfg, smartFactory(), VaultOptions{Workers: 1})
-		defer va.Release()
+	replay := func(va *VaultArray) (agg Results, per []Results, grown uint64) {
 		grown = allocBytes(func() { enqueue(va) })
 		va.Finish(end)
 		return va.Results(end), va.VaultResults(end), grown
 	}
 
-	runtime.GC()
-	for pendingPool.Get() != nil {
-	}
-	agg, per, grown := replay()
+	va := MustNewVaultArray(cfg, smartFactory(), VaultOptions{Workers: 1})
+	agg, per, grown := replay(va)
 	if grown == 0 {
-		t.Fatal("the first array's queues did not grow: nothing to reuse")
+		t.Fatal("the first run's queues did not grow: nothing to reuse")
 	}
-	aborted := MustNewVaultArray(cfg, smartFactory(), VaultOptions{Workers: 1})
-	enqueue(aborted)
-	aborted.Release()
-	agg2, per2, grown2 := replay()
-	if grown2 != 0 && !raceEnabled { // under -race the pool may drop the table
-		t.Errorf("enqueueing into an array built after Release allocates %d bytes, want 0", grown2)
+	if err := va.Reset(smartFactory(), VaultOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	enqueue(va) // a run abandoned mid-epoch
+	if err := va.Reset(smartFactory(), VaultOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	agg2, per2, grown2 := replay(va)
+	if grown2 != 0 {
+		t.Errorf("enqueueing into a reset array allocates %d bytes, want 0", grown2)
 	}
 	if !reflect.DeepEqual(agg, agg2) || !reflect.DeepEqual(per, per2) {
 		t.Error("the replay over reused queues gives different results")

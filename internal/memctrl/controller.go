@@ -159,70 +159,92 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		return nil, fmt.Errorf("memctrl: nil policy")
-	}
 	c := &Controller{
 		cfg:         cfg,
 		module:      dram.NewModule(cfg.Geometry, cfg.Timing),
-		policy:      policy,
 		mapper:      NewMapper(cfg.Geometry),
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
 		idle:        sim.NewMinIndex(cfg.Geometry.TotalBanks()),
-		interrupt:   opts.Interrupt,
 		bankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
 		rankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Ranks))),
 	}
-	if ba, ok := policy.(core.BankAware); ok {
-		c.bankAware = ba
+	if err := c.Reset(policy, opts); err != nil {
+		return nil, err
 	}
+	return c, nil
+}
+
+// Reset readies the controller for a new run of its configuration with
+// policy and opts: the controller New(cfg, policy, opts) returns, built
+// on this one's module, histogram and event tables. The policy is Reset
+// to time zero, as New does. On an error (a nil policy or a rejected
+// option) the controller is left as it was.
+func (c *Controller) Reset(policy core.Policy, opts Options) error {
+	if policy == nil {
+		return fmt.Errorf("memctrl: nil policy")
+	}
+	if err := opts.PowerStates.validate(opts.SelfRefreshAfter); err != nil {
+		return err
+	}
+	c.module.Reset()
+	c.policy = policy
+	c.bankAware, _ = policy.(core.BankAware)
+	c.checker = nil
+	c.cmds = c.cmds[:0]
+	c.woken = c.woken[:0]
+	c.latency = stats.Sample{}
+	c.latencyHist.Reset()
+	c.rowHits.Reset()
+	c.requests.Reset()
+	c.now, c.lastbusy = 0, 0
+	c.idle.Reset()
+	c.trace = nil
+	c.refreshesDroppedSR = 0
+	c.interrupt, c.interruptIn = opts.Interrupt, 0
+
 	if opts.CheckRetention {
-		deadline := cfg.Timing.RefreshInterval + RetentionGrace + opts.RetentionSlack
+		deadline := c.cfg.Timing.RefreshInterval + RetentionGrace + opts.RetentionSlack
 		if opts.RetentionMap != nil {
-			c.checker = core.NewRetentionCheckerWithMap(cfg.Geometry, deadline, 0, opts.RetentionMap)
+			c.checker = core.NewRetentionCheckerWithMap(c.cfg.Geometry, deadline, 0, opts.RetentionMap)
 		} else {
-			c.checker = core.NewRetentionChecker(cfg.Geometry, deadline, 0)
+			c.checker = core.NewRetentionChecker(c.cfg.Geometry, deadline, 0)
 		}
 	}
 	if opts.Trace != nil {
 		prefix := opts.MetricsPrefix
 		if prefix == "" {
-			prefix = cfg.Name + "/" + policy.Name()
+			prefix = c.cfg.Name + "/" + policy.Name()
 		}
 		c.trace = opts.Trace.Scope(prefix)
 		c.module.SetTraceScope(c.trace)
 		// Rank-residency spans (self-refresh) get their own thread rows
 		// after the per-bank rows; see rankTid.
-		g := cfg.Geometry
+		g := c.cfg.Geometry
 		for ch := 0; ch < g.Channels; ch++ {
 			for rk := 0; rk < g.Ranks; rk++ {
 				c.trace.NameThread(c.rankTid(ch*g.Ranks+rk), fmt.Sprintf("ch%d/rk%d (rank)", ch, rk))
 			}
 		}
-		if sp, ok := policy.(interface {
-			SetTraceScope(*telemetry.Scope)
-		}); ok {
-			sp.SetTraceScope(c.trace)
-		}
+	}
+	if sp, ok := policy.(interface {
+		SetTraceScope(*telemetry.Scope)
+	}); ok {
+		// A reused policy may still hold an earlier run's scope.
+		sp.SetTraceScope(c.trace)
 	}
 	if opts.Metrics != nil {
 		c.registerMetrics(opts.Metrics, opts.MetricsPrefix)
 	}
-	if err := opts.PowerStates.validate(opts.SelfRefreshAfter); err != nil {
-		return nil, err
-	}
-	if opts.SelfRefreshAfter > 0 || opts.PowerStates.Enabled() {
-		c.armPowerStates(opts.SelfRefreshAfter, opts.PowerStates)
-		if opts.PowerStates.Enabled() {
-			// Switch the module to residency-vector accounting. Plain
-			// two-state configurations (only SelfRefreshAfter) skip this,
-			// which keeps their energy evaluation — and every golden
-			// figure and fingerprint — on the historical path.
-			c.module.EnablePowerStates()
-		}
+	c.armPowerStates(opts.SelfRefreshAfter, opts.PowerStates)
+	if opts.PowerStates.Enabled() {
+		// Switch the module to residency-vector accounting. Plain
+		// two-state configurations (only SelfRefreshAfter) skip this,
+		// which keeps their energy evaluation — and every golden figure
+		// and fingerprint — on the historical path.
+		c.module.EnablePowerStates()
 	}
 	policy.Reset(0)
-	return c, nil
+	return nil
 }
 
 // MustNew is New for tests and examples where the configuration is a

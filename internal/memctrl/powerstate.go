@@ -138,18 +138,25 @@ type powerStates struct {
 	slots   sim.MinIndex // per rank: the pending transition's deadline
 }
 
-// armPowerStates initialises the state machine; every rank starts awake
-// with its first transition scheduled from time zero, exactly as the
-// retired scan derived deadlines from zero-valued lastDemand.
+// armPowerStates initialises the state machine when any rung is armed;
+// every rank starts awake with its first transition scheduled from time
+// zero, exactly as the retired scan derived deadlines from zero-valued
+// lastDemand. An unarmed controller keeps the zero powerStates. A
+// re-armed controller keeps its rank table and slot index.
 func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) {
-	n := c.cfg.Geometry.Channels * c.cfg.Geometry.Ranks
-	c.ps = powerStates{
-		srAfter: srAfter,
-		cfg:     cfg,
-		armed:   true,
-		ranks:   make([]psState, n),
-		slots:   sim.NewMinIndex(n),
+	if srAfter <= 0 && !cfg.Enabled() {
+		c.ps = powerStates{}
+		return
 	}
+	n := c.cfg.Geometry.Channels * c.cfg.Geometry.Ranks
+	ranks, slots := c.ps.ranks, c.ps.slots
+	if len(ranks) == n {
+		clear(ranks)
+		slots.Reset()
+	} else {
+		ranks, slots = make([]psState, n), sim.NewMinIndex(n)
+	}
+	c.ps = powerStates{srAfter: srAfter, cfg: cfg, armed: true, ranks: ranks, slots: slots}
 	for ri := range c.ps.ranks {
 		c.scheduleFrom(ri, PSAwake, 0)
 	}

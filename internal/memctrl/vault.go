@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"time"
 
 	"smartrefresh/internal/config"
@@ -67,8 +66,7 @@ type VaultArray struct {
 	vaultShift uint
 
 	// pending holds requests enqueued since the last flush, per vault, in
-	// arrival order. The table and its queues come from pendingPool when
-	// a released one of this vault count is there.
+	// arrival order; Reset empties the queues and keeps their capacity.
 	pending [][]Request
 	// order is the current barrier's dispatch order over vault indices.
 	order []int
@@ -90,6 +88,9 @@ type VaultArray struct {
 	// parallel is the parallelism a barrier can use: the worker count
 	// capped at GOMAXPROCS.
 	parallel int
+
+	// hist is fold's merged latency histogram, reused across calls.
+	hist *stats.Histogram
 }
 
 // NewVaultArray builds one controller per vault of cfg's geometry.
@@ -101,17 +102,33 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 	if !g.Vaulted() {
 		return nil, fmt.Errorf("memctrl: geometry of %s has %d vaults; VaultArray needs at least 2", cfg.Name, g.Vaults)
 	}
-	if factory == nil {
-		return nil, fmt.Errorf("memctrl: nil policy factory")
-	}
 	n := g.VaultCount()
-	var pending [][]Request
-	if p, _ := pendingPool.Get().(*[][]Request); p != nil && len(*p) == n {
-		pending = *p
-	} else {
-		pending = make([][]Request, n)
+	va := &VaultArray{
+		cfg:        cfg,
+		vaults:     make([]*Controller, n),
+		vaultShift: uint(bits.TrailingZeros(uint(n))),
+		pending:    make([][]Request, n),
+		order:      make([]int, n),
+		busy:       make([]time.Duration, n),
+		hist:       stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
 	}
+	va.dispatch = func(i int) { va.flushVault(va.order[i]) }
+	if err := va.Reset(factory, opts); err != nil {
+		return nil, err
+	}
+	return va, nil
+}
 
+// Reset readies the array for a new run of its configuration with one
+// policy per vault from factory and with opts: the array
+// NewVaultArray(cfg, factory, opts) returns, built on this one's vault
+// controllers, request queues and tables. On an error the array must not
+// be used again.
+func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
+	if factory == nil {
+		return fmt.Errorf("memctrl: nil policy factory")
+	}
+	n := len(va.vaults)
 	workers := opts.Workers
 	if opts.Trace != nil {
 		workers = 1
@@ -120,69 +137,59 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
-
-	va := &VaultArray{
-		cfg:        cfg,
-		vaults:     make([]*Controller, n),
-		runner:     sim.ShardRunner{Workers: workers},
-		vaultShift: uint(bits.TrailingZeros(uint(n))),
-		pending:    pending,
-		order:      make([]int, n),
-		busy:       make([]time.Duration, n),
-	}
-	for v := range va.order {
+	va.runner = sim.ShardRunner{Workers: workers}
+	va.parallel = min(workers, runtime.GOMAXPROCS(0))
+	for v := range va.pending {
+		va.pending[v] = va.pending[v][:0]
 		va.order[v] = v
 	}
-	va.parallel = min(workers, runtime.GOMAXPROCS(0))
-	va.dispatch = func(i int) { va.flushVault(va.order[i]) }
+	va.now, va.finishing, va.end = 0, false, 0
+	clear(va.busy)
+	va.wait, va.barriers = 0, 0
+	va.hist.Reset()
 
-	perVault := cfg
-	perVault.Geometry = g.PerVault()
-	// The power model's per-op energies key off the geometry it carries;
-	// each vault evaluates against its own share (per-rank background
-	// times sum across vaults exactly as they do across ranks).
-	perVault.Power.Geometry = perVault.Geometry
-	for v := 0; v < n; v++ {
-		vcfg := perVault
-		vcfg.Name = fmt.Sprintf("%s/vault%02d", cfg.Name, v)
+	for v, ctl := range va.vaults {
+		var vcfg config.DRAM
+		if ctl != nil {
+			vcfg = ctl.cfg
+		} else {
+			vcfg = va.vaultConfig(v)
+		}
 		policy, err := factory(v, vcfg)
 		if err != nil {
-			return nil, fmt.Errorf("memctrl: vault %d policy: %w", v, err)
+			return fmt.Errorf("memctrl: vault %d policy: %w", v, err)
 		}
 		vopts := opts.Options
-		base := vopts.MetricsPrefix
-		if base == "" {
-			base = cfg.Name + "/" + policy.Name()
+		if vopts.Trace != nil || vopts.Metrics != nil {
+			// The prefix names only the vault's trace scope and metrics.
+			base := vopts.MetricsPrefix
+			if base == "" {
+				base = va.cfg.Name + "/" + policy.Name()
+			}
+			vopts.MetricsPrefix = fmt.Sprintf("%s/vault%02d", base, v)
 		}
-		vopts.MetricsPrefix = fmt.Sprintf("%s/vault%02d", base, v)
-		ctl, err := New(vcfg, policy, vopts)
+		if ctl == nil {
+			ctl, err = New(vcfg, policy, vopts)
+			va.vaults[v] = ctl
+		} else {
+			err = ctl.Reset(policy, vopts)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("memctrl: vault %d: %w", v, err)
+			return fmt.Errorf("memctrl: vault %d: %w", v, err)
 		}
-		va.vaults[v] = ctl
 	}
-	return va, nil
+	return nil
 }
 
-// pendingPool holds pending tables (as *[][]Request) that Release gave
-// back, each queue emptied but keeping its capacity, so that a later
-// array of the same vault count, on any goroutine, enqueues without
-// regrowing them. The pool may drop them at a GC; the next array then
-// grows its queues afresh, so no result depends on it.
-var pendingPool sync.Pool
-
-// Release gives the pending queues back for reuse by a later array. The
-// array must not enqueue or flush after it; its results stay readable.
-func (va *VaultArray) Release() {
-	if va.pending == nil {
-		return
-	}
-	pending := va.pending
-	for v := range pending {
-		pending[v] = pending[v][:0]
-	}
-	va.pending = nil
-	pendingPool.Put(&pending)
+// vaultConfig is vault v's configuration: the per-vault geometry, with
+// the power model's per-op energies keyed off that share (per-rank
+// background times sum across vaults exactly as they do across ranks).
+func (va *VaultArray) vaultConfig(v int) config.DRAM {
+	vcfg := va.cfg
+	vcfg.Name = fmt.Sprintf("%s/vault%02d", va.cfg.Name, v)
+	vcfg.Geometry = va.cfg.Geometry.PerVault()
+	vcfg.Power.Geometry = vcfg.Geometry
+	return vcfg
 }
 
 // MustNewVaultArray is NewVaultArray for vetted presets.
@@ -392,7 +399,8 @@ func (va *VaultArray) ResultsSince(end sim.Time, s []Snapshot, window sim.Durati
 func (va *VaultArray) fold(per []Results, end sim.Time, window sim.Duration) Results {
 	r := Results{Span: end}
 	var lat stats.Sample
-	hist := stats.NewHistogram(latencyHistBuckets, latencyHistWidth)
+	hist := va.hist
+	hist.Reset()
 	for v, ctl := range va.vaults {
 		p := &per[v]
 		r.Requests += p.Requests

@@ -42,6 +42,15 @@ func NewMinIndex(n int) MinIndex {
 		base <<= 1
 	}
 	node := make([]minEntry, 2*base)
+	x := MinIndex{base: base, node: node, leaf: node[base : base+n]}
+	x.Reset()
+	return x
+}
+
+// Reset empties every slot, keeping the slot count and the tree's
+// storage: the index NewMinIndex returns.
+func (x *MinIndex) Reset() {
+	node, base := x.node, x.base
 	for k := range node {
 		node[k].at = empty
 	}
@@ -51,7 +60,6 @@ func NewMinIndex(n int) MinIndex {
 	for k := base - 1; k >= 1; k-- {
 		node[k] = node[2*k]
 	}
-	return MinIndex{base: base, node: node, leaf: node[base : base+n]}
 }
 
 // Set gives slot i the key at, replacing any key it held.

@@ -169,6 +169,13 @@ func NewHistogram(buckets int, width float64) *Histogram {
 	return &Histogram{width: width, counts: make([]uint64, buckets)}
 }
 
+// Reset empties the histogram, keeping its shape and bucket array: the
+// histogram NewHistogram returns.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.underflow, h.overflow, h.total, h.max = 0, 0, 0, 0
+}
+
 // Observe adds an observation. Negative values count in the underflow
 // bucket (a negative bucket index would misfile them into bucket 0 — or
 // panic for NaN-tainted streams); they still count toward Total and the
