@@ -126,10 +126,10 @@ func run(ctx context.Context, args []string) error {
 	if !*quiet {
 		eng.OnJobDone = func(ev experiment.JobEvent) {
 			if ev.Cached {
-				fmt.Fprintf(os.Stderr, "job %s/%s/%s: memoised\n", ev.Config, ev.Benchmark, ev.Policy)
+				fmt.Fprintf(os.Stderr, "job %s: memoised\n", ev.ID())
 				return
 			}
-			fmt.Fprintf(os.Stderr, "job %s/%s/%s: %.2fs\n", ev.Config, ev.Benchmark, ev.Policy, ev.Wall.Seconds())
+			fmt.Fprintf(os.Stderr, "job %s: %.2fs\n", ev.ID(), ev.Wall.Seconds())
 		}
 	}
 
@@ -180,6 +180,11 @@ func run(ctx context.Context, args []string) error {
 		}
 		if err := runAblations(ctx, eng, suite.Opts, timing); err != nil {
 			return interruptedErr(ctx, checkpoint, err)
+		}
+		// The studies print their points; a job that failed under them
+		// fails the run here.
+		if err := eng.Err(); err != nil {
+			return err
 		}
 	}
 
@@ -398,6 +403,9 @@ func powerStateSmoke(ctx context.Context, eng *experiment.Engine) error {
 		fmt.Printf("%s/%s/shards=%d %s\n", vaults.Config, pol, pt.Shards, pt.Fingerprint)
 	}
 	if err := shardsAgree(vaults); err != nil {
+		return err
+	}
+	if err := eng.Err(); err != nil {
 		return err
 	}
 	return ctx.Err()

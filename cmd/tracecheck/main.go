@@ -8,7 +8,7 @@
 //
 //	tracecheck -in trace.json
 //	tracecheck -in trace.json -require ACT,PRE,READ,WRITE,REF-RAS,REF-CBR,SELF-REF,IDLE-CLOSE
-//	tracecheck -in trace.json -spans   # also require at least one engine job span
+//	tracecheck -in trace.json -spans   # also require engine job spans, one per name
 //
 // The exit status is 1 when the file is malformed or a requirement is
 // missing, 0 otherwise.
@@ -50,7 +50,7 @@ func run(args []string, w io.Writer) int {
 	fs.SetOutput(w)
 	in := fs.String("in", "", "trace-event JSON file to validate")
 	require := fs.String("require", "", "comma-separated event names that must be present")
-	spans := fs.Bool("spans", false, "require at least one engine job span (cat=engine)")
+	spans := fs.Bool("spans", false, "require at least one engine job span (cat=engine), and no two sharing a name")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,12 +73,14 @@ func run(args []string, w io.Writer) int {
 	problems := validate(tf)
 	names := map[string]int{}
 	engineSpans := 0
+	spanNames := map[string]int{}
 	for _, ev := range tf.TraceEvents {
 		if ev.Ph != "M" {
 			names[ev.Name]++
 		}
 		if ev.Cat == "engine" && ev.Ph == "X" {
 			engineSpans++
+			spanNames[ev.Name]++
 		}
 	}
 	if *require != "" {
@@ -89,8 +91,23 @@ func run(args []string, w io.Writer) int {
 			}
 		}
 	}
-	if *spans && engineSpans == 0 {
-		problems = append(problems, "no engine job spans (cat=engine, ph=X)")
+	if *spans {
+		if engineSpans == 0 {
+			problems = append(problems, "no engine job spans (cat=engine, ph=X)")
+		}
+		// A span is named by its job's identity, which names one
+		// simulation: two spans of one name are two jobs the identity
+		// cannot tell apart.
+		var shared []string
+		for n, c := range spanNames {
+			if c > 1 {
+				shared = append(shared, fmt.Sprintf("%s (%d spans)", n, c))
+			}
+		}
+		sort.Strings(shared)
+		for _, n := range shared {
+			problems = append(problems, "engine job spans share a name: "+n)
+		}
 	}
 
 	sorted := make([]string, 0, len(names))

@@ -48,6 +48,31 @@ func TestMissingRequiredEventFails(t *testing.T) {
 	}
 }
 
+// Two engine job spans of one name are two jobs their identity cannot
+// tell apart: -spans fails, naming the span; without -spans the trace
+// passes.
+func TestSharedSpanNameFails(t *testing.T) {
+	tr := telemetry.NewTracer()
+	tr.JobSpan("cfg/bench/policy", tr.JobStart(), time.Millisecond)
+	tr.JobSpan("cfg/bench/policy", tr.JobStart(), time.Millisecond)
+	tr.JobSpan("cfg/bench/policy@sr100us", tr.JobStart(), time.Millisecond)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if code := run([]string{"-in", path, "-spans"}, &sb); code != 1 {
+		t.Fatalf("exit %d, want 1 when two job spans share a name:\n%s", code, sb.String())
+	}
+	if want := "engine job spans share a name: cfg/bench/policy (2 spans)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("diagnostics missing %q:\n%s", want, sb.String())
+	}
+	sb.Reset()
+	if code := run([]string{"-in", path}, &sb); code != 0 {
+		t.Errorf("exit %d without -spans:\n%s", code, sb.String())
+	}
+}
+
 func TestMalformedJSONFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(path, []byte(`{"traceEvents":[{"name":`), 0o644); err != nil {

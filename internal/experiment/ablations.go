@@ -37,30 +37,43 @@ func ensureEngine(eng *Engine) *Engine {
 	return eng
 }
 
+// variant returns cfg under the name "<name>-<tag>". A study that edits
+// a preset names the edit this way, so that its jobs' identities tell
+// them from the preset's (see Job.ID).
+func variant(cfg config.DRAM, tag string) config.DRAM {
+	cfg.Name += "-" + tag
+	return cfg
+}
+
+// noSelfDisable is cfg with the section 4.6 self-disable circuitry off,
+// so that Smart Refresh never falls back to CBR: the variant most
+// studies run.
+func noSelfDisable(cfg config.DRAM) config.DRAM {
+	cfg.Smart.SelfDisable = false
+	return variant(cfg, "nodisable")
+}
+
 // CounterWidthStudy sweeps the time-out counter width (the paper uses 2
 // bits to explain and 3 to simulate; wider counters approach the oracle).
 // The per-width pair runs execute on eng's worker pool (nil = default
 // engine).
 func CounterWidthStudy(eng *Engine, prof workload.Profile, bits []int, opts RunOptions) []CounterWidthPoint {
 	eng = ensureEngine(eng)
-	cfg := Conv2GB.DRAM()
+	cfgs := make([]config.DRAM, len(bits))
 	jobs := make([]Job, 0, 2*len(bits))
-	for _, b := range bits {
-		c := cfg
+	for i, b := range bits {
+		c := noSelfDisable(Conv2GB.DRAM())
 		c.Smart.CounterBits = b
-		c.Smart.SelfDisable = false
+		cfgs[i] = variant(c, fmt.Sprintf("bits%d", b))
 		jobs = append(jobs,
-			Job{Cfg: c, Prof: prof, Policy: PolicyCBR, Opts: opts},
-			Job{Cfg: c, Prof: prof, Policy: PolicySmart, Opts: opts})
+			Job{Cfg: cfgs[i], Prof: prof, Policy: PolicyCBR, Opts: opts},
+			Job{Cfg: cfgs[i], Prof: prof, Policy: PolicySmart, Opts: opts})
 	}
 	res := eng.RunJobs(jobs)
 
 	var out []CounterWidthPoint
 	for i, b := range bits {
-		base, smart := res[2*i], res[2*i+1]
-		c := cfg
-		c.Smart.CounterBits = b
-		c.Smart.SelfDisable = false
+		base, smart, c := res[2*i], res[2*i+1], cfgs[i]
 		reduction := 0.0
 		if base.Results.Module.RefreshOps > 0 {
 			reduction = 100 * (1 - float64(smart.Results.Module.RefreshOps)/
@@ -199,11 +212,10 @@ func SegmentsStudy(eng *Engine, prof workload.Profile, segments []int, opts RunO
 	eng = ensureEngine(eng)
 	jobs := make([]Job, len(segments))
 	for i, n := range segments {
-		cfg := Conv2GB.DRAM()
+		cfg := noSelfDisable(Conv2GB.DRAM())
 		cfg.Smart.Segments = n
 		cfg.Smart.QueueDepth = n
-		cfg.Smart.SelfDisable = false
-		jobs[i] = Job{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts}
+		jobs[i] = Job{Cfg: variant(cfg, fmt.Sprintf("seg%d", n)), Prof: prof, Policy: PolicySmart, Opts: opts}
 	}
 	res := eng.RunJobs(jobs)
 
@@ -238,6 +250,7 @@ func BusOverheadStudy(eng *Engine, prof workload.Profile, opts RunOptions) []Bus
 		cfg := Conv2GB.DRAM()
 		if !with {
 			cfg.Power.Bus.VDD = 0 // zero swing: no bus energy
+			cfg = variant(cfg, "nobus")
 		}
 		jobs = append(jobs,
 			Job{Cfg: cfg, Prof: prof, Policy: PolicyCBR, Opts: opts},
@@ -285,8 +298,7 @@ func DisableStudy(eng *Engine, opts RunOptions) DisableStudyResult {
 
 	on := cfg
 	on.Smart.SelfDisable = true
-	off := cfg
-	off.Smart.SelfDisable = false
+	off := noSelfDisable(cfg)
 
 	res := eng.RunJobs([]Job{
 		{Cfg: cfg, Prof: idle, Policy: PolicyCBR, Opts: opts},
@@ -332,8 +344,7 @@ type RetentionAwarePoint struct {
 // job.
 func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []RetentionAwarePoint {
 	eng = ensureEngine(eng)
-	cfg := Conv2GB.DRAM()
-	cfg.Smart.SelfDisable = false
+	cfg := noSelfDisable(Conv2GB.DRAM())
 
 	var jobs []Job
 	for _, kind := range []PolicyKind{PolicyCBR, PolicySmart, PolicySmartRetention} {
@@ -386,8 +397,7 @@ func EDRAMStudy(eng *Engine) []EDRAMPoint {
 	var jobs []Job
 	measures := make([]sim.Duration, len(intervals))
 	for i, interval := range intervals {
-		cfg := config.EDRAM(interval)
-		cfg.Smart.SelfDisable = false
+		cfg := noSelfDisable(config.EDRAM(interval))
 
 		spec := workload.StreamSpec{
 			FootprintBytes: cfg.Geometry.CapacityBytes() / 2,
@@ -490,7 +500,7 @@ type ThresholdPoint struct {
 func DisableThresholdStudy(eng *Engine, coverage float64, thresholds [][2]float64, opts RunOptions) []ThresholdPoint {
 	eng = ensureEngine(eng)
 	prof := workload.Idle()
-	prof.Name = "threshold-probe"
+	prof.Name = fmt.Sprintf("threshold-probe-%g", coverage)
 	prof.MainCoverage = coverage
 	jobs := make([]Job, len(thresholds))
 	for i, th := range thresholds {
@@ -498,7 +508,7 @@ func DisableThresholdStudy(eng *Engine, coverage float64, thresholds [][2]float6
 		cfg.Smart.SelfDisable = true
 		cfg.Smart.DisableBelow = th[0]
 		cfg.Smart.EnableAbove = th[1]
-		jobs[i] = Job{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts}
+		jobs[i] = Job{Cfg: variant(cfg, fmt.Sprintf("th%g-%g", th[0], th[1])), Prof: prof, Policy: PolicySmart, Opts: opts}
 	}
 	res := eng.RunJobs(jobs)
 

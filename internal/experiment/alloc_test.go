@@ -3,9 +3,11 @@ package experiment
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/trace"
 	"smartrefresh/internal/workload"
 )
 
@@ -100,8 +102,7 @@ func TestWarmEngineAllocationFence(t *testing.T) {
 // A job on a warm machine grows none of its buffers: a stacked job
 // installs its 3D-cache lines in the chunks the previous job used, and
 // a vaulted job enqueues into the queues the previous job grew. Each
-// job set runs alone, since at GOMAXPROCS 1 the store keeps one idle
-// machine.
+// job set runs on a one-worker engine, one job at a time.
 func TestWarmJobGrowsNoBuffers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -133,5 +134,55 @@ func TestWarmJobGrowsNoBuffers(t *testing.T) {
 		if warm := allocatedIn(tc.fn)[tc.fn] - before[tc.fn] - cold; warm != 0 {
 			t.Errorf("warm jobs allocate %d bytes in %s, want 0 (%d cold)", warm, tc.fn, cold)
 		}
+	}
+}
+
+// The idle store keeps as many machines as ran at once, even beyond
+// GOMAXPROCS: at GOMAXPROCS 1, a two-worker engine's second round over
+// two stacked jobs that ran together finds both machines idle and
+// allocates no 3D-cache chunk.
+func TestIdleStoreKeepsConcurrentMachines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	machines.empty()
+	// Each job's first record waits for the other job's, so the two
+	// machines are checked out at once whatever the scheduler does.
+	var started sync.WaitGroup
+	jobs := make([]Job, 2)
+	for i, name := range []string{"gcc", "fasta"} {
+		prof := mustProfile(t, name)
+		jobs[i] = Job{Cfg: Stacked3D32.DRAM(), Prof: prof, Policy: PolicySmart,
+			Opts: RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond, Stacked: true},
+			MakeSource: func() trace.Source {
+				src, first := prof.NewSource(true), true
+				return sourceFunc(func() (trace.Record, bool) {
+					if first {
+						first = false
+						started.Done()
+						started.Wait()
+					}
+					return src.Next()
+				})
+			}}
+	}
+	run := func() {
+		started.Add(len(jobs))
+		for i, res := range NewEngine(2).RunJobs(jobs) {
+			if res.Err != nil {
+				t.Fatalf("job %d: %v", i, res.Err)
+			}
+		}
+	}
+	const fn = "cache.(*Cache).allocChunk"
+	runtime.MemProfileRate = 1
+	before := allocatedIn(fn)[fn]
+	run()
+	cold := allocatedIn(fn)[fn] - before
+	if cold == 0 {
+		t.Fatalf("the first round allocates nothing in %s: nothing to reuse", fn)
+	}
+	run()
+	if warm := allocatedIn(fn)[fn] - before - cold; warm != 0 {
+		t.Errorf("the second round allocates %d bytes in %s, want 0 (%d in the first)", warm, fn, cold)
 	}
 }

@@ -11,25 +11,23 @@ import (
 	"sync"
 
 	"smartrefresh/internal/atomicio"
-	"smartrefresh/internal/memctrl"
-	"smartrefresh/internal/sim"
 )
 
 // Checkpoint persists completed sweep results so an interrupted campaign
 // can resume without repeating finished simulations. The on-disk format
 // is JSONL: a header line identifying the format and version, then one
-// record per completed (RunSpec.Key() → RunResult) entry. Every flush
-// rewrites the whole file atomically (temp + rename via atomicio), so a
-// SIGINT or crash at any instant leaves either the previous complete
-// checkpoint or the new one — never a torn file.
+// record per completed memoised job: its identity (Job.ID) and its
+// RunResult. Every flush rewrites the whole file atomically (temp +
+// rename via atomicio), so a SIGINT or crash at any instant leaves
+// either the previous complete checkpoint or the new one — never a torn
+// file.
 //
-// Restored results are bit-identical to freshly simulated ones: every
-// field of RunResult reachable from a figure table is an exported
-// integer, duration or float64, and encoding/json round-trips int64 and
-// uint64 digits exactly and float64 through its shortest representation.
+// Restored results are bit-identical to freshly simulated ones: a record
+// embeds the whole RunResult, per-vault results included, whose fields
+// are integers, durations, float64s and strings (the retention error
+// travels as its text), all of which encoding/json round-trips exactly.
 // The engine therefore serves checkpoint entries as ordinary cache hits
-// and regenerated figure tables match an uninterrupted run byte for
-// byte.
+// and regenerated figure tables match an uninterrupted run byte for byte.
 //
 // A nil *Checkpoint is a valid no-op sink, mirroring the telemetry
 // types, so the engine's hot path stays unconditional.
@@ -42,7 +40,7 @@ type Checkpoint struct {
 
 const (
 	checkpointFormat  = "smartrefresh-sweep-checkpoint"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 type checkpointHeader struct {
@@ -50,16 +48,14 @@ type checkpointHeader struct {
 	Version int    `json:"version"`
 }
 
-// checkpointRecord shadows RunResult with the error field rendered as a
-// string (error values do not round-trip through JSON).
+// checkpointRecord is one completed job's identity and result. The
+// result is embedded whole, so a field added to RunResult is recorded
+// too; its retention error, which does not round-trip through JSON as an
+// error value, is carried as text.
 type checkpointRecord struct {
-	Key          string          `json:"key"`
-	Benchmark    string          `json:"benchmark"`
-	Policy       PolicyKind      `json:"policy"`
-	Config       string          `json:"config"`
-	Window       sim.Duration    `json:"window"`
-	Results      memctrl.Results `json:"results"`
-	RetentionErr string          `json:"retention_err,omitempty"`
+	Key string `json:"key"`
+	RunResult
+	RetentionErr string `json:"retention_err,omitempty"`
 }
 
 // NewCheckpoint returns an empty checkpoint that will persist to path on
@@ -108,7 +104,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		if rec.Key == "" {
 			continue
 		}
-		c.putLocked(rec)
+		if rec.RetentionErr != "" {
+			rec.RunResult.RetentionErr = errors.New(rec.RetentionErr)
+		}
+		c.putLocked(rec.Key, rec.RunResult)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("experiment: load checkpoint %s: %w", path, err)
@@ -119,21 +118,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return c, nil
 }
 
-func (c *Checkpoint) putLocked(rec checkpointRecord) {
-	res := RunResult{
-		Benchmark: rec.Benchmark,
-		Policy:    rec.Policy,
-		Config:    rec.Config,
-		Window:    rec.Window,
-		Results:   rec.Results,
+func (c *Checkpoint) putLocked(key string, res RunResult) {
+	if _, ok := c.entries[key]; !ok {
+		c.order = append(c.order, key)
 	}
-	if rec.RetentionErr != "" {
-		res.RetentionErr = errors.New(rec.RetentionErr)
-	}
-	if _, ok := c.entries[rec.Key]; !ok {
-		c.order = append(c.order, rec.Key)
-	}
-	c.entries[rec.Key] = res
+	c.entries[key] = res
 }
 
 // Path returns the file the checkpoint persists to.
@@ -162,7 +151,7 @@ func (c *Checkpoint) Len() int {
 	return len(c.entries)
 }
 
-// lookup returns the stored result for a spec key.
+// lookup returns the stored result for a job identity.
 func (c *Checkpoint) lookup(key string) (RunResult, bool) {
 	if c == nil {
 		return RunResult{}, false
@@ -174,7 +163,7 @@ func (c *Checkpoint) lookup(key string) (RunResult, bool) {
 }
 
 // record stores one completed result and flushes the checkpoint to disk.
-// The engine calls this once per simulated spec; a whole-file atomic
+// The engine calls this once per simulated memoised job; a whole-file atomic
 // rewrite per job is cheap at sweep scale (hundreds of records) and is
 // what makes the file readable at every instant.
 func (c *Checkpoint) record(key string, res RunResult) error {
@@ -183,10 +172,7 @@ func (c *Checkpoint) record(key string, res RunResult) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
-		c.order = append(c.order, key)
-	}
-	c.entries[key] = res
+	c.putLocked(key, res)
 	return c.flushLocked()
 }
 
@@ -211,14 +197,7 @@ func (c *Checkpoint) flushLocked() error {
 		}
 		for _, key := range c.order {
 			res := c.entries[key]
-			rec := checkpointRecord{
-				Key:       key,
-				Benchmark: res.Benchmark,
-				Policy:    res.Policy,
-				Config:    res.Config,
-				Window:    res.Window,
-				Results:   res.Results,
-			}
+			rec := checkpointRecord{Key: key, RunResult: res}
 			if res.RetentionErr != nil {
 				rec.RetentionErr = res.RetentionErr.Error()
 			}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
 
@@ -47,9 +48,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d results, want %d", cp.Len(), len(specs))
 	}
 	for i, spec := range specs {
-		got, ok := cp.lookup(spec.normalize().Key())
+		job, err := spec.job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := cp.lookup(job.ID())
 		if !ok {
-			t.Fatalf("checkpoint missing %s", spec.Key())
+			t.Fatalf("checkpoint missing %s", job.ID())
 		}
 		// RetentionErr round-trips as a string; compare it separately.
 		w := want[i]
@@ -214,5 +219,44 @@ func TestRunJobsPreCancelled(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Started != 0 || st.Finished != 0 {
 		t.Errorf("cancelled batch counted work: %+v", st)
+	}
+}
+
+// A result restored from a checkpoint equals the simulated one in every
+// leaf of RunResult, per-vault results included, for a monolithic and a
+// vaulted spec.
+func TestCheckpointRestoresEveryLeaf(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 4 * sim.Millisecond}
+	specs := []RunSpec{
+		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: opts},
+		{Config: HMC8V, Benchmark: "gcc", Policy: PolicySmart, Opts: opts},
+	}
+	eng := NewEngine(1)
+	eng.Checkpoint = NewCheckpoint(path)
+	fresh, err := eng.RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fresh[1].Vaults); n != HMC8V.DRAM().Geometry.VaultCount() {
+		t.Fatalf("the vaulted spec has %d vault results", n)
+	}
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewEngine(1)
+	resumed.Checkpoint = cp
+	restored, err := resumed.RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := resumed.Stats(); st.Started != 0 {
+		t.Fatalf("the resumed engine simulated %d jobs", st.Started)
+	}
+	for i, spec := range specs {
+		if err := sameState("result", reflect.ValueOf(restored[i]), reflect.ValueOf(fresh[i])); err != nil {
+			t.Errorf("%v: the restored result differs from the simulated one at %v", spec.Config, err)
+		}
 	}
 }

@@ -2,25 +2,27 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
+	"smartrefresh/internal/sim"
 	"smartrefresh/internal/telemetry"
 	"smartrefresh/internal/trace"
 	"smartrefresh/internal/workload"
 )
 
-// RunSpec identifies one simulation run by value: one of the four
-// evaluated configurations, one paper benchmark by name, one policy, and
-// the run options. Specs normalise to a canonical form (window defaults
-// applied, the stacked flag derived from the configuration), so two specs
-// describing the same work compare equal — which is what makes a RunSpec
-// the Engine's memoisation key.
+// RunSpec identifies one simulation run by value: one of the evaluated
+// configurations, one paper benchmark by name, one policy, and the run
+// options. It resolves to the Job it describes, the stacked flag derived
+// from the configuration, and memoises by that job's identity.
 type RunSpec struct {
 	Config    ConfigKind
 	Benchmark string
@@ -28,47 +30,24 @@ type RunSpec struct {
 	Opts      RunOptions
 }
 
-// normalize returns the canonical form of the spec: run-option defaults
-// resolved against the configuration's refresh interval and the stacked
-// flag forced to the configuration's front-end.
-func (s RunSpec) normalize() RunSpec {
-	s.Opts = s.Opts.withDefaults(s.Config.DRAM().RefreshInterval())
-	s.Opts.Stacked = s.Config.Stacked()
-	return s
-}
-
-// Key renders the canonical cache key. Two specs with equal keys receive
-// the same memoised result. Opts.Shards is deliberately absent: a
-// vaulted run's results are bit-identical at every shard count (see
-// memctrl.VaultArray), so two specs differing only in Shards describe
-// the same work and share one simulation.
-func (s RunSpec) Key() string {
-	n := s.normalize()
-	key := fmt.Sprintf("%s/%s/%s/w%d/m%d/ret%v/sr%d",
-		n.Config, n.Benchmark, n.Policy,
-		int64(n.Opts.Warmup), int64(n.Opts.Measure),
-		n.Opts.CheckRetention, int64(n.Opts.SelfRefreshAfter))
-	if ps := n.Opts.PowerStates; ps.Enabled() {
-		// Appended only when armed, so every pre-existing key — and any
-		// memo or artifact derived from one — is byte-identical.
-		key += fmt.Sprintf("/ps%d-%d-%d-%d",
-			int64(ps.ActPdnAfter), int64(ps.PrePdnFastAfter),
-			int64(ps.PrePdnSlowAfter), int64(ps.SRSlowAfter))
+// job resolves the spec's benchmark name and returns the Job it
+// describes, its stacked flag forced to the configuration's front-end.
+func (s RunSpec) job() (Job, error) {
+	prof, err := workload.ByName(s.Benchmark)
+	if err != nil {
+		return Job{}, err
 	}
-	return key
-}
-
-// profile resolves the spec's benchmark name.
-func (s RunSpec) profile() (workload.Profile, error) {
-	return workload.ByName(s.Benchmark)
+	s.Opts.Stacked = s.Config.Stacked()
+	return Job{Cfg: s.Config.DRAM(), Prof: prof, Policy: s.Policy, Opts: s.Opts}, nil
 }
 
 // Job is one fully-specified simulation for Engine.RunJobs. Unlike a
 // RunSpec it carries an arbitrary configuration (the ablation studies
-// sweep non-preset configs) and optional policy/source constructors, so
-// it is executed without memoisation; Engine.Run resolves a spec to the
-// Job it describes and runs it the same way. The constructors run inside
-// the job, giving each run its own policy and generator state.
+// sweep non-preset configs) and optional policy/source constructors.
+// Engine.Run resolves a spec to the Job it describes and runs it the same
+// way. A job without constructors is memoised by its identity (see ID);
+// the constructors run inside the job, giving each run its own policy
+// and generator state, and such a job is never memoised.
 type Job struct {
 	Cfg    config.DRAM
 	Prof   workload.Profile
@@ -87,9 +66,64 @@ type Job struct {
 	RetentionMap *core.RetentionMap
 }
 
-// label names the job in errors and its trace span.
-func (job *Job) label() string {
-	return job.Cfg.Name + "/" + job.Prof.Name + "/" + job.Policy.String()
+// ID returns the job's identity, the one name its memo and checkpoint
+// entry, metrics, trace scope and span, hook events and errors use:
+// "<config>/<benchmark>/<policy>" plus an "@" token per run option that
+// differs from its default, in the order w<warmup>, m<measure>, ret,
+// sr<threshold>, actpdn, prepdn-fast, prepdn-slow, sr-slow (the armed
+// power-state rungs, each with its threshold), e.g.
+// "table1-2gb/idle-os/cbr@sr100us". A duration is an integer count of
+// the largest unit that divides it. Shards adds no token (results are
+// bit-identical at every shard count), nor does Stacked, which the
+// configuration fixes; an edited preset or profile must say so in
+// Cfg.Name or Prof.Name.
+func (job *Job) ID() string {
+	j := newRunJob(job.Cfg, job.Prof, job.Policy, job.Opts.withDefaults(job.Cfg.RefreshInterval()), nil)
+	return j.identity()
+}
+
+// work is the job as the memo compares it: options defaulted, and
+// Shards, which moves no result, cleared.
+func (job Job) work() Job {
+	job.Opts = job.Opts.withDefaults(job.Cfg.RefreshInterval())
+	job.Opts.Shards = 0
+	return job
+}
+
+// identity renders Job.ID's grammar with a token per option of opts that
+// differs from def; a stream has no benchmark segment.
+func identity(name, benchmark string, kind PolicyKind, opts, def RunOptions) string {
+	if benchmark != "" {
+		name += "/" + benchmark
+	}
+	b := []byte(name + "/" + kind.String())
+	token := func(tag string, d, def sim.Duration) {
+		if d != def {
+			b = appendDuration(append(append(b, '@'), tag...), d)
+		}
+	}
+	token("w", opts.Warmup, def.Warmup)
+	token("m", opts.Measure, def.Measure)
+	if opts.CheckRetention != def.CheckRetention {
+		b = append(b, "@ret"...)
+	}
+	token("sr", opts.SelfRefreshAfter, def.SelfRefreshAfter)
+	ps, dps := opts.PowerStates, def.PowerStates
+	token("actpdn", ps.ActPdnAfter, dps.ActPdnAfter)
+	token("prepdn-fast", ps.PrePdnFastAfter, dps.PrePdnFastAfter)
+	token("prepdn-slow", ps.PrePdnSlowAfter, dps.PrePdnSlowAfter)
+	token("sr-slow", ps.SRSlowAfter, dps.SRSlowAfter)
+	return string(b)
+}
+
+// appendDuration renders d exactly, as an integer count of the largest
+// unit that divides it: "16ms", "100us", "1500ns".
+func appendDuration(b []byte, d sim.Duration) []byte {
+	units, u := [...]string{"ps", "ns", "us", "ms", "s"}, 0
+	for ; u < len(units)-1 && d != 0 && d%1000 == 0; u++ {
+		d /= 1000
+	}
+	return append(strconv.AppendInt(b, int64(d), 10), units[u]...)
 }
 
 // JobEvent describes one engine job to the instrumentation hooks.
@@ -102,7 +136,13 @@ type JobEvent struct {
 	// Wall is the job's simulation wall time (zero on start events and
 	// cache hits).
 	Wall time.Duration
+
+	job *Job
 }
+
+// ID returns the job's identity (see Job.ID), derived on demand so that
+// a hook that never asks costs nothing.
+func (ev JobEvent) ID() string { return ev.job.ID() }
 
 // EngineStats counts the engine's work since construction.
 type EngineStats struct {
@@ -119,12 +159,13 @@ type EngineStats struct {
 }
 
 // Engine executes simulation jobs across a bounded worker pool and
-// memoises RunSpec results, so sweeps that share runs (Figures 6/7/8 and
-// friends) simulate each (config, benchmark, policy) combination exactly
-// once. Results are deterministic and independent of the worker count:
-// every job builds its own generator and runs alone on its machine (an
-// idle one reset to the state a new one has, or a new one), and batch
-// results are ordered by job index, never by completion order.
+// memoises them by identity (Job.ID), so sweeps and studies that share
+// runs (Figures 6/7/8 and friends) simulate each job exactly once; Run
+// and RunJobs share the one memo (see submit). Results are deterministic
+// and independent of the worker count: every job builds its own
+// generator and runs alone on its machine (an idle one reset to the
+// state a new one has, or a new one), and batch results are ordered by
+// job index, never by completion order.
 //
 // An Engine is safe for concurrent use once running; configure Workers
 // and the hooks before submitting the first job.
@@ -132,7 +173,7 @@ type Engine struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Checkpoint, when non-nil, persists every completed memoised result
-	// and pre-warms the memo: a spec whose key is already in the
+	// and pre-warms the memo: a job whose identity is already in the
 	// checkpoint is served as a cache hit without simulating. This is
 	// what makes an interrupted sweep resumable; see Checkpoint.
 	Checkpoint *Checkpoint
@@ -147,34 +188,35 @@ type Engine struct {
 	OnJobStart func(JobEvent)
 	OnJobDone  func(JobEvent)
 
-	// Trace, when non-nil, records every simulated job's DRAM commands
-	// (one scope per job) plus a wall-clock span per job on the engine
-	// process row. Telemetry lives on the engine — not in RunOptions —
-	// so RunSpec stays comparable and the memo keys are unaffected.
+	// Trace, when non-nil, records every simulated job's DRAM commands in
+	// a scope, and its wall-clock span on the engine process row, both
+	// named by its identity. Telemetry lives on the engine, not in
+	// RunOptions, so it never enters an identity.
 	Trace *telemetry.Tracer
-	// Metrics, when non-nil, has every job's controller metrics (under
-	// "<config>/<benchmark>/<policy>/...") and the engine's own counters
-	// registered into it. Memoised re-runs replace rather than duplicate
-	// their rows.
+	// Metrics, when non-nil, has every simulated job's controller metrics
+	// ("<identity>/...") and the engine's counters ("engine/...")
+	// registered into it. The registry refuses a name it holds: a job
+	// whose row collides fails naming the row, as does every job of a
+	// second engine on the same registry.
 	Metrics *telemetry.Registry
 
-	mu sync.Mutex
-	// memo is keyed by RunSpec.Key() rather than the spec value, so
-	// specs differing only in fields the key excludes (Opts.Shards)
-	// share one flight.
-	memo  map[string]*memoEntry
+	mu    sync.Mutex
+	memo  map[string]*memoEntry // by job identity
 	stats EngineStats
+	err   error // the first RunJobs failure; see Err
 
 	hookMu      sync.Mutex
 	metricsOnce sync.Once
+	metricsErr  error
 }
 
 // memoEntry is a singleflight slot: the first claimant simulates and
 // closes done; later claimants wait on done and read res/err. A panic in
-// the simulation is converted into err for every claimant (Engine.run
-// recovers it), so waiters can never hang on a failed flight.
+// the simulation becomes err for every claimant (Engine.run recovers
+// it), so waiters never hang on a failed flight.
 type memoEntry struct {
 	done chan struct{}
+	work Job // the first claimant's
 	res  RunResult
 	err  error
 }
@@ -191,19 +233,24 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // registerEngineMetrics publishes the engine's own counters into the
-// configured registry, once, on first job submission.
-func (e *Engine) registerEngineMetrics() {
+// configured registry, once, on first job submission. Its error — the
+// registry holds another engine's counters — fails every job.
+func (e *Engine) registerEngineMetrics() error {
 	// The nil check stays outside the Once so the disabled path costs a
 	// pointer compare, not a closure allocation per job.
 	if e.Metrics == nil {
-		return
+		return nil
 	}
 	e.metricsOnce.Do(func() {
-		e.Metrics.RegisterGauge("engine/jobs_started", func() float64 { return float64(e.Stats().Started) })
-		e.Metrics.RegisterGauge("engine/jobs_finished", func() float64 { return float64(e.Stats().Finished) })
-		e.Metrics.RegisterGauge("engine/cache_hits", func() float64 { return float64(e.Stats().CacheHits) })
-		e.Metrics.RegisterGauge("engine/sim_wall_seconds", func() float64 { return e.Stats().SimWall.Seconds() })
+		reg := e.Metrics
+		if e.metricsErr = reg.RegisterGauge("engine/jobs_started", func() float64 { return float64(e.Stats().Started) }); e.metricsErr == nil {
+			e.metricsErr = errors.Join(
+				reg.RegisterGauge("engine/jobs_finished", func() float64 { return float64(e.Stats().Finished) }),
+				reg.RegisterGauge("engine/cache_hits", func() float64 { return float64(e.Stats().CacheHits) }),
+				reg.RegisterGauge("engine/sim_wall_seconds", func() float64 { return e.Stats().SimWall.Seconds() }))
+		}
 	})
+	return e.metricsErr
 }
 
 // closedDone is the pre-closed singleflight channel used for memo
@@ -214,30 +261,50 @@ var closedDone = func() chan struct{} {
 	return ch
 }()
 
-// Run returns the result for one spec, simulating it at most once per
-// engine lifetime. Concurrent calls with equal (canonicalised) specs
-// share a single simulation; the duplicates count as cache hits. The
-// simulation checks Engine.Ctx at record and tick/advance boundaries, so
-// a cancelled sweep stops within microseconds of simulated progress
-// rather than after the current job. A flight aborted by that context is
-// removed from the memo and never checkpointed — its partial state must
-// never be served later.
+// Run returns the result for one spec, through the memo every job
+// without constructors shares (see submit). The simulation checks
+// Engine.Ctx at record and tick/advance boundaries, so a cancelled sweep
+// stops within microseconds of simulated progress rather than after the
+// current job.
 func (e *Engine) Run(spec RunSpec) (RunResult, error) {
-	ctx := e.baseCtx()
-	spec = spec.normalize()
-	prof, err := spec.profile()
+	job, err := spec.job()
 	if err != nil {
 		return RunResult{}, err
 	}
+	return e.submit(&job)
+}
+
+// submit returns job's result. A job without MakeSource or MakePolicy
+// goes through the memo, keyed by its identity: the first claimant
+// simulates, and every later one — from Run or RunJobs, from any study —
+// shares its flight as a cache hit, or gets an error naming the identity
+// if its work differs. A flight aborted by Engine.Ctx is removed from
+// the memo and never checkpointed: its partial state must never be
+// served later.
+func (e *Engine) submit(job *Job) (RunResult, error) {
+	ctx := e.baseCtx()
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
-	// normalize() already applied the option defaults.
-	job := Job{Cfg: spec.Config.DRAM(), Prof: prof, Policy: spec.Policy, Opts: spec.Opts}
-
-	key := spec.Key()
+	if job.MakeSource != nil || job.MakePolicy != nil {
+		return e.run(ctx, job, "")
+	}
+	id, w := job.ID(), job.work()
 	e.mu.Lock()
-	if ent, ok := e.memo[key]; ok {
+	if e.memo == nil {
+		e.memo = map[string]*memoEntry{}
+	}
+	ent, claimed := e.memo[id]
+	if res, ok := e.Checkpoint.lookup(id); ok && !claimed {
+		// Completed in a previous (interrupted) sweep: pre-warm the memo.
+		ent, claimed = &memoEntry{done: closedDone, work: w, res: res}, true
+		e.memo[id] = ent
+	}
+	if claimed {
+		if !reflect.DeepEqual(ent.work, w) {
+			e.mu.Unlock()
+			return RunResult{}, fmt.Errorf("experiment: job %s: the identity names a job of another configuration, profile or options; name the variant in Cfg.Name or Prof.Name", id)
+		}
 		e.stats.CacheHits++
 		e.mu.Unlock()
 		select {
@@ -245,37 +312,25 @@ func (e *Engine) Run(spec RunSpec) (RunResult, error) {
 		case <-ctx.Done():
 			return RunResult{}, ctx.Err()
 		}
-		e.emit(e.OnJobDone, &job, true, 0)
+		e.emit(e.OnJobDone, job, true, 0)
 		return ent.res, ent.err
 	}
-	if e.memo == nil {
-		e.memo = map[string]*memoEntry{}
-	}
-	if res, ok := e.Checkpoint.lookup(key); ok {
-		// Completed in a previous (interrupted) sweep: pre-warm the memo
-		// and serve it as a cache hit.
-		e.memo[key] = &memoEntry{done: closedDone, res: res}
-		e.stats.CacheHits++
-		e.mu.Unlock()
-		e.emit(e.OnJobDone, &job, true, 0)
-		return res, nil
-	}
-	ent := &memoEntry{done: make(chan struct{})}
-	e.memo[key] = ent
+	ent = &memoEntry{done: make(chan struct{}), work: w}
+	e.memo[id] = ent
 	e.mu.Unlock()
 
-	ent.res, ent.err = e.run(ctx, &job)
+	ent.res, ent.err = e.run(ctx, job, id)
 	close(ent.done)
 	if ent.err != nil && ctx.Err() != nil {
 		// Aborted by the engine's context: forget the flight so a resumed
 		// engine re-simulates it.
 		e.mu.Lock()
-		delete(e.memo, key)
+		delete(e.memo, id)
 		e.mu.Unlock()
 		return RunResult{}, ent.err
 	}
 	if ent.err == nil {
-		if cerr := e.Checkpoint.record(key, ent.res); cerr != nil {
+		if cerr := e.Checkpoint.record(id, ent.res); cerr != nil {
 			// The result is valid but not durably recorded; surface the
 			// I/O failure instead of promising a resumable sweep.
 			return ent.res, cerr
@@ -308,25 +363,39 @@ func (e *Engine) RunAll(specs []RunSpec) ([]RunResult, error) {
 	return out, nil
 }
 
-// RunJobs executes fully-specified jobs across the worker pool without
-// memoisation (their configurations need not be presets), returning
-// results in job order. A job that fails — or is skipped or aborted
-// because Engine.Ctx is done — comes back with RunResult.Err set.
+// RunJobs executes fully-specified jobs across the worker pool, through
+// the same memo as Run (see submit), returning results in job order. A
+// job that fails — or is skipped or aborted because Engine.Ctx is done —
+// comes back with RunResult.Err set.
 func (e *Engine) RunJobs(jobs []Job) []RunResult {
-	ctx := e.baseCtx()
 	out := make([]RunResult, len(jobs))
 	e.forEach(len(jobs), func(i int) {
 		job := &jobs[i]
-		res, err := e.run(ctx, job)
+		res, err := e.submit(job)
 		if err != nil {
 			res = RunResult{Benchmark: job.Prof.Name, Policy: job.Policy, Config: job.Cfg.Name, Err: err}
+			e.mu.Lock()
+			if e.err == nil && e.baseCtx().Err() == nil {
+				e.err = err
+			}
+			e.mu.Unlock()
 		}
 		out[i] = res
 	})
 	return out
 }
 
-// run is the one job runner behind Run, RunAll and RunJobs. It counts
+// Err returns the first error a RunJobs job failed with, cancellation
+// aside. A study returns only its points, so its caller reads its jobs'
+// failures, such as two jobs of one identity, here.
+func (e *Engine) Err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
+}
+
+// run is the one job runner behind Run, RunAll and RunJobs; id is the
+// job's identity, or empty when nothing has derived it yet. It counts
 // the job, fires OnJobStart, builds the job's source and policy and
 // executes it, then counts the finished job, records its trace span and
 // fires OnJobDone — in that order: set-up is timed from OnJobStart to
@@ -334,35 +403,36 @@ func (e *Engine) RunJobs(jobs []Job) []RunResult {
 // or constructor) reports through the error instead of taking down the
 // worker pool. A job skipped or aborted because ctx is done counts as
 // no finished work and fires no OnJobDone.
-func (e *Engine) run(ctx context.Context, job *Job) (RunResult, error) {
+func (e *Engine) run(ctx context.Context, job *Job, id string) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
+		return RunResult{}, err
+	}
+	if err := e.registerEngineMetrics(); err != nil {
 		return RunResult{}, err
 	}
 	e.mu.Lock()
 	e.stats.Started++
 	e.mu.Unlock()
-	e.registerEngineMetrics()
 	e.emit(e.OnJobStart, job, false, 0)
 
+	opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
+	j := newRunJob(job.Cfg, job.Prof, job.Policy, opts, nil)
+	j.id, j.makePolicy, j.retMap = id, job.MakePolicy, job.RetentionMap
+	j.trace, j.metrics = e.Trace, e.Metrics
 	jobStart := e.Trace.JobStart()
 	start := time.Now()
 	res, err := func() (res RunResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				res, err = RunResult{}, fmt.Errorf("experiment: run %s panicked: %v", job.label(), r)
+				res, err = RunResult{}, fmt.Errorf("experiment: run %s panicked: %v", j.identity(), r)
 			}
 		}()
-		opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
-		var src trace.Source
 		if job.MakeSource != nil {
-			src = job.MakeSource()
+			j.source = job.MakeSource()
 		} else {
-			src = job.Prof.NewSource(opts.Stacked)
+			j.source = job.Prof.NewSource(opts.Stacked)
 		}
-		j := newRunJob(job.Cfg, job.Prof, job.Policy, opts, src)
-		j.makePolicy, j.retMap = job.MakePolicy, job.RetentionMap
-		j.trace, j.metrics = e.Trace, e.Metrics
-		return execute(ctx, j)
+		return execute(ctx, &j)
 	}()
 	wall := time.Since(start)
 	if err != nil && ctx.Err() != nil {
@@ -370,7 +440,7 @@ func (e *Engine) run(ctx context.Context, job *Job) (RunResult, error) {
 	}
 
 	if e.Trace.Enabled() {
-		e.Trace.JobSpan(job.label(), jobStart, wall)
+		e.Trace.JobSpan(j.identity(), jobStart, wall)
 	}
 	e.mu.Lock()
 	e.stats.Finished++
@@ -386,7 +456,7 @@ func (e *Engine) emit(hook func(JobEvent), job *Job, cached bool, wall time.Dura
 	}
 	e.hookMu.Lock()
 	defer e.hookMu.Unlock()
-	hook(JobEvent{Config: job.Cfg.Name, Benchmark: job.Prof.Name, Policy: job.Policy, Cached: cached, Wall: wall})
+	hook(JobEvent{Config: job.Cfg.Name, Benchmark: job.Prof.Name, Policy: job.Policy, Cached: cached, Wall: wall, job: job})
 }
 
 func (e *Engine) baseCtx() context.Context {

@@ -112,25 +112,65 @@ func TestEngineConcurrentUse(t *testing.T) {
 }
 
 // Specs describing the same work memoise to the same entry: zero options
-// resolve to the configuration's defaults, and the stacked flag is forced
-// by the configuration kind.
+// resolve to the configuration's defaults, the stacked flag is forced by
+// the configuration kind, and Shards moves nothing.
 func TestRunSpecKeyCanonical(t *testing.T) {
+	resolve := func(s RunSpec) Job {
+		t.Helper()
+		job, err := s.job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	same := func(what string, a, b RunSpec) {
+		t.Helper()
+		ja, jb := resolve(a), resolve(b)
+		if ja.ID() != jb.ID() || !reflect.DeepEqual(ja.work(), jb.work()) {
+			t.Errorf("%s: %s and %s are not one memo entry", what, ja.ID(), jb.ID())
+		}
+	}
 	cfg := Conv2GB.DRAM()
 	zero := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart}
-	explicit := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart,
-		Opts: RunOptions{Warmup: cfg.RefreshInterval(), Measure: 4 * cfg.RefreshInterval()}}
-	if zero.Key() != explicit.Key() {
-		t.Errorf("default options changed the key:\n %s\n %s", zero.Key(), explicit.Key())
-	}
+	explicit := zero
+	explicit.Opts = RunOptions{Warmup: cfg.RefreshInterval(), Measure: 4 * cfg.RefreshInterval()}
+	same("default options", zero, explicit)
+	sharded := zero
+	sharded.Opts.Shards = 8
+	same("shards", zero, sharded)
 
 	plain := RunSpec{Config: Stacked3D64, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}
 	stacked := plain
 	stacked.Opts.Stacked = true
-	if plain.Key() != stacked.Key() {
-		t.Errorf("stacked flag not derived from the configuration:\n %s\n %s", plain.Key(), stacked.Key())
+	same("stacked flag", plain, stacked)
+	other, stackedJob := resolve(RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}), resolve(plain)
+	if other.ID() == stackedJob.ID() {
+		t.Errorf("distinct configs share identity %s", other.ID())
 	}
-	if other := (RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}); other.Key() == plain.Key() {
-		t.Errorf("distinct configs share key %s", other.Key())
+}
+
+// The identity is the label plus one token per option that differs from
+// its default, each duration rendered exactly in its largest whole unit.
+func TestJobIdentity(t *testing.T) {
+	const us, ms = sim.Microsecond, sim.Millisecond
+	full := PowerStatePolicies()[len(PowerStatePolicies())-1]
+	for _, tc := range []struct {
+		opts RunOptions
+		want string
+	}{
+		{RunOptions{}, "table1-2gb/idle-os/cbr"},
+		{RunOptions{Warmup: 64 * ms, Measure: 256 * ms, Shards: 4, Stacked: false}, "table1-2gb/idle-os/cbr"},
+		{RunOptions{SelfRefreshAfter: 100 * us}, "table1-2gb/idle-os/cbr@sr100us"},
+		{RunOptions{Warmup: 16 * ms, Measure: 1500 * sim.Nanosecond, CheckRetention: true},
+			"table1-2gb/idle-os/cbr@w16ms@m1500ns@ret"},
+		{RunOptions{Measure: 2*ms + 1}, "table1-2gb/idle-os/cbr@m2000000001ps"},
+		{RunOptions{SelfRefreshAfter: full.SelfRefreshAfter, PowerStates: full.Cfg},
+			"table1-2gb/idle-os/cbr@sr200us@actpdn1us@prepdn-fast5us@prepdn-slow50us@sr-slow1ms"},
+	} {
+		job := Job{Cfg: Conv2GB.DRAM(), Prof: workload.Idle(), Policy: PolicyCBR, Opts: tc.opts}
+		if got := job.ID(); got != tc.want {
+			t.Errorf("ID(%+v) = %s, want %s", tc.opts, got, tc.want)
+		}
 	}
 }
 
@@ -374,39 +414,34 @@ func TestEngineSpecAndJobShareRunner(t *testing.T) {
 	}
 }
 
-// panicSpec is a spec whose simulation panics: SelfRefreshAfter below
-// the default idle-close timeout is rejected by memctrl.New, and
-// experiment.Run constructs the controller with MustNew.
-func panicSpec() RunSpec {
-	return RunSpec{
-		Config:    Conv2GB,
-		Benchmark: "gcc",
-		Policy:    PolicyCBR,
-		Opts:      RunOptions{SelfRefreshAfter: 1 * sim.Microsecond},
-	}
+// panicJob is a memoised job whose simulation panics: core.NewSmart
+// panics on a segment count that does not divide the rows.
+func panicJob(t *testing.T) Job {
+	cfg := Conv2GB.DRAM()
+	cfg.Smart.Segments = 3
+	return Job{Cfg: variant(cfg, "seg3"), Prof: mustProfile(t, "gcc"), Policy: PolicySmart, Opts: engineOpts()}
 }
 
 // Regression for the singleflight deadlock: a panic inside the memoised
 // simulation used to leave the entry's done channel unclosed, hanging
-// every other claimant of that spec forever. All claimants must now
+// every other claimant of that job forever. All claimants must now
 // receive the panic as an error.
 func TestEngineRunPanicDoesNotDeadlock(t *testing.T) {
 	eng := NewEngine(4)
-	spec := panicSpec()
+	job := panicJob(t)
 
 	const claimants = 4
 	errs := make(chan error, claimants)
 	for c := 0; c < claimants; c++ {
 		go func() {
-			_, err := eng.Run(spec)
-			errs <- err
+			errs <- eng.RunJobs([]Job{job})[0].Err
 		}()
 	}
 	for c := 0; c < claimants; c++ {
 		select {
 		case err := <-errs:
-			if err == nil {
-				t.Error("claimant of a panicking spec got a nil error")
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Errorf("claimant of a panicking job got error %v, want the panic", err)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("claimant %d of %d hung on the panicked flight", c+1, claimants)
@@ -414,8 +449,8 @@ func TestEngineRunPanicDoesNotDeadlock(t *testing.T) {
 	}
 
 	// The memoised failure is served to later callers too.
-	if _, err := eng.Run(spec); err == nil {
-		t.Error("memoised panicked spec returned nil error")
+	if err := eng.RunJobs([]Job{job})[0].Err; err == nil {
+		t.Error("memoised panicked job returned nil error")
 	}
 	// The engine stays usable after a failed flight.
 	if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}); err != nil {
@@ -524,20 +559,20 @@ func TestEngineTelemetry(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"table1-2gb/gcc/smart", "table1-2gb/fasta/cbr"} {
+	for _, want := range []string{"table1-2gb/gcc/smart@w16ms@m32ms", "table1-2gb/fasta/cbr@w16ms@m32ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing job span %q", want)
 		}
 	}
 
 	names := map[string]bool{}
-	for _, m := range reg.SortedSnapshot() {
+	for _, m := range reg.Snapshot() {
 		names[m.Name] = true
 	}
 	for _, want := range []string{
 		"engine/jobs_started", "engine/cache_hits",
-		"table1-2gb/gcc/smart/requests", "table1-2gb/gcc/smart/latency_ns",
-		"table1-2gb/fasta/cbr/refresh_ops",
+		"table1-2gb/gcc/smart@w16ms@m32ms/requests", "table1-2gb/gcc/smart@w16ms@m32ms/latency_ns",
+		"table1-2gb/fasta/cbr@w16ms@m32ms/refresh_ops",
 	} {
 		if !names[want] {
 			t.Errorf("registry missing %q (have %d rows)", want, len(names))
@@ -545,11 +580,11 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 
 	// A memoised re-run must not duplicate registry rows.
-	before := len(reg.SortedSnapshot())
+	before := len(reg.Snapshot())
 	if _, err := eng.Run(spec); err != nil {
 		t.Fatalf("re-run: %v", err)
 	}
-	if after := len(reg.SortedSnapshot()); after != before {
+	if after := len(reg.Snapshot()); after != before {
 		t.Errorf("memoised re-run grew registry from %d to %d rows", before, after)
 	}
 }

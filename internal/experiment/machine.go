@@ -70,38 +70,47 @@ func resetSnapshots(s []memctrl.Snapshot, n int) []memctrl.Snapshot {
 	return s
 }
 
-// machineStore is the process's idle machines, oldest first. It holds
-// at most GOMAXPROCS of them, which is as many jobs as can run at once
-// on a host's cores; putting one more evicts the oldest. A job takes
-// the newest idle machine of its key.
+// machineStore is the process's idle machines, oldest first. It keeps
+// as many as were ever checked out at once, and never fewer than
+// GOMAXPROCS; putting one more evicts the oldest. A job takes the newest
+// idle machine of its key.
 type machineStore struct {
 	mu   sync.Mutex
 	idle []*machine
+	// out counts the machines checked out now, peak the most at once.
+	out, peak int
 }
 
 // machines is the one store every Engine, RunStream and Run share, so
 // that a machine outlives the Engine whose job built it.
 var machines machineStore
 
-// take removes and returns the newest idle machine of key k, nil when
-// there is none.
+// take checks out the newest idle machine of key k, or a new empty one
+// when there is none.
 func (s *machineStore) take(k machineKey) *machine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.out++
+	s.peak = max(s.peak, s.out)
 	for i := len(s.idle) - 1; i >= 0; i-- {
 		if m := s.idle[i]; m.key == k {
 			s.idle = slices.Delete(s.idle, i, i+1)
 			return m
 		}
 	}
-	return nil
+	return &machine{key: k, policies: map[PolicyKind][]core.Policy{}}
 }
 
-// put makes m idle, evicting the oldest idle machines beyond the bound.
-func (s *machineStore) put(m *machine) {
+// put ends m's checkout. A kept m becomes idle, evicting the oldest idle
+// machines beyond the bound; any other is dropped.
+func (s *machineStore) put(m *machine, keep bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if over := len(s.idle) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+	s.out--
+	if !keep {
+		return
+	}
+	if over := len(s.idle) + 1 - max(s.peak, runtime.GOMAXPROCS(0)); over > 0 {
 		s.idle = slices.Delete(s.idle, 0, min(over, len(s.idle)))
 	}
 	s.idle = append(s.idle, m)

@@ -40,8 +40,7 @@ type RefreshParallelismPoint struct {
 // execute on eng's worker pool (nil = default engine).
 func RefreshParallelismStudy(eng *Engine, prof workload.Profile, opts RunOptions) []RefreshParallelismPoint {
 	eng = ensureEngine(eng)
-	cfg := Conv2GB.DRAM()
-	cfg.Smart.SelfDisable = false
+	cfg := noSelfDisable(Conv2GB.DRAM())
 
 	kinds := []PolicyKind{PolicyNone, PolicyCBR, PolicySmart, PolicyBurst, PolicyOracle, PolicyDARP, PolicySARP}
 	jobs := make([]Job, len(kinds))

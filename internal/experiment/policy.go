@@ -12,8 +12,8 @@ import (
 )
 
 // PolicyKind selects the refresh policy for a run. The integer values
-// are part of the checkpoint format and of RunSpec keys' history, so new
-// kinds are only ever appended.
+// are part of the checkpoint format, so new kinds are only ever
+// appended.
 type PolicyKind int
 
 // Available policies.

@@ -59,8 +59,7 @@ type RAIDRPoint struct {
 // each raidr run checked against its own profiled map.
 func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErrors []float64, vrt workload.VRTSpec, opts RunOptions) []RAIDRPoint {
 	eng = ensureEngine(eng)
-	cfg := Conv2GB.DRAM()
-	cfg.Smart.SelfDisable = false
+	cfg := noSelfDisable(Conv2GB.DRAM())
 	opts.CheckRetention = true
 
 	nominal := DefaultRetentionMap(cfg.Geometry, prof.Seed()).Multipliers()
@@ -93,8 +92,10 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			points = append(points, point{bins: bins, profErr: pe, profMap: profMap, analysis: analysis, injected: injected})
 			jobs = append(jobs, Job{
 				// The custom bins and the injected profile replace the
-				// registry's default wheel and seed-derived map.
-				Cfg: cfg, Prof: prof, Policy: PolicyRAIDR, Opts: opts,
+				// registry's default wheel and seed-derived map; the
+				// variant name tells the points apart.
+				Cfg:  variant(cfg, fmt.Sprintf("raidr%d-pe%g", bins, pe)),
+				Prof: prof, Policy: PolicyRAIDR, Opts: opts,
 				RetentionMap: profMap,
 				MakePolicy:   func() core.Policy { return newRAIDR(cfg, rcfg, profMap) },
 			})

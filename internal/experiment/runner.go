@@ -73,13 +73,13 @@ type RunResult struct {
 	// is then the stack-level fold of these entries.
 	Vaults []memctrl.Results
 	// RetentionErr is non-nil if the checker observed a violation.
-	RetentionErr error
+	RetentionErr error `json:"-"`
 	// Err is non-nil when the job could not be simulated at all (the
 	// configuration or option combination was rejected); the remaining
 	// fields are meaningless then. Run and Engine.RunJobs populate it;
 	// Engine.Run and RunAll report the same failures through their error
 	// return instead.
-	Err error
+	Err error `json:"-"`
 }
 
 // RefreshesPerSecond returns refresh operations per measured second.
@@ -96,7 +96,8 @@ func (r RunResult) RefreshesPerSecond() float64 {
 // back with RunResult.Err set.
 func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) RunResult {
 	opts = opts.withDefaults(cfg.RefreshInterval())
-	res, err := execute(context.Background(), newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked)))
+	j := newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked))
+	res, err := execute(context.Background(), &j)
 	res.Err = err
 	return res
 }
@@ -110,9 +111,9 @@ type Stream struct {
 	// an error ends the stream, and the caller reads the error after
 	// the run.
 	Source trace.Source
-	// Name labels the run (empty means the configuration's name): errors
-	// name "<Name>/<policy>", and so do the metrics and trace scope when
-	// telemetry is attached.
+	// Name labels the run (empty means the configuration's name): its
+	// identity, which errors, metrics and trace scope use, is
+	// "<Name>/<policy>" plus a token per non-zero option (see Job.ID).
 	Name string
 	// Seed derives a RetentionMap policy's per-row map, as a benchmark's
 	// seed does.
@@ -144,16 +145,16 @@ func RunStream(ctx context.Context, cfg config.DRAM, kind PolicyKind, opts RunOp
 	if name == "" {
 		name = cfg.Name
 	}
-	label := name + "/" + kind.String()
+	id := identity(name, "", kind, opts, RunOptions{})
 	if opts.Stacked {
-		return StreamResult{}, fmt.Errorf("experiment: run %s: a stream is already the DRAM access stream; Stacked is not supported", label)
+		return StreamResult{}, fmt.Errorf("experiment: run %s: a stream is already the DRAM access stream; Stacked is not supported", id)
 	}
-	j := runJob{cfg: cfg, kind: kind, label: label, seed: s.Seed, source: s.Source, opts: opts,
+	j := runJob{cfg: cfg, kind: kind, id: id, seed: s.Seed, source: s.Source, opts: opts,
 		trace: s.Trace, metrics: s.Metrics}
 	var out StreamResult
 	j.inspect = func(t *runTarget) { out.Dropped = t.dropped() }
 	var err error
-	out.RunResult, err = execute(ctx, j)
+	out.RunResult, err = execute(ctx, &j)
 	return out, err
 }
 
@@ -166,9 +167,9 @@ type runJob struct {
 	cfg       config.DRAM
 	benchmark string
 	kind      PolicyKind
-	// label names the run in errors and, with telemetry attached,
-	// prefixes its metric names and trace scope.
-	label string
+	// id is the run's identity (see Job.ID): it names the run in errors,
+	// metrics and trace scope.
+	id string
 	// seed is the workload seed a RetentionMap policy derives its map
 	// from when retMap is nil.
 	seed uint64
@@ -192,8 +193,15 @@ type runJob struct {
 
 // newRunJob starts a job that runs prof's benchmark from source.
 func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions, source trace.Source) runJob {
-	return runJob{cfg: cfg, benchmark: prof.Name, kind: kind, label: cfg.Name + "/" + prof.Name + "/" + kind.String(),
-		seed: prof.Seed(), opts: opts, source: source}
+	return runJob{cfg: cfg, benchmark: prof.Name, kind: kind, seed: prof.Seed(), opts: opts, source: source}
+}
+
+// identity returns the job's identity, deriving it on first use.
+func (j *runJob) identity() string {
+	if j.id == "" {
+		j.id = identity(j.cfg.Name, j.benchmark, j.kind, j.opts, RunOptions{}.withDefaults(j.cfg.RefreshInterval()))
+	}
+	return j.id
 }
 
 // execute drives one job's stream through its machine — a controller,
@@ -223,11 +231,12 @@ func newRunJob(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts Run
 //
 // The machine goes back to the idle store when the job ends, with a
 // result or with an error of its input, but not when the job was
-// cancelled or panicked, nor when it registered metrics: the registry
-// keeps reading the machine's counters.
-func execute(ctx context.Context, j runJob) (RunResult, error) {
+// cancelled, failed to start or panicked, nor when it registered
+// metrics: the registry keeps reading them. A cancelled job's metrics
+// leave the registry, so that a re-run can register them.
+func execute(ctx context.Context, j *runJob) (RunResult, error) {
 	fail := func(err error) (RunResult, error) {
-		return RunResult{}, fmt.Errorf("experiment: run %s: %w", j.label, err)
+		return RunResult{}, fmt.Errorf("experiment: run %s: %w", j.identity(), err)
 	}
 	opts := j.opts
 	if opts.Warmup < 0 || opts.Measure < 0 {
@@ -237,13 +246,27 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 	if entry.RetentionMap && j.retMap == nil {
 		j.retMap = DefaultRetentionMap(j.cfg.Geometry, j.seed)
 	}
-	t, err := newRunTarget(ctx, j, entry)
+	vaulted := j.cfg.Geometry.Vaulted()
+	if vaulted && j.makePolicy != nil {
+		// One policy instance cannot be distributed across vaults.
+		return fail(fmt.Errorf("MakePolicy overrides are not supported on vaulted geometries"))
+	}
+	if vaulted && j.retMap != nil {
+		// A per-row retention map is indexed against the monolithic
+		// geometry; reslicing it per vault is future work.
+		return fail(fmt.Errorf("per-row retention maps are not supported on vaulted geometries"))
+	}
+	m := machines.take(machineKey{cfg: j.cfg, stacked: opts.Stacked})
+	keep := false
+	defer func() { machines.put(m, keep) }()
+	t, err := newRunTarget(ctx, j, entry, m)
 	if err != nil {
 		return fail(err)
 	}
 	res, err := t.run(ctx, j)
-	if ctx.Err() == nil && j.metrics == nil {
-		machines.put(t.machine)
+	keep = ctx.Err() == nil && j.metrics == nil
+	if ctx.Err() != nil && j.metrics != nil {
+		j.metrics.Unregister(j.identity())
 	}
 	if err != nil {
 		return fail(err)
@@ -252,7 +275,7 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 }
 
 // run is execute's record loop over t.
-func (t *runTarget) run(ctx context.Context, j runJob) (RunResult, error) {
+func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 	opts := j.opts
 	end := opts.Warmup + opts.Measure
 	open := opts.Measure == 0
@@ -351,10 +374,10 @@ type runTarget struct {
 	epoch sim.Duration
 }
 
-// newRunTarget readies a machine for the job — an idle one of the job's
-// key, reset, or a new one — with the controller options the job's run
-// options and telemetry imply.
-func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, error) {
+// newRunTarget readies m for the job — an idle machine of the job's key,
+// or a new empty one — with the controller options the job's run options
+// and telemetry imply.
+func newRunTarget(ctx context.Context, j *runJob, entry PolicyEntry, m *machine) (runTarget, error) {
 	mcOpts := memctrl.Options{
 		CheckRetention:   j.opts.CheckRetention,
 		SelfRefreshAfter: j.opts.SelfRefreshAfter,
@@ -367,28 +390,11 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 	if j.trace != nil || j.metrics != nil {
 		mcOpts.Trace = j.trace
 		mcOpts.Metrics = j.metrics
-		mcOpts.MetricsPrefix = j.label
+		mcOpts.MetricsPrefix = j.identity()
 	}
 	if ctx.Done() != nil {
 		// Only a cancellable context pays for the per-drain polls.
 		mcOpts.Interrupt = func() bool { return ctx.Err() != nil }
-	}
-	vaulted := j.cfg.Geometry.Vaulted()
-	if vaulted && j.makePolicy != nil {
-		// One policy instance cannot be distributed across vaults; the
-		// vaulted path constructs per-vault policies from the kind.
-		return runTarget{}, fmt.Errorf("MakePolicy overrides are not supported on vaulted geometries")
-	}
-	if vaulted && j.retMap != nil {
-		// A per-row retention map is indexed against the monolithic
-		// geometry; reslicing it per vault is future work.
-		return runTarget{}, fmt.Errorf("per-row retention maps are not supported on vaulted geometries")
-	}
-
-	key := machineKey{cfg: j.cfg, stacked: j.opts.Stacked}
-	m := machines.take(key)
-	if m == nil {
-		m = &machine{key: key, policies: map[PolicyKind][]core.Policy{}}
 	}
 	if j.opts.Stacked {
 		if m.front == nil {
@@ -397,7 +403,7 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 			m.front.Reset()
 		}
 	}
-	if !vaulted {
+	if !j.cfg.Geometry.Vaulted() {
 		var policy core.Policy
 		switch {
 		case j.makePolicy != nil:
@@ -407,10 +413,14 @@ func newRunTarget(ctx context.Context, j runJob, entry PolicyEntry) (runTarget, 
 		default:
 			policy = m.policy(j.kind, 0, func() core.Policy { return entry.New(j.cfg, nil) })
 		}
+		var err error
 		if m.ctl == nil {
-			m.ctl = memctrl.MustNew(j.cfg, policy, mcOpts)
-		} else if err := m.ctl.Reset(policy, mcOpts); err != nil {
-			panic(err)
+			m.ctl, err = memctrl.New(j.cfg, policy, mcOpts)
+		} else {
+			err = m.ctl.Reset(policy, mcOpts)
+		}
+		if err != nil {
+			return runTarget{}, err
 		}
 		m.warm = resetSnapshots(m.warm, 1)
 		return runTarget{machine: m, next: math.MaxInt64}, nil

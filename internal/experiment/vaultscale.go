@@ -103,7 +103,7 @@ func RunVaultScaling(ctx context.Context, cfg config.DRAM, prof workload.Profile
 		start := time.Now()
 		j := newRunJob(cfg, prof, kind, o, prof.NewSource(o.Stacked))
 		j.inspect = func(t *runTarget) { timing = t.va.Timing() }
-		res, err := execute(ctx, j)
+		res, err := execute(ctx, &j)
 		if err != nil {
 			return VaultScaling{}, err
 		}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -53,9 +54,11 @@ type Options struct {
 	// Nil — the default — keeps the hot paths at a pointer compare.
 	Trace *telemetry.Tracer
 	// Metrics, when non-nil, has the controller's counters and latency
-	// histogram registered into it under MetricsPrefix.
+	// histogram registered into it under MetricsPrefix; New and Reset
+	// fail on a name the registry already holds.
 	Metrics *telemetry.Registry
-	// MetricsPrefix namespaces this controller's metrics; empty derives
+	// MetricsPrefix names the controller's metrics and trace scope (the
+	// experiment engine passes the job's identity); empty derives
 	// "<config>/<policy>".
 	MetricsPrefix string
 	// Interrupt, when non-nil, is polled periodically inside the
@@ -177,14 +180,22 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 // Reset readies the controller for a new run of its configuration with
 // policy and opts: the controller New(cfg, policy, opts) returns, built
 // on this one's module, histogram and event tables. The policy is Reset
-// to time zero, as New does. On an error (a nil policy or a rejected
-// option) the controller is left as it was.
+// to time zero, as New does. On an error (a nil policy, a rejected
+// option or a metric name opts.Metrics already holds) the controller is
+// left as it was.
 func (c *Controller) Reset(policy core.Policy, opts Options) error {
 	if policy == nil {
 		return fmt.Errorf("memctrl: nil policy")
 	}
 	if err := opts.PowerStates.validate(opts.SelfRefreshAfter); err != nil {
 		return err
+	}
+	if opts.Metrics != nil {
+		// Registered before anything changes, so a name the registry
+		// holds already leaves the controller as it was.
+		if err := c.registerMetrics(opts.Metrics, opts.prefix(c.cfg, policy)); err != nil {
+			return err
+		}
 	}
 	c.module.Reset()
 	c.policy = policy
@@ -211,11 +222,7 @@ func (c *Controller) Reset(policy core.Policy, opts Options) error {
 		}
 	}
 	if opts.Trace != nil {
-		prefix := opts.MetricsPrefix
-		if prefix == "" {
-			prefix = c.cfg.Name + "/" + policy.Name()
-		}
-		c.trace = opts.Trace.Scope(prefix)
+		c.trace = opts.Trace.Scope(opts.prefix(c.cfg, policy))
 		c.module.SetTraceScope(c.trace)
 		// Rank-residency spans (self-refresh) get their own thread rows
 		// after the per-bank rows; see rankTid.
@@ -231,9 +238,6 @@ func (c *Controller) Reset(policy core.Policy, opts Options) error {
 	}); ok {
 		// A reused policy may still hold an earlier run's scope.
 		sp.SetTraceScope(c.trace)
-	}
-	if opts.Metrics != nil {
-		c.registerMetrics(opts.Metrics, opts.MetricsPrefix)
 	}
 	c.armPowerStates(opts.SelfRefreshAfter, opts.PowerStates)
 	if opts.PowerStates.Enabled() {
@@ -263,35 +267,46 @@ func (c *Controller) rankTid(ri int) int {
 	return c.cfg.Geometry.TotalBanks() + ri
 }
 
+// prefix names the controller's trace scope and metrics: MetricsPrefix,
+// or "<config>/<policy>" when it is empty.
+func (o *Options) prefix(cfg config.DRAM, policy core.Policy) string {
+	if o.MetricsPrefix != "" {
+		return o.MetricsPrefix
+	}
+	return cfg.Name + "/" + policy.Name()
+}
+
 // registerMetrics publishes the controller's counters, the latency
 // histogram and snapshot gauges over module/policy statistics under
-// prefix (default "<config>/<policy>"). The gauges read live state, so
-// dump metrics only after the run has finished.
-func (c *Controller) registerMetrics(reg *telemetry.Registry, prefix string) {
-	if prefix == "" {
-		prefix = c.cfg.Name + "/" + c.policy.Name()
+// prefix. The gauges read live state, so dump metrics only after the run
+// has finished. A registry that already holds the first name holds the
+// prefix, and that one name is the error.
+func (c *Controller) registerMetrics(reg *telemetry.Registry, prefix string) error {
+	if err := reg.RegisterCounter(prefix+"/requests", &c.requests); err != nil {
+		return err
 	}
-	reg.RegisterCounter(prefix+"/requests", &c.requests)
-	reg.RegisterCounter(prefix+"/row_hits", &c.rowHits)
-	reg.RegisterHistogram(prefix+"/latency_ns", c.latencyHist)
-	reg.RegisterGauge(prefix+"/refresh_ops", func() float64 { return float64(c.module.Stats().RefreshOps) })
-	reg.RegisterGauge(prefix+"/refresh_cbr_ops", func() float64 { return float64(c.module.Stats().RefreshCBROps) })
-	reg.RegisterGauge(prefix+"/refresh_rasonly_ops", func() float64 { return float64(c.module.Stats().RefreshRASOnlyOps) })
-	reg.RegisterGauge(prefix+"/refresh_conflict_ops", func() float64 { return float64(c.module.Stats().RefreshConflictOps) })
-	reg.RegisterGauge(prefix+"/refresh_perbank_ops", func() float64 { return float64(c.module.Stats().RefreshPerBankOps) })
-	reg.RegisterGauge(prefix+"/refresh_overlap_ops", func() float64 { return float64(c.module.Stats().RefreshOverlapOps) })
-	reg.RegisterGauge(prefix+"/policy_refreshes_postponed", func() float64 { return float64(c.policy.Stats().RefreshesPostponed) })
-	reg.RegisterGauge(prefix+"/policy_refreshes_pulledin", func() float64 { return float64(c.policy.Stats().RefreshesPulledIn) })
-	reg.RegisterGauge(prefix+"/policy_refreshes_forced", func() float64 { return float64(c.policy.Stats().RefreshesForced) })
-	reg.RegisterGauge(prefix+"/demand_stall_ns", func() float64 { return c.module.Stats().DemandStall.Nanoseconds() })
-	reg.RegisterGauge(prefix+"/selfrefresh_entries", func() float64 { return float64(c.module.Stats().SelfRefreshEntries) })
-	reg.RegisterGauge(prefix+"/refreshes_dropped_selfrefresh", func() float64 { return float64(c.refreshesDroppedSR) })
-	reg.RegisterGauge(prefix+"/policy_refreshes_requested", func() float64 { return float64(c.policy.Stats().RefreshesRequested) })
-	reg.RegisterGauge(prefix+"/policy_counter_reads", func() float64 { return float64(c.policy.Stats().CounterReads) })
-	reg.RegisterGauge(prefix+"/policy_counter_writes", func() float64 { return float64(c.policy.Stats().CounterWrites) })
-	reg.RegisterGauge(prefix+"/policy_max_pending_per_tick", func() float64 { return float64(c.policy.Stats().MaxPendingPerTick) })
-	reg.RegisterGauge(prefix+"/policy_bloom_lookups", func() float64 { return float64(c.policy.Stats().BloomLookups) })
-	reg.RegisterGauge(prefix+"/policy_bloom_false_positives", func() float64 { return float64(c.policy.Stats().BloomFalsePositives) })
+	return errors.Join(
+		reg.RegisterCounter(prefix+"/row_hits", &c.rowHits),
+		reg.RegisterHistogram(prefix+"/latency_ns", c.latencyHist),
+		reg.RegisterGauge(prefix+"/refresh_ops", func() float64 { return float64(c.module.Stats().RefreshOps) }),
+		reg.RegisterGauge(prefix+"/refresh_cbr_ops", func() float64 { return float64(c.module.Stats().RefreshCBROps) }),
+		reg.RegisterGauge(prefix+"/refresh_rasonly_ops", func() float64 { return float64(c.module.Stats().RefreshRASOnlyOps) }),
+		reg.RegisterGauge(prefix+"/refresh_conflict_ops", func() float64 { return float64(c.module.Stats().RefreshConflictOps) }),
+		reg.RegisterGauge(prefix+"/refresh_perbank_ops", func() float64 { return float64(c.module.Stats().RefreshPerBankOps) }),
+		reg.RegisterGauge(prefix+"/refresh_overlap_ops", func() float64 { return float64(c.module.Stats().RefreshOverlapOps) }),
+		reg.RegisterGauge(prefix+"/policy_refreshes_postponed", func() float64 { return float64(c.policy.Stats().RefreshesPostponed) }),
+		reg.RegisterGauge(prefix+"/policy_refreshes_pulledin", func() float64 { return float64(c.policy.Stats().RefreshesPulledIn) }),
+		reg.RegisterGauge(prefix+"/policy_refreshes_forced", func() float64 { return float64(c.policy.Stats().RefreshesForced) }),
+		reg.RegisterGauge(prefix+"/demand_stall_ns", func() float64 { return c.module.Stats().DemandStall.Nanoseconds() }),
+		reg.RegisterGauge(prefix+"/selfrefresh_entries", func() float64 { return float64(c.module.Stats().SelfRefreshEntries) }),
+		reg.RegisterGauge(prefix+"/refreshes_dropped_selfrefresh", func() float64 { return float64(c.refreshesDroppedSR) }),
+		reg.RegisterGauge(prefix+"/policy_refreshes_requested", func() float64 { return float64(c.policy.Stats().RefreshesRequested) }),
+		reg.RegisterGauge(prefix+"/policy_counter_reads", func() float64 { return float64(c.policy.Stats().CounterReads) }),
+		reg.RegisterGauge(prefix+"/policy_counter_writes", func() float64 { return float64(c.policy.Stats().CounterWrites) }),
+		reg.RegisterGauge(prefix+"/policy_max_pending_per_tick", func() float64 { return float64(c.policy.Stats().MaxPendingPerTick) }),
+		reg.RegisterGauge(prefix+"/policy_bloom_lookups", func() float64 { return float64(c.policy.Stats().BloomLookups) }),
+		reg.RegisterGauge(prefix+"/policy_bloom_false_positives", func() float64 { return float64(c.policy.Stats().BloomFalsePositives) }),
+	)
 }
 
 // Module exposes the underlying DRAM model.

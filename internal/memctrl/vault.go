@@ -31,7 +31,7 @@ type PolicyFactory func(vault int, cfg config.DRAM) (core.Policy, error)
 type VaultOptions struct {
 	// Options is applied to every vault controller. MetricsPrefix (or
 	// its "<config>/<policy>" default) is extended with "/vaultNN" per
-	// vault so concurrent controllers never race on metric names. A
+	// vault, so the vaults' metric names never collide. A
 	// non-nil Trace forces serial advancement (Workers=1): the tracer's
 	// scopes are not safe for concurrent writers.
 	Options
@@ -162,11 +162,7 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 		vopts := opts.Options
 		if vopts.Trace != nil || vopts.Metrics != nil {
 			// The prefix names only the vault's trace scope and metrics.
-			base := vopts.MetricsPrefix
-			if base == "" {
-				base = va.cfg.Name + "/" + policy.Name()
-			}
-			vopts.MetricsPrefix = fmt.Sprintf("%s/vault%02d", base, v)
+			vopts.MetricsPrefix = fmt.Sprintf("%s/vault%02d", opts.prefix(va.cfg, policy), v)
 		}
 		if ctl == nil {
 			ctl, err = New(vcfg, policy, vopts)

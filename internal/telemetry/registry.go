@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"smartrefresh/internal/stats"
@@ -18,38 +19,19 @@ import (
 // registration costs one map insert and the simulation's hot paths touch
 // only their own stats objects.
 //
+// A name belongs to one source: registering a name the registry already
+// holds is an error naming it, and the earlier source stays. Two
+// registrants that would share a name — two runs under one job
+// identity, two vault controllers under one prefix — therefore fail
+// instead of silently dropping one's samples.
+//
 // A nil *Registry is the disabled registry: registration and snapshots
 // no-op. Registration is safe from concurrent engine workers; the
 // metrics themselves are owned by one simulation each, so a snapshot is
 // only meaningful after the runs writing them have finished.
-//
-// Re-registering a name replaces the earlier source but keeps its
-// position, so memoised re-runs do not duplicate rows. That replacement
-// is exactly why concurrent registrants must not share names: with
-// hundreds of vault controllers registering gauges at once, identical
-// names race and last-writer-wins silently drops every other vault's
-// samples. Sub carves a prefixed namespace per registrant so collisions
-// cannot happen by construction, and Replaced counts any that do slip
-// through (a healthy parallel run keeps it at zero, except for
-// deliberate memoised re-runs).
 type Registry struct {
-	st     *regState
-	prefix string
-}
-
-// regState is the storage shared by a root registry and every Sub view
-// derived from it: all views write through one mutex into one table, so
-// a single snapshot covers the whole namespace tree.
-type regState struct {
-	mu       sync.Mutex
-	order    []string
-	sources  map[string]source
-	replaced uint64
-}
-
-type source struct {
-	kind string // "counter", "gauge", "histogram"
-	fn   func() Metric
+	mu      sync.Mutex
+	sources map[string]func() Metric
 }
 
 // Metric is one snapshot row.
@@ -68,85 +50,65 @@ type Metric struct {
 
 // NewRegistry returns an enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{st: &regState{sources: map[string]source{}}}
+	return &Registry{sources: map[string]func() Metric{}}
 }
 
-// Enabled reports whether the registry records registrations.
-func (r *Registry) Enabled() bool { return r != nil }
-
-// Sub returns a view of the registry that prepends prefix + "/" to every
-// name registered through it. Views share the parent's storage (one
-// snapshot covers all of them); they exist so concurrent registrants —
-// one per vault controller, say — each write into a private namespace
-// instead of racing on shared names. Sub of a nil registry is nil.
-func (r *Registry) Sub(prefix string) *Registry {
-	if r == nil || prefix == "" {
-		return r
+func (r *Registry) register(name string, fn func() Metric) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, taken := r.sources[name]; taken {
+		return fmt.Errorf("telemetry: metric %s is already registered", name)
 	}
-	return &Registry{st: r.st, prefix: r.prefix + prefix + "/"}
+	r.sources[name] = fn
+	return nil
 }
 
-// Replaced returns how many registrations overwrote an existing name.
-// Deliberate re-registration (memoised engine re-runs) counts here too,
-// so the useful signal is a delta over a window that should be
-// collision-free, e.g. one parallel vault construction.
-func (r *Registry) Replaced() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	return r.st.replaced
-}
-
-func (r *Registry) register(name, kind string, fn func() Metric) {
+// Unregister removes the metric named prefix and every metric under
+// prefix + "/": the rows of a run that was abandoned, so that running it
+// again can register them afresh.
+func (r *Registry) Unregister(prefix string) {
 	if r == nil {
 		return
 	}
-	st := r.st
-	st.mu.Lock()
-	if _, seen := st.sources[name]; !seen {
-		st.order = append(st.order, name)
-	} else {
-		st.replaced++
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name := range r.sources {
+		if name == prefix || strings.HasPrefix(name, prefix) && name[len(prefix)] == '/' {
+			delete(r.sources, name)
+		}
 	}
-	st.sources[name] = source{kind: kind, fn: fn}
-	st.mu.Unlock()
 }
 
 // RegisterCounter publishes a counter under name.
-func (r *Registry) RegisterCounter(name string, c *stats.Counter) {
+func (r *Registry) RegisterCounter(name string, c *stats.Counter) error {
 	if r == nil {
-		return
+		return nil
 	}
-	full := r.prefix + name
-	r.register(full, "counter", func() Metric {
-		return Metric{Name: full, Kind: "counter", Value: float64(c.Value())}
+	return r.register(name, func() Metric {
+		return Metric{Name: name, Kind: "counter", Value: float64(c.Value())}
 	})
 }
 
 // RegisterGauge publishes a value read through fn at snapshot time.
-func (r *Registry) RegisterGauge(name string, fn func() float64) {
+func (r *Registry) RegisterGauge(name string, fn func() float64) error {
 	if r == nil {
-		return
+		return nil
 	}
-	full := r.prefix + name
-	r.register(full, "gauge", func() Metric {
-		return Metric{Name: full, Kind: "gauge", Value: fn()}
+	return r.register(name, func() Metric {
+		return Metric{Name: name, Kind: "gauge", Value: fn()}
 	})
 }
 
 // RegisterHistogram publishes a histogram; its snapshot row carries the
 // count, mean bucket value (Value is the p50), tail quantile and the
 // out-of-range counts.
-func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) {
+func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) error {
 	if r == nil {
-		return
+		return nil
 	}
-	full := r.prefix + name
-	r.register(full, "histogram", func() Metric {
+	return r.register(name, func() Metric {
 		return Metric{
-			Name: full, Kind: "histogram",
+			Name: name, Kind: "histogram",
 			Value: h.Quantile(0.5), Count: h.Total(),
 			P50: h.Quantile(0.5), P99: h.Quantile(0.99), Max: h.Max(),
 			Underflow: h.Underflow(), Overflow: h.Overflow(),
@@ -154,74 +116,49 @@ func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) {
 	})
 }
 
-// Snapshot reads every source in registration order.
+// Snapshot reads every source, ordered by name (stable across
+// concurrent registration orders, e.g. parallel engine sweeps).
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	st := r.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Metric, 0, len(st.order))
-	for _, name := range st.order {
-		out = append(out, st.sources[name].fn())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Metric, 0, len(r.sources))
+	for _, fn := range r.sources {
+		out = append(out, fn())
 	}
-	return out
-}
-
-// SortedSnapshot reads every source, ordered by name (stable across
-// concurrent registration orders, e.g. parallel engine sweeps).
-func (r *Registry) SortedSnapshot() []Metric {
-	out := r.Snapshot()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// WriteJSON dumps a sorted snapshot as one JSON array.
+// WriteJSON dumps a snapshot as one JSON array.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	snap := r.SortedSnapshot()
+	snap := r.Snapshot()
 	if snap == nil {
 		snap = []Metric{}
 	}
 	return enc.Encode(snap)
 }
 
-// WriteCSV dumps a sorted snapshot as CSV.
+// WriteCSV dumps a snapshot as CSV.
 func (r *Registry) WriteCSV(w io.Writer) error {
+	// bw keeps its first error; Flush reports it.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("name,kind,value,count,p50,p99,max,underflow,overflow\n"); err != nil {
-		return err
-	}
-	for _, m := range r.SortedSnapshot() {
-		if _, err := fmt.Fprintf(bw, "%s,%s,%g,%d,%g,%g,%g,%d,%d\n",
-			csvEscape(m.Name), m.Kind, m.Value, m.Count, m.P50, m.P99, m.Max, m.Underflow, m.Overflow); err != nil {
-			return err
-		}
+	bw.WriteString("name,kind,value,count,p50,p99,max,underflow,overflow\n")
+	for _, m := range r.Snapshot() {
+		fmt.Fprintf(bw, "%s,%s,%g,%d,%g,%g,%g,%d,%d\n",
+			csvEscape(m.Name), m.Kind, m.Value, m.Count, m.P50, m.P99, m.Max, m.Underflow, m.Overflow)
 	}
 	return bw.Flush()
 }
 
 // csvEscape quotes a field containing separators or quotes.
 func csvEscape(s string) string {
-	needs := false
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == '"' || c == '\n' {
-			needs = true
-			break
-		}
-	}
-	if !needs {
+	if !strings.ContainsAny(s, ",\"\n") {
 		return s
 	}
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '"')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			out = append(out, '"')
-		}
-		out = append(out, s[i])
-	}
-	return string(append(out, '"'))
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }

@@ -2,38 +2,42 @@ package telemetry
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"smartrefresh/internal/stats"
 )
 
-// Hundreds of vault controllers registering concurrently, each through
-// its own Sub namespace: every registration must survive (none dropped
-// by last-writer-wins replacement) and the run must be -race clean.
-// Before namespacing, identical names raced and all but one vault's
-// samples were silently discarded.
-func TestRegistrySubConcurrentRegistration(t *testing.T) {
+// Hundreds of vault controllers registering concurrently, each under its
+// own names: every registration must succeed and survive, and the run
+// must be -race clean.
+func TestRegistryConcurrentRegistration(t *testing.T) {
 	const vaults = 256
 	root := NewRegistry()
 	counters := make([]stats.Counter, vaults)
+	errs := make([]error, vaults)
 	var wg sync.WaitGroup
 	wg.Add(vaults)
 	for v := 0; v < vaults; v++ {
 		go func(v int) {
 			defer wg.Done()
-			sub := root.Sub(fmt.Sprintf("vault%03d", v))
 			counters[v].Add(uint64(v))
-			sub.RegisterCounter("refresh_ops", &counters[v])
-			sub.RegisterGauge("queue_depth", func() float64 { return float64(v) })
+			prefix := fmt.Sprintf("vault%03d", v)
+			errs[v] = root.RegisterCounter(prefix+"/refresh_ops", &counters[v])
+			if errs[v] == nil {
+				errs[v] = root.RegisterGauge(prefix+"/queue_depth", func() float64 { return float64(v) })
+			}
 		}(v)
 	}
 	wg.Wait()
 
-	if got := root.Replaced(); got != 0 {
-		t.Fatalf("Replaced() = %d, want 0 (a replacement means a vault's samples were dropped)", got)
+	for v, err := range errs {
+		if err != nil {
+			t.Fatalf("vault %d: %v", v, err)
+		}
 	}
-	snap := root.SortedSnapshot()
+	snap := root.Snapshot()
 	if len(snap) != 2*vaults {
 		t.Fatalf("snapshot has %d rows, want %d", len(snap), 2*vaults)
 	}
@@ -49,39 +53,60 @@ func TestRegistrySubConcurrentRegistration(t *testing.T) {
 	}
 }
 
-func TestRegistrySubNesting(t *testing.T) {
-	root := NewRegistry()
-	var c stats.Counter
-	c.Add(7)
-	root.Sub("stack0").Sub("vault01").RegisterCounter("ops", &c)
-	snap := root.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "stack0/vault01/ops" || snap[0].Value != 7 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-func TestRegistrySubDisabled(t *testing.T) {
+func TestRegistryDisabled(t *testing.T) {
 	var r *Registry
-	sub := r.Sub("vault00")
-	if sub.Enabled() {
-		t.Fatal("Sub of nil registry is enabled")
+	if err := r.RegisterGauge("g", func() float64 { return 1 }); err != nil {
+		t.Fatalf("nil registry refused a registration: %v", err)
 	}
-	sub.RegisterGauge("g", func() float64 { return 1 }) // must not panic
-	if sub.Snapshot() != nil || sub.Replaced() != 0 {
+	r.Unregister("g") // must not panic
+	if r.Snapshot() != nil {
 		t.Fatal("disabled registry returned data")
 	}
 }
 
-func TestRegistryReplacedCountsOverwrites(t *testing.T) {
+// A name belongs to its first registrant: a second registration is an
+// error naming the name, and the first source stays.
+func TestRegistryRejectsDuplicate(t *testing.T) {
+	r := NewRegistry()
+	var first, second stats.Counter
+	first.Add(1)
+	second.Add(2)
+	if err := r.RegisterCounter("job/requests", &first); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		r.RegisterCounter("job/requests", &second),
+		r.RegisterGauge("job/requests", func() float64 { return 3 }),
+		r.RegisterHistogram("job/requests", stats.NewHistogram(4, 1)),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "job/requests") {
+			t.Errorf("duplicate registration: error %v, want one naming job/requests", err)
+		}
+	}
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Value != 1 {
+		t.Fatalf("snapshot = %+v, want the first registrant's row only", snap)
+	}
+}
+
+// Unregister frees a run's names — the prefix and everything under
+// prefix + "/" — and nothing else, so the run can register again.
+func TestRegistryUnregister(t *testing.T) {
 	r := NewRegistry()
 	var c stats.Counter
-	r.RegisterCounter("dup", &c)
-	r.RegisterCounter("dup", &c)
-	r.RegisterCounter("dup", &c)
-	if got := r.Replaced(); got != 2 {
-		t.Fatalf("Replaced() = %d, want 2", got)
+	for _, name := range []string{"job", "job/requests", "job/vault00/requests", "job@sr1us/requests", "jobs/requests"} {
+		if err := r.RegisterCounter(name, &c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(r.Snapshot()) != 1 {
-		t.Fatal("replacement duplicated the row")
+	r.Unregister("job")
+	var left []string
+	for _, m := range r.Snapshot() {
+		left = append(left, m.Name)
+	}
+	if got := strings.Join(left, " "); got != "job@sr1us/requests jobs/requests" {
+		t.Fatalf("after Unregister: %s", got)
+	}
+	if err := r.RegisterCounter("job/requests", &c); err != nil {
+		t.Fatalf("re-registration after Unregister: %v", err)
 	}
 }

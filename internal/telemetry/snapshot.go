@@ -59,7 +59,7 @@ func (s *Snapshotter) Observe(now sim.Time, records uint64) error {
 		s.next += s.every
 	}
 	s.seq++
-	return s.emit(Snapshot{Seq: s.seq, SimTime: now, Records: records, Metrics: s.reg.SortedSnapshot()})
+	return s.emit(Snapshot{Seq: s.seq, SimTime: now, Records: records, Metrics: s.reg.Snapshot()})
 }
 
 // Final emits one last snapshot at end of run, regardless of where the
@@ -69,7 +69,7 @@ func (s *Snapshotter) Final(now sim.Time, records uint64) error {
 		return nil
 	}
 	s.seq++
-	return s.emit(Snapshot{Seq: s.seq, SimTime: now, Records: records, Final: true, Metrics: s.reg.SortedSnapshot()})
+	return s.emit(Snapshot{Seq: s.seq, SimTime: now, Records: records, Final: true, Metrics: s.reg.Snapshot()})
 }
 
 // Count returns the number of snapshots emitted.

@@ -52,34 +52,17 @@ const (
 	numCommandKinds
 )
 
+// commandNames is each kind's name in the trace.
+var commandNames = [numCommandKinds]string{
+	"ACT", "PRE", "READ", "WRITE", "REF-RAS", "REF-CBR", "REF-PB", "REF-AB", "SELF-REF", "IDLE-CLOSE", "PWR-DN",
+}
+
 // String names the kind as it appears in the trace.
 func (k CommandKind) String() string {
-	switch k {
-	case CmdActivate:
-		return "ACT"
-	case CmdPrecharge:
-		return "PRE"
-	case CmdRead:
-		return "READ"
-	case CmdWrite:
-		return "WRITE"
-	case CmdRefreshRASOnly:
-		return "REF-RAS"
-	case CmdRefreshCBR:
-		return "REF-CBR"
-	case CmdRefreshPB:
-		return "REF-PB"
-	case CmdRefreshAB:
-		return "REF-AB"
-	case CmdSelfRefresh:
-		return "SELF-REF"
-	case CmdIdleClose:
-		return "IDLE-CLOSE"
-	case CmdPowerDown:
-		return "PWR-DN"
-	default:
-		return fmt.Sprintf("CommandKind(%d)", int(k))
+	if k < numCommandKinds {
+		return commandNames[k]
 	}
+	return fmt.Sprintf("CommandKind(%d)", int(k))
 }
 
 // DefaultEventLimit bounds the number of buffered command events per
@@ -300,24 +283,16 @@ func (t *Tracer) Write(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
+	// A bufio.Writer keeps its first error and then writes nothing more,
+	// so Flush reports any failure of the writes before it.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(`{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"engine"}}`); err != nil {
-		return err
-	}
+	bw.WriteString(`{"traceEvents":[`)
+	bw.WriteString(`{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"engine"}}`)
 	for i := range t.events {
-		if err := bw.WriteByte(','); err != nil {
-			return err
-		}
-		if err := writeEvent(bw, &t.events[i]); err != nil {
-			return err
-		}
+		bw.WriteByte(',')
+		writeEvent(bw, &t.events[i])
 	}
-	if _, err := fmt.Fprintf(bw, `],"displayTimeUnit":"ns","otherData":{"droppedEvents":"%d"}}`+"\n", t.dropped); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, `],"displayTimeUnit":"ns","otherData":{"droppedEvents":"%d"}}`+"\n", t.dropped)
 	return bw.Flush()
 }
 
@@ -330,33 +305,25 @@ func (t *Tracer) WriteFile(path string) error {
 	return atomicio.WriteFile(path, t.Write)
 }
 
-// writeEvent renders one event as a JSON object.
-func writeEvent(bw *bufio.Writer, e *event) error {
+// writeEvent renders one event as a JSON object; bw keeps any error.
+func writeEvent(bw *bufio.Writer, e *event) {
 	if e.ph == 'M' {
 		// Metadata: the label travels in args.name; cat holds it.
-		_, err := fmt.Fprintf(bw, `{"name":%s,"ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
+		fmt.Fprintf(bw, `{"name":%s,"ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
 			strconv.Quote(e.name), e.pid, e.tid, strconv.Quote(e.cat))
-		return err
+		return
 	}
-	if _, err := fmt.Fprintf(bw, `{"name":%s,"cat":%s,"ph":%q,"pid":%d,"tid":%d,"ts":%s`,
+	fmt.Fprintf(bw, `{"name":%s,"cat":%s,"ph":%q,"pid":%d,"tid":%d,"ts":%s`,
 		strconv.Quote(e.name), strconv.Quote(e.cat), string(e.ph), e.pid, e.tid,
-		strconv.FormatFloat(e.ts, 'f', -1, 64)); err != nil {
-		return err
-	}
+		strconv.FormatFloat(e.ts, 'f', -1, 64))
 	if e.ph == 'X' {
-		if _, err := fmt.Fprintf(bw, `,"dur":%s`, strconv.FormatFloat(e.dur, 'f', -1, 64)); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, `,"dur":%s`, strconv.FormatFloat(e.dur, 'f', -1, 64))
 	}
 	if e.ph == 'i' {
-		if _, err := bw.WriteString(`,"s":"t"`); err != nil {
-			return err
-		}
+		bw.WriteString(`,"s":"t"`)
 	}
 	if e.row >= 0 {
-		if _, err := fmt.Fprintf(bw, `,"args":{"row":%d}`, e.row); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, `,"args":{"row":%d}`, e.row)
 	}
-	return bw.WriteByte('}')
+	bw.WriteByte('}')
 }

@@ -225,7 +225,7 @@ func TestRegistry(t *testing.T) {
 	h.Observe(100)
 	reg.RegisterHistogram("c/latency", h)
 
-	snap := reg.SortedSnapshot()
+	snap := reg.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d rows", len(snap))
 	}
@@ -239,11 +239,12 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("histogram row = %+v", snap[2])
 	}
 
-	// Re-registering replaces in place (memoised re-runs must not
-	// duplicate rows).
-	reg.RegisterGauge("a/refresh_ops", func() float64 { return 13 })
-	snap = reg.SortedSnapshot()
-	if len(snap) != 3 || snap[0].Value != 13 {
+	// A name already held is refused; the first source stays.
+	if err := reg.RegisterGauge("a/refresh_ops", func() float64 { return 13 }); err == nil {
+		t.Error("re-registering a name succeeded")
+	}
+	snap = reg.Snapshot()
+	if len(snap) != 3 || snap[0].Value != 12 {
 		t.Errorf("re-register: %d rows, row0 %+v", len(snap), snap[0])
 	}
 
