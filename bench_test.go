@@ -140,10 +140,13 @@ func BenchmarkOptimalityCounterWidth(b *testing.B) {
 	}
 	var pts []experiment.CounterWidthPoint
 	for i := 0; i < b.N; i++ {
-		pts = experiment.CounterWidthStudy(nil, prof, []int{2, 3, 4}, experiment.RunOptions{
+		pts, err = experiment.CounterWidthStudy(nil, prof, []int{2, 3, 4}, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 128 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[1].MeasuredOptimalityPct, "optimality3bit_%")
 	b.ReportMetric(pts[1].OptimalityPct, "paper_optimality_%")
@@ -167,10 +170,13 @@ func BenchmarkAblationQueueDepth(b *testing.B) {
 	}
 	var pts []experiment.SegmentsPoint
 	for i := 0; i < b.N; i++ {
-		pts = experiment.SegmentsStudy(nil, prof, []int{4, 8, 16}, experiment.RunOptions{
+		pts, err = experiment.SegmentsStudy(nil, prof, []int{4, 8, 16}, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 64 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(pts[1].MaxPendingPerTick), "maxpending_8seg")
 }
@@ -183,10 +189,13 @@ func BenchmarkAblationBusOverhead(b *testing.B) {
 	}
 	var pts []experiment.BusOverheadPoint
 	for i := 0; i < b.N; i++ {
-		pts = experiment.BusOverheadStudy(nil, prof, experiment.RunOptions{
+		pts, err = experiment.BusOverheadStudy(nil, prof, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 64 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[0].RefreshEnergySavingPct, "saving_with_bus_%")
 	b.ReportMetric(pts[1].RefreshEnergySavingPct, "saving_no_bus_%")
@@ -195,13 +204,17 @@ func BenchmarkAblationBusOverhead(b *testing.B) {
 // Ablation: self-disable threshold sweep (section 4.6).
 func BenchmarkAblationDisableThresholds(b *testing.B) {
 	var pts []experiment.ThresholdPoint
+	var err error
 	for i := 0; i < b.N; i++ {
-		pts = experiment.DisableThresholdStudy(nil, 0.002, [][2]float64{
+		pts, err = experiment.DisableThresholdStudy(nil, 0.002, [][2]float64{
 			{0.01, 0.02}, {0.005, 0.01}, {0.0001, 0.0002},
 		}, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 128 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[0].TotalEnergyMJ, "paperthresh_mJ")
 	b.ReportMetric(pts[2].TotalEnergyMJ, "nodisable_mJ")
@@ -216,10 +229,13 @@ func BenchmarkAblationRetentionAware(b *testing.B) {
 	}
 	var pts []experiment.RetentionAwarePoint
 	for i := 0; i < b.N; i++ {
-		pts = experiment.RetentionAwareStudy(nil, prof, experiment.RunOptions{
+		pts, err = experiment.RetentionAwareStudy(nil, prof, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 128 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[1].RefreshReductionPct, "smart_reduction_%")
 	b.ReportMetric(pts[2].RefreshReductionPct, "aware_reduction_%")
@@ -228,11 +244,15 @@ func BenchmarkAblationRetentionAware(b *testing.B) {
 // Section 4.6: idle-OS workload with the self-disable circuitry.
 func BenchmarkDisableIdleWorkload(b *testing.B) {
 	var res experiment.DisableStudyResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		res = experiment.DisableStudy(nil, experiment.RunOptions{
+		res, err = experiment.DisableStudy(nil, experiment.RunOptions{
 			Warmup:  64 * smartrefresh.Millisecond,
 			Measure: 192 * smartrefresh.Millisecond,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(res.EnergyLossPctWithDisable, "energy_loss_%")
 }
@@ -241,8 +261,12 @@ func BenchmarkDisableIdleWorkload(b *testing.B) {
 // NEC 4 ms / IBM 64 us observation).
 func BenchmarkEDRAMIntervalSweep(b *testing.B) {
 	var pts []experiment.EDRAMPoint
+	var err error
 	for i := 0; i < b.N; i++ {
-		pts = experiment.EDRAMStudy(nil)
+		pts, err = experiment.EDRAMStudy(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[1].BaselineRefreshSharePct, "4ms_refresh_share_%")
 	b.ReportMetric(pts[1].TotalSavingPct, "4ms_total_saving_%")

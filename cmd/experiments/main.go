@@ -181,8 +181,8 @@ func run(ctx context.Context, args []string) error {
 		if err := runAblations(ctx, eng, suite.Opts, timing); err != nil {
 			return interruptedErr(ctx, checkpoint, err)
 		}
-		// The studies print their points; a job that failed under them
-		// fails the run here.
+		// The power-state sweep prints a failed job as an ERROR row; the
+		// failure still fails the run here.
 		if err := eng.Err(); err != nil {
 			return err
 		}
@@ -219,15 +219,15 @@ func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.R
 	}
 
 	// The studies drive the engine through its context-free entry
-	// points, which inherit eng.Ctx; a cancelled study returns fast
-	// with error-carrying results, so bail between (and after) studies
-	// rather than printing tables built from aborted runs.
-	if err := ctx.Err(); err != nil {
+	// points, which inherit eng.Ctx. A study returns its points with the
+	// errors of its failed jobs, a cancelled one among them, and a table
+	// is printed only when every job behind it ran.
+	cw, err := experiment.CounterWidthStudy(eng, gcc, []int{2, 3, 4, 5}, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Section 4.4: counter width vs optimality (benchmark: gcc) ==")
-	fmt.Print(experiment.FormatCounterWidthStudy(
-		experiment.CounterWidthStudy(eng, gcc, []int{2, 3, 4, 5}, opts)))
+	fmt.Print(experiment.FormatCounterWidthStudy(cw))
 	fmt.Println()
 
 	if err := ctx.Err(); err != nil {
@@ -240,58 +240,61 @@ func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.R
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	segments, err := experiment.SegmentsStudy(eng, fasta, []int{4, 8, 16}, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Section 5: segment count / pending queue sizing (benchmark: fasta) ==")
-	for _, p := range experiment.SegmentsStudy(eng, fasta, []int{4, 8, 16}, opts) {
+	for _, p := range segments {
 		fmt.Printf("  segments=%-3d queue=%-3d max pending/tick=%d refresh ops=%d\n",
 			p.Segments, p.QueueDepth, p.MaxPendingPerTick, p.RefreshOps)
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	bus, err := experiment.BusOverheadStudy(eng, gcc, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== RAS-only bus overhead ablation (benchmark: gcc) ==")
-	for _, p := range experiment.BusOverheadStudy(eng, gcc, opts) {
+	for _, p := range bus {
 		fmt.Printf("  bus overhead=%-5v smart refresh energy=%.3f mJ saving=%.2f%%\n",
 			p.WithOverhead, p.RefreshEnergyMJ, p.RefreshEnergySavingPct)
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	aware, err := experiment.RetentionAwareStudy(eng, gcc, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Retention-aware extension (RAPID/VRA + Smart Refresh, benchmark: gcc) ==")
-	for _, p := range experiment.RetentionAwareStudy(eng, gcc, opts) {
+	for _, p := range aware {
 		fmt.Printf("  %-16s refresh ops=%-8d reduction=%6.2f%% refreshE=%8.3f mJ totalE=%8.3f mJ\n",
 			p.Policy, p.RefreshOps, p.RefreshReductionPct, p.RefreshEnergyMJ, p.TotalEnergyMJ)
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	raidr, err := experiment.RAIDRStudy(eng, gcc, []int{1, 2, 3}, []float64{0, 0.05, 0.15},
+		workload.VRTSpec{FlipFraction: 0.02, Period: 256 * sim.Millisecond}, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== RAIDR multirate Bloom-filter wheel: bin count x profile error (benchmark: gcc) ==")
-	fmt.Print(experiment.FormatRAIDRStudy(experiment.RAIDRStudy(eng, gcc,
-		[]int{1, 2, 3}, []float64{0, 0.05, 0.15},
-		workload.VRTSpec{FlipFraction: 0.02, Period: 256 * sim.Millisecond}, opts)))
+	fmt.Print(experiment.FormatRAIDRStudy(raidr))
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	parallelism, err := experiment.RefreshParallelismStudy(eng, gcc, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Refresh-access parallelism (DARP/SARP per-bank refresh, benchmark: gcc) ==")
-	fmt.Print(experiment.FormatRefreshParallelismStudy(
-		experiment.RefreshParallelismStudy(eng, gcc, opts)))
+	fmt.Print(experiment.FormatRefreshParallelismStudy(parallelism))
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	d, err := experiment.DisableStudy(eng, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Section 4.6: idle-OS self-disable ==")
-	d := experiment.DisableStudy(eng, opts)
 	fmt.Printf("  disable circuitry engaged: %v\n", d.DisableSwitched)
 	fmt.Printf("  baseline total energy:       %10.3f mJ\n", d.Baseline.Energy.Total().Millijoules())
 	fmt.Printf("  smart (disable on) total:    %10.3f mJ (loss vs baseline: %.3f%%)\n",
@@ -300,30 +303,29 @@ func runAblations(ctx context.Context, eng *experiment.Engine, opts experiment.R
 		d.WithoutDisable.Energy.Total().Millijoules())
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	idle, err := experiment.IdlePowerStudy(eng, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== Idle power management comparison (extension) ==")
-	for _, p := range experiment.IdlePowerStudy(eng, opts) {
+	for _, p := range idle {
 		fmt.Printf("  %-18s total=%10.3f mJ controller refreshes=%d\n",
 			p.Name, p.TotalEnergyMJ, p.RefreshOps)
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
+	edram, err := experiment.EDRAMStudy(eng)
+	if err != nil {
 		return err
 	}
 	fmt.Println("== eDRAM refresh-interval study (introduction: NEC 4ms, IBM 64us) ==")
-	for _, p := range experiment.EDRAMStudy(eng) {
+	for _, p := range edram {
 		fmt.Printf("  interval=%-8v baseline=%12.0f refr/s  refresh share=%5.1f%%  reduction=%6.2f%%  total saving=%6.2f%%\n",
 			p.Interval, p.BaselineRefreshesPerSec, p.BaselineRefreshSharePct,
 			p.RefreshReductionPct, p.TotalSavingPct)
 	}
 	fmt.Println()
 
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	fmt.Println("== Vault-parallel scaling (HMC-style stack, benchmark: gcc) ==")
 	study, err := experiment.RunVaultScaling(ctx, experiment.HMC8V.DRAM(), gcc,
 		experiment.PolicySmart, opts, []int{1, 2, 4, 8})

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"smartrefresh"
 )
@@ -26,12 +27,19 @@ func main() {
 	fmt.Println("2 GB module, 256 ms measured window")
 	fmt.Println()
 	fmt.Printf("%-18s %14s %20s\n", "scheme", "total energy", "controller refreshes")
-	for _, p := range smartrefresh.IdlePowerStudy(eng, opts) {
+	points, err := smartrefresh.IdlePowerStudy(eng, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range points {
 		fmt.Printf("%-18s %11.3f mJ %20d\n", p.Name, p.TotalEnergyMJ, p.RefreshOps)
 	}
 
 	fmt.Println()
-	d := smartrefresh.DisableStudy(eng, opts)
+	d, err := smartrefresh.DisableStudy(eng, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("self-disable engaged: %v; energy loss vs baseline: %.3f%%\n",
 		d.DisableSwitched, d.EnergyLossPctWithDisable)
 	fmt.Println()

@@ -137,8 +137,10 @@ type (
 
 // CounterWidthStudy sweeps the time-out counter width (section 4.4). A
 // nil engine runs the study on a private single-use engine; pass a shared
-// engine to pool workers and progress hooks across studies.
-func CounterWidthStudy(eng *Engine, prof Profile, bits []int, opts RunOptions) []CounterWidthPoint {
+// engine to pool workers and progress hooks across studies. Like every
+// study that simulates, it returns its points with the joined errors of
+// the jobs that failed, whose points hold zeros.
+func CounterWidthStudy(eng *Engine, prof Profile, bits []int, opts RunOptions) ([]CounterWidthPoint, error) {
 	return experiment.CounterWidthStudy(eng, prof, bits, opts)
 }
 
@@ -149,23 +151,23 @@ func StaggerStudy(kind ConfigKind) []StaggerPoint {
 }
 
 // SegmentsStudy sweeps the segment count / pending queue depth.
-func SegmentsStudy(eng *Engine, prof Profile, segments []int, opts RunOptions) []SegmentsPoint {
+func SegmentsStudy(eng *Engine, prof Profile, segments []int, opts RunOptions) ([]SegmentsPoint, error) {
 	return experiment.SegmentsStudy(eng, prof, segments, opts)
 }
 
 // BusOverheadStudy isolates the RAS-only refresh bus cost.
-func BusOverheadStudy(eng *Engine, prof Profile, opts RunOptions) []BusOverheadPoint {
+func BusOverheadStudy(eng *Engine, prof Profile, opts RunOptions) ([]BusOverheadPoint, error) {
 	return experiment.BusOverheadStudy(eng, prof, opts)
 }
 
 // RetentionAwareStudy compares CBR, Smart and retention-aware Smart.
-func RetentionAwareStudy(eng *Engine, prof Profile, opts RunOptions) []RetentionAwarePoint {
+func RetentionAwareStudy(eng *Engine, prof Profile, opts RunOptions) ([]RetentionAwarePoint, error) {
 	return experiment.RetentionAwareStudy(eng, prof, opts)
 }
 
 // RAIDRStudy sweeps RAIDR bin counts and profile-error rates against a
 // CBR baseline under VRT injection.
-func RAIDRStudy(eng *Engine, prof Profile, binCounts []int, profileErrors []float64, vrt VRTSpec, opts RunOptions) []RAIDRPoint {
+func RAIDRStudy(eng *Engine, prof Profile, binCounts []int, profileErrors []float64, vrt VRTSpec, opts RunOptions) ([]RAIDRPoint, error) {
 	return experiment.RAIDRStudy(eng, prof, binCounts, profileErrors, vrt, opts)
 }
 
@@ -175,7 +177,7 @@ func FormatRAIDRStudy(points []RAIDRPoint) string {
 }
 
 // DisableStudy runs the section 4.6 idle-OS experiment.
-func DisableStudy(eng *Engine, opts RunOptions) DisableStudyResult {
+func DisableStudy(eng *Engine, opts RunOptions) (DisableStudyResult, error) {
 	return experiment.DisableStudy(eng, opts)
 }
 
@@ -248,7 +250,7 @@ type IdlePowerPoint = experiment.IdlePowerPoint
 
 // IdlePowerStudy compares CBR, Smart-with-disable and module self-refresh
 // on the near-idle workload.
-func IdlePowerStudy(eng *Engine, opts RunOptions) []IdlePowerPoint {
+func IdlePowerStudy(eng *Engine, opts RunOptions) ([]IdlePowerPoint, error) {
 	return experiment.IdlePowerStudy(eng, opts)
 }
 
@@ -260,7 +262,7 @@ type RefreshParallelismPoint = experiment.RefreshParallelismPoint
 // RefreshParallelismStudy runs the policy zoo — no-refresh floor, CBR,
 // Smart, burst, oracle, DARP and SARP — over one benchmark stream and
 // isolates each policy's refresh-induced demand stall.
-func RefreshParallelismStudy(eng *Engine, prof Profile, opts RunOptions) []RefreshParallelismPoint {
+func RefreshParallelismStudy(eng *Engine, prof Profile, opts RunOptions) ([]RefreshParallelismPoint, error) {
 	return experiment.RefreshParallelismStudy(eng, prof, opts)
 }
 
@@ -276,4 +278,4 @@ type EDRAMPoint = experiment.EDRAMPoint
 // (64 ms commodity, 4 ms NEC eDRAM, 64 us IBM eDRAM) with one fixed
 // workload, showing where Smart Refresh's benefit holds and where no
 // realistic traffic can beat the retention deadline.
-func EDRAMStudy(eng *Engine) []EDRAMPoint { return experiment.EDRAMStudy(eng) }
+func EDRAMStudy(eng *Engine) ([]EDRAMPoint, error) { return experiment.EDRAMStudy(eng) }

@@ -134,15 +134,15 @@ func TestAblationAPIs(t *testing.T) {
 	if pts := smartrefresh.StaggerStudy(smartrefresh.Conv2GB); len(pts) != 2 {
 		t.Errorf("stagger study points = %d", len(pts))
 	}
-	if pts := smartrefresh.BusOverheadStudy(nil, prof, opts); len(pts) != 2 {
-		t.Errorf("bus study points = %d", len(pts))
+	if pts, err := smartrefresh.BusOverheadStudy(nil, prof, opts); err != nil || len(pts) != 2 {
+		t.Errorf("bus study points = %d, error %v", len(pts), err)
 	}
-	if pts := smartrefresh.RetentionAwareStudy(nil, prof, opts); len(pts) != 3 {
-		t.Errorf("retention study points = %d", len(pts))
+	if pts, err := smartrefresh.RetentionAwareStudy(nil, prof, opts); err != nil || len(pts) != 3 {
+		t.Errorf("retention study points = %d, error %v", len(pts), err)
 	}
-	pts := smartrefresh.RefreshParallelismStudy(nil, prof, opts)
-	if len(pts) != 7 {
-		t.Fatalf("parallelism study points = %d", len(pts))
+	pts, err := smartrefresh.RefreshParallelismStudy(nil, prof, opts)
+	if err != nil || len(pts) != 7 {
+		t.Fatalf("parallelism study points = %d, error %v", len(pts), err)
 	}
 	if out := smartrefresh.FormatRefreshParallelismStudy(pts); !strings.Contains(out, "darp") {
 		t.Errorf("parallelism table missing darp:\n%s", out)

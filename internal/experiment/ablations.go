@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"smartrefresh/internal/config"
@@ -37,6 +38,19 @@ func ensureEngine(eng *Engine) *Engine {
 	return eng
 }
 
+// jobsErr joins the errors of a study's failed jobs; it is nil when
+// every job ran. A failed job leaves zeros in its point, so a study
+// returns its points with this error.
+func jobsErr(res []RunResult) error {
+	var errs []error
+	for _, r := range res {
+		if r.Err != nil {
+			errs = append(errs, r.Err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // variant returns cfg under the name "<name>-<tag>". A study that edits
 // a preset names the edit this way, so that its jobs' identities tell
 // them from the preset's (see Job.ID).
@@ -57,7 +71,7 @@ func noSelfDisable(cfg config.DRAM) config.DRAM {
 // bits to explain and 3 to simulate; wider counters approach the oracle).
 // The per-width pair runs execute on eng's worker pool (nil = default
 // engine).
-func CounterWidthStudy(eng *Engine, prof workload.Profile, bits []int, opts RunOptions) []CounterWidthPoint {
+func CounterWidthStudy(eng *Engine, prof workload.Profile, bits []int, opts RunOptions) ([]CounterWidthPoint, error) {
 	eng = ensureEngine(eng)
 	cfgs := make([]config.DRAM, len(bits))
 	jobs := make([]Job, 0, 2*len(bits))
@@ -88,7 +102,7 @@ func CounterWidthStudy(eng *Engine, prof workload.Profile, bits []int, opts RunO
 			AreaKB:                core.CounterAreaKB(c.Geometry, b),
 		})
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // measureOptimality measures the section 4.4 optimality metric: access a
@@ -208,7 +222,7 @@ type SegmentsPoint struct {
 // SegmentsStudy sweeps the segment count / pending queue depth and
 // confirms the per-tick bound never exceeds the queue depth. The runs
 // execute on eng's worker pool (nil = default engine).
-func SegmentsStudy(eng *Engine, prof workload.Profile, segments []int, opts RunOptions) []SegmentsPoint {
+func SegmentsStudy(eng *Engine, prof workload.Profile, segments []int, opts RunOptions) ([]SegmentsPoint, error) {
 	eng = ensureEngine(eng)
 	jobs := make([]Job, len(segments))
 	for i, n := range segments {
@@ -228,7 +242,7 @@ func SegmentsStudy(eng *Engine, prof workload.Profile, segments []int, opts RunO
 			RefreshOps:        res[i].Results.Module.RefreshOps,
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // BusOverheadPoint quantifies the RAS-only refresh penalty the paper's
@@ -242,7 +256,7 @@ type BusOverheadPoint struct {
 // BusOverheadStudy runs one benchmark with the Table 3 bus model on and
 // off to isolate the RAS-only address-bus cost. The four runs execute on
 // eng's worker pool (nil = default engine).
-func BusOverheadStudy(eng *Engine, prof workload.Profile, opts RunOptions) []BusOverheadPoint {
+func BusOverheadStudy(eng *Engine, prof workload.Profile, opts RunOptions) ([]BusOverheadPoint, error) {
 	eng = ensureEngine(eng)
 	variants := []bool{true, false}
 	jobs := make([]Job, 0, 2*len(variants))
@@ -273,7 +287,7 @@ func BusOverheadStudy(eng *Engine, prof workload.Profile, opts RunOptions) []Bus
 			RefreshEnergySavingPct: saving,
 		})
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // DisableStudyResult captures the section 4.6 idle-OS experiment.
@@ -291,7 +305,7 @@ type DisableStudyResult struct {
 
 // DisableStudy runs the idle-OS workload of section 4.6. Its three runs
 // execute on eng's worker pool (nil = default engine).
-func DisableStudy(eng *Engine, opts RunOptions) DisableStudyResult {
+func DisableStudy(eng *Engine, opts RunOptions) (DisableStudyResult, error) {
 	eng = ensureEngine(eng)
 	idle := workload.Idle()
 	cfg := Conv2GB.DRAM()
@@ -322,7 +336,7 @@ func DisableStudy(eng *Engine, opts RunOptions) DisableStudyResult {
 			withRes.Results.Policy.TimeDisabled > 0 ||
 			withRes.Results.Module.RefreshCBROps > 0,
 		EnergyLossPctWithDisable: loss,
-	}
+	}, jobsErr(res)
 }
 
 // RetentionAwarePoint is one row of the retention-aware extension study
@@ -342,7 +356,7 @@ type RetentionAwarePoint struct {
 // pool (nil = default engine); the retention-aware run derives its
 // retention map from the benchmark seed like every PolicySmartRetention
 // job.
-func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []RetentionAwarePoint {
+func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) ([]RetentionAwarePoint, error) {
 	eng = ensureEngine(eng)
 	cfg := noSelfDisable(Conv2GB.DRAM())
 
@@ -367,7 +381,7 @@ func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []
 			out[i].RefreshReductionPct = 100 * (1 - float64(out[i].RefreshOps)/float64(base.RefreshOps))
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // EDRAMPoint is one row of the embedded-DRAM refresh-interval study.
@@ -391,7 +405,7 @@ type EDRAMPoint struct {
 // save at 64 us, where no realistic traffic beats the deadline. The six
 // runs execute on eng's worker pool (nil = default engine), each building
 // its own generator through Job.MakeSource.
-func EDRAMStudy(eng *Engine) []EDRAMPoint {
+func EDRAMStudy(eng *Engine) ([]EDRAMPoint, error) {
 	eng = ensureEngine(eng)
 	intervals := []sim.Duration{64 * sim.Millisecond, 4 * sim.Millisecond, 64 * sim.Microsecond}
 	var jobs []Job
@@ -437,7 +451,7 @@ func EDRAMStudy(eng *Engine) []EDRAMPoint {
 		}
 		out = append(out, pt)
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // IdlePowerPoint is one row of the idle-power management comparison.
@@ -452,7 +466,7 @@ type IdlePowerPoint struct {
 // self-disable, and CBR with module self-refresh — the deepest sleep a
 // DRAM offers, which trades wake-up latency (tXSNR) for IDD6 standby.
 // The three runs execute on eng's worker pool (nil = default engine).
-func IdlePowerStudy(eng *Engine, opts RunOptions) []IdlePowerPoint {
+func IdlePowerStudy(eng *Engine, opts RunOptions) ([]IdlePowerPoint, error) {
 	eng = ensureEngine(eng)
 	idle := workload.Idle()
 	cfg := Conv2GB.DRAM()
@@ -477,7 +491,7 @@ func IdlePowerStudy(eng *Engine, opts RunOptions) []IdlePowerPoint {
 			RefreshOps:    r.Results.Module.RefreshOps,
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // ThresholdPoint is one row of the self-disable threshold sweep.
@@ -497,7 +511,7 @@ type ThresholdPoint struct {
 // workload of the given row-coverage density, showing where the policy
 // decides Smart Refresh is not worth its counter energy. The per-
 // threshold runs execute on eng's worker pool (nil = default engine).
-func DisableThresholdStudy(eng *Engine, coverage float64, thresholds [][2]float64, opts RunOptions) []ThresholdPoint {
+func DisableThresholdStudy(eng *Engine, coverage float64, thresholds [][2]float64, opts RunOptions) ([]ThresholdPoint, error) {
 	eng = ensureEngine(eng)
 	prof := workload.Idle()
 	prof.Name = fmt.Sprintf("threshold-probe-%g", coverage)
@@ -523,7 +537,7 @@ func DisableThresholdStudy(eng *Engine, coverage float64, thresholds [][2]float6
 			TotalEnergyMJ: res[i].Results.Energy.Total().Millijoules(),
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // FormatCounterWidthStudy renders the study as a table string.

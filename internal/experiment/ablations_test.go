@@ -11,7 +11,10 @@ import (
 
 func TestCounterWidthStudy(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
-	pts := CounterWidthStudy(nil, prof, []int{2, 3, 4}, fastOpts(false))
+	pts, err := CounterWidthStudy(nil, prof, []int{2, 3, 4}, fastOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -72,7 +75,10 @@ func TestStaggerStudy(t *testing.T) {
 
 func TestSegmentsStudy(t *testing.T) {
 	prof, _ := workload.ByName("fasta")
-	pts := SegmentsStudy(nil, prof, []int{4, 8, 16}, fastOpts(false))
+	pts, err := SegmentsStudy(nil, prof, []int{4, 8, 16}, fastOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -97,7 +103,10 @@ func TestSegmentsStudy(t *testing.T) {
 
 func TestBusOverheadStudy(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
-	pts := BusOverheadStudy(nil, prof, fastOpts(false))
+	pts, err := BusOverheadStudy(nil, prof, fastOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var with, without BusOverheadPoint
 	for _, p := range pts {
 		if p.WithOverhead {
@@ -121,7 +130,10 @@ func TestBusOverheadStudy(t *testing.T) {
 }
 
 func TestEDRAMStudy(t *testing.T) {
-	pts := EDRAMStudy(nil)
+	pts, err := EDRAMStudy(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -158,7 +170,10 @@ func TestEDRAMStudy(t *testing.T) {
 
 func TestIdlePowerStudy(t *testing.T) {
 	opts := RunOptions{Warmup: 64 * sim.Millisecond, Measure: 192 * sim.Millisecond}
-	pts := IdlePowerStudy(nil, opts)
+	pts, err := IdlePowerStudy(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -187,10 +202,13 @@ func TestDisableThresholdStudy(t *testing.T) {
 	opts := RunOptions{Warmup: 64 * sim.Millisecond, Measure: 192 * sim.Millisecond}
 	// Probe density ~0.5% of rows per interval: disables at the paper's
 	// 1% threshold, stays enabled with a very low threshold.
-	pts := DisableThresholdStudy(nil, 0.002, [][2]float64{
+	pts, err := DisableThresholdStudy(nil, 0.002, [][2]float64{
 		{0.01, 0.02},     // paper thresholds
 		{0.0001, 0.0002}, // nearly-never-disable
 	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -212,7 +230,9 @@ func TestRetentionAwareStudyMetricsPrefix(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
 	eng := NewEngine(1)
 	eng.Metrics = telemetry.NewRegistry()
-	RetentionAwareStudy(eng, prof, fastOpts(false))
+	if _, err := RetentionAwareStudy(eng, prof, fastOpts(false)); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +248,10 @@ func TestRetentionAwareStudyMetricsPrefix(t *testing.T) {
 
 func TestRetentionAwareStudy(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
-	pts := RetentionAwareStudy(nil, prof, fastOpts(false))
+	pts, err := RetentionAwareStudy(nil, prof, fastOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -258,7 +281,10 @@ func TestRetentionAwareStudy(t *testing.T) {
 
 func TestDisableStudy(t *testing.T) {
 	opts := RunOptions{Warmup: 64 * sim.Millisecond, Measure: 256 * sim.Millisecond}
-	res := DisableStudy(nil, opts)
+	res, err := DisableStudy(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.DisableSwitched {
 		t.Error("idle workload did not trip the self-disable")
 	}
@@ -277,5 +303,44 @@ func TestDisableStudy(t *testing.T) {
 	// In disabled mode refreshes are CBR (no explicit rows).
 	if res.WithDisable.Module.RefreshCBROps == 0 {
 		t.Error("disabled mode issued no CBR refreshes")
+	}
+}
+
+// A study whose job fails returns an error naming that job, not only a
+// point of zeros. An edited preset that kept the study's variant name
+// claims the identity of the studies' plain Smart Refresh job first, so
+// that job, and only it, fails in each study.
+func TestStudyErrorNamesFailedJob(t *testing.T) {
+	prof := mustProfile(t, "gcc")
+	opts := RunOptions{Warmup: sim.Millisecond, Measure: 2 * sim.Millisecond}
+	squatter := Job{Cfg: noSelfDisable(Conv2GB.DRAM()), Prof: prof, Policy: PolicySmart, Opts: opts}
+	squatter.Cfg.Smart.CounterBits = 2
+	eng := NewEngine(1)
+	if res := eng.RunJobs([]Job{squatter}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	id := squatter.ID()
+
+	for name, study := range map[string]func() (int, error){
+		"RetentionAwareStudy": func() (int, error) {
+			pts, err := RetentionAwareStudy(eng, prof, opts)
+			return len(pts), err
+		},
+		"RefreshParallelismStudy": func() (int, error) {
+			pts, err := RefreshParallelismStudy(eng, prof, opts)
+			return len(pts), err
+		},
+	} {
+		n, err := study()
+		if err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("%s: error %v, want one naming %s", name, err, id)
+			continue
+		}
+		if strings.Count(err.Error(), "experiment:") != 1 {
+			t.Errorf("%s: error %q joins more than the one failed job", name, err)
+		}
+		if n == 0 {
+			t.Errorf("%s returned no points with its error", name)
+		}
 	}
 }

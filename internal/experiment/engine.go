@@ -386,8 +386,9 @@ func (e *Engine) RunJobs(jobs []Job) []RunResult {
 }
 
 // Err returns the first error a RunJobs job failed with, cancellation
-// aside. A study returns only its points, so its caller reads its jobs'
-// failures, such as two jobs of one identity, here.
+// aside, such as two jobs of one identity. A study that reports a failed
+// job in its point rather than in an error, as the power-state sweep
+// does, leaves the failure here.
 func (e *Engine) Err() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -60,16 +60,35 @@ func TestEverySimulatedJobHasOneIdentity(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	CounterWidthStudy(eng, gcc, []int{2, 3}, opts)
-	SegmentsStudy(eng, fasta, []int{4, 8}, opts)
-	BusOverheadStudy(eng, gcc, opts)
-	RetentionAwareStudy(eng, gcc, opts)
-	raidr := RAIDRStudy(eng, gcc, []int{1, 2}, []float64{0, 0.05},
+	if _, err := CounterWidthStudy(eng, gcc, []int{2, 3}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SegmentsStudy(eng, fasta, []int{4, 8}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BusOverheadStudy(eng, gcc, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RetentionAwareStudy(eng, gcc, opts); err != nil {
+		t.Fatal(err)
+	}
+	raidr, err := RAIDRStudy(eng, gcc, []int{1, 2}, []float64{0, 0.05},
 		workload.VRTSpec{FlipFraction: 0.02, Period: 256 * sim.Millisecond}, opts)
-	RefreshParallelismStudy(eng, gcc, opts)
-	DisableStudy(eng, opts)
-	IdlePowerStudy(eng, opts)
-	DisableThresholdStudy(eng, 0.002, [][2]float64{{0.05, 0.1}, {0.001, 0.002}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RefreshParallelismStudy(eng, gcc, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DisableStudy(eng, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IdlePowerStudy(eng, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DisableThresholdStudy(eng, 0.002, [][2]float64{{0.05, 0.1}, {0.001, 0.002}}, opts); err != nil {
+		t.Fatal(err)
+	}
 	sweep := RunPowerStateSweep(eng, nil, opts)
 	for _, pt := range sweep.Points {
 		if pt.Err != nil {

@@ -38,7 +38,7 @@ type RefreshParallelismPoint struct {
 // reports each policy's refresh-induced demand stall against the CBR
 // baseline, alongside its refresh-operation and energy cost. The runs
 // execute on eng's worker pool (nil = default engine).
-func RefreshParallelismStudy(eng *Engine, prof workload.Profile, opts RunOptions) []RefreshParallelismPoint {
+func RefreshParallelismStudy(eng *Engine, prof workload.Profile, opts RunOptions) ([]RefreshParallelismPoint, error) {
 	eng = ensureEngine(eng)
 	cfg := noSelfDisable(Conv2GB.DRAM())
 
@@ -82,7 +82,7 @@ func RefreshParallelismStudy(eng *Engine, prof workload.Profile, opts RunOptions
 			out[i].StallReductionPct = 100 * (1 - float64(out[i].RefreshStall)/float64(base))
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // FormatRefreshParallelismStudy renders the study as a table string.

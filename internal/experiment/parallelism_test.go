@@ -24,7 +24,10 @@ func TestRefreshParallelismStudy(t *testing.T) {
 		Warmup:  sim.Duration(40 * sim.Millisecond),
 		Measure: sim.Duration(80 * sim.Millisecond),
 	}
-	points := RefreshParallelismStudy(nil, prof, opts)
+	points, err := RefreshParallelismStudy(nil, prof, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 7 {
 		t.Fatalf("study returned %d points, want 7", len(points))
 	}

@@ -57,7 +57,7 @@ type RAIDRPoint struct {
 // overridden by each profileErrors entry. The first returned point is
 // the CBR baseline. Retention checking is forced on for every run, with
 // each raidr run checked against its own profiled map.
-func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErrors []float64, vrt workload.VRTSpec, opts RunOptions) []RAIDRPoint {
+func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErrors []float64, vrt workload.VRTSpec, opts RunOptions) ([]RAIDRPoint, error) {
 	eng = ensureEngine(eng)
 	cfg := noSelfDisable(Conv2GB.DRAM())
 	opts.CheckRetention = true
@@ -136,7 +136,7 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			out[i].RefreshReductionPct = 100 * (1 - float64(out[i].RefreshOps)/float64(base.RefreshOps))
 		}
 	}
-	return out
+	return out, jobsErr(res)
 }
 
 // FormatRAIDRStudy renders the study as a table string.

@@ -10,8 +10,11 @@ import (
 
 func TestRAIDRStudy(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
-	pts := RAIDRStudy(nil, prof, []int{1, 3}, []float64{0, 0.1},
+	pts, err := RAIDRStudy(nil, prof, []int{1, 3}, []float64{0, 0.1},
 		workload.VRTSpec{FlipFraction: 0.05, Period: 128 * sim.Millisecond}, fastOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 5 { // baseline + 2 bins x 2 errors
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -98,5 +101,7 @@ func TestRAIDRStudyRejectsBadBinCount(t *testing.T) {
 			t.Fatal("bin count 6 accepted")
 		}
 	}()
-	RAIDRStudy(nil, prof, []int{6}, []float64{0}, workload.VRTSpec{}, fastOpts(false))
+	if _, err := RAIDRStudy(nil, prof, []int{6}, []float64{0}, workload.VRTSpec{}, fastOpts(false)); err != nil {
+		t.Fatal(err)
+	}
 }

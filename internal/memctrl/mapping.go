@@ -62,6 +62,12 @@ func NewMapper(g dram.Geometry) *Mapper {
 		burstBytes: burst,
 	}
 	m.flatBits = m.bankBits + m.rankBits + m.chanBits
+	// locate wraps an address by dropping the bits above the mapped
+	// fields, which is a modulo by the capacity only if the fields span
+	// it exactly.
+	if width := m.lineShift + m.colBits + m.flatBits + m.rowBits; m.capacity != 1<<width {
+		panic(fmt.Sprintf("memctrl: capacity %d bytes is not the 2^%d the address fields span", m.capacity, width))
+	}
 	return m
 }
 
@@ -82,10 +88,11 @@ func (m *Mapper) Map(phys uint64) dram.Address {
 // locate is Map's core: it returns the flat bank index (BankID.Flat),
 // the row within that bank and the device column. The bank, rank and
 // channel fields are adjacent, lowest first, which is BankID.Flat's
-// layout, so the flat bank is one flatBits-wide field.
+// layout, so the flat bank is one flatBits-wide field. The fields span
+// the capacity (NewMapper checks), so the bits above the row field,
+// which are dropped, are exactly the wrap modulo capacity.
 func (m *Mapper) locate(phys uint64) (bank, row, col int) {
-	a := phys % uint64(m.capacity)
-	a >>= m.lineShift
+	a := phys >> m.lineShift
 
 	take := func(n uint) int {
 		v := int(a & ((1 << n) - 1))

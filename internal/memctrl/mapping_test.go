@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,20 @@ func TestMapperWrapsModuloCapacity(t *testing.T) {
 	if m.Map(123456) != m.Map(123456+uint64(m.Capacity())) {
 		t.Error("addresses do not wrap modulo capacity")
 	}
+}
+
+// locate wraps by dropping the bits above the row field, so a geometry
+// whose fields do not span its capacity cannot be mapped: with 12-bit
+// data a row holds 1.5 bytes a column, but a burst rounds to 4 bytes.
+func TestMapperRejectsCapacityGap(t *testing.T) {
+	g := config.Table1_2GB().Geometry
+	g.DataWidthBits = 12
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "fields span") {
+			t.Errorf("NewMapper on a %d-byte capacity its fields do not span: panic %q", g.CapacityBytes(), msg)
+		}
+	}()
+	NewMapper(g)
 }
 
 // Property: Map is a bijection between burst-aligned addresses and

@@ -9,7 +9,10 @@
 // this package reads wall-clock time or global random state.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a simulation timestamp in picoseconds. The zero value is the
 // start of simulation. int64 picoseconds cover about 106 days, far more
@@ -85,6 +88,9 @@ func Max(a, b Time) Time {
 // timestamps must be quantised to the clock period.
 type Clock struct {
 	period Duration
+	// inv is floor((2^64-1)/period), the reciprocal Next multiplies by
+	// instead of dividing.
+	inv uint64
 }
 
 // NewClock returns a Clock with the given period. It panics if the period
@@ -93,7 +99,7 @@ func NewClock(period Duration) Clock {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive clock period %d", period))
 	}
-	return Clock{period: period}
+	return Clock{period: period, inv: ^uint64(0) / uint64(period)}
 }
 
 // Period returns the clock period.
@@ -104,11 +110,25 @@ func (c Clock) Next(t Time) Time {
 	if t <= 0 {
 		return 0
 	}
-	rem := t % c.period
+	rem := c.rem(t)
 	if rem == 0 {
 		return t
 	}
 	return t + c.period - rem
+}
+
+// rem returns t % period for t > 0 without a division. t·inv/2^64 falls
+// short of t/period by at most t/2^64 < 1/2, so the quotient its high
+// word gives is exact or one short, and one correction step makes the
+// remainder exact. The high word of a 128-bit product stands in for a
+// division as in RNG.Uint64n.
+func (c Clock) rem(t Time) Time {
+	q, _ := bits.Mul64(uint64(t), c.inv)
+	r := uint64(t) - q*uint64(c.period)
+	if r >= uint64(c.period) {
+		r -= uint64(c.period)
+	}
+	return Time(r)
 }
 
 // After returns the time d after t, quantised up to the next clock edge.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +138,42 @@ func TestClockNextProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the reciprocal remainder behind Next equals %, over random
+// periods and times and the edges of its bound: period 1, the largest
+// time, and times at a multiple of the period and one below it.
+func TestClockRemMatchesMod(t *testing.T) {
+	const maxT = Time(math.MaxInt64)
+	rng := NewRNG(5)
+	periods := []Duration{1, 2, 3, 1000, 3000, 3750, 1<<32 + 1, maxT / 2, maxT}
+	for i := 0; i < 64; i++ {
+		periods = append(periods, Duration(1+rng.Int63n(int64(Second))), Duration(1+rng.Int63n(int64(maxT))))
+	}
+	for _, p := range periods {
+		c := NewClock(p)
+		ts := []Time{1, p - 1, p, p + 1, maxT, maxT - 1, maxT - maxT%p, maxT - maxT%p - 1}
+		for k := Time(2); k <= 8 && k <= maxT/p; k++ {
+			ts = append(ts, k*p, k*p-1)
+		}
+		for i := 0; i < 256; i++ {
+			ts = append(ts, Time(1+rng.Int63n(int64(maxT))))
+		}
+		for _, in := range ts {
+			if in <= 0 {
+				continue
+			}
+			if got, want := c.rem(in), in%p; got != want {
+				t.Fatalf("period %d: rem(%d) = %d, want %d", int64(p), int64(in), int64(got), int64(want))
+			}
+			want := in
+			if r := in % p; r != 0 {
+				want = in + p - r
+			}
+			if got := c.Next(in); got != want {
+				t.Fatalf("period %d: Next(%d) = %d, want %d", int64(p), int64(in), int64(got), int64(want))
+			}
+		}
 	}
 }

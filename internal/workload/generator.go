@@ -97,11 +97,12 @@ func (s StreamSpec) AccessesPerSecond() float64 {
 // It implements trace.Source (Next never returns ok=false).
 type Generator struct {
 	spec StreamSpec
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	// rows is the number of footprint rows and pos the next to touch in
 	// visit order. A sequential sweep visits row pos; a shuffled one
-	// visits perm[pos], a fixed permutation (nil when sequential).
+	// visits perm[pos], a fixed permutation (nil when sequential) that
+	// generators of one row count and seed share and never write.
 	rows int
 	pos  int
 	perm []uint32
@@ -117,14 +118,17 @@ type Generator struct {
 	head   int            // next queued record to emit; the queue resets once drained
 }
 
-// NewGenerator builds a generator; it panics on an invalid spec.
+// NewGenerator builds a generator; it panics on an invalid spec. A
+// shuffled generator takes its row order from a process-wide table keyed
+// by row count and seed (see shuffled), so only the first generator of a
+// key runs the shuffle.
 func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	g := &Generator{
 		spec:   spec,
-		rng:    sim.NewRNG(seed),
+		rng:    *sim.NewRNG(seed),
 		write:  sim.NewChance(spec.WriteFraction),
 		repeat: sim.NewChance(spec.RowRepeats / (1 + spec.RowRepeats)),
 	}
@@ -132,8 +136,7 @@ func NewGenerator(spec StreamSpec, seed uint64) *Generator {
 	g.rows = rows
 	if rows > 0 {
 		if spec.Shuffle {
-			g.perm = make([]uint32, rows)
-			g.rng.Perm(g.perm)
+			g.perm, g.rng = shuffled(rows, seed)
 		}
 		g.gap = spec.SweepPeriod / sim.Duration(rows)
 		if g.gap <= 0 {
