@@ -683,6 +683,31 @@ func BenchmarkVaultArraySetup(b *testing.B) {
 	}
 }
 
+// BenchmarkSmartReset measures the start-of-run Reset(0) of a Smart
+// policy that is already built, the seeding every pooled job pays:
+// Table 1 2 GB, Table 2 at 32 ms and one HMC-8V vault.
+func BenchmarkSmartReset(b *testing.B) {
+	vault := config.HMC8Vault()
+	vault.Geometry = vault.Geometry.PerVault()
+	for _, c := range []struct {
+		name string
+		cfg  config.DRAM
+	}{
+		{"table1-2gb", config.Table1_2GB()},
+		{"table2-3d-32ms", config.Table2_3D32()},
+		{"hmc-8vault/vault", vault},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := core.NewSmart(c.cfg.Geometry, c.cfg.RefreshInterval(), c.cfg.Smart)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Reset(0)
+			}
+		})
+	}
+}
+
 // Vault-parallel stacked run: one benchmark through the 8-vault HMC
 // preset, serially and with one shard worker per CPU. Results are
 // bit-identical between the two, so the pair isolates the sharding

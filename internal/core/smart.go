@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"smartrefresh/internal/dram"
@@ -60,8 +61,10 @@ func (c SmartConfig) Validate() error {
 	if c.CounterBits < 1 || c.CounterBits > 8 {
 		return fmt.Errorf("core: CounterBits = %d, want 1..8", c.CounterBits)
 	}
-	if c.Segments < 1 {
-		return fmt.Errorf("core: Segments = %d, want >= 1", c.Segments)
+	if c.Segments < 1 || c.Segments > math.MaxUint16 {
+		// zeroCnt counts a position's zero counters, up to Segments, in
+		// 16 bits.
+		return fmt.Errorf("core: Segments = %d, want 1..%d", c.Segments, math.MaxUint16)
 	}
 	if c.QueueDepth < c.Segments {
 		return fmt.Errorf("core: QueueDepth %d < Segments %d would allow queue overflow",
@@ -202,26 +205,27 @@ func (s *Smart) slot(flat int) int {
 // uniformly: the in-segment position p staggers counters across the
 // counter access period (⌊p*2^bits/rowsPerSeg⌋), and an extra per-segment
 // offset staggers the segments against each other (figure 3), so the
-// counters indexed together at one tick do not reach zero together. The
-// pass runs in storage order, one position's block of Segments counters
-// at a time, and counts that position's zero counters as it goes.
+// counters indexed together at one tick do not reach zero together.
+//
+// Both rowsPerSeg and 2^bits are powers of two, so the position stagger
+// holds for runs of max(1, rowsPerSeg/2^bits) consecutive positions, and
+// every position of a run stores the same block of Segments counters and
+// the same zero count. Each run's first block and count are written once
+// and repeated over the run; UniformSeed is a single run. Only the
+// retention-aware extension, whose per-row maxima differ, seeds counter
+// by counter.
 func (s *Smart) seedStagger() {
 	counters, rowsPerSeg, segs := s.counters, s.rowsPerSeg, s.cfg.Segments
-	maxFor, uniform := s.maxFor, s.cfg.UniformSeed
-	counterBits, mask := s.cfg.CounterBits, s.modulus-1
-	// stagger = ⌊p*modulus/rowsPerSeg⌋, stepped with an exact remainder
-	// carry: each position adds modulus/rowsPerSeg and carries modulus's
-	// remainder.
-	dq, dr := s.modulus/rowsPerSeg, s.modulus%rowsPerSeg
-	stagger, carry := 0, 0
-	for p := range s.zeroCnt {
-		block := counters[p*segs : (p+1)*segs]
-		zeros := 0
-		switch {
-		case maxFor != nil:
+	counterBits, mask := uint(s.cfg.CounterBits), s.modulus-1
+	switch {
+	case s.maxFor != nil:
+		for p := range s.zeroCnt {
+			stagger := p << counterBits >> s.posBits
+			block := counters[p*segs : (p+1)*segs]
+			zeros := 0
 			for seg := range block {
-				v := maxFor(seg*rowsPerSeg + p)
-				if !uniform {
+				v := s.maxFor(seg*rowsPerSeg + p)
+				if !s.cfg.UniformSeed {
 					v = uint8((stagger + seg) % (int(v) + 1))
 				}
 				block[seg] = v
@@ -229,25 +233,35 @@ func (s *Smart) seedStagger() {
 					zeros++
 				}
 			}
-		case uniform:
-			// The maximum is at least 1, so no counter starts at zero.
-			for seg := range block {
-				block[seg] = s.max
-			}
-		default:
+			s.zeroCnt[p] = uint16(zeros)
+		}
+	case s.cfg.UniformSeed:
+		// The maximum is at least 1, so no counter starts at zero.
+		counters[0] = s.max
+		repeatPrefix(counters, 1)
+		clear(s.zeroCnt)
+	default:
+		run := max(1, rowsPerSeg>>counterBits)
+		for p := 0; p < rowsPerSeg; p += run {
+			stagger := p << counterBits >> s.posBits
+			block := counters[p*segs : (p+1)*segs]
 			for seg := range block {
 				block[seg] = uint8((stagger + seg) & mask)
 			}
+			repeatPrefix(counters[p*segs:(p+run)*segs], segs)
 			// Counter seg is zero when stagger+seg is a multiple of
 			// modulus: count the multiples in [stagger, stagger+segs).
-			zeros = (stagger+segs+mask)>>counterBits - (stagger+mask)>>counterBits
+			s.zeroCnt[p] = uint16((stagger+segs+mask)>>counterBits - (stagger+mask)>>counterBits)
+			repeatPrefix(s.zeroCnt[p:p+run], 1)
 		}
-		s.zeroCnt[p] = uint16(zeros)
-		stagger += dq
-		if carry += dr; carry >= rowsPerSeg {
-			carry -= rowsPerSeg
-			stagger++
-		}
+	}
+}
+
+// repeatPrefix fills dst with copies of its first n elements, doubling
+// the copied span at each step.
+func repeatPrefix[T any](dst []T, n int) {
+	for n < len(dst) {
+		n += copy(dst[n:], dst[:n])
 	}
 }
 
@@ -422,12 +436,9 @@ func (s *Smart) maybeSwitchMode(now sim.Time) {
 			// Segments requests per tick, so the pending queue bound
 			// still holds.
 			s.clock.reset(boundary)
-			for i := range s.counters {
-				s.counters[i] = 0
-			}
-			for i := range s.zeroCnt {
-				s.zeroCnt[i] = uint16(s.cfg.Segments)
-			}
+			clear(s.counters)
+			s.zeroCnt[0] = uint16(s.cfg.Segments)
+			repeatPrefix(s.zeroCnt, 1)
 		}
 		s.windowStart = boundary
 		s.windowAccesses = 0

@@ -47,6 +47,11 @@ func TestSmartConfigValidate(t *testing.T) {
 		t.Error("queue shallower than segments accepted")
 	}
 	bad = DefaultSmartConfig()
+	bad.Segments, bad.QueueDepth = 1<<16, 1<<16 // zero counts overflow 16 bits
+	if bad.Validate() == nil {
+		t.Error("2^16 segments accepted")
+	}
+	bad = DefaultSmartConfig()
 	bad.EnableAbove = bad.DisableBelow
 	if bad.Validate() == nil {
 		t.Error("enable <= disable threshold accepted")
