@@ -35,9 +35,9 @@ type PerBankConfig struct {
 	// ahead of schedule) DARP may bank while a bank idles. JEDEC permits
 	// 8 pulled-in refreshes.
 	MaxPullIn int
-	// IdleWindow is the demand-quiet window around a slot: a slot with
-	// read demand within this distance (before or after its nominal time)
-	// is considered busy and postponed. It should match the traffic's
+	// IdleWindow is the demand-quiet window before a slot: a slot with
+	// read demand within this distance before its nominal time is
+	// considered busy and postponed. It should match the traffic's
 	// row-burst clustering scale — much shorter than a slot period; zero
 	// selects a quarter of the per-bank slot period at construction.
 	IdleWindow sim.Duration
@@ -71,13 +71,10 @@ type pbBank struct {
 	// refreshes, negative = refreshes issued ahead of schedule. Bounded
 	// by [-MaxPullIn, MaxPostpone].
 	credit int
-	// lastDemand and prevDemand are the two latest observed read-demand
-	// times. Two are kept because the controller reports a request before
-	// draining the slots due at or before it, so the newest observation
-	// may postdate the slot being decided; the one before it then still
-	// bounds the quiet time leading up to the slot.
+	// lastDemand is the latest observed read-demand time. The controller
+	// reports a request after the slots due before it and before those
+	// due at its time, so it never postdates the slot being decided.
 	lastDemand sim.Time
-	prevDemand sim.Time
 }
 
 // PerBank is the shared machinery of the DARP/SARP policy pair; construct
@@ -151,7 +148,7 @@ const farPast = sim.Time(-1) << 40
 // Reset implements Policy.
 func (p *PerBank) Reset(start sim.Time) {
 	for i := range p.banks {
-		p.banks[i] = pbBank{clock: newSlotClock(p.interval, int64(p.geom.Rows)), lastDemand: farPast, prevDemand: farPast}
+		p.banks[i] = pbBank{clock: newSlotClock(p.interval, int64(p.geom.Rows)), lastDemand: farPast}
 		// Banks are staggered by a fraction of a slot so the nominal
 		// schedules never collide.
 		p.banks[i].clock.reset(start + sim.Time(i)*p.interval/sim.Time(p.geom.Rows*len(p.banks)))
@@ -174,10 +171,7 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank int, write bool) {
 		return
 	}
 	b := &p.banks[bank]
-	if t > b.lastDemand {
-		b.prevDemand = b.lastDemand
-		b.lastDemand = t
-	}
+	b.lastDemand = max(b.lastDemand, t)
 }
 
 // NextTick implements Policy.
@@ -194,19 +188,9 @@ func (p *PerBank) emit(b int, dst []Command) []Command {
 }
 
 // slotBusy reports whether a slot at time at has read demand within the
-// quiet window on either side of it: demand just before (a row burst
-// likely still in flight) or demand already observed just after (a
-// request this refresh would directly delay). The newest observation can
-// postdate the slot — the controller reports a request before draining
-// the slots due at or before it — so the look-back falls through to the
-// previous observation when the latest is in the slot's future.
+// quiet window before it (a row burst likely still in flight), a demand
+// at the slot's own time included.
 func (p *PerBank) slotBusy(b *pbBank, at sim.Time) bool {
-	if b.lastDemand > at {
-		if b.lastDemand-at < sim.Time(p.idleWindow) {
-			return true
-		}
-		return at-b.prevDemand < sim.Time(p.idleWindow)
-	}
 	return at-b.lastDemand < sim.Time(p.idleWindow)
 }
 

@@ -26,7 +26,7 @@ var commandStreamDigests = map[string]string{
 	"table1-2gb/oracle":                "131072 6275e7d0ddee34b0",
 	"table1-2gb/none":                  "0 e3b0c44298fc1c14",
 	"table1-2gb/smart-retention":       "131072 5d6d4e001ae7320c",
-	"table1-2gb/darp":                  "131072 6cd4a2921b7a9063",
+	"table1-2gb/darp":                  "131072 4260b62a23df28f5",
 	"table1-2gb/sarp":                  "131072 67bb869a1c9ab5bd",
 	"table1-2gb/raidr":                 "131072 2e43f66d84231ae0",
 	"hmc-8vault/vault/smart":           "32768 57e91adda07100a4",
@@ -35,7 +35,7 @@ var commandStreamDigests = map[string]string{
 	"hmc-8vault/vault/oracle":          "32768 a96476d4680cbdbc",
 	"hmc-8vault/vault/none":            "0 e3b0c44298fc1c14",
 	"hmc-8vault/vault/smart-retention": "27484 6e88d553fe6c929f",
-	"hmc-8vault/vault/darp":            "32768 71a4b3c08076171d",
+	"hmc-8vault/vault/darp":            "32768 4c8e35ab01602208",
 	"hmc-8vault/vault/sarp":            "32768 c520d8480776657c",
 	"hmc-8vault/vault/raidr":           "32768 027fc6c14df2e269",
 }

@@ -38,14 +38,14 @@ var powerLadderDigests = map[string]string{
 	"table1-2gb/smart/sr-100us":                "0 1319e54ac49929f8",
 	"table1-2gb/smart/pre-fast+sr-100us":       "4070 f4bbb13332b3ca1b",
 	"table1-2gb/smart/ladder-full":             "8441 9e0a952fcd5938bc",
-	"table1-2gb/darp/never-sleep":              "0 c161c462adb141cc",
-	"table1-2gb/darp/act-pdn-1us":              "290 afe710d39fc8b323",
-	"table1-2gb/darp/pre-fast-5us":             "7527 e6c6f84491075692",
-	"table1-2gb/darp/pre-fast-20us":            "6482 3d4861a69c0f434e",
-	"table1-2gb/darp/pre-ladder-5-50us":        "12461 b79b7a26898523ed",
-	"table1-2gb/darp/sr-100us":                 "0 6d6a78d134da1a4c",
-	"table1-2gb/darp/pre-fast+sr-100us":        "4339 0f31c4523c303d97",
-	"table1-2gb/darp/ladder-full":              "8180 b1c171e1b4d735e8",
+	"table1-2gb/darp/never-sleep":              "0 faf91ff691040e58",
+	"table1-2gb/darp/act-pdn-1us":              "293 a112b6adce919592",
+	"table1-2gb/darp/pre-fast-5us":             "7534 e159b04791ba9293",
+	"table1-2gb/darp/pre-fast-20us":            "6486 15cca991c66b69b1",
+	"table1-2gb/darp/pre-ladder-5-50us":        "12472 6fc1a10733a8c0ec",
+	"table1-2gb/darp/sr-100us":                 "0 262d0dae64397bab",
+	"table1-2gb/darp/pre-fast+sr-100us":        "4344 a0d06292eae1535b",
+	"table1-2gb/darp/ladder-full":              "8194 a87e538a7bb4e781",
 	"hmc-8vault/vault/cbr/never-sleep":         "0 8a1426f8271bec87",
 	"hmc-8vault/vault/cbr/act-pdn-1us":         "197 5181ec8bd8d4ec7b",
 	"hmc-8vault/vault/cbr/pre-fast-5us":        "3982 5b918805d839f11d",
@@ -62,14 +62,14 @@ var powerLadderDigests = map[string]string{
 	"hmc-8vault/vault/smart/sr-100us":          "0 fb8ae606070614af",
 	"hmc-8vault/vault/smart/pre-fast+sr-100us": "2004 98e53d7542cabee2",
 	"hmc-8vault/vault/smart/ladder-full":       "4709 0577de32c72d72da",
-	"hmc-8vault/vault/darp/never-sleep":        "0 e84ab9c0d4602850",
-	"hmc-8vault/vault/darp/act-pdn-1us":        "222 87ce182aa17f2562",
-	"hmc-8vault/vault/darp/pre-fast-5us":       "3966 e3a81438792d3894",
-	"hmc-8vault/vault/darp/pre-fast-20us":      "3520 e00bace00f095373",
-	"hmc-8vault/vault/darp/pre-ladder-5-50us":  "6804 f7ba1c2c4fb37519",
-	"hmc-8vault/vault/darp/sr-100us":           "0 1ae2adcd918ad2ce",
-	"hmc-8vault/vault/darp/pre-fast+sr-100us":  "1999 5df365409e217a53",
-	"hmc-8vault/vault/darp/ladder-full":        "4368 44d51a97ff66e0d2",
+	"hmc-8vault/vault/darp/never-sleep":        "0 7fe0538766951d83",
+	"hmc-8vault/vault/darp/act-pdn-1us":        "221 c372543d72460b3d",
+	"hmc-8vault/vault/darp/pre-fast-5us":       "3982 433159f53301bc6d",
+	"hmc-8vault/vault/darp/pre-fast-20us":      "3532 16648dc38ea14c2f",
+	"hmc-8vault/vault/darp/pre-ladder-5-50us":  "6830 d21a8f7486eea7be",
+	"hmc-8vault/vault/darp/sr-100us":           "0 fbfd011b96e23948",
+	"hmc-8vault/vault/darp/pre-fast+sr-100us":  "2009 79e2bab1a2fca4c9",
+	"hmc-8vault/vault/darp/ladder-full":        "4391 ec808aae310efaa5",
 }
 
 // Each power-state policy, driven by the same seeded sparse demand

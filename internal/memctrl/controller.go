@@ -108,11 +108,11 @@ type Controller struct {
 	// bankAware is non-nil when the policy schedules refreshes around
 	// per-bank demand pressure (the DARP/SARP family). The controller
 	// then acts as a refresh-vs-demand arbiter: every demand access is
-	// reported to the policy at issue, *before* refresh events at the
-	// same instant are drained, so a per-bank refresh colliding with a
-	// demand access on its bank deterministically yields (is postponed)
-	// unless the bank's deficit window forces it. Legacy policies leave
-	// this nil and see the original, bit-identical event order.
+	// reported to the policy at issue, after the events before it and
+	// *before* the refresh events at the same instant are drained, so a
+	// per-bank refresh colliding with a demand access on its bank
+	// deterministically yields (is postponed) unless the bank's deficit
+	// window forces it. Other policies leave this nil.
 	bankAware core.BankAware
 
 	checker *core.RetentionChecker
@@ -457,11 +457,14 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	c.now = req.Time
 	bank, row, _ := c.mapper.locate(req.Addr)
 	if c.bankAware != nil {
-		// Arbitration: report the demand before draining refresh events at
-		// or before req.Time, so a per-bank refresh due exactly now on this
-		// bank sees the pressure and defers (demand-first tie-break) —
-		// unless its deficit window forces it, in which case refresh-first
-		// is the correct, retention-safe order.
+		// Arbitration: the events before req.Time run before the policy
+		// hears of the demand, so no slot sees a demand from its future;
+		// the demand is reported before the events at req.Time, so a
+		// per-bank refresh due exactly now on this bank sees the pressure
+		// and defers (demand-first tie-break) — unless its deficit window
+		// forces it, in which case refresh-first is the correct,
+		// retention-safe order.
+		c.drainRefreshes(req.Time - 1)
 		c.bankAware.OnDemandObserved(req.Time, bank, req.Write)
 	}
 	c.drainRefreshes(req.Time)
@@ -501,7 +504,9 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 }
 
 // AdvanceTo lets simulated time pass without demand traffic: refreshes
-// due up to t are dispatched.
+// due up to t are dispatched. Calls made before a request's time leave
+// every result as it would be without them; a request at exactly t
+// arrives after the events at t have run.
 func (c *Controller) AdvanceTo(t sim.Time) {
 	if t < c.now {
 		return
