@@ -233,7 +233,9 @@ const HMC8V = experiment.HMC8V
 // (32 ms refresh via the thermal derating model).
 func HMC8Vault() Config { return config.HMC8Vault() }
 
-// NewVaultArray builds one controller per vault of a vaulted geometry.
+// NewVaultArray builds one controller per vault of cfg's geometry. A
+// conventional module is the one-vault case: its controller runs on cfg
+// under cfg's name and reports its own results.
 func NewVaultArray(cfg Config, factory VaultPolicyFactory, opts VaultOptions) (*VaultArray, error) {
 	return memctrl.NewVaultArray(cfg, factory, opts)
 }

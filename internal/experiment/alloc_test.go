@@ -28,6 +28,19 @@ func ladderJobs(t *testing.T) []Job {
 	return jobs
 }
 
+// convJobs is the benchmark's conv-fig job set at short windows: the
+// Table 1 2 GB module, four benchmarks under CBR and Smart Refresh.
+func convJobs(t *testing.T) []Job {
+	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 6 * sim.Millisecond}
+	var jobs []Job
+	for _, name := range []string{"fasta", "gcc", "perl_twolf", "radix"} {
+		for _, kind := range []PolicyKind{PolicyCBR, PolicySmart} {
+			jobs = append(jobs, Job{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, name), Policy: kind, Opts: opts})
+		}
+	}
+	return jobs
+}
+
 // totalAlloc returns the bytes f allocates, read from
 // runtime.MemStats.TotalAlloc around it.
 func totalAlloc(f func()) uint64 {
@@ -77,25 +90,35 @@ func allocatedIn(fns ...string) map[string]int64 {
 }
 
 // A fresh Engine that runs jobs an earlier Engine ran takes its
-// machines from the idle store: the hmc-ladder job set's second run
-// allocates only its sources, results and closures, not its controllers,
-// histograms, policies or vault queues (about 25 KB). The bound counts
-// bytes, not time, so it does not depend on the host; rebuilding the
-// machines per job, as the engine once did, allocates about 1 MB here.
+// machines from the idle store: a job set's second run allocates only
+// its sources, results and closures, not its controllers, histograms,
+// policies or vault queues. The bounds count bytes, not time, so they do
+// not depend on the host. The hmc-ladder set allocates about 25 KB;
+// rebuilding the machines per job, as the engine once did, allocates
+// about 1 MB. The conv-fig set's bound is exactly what it allocated when
+// a monolithic module ran on a bare controller instead of a one-vault
+// array.
 func TestWarmEngineAllocationFence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	jobs := ladderJobs(t)
-	run := func() {
-		for i, res := range NewEngine(1).RunJobs(jobs) {
-			if res.Err != nil {
-				t.Fatalf("job %d: %v", i, res.Err)
+	for _, tc := range []struct {
+		name  string
+		jobs  []Job
+		bound uint64
+	}{
+		{"hmc-ladder", ladderJobs(t), 128 << 10},
+		{"conv-fig", convJobs(t), 30736},
+	} {
+		run := func() {
+			for i, res := range NewEngine(1).RunJobs(tc.jobs) {
+				if res.Err != nil {
+					t.Fatalf("%s job %d: %v", tc.name, i, res.Err)
+				}
 			}
 		}
-	}
-	run()
-	const bound = 128 << 10
-	if got := totalAlloc(run); got > bound {
-		t.Errorf("second run of the hmc-ladder jobs allocates %d bytes, want at most %d", got, bound)
+		run()
+		if got := totalAlloc(run); got > tc.bound {
+			t.Errorf("second run of the %s jobs allocates %d bytes, want at most %d", tc.name, got, tc.bound)
+		}
 	}
 }
 

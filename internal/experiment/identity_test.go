@@ -245,3 +245,56 @@ func TestAbortedFlightReRunsWithMetrics(t *testing.T) {
 		t.Errorf("the re-run registered no %s/requests row", plain.ID())
 	}
 }
+
+// A flight the engine's context aborts leaves nothing in the trace: the
+// same job run again holds the only trace scope of its identity.
+func TestAbortedFlightReRunsWithOneTraceScope(t *testing.T) {
+	opts := RunOptions{Warmup: sim.Millisecond, Measure: 8 * sim.Millisecond}
+	prof := mustProfile(t, "radix")
+	ctx, cancel := context.WithCancel(context.Background())
+	job := Job{Cfg: Conv2GB.DRAM(), Prof: prof, Policy: PolicySmart, Opts: opts}
+	cancelling := job
+	cancelling.MakeSource = func() trace.Source {
+		src, n := prof.NewSource(false), 0
+		return sourceFunc(func() (trace.Record, bool) {
+			if n++; n == 3*cancelCheckStride {
+				cancel()
+			}
+			return src.Next()
+		})
+	}
+	eng := NewEngine(1)
+	eng.Ctx = ctx
+	eng.Trace = telemetry.NewTracer()
+	if res := eng.RunJobs([]Job{cancelling}); !errors.Is(res[0].Err, context.Canceled) {
+		t.Fatalf("cancelled job: error %v, want context.Canceled", res[0].Err)
+	}
+	eng.Ctx = nil
+	if res := eng.RunJobs([]Job{job}); res[0].Err != nil {
+		t.Fatalf("re-run: %v", res[0].Err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Trace.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range file.TraceEvents {
+		if ev.Name == "process_name" && ev.Args.Name == job.ID() {
+			n++
+		}
+	}
+	if job.ID() != "table1-2gb/radix/smart@w1ms@m8ms" || n != 1 {
+		t.Errorf("the trace holds %d process_name rows for %s, want 1", n, job.ID())
+	}
+}

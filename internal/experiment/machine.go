@@ -21,36 +21,31 @@ type machineKey struct {
 	stacked bool
 }
 
-// machine is what execute's record loop runs on: one controller for a
-// monolithic geometry or a vault array, the 3D-cache front end when the
-// job is stacked, and the policies the machine has run. A finished job
-// puts its machine in the idle store, and the next job of the same key
-// resets it instead of building one.
+// machine is what execute's record loop runs on: a vault array (one
+// vault for a monolithic module), the 3D-cache front end when the job is
+// stacked, and the policies the machine has run. A finished job puts its
+// machine in the idle store, and the next job of the same key resets it
+// instead of building one.
 type machine struct {
 	key   machineKey
-	ctl   *memctrl.Controller // monolithic; nil when vaulted
-	va    *memctrl.VaultArray // vaulted; nil when monolithic
-	front *cache.DRAMCache    // stacked; nil otherwise
+	va    *memctrl.VaultArray
+	front *cache.DRAMCache // stacked; nil otherwise
 	// policies holds, per registered kind the machine has run, that
-	// kind's policy (one per vault when vaulted); the controller's Reset
-	// resets it for the next job of the kind. MakePolicy instances and
-	// retention-map policies belong to their job and are never kept.
+	// kind's policy per vault; the controller's Reset resets it for the
+	// next job of the kind. MakePolicy instances and retention-map
+	// policies belong to their job and are never kept.
 	policies map[PolicyKind][]core.Policy
-	// warm holds each controller's counters at the warmup boundary
-	// (one per vault when vaulted).
+	// warm holds each vault controller's counters at the warmup
+	// boundary.
 	warm []memctrl.Snapshot
 }
 
-// policy returns the machine's policy of kind for vault v (0 when
-// monolithic), built by build the first time the machine runs the kind.
+// policy returns the machine's policy of kind for vault v, built by
+// build the first time the machine runs the kind.
 func (m *machine) policy(kind PolicyKind, v int, build func() core.Policy) core.Policy {
 	set := m.policies[kind]
 	if set == nil {
-		n := 1
-		if m.key.cfg.Geometry.Vaulted() {
-			n = m.key.cfg.Geometry.VaultCount()
-		}
-		set = make([]core.Policy, n)
+		set = make([]core.Policy, m.key.cfg.Geometry.VaultCount())
 		m.policies[kind] = set
 	}
 	if set[v] == nil {

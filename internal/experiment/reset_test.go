@@ -274,9 +274,15 @@ func TestModuleResetEqualsFresh(t *testing.T) {
 
 // A vault array run through a stream, its results read, and Reset with
 // the next job's policies, options and shard count is the array
-// NewVaultArray builds from them.
+// NewVaultArray builds from them: an 8-vault stack and a one-vault
+// module.
 func TestVaultArrayResetEqualsFresh(t *testing.T) {
-	cfg := HMC8V.DRAM()
+	for _, cfg := range []config.DRAM{HMC8V.DRAM(), resetTestConfig()} {
+		t.Run(cfg.Name, func(t *testing.T) { testVaultArrayResetEqualsFresh(t, cfg) })
+	}
+}
+
+func testVaultArrayResetEqualsFresh(t *testing.T, cfg config.DRAM) {
 	rng := sim.NewRNG(9)
 	const end = 2 * sim.Millisecond
 	factory := func(kind PolicyKind) (memctrl.PolicyFactory, []core.Policy) {

@@ -47,7 +47,7 @@ type RunOptions struct {
 	// 1 = serial). Results are bit-identical at every value — see
 	// memctrl.VaultArray — so Shards is a throughput knob, not part of
 	// the run's identity, and the Engine's memo key excludes it.
-	// Ignored on monolithic geometries.
+	// A monolithic module is one vault, so it runs serially at any value.
 	Shards int
 }
 
@@ -69,8 +69,10 @@ type RunResult struct {
 	Window    sim.Duration
 	Results   memctrl.Results
 	// Vaults holds each vault's measured window (vault index order) when
-	// the configuration is vaulted; nil for monolithic modules. Results
-	// is then the stack-level fold of these entries.
+	// the configuration has more than one vault; Results is then the
+	// stack-level fold of these entries. A monolithic module runs as a
+	// one-vault array whose Results is its controller's own, and Vaults
+	// is nil.
 	Vaults []memctrl.Results
 	// RetentionErr is non-nil if the checker observed a violation.
 	RetentionErr error `json:"-"`
@@ -174,7 +176,7 @@ type runJob struct {
 	// from when retMap is nil.
 	seed uint64
 	// makePolicy, when non-nil, replaces the registry constructor
-	// (monolithic geometries only).
+	// (one-vault geometries only).
 	makePolicy func() core.Policy
 	source     trace.Source
 	opts       RunOptions // defaults already applied (RunStream: literal)
@@ -204,11 +206,11 @@ func (j *runJob) identity() string {
 	return j.id
 }
 
-// execute drives one job's stream through its machine — a controller,
-// or a vault array flushed at epoch barriers — taken from the idle store
-// and reset, or built when the store has none of the job's key. It is
-// the one record loop every run goes through, in one of three window
-// shapes:
+// execute drives one job's stream through its machine — a vault array,
+// one vault for a monolithic module, flushed at epoch barriers — taken
+// from the idle store and reset, or built when the store has none of the
+// job's key. It is the one record loop every run goes through, in one of
+// three window shapes:
 //
 //   - warmup then measure (every benchmark run): the warmup snapshot is
 //     taken exactly once, at the first measured record or at the warmup
@@ -219,7 +221,7 @@ func (j *runJob) identity() string {
 //     exhausted and the run closes one refresh interval after its last
 //     record.
 //
-// The target's Finish finalises the module(s) before the measured window
+// The array's Finish finalises the module(s) before the measured window
 // is read.
 //
 // Cancellation points: the record loop checks ctx every cancelCheckStride
@@ -233,7 +235,8 @@ func (j *runJob) identity() string {
 // result or with an error of its input, but not when the job was
 // cancelled, failed to start or panicked, nor when it registered
 // metrics: the registry keeps reading them. A cancelled job's metrics
-// leave the registry, so that a re-run can register them.
+// leave the registry, so that a re-run can register them, and its trace
+// scopes and their events leave the tracer.
 func execute(ctx context.Context, j *runJob) (RunResult, error) {
 	fail := func(err error) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: run %s: %w", j.identity(), err)
@@ -246,7 +249,7 @@ func execute(ctx context.Context, j *runJob) (RunResult, error) {
 	if entry.RetentionMap && j.retMap == nil {
 		j.retMap = DefaultRetentionMap(j.cfg.Geometry, j.seed)
 	}
-	vaulted := j.cfg.Geometry.Vaulted()
+	vaulted := j.cfg.Geometry.VaultCount() > 1
 	if vaulted && j.makePolicy != nil {
 		// One policy instance cannot be distributed across vaults.
 		return fail(fmt.Errorf("MakePolicy overrides are not supported on vaulted geometries"))
@@ -265,8 +268,9 @@ func execute(ctx context.Context, j *runJob) (RunResult, error) {
 	}
 	res, err := t.run(ctx, j)
 	keep = ctx.Err() == nil && j.metrics == nil
-	if ctx.Err() != nil && j.metrics != nil {
+	if ctx.Err() != nil {
 		j.metrics.Unregister(j.identity())
+		j.trace.DropScopes(j.identity())
 	}
 	if err != nil {
 		return fail(err)
@@ -298,7 +302,7 @@ func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 		if n&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
 			return RunResult{}, ctx.Err()
 		}
-		for t.next <= rec.Time && t.next < end {
+		for t.next < rec.Time && t.next < end {
 			t.va.FlushTo(t.next)
 			t.next += t.epoch
 		}
@@ -316,10 +320,10 @@ func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 			}
 			data, _ = t.front.AppendAccess(data[:0], rec.Time, rec.Addr, rec.Write)
 			for _, da := range data {
-				t.submit(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})
+				t.va.Enqueue(memctrl.Request{Time: da.Time, Addr: da.Addr, Write: da.Write})
 			}
 		} else {
-			t.submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
+			t.va.Enqueue(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
 		}
 		last = rec.Time
 	}
@@ -333,11 +337,7 @@ func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 		window = end - opts.Warmup
 	}
 	res := RunResult{Benchmark: j.benchmark, Policy: j.kind, Config: j.cfg.Name, Window: window}
-	if t.va == nil {
-		t.ctl.Finish(end)
-	} else {
-		t.va.Finish(end)
-	}
+	t.va.Finish(end)
 	if err := ctx.Err(); err != nil {
 		// The controller's drains abort early on interrupt, so anything
 		// measured after the cancellation instant is partial state.
@@ -345,11 +345,6 @@ func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 	}
 	if j.inspect != nil {
 		j.inspect(t)
-	}
-	if t.va == nil {
-		res.Results = t.ctl.ResultsSince(end, t.warm[0], window)
-		res.RetentionErr = t.ctl.RetentionErr()
-		return res, nil
 	}
 	// Each vault's window is taken against its own warm state, then folded
 	// in vault index order exactly as VaultArray.Results folds whole-run
@@ -359,17 +354,17 @@ func (t *runTarget) run(ctx context.Context, j *runJob) (RunResult, error) {
 	return res, nil
 }
 
-// runTarget is one job's view of its machine: a monolithic controller,
-// or a memctrl.VaultArray whose vault controllers are advanced in
-// parallel by opts.Shards workers between quarter-interval epoch
-// barriers. The epoch schedule is a pure function of the record stream
-// and the vaults share no mutable state, so a vaulted run's results are
-// bit-identical at every shard count — which is what lets the Engine
-// memoise across differing Shards values.
+// runTarget is one job's view of its machine: a memctrl.VaultArray
+// whose vault controllers are advanced in parallel by opts.Shards
+// workers between quarter-interval epoch barriers. The epoch schedule is
+// a pure function of the record stream, a barrier falls before the
+// requests at its time, and the vaults share no mutable state, so a
+// run's results are bit-identical at every shard count — which is what
+// lets the Engine memoise across differing Shards values — and equal to
+// a run without barriers.
 type runTarget struct {
 	*machine
-	// next is the next epoch barrier, epoch the barrier spacing; a
-	// monolithic target's next is never reached.
+	// next is the next epoch barrier, epoch the barrier spacing.
 	next  sim.Time
 	epoch sim.Duration
 }
@@ -403,29 +398,13 @@ func newRunTarget(ctx context.Context, j *runJob, entry PolicyEntry, m *machine)
 			m.front.Reset()
 		}
 	}
-	if !j.cfg.Geometry.Vaulted() {
-		var policy core.Policy
+	factory := func(v int, vcfg config.DRAM) (core.Policy, error) {
 		switch {
 		case j.makePolicy != nil:
-			policy = j.makePolicy()
+			return j.makePolicy(), nil
 		case entry.RetentionMap:
-			policy = entry.New(j.cfg, j.retMap)
-		default:
-			policy = m.policy(j.kind, 0, func() core.Policy { return entry.New(j.cfg, nil) })
+			return entry.New(vcfg, j.retMap), nil
 		}
-		var err error
-		if m.ctl == nil {
-			m.ctl, err = memctrl.New(j.cfg, policy, mcOpts)
-		} else {
-			err = m.ctl.Reset(policy, mcOpts)
-		}
-		if err != nil {
-			return runTarget{}, err
-		}
-		m.warm = resetSnapshots(m.warm, 1)
-		return runTarget{machine: m, next: math.MaxInt64}, nil
-	}
-	factory := func(v int, vcfg config.DRAM) (core.Policy, error) {
 		return m.policy(j.kind, v, func() core.Policy { return entry.New(vcfg, nil) }), nil
 	}
 	vopts := memctrl.VaultOptions{Options: mcOpts, Workers: j.opts.Shards}
@@ -443,22 +422,9 @@ func newRunTarget(ctx context.Context, j *runJob, entry PolicyEntry, m *machine)
 	return runTarget{machine: m, next: epoch, epoch: epoch}, nil
 }
 
-func (t *runTarget) submit(r memctrl.Request) {
-	if t.va != nil {
-		t.va.Enqueue(r)
-		return
-	}
-	t.ctl.Submit(r)
-}
-
 // snapshot brings the target to at and records every controller's warm
 // state there.
 func (t *runTarget) snapshot(at sim.Time) {
-	if t.va == nil {
-		t.ctl.AdvanceTo(at)
-		t.warm[0] = t.ctl.Snapshot(at)
-		return
-	}
 	t.va.FlushTo(at)
 	for v := range t.warm {
 		t.warm[v] = t.va.Vault(v).Snapshot(at)
@@ -470,12 +436,9 @@ func (t *runTarget) snapshot(at sim.Time) {
 	}
 }
 
-// dropped returns each controller's self-refresh-covered refresh count,
-// one per vault when vaulted.
+// dropped returns each vault controller's self-refresh-covered refresh
+// count.
 func (t *runTarget) dropped() []uint64 {
-	if t.va == nil {
-		return []uint64{t.ctl.RefreshesDroppedSelfRefresh()}
-	}
 	out := make([]uint64, t.va.Vaults())
 	for v := range out {
 		out[v] = t.va.Vault(v).RefreshesDroppedSelfRefresh()

@@ -29,9 +29,10 @@ type PolicyFactory func(vault int, cfg config.DRAM) (core.Policy, error)
 
 // VaultOptions tune vault-array construction.
 type VaultOptions struct {
-	// Options is applied to every vault controller. MetricsPrefix (or
-	// its "<config>/<policy>" default) is extended with "/vaultNN" per
-	// vault, so the vaults' metric names never collide. A
+	// Options is applied to every vault controller. With more than one
+	// vault, MetricsPrefix (or its "<config>/<policy>" default) is
+	// extended with "/vaultNN" per vault, so the vaults' metric names
+	// never collide; a one-vault array's controller keeps it as is. A
 	// non-nil Trace forces serial advancement (Workers=1): the tracer's
 	// scopes are not safe for concurrent writers.
 	Options
@@ -46,6 +47,11 @@ type VaultOptions struct {
 // controller-like interface: demand requests route by address to one
 // vault, refresh state and statistics stay vault-private, and the vaults
 // advance in parallel between epoch barriers.
+//
+// A conventional (monolithic) module is the one-vault case: its router
+// is the identity, Enqueue submits inline with no pending queue, and its
+// one controller runs on the module's configuration, under its name and
+// metrics prefix, and reports its own results.
 //
 // Determinism: routing is a pure function of the address, each vault
 // consumes its own requests in arrival order, and the vaults share no
@@ -89,20 +95,22 @@ type VaultArray struct {
 	// capped at GOMAXPROCS.
 	parallel int
 
-	// hist is fold's merged latency histogram, reused across calls.
+	// hist is fold's merged latency histogram, reused across calls and
+	// empty between them, so Reset need not touch it.
 	hist *stats.Histogram
 }
 
-// NewVaultArray builds one controller per vault of cfg's geometry.
+// NewVaultArray builds one controller per vault of cfg's geometry: one
+// for a conventional module.
 func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*VaultArray, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	n := cfg.Geometry.VaultCount()
+	if n > 1 {
+		// A vault controller validates only its share; a one-vault
+		// array's controller validates the whole module, as New does.
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	g := cfg.Geometry
-	if !g.Vaulted() {
-		return nil, fmt.Errorf("memctrl: geometry of %s has %d vaults; VaultArray needs at least 2", cfg.Name, g.Vaults)
-	}
-	n := g.VaultCount()
 	va := &VaultArray{
 		cfg:        cfg,
 		vaults:     make([]*Controller, n),
@@ -146,7 +154,6 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 	va.now, va.finishing, va.end = 0, false, 0
 	clear(va.busy)
 	va.wait, va.barriers = 0, 0
-	va.hist.Reset()
 
 	for v, ctl := range va.vaults {
 		var vcfg config.DRAM
@@ -160,7 +167,7 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 			return fmt.Errorf("memctrl: vault %d policy: %w", v, err)
 		}
 		vopts := opts.Options
-		if vopts.Trace != nil || vopts.Metrics != nil {
+		if n > 1 && (vopts.Trace != nil || vopts.Metrics != nil) {
 			// The prefix names only the vault's trace scope and metrics.
 			vopts.MetricsPrefix = fmt.Sprintf("%s/vault%02d", opts.prefix(va.cfg, policy), v)
 		}
@@ -171,16 +178,28 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 			err = ctl.Reset(policy, vopts)
 		}
 		if err != nil {
-			return fmt.Errorf("memctrl: vault %d: %w", v, err)
+			return va.vaultErr(v, err)
 		}
 	}
 	return nil
 }
 
+// vaultErr names vault v in err, unless the array is a single module.
+func (va *VaultArray) vaultErr(v int, err error) error {
+	if len(va.vaults) == 1 {
+		return err
+	}
+	return fmt.Errorf("memctrl: vault %d: %w", v, err)
+}
+
 // vaultConfig is vault v's configuration: the per-vault geometry, with
 // the power model's per-op energies keyed off that share (per-rank
 // background times sum across vaults exactly as they do across ranks).
+// A one-vault array's controller runs on the module's configuration.
 func (va *VaultArray) vaultConfig(v int) config.DRAM {
+	if len(va.vaults) == 1 {
+		return va.cfg
+	}
 	vcfg := va.cfg
 	vcfg.Name = fmt.Sprintf("%s/vault%02d", va.cfg.Name, v)
 	vcfg.Geometry = va.cfg.Geometry.PerVault()
@@ -217,10 +236,15 @@ func (va *VaultArray) Route(addr uint64) (vault int, local uint64) {
 
 // Enqueue buffers one demand request for its vault. Requests must arrive
 // in nondecreasing time order (the same contract as Controller.Submit);
-// they are consumed at the next FlushTo.
+// they are consumed at the next FlushTo. A one-vault array submits the
+// request at once.
 func (va *VaultArray) Enqueue(req Request) {
 	if req.Time < va.now {
 		panic(fmt.Sprintf("memctrl: request at %v before vault-array time %v", req.Time, va.now))
+	}
+	if len(va.vaults) == 1 {
+		va.vaults[0].Submit(req)
+		return
 	}
 	v, local := va.Route(req.Addr)
 	req.Addr = local
@@ -357,7 +381,7 @@ func sumDurations(ds []time.Duration) time.Duration {
 func (va *VaultArray) RetentionErr() error {
 	for v, ctl := range va.vaults {
 		if err := ctl.RetentionErr(); err != nil {
-			return fmt.Errorf("vault %d: %w", v, err)
+			return va.vaultErr(v, err)
 		}
 	}
 	return nil
@@ -372,14 +396,22 @@ func (va *VaultArray) VaultResults(end sim.Time) []Results {
 	return out
 }
 
-// Results aggregates all vaults into one stack-level summary (see fold).
+// Results aggregates all vaults into one stack-level summary (see fold);
+// a one-vault array's is its controller's own.
 func (va *VaultArray) Results(end sim.Time) Results {
+	if len(va.vaults) == 1 {
+		return va.vaults[0].Results(end)
+	}
 	return va.fold(va.VaultResults(end), end, end)
 }
 
 // ResultsSince is Controller.ResultsSince per vault against that vault's
-// snapshot, returned with its stack-level fold.
+// snapshot, returned with its stack-level fold. A one-vault array
+// returns its controller's own window and no per-vault breakdown.
 func (va *VaultArray) ResultsSince(end sim.Time, s []Snapshot, window sim.Duration) (Results, []Results) {
+	if len(va.vaults) == 1 {
+		return va.vaults[0].ResultsSince(end, s[0], window), nil
+	}
 	per := make([]Results, len(va.vaults))
 	for v, ctl := range va.vaults {
 		per[v] = ctl.ResultsSince(end, s[v], window)
@@ -396,7 +428,6 @@ func (va *VaultArray) fold(per []Results, end sim.Time, window sim.Duration) Res
 	r := Results{Span: end}
 	var lat stats.Sample
 	hist := va.hist
-	hist.Reset()
 	for v, ctl := range va.vaults {
 		p := &per[v]
 		r.Requests += p.Requests
@@ -412,6 +443,7 @@ func (va *VaultArray) fold(per []Results, end sim.Time, window sim.Duration) Res
 	r.AvgLatencyNS = lat.Mean()
 	r.P50LatencyNS = hist.Quantile(0.5)
 	r.P99LatencyNS = hist.Quantile(0.99)
+	hist.Reset()
 	r.mirrorModule(window)
 	return r
 }

@@ -248,12 +248,6 @@ func TestVaultArrayRouting(t *testing.T) {
 	}
 }
 
-func TestVaultArrayRejectsMonolithic(t *testing.T) {
-	if _, err := NewVaultArray(config.Table1_2GB(), cbrFactory(), VaultOptions{}); err == nil {
-		t.Fatal("monolithic geometry accepted")
-	}
-}
-
 func TestVaultArrayEnqueueTimeRegressionPanics(t *testing.T) {
 	va := MustNewVaultArray(config.HMC8Vault(), cbrFactory(), VaultOptions{Workers: 1})
 	va.Enqueue(Request{Time: 1000, Addr: 0})

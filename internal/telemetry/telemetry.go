@@ -23,7 +23,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -158,6 +160,40 @@ func (t *Tracer) Scope(name string) *Scope {
 	t.events = append(t.events, event{name: "process_name", cat: name, ph: 'M', pid: pid, row: -1})
 	t.mu.Unlock()
 	return &Scope{t: t, pid: pid}
+}
+
+// DropScopes deletes every scope named prefix or below prefix + "/",
+// with all of its events, the way Registry.Unregister drops metrics: a
+// run torn down midway leaves nothing in the trace, and a re-run under
+// the same name opens the only scope of that name.
+func (t *Tracer) DropScopes(prefix string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	drop := map[int32]bool{}
+	for _, e := range t.events {
+		if e.ph == 'M' && e.name == "process_name" &&
+			(e.cat == prefix || strings.HasPrefix(e.cat, prefix) && e.cat[len(prefix)] == '/') {
+			drop[e.pid] = true
+		}
+	}
+	if len(drop) == 0 {
+		return
+	}
+	kept := t.events[:0]
+	for _, e := range t.events {
+		if !drop[e.pid] {
+			kept = append(kept, e)
+			continue
+		}
+		if k := slices.Index(commandNames[:], e.name); k >= 0 && e.cat == "dram" {
+			t.perKind[k]--
+		}
+	}
+	clear(t.events[len(kept):])
+	t.events = kept
 }
 
 // Scope is one trace process worth of simulated-time command events.

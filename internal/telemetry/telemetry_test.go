@@ -140,6 +140,41 @@ func TestTracerCommandsAndSpans(t *testing.T) {
 
 // TestJobSpanLanes checks that overlapping wall-clock spans land on
 // distinct engine lanes while sequential ones reuse lane 0.
+// DropScopes deletes the named scope and the scopes below it, with
+// their command counts; other scopes and job spans stay, and a nil
+// tracer no-ops.
+func TestTracerDropScopes(t *testing.T) {
+	var nilTracer *Tracer
+	nilTracer.DropScopes("job")
+	tr := NewTracer()
+	for _, name := range []string{"job", "job/vault01", "jobs", "other"} {
+		sc := tr.Scope(name)
+		sc.NameThread(0, "bank")
+		sc.Command(CmdActivate, 0, 1, 0, 10)
+		sc.Instant("switch", 0, 5)
+	}
+	tr.JobSpan("job", time.Now(), time.Millisecond)
+	tr.DropScopes("job")
+	if got := tr.CommandCount(CmdActivate); got != 2 {
+		t.Errorf("%d ACT events counted after the drop, want 2", got)
+	}
+	var left []string
+	for _, e := range decode(t, tr).TraceEvents {
+		if e.Name == "process_name" && e.Pid != 0 {
+			left = append(left, e.Args["name"].(string))
+		}
+		if e.Pid == 1 || e.Pid == 2 {
+			t.Errorf("event %+v of a dropped scope is still in the trace", e)
+		}
+	}
+	if strings.Join(left, ",") != "jobs,other" {
+		t.Errorf("scopes left %v, want [jobs other]", left)
+	}
+	if tf := decode(t, tr); tf.TraceEvents[len(tf.TraceEvents)-1].Name != "job" {
+		t.Error("the job span was dropped with the scopes")
+	}
+}
+
 func TestJobSpanLanes(t *testing.T) {
 	tr := NewTracer()
 	base := tr.wallBase
