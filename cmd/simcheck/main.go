@@ -1,9 +1,12 @@
 // Command simcheck sweeps the randomized differential-testing harness
-// (internal/check) over a block of scenario seeds, plus the vetted
-// configuration presets, and reports every violated invariant: retention
-// deadlines, Smart Refresh's oracle/CBR refresh-count bounds, pending
-// queue depth, energy-breakdown consistency, refresh-op accounting,
-// module residency and bit-identical reruns.
+// (internal/check) over a block of scenario seeds, plus a fixed set of
+// the vetted configuration presets and four random vault stacks, and
+// reports every violated invariant: retention deadlines, Smart Refresh's
+// oracle/CBR refresh-count bounds, pending queue depth, energy-breakdown
+// consistency, refresh-op accounting, module residency, a vaulted
+// stack's fold of its vaults and bit-identical reruns at every shard
+// count. Every scenario runs at its own geometry, and each vault is
+// checked as a module is.
 //
 // Examples:
 //
@@ -49,9 +52,8 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 	seeds := fs.Int("seeds", 64, "number of random scenario seeds to check")
 	start := fs.Uint64("start", 1, "first seed of the block")
 	workers := fs.Int("workers", 0, "concurrent scenario checks (0: one per CPU)")
-	presets := fs.Bool("presets", true, "also check the vetted configuration presets")
-	vaultSeeds := fs.Int("vault-seeds", 4,
-		"vault-parallel scenarios to check (per-vault invariants plus sharded-determinism fingerprints; 0 disables)")
+	presets := fs.Bool("presets", true,
+		"also check the fixed scenario set: the vetted configuration presets and four random vault stacks")
 	verbose := fs.Bool("v", false, "describe every scenario, not just the dirty ones")
 	fingerprint := fs.Bool("fingerprint", false,
 		"print the SHA-256 fingerprint of all reports (for comparing sweeps across runs)")
@@ -64,10 +66,6 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 	}
 	if *seeds < 0 {
 		fmt.Fprintln(w, "simcheck: -seeds must be >= 0")
-		return 2
-	}
-	if *vaultSeeds < 0 {
-		fmt.Fprintln(w, "simcheck: -vault-seeds must be >= 0")
 		return 2
 	}
 	policies, err := parsePolicies(*policiesFlag)
@@ -92,21 +90,6 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 	if err := ctx.Err(); err != nil {
 		fmt.Fprintf(w, "simcheck: interrupted after %d of %d scenarios\n", len(reports), len(scenarios))
 		return 130
-	}
-
-	// The vault sweep runs each scenario serially here: its inner shard
-	// sweep already exercises the worker parallelism under test. A
-	// -policies filter naming no vault policy skips the sweep outright
-	// rather than padding the summary with empty reports.
-	if vaultPoliciesSelected(policies) {
-		for i := 0; i < *vaultSeeds; i++ {
-			rep, err := check.CheckVaultScenario(ctx, check.NewVaultScenario(*start+uint64(i)), nil, policies)
-			if err != nil {
-				fmt.Fprintf(w, "simcheck: interrupted during vault scenario %d of %d\n", i+1, *vaultSeeds)
-				return 130
-			}
-			reports = append(reports, rep)
-		}
 	}
 
 	var violations, dirty int
@@ -214,20 +197,6 @@ func parsePolicies(s string) ([]string, error) {
 		return nil, fmt.Errorf("-policies %q names no policies", s)
 	}
 	return policies, nil
-}
-
-// vaultPoliciesSelected reports whether a -policies filter (nil = all)
-// selects at least one policy the vault differential set instantiates.
-func vaultPoliciesSelected(policies []string) bool {
-	if len(policies) == 0 {
-		return true
-	}
-	for _, p := range policies {
-		if slices.Contains(check.VaultPolicyNames(), p) {
-			return true
-		}
-	}
-	return false
 }
 
 // completed compacts the report slice to the contiguous completed

@@ -8,7 +8,7 @@ import (
 
 func TestCleanSweepExitsZero(t *testing.T) {
 	var out strings.Builder
-	if code := run(context.Background(), []string{"-seeds", "4", "-presets=false", "-vault-seeds", "0"}, &out); code != 0 {
+	if code := run(context.Background(), []string{"-seeds", "4", "-presets=false"}, &out); code != 0 {
 		t.Fatalf("exit %d on a clean sweep:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "4 scenarios, 0 dirty, 0 violations") {
@@ -16,18 +16,27 @@ func TestCleanSweepExitsZero(t *testing.T) {
 	}
 }
 
-// The vault sweep rides along by default and its scenarios count toward
-// the summary; -vault-seeds sizes it independently of -seeds.
+// The four random vault stacks ride in the fixed scenario set -presets
+// selects, checked by the same sweep as every other scenario and counted
+// in its summary.
 func TestVaultSweepIncluded(t *testing.T) {
 	var out strings.Builder
-	if code := run(context.Background(), []string{"-seeds", "0", "-presets=false", "-vault-seeds", "2", "-v"}, &out); code != 0 {
-		t.Fatalf("exit %d on a vault sweep:\n%s", code, out.String())
+	if code := run(context.Background(), []string{"-seeds", "0", "-v", "-policies", "smart,darp"}, &out); code != 0 {
+		t.Fatalf("exit %d on the fixed scenario set:\n%s", code, out.String())
 	}
-	for _, want := range []string{"vault-seed-1", "vault-seed-2", "vault-smart:", "vault-cbr:",
-		"2 scenarios, 0 dirty, 0 violations"} {
+	for _, want := range []string{"preset-hmc-8vault ", "vault-seed-1 ", "vault-seed-4 ", "darp:",
+		"10 scenarios, 0 dirty, 0 violations"} {
 		if !strings.Contains(out.String(), want) {
-			t.Errorf("vault sweep output omits %q:\n%s", want, out.String())
+			t.Errorf("fixed scenario set output omits %q:\n%s", want, out.String())
 		}
+	}
+
+	out.Reset()
+	if code := run(context.Background(), []string{"-seeds", "1", "-presets=false", "-v"}, &out); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out.String())
+	}
+	if strings.Contains(out.String(), "vault-seed") {
+		t.Errorf("-presets=false still ran the vault stacks:\n%s", out.String())
 	}
 }
 
@@ -70,13 +79,6 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	out.Reset()
 	if code := run(context.Background(), []string{"-seeds", "-3"}, &out); code != 2 {
 		t.Errorf("negative seed count: exit %d, want 2", code)
-	}
-	out.Reset()
-	if code := run(context.Background(), []string{"-seeds", "0", "-presets=false", "-vault-seeds", "-1"}, &out); code != 2 {
-		t.Errorf("negative vault seed count: exit %d, want 2", code)
-	}
-	if !strings.Contains(out.String(), "-vault-seeds must be >= 0") {
-		t.Errorf("negative vault seed count not reported:\n%s", out.String())
 	}
 }
 

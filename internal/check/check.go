@@ -26,7 +26,12 @@
 //   - policy-side and module-side refresh counts agree exactly, with
 //     self-refresh-covered commands accounted separately and module ops
 //     decomposing exactly into CBR + RAS-only + per-bank + all-bank; and
-//   - rerunning a scenario is bit-identical.
+//   - rerunning a scenario is bit-identical, at every shard count.
+//
+// A scenario runs at its own geometry. A vaulted one drives its vault
+// array at its real vault count, each vault controller is held to the
+// invariants and bounds above at its own configuration, as a module is,
+// and the stack's results must be the vault-order fold of the vaults'.
 //
 // The harness is exposed three ways: the property-test suite in this
 // package, native fuzz targets over the configuration edge cases, and
@@ -117,10 +122,15 @@ type policyCase struct {
 }
 
 // policyCases enumerates the differential set for a scenario: every
-// registered policy, in registry order.
+// registered policy, in registry order, except on a vaulted scenario the
+// RetentionMap policies, whose per-row map spans the whole module and
+// which a vault array therefore refuses.
 func policyCases(sc Scenario) []policyCase {
 	var cases []policyCase
 	for _, e := range experiment.Policies() {
+		if e.RetentionMap && sc.Cfg.Geometry.Vaulted() {
+			continue
+		}
 		cases = append(cases, policyCase{PolicyEntry: e, slack: e.Slack(sc.Cfg, sc.SelfRefreshAfter > 0)})
 	}
 	return cases
@@ -130,27 +140,66 @@ func policyCases(sc Scenario) []policyCase {
 // inputs to CheckScenario's filter (and cmd/simcheck's -policies flag).
 func PolicyNames() []string { return experiment.PolicyNames() }
 
+// addFunc records one violation.
+type addFunc = func(policy, invariant, format string, args ...any)
+
 // runOutcome is one policy's execution of a scenario: the PolicyRun the
-// invariants and the report read, plus a vaulted run's per-vault
-// breakdown. Its shape is deterministic, so DeepEqual-ing or
-// fingerprinting two outcomes is exactly the bit-identical contract.
+// report carries, plus a vaulted run's per-vault breakdown. Its shape is
+// deterministic, so DeepEqual-ing or fingerprinting two outcomes is
+// exactly the bit-identical contract.
 type runOutcome struct {
 	PolicyRun
-	// Per is each vault's result (nil when monolithic); Dropped is each
+	// Per is each vault's result (nil on one vault); Dropped is each
 	// controller's self-refresh-covered command count, one per vault.
 	Per     []memctrl.Results
 	Dropped []uint64
 }
 
+// vault is controller v's share of the outcome: its results and its
+// self-refresh-covered count under the array's verdicts. A one-vault
+// outcome is its controller's own.
+func (o runOutcome) vault(v int) PolicyRun {
+	if o.Per == nil {
+		return o.PolicyRun
+	}
+	run := o.PolicyRun
+	run.Res, run.DroppedSelfRefresh = o.Per[v], o.Dropped[v]
+	return run
+}
+
+// vaultScenario is sc at one vault controller's configuration (see
+// memctrl.VaultConfig); every vault of a stack shares it.
+func vaultScenario(sc Scenario) Scenario {
+	sc.Cfg = memctrl.VaultConfig(sc.Cfg, 0)
+	return sc
+}
+
+// vaultAdd is add with vault v of sc named after the policy; a one-vault
+// scenario's violations name the policy alone.
+func vaultAdd(add addFunc, sc Scenario, v int) addFunc {
+	if !sc.Cfg.Geometry.Vaulted() {
+		return add
+	}
+	return func(policy, invariant, format string, args ...any) {
+		add(fmt.Sprintf("%s/vault%02d", policy, v), invariant, format, args...)
+	}
+}
+
+// rerunShards is the shard counts a policy's reruns take: each distinct
+// count in {1, 2, vaults}. A one-vault scenario reruns once, serially.
+func rerunShards(sc Scenario) []int {
+	n := sc.Cfg.Geometry.VaultCount()
+	return slices.Compact([]int{1, min(2, n), n})
+}
+
 // runPolicy executes one policy over [0, Duration] of the scenario's
-// workload through experiment.RunStream: on one controller for a
-// monolithic scenario, through a memctrl.VaultArray advanced by shards
-// workers for a vaulted one. Panics and rejected options become a
-// recorded failure instead of crashing the harness. The telemetry sinks
-// may be nil (the disabled path). A cancelled context aborts the
-// simulation early and leaves the run partial — the caller must discard
-// it, which CheckScenario does by returning ctx's error instead of
-// a report.
+// workload through experiment.RunStream, on a memctrl.VaultArray of the
+// scenario's geometry advanced by shards workers. Panics and rejected
+// options become a recorded failure instead of crashing the harness. The
+// telemetry sinks may be nil (the disabled path). A cancelled context
+// aborts the simulation early and leaves the run partial — the caller
+// must discard it, which CheckScenario does by returning ctx's error
+// instead of a report.
 func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *telemetry.Tracer, reg *telemetry.Registry) (out runOutcome) {
 	out.Policy = pc.Name
 	defer func() {
@@ -191,19 +240,23 @@ func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *
 	return out
 }
 
-// CheckScenario runs every selected policy twice, for the determinism
-// check, and evaluates all invariants. policies names the subset of the
-// differential set to run (nil or empty = everything); cross-policy
-// refresh-count bounds are evaluated only when every policy they relate
-// is selected, so a filtered sweep never reports phantom bound
-// violations against runs that did not happen. Unknown names are an
-// error, not a silent no-op.
+// CheckScenario runs every selected policy at the scenario's own
+// geometry, a vaulted scenario through its memctrl.VaultArray at its
+// real vault count, and evaluates all invariants per controller: each
+// vault is checked as a module is, at its own configuration, and the
+// stack-level results must be the fold of the vaults. policies names the
+// subset of the differential set to run (nil or empty = everything); a
+// cross-policy bound leg runs only when every policy it compares ran, so
+// a filtered sweep never reports phantom bound violations against runs
+// that did not happen. Unknown names are an error, not a silent no-op.
 //
-// Telemetry attaches to the first run of each policy: every DRAM command
-// lands in tr and each controller's metrics register into reg under
-// "<scenario>/<policy>". The determinism rerun deliberately runs without
-// telemetry, so the comparison also proves tracing does not perturb
-// simulated results. Both sinks may be nil.
+// Each policy's first run is serial and carries the telemetry: every
+// DRAM command lands in tr and each controller's metrics register into
+// reg under "<scenario>/<policy>". Its reruns, at each shard count of
+// rerunShards, run without telemetry and must reproduce it bit for bit,
+// per-vault breakdown included, so the comparison also proves that
+// neither tracing nor sharding perturbs simulated results. Both sinks
+// may be nil.
 //
 // The context is polled between policy runs and, through the
 // controller's Interrupt hook, inside each simulation's event drains, so
@@ -228,48 +281,56 @@ func CheckScenario(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *
 		})
 	}
 
-	// The differential set runs every scenario on one controller over the
-	// whole geometry, a vaulted preset's too; CheckVaultScenario runs the
-	// vault array.
-	whole := sc
-	whole.Cfg.Geometry.Vaults = 0
-
-	byName := map[string]PolicyRun{}
+	outs := map[string]runOutcome{}
 	cases := map[string]policyCase{}
 	for _, pc := range policyCases(sc) {
 		if len(policies) > 0 && !slices.Contains(policies, pc.Name) {
 			continue
 		}
 		cases[pc.Name] = pc
-		run := runPolicy(ctx, whole, pc, 1, tr, reg).PolicyRun
-		rerun := runPolicy(ctx, whole, pc, 1, nil, nil).PolicyRun
-		if err := ctx.Err(); err != nil {
-			return Report{Scenario: sc}, err
+		out := runPolicy(ctx, sc, pc, 1, tr, reg)
+		for _, shards := range rerunShards(sc) {
+			rerun := runPolicy(ctx, sc, pc, shards, nil, nil)
+			if err := ctx.Err(); err != nil {
+				return Report{Scenario: sc}, err
+			}
+			if !reflect.DeepEqual(out, rerun) {
+				add(pc.Name, "determinism", "rerun at %d shards differs:\n first: %+v\nsecond: %+v", shards, out, rerun)
+			}
 		}
-		if !reflect.DeepEqual(run, rerun) {
-			add(pc.Name, "determinism", "rerun differs:\n first: %+v\nsecond: %+v", run, rerun)
-		}
-		rep.Runs = append(rep.Runs, run)
-		byName[pc.Name] = run
-		checkRun(sc, pc, run, add)
+		rep.Runs = append(rep.Runs, out.PolicyRun)
+		outs[pc.Name] = out
+		checkOutcome(sc, pc, out, add)
 	}
-	checkRefreshBounds(ctx, whole, byName, cases, add)
+	vsc := vaultScenario(sc)
+	for v := range sc.Cfg.Geometry.VaultCount() {
+		runs := make(map[string]PolicyRun, len(outs))
+		for name, out := range outs {
+			runs[name] = out.vault(v)
+		}
+		vadd := vaultAdd(add, sc, v)
+		checkRefreshBounds(vsc, runs, func() uint64 { return firstIntervalGap(ctx, sc, cases, v) }, vadd)
+		checkPerBankBounds(vsc, runs, vadd)
+		checkRAIDRBounds(vsc, runs, vadd)
+	}
 	if err := ctx.Err(); err != nil {
+		// An interrupted first-interval run cut its count short.
 		return Report{Scenario: sc}, err
 	}
-	checkPerBankBounds(sc, byName, add)
-	checkRAIDRBounds(sc, byName, add)
 	return rep, nil
 }
 
-// checkRun evaluates the per-run invariants.
-func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invariant, format string, args ...any)) {
-	if run.Panic != "" {
-		add(pc.Name, "panic", "%s", run.Panic)
+// checkOutcome evaluates one policy's outcome: the array's verdicts
+// (panic, retention, the no-refresh run's checker sanity), checkRun on
+// each vault controller's results at that vault's configuration, and on
+// more than one vault the stack-level results as the vault-order fold.
+func checkOutcome(sc Scenario, pc policyCase, out runOutcome, add addFunc) {
+	if out.Panic != "" {
+		add(pc.Name, "panic", "%s", out.Panic)
 		return
 	}
-	if pc.Refreshes && run.RetentionErr != "" {
-		add(pc.Name, "retention", "%s", run.RetentionErr)
+	if pc.Refreshes && out.RetentionErr != "" {
+		add(pc.Name, "retention", "%s", out.RetentionErr)
 	}
 	// The no-refresh run doubles as a sanity check of the checker
 	// itself: on an idle workload with self-refresh disarmed nothing
@@ -278,11 +339,51 @@ func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invari
 	// rows alive through the module's self-refresh engine.)
 	if !pc.Refreshes && sc.Spec.FootprintBytes == 0 && sc.SelfRefreshAfter <= 0 {
 		deadline := sc.Cfg.Timing.RefreshInterval + memctrl.RetentionGrace + pc.slack
-		if sim.Time(sc.Duration) > sim.Time(deadline) && run.RetentionErr == "" {
+		if sim.Time(sc.Duration) > sim.Time(deadline) && out.RetentionErr == "" {
 			add(pc.Name, "checker-sanity", "no-refresh run of %v passed a %v retention deadline", sc.Duration, deadline)
 		}
 	}
 
+	vsc := vaultScenario(sc)
+	for v := range sc.Cfg.Geometry.VaultCount() {
+		checkRun(vsc, pc, out.vault(v), vaultAdd(add, sc, v))
+	}
+	if out.Per != nil {
+		if fold := foldVaults(out); !reflect.DeepEqual(fold, out.Res) {
+			add(pc.Name, "vault-aggregation", "aggregate %+v != vault-order fold %+v", out.Res, fold)
+		}
+	}
+}
+
+// foldVaults is the stack-level summary a vaulted outcome's vaults fold
+// to: every counter, the module and policy statistics and the energy
+// breakdown summed in vault order. The latency summaries and the refresh
+// rate derive from merged samples and the window rather than from the
+// vaults' summaries, so they are taken from the aggregate; any other
+// field the aggregate sets and the fold leaves zero is a mismatch.
+func foldVaults(out runOutcome) memctrl.Results {
+	agg := out.Res
+	f := memctrl.Results{Span: agg.Span, AvgLatencyNS: agg.AvgLatencyNS, P50LatencyNS: agg.P50LatencyNS,
+		P99LatencyNS: agg.P99LatencyNS, RefreshPerSecond: agg.RefreshPerSecond}
+	for _, r := range out.Per {
+		f.Requests += r.Requests
+		f.RowHits += r.RowHits
+		f.RefreshOps += r.RefreshOps
+		f.RefreshCBR += r.RefreshCBR
+		f.RefreshRASOnly += r.RefreshRASOnly
+		f.RefreshPerBank += r.RefreshPerBank
+		f.DemandStall += r.DemandStall
+		f.RefreshesDroppedSelfRefresh += r.RefreshesDroppedSelfRefresh
+		f.Module = f.Module.Add(r.Module)
+		f.Policy = f.Policy.Add(r.Policy)
+		f.Energy = f.Energy.Add(r.Energy)
+	}
+	return f
+}
+
+// checkRun evaluates the invariants of one controller's results: a
+// module's, or one vault's at that vault's configuration.
+func checkRun(sc Scenario, pc policyCase, run PolicyRun, add addFunc) {
 	ps, ms := run.Res.Policy, run.Res.Module
 
 	// Section 5: a tick emits at most Segments requests and the queue
@@ -361,7 +462,7 @@ func checkRun(sc Scenario, pc policyCase, run PolicyRun, add func(policy, invari
 
 // checkEnergy verifies the breakdown is finite, non-negative and
 // internally consistent with its aggregate accessors.
-func checkEnergy(policy string, b power.Breakdown, add func(policy, invariant, format string, args ...any)) {
+func checkEnergy(policy string, b power.Breakdown, add addFunc) {
 	comps := []struct {
 		label string
 		v     power.Energy
@@ -401,7 +502,7 @@ func closeEnough(a, b float64) bool {
 // conserved (active + idle covers every rank over the whole run; the
 // module may run slightly past the end to complete in-flight ops) and
 // the low-power residencies are subsets of idle time.
-func checkResidency(sc Scenario, policy string, ms dram.ModuleStats, add func(policy, invariant, format string, args ...any)) {
+func checkResidency(sc Scenario, policy string, ms dram.ModuleStats, add addFunc) {
 	ranks := sim.Duration(sc.Cfg.Geometry.Channels * sc.Cfg.Geometry.Ranks)
 	span := ms.ActiveTime + ms.IdleTime
 	if ms.ActiveTime < 0 || ms.IdleTime < 0 {
@@ -428,10 +529,8 @@ func checkResidency(sc Scenario, policy string, ms dram.ModuleStats, add func(po
 // class it is carved from (ACT-PDN of active time; PRE-PDN and
 // self-refresh, which are mutually exclusive, of idle time; slow-wake of
 // self-refresh time), and nothing accumulates unless the ladder was
-// armed. Shared by the monolithic and vault-parallel harnesses — the
-// subset relations are linear, so they hold for per-vault stats and for
-// their aggregate sums alike.
-func checkPowerStateResidency(policy string, ms dram.ModuleStats, armed bool, add func(policy, invariant, format string, args ...any)) {
+// armed.
+func checkPowerStateResidency(policy string, ms dram.ModuleStats, armed bool, add addFunc) {
 	if !ms.PowerStatesTracked {
 		if ms.ActPdnTime != 0 || ms.PrePdnFastTime != 0 || ms.PrePdnSlowTime != 0 ||
 			ms.SelfRefreshSlowTime != 0 || ms.PowerDownEntries != 0 {
@@ -463,9 +562,8 @@ func checkPowerStateResidency(policy string, ms dram.ModuleStats, armed bool, ad
 // vector — each state's standby power (per-device current x VDD x
 // devices x scale) times its residency, awake shares as remainders —
 // and requires the model's Breakdown.Background to match. Only
-// meaningful when the explicit machine ran; the recompute is linear in
-// the residencies, so it applies to vault aggregates too.
-func checkPowerStateEnergy(cfg config.DRAM, policy string, res memctrl.Results, add func(policy, invariant, format string, args ...any)) {
+// meaningful when the explicit machine ran.
+func checkPowerStateEnergy(cfg config.DRAM, policy string, res memctrl.Results, add addFunc) {
 	ms := res.Module
 	if !ms.PowerStatesTracked {
 		return
@@ -504,21 +602,21 @@ func checkPowerStateEnergy(cfg config.DRAM, policy string, res memctrl.Results, 
 }
 
 // firstIntervalGap is how many fewer refreshes Smart Refresh requests
-// than the oracle over the scenario's first refresh interval (zero when
-// it requests as many or more), taken from runs of both cut at the end of
-// that interval. In the first interval each policy refreshes every row at
-// most once, at a seeded stagger time. The oracle staggers rows in flat
-// order, so a sequential sweep reaches each row just after its refresh;
-// Smart's position-major counter seeding does not follow the sweep, so
-// the sweep restores most of its rows before their counters expire. The
-// gap is up to one refresh per row, and it says nothing about Smart
-// under-refreshing, so the lower bound leaves it out. cases must hold
-// both policies.
-func firstIntervalGap(ctx context.Context, sc Scenario, cases map[string]policyCase) uint64 {
+// than the oracle on vault v over the scenario's first refresh interval
+// (zero when it requests as many or more), taken from runs of both cut
+// at the end of that interval. In the first interval each policy
+// refreshes every row at most once, at a seeded stagger time. The oracle
+// staggers rows in flat order, so a sequential sweep reaches each row
+// just after its refresh; Smart's position-major counter seeding does
+// not follow the sweep, so the sweep restores most of its rows before
+// their counters expire. The gap is up to one refresh per row, and it
+// says nothing about Smart under-refreshing, so the lower bound leaves
+// it out. cases must hold both policies.
+func firstIntervalGap(ctx context.Context, sc Scenario, cases map[string]policyCase, v int) uint64 {
 	head := sc
 	head.Duration = min(sc.Duration, sc.Cfg.RefreshInterval())
-	s := runPolicy(ctx, head, cases["smart"], 1, nil, nil).Res.Policy.RefreshesRequested
-	o := runPolicy(ctx, head, cases["oracle"], 1, nil, nil).Res.Policy.RefreshesRequested
+	s := runPolicy(ctx, head, cases["smart"], 1, nil, nil).vault(v).Res.Policy.RefreshesRequested
+	o := runPolicy(ctx, head, cases["oracle"], 1, nil, nil).vault(v).Res.Policy.RefreshesRequested
 	if o <= s {
 		return 0
 	}
@@ -530,32 +628,30 @@ func firstIntervalGap(ctx context.Context, sc Scenario, cases map[string]policyC
 // baseline it improves on), and the retention-aware extension at or
 // below plain Smart Refresh. Counter quantization, segment stagger and
 // mode switches shift counts by bounded amounts, absorbed by boundSlack.
-// The lower leg compares counts from the second refresh interval on: when
-// Smart falls short of the oracle, its first-interval shortfall
-// (firstIntervalGap, two more runs of one interval each) is added to its
-// side.
-func checkRefreshBounds(ctx context.Context, sc Scenario, byName map[string]PolicyRun, cases map[string]policyCase, add func(policy, invariant, format string, args ...any)) {
-	smart, okS := byName["smart"]
-	cbr, okC := byName["cbr"]
-	oracle, okO := byName["oracle"]
-	rar, okR := byName["smart-retention"]
-	if !okS || !okC || !okO || !okR {
-		return // filtered run: the related policies did not all execute
+// The lower leg compares counts from the second refresh interval on:
+// when Smart falls short of the oracle, its first-interval shortfall
+// (firstGap, which costs two more runs of one interval each) is added to
+// its side. Each leg needs only the two policies it compares to have run
+// cleanly; a panicked run is already reported.
+func checkRefreshBounds(sc Scenario, byName map[string]PolicyRun, firstGap func() uint64, add addFunc) {
+	ran := func(name string) (uint64, bool) {
+		run, ok := byName[name]
+		return run.Res.Policy.RefreshesRequested, ok && run.Panic == ""
 	}
-	if smart.Panic != "" || cbr.Panic != "" || oracle.Panic != "" || rar.Panic != "" {
-		return // already reported as panics
+	s, ok := ran("smart")
+	if !ok {
+		return
 	}
-	slack := boundSlack(sc, smart.Res.Policy)
-	s, c, o := smart.Res.Policy.RefreshesRequested, cbr.Res.Policy.RefreshesRequested, oracle.Res.Policy.RefreshesRequested
-	if s > c+slack {
+	slack := boundSlack(sc, byName["smart"].Res.Policy)
+	if c, ok := ran("cbr"); ok && s > c+slack {
 		add("smart", "refresh-bound-upper", "smart requested %d > cbr %d + slack %d", s, c, slack)
 	}
-	if s+slack < o {
-		if first := firstIntervalGap(ctx, sc, cases); s+slack+first < o {
+	if o, ok := ran("oracle"); ok && s+slack < o {
+		if first := firstGap(); s+slack+first < o {
 			add("smart", "refresh-bound-lower", "smart requested %d + slack %d + first-interval gap %d < oracle %d", s, slack, first, o)
 		}
 	}
-	if r := rar.Res.Policy.RefreshesRequested; r > s+slack {
+	if r, ok := ran("smart-retention"); ok && r > s+slack {
 		add("smart-retention", "refresh-bound-upper", "retention-aware requested %d > smart %d + slack %d", r, s, slack)
 	}
 }
@@ -565,7 +661,7 @@ func checkRefreshBounds(ctx context.Context, sc Scenario, byName map[string]Poli
 // counts may differ only by the deferral window (postponed refreshes
 // still owed, pulled-in refreshes banked ahead) plus end-of-run phase per
 // bank. Skipped when cbr or the per-bank policy was filtered out.
-func checkPerBankBounds(sc Scenario, byName map[string]PolicyRun, add func(policy, invariant, format string, args ...any)) {
+func checkPerBankBounds(sc Scenario, byName map[string]PolicyRun, add addFunc) {
 	cbr, okC := byName["cbr"]
 	if !okC || cbr.Panic != "" {
 		return
@@ -597,7 +693,7 @@ func checkPerBankBounds(sc Scenario, byName map[string]PolicyRun, add func(polic
 // including false positives). Upper leg: the share never exceeds one,
 // so the wheel can never out-refresh CBR beyond end-of-run phase.
 // Skipped when cbr, oracle or raidr was filtered out.
-func checkRAIDRBounds(sc Scenario, byName map[string]PolicyRun, add func(policy, invariant, format string, args ...any)) {
+func checkRAIDRBounds(sc Scenario, byName map[string]PolicyRun, add addFunc) {
 	raidr, okR := byName["raidr"]
 	cbr, okC := byName["cbr"]
 	oracle, okO := byName["oracle"]

@@ -59,7 +59,7 @@ func TestRefreshBoundLowerFromSecondInterval(t *testing.T) {
 			for _, pc := range policyCases(sc) {
 				cases[pc.Name] = pc
 			}
-			if gap := firstIntervalGap(context.Background(), sc, cases); gap == 0 {
+			if gap := firstIntervalGap(context.Background(), sc, cases, 0); gap == 0 {
 				t.Error("no first-interval gap: the whole-run bound would have held")
 			}
 		})
@@ -205,5 +205,22 @@ func TestHarnessDetectsViolations(t *testing.T) {
 	brokenRep := checkAll(t, broken)
 	if brokenRep.Ok() {
 		t.Fatal("harness reported a zero-depth, zero-segment config as clean")
+	}
+}
+
+// Each refresh-bound leg needs only the policies it compares: Smart
+// above CBR plus slack is reported although smart-retention, and the
+// oracle, did not run.
+func TestRefreshBoundLegsStandAlone(t *testing.T) {
+	sc := NewScenario(1)
+	var smart, cbr PolicyRun
+	cbr.Res.Policy.RefreshesRequested = 1000
+	smart.Res.Policy.RefreshesRequested = 1000 + boundSlack(sc, smart.Res.Policy) + 1
+	var got []string
+	checkRefreshBounds(sc, map[string]PolicyRun{"smart": smart, "cbr": cbr},
+		func() uint64 { t.Error("first-interval gap taken without an oracle run"); return 0 },
+		func(policy, invariant, format string, args ...any) { got = append(got, policy+": "+invariant) })
+	if !reflect.DeepEqual(got, []string{"smart: refresh-bound-upper"}) {
+		t.Errorf("violations %v, want smart's refresh-bound-upper alone", got)
 	}
 }

@@ -78,6 +78,66 @@ func NewScenario(seed uint64) Scenario {
 	return sc
 }
 
+// NewVaultScenario derives a random but always-valid vaulted scenario
+// from a seed: the HMC preset's shape with a randomized (small) row
+// count, stack height, vault count, refresh interval, Smart parameters
+// and workload. The same seed always yields the same scenario.
+func NewVaultScenario(seed uint64) Scenario {
+	rng := sim.NewRNG(seed)
+
+	cfg := config.HMC8Vault()
+	cfg.Name = fmt.Sprintf("vault-rand-%d", seed)
+	cfg.Geometry.Vaults = 2 << rng.Intn(3) // 2, 4 or 8 vaults of 8 channels
+	layers := 1 << rng.Intn(2)             // flat or 2-high
+	cfg.Geometry.Ranks = layers
+	cfg.Geometry.Layers = 0
+	if layers > 1 {
+		cfg.Geometry.Layers = layers
+	}
+	cfg.Geometry.Rows = 64 << rng.Intn(3) // 64..256
+	cfg.Power.Geometry = cfg.Geometry
+	cfg.Timing.RefreshInterval = sim.Duration(1+rng.Intn(4)) * sim.Millisecond
+	cfg.Power.Timing = cfg.Timing
+
+	cfg.Smart.CounterBits = 2 + rng.Intn(3)
+	cfg.Smart.Segments = 1 << rng.Intn(5) // divides every pow2 per-vault row count here
+	cfg.Smart.QueueDepth = cfg.Smart.Segments + rng.Intn(cfg.Smart.Segments+8)
+	cfg.Smart.SelfDisable = rng.Bool(0.5)
+
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("check: generated invalid vault config for seed %d: %v", seed, err))
+	}
+
+	sc := Scenario{
+		Name:     fmt.Sprintf("vault-seed-%d", seed),
+		Seed:     seed,
+		Cfg:      cfg,
+		Duration: sim.Duration(3+rng.Intn(3)) * cfg.Timing.RefreshInterval,
+	}
+	sc.Spec = workload.StreamSpec{StrideBytes: cfg.Geometry.RowBytes()}
+	if !rng.Bool(0.25) {
+		interval := cfg.Timing.RefreshInterval
+		footRows := 1 + rng.Intn(cfg.Geometry.TotalRows())
+		sc.Spec = workload.StreamSpec{
+			FootprintBytes: int64(footRows) * cfg.Geometry.RowBytes(),
+			StrideBytes:    cfg.Geometry.RowBytes(),
+			SweepPeriod:    interval/4 + sim.Duration(rng.Int63n(int64(interval))),
+			RowRepeats:     rng.Float64() * 2,
+			WriteFraction:  rng.Float64() * 0.5,
+			JitterFraction: rng.Float64() * 0.3,
+			Shuffle:        rng.Bool(0.5),
+		}
+		if err := sc.Spec.Validate(); err != nil {
+			panic(fmt.Sprintf("check: generated invalid vault workload for seed %d: %v", seed, err))
+		}
+	}
+	if rng.Bool(0.5) {
+		sc.SelfRefreshAfter = 10*sim.Microsecond + sim.Duration(rng.Int63n(int64(150*sim.Microsecond)))
+	}
+	sc.PowerStates = randomPowerStates(rng, sc.SelfRefreshAfter)
+	return sc
+}
+
 // randomPowerStates draws a valid power-state ladder half the time. The
 // ranges respect the ordering constraints against the controller's
 // default 2 us page-close timeout and the minimum 10 us SelfRefreshAfter
@@ -106,9 +166,15 @@ func randomPowerStates(rng *sim.RNG, selfRefreshAfter sim.Duration) memctrl.Powe
 	return ps
 }
 
-// PresetScenarios exercises every vetted configuration preset with a
-// moderate mixed workload, plus one idle self-refresh scenario, using
-// shorter two-interval runs (the presets have full-size row counts).
+// presetVaultSeeds is how many random vault stacks (NewVaultScenario
+// seeds 1 on) the fixed scenario set carries.
+const presetVaultSeeds = 4
+
+// PresetScenarios is the fixed scenario set: every vetted configuration
+// preset with a moderate mixed workload, plus one idle self-refresh
+// scenario, using shorter two-interval runs (the presets have full-size
+// row counts), then the random vault stacks of seeds 1 to
+// presetVaultSeeds.
 func PresetScenarios() []Scenario {
 	presets := config.Presets()
 	names := make([]string, 0, len(presets))
@@ -117,7 +183,7 @@ func PresetScenarios() []Scenario {
 	}
 	sort.Strings(names)
 
-	out := make([]Scenario, 0, len(names)+1)
+	out := make([]Scenario, 0, len(names)+1+presetVaultSeeds)
 	for _, name := range names {
 		cfg := presets[name]
 		interval := cfg.Timing.RefreshInterval
@@ -147,5 +213,8 @@ func PresetScenarios() []Scenario {
 		Spec:             workload.StreamSpec{StrideBytes: idle.Geometry.RowBytes()},
 		SelfRefreshAfter: 100 * sim.Microsecond,
 	})
+	for seed := uint64(1); seed <= presetVaultSeeds; seed++ {
+		out = append(out, NewVaultScenario(seed))
+	}
 	return out
 }

@@ -2,32 +2,48 @@ package check
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
+
+	"smartrefresh/internal/experiment"
+	"smartrefresh/internal/memctrl"
 )
 
-// Satellite determinism suite: the same vaulted scenario must
-// fingerprint identically at every shard count, and every vault-level
-// invariant must hold, across a block of random seeds.
-func TestCheckVaultScenarioSweep(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		sc := NewVaultScenario(seed)
-		rep, err := CheckVaultScenario(context.Background(), sc, nil, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+// A vaulted scenario runs through CheckScenario at its real vault count:
+// every registered policy but the RetentionMap ones, each vault held to
+// the module invariants, the stack to the vault fold, and every shard
+// count to the serial run's results. The seeds follow the ones the fixed
+// scenario set (TestPresetScenarios) carries.
+func TestVaultScenarios(t *testing.T) {
+	var want []string
+	for _, e := range experiment.Policies() {
+		if !e.RetentionMap {
+			want = append(want, e.Name)
 		}
-		if !rep.Ok() {
+	}
+	seeds := uint64(4)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := uint64(presetVaultSeeds + 1); seed <= presetVaultSeeds+seeds; seed++ {
+		t.Run(fmt.Sprintf("vault-seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rep := checkAll(t, NewVaultScenario(seed))
 			for _, v := range rep.Violations {
-				t.Errorf("seed %d: %s", seed, v)
+				t.Errorf("%s", v)
 			}
-		}
-		if len(rep.Runs) != 2 {
-			t.Fatalf("seed %d: %d policy runs, want 2", seed, len(rep.Runs))
-		}
-		for _, run := range rep.Runs {
-			if run.Res.Module.RefreshOps == 0 {
-				t.Errorf("seed %d: %s issued no refreshes", seed, run.Policy)
+			var got []string
+			for _, run := range rep.Runs {
+				got = append(got, run.Policy)
+				if e, _ := experiment.ParsePolicy(run.Policy); e.Refreshes && run.Res.Module.RefreshOps == 0 {
+					t.Errorf("%s issued no refreshes", run.Policy)
+				}
 			}
-		}
+			if !slices.Equal(got, want) {
+				t.Errorf("runs %v, want one per policy without a retention map: %v", got, want)
+			}
+		})
 	}
 }
 
@@ -36,7 +52,7 @@ func TestCheckVaultScenarioSweep(t *testing.T) {
 // policy digest to the same SHA-256.
 func TestVaultFingerprintEqualAcrossShards(t *testing.T) {
 	sc := NewVaultScenario(3)
-	pc := vaultPolicyCases(sc)[0] // smart
+	pc := policyCases(sc)[0] // smart
 	ref := runPolicy(context.Background(), sc, pc, 1, nil, nil)
 	if ref.Panic != "" {
 		t.Fatal(ref.Panic)
@@ -52,15 +68,70 @@ func TestVaultFingerprintEqualAcrossShards(t *testing.T) {
 	}
 }
 
-// Presence gate: a monolithic scenario produces an empty clean report,
-// so sweeps may call the vault checker unconditionally.
-func TestCheckVaultScenarioGatesOnGeometry(t *testing.T) {
-	rep, err := CheckVaultScenario(context.Background(), NewScenario(1), nil, nil)
-	if err != nil {
-		t.Fatal(err)
+// handVaultOutcome is a Smart outcome on sc's vaults whose every vault
+// accounts for each refresh and whose aggregate is their fold.
+func handVaultOutcome(sc Scenario) runOutcome {
+	out := runOutcome{PolicyRun: PolicyRun{Policy: "smart"}}
+	for v := range uint64(sc.Cfg.Geometry.VaultCount()) {
+		var r memctrl.Results
+		r.Requests = 10 + v
+		r.Module.RefreshOps, r.RefreshOps = 5, 5
+		r.Module.RefreshCBROps, r.RefreshCBR = 5, 5
+		r.RefreshesDroppedSelfRefresh = v % 2
+		r.Policy.RefreshesRequested = 5 + v%2
+		out.Per = append(out.Per, r)
+		out.Dropped = append(out.Dropped, v%2)
+		out.DroppedSelfRefresh += v % 2
 	}
-	if !rep.Ok() || len(rep.Runs) != 0 {
-		t.Fatalf("monolithic scenario not gated: %+v", rep)
+	out.Res = foldVaults(out)
+	return out
+}
+
+// outcomeViolations runs the per-outcome check of out as smart on sc.
+func outcomeViolations(sc Scenario, out runOutcome) []Violation {
+	var vs []Violation
+	checkOutcome(sc, policyCases(sc)[0], out, func(policy, invariant, format string, args ...any) {
+		vs = append(vs, Violation{sc.Name, policy, invariant, fmt.Sprintf(format, args...)})
+	})
+	return vs
+}
+
+func hasViolation(vs []Violation, policy, invariant string) bool {
+	return slices.ContainsFunc(vs, func(v Violation) bool { return v.Policy == policy && v.Invariant == invariant })
+}
+
+// One vault whose requested refreshes exceed its module ops plus its
+// self-refresh-covered commands is named in its own violation; the
+// other vault stays clean.
+func TestCheckOutcomeNamesVault(t *testing.T) {
+	sc := NewVaultScenario(1)
+	out := handVaultOutcome(sc)
+	if vs := outcomeViolations(sc, out); hasViolation(vs, "smart/vault00", "refresh-accounting") ||
+		hasViolation(vs, "smart/vault01", "refresh-accounting") {
+		t.Fatalf("consistent vaults reported: %v", vs)
+	}
+	out.Per[1].Policy.RefreshesRequested++
+	out.Res = foldVaults(out)
+	vs := outcomeViolations(sc, out)
+	if !hasViolation(vs, "smart/vault01", "refresh-accounting") {
+		t.Errorf("vault 1 refresh leak not reported: %v", vs)
+	}
+	if hasViolation(vs, "smart/vault00", "refresh-accounting") {
+		t.Errorf("vault 0 blamed for vault 1's leak: %v", vs)
+	}
+}
+
+// The stack-level results must be the vault-order fold: an aggregate one
+// request off is a vault-aggregation violation.
+func TestCheckOutcomeVaultAggregation(t *testing.T) {
+	sc := NewVaultScenario(1)
+	out := handVaultOutcome(sc)
+	if vs := outcomeViolations(sc, out); hasViolation(vs, "smart", "vault-aggregation") {
+		t.Fatalf("exact fold reported: %v", vs)
+	}
+	out.Res.Requests++
+	if vs := outcomeViolations(sc, out); !hasViolation(vs, "smart", "vault-aggregation") {
+		t.Errorf("aggregate one request off the fold not reported: %v", vs)
 	}
 }
 

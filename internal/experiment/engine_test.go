@@ -414,12 +414,13 @@ func TestEngineSpecAndJobShareRunner(t *testing.T) {
 	}
 }
 
-// panicJob is a memoised job whose simulation panics: core.NewSmart
-// panics on a segment count that does not divide the rows.
+// panicJob is a memoised job whose flight panics: workload.NewGenerator
+// panics on a stream spec that fails validation, here a write fraction
+// above one, and the job's source is built inside the flight.
 func panicJob(t *testing.T) Job {
-	cfg := Conv2GB.DRAM()
-	cfg.Smart.Segments = 3
-	return Job{Cfg: variant(cfg, "seg3"), Prof: mustProfile(t, "gcc"), Policy: PolicySmart, Opts: engineOpts()}
+	prof := mustProfile(t, "gcc")
+	prof.Name, prof.WriteFraction = "gcc-badmix", 2
+	return Job{Cfg: Conv2GB.DRAM(), Prof: prof, Policy: PolicySmart, Opts: engineOpts()}
 }
 
 // Regression for the singleflight deadlock: a panic inside the memoised

@@ -348,7 +348,9 @@ func TestRefreshPerBankWindowed(t *testing.T) {
 
 // Run reports a job it could not build through RunResult.Err instead of
 // a zero result that looks like a measurement: the vaulted presets
-// reject the retention-map policies.
+// reject the retention-map policies, and a configuration Validate
+// rejects fails with Validate's error before Smart's constructor, which
+// would panic on a segment count that does not divide the rows, runs.
 func TestRunReportsConstructionError(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -357,6 +359,12 @@ func TestRunReportsConstructionError(t *testing.T) {
 	res := Run(config.HMC8Vault(), prof, PolicyRAIDR, fastOpts(false))
 	if res.Err == nil {
 		t.Fatalf("Run(HMC8Vault, gcc, raidr) = %+v with nil Err", res)
+	}
+	cfg := config.Table1_2GB()
+	cfg.Smart.Segments = 3
+	res = Run(cfg, prof, PolicySmart, fastOpts(false))
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "config: 131072 rows not divisible by 3 segments") {
+		t.Fatalf("Run with 3 segments: Err %v, want Validate's segment error", res.Err)
 	}
 }
 

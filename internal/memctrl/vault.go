@@ -103,14 +103,13 @@ type VaultArray struct {
 // NewVaultArray builds one controller per vault of cfg's geometry: one
 // for a conventional module.
 func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*VaultArray, error) {
-	n := cfg.Geometry.VaultCount()
-	if n > 1 {
-		// A vault controller validates only its share; a one-vault
-		// array's controller validates the whole module, as New does.
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
+	// Validate before the factory builds any policy: a vault controller
+	// validates only its share, and a policy constructor may panic on a
+	// configuration Validate rejects.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	n := cfg.Geometry.VaultCount()
 	va := &VaultArray{
 		cfg:        cfg,
 		vaults:     make([]*Controller, n),
@@ -160,7 +159,7 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 		if ctl != nil {
 			vcfg = ctl.cfg
 		} else {
-			vcfg = va.vaultConfig(v)
+			vcfg = VaultConfig(va.cfg, v)
 		}
 		policy, err := factory(v, vcfg)
 		if err != nil {
@@ -192,17 +191,18 @@ func (va *VaultArray) vaultErr(v int, err error) error {
 	return fmt.Errorf("memctrl: vault %d: %w", v, err)
 }
 
-// vaultConfig is vault v's configuration: the per-vault geometry, with
-// the power model's per-op energies keyed off that share (per-rank
-// background times sum across vaults exactly as they do across ranks).
-// A one-vault array's controller runs on the module's configuration.
-func (va *VaultArray) vaultConfig(v int) config.DRAM {
-	if len(va.vaults) == 1 {
-		return va.cfg
+// VaultConfig is vault v's configuration in a stack of cfg: the
+// per-vault geometry, with the power model's per-op energies keyed off
+// that share (per-rank background times sum across vaults exactly as they
+// do across ranks). A one-vault array's controller runs on the module's
+// configuration.
+func VaultConfig(cfg config.DRAM, v int) config.DRAM {
+	if !cfg.Geometry.Vaulted() {
+		return cfg
 	}
-	vcfg := va.cfg
-	vcfg.Name = fmt.Sprintf("%s/vault%02d", va.cfg.Name, v)
-	vcfg.Geometry = va.cfg.Geometry.PerVault()
+	vcfg := cfg
+	vcfg.Name = fmt.Sprintf("%s/vault%02d", cfg.Name, v)
+	vcfg.Geometry = cfg.Geometry.PerVault()
 	vcfg.Power.Geometry = vcfg.Geometry
 	return vcfg
 }

@@ -259,3 +259,19 @@ func TestVaultArrayEnqueueTimeRegressionPanics(t *testing.T) {
 	}()
 	va.Enqueue(Request{Time: 999, Addr: 0})
 }
+
+// NewVaultArray validates the configuration before its factory builds
+// any policy, at every vault count: Smart's constructor would panic on a
+// segment count that does not divide the rows.
+func TestNewVaultArrayValidatesBeforeFactory(t *testing.T) {
+	for _, cfg := range []config.DRAM{config.Table1_2GB(), config.HMC8Vault()} {
+		cfg.Smart.Segments = 3
+		_, err := NewVaultArray(cfg, func(int, config.DRAM) (core.Policy, error) {
+			t.Fatalf("%s: factory called on an invalid configuration", cfg.Name)
+			return nil, nil
+		}, VaultOptions{})
+		if err == nil || err.Error() != cfg.Validate().Error() {
+			t.Errorf("%s: NewVaultArray error %v, want Validate's %v", cfg.Name, err, cfg.Validate())
+		}
+	}
+}

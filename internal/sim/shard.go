@@ -26,7 +26,10 @@ type ShardRunner struct {
 }
 
 // Run invokes fn(shard) for every shard in [0, n) and waits for all of
-// them. It is a barrier: no call site observes partial completion.
+// them. It is a barrier: no call site observes partial completion. A
+// shard's panic is raised again on the calling goroutine once every
+// worker has stopped, where a serial run raises it, so a caller's
+// recover sees it at any worker count.
 func (r ShardRunner) Run(n int, fn func(shard int)) {
 	if n <= 0 {
 		return
@@ -44,14 +47,24 @@ func (r ShardRunner) Run(n int, fn func(shard int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	// One object holds all the workers share; fault is the first panic.
+	var s struct {
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		fault atomic.Pointer[any]
+	}
+	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
+			defer s.wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					fault := p
+					s.fault.CompareAndSwap(nil, &fault)
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(s.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -59,5 +72,8 @@ func (r ShardRunner) Run(n int, fn func(shard int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	s.wg.Wait()
+	if p := s.fault.Load(); p != nil {
+		panic(*p)
+	}
 }

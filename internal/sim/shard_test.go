@@ -26,3 +26,22 @@ func TestShardRunnerZeroShards(t *testing.T) {
 		t.Fatal("shard function ran for n <= 0")
 	}
 }
+
+// A panicking shard reaches the caller at any worker count, after the
+// other workers have stopped.
+func TestShardRunnerRaisesPanicOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			ShardRunner{Workers: workers}.Run(16, func(i int) {
+				if i == 5 {
+					panic("shard 5")
+				}
+			})
+			return nil
+		}()
+		if got != "shard 5" {
+			t.Errorf("workers=%d: recovered %v, want the shard's panic", workers, got)
+		}
+	}
+}
