@@ -16,10 +16,15 @@
 //	simcheck -seeds 64 -fingerprint    # print the sweep's SHA-256
 //	simcheck -policies darp,sarp       # only the per-bank policy pair
 //
+// A scenario on which -policies leaves no policy to run (the
+// retention-map policies on a vault stack) is skipped, not clean: -v
+// prints it as skipped and the summary line counts it.
+//
 // The exit status is 1 when any invariant is violated (or a scenario
-// panics), 0 on a clean sweep, and 130 when interrupted by
-// SIGINT/SIGTERM — long sweeps stop within milliseconds at the next
-// cancellation point instead of running to completion.
+// panics), 0 on a clean sweep, 2 on bad flags or when -policies left
+// every scenario skipped, and 130 when interrupted by SIGINT/SIGTERM —
+// long sweeps stop within milliseconds at the next cancellation point
+// instead of running to completion.
 package main
 
 import (
@@ -92,9 +97,24 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 		return 130
 	}
 
-	var violations, dirty int
+	code := summarize(w, reports, *verbose)
+	if *fingerprint {
+		fmt.Fprintf(w, "simcheck: fingerprint %s\n", check.FingerprintReports(reports))
+	}
+	if err := tf.Finish(); err != nil {
+		fmt.Fprintln(w, "simcheck:", err)
+		return 2
+	}
+	return code
+}
+
+// summarize prints the dirty reports (every report when verbose) and the
+// summary line, and returns the sweep's exit status: 1 when any
+// invariant was violated, 2 when every scenario was skipped, else 0.
+func summarize(w io.Writer, reports []check.Report, verbose bool) int {
+	var violations, dirty, skipped int
 	for _, rep := range reports {
-		if *verbose || !rep.Ok() {
+		if verbose || !rep.Ok() {
 			fmt.Fprintf(w, "%-24s %s\n", rep.Scenario.Name, describe(rep))
 		}
 		for _, v := range rep.Violations {
@@ -104,19 +124,19 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 			dirty++
 			violations += len(rep.Violations)
 		}
+		if rep.Skipped {
+			skipped++
+		}
 	}
 
-	fmt.Fprintf(w, "simcheck: %d scenarios, %d dirty, %d violations\n",
-		len(reports), dirty, violations)
-	if *fingerprint {
-		fmt.Fprintf(w, "simcheck: fingerprint %s\n", check.FingerprintReports(reports))
-	}
-	if err := tf.Finish(); err != nil {
-		fmt.Fprintln(w, "simcheck:", err)
-		return 2
-	}
-	if violations > 0 {
+	fmt.Fprintf(w, "simcheck: %d scenarios, %d dirty, %d violations, %d skipped\n",
+		len(reports), dirty, violations, skipped)
+	switch {
+	case violations > 0:
 		return 1
+	case len(reports) > 0 && skipped == len(reports):
+		fmt.Fprintln(w, "simcheck: -policies left no policy to run on any scenario")
+		return 2
 	}
 	return 0
 }
@@ -213,6 +233,9 @@ func completed(out []check.Report, done []bool) []check.Report {
 // describe summarises one report: the policies run and the refresh
 // requests each issued, or the violation count when dirty.
 func describe(rep check.Report) string {
+	if rep.Skipped {
+		return "skipped (no selected policy runs on this geometry)"
+	}
 	if !rep.Ok() {
 		return fmt.Sprintf("DIRTY (%d violations)", len(rep.Violations))
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"smartrefresh/internal/check"
 )
 
 func TestCleanSweepExitsZero(t *testing.T) {
@@ -136,6 +138,46 @@ func TestPoliciesFilter(t *testing.T) {
 	out.Reset()
 	if code := run(context.Background(), []string{"-policies", " , "}, &out); code != 2 {
 		t.Errorf("empty policy list: exit %d, want 2", code)
+	}
+}
+
+// A scenario on which -policies leaves nothing to run — the
+// retention-map policies on a vault stack — is listed as skipped and
+// counted, not reported clean; a sweep whose every scenario was skipped
+// checked nothing and fails.
+func TestPoliciesFilterSkipsRefusedScenarios(t *testing.T) {
+	var out strings.Builder
+	if code := run(context.Background(), []string{"-seeds", "0", "-v", "-policies", "raidr"}, &out); code != 0 {
+		t.Fatalf("exit %d with the conventional presets checked:\n%s", code, out.String())
+	}
+	for _, want := range []string{
+		"preset-hmc-8vault        skipped", "vault-seed-1             skipped",
+		"preset-table1-2gb        ok [raidr:",
+		"10 scenarios, 0 dirty, 0 violations, 6 skipped",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output omits %q:\n%s", want, out.String())
+		}
+	}
+
+	skipped := check.Report{Scenario: check.NewVaultScenario(1), Skipped: true}
+	clean := check.Report{Scenario: check.NewScenario(1), Runs: []check.PolicyRun{{Policy: "raidr"}}}
+	for _, tc := range []struct {
+		reports []check.Report
+		code    int
+		summary string
+	}{
+		{[]check.Report{skipped, skipped}, 2, "2 scenarios, 0 dirty, 0 violations, 2 skipped"},
+		{[]check.Report{skipped, clean}, 0, "2 scenarios, 0 dirty, 0 violations, 1 skipped"},
+		{nil, 0, "0 scenarios, 0 dirty, 0 violations, 0 skipped"},
+	} {
+		out.Reset()
+		if code := summarize(&out, tc.reports, false); code != tc.code {
+			t.Errorf("%s: exit %d, want %d", tc.summary, code, tc.code)
+		}
+		if !strings.Contains(out.String(), tc.summary) {
+			t.Errorf("summary %q missing:\n%s", tc.summary, out.String())
+		}
 	}
 }
 

@@ -109,6 +109,11 @@ type Report struct {
 	Scenario   Scenario
 	Runs       []PolicyRun
 	Violations []Violation
+	// Skipped marks a scenario the policy filter left nothing to run
+	// on: it named only policies the scenario's geometry refuses (the
+	// RetentionMap ones on a vaulted stack). Nothing was checked, so a
+	// skipped report is neither clean nor dirty.
+	Skipped bool
 }
 
 // Ok reports whether every invariant held.
@@ -248,7 +253,9 @@ func runPolicy(ctx context.Context, sc Scenario, pc policyCase, shards int, tr *
 // subset of the differential set to run (nil or empty = everything); a
 // cross-policy bound leg runs only when every policy it compares ran, so
 // a filtered sweep never reports phantom bound violations against runs
-// that did not happen. Unknown names are an error, not a silent no-op.
+// that did not happen. Unknown names are an error, not a silent no-op. A
+// scenario on which the subset leaves no policy to run is returned
+// Skipped, with no runs.
 //
 // Each policy's first run is serial and carries the telemetry: every
 // DRAM command lands in tr and each controller's metrics register into
@@ -295,12 +302,16 @@ func CheckScenario(ctx context.Context, sc Scenario, tr *telemetry.Tracer, reg *
 				return Report{Scenario: sc}, err
 			}
 			if !reflect.DeepEqual(out, rerun) {
-				add(pc.Name, "determinism", "rerun at %d shards differs:\n first: %+v\nsecond: %+v", shards, out, rerun)
+				add(pc.Name, "determinism", "rerun at %d shards differs (first != rerun): %s", shards, fieldDiff(out, rerun))
 			}
 		}
 		rep.Runs = append(rep.Runs, out.PolicyRun)
 		outs[pc.Name] = out
 		checkOutcome(sc, pc, out, add)
+	}
+	if len(cases) == 0 {
+		rep.Skipped = true
+		return rep, nil
 	}
 	vsc := vaultScenario(sc)
 	for v := range sc.Cfg.Geometry.VaultCount() {
@@ -350,7 +361,7 @@ func checkOutcome(sc Scenario, pc policyCase, out runOutcome, add addFunc) {
 	}
 	if out.Per != nil {
 		if fold := foldVaults(out); !reflect.DeepEqual(fold, out.Res) {
-			add(pc.Name, "vault-aggregation", "aggregate %+v != vault-order fold %+v", out.Res, fold)
+			add(pc.Name, "vault-aggregation", "aggregate != vault-order fold: %s", fieldDiff(out.Res, fold))
 		}
 	}
 }

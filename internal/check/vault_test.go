@@ -144,3 +144,26 @@ func TestNewVaultScenarioDeterministic(t *testing.T) {
 		t.Fatal("vault scenario is not vaulted")
 	}
 }
+
+// A filter that leaves a scenario no policy its geometry accepts skips
+// the scenario: no runs, no violations, and Skipped set. A scenario the
+// filter leaves a policy to run on is not skipped.
+func TestCheckScenarioSkipsWhenFilterLeavesNothing(t *testing.T) {
+	rep, err := CheckScenario(context.Background(), NewVaultScenario(1), nil, nil, []string{"raidr", "smart-retention"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Skipped || len(rep.Runs) != 0 || len(rep.Violations) != 0 {
+		t.Fatalf("vaulted scenario under retention-map policies: skipped %v, %d runs, %d violations",
+			rep.Skipped, len(rep.Runs), len(rep.Violations))
+	}
+	sc := NewVaultScenario(1)
+	sc.Duration = sc.Cfg.RefreshInterval() / 8
+	rep, err = CheckScenario(context.Background(), sc, nil, nil, []string{"raidr", "cbr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped || len(rep.Runs) != 1 {
+		t.Fatalf("vaulted scenario with cbr selected: skipped %v, %d runs", rep.Skipped, len(rep.Runs))
+	}
+}

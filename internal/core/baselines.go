@@ -26,7 +26,8 @@ func NewCBR(g dram.Geometry, interval sim.Duration) *CBR {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CBR{clock: newSlotClock(interval, int64(g.TotalRows())), bankMask: g.TotalBanks() - 1}
+	c := sim.OwnLine[CBR]()
+	*c = CBR{clock: newSlotClock(interval, int64(g.TotalRows())), bankMask: g.TotalBanks() - 1}
 	c.Reset(0)
 	return c
 }
@@ -86,7 +87,8 @@ func NewBurst(g dram.Geometry, interval sim.Duration) *Burst {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	b := &Burst{geom: g, interval: interval}
+	b := sim.OwnLine[Burst]()
+	*b = Burst{geom: g, interval: interval}
 	b.Reset(0)
 	return b
 }
@@ -214,7 +216,9 @@ type oracleHeap []oracleEntry
 func (h oracleHeap) peek() oracleEntry { return h[0] }
 
 func (h *oracleHeap) push(e oracleEntry) {
-	*h = append(*h, e)
+	// Stale entries can grow the heap past any preallocation; it grows
+	// onto lines of its own.
+	*h = append(sim.GrowOwn(*h, 1), e)
 	h.up(len(*h) - 1)
 }
 
@@ -266,7 +270,11 @@ func NewOracle(g dram.Geometry, interval sim.Duration, guard sim.Duration) *Orac
 	if guard < 0 || guard >= interval {
 		panic(fmt.Sprintf("core: oracle guard %v outside [0, interval)", guard))
 	}
-	o := &Oracle{geom: g, interval: interval, guard: guard}
+	total := g.TotalRows()
+	o := sim.OwnLine[Oracle]()
+	*o = Oracle{geom: g, interval: interval, guard: guard,
+		lastRestore: sim.OwnLines[sim.Time](total),
+		h:           sim.OwnLines[oracleEntry](total)[:0]}
 	o.Reset(0)
 	return o
 }
@@ -281,9 +289,6 @@ func (o *Oracle) Name() string { return "oracle" }
 // (the same burst hazard Smart Refresh's stagger avoids, figure 2).
 func (o *Oracle) Reset(start sim.Time) {
 	total := o.geom.TotalRows()
-	if o.lastRestore == nil {
-		o.lastRestore = make([]sim.Time, total)
-	}
 	o.h = o.h[:0]
 	o.stats = PolicyStats{}
 	// Row i is first due at slot i+1 of a TotalRows-slot clock over the

@@ -74,6 +74,11 @@ type Policy interface {
 	Stats() PolicyStats
 }
 
+// TickCommands is a command capacity that holds one Advance of every
+// policy at one tick: Burst's chunk is the largest. Only Oracle can emit
+// more, when that many row deadlines coincide.
+const TickCommands = burstChunk
+
 // PolicyStats aggregates policy-side activity for reporting and for the
 // counter-array energy model.
 type PolicyStats struct {

@@ -121,14 +121,15 @@ func newPerBank(g dram.Geometry, interval sim.Duration, cfg PerBankConfig, name 
 	if interval <= 0 {
 		panic(fmt.Sprintf("core: non-positive refresh interval %v", interval))
 	}
-	p := &PerBank{
+	p := sim.OwnLine[PerBank]()
+	*p = PerBank{
 		geom:     g,
 		interval: interval,
 		cfg:      cfg.withDefaults(),
 		dodge:    dodge,
 		overlap:  overlap,
 		name:     name,
-		banks:    make([]pbBank, g.TotalBanks()),
+		banks:    sim.OwnLines[pbBank](g.TotalBanks()),
 		slots:    sim.NewMinIndex(g.TotalBanks()),
 	}
 	p.idleWindow = p.cfg.IdleWindow

@@ -32,10 +32,12 @@ func NewRetentionChecker(g dram.Geometry, deadline sim.Duration, start sim.Time)
 	if deadline <= 0 {
 		panic("core: non-positive retention deadline")
 	}
-	c := &RetentionChecker{
+	// A vault's checker and table own their cache lines (DESIGN §16).
+	c := sim.OwnLine[RetentionChecker]()
+	*c = RetentionChecker{
 		geom:        g,
 		deadline:    deadline,
-		lastRestore: make([]sim.Time, g.TotalRows()),
+		lastRestore: sim.OwnLines[sim.Time](g.TotalRows()),
 	}
 	for i := range c.lastRestore {
 		c.lastRestore[i] = start

@@ -150,18 +150,20 @@ func NewSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig) *Smart {
 		panic(fmt.Sprintf("core: %d rows not divisible into %d segments", total, cfg.Segments))
 	}
 	rowsPerSeg := total / cfg.Segments
-	s := &Smart{
+	// A vault's policy and tables own their cache lines (DESIGN §16).
+	s := sim.OwnLine[Smart]()
+	*s = Smart{
 		geom:       g,
 		interval:   interval,
 		cfg:        cfg,
-		counters:   make([]uint8, total),
-		zeroCnt:    make([]uint16, rowsPerSeg),
+		counters:   sim.OwnLines[uint8](total),
+		zeroCnt:    sim.OwnLines[uint16](rowsPerSeg),
 		modulus:    1 << cfg.CounterBits,
 		max:        uint8(1<<cfg.CounterBits - 1),
 		rowsPerSeg: rowsPerSeg,
 		posBits:    uint(bits.TrailingZeros(uint(rowsPerSeg))),
 		clock:      newSlotClock(interval/sim.Duration(int64(1)<<cfg.CounterBits), int64(rowsPerSeg)),
-		pending:    make([]Command, 0, cfg.QueueDepth),
+		pending:    sim.OwnLines[Command](cfg.QueueDepth)[:0],
 		cbr:        NewCBR(g, interval),
 	}
 	s.Reset(0)

@@ -314,7 +314,9 @@ func NewModule(g Geometry, t Timing) *Module {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Module{
+	// A vault's module and tables own their cache lines (DESIGN §16).
+	m := sim.OwnLine[Module]()
+	*m = Module{
 		geom:  g,
 		tim:   t,
 		clk:   sim.NewClock(t.TCK),
@@ -327,10 +329,10 @@ func NewModule(g Geometry, t Timing) *Module {
 			PSSelfRefresh:     t.TXSNR,
 			PSSelfRefreshSlow: t.SelfRefreshSlowExit(),
 		},
-		banks:       make([]bankState, g.TotalBanks()),
-		ranks:       make([]rankState, g.Channels*g.Ranks),
-		channels:    make([]channelState, g.Channels),
-		cbrCounters: make([]int, g.TotalBanks()),
+		banks:       sim.OwnLines[bankState](g.TotalBanks()),
+		ranks:       sim.OwnLines[rankState](g.Channels * g.Ranks),
+		channels:    sim.OwnLines[channelState](g.Channels),
+		cbrCounters: sim.OwnLines[int](g.TotalBanks()),
 		subRows:     subarrayRows(g.Rows),
 		bankShift:   uint(bits.TrailingZeros(uint(g.Banks))),
 		rankShift:   uint(bits.TrailingZeros(uint(g.Ranks))),

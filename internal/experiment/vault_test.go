@@ -2,13 +2,16 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
+	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
@@ -121,6 +124,40 @@ func TestRunVaultScaling(t *testing.T) {
 	study.RenderTiming(&timing)
 	if !strings.Contains(timing.String(), "speedup") {
 		t.Fatalf("timing render missing its table:\n%s", timing.String())
+	}
+}
+
+// The busy/serial column is each point's summed vault busy time over
+// the serial point's, wherever the serial point sits in the study.
+func TestVaultScalingBusyInflation(t *testing.T) {
+	ms := time.Millisecond
+	pt := func(shards int, busy ...time.Duration) VaultScalePoint {
+		return VaultScalePoint{Shards: shards, Timing: memctrl.VaultTiming{Busy: busy}}
+	}
+	v := VaultScaling{Points: []VaultScalePoint{
+		pt(2, 30*ms, 33*ms), pt(1, 25*ms, 25*ms), pt(8, 40*ms, 35*ms),
+	}}
+	for i, want := range []float64{1.26, 1, 1.5} {
+		if got := v.busyInflation(v.Points[i]); math.Abs(got-want) > 1e-12 {
+			t.Errorf("point %d (shards %d): busy/serial %v, want %v", i, v.Points[i].Shards, got, want)
+		}
+	}
+	var b strings.Builder
+	v.RenderTiming(&b)
+	for _, want := range []string{"busy/serial", "1.26x", "1.50x"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("timing table lacks %q:\n%s", want, b.String())
+		}
+	}
+	// Without a serial point, or with one that measured nothing, the
+	// column reads zero rather than dividing by zero.
+	for _, v := range []VaultScaling{
+		{Points: []VaultScalePoint{pt(2, ms)}},
+		{Points: []VaultScalePoint{pt(1), pt(2, ms)}},
+	} {
+		if got := v.busyInflation(v.Points[len(v.Points)-1]); got != 0 {
+			t.Errorf("%+v: busy/serial %v, want 0", v.Points, got)
+		}
 	}
 }
 

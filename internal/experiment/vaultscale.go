@@ -150,16 +150,35 @@ func (v VaultScaling) Render(w io.Writer) {
 func (v VaultScaling) RenderTiming(w io.Writer) {
 	fmt.Fprintf(w, "Vault scaling timing: %s / %s / %s (%d vaults)\n",
 		v.Config, v.Benchmark, v.Policy, v.Vaults)
-	fmt.Fprintf(w, "  %8s %14s %9s %14s %9s %12s\n",
-		"shards", "wall", "speedup", "vault busy", "max/mean", "wait/epoch")
+	fmt.Fprintf(w, "  %8s %14s %9s %14s %11s %9s %12s\n",
+		"shards", "wall", "speedup", "vault busy", "busy/serial", "max/mean", "wait/epoch")
 	for _, pt := range v.Points {
-		fmt.Fprintf(w, "  %8d %14s %8.2fx %14s %8.2fx %12s\n",
+		fmt.Fprintf(w, "  %8d %14s %8.2fx %14s %10.2fx %8.2fx %12s\n",
 			pt.Shards, pt.Wall.Round(time.Microsecond), pt.Speedup,
-			pt.Timing.TotalBusy().Round(time.Microsecond), busySkew(pt.Timing),
+			pt.Timing.TotalBusy().Round(time.Microsecond), v.busyInflation(pt), busySkew(pt.Timing),
 			pt.Timing.WaitPerBarrier().Round(time.Microsecond))
 	}
-	fmt.Fprintf(w, "  vault busy: summed per-vault flush time; max/mean: busiest vault over the mean;\n")
+	fmt.Fprintf(w, "  vault busy: summed per-vault flush time; busy/serial: that over the serial point's,\n")
+	fmt.Fprintf(w, "  the work vaults running at once add to each other (cache traffic, false sharing);\n")
+	fmt.Fprintf(w, "  max/mean: busiest vault over the mean;\n")
 	fmt.Fprintf(w, "  wait/epoch: barrier time beyond an even split of that work over min(shards, CPUs)\n")
+}
+
+// busyInflation is pt's summed vault busy time over the serial point's.
+// Both points do the same simulated work, so anything above 1 is time
+// the vaults cost each other by running at once: unlike the speedup, it
+// leaves out dispatch, imbalance and the serial router. Zero when the
+// study has no serial point or that point measured no busy time.
+func (v VaultScaling) busyInflation(pt VaultScalePoint) float64 {
+	i := slices.IndexFunc(v.Points, func(p VaultScalePoint) bool { return p.Shards == 1 })
+	if i < 0 {
+		return 0
+	}
+	serial := v.Points[i].Timing.TotalBusy()
+	if serial <= 0 {
+		return 0
+	}
+	return float64(pt.Timing.TotalBusy()) / float64(serial)
 }
 
 // busySkew is the busiest vault's flush time over the mean: the

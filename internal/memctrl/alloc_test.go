@@ -17,13 +17,16 @@ func TestVaultDispatchOrderAllocFree(t *testing.T) {
 	va := MustNewVaultArray(config.HMC8Vault(), cbrFactory(), VaultOptions{Workers: 2})
 	// Two queue-length patterns, alternated so every sort moves vaults.
 	setPending(va, []int{3, 0, 9, 3, 0, 12, 3, 1})
-	a := va.pending
-	va.pending = make([][]Request, len(a))
+	a := va.lanes
+	va.lanes = make([]*lane, len(a))
+	for v := range va.lanes {
+		va.lanes[v] = new(lane)
+	}
 	setPending(va, []int{1, 3, 12, 0, 3, 9, 0, 3})
-	b := va.pending
+	b := va.lanes
 	avg := testing.AllocsPerRun(200, func() {
 		a, b = b, a
-		va.pending = a
+		va.lanes = a
 		va.sortOrder()
 	})
 	if avg != 0 {

@@ -162,14 +162,20 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{
+	// A vault controller runs on its own worker during a barrier, so it
+	// and its buffers own their cache lines (DESIGN §16).
+	g := &cfg.Geometry
+	c := sim.OwnLine[Controller]()
+	*c = Controller{
 		cfg:         cfg,
 		module:      dram.NewModule(cfg.Geometry, cfg.Timing),
 		mapper:      NewMapper(cfg.Geometry),
+		cmds:        sim.OwnLines[core.Command](core.TickCommands)[:0],
+		woken:       sim.OwnLines[int](g.Channels * g.Ranks)[:0],
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
-		idle:        sim.NewMinIndex(cfg.Geometry.TotalBanks()),
-		bankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
-		rankShift:   uint(bits.TrailingZeros(uint(cfg.Geometry.Ranks))),
+		idle:        sim.NewMinIndex(g.TotalBanks()),
+		bankShift:   uint(bits.TrailingZeros(uint(g.Banks))),
+		rankShift:   uint(bits.TrailingZeros(uint(g.Ranks))),
 	}
 	if err := c.Reset(policy, opts); err != nil {
 		return nil, err
@@ -358,7 +364,13 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 // refresh request queue feeding RAS-only refreshes, or plain CBR in
 // baseline/disabled mode).
 func (c *Controller) runRefreshTick(due sim.Time) {
-	c.cmds = c.policy.Advance(due, c.cmds[:0])
+	cmds := c.policy.Advance(due, c.cmds[:0])
+	if cap(cmds) > cap(c.cmds) {
+		// The tick outgrew the buffer (coincident Oracle deadlines): the
+		// grown one moves onto lines of its own as well.
+		cmds = append(sim.OwnLines[core.Command](cap(cmds))[:0], cmds...)
+	}
+	c.cmds = cmds
 	for i := range c.cmds {
 		cmd := &c.cmds[i]
 		ri := cmd.Bank >> c.bankShift

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 
 	"smartrefresh/internal/dram"
+	"smartrefresh/internal/sim"
 )
 
 // Mapper translates physical byte addresses to DRAM coordinates. The unit
@@ -50,7 +51,9 @@ func NewMapper(g dram.Geometry) *Mapper {
 	if colUnits <= 0 || colUnits&(colUnits-1) != 0 {
 		panic(fmt.Sprintf("memctrl: %d column units not a power of two", colUnits))
 	}
-	m := &Mapper{
+	// A vault's mapper owns its cache lines (DESIGN §16).
+	m := sim.OwnLine[Mapper]()
+	*m = Mapper{
 		geom:       g,
 		lineShift:  uint(bits.TrailingZeros64(uint64(burst))),
 		colBits:    uint(bits.TrailingZeros64(uint64(colUnits))),

@@ -154,7 +154,7 @@ func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) 
 		clear(ranks)
 		slots.Reset()
 	} else {
-		ranks, slots = make([]psState, n), sim.NewMinIndex(n)
+		ranks, slots = sim.OwnLines[psState](n), sim.NewMinIndex(n)
 	}
 	c.ps = powerStates{srAfter: srAfter, cfg: cfg, armed: true, ranks: ranks, slots: slots}
 	for ri := range c.ps.ranks {

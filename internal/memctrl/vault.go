@@ -71,9 +71,9 @@ type VaultArray struct {
 	// division (Geometry.Validate requires a power-of-two count).
 	vaultShift uint
 
-	// pending holds requests enqueued since the last flush, per vault, in
-	// arrival order; Reset empties the queues and keeps their capacity.
-	pending [][]Request
+	// lanes holds, per vault, what a barrier's worker writes besides
+	// the controller: the request queue and the busy time.
+	lanes []*lane
 	// order is the current barrier's dispatch order over vault indices.
 	order []int
 
@@ -87,9 +87,9 @@ type VaultArray struct {
 	// so a barrier hands the runner a function value without allocating.
 	dispatch func(i int)
 
-	// Host-side barrier timing, outside every result and fingerprint.
-	busy     []time.Duration // per vault, summed over barriers
-	wait     time.Duration   // summed barrier time beyond an even split
+	// Host-side barrier timing, outside every result and fingerprint
+	// (each vault's busy time is in its lane).
+	wait     time.Duration // summed barrier time beyond an even split
 	barriers int
 	// parallel is the parallelism a barrier can use: the worker count
 	// capped at GOMAXPROCS.
@@ -98,6 +98,17 @@ type VaultArray struct {
 	// hist is fold's merged latency histogram, reused across calls and
 	// empty between them, so Reset need not touch it.
 	hist *stats.Histogram
+}
+
+// lane is one vault's request queue and busy time. A barrier's workers
+// write their vaults' lanes concurrently, so each lane owns its cache
+// lines (sim.OwnLine), as the vault controllers do.
+type lane struct {
+	// pending holds the requests enqueued since the last flush, in
+	// arrival order; Reset empties it and keeps its capacity.
+	pending []Request
+	// busy is the vault's flush time, summed over barriers.
+	busy time.Duration
 }
 
 // NewVaultArray builds one controller per vault of cfg's geometry: one
@@ -114,10 +125,12 @@ func NewVaultArray(cfg config.DRAM, factory PolicyFactory, opts VaultOptions) (*
 		cfg:        cfg,
 		vaults:     make([]*Controller, n),
 		vaultShift: uint(bits.TrailingZeros(uint(n))),
-		pending:    make([][]Request, n),
+		lanes:      make([]*lane, n),
 		order:      make([]int, n),
-		busy:       make([]time.Duration, n),
 		hist:       stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
+	}
+	for v := range va.lanes {
+		va.lanes[v] = sim.OwnLine[lane]()
 	}
 	va.dispatch = func(i int) { va.flushVault(va.order[i]) }
 	if err := va.Reset(factory, opts); err != nil {
@@ -146,12 +159,11 @@ func (va *VaultArray) Reset(factory PolicyFactory, opts VaultOptions) error {
 	workers = min(workers, n)
 	va.runner = sim.ShardRunner{Workers: workers}
 	va.parallel = min(workers, runtime.GOMAXPROCS(0))
-	for v := range va.pending {
-		va.pending[v] = va.pending[v][:0]
+	for v, l := range va.lanes {
+		l.pending, l.busy = l.pending[:0], 0
 		va.order[v] = v
 	}
 	va.now, va.finishing, va.end = 0, false, 0
-	clear(va.busy)
 	va.wait, va.barriers = 0, 0
 
 	for v, ctl := range va.vaults {
@@ -248,7 +260,8 @@ func (va *VaultArray) Enqueue(req Request) {
 	}
 	v, local := va.Route(req.Addr)
 	req.Addr = local
-	va.pending[v] = append(va.pending[v], req)
+	l := va.lanes[v]
+	l.pending = append(l.pending, req)
 }
 
 // FlushTo advances every vault to time t in parallel: each vault submits
@@ -281,12 +294,12 @@ func (va *VaultArray) Finish(end sim.Time) {
 // its wall time beyond an even split of the vaults' busy time over the
 // usable parallelism (imbalance plus dispatch overhead).
 func (va *VaultArray) barrier() {
-	busyBefore := sumDurations(va.busy)
+	busyBefore := va.totalBusy()
 	start := time.Now()
 	va.sortOrder()
 	va.runner.Run(len(va.vaults), va.dispatch)
 	wall := time.Since(start)
-	even := (sumDurations(va.busy) - busyBefore) / time.Duration(va.parallel)
+	even := (va.totalBusy() - busyBefore) / time.Duration(va.parallel)
 	va.wait += max(wall-even, 0)
 	va.barriers++
 }
@@ -301,10 +314,10 @@ func (va *VaultArray) sortOrder() {
 	}
 	o := va.order
 	for i := 1; i < len(o); i++ {
-		v, n := o[i], len(va.pending[o[i]])
+		v, n := o[i], len(va.lanes[o[i]].pending)
 		j := i
 		for ; j > 0; j-- {
-			u, m := o[j-1], len(va.pending[o[j-1]])
+			u, m := o[j-1], len(va.lanes[o[j-1]].pending)
 			if m > n || m == n && u < v {
 				break
 			}
@@ -319,17 +332,26 @@ func (va *VaultArray) sortOrder() {
 // vault at va.end when finishing).
 func (va *VaultArray) flushVault(v int) {
 	start := time.Now()
-	ctl := va.vaults[v]
-	for _, req := range va.pending[v] {
+	ctl, l := va.vaults[v], va.lanes[v]
+	for _, req := range l.pending {
 		ctl.Submit(req)
 	}
-	va.pending[v] = va.pending[v][:0]
+	l.pending = l.pending[:0]
 	if va.finishing {
 		ctl.Finish(va.end)
 	} else {
 		ctl.AdvanceTo(va.now)
 	}
-	va.busy[v] += time.Since(start)
+	l.busy += time.Since(start)
+}
+
+// totalBusy is the vaults' summed busy time so far.
+func (va *VaultArray) totalBusy() time.Duration {
+	var sum time.Duration
+	for _, l := range va.lanes {
+		sum += l.busy
+	}
+	return sum
 }
 
 // VaultTiming is the host-side timing of a vault array's barriers. It
@@ -349,11 +371,11 @@ type VaultTiming struct {
 
 // Timing returns the array's barrier timing so far.
 func (va *VaultArray) Timing() VaultTiming {
-	return VaultTiming{
-		Barriers: va.barriers,
-		Wait:     va.wait,
-		Busy:     append([]time.Duration(nil), va.busy...),
+	busy := make([]time.Duration, len(va.lanes))
+	for v, l := range va.lanes {
+		busy[v] = l.busy
 	}
+	return VaultTiming{Barriers: va.barriers, Wait: va.wait, Busy: busy}
 }
 
 // TotalBusy is the vaults' summed flush time: the work the barriers

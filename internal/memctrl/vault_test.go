@@ -144,7 +144,7 @@ func TestVaultArraySkewedDeterministicAcrossWorkers(t *testing.T) {
 // setPending gives each vault of va a pending queue of the given length.
 func setPending(va *VaultArray, lens []int) {
 	for v, n := range lens {
-		va.pending[v] = make([]Request, n)
+		va.lanes[v].pending = make([]Request, n)
 	}
 }
 

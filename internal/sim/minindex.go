@@ -41,7 +41,7 @@ func NewMinIndex(n int) MinIndex {
 	for base < n {
 		base <<= 1
 	}
-	node := make([]minEntry, 2*base)
+	node := OwnLines[minEntry](2 * base)
 	x := MinIndex{base: base, node: node, leaf: node[base : base+n]}
 	x.Reset()
 	return x

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"smartrefresh/internal/sim"
 )
 
 // Counter is a simple monotonically increasing event count.
@@ -166,7 +168,10 @@ func NewHistogram(buckets int, width float64) *Histogram {
 	if buckets <= 0 || width <= 0 {
 		panic(fmt.Sprintf("stats: invalid histogram shape buckets=%d width=%v", buckets, width))
 	}
-	return &Histogram{width: width, counts: make([]uint64, buckets)}
+	// A vault's histogram owns its cache lines (DESIGN §16).
+	h := sim.OwnLine[Histogram]()
+	*h = Histogram{width: width, counts: sim.OwnLines[uint64](buckets)}
+	return h
 }
 
 // Reset empties the histogram, keeping its shape and bucket array: the
