@@ -216,17 +216,14 @@ func TestDRAMCacheAccessSteadyStateAllocFree(t *testing.T) {
 }
 
 // Module.Access — hits, misses, conflicts and the precharges between
-// them — works on fixed per-bank state and must not allocate, through
-// the flat cores and through the struct wrappers.
+// them — works on fixed per-bank state and must not allocate.
 func TestModuleAccessSteadyStateAllocFree(t *testing.T) {
-	for _, flat := range []bool{true, false} {
-		_, step := moduleAccessMix(flat)
-		for n := 0; n < 4096; n++ {
-			step()
-		}
-		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
-			t.Errorf("steady-state Module access (flat %v) allocates %.1f allocs/op, want 0", flat, avg)
-		}
+	_, step := moduleAccessMix()
+	for n := 0; n < 4096; n++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state Module access allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

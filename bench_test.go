@@ -383,10 +383,7 @@ func BenchmarkControllerSubmit(b *testing.B) {
 // eight first precharging the bank (as an idle close would) so the
 // access is a row miss, and one in four a write. Time advances 0–33 ns
 // per step, so requests arrive both before and after their bank frees.
-// flat issues the mix through the flat cores the controller runs
-// (PrechargeFlat, AccessFlat); otherwise through the struct-addressed
-// wrappers.
-func moduleAccessMix(flat bool) (*dram.Module, func()) {
+func moduleAccessMix() (*dram.Module, func()) {
 	cfg := config.Table1_2GB()
 	g := cfg.Geometry
 	m := dram.NewModule(g, cfg.Timing)
@@ -399,31 +396,20 @@ func moduleAccessMix(flat bool) (*dram.Module, func()) {
 		bank := int(r>>16) % (g.Ranks * g.Banks)
 		row := int(r>>24) % 3
 		pre, write := (r>>28)&7 == 0, (r>>31)&3 == 0
-		if flat {
-			if pre {
-				m.PrechargeFlat(now, bank)
-			}
-			m.AccessFlat(&res, now, bank, row, write)
-			return
-		}
-		addr := dram.Address{
-			RowID:  dram.RowID{Rank: bank / g.Banks, Bank: bank % g.Banks, Row: row},
-			Column: int(r>>32) % g.Columns,
-		}
 		if pre {
-			m.PrechargeBank(now, addr.BankOf())
+			m.Precharge(now, bank)
 		}
-		m.Access(now, addr, write)
+		m.Access(&res, now, bank, row, write)
 	}
 	return m, step
 }
 
-// BenchmarkModuleAccess measures one Module.AccessFlat of the seeded
-// hit/miss/conflict mix, the core Controller.Submit runs: the open-page
-// decision, the command timing on the clock-rounded delay table, and the
-// bank/rank/bus bookkeeping.
+// BenchmarkModuleAccess measures one Module.Access of the seeded
+// hit/miss/conflict mix, the one demand-access path Controller.Submit
+// runs: the bounds check, the open-page decision, the command timing on
+// the clock-rounded delay table, and the bank/rank/bus bookkeeping.
 func BenchmarkModuleAccess(b *testing.B) {
-	m, step := moduleAccessMix(true)
+	m, step := moduleAccessMix()
 	for i := 0; i < 4096; i++ {
 		step()
 	}
@@ -453,8 +439,7 @@ func idleCloseDrain() (*memctrl.Controller, func()) {
 	banks := g.TotalBanks()
 	addrs := make([]uint64, banks)
 	for flat := range addrs {
-		id := dram.BankFromFlat(&g, flat)
-		addrs[flat] = ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Channel: id.Channel, Rank: id.Rank, Bank: id.Bank, Row: flat}})
+		addrs[flat] = ctl.Mapper().Unmap(flat, flat)
 	}
 	rng := sim.NewRNG(1)
 	var now sim.Time
@@ -555,8 +540,9 @@ func benchDispatch(b *testing.B, setup func() (*smartrefresh.Controller, func())
 }
 
 // BenchmarkMapperMap measures one physical-address decode through the
-// Table 1 2 GB mapper: the bit-field split into the flat bank, row and
-// column, and the coordinate struct Map returns.
+// Table 1 2 GB mapper, the one decode Controller.Submit runs: two
+// shift-and-mask field extractions giving the flat bank and the row
+// within it.
 func BenchmarkMapperMap(b *testing.B) {
 	m := memctrl.NewMapper(config.Table1_2GB().Geometry)
 	rng := sim.NewRNG(1)
@@ -568,7 +554,8 @@ func BenchmarkMapperMap(b *testing.B) {
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		rows += m.Map(addrs[i&(len(addrs)-1)]).Row
+		_, row := m.Map(addrs[i&(len(addrs)-1)])
+		rows += row
 	}
 	b.StopTimer()
 	if rows < 0 {
@@ -796,7 +783,7 @@ func ladderRefreshWake() (*memctrl.Controller, func()) {
 		now += period
 		if now >= demandAt {
 			for r := 0; r < cfg.Geometry.Ranks; r++ {
-				ctl.Submit(memctrl.Request{Time: now, Addr: ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Rank: r}})})
+				ctl.Submit(memctrl.Request{Time: now, Addr: ctl.Mapper().Unmap(r*cfg.Geometry.Banks, 0)})
 			}
 			demandAt = now + 100*sim.Microsecond
 		}

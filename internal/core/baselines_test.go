@@ -212,7 +212,7 @@ func TestOracleIdleRate(t *testing.T) {
 	}
 	seen := map[dram.RowID]int{}
 	for _, c := range cmds {
-		seen[c.RowID(&g)]++
+		seen[dram.RowInBank(&g, c.Bank, c.Row)]++
 	}
 	for id, n := range seen {
 		if n != 1 {
@@ -231,14 +231,14 @@ func TestOracleDelaysAfterAccess(t *testing.T) {
 	var cmds []Command
 	cmds = o.Advance(testInterval-guard-1, cmds)
 	for _, c := range cmds {
-		if c.RowID(&g) == row {
+		if dram.RowInBank(&g, c.Bank, c.Row) == row {
 			t.Fatal("accessed row refreshed before its extended deadline")
 		}
 	}
 	cmds = o.Advance(at+testInterval-guard, cmds[:0])
 	found := false
 	for _, c := range cmds {
-		if c.RowID(&g) == row {
+		if dram.RowInBank(&g, c.Bank, c.Row) == row {
 			found = true
 		}
 	}
@@ -294,17 +294,6 @@ func TestOracleGuardValidation(t *testing.T) {
 		}
 	}()
 	NewOracle(g, testInterval, testInterval)
-}
-
-func TestCommandRowIDPanicsOnCBR(t *testing.T) {
-	c := Command{Row: -1}
-	g := smallGeom()
-	defer func() {
-		if recover() == nil {
-			t.Error("RowID of CBR command did not panic")
-		}
-	}()
-	c.RowID(&g)
 }
 
 func TestPolicyNames(t *testing.T) {

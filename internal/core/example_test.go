@@ -32,7 +32,7 @@ func Example_smartRefreshBasics() {
 	for now := sim.Time(0); now < 5*interval; now += interval / 64 {
 		cmds = policy.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			counts[c.RowID(&g)]++
+			counts[dram.RowInBank(&g, c.Bank, c.Row)]++
 		}
 		policy.OnRowRestore(now, touched)
 	}
@@ -70,7 +70,7 @@ func ExampleCounterAreaKB() {
 // stops refreshing is caught.
 func ExampleRetentionChecker() {
 	g := exampleGeometry()
-	chk := core.NewRetentionChecker(g, 64*sim.Millisecond, 0)
+	chk := core.NewRetentionChecker(g, 64*sim.Millisecond, nil)
 	// Nothing restores anything for 100 ms.
 	chk.CheckEnd(100 * sim.Millisecond)
 	fmt.Println(chk.Violations() == uint64(g.TotalRows()))

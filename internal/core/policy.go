@@ -15,7 +15,7 @@ import (
 
 // Command is one refresh operation requested by a policy.
 type Command struct {
-	// Bank is the flat bank index (dram.BankID.Flat): its rank is
+	// Bank is the flat bank index (see dram.RowID): its rank is
 	// Bank >> log2 Banks and that rank's channel rank >> log2 Ranks.
 	Bank int
 	// Row is the explicit row for RAS-only refresh. It is -1 for CBR and
@@ -27,15 +27,6 @@ type Command struct {
 	// overlapped (SARP-style) form, which parallelizes with demand to the
 	// bank's other subarrays. Only meaningful for RefreshPerBank.
 	Overlap bool
-}
-
-// RowID returns the explicit row of a RAS-only command in geometry g. It
-// panics for CBR commands, which carry no row.
-func (c Command) RowID(g *dram.Geometry) dram.RowID {
-	if c.Row < 0 {
-		panic("core: RowID of CBR command")
-	}
-	return dram.RowInBank(g, c.Bank, c.Row)
 }
 
 // Policy is a refresh scheduling policy. The memory controller drives it:

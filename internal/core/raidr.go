@@ -237,6 +237,9 @@ func NewRAIDR(g dram.Geometry, interval sim.Duration, cfg RAIDRConfig, prof *Ret
 	if prof == nil {
 		panic("core: raidr needs a profiled retention map")
 	}
+	if err := prof.CheckRows(&g); err != nil {
+		panic(err)
+	}
 	r := &RAIDR{
 		geom:     g,
 		cfg:      cfg,

@@ -162,7 +162,7 @@ func runRAIDRWheel(t *testing.T, r *RAIDR, g dram.Geometry, end sim.Time) [][]si
 			if c.Kind != dram.RefreshRASOnly || c.Row < 0 {
 				t.Fatalf("raidr emitted non-RAS-only command %+v", c)
 			}
-			flat := c.RowID(&g).Flat(&g)
+			flat := c.Bank*g.Rows + c.Row
 			times[flat] = append(times[flat], now)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRAIDRProfiledDeadlines(t *testing.T) {
 	rmap := testRetentionMap(t, g)
 	r := NewRAIDR(g, testInterval, DefaultRAIDRConfig(), rmap)
 
-	chk := NewRetentionCheckerWithMap(g, sim.Duration(testInterval)+sim.Duration(testInterval)/sim.Duration(g.TotalRows())+1, 0, rmap)
+	chk := NewRetentionChecker(g, sim.Duration(testInterval)+sim.Duration(testInterval)/sim.Duration(g.TotalRows())+1, rmap)
 	end := 10 * sim.Time(testInterval)
 	var cmds []Command
 	for {
@@ -282,7 +282,7 @@ func TestRAIDRProfiledDeadlines(t *testing.T) {
 		}
 		cmds = r.Advance(next, cmds[:0])
 		for _, c := range cmds {
-			chk.OnRestore(next, c.RowID(&g))
+			chk.OnRestore(next, c.Bank, c.Row)
 		}
 	}
 	chk.CheckEnd(end)

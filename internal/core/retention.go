@@ -19,39 +19,42 @@ type RetentionChecker struct {
 	lastRestore []sim.Time
 	worstGap    sim.Duration
 	violations  uint64
-	firstBad    dram.RowID
+	firstBad    int // flat row index (RowID.Flat) of the first violation
 	firstBadGap sim.Duration
 }
 
 // NewRetentionChecker creates a checker that treats every row as restored
-// at time start and requires restores at least every deadline thereafter.
-func NewRetentionChecker(g dram.Geometry, deadline sim.Duration, start sim.Time) *RetentionChecker {
+// at time zero and requires restores at least every deadline thereafter.
+// With a retention map, a row's deadline is the base deadline scaled by
+// its retention multiplier — the invariant the retention-aware policies
+// must satisfy. It panics on an invalid geometry, a non-positive deadline
+// or a map of another row count.
+func NewRetentionChecker(g dram.Geometry, deadline sim.Duration, rmap *RetentionMap) *RetentionChecker {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	if deadline <= 0 {
-		panic("core: non-positive retention deadline")
-	}
 	// A vault's checker and table own their cache lines (DESIGN §16).
 	c := sim.OwnLine[RetentionChecker]()
-	*c = RetentionChecker{
-		geom:        g,
-		deadline:    deadline,
-		lastRestore: sim.OwnLines[sim.Time](g.TotalRows()),
-	}
-	for i := range c.lastRestore {
-		c.lastRestore[i] = start
-	}
+	*c = RetentionChecker{geom: g, lastRestore: sim.OwnLines[sim.Time](g.TotalRows())}
+	c.Reset(deadline, rmap)
 	return c
 }
 
-// NewRetentionCheckerWithMap creates a checker whose per-row deadline is
-// the base deadline scaled by the row's retention multiplier — the
-// invariant the retention-aware extension must satisfy.
-func NewRetentionCheckerWithMap(g dram.Geometry, base sim.Duration, start sim.Time, rmap *RetentionMap) *RetentionChecker {
-	c := NewRetentionChecker(g, base, start)
-	c.rmap = rmap
-	return c
+// Reset readies the checker for a new run on its geometry, keeping its
+// table: the checker NewRetentionChecker(g, deadline, rmap) returns. It
+// panics as NewRetentionChecker does.
+func (c *RetentionChecker) Reset(deadline sim.Duration, rmap *RetentionMap) {
+	if deadline <= 0 {
+		panic("core: non-positive retention deadline")
+	}
+	if rmap != nil {
+		if err := rmap.CheckRows(&c.geom); err != nil {
+			panic(err)
+		}
+	}
+	c.deadline, c.rmap = deadline, rmap
+	clear(c.lastRestore)
+	c.worstGap, c.violations, c.firstBad, c.firstBadGap = 0, 0, 0, 0
 }
 
 // deadlineFor returns the retention deadline of a row.
@@ -62,16 +65,17 @@ func (c *RetentionChecker) deadlineFor(flat int) sim.Duration {
 	return sim.Duration(c.rmap.multiplierFlat(flat)) * c.deadline
 }
 
-// OnRestore records that row's cells were restored at time t.
-func (c *RetentionChecker) OnRestore(t sim.Time, row dram.RowID) {
-	flat := row.Flat(&c.geom)
+// OnRestore records that the cells of row in flat bank bank were
+// restored at time t.
+func (c *RetentionChecker) OnRestore(t sim.Time, bank, row int) {
+	flat := bank*c.geom.Rows + row
 	gap := t - c.lastRestore[flat]
 	if gap > c.worstGap {
 		c.worstGap = gap
 	}
 	if gap > c.deadlineFor(flat) {
 		if c.violations == 0 {
-			c.firstBad = row
+			c.firstBad = flat
 			c.firstBadGap = gap
 		}
 		c.violations++
@@ -90,7 +94,7 @@ func (c *RetentionChecker) CheckEnd(end sim.Time) {
 		}
 		if gap > c.deadlineFor(flat) {
 			if c.violations == 0 {
-				c.firstBad = dram.RowFromFlat(&c.geom, flat)
+				c.firstBad = flat
 				c.firstBadGap = gap
 			}
 			c.violations++
@@ -111,7 +115,7 @@ func (c *RetentionChecker) Err() error {
 		return nil
 	}
 	return fmt.Errorf("core: %d retention violations; first: row %v gap %v (deadline %v)",
-		c.violations, c.firstBad, c.firstBadGap, c.deadline)
+		c.violations, dram.RowFromFlat(&c.geom, c.firstBad), c.firstBadGap, c.deadline)
 }
 
 // Optimality returns the section 4.4 optimality metric of Smart Refresh as

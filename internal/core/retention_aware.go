@@ -121,9 +121,9 @@ func (m *RetentionMap) Multipliers() []uint8 {
 	return out
 }
 
-// Multiplier returns the retention multiplier of a row.
-func (m *RetentionMap) Multiplier(row dram.RowID) int {
-	return int(m.mult[row.Flat(&m.geom)])
+// Multiplier returns the retention multiplier of row in flat bank bank.
+func (m *RetentionMap) Multiplier(bank, row int) int {
+	return int(m.mult[bank*m.geom.Rows+row])
 }
 
 // multiplierFlat avoids re-deriving the flat index on hot paths.
@@ -138,10 +138,20 @@ func (m *RetentionMap) Histogram() map[int]int {
 	return out
 }
 
-// Deadline returns the retention deadline of a row given the base
-// interval.
-func (m *RetentionMap) Deadline(row dram.RowID, base sim.Duration) sim.Duration {
-	return sim.Duration(m.Multiplier(row)) * base
+// Deadline returns the retention deadline of row in flat bank bank given
+// the base interval.
+func (m *RetentionMap) Deadline(bank, row int, base sim.Duration) sim.Duration {
+	return sim.Duration(m.Multiplier(bank, row)) * base
+}
+
+// CheckRows reports an error, naming both row counts, unless the map
+// holds one multiplier per row of g: a map built for another geometry
+// would give rows the wrong multipliers, or none.
+func (m *RetentionMap) CheckRows(g *dram.Geometry) error {
+	if len(m.mult) != g.TotalRows() {
+		return fmt.Errorf("core: retention map of %d rows on a module of %d rows", len(m.mult), g.TotalRows())
+	}
+	return nil
 }
 
 // RetentionAwareSmart combines Smart Refresh with per-row retention
@@ -164,6 +174,9 @@ type RetentionAwareSmart struct {
 func NewRetentionAwareSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig, rmap *RetentionMap) *RetentionAwareSmart {
 	if rmap == nil {
 		panic("core: nil retention map")
+	}
+	if err := rmap.CheckRows(&g); err != nil {
+		panic(err)
 	}
 	maxMult := 1
 	for _, v := range rmap.mult {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -38,9 +40,9 @@ func TestRetentionMapDeterministic(t *testing.T) {
 	a := NewRetentionMap(g, DefaultRetentionClasses(), 7)
 	b := NewRetentionMap(g, DefaultRetentionClasses(), 7)
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		row := dram.RowFromFlat(&g, flat)
-		if a.Multiplier(row) != b.Multiplier(row) {
-			t.Fatalf("map not deterministic at %v", row)
+		bank, row := dram.SplitRow(&g, flat)
+		if a.Multiplier(bank, row) != b.Multiplier(bank, row) {
+			t.Fatalf("map not deterministic at bank %d row %d", bank, row)
 		}
 	}
 }
@@ -48,11 +50,12 @@ func TestRetentionMapDeterministic(t *testing.T) {
 func TestRetentionMapDeadline(t *testing.T) {
 	g := smallGeom()
 	m := testRetentionMap(t, g)
+	mult := m.Multipliers()
 	for flat := 0; flat < g.TotalRows(); flat++ {
-		row := dram.RowFromFlat(&g, flat)
-		want := sim.Duration(m.Multiplier(row)) * testInterval
-		if got := m.Deadline(row, testInterval); got != want {
-			t.Fatalf("deadline of %v = %v, want %v", row, got, want)
+		bank, row := dram.SplitRow(&g, flat)
+		want := sim.Duration(mult[flat]) * testInterval
+		if got := m.Deadline(bank, row, testInterval); got != want {
+			t.Fatalf("deadline of bank %d row %d = %v, want %v", bank, row, got, want)
 		}
 	}
 }
@@ -207,12 +210,12 @@ func TestRetentionAwareIdleRates(t *testing.T) {
 	for now := 4 * testInterval; now <= (4+intervals)*testInterval; now += testInterval / 64 {
 		cmds = p.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			counts[c.RowID(&g)]++
+			counts[dram.RowInBank(&g, c.Bank, c.Row)]++
 		}
 	}
 	for flat := 0; flat < g.TotalRows(); flat++ {
 		row := dram.RowFromFlat(&g, flat)
-		mult := m.Multiplier(row)
+		mult := m.Multiplier(dram.SplitRow(&g, flat))
 		want := intervals / mult
 		got := counts[row]
 		if got < want-1 || got > want+1 {
@@ -259,7 +262,7 @@ func TestRetentionAwareCorrectness(t *testing.T) {
 	m := testRetentionMap(t, g)
 	f := func(seed uint64) bool {
 		p := NewRetentionAwareSmart(g, testInterval, smartNoDisable(), m)
-		chk := NewRetentionCheckerWithMap(g, testInterval, 0, m)
+		chk := NewRetentionChecker(g, testInterval, m)
 		rng := sim.NewRNG(seed)
 		var cmds []Command
 		var now sim.Time
@@ -271,7 +274,7 @@ func TestRetentionAwareCorrectness(t *testing.T) {
 				now = sim.Max(now, pt)
 				cmds = p.Advance(pt, cmds[:0])
 				for _, c := range cmds {
-					chk.OnRestore(pt, c.RowID(&g))
+					chk.OnRestore(pt, c.Bank, c.Row)
 				}
 				continue
 			}
@@ -279,9 +282,9 @@ func TestRetentionAwareCorrectness(t *testing.T) {
 				break
 			}
 			now = nextAccess
-			row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
-			p.OnRowRestore(now, row)
-			chk.OnRestore(now, row)
+			bank, row := dram.SplitRow(&g, rng.Intn(g.TotalRows()))
+			p.OnRowRestore(now, dram.RowInBank(&g, bank, row))
+			chk.OnRestore(now, bank, row)
 			nextAccess = now + 1 + sim.Time(rng.Int63n(int64(5*sim.Millisecond)))
 		}
 		chk.CheckEnd(now)
@@ -299,12 +302,12 @@ func TestRetentionAwareExceedsBaseDeadline(t *testing.T) {
 	g := smallGeom()
 	m := testRetentionMap(t, g)
 	p := NewRetentionAwareSmart(g, testInterval, smartNoDisable(), m)
-	chk := NewRetentionChecker(g, testInterval, 0) // uniform base deadline
+	chk := NewRetentionChecker(g, testInterval, nil) // uniform base deadline
 	var cmds []Command
 	for now := sim.Time(0); now < 6*testInterval; now += testInterval / 128 {
 		cmds = p.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			chk.OnRestore(now, c.RowID(&g))
+			chk.OnRestore(now, c.Bank, c.Row)
 		}
 	}
 	if chk.Violations() == 0 {
@@ -334,5 +337,34 @@ func TestRetentionAwareName(t *testing.T) {
 	}
 	if p.Map() == nil {
 		t.Error("map not exposed")
+	}
+}
+
+// Every constructor that indexes a retention map refuses one built for
+// another geometry, in both directions, with one message naming both row
+// counts: a larger map would give rows the wrong multipliers, a smaller
+// one would be indexed past its end.
+func TestRetentionMapOfAnotherGeometryPanics(t *testing.T) {
+	g := smallGeom()
+	big := g
+	big.Rows *= 2
+	for _, tc := range []struct{ g, mapG dram.Geometry }{{g, big}, {big, g}} {
+		rmap := testRetentionMap(t, tc.mapG)
+		want := fmt.Sprintf("core: retention map of %d rows on a module of %d rows", tc.mapG.TotalRows(), tc.g.TotalRows())
+		for name, build := range map[string]func(){
+			"NewRAIDR":               func() { NewRAIDR(tc.g, testInterval, DefaultRAIDRConfig(), rmap) },
+			"NewRetentionAwareSmart": func() { NewRetentionAwareSmart(tc.g, testInterval, smartNoDisable(), rmap) },
+			"NewRetentionChecker":    func() { NewRetentionChecker(tc.g, testInterval, rmap) },
+			"RetentionChecker.Reset": func() { NewRetentionChecker(tc.g, testInterval, nil).Reset(testInterval, rmap) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+						t.Errorf("%s on %d rows with a %d-row map: panic %v, want %q", name, tc.g.TotalRows(), tc.mapG.TotalRows(), r, want)
+					}
+				}()
+				build()
+			}()
+		}
 	}
 }

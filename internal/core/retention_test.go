@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"smartrefresh/internal/dram"
@@ -10,10 +11,9 @@ import (
 
 func TestRetentionCheckerNoViolation(t *testing.T) {
 	g := smallGeom()
-	chk := NewRetentionChecker(g, testInterval, 0)
-	row := dram.RowID{Channel: 0, Rank: 0, Bank: 0, Row: 1}
-	chk.OnRestore(30*sim.Millisecond, row)
-	chk.OnRestore(90*sim.Millisecond, row)
+	chk := NewRetentionChecker(g, testInterval, nil)
+	chk.OnRestore(30*sim.Millisecond, 0, 1)
+	chk.OnRestore(90*sim.Millisecond, 0, 1)
 	if chk.Violations() != 0 {
 		t.Fatalf("violations = %d", chk.Violations())
 	}
@@ -27,20 +27,20 @@ func TestRetentionCheckerNoViolation(t *testing.T) {
 
 func TestRetentionCheckerDetectsViolation(t *testing.T) {
 	g := smallGeom()
-	chk := NewRetentionChecker(g, testInterval, 0)
-	row := dram.RowID{Channel: 0, Rank: 0, Bank: 1, Row: 2}
-	chk.OnRestore(65*sim.Millisecond, row) // 65ms > 64ms deadline
+	chk := NewRetentionChecker(g, testInterval, nil)
+	chk.OnRestore(65*sim.Millisecond, 1, 2) // 65ms > 64ms deadline
 	if chk.Violations() != 1 {
 		t.Fatalf("violations = %d, want 1", chk.Violations())
 	}
-	if chk.Err() == nil {
-		t.Error("Err() nil despite violation")
+	// The report names the row by its coordinates.
+	if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "row "+dram.RowInBank(&g, 1, 2).String()+" gap") {
+		t.Errorf("Err() = %v, want it to name %v", err, dram.RowInBank(&g, 1, 2))
 	}
 }
 
 func TestRetentionCheckerEndCheck(t *testing.T) {
 	g := smallGeom()
-	chk := NewRetentionChecker(g, testInterval, 0)
+	chk := NewRetentionChecker(g, testInterval, nil)
 	// No restores at all; at 100ms every row is stale.
 	chk.CheckEnd(100 * sim.Millisecond)
 	if chk.Violations() != uint64(g.TotalRows()) {
@@ -50,7 +50,7 @@ func TestRetentionCheckerEndCheck(t *testing.T) {
 
 func TestRetentionCheckerEndCheckClean(t *testing.T) {
 	g := smallGeom()
-	chk := NewRetentionChecker(g, testInterval, 0)
+	chk := NewRetentionChecker(g, testInterval, nil)
 	chk.CheckEnd(10 * sim.Millisecond)
 	if chk.Violations() != 0 {
 		t.Fatalf("violations = %d, want 0", chk.Violations())
@@ -63,7 +63,7 @@ func TestRetentionCheckerPanics(t *testing.T) {
 			t.Error("non-positive deadline did not panic")
 		}
 	}()
-	NewRetentionChecker(smallGeom(), 0, 0)
+	NewRetentionChecker(smallGeom(), 0, nil)
 }
 
 func TestOptimalityFormula(t *testing.T) {

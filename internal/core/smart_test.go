@@ -199,7 +199,7 @@ func TestSmartDelaysRefreshAfterAccess(t *testing.T) {
 	for now := access; now < access+2*testInterval; now += step {
 		cmds = s.Advance(now, cmds[:0])
 		for _, c := range cmds {
-			if c.Row == row.Row && c.Bank == row.BankOf().Flat(&g) {
+			if dram.RowInBank(&g, c.Bank, c.Row) == row {
 				refreshAt = now
 			}
 		}
@@ -225,7 +225,7 @@ func TestSmartDelaysRefreshAfterAccess(t *testing.T) {
 func runSmartLoop(t *testing.T, g dram.Geometry, p Policy, seed uint64, length sim.Duration,
 	deadline sim.Duration, accessEvery sim.Duration) *RetentionChecker {
 	t.Helper()
-	chk := NewRetentionChecker(g, deadline, 0)
+	chk := NewRetentionChecker(g, deadline, nil)
 	rng := sim.NewRNG(seed)
 	var cmds []Command
 	end := sim.Time(length)
@@ -240,7 +240,7 @@ func runSmartLoop(t *testing.T, g dram.Geometry, p Policy, seed uint64, length s
 				if c.Row < 0 {
 					t.Fatal("CBR command from smart-mode policy in this harness")
 				}
-				chk.OnRestore(pt, c.RowID(&g))
+				chk.OnRestore(pt, c.Bank, c.Row)
 			}
 			continue
 		}
@@ -248,9 +248,9 @@ func runSmartLoop(t *testing.T, g dram.Geometry, p Policy, seed uint64, length s
 			break
 		}
 		now = nextAccess
-		row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
-		p.OnRowRestore(now, row)
-		chk.OnRestore(now, row)
+		bank, row := dram.SplitRow(&g, rng.Intn(g.TotalRows()))
+		p.OnRowRestore(now, dram.RowInBank(&g, bank, row))
+		chk.OnRestore(now, bank, row)
 		nextAccess = now + 1 + sim.Time(rng.Int63n(int64(accessEvery)))
 	}
 	chk.CheckEnd(now)
@@ -304,7 +304,7 @@ func TestSmartOptimalityBound(t *testing.T) {
 		for now := sim.Time(0); now < 5*testInterval; now += step {
 			cmds = s.Advance(now, cmds[:0])
 			for _, c := range cmds {
-				id := c.RowID(&g)
+				id := dram.RowInBank(&g, c.Bank, c.Row)
 				if prev, ok := last[id]; ok && prev > testInterval {
 					// Ignore the seeded warmup interval.
 					if gap := now - prev; gap < minGap {
@@ -564,7 +564,7 @@ func TestSmartModeSwitchAcrossMultipleWindows(t *testing.T) {
 	swept := map[dram.RowID]bool{}
 	for _, c := range cmds {
 		if c.Kind == dram.RefreshRASOnly && c.Row >= 0 {
-			swept[c.RowID(&g)] = true
+			swept[dram.RowInBank(&g, c.Bank, c.Row)] = true
 		}
 	}
 	if len(swept) != g.TotalRows() {
@@ -584,12 +584,12 @@ func TestSmartCorrectnessWithDisable(t *testing.T) {
 	s := NewSmart(g, testInterval, cfg)
 	// Per-bank emulation of the module's internal CBR counters.
 	cbrState := map[int]int{}
-	cbrEmu := func(b int) dram.RowID {
+	cbrEmu := func(b int) int {
 		r := cbrState[b]
 		cbrState[b] = (r + 1) % g.Rows
-		return dram.RowInBank(&g, b, r)
+		return r
 	}
-	chk := NewRetentionChecker(g, 2*testInterval, 0)
+	chk := NewRetentionChecker(g, 2*testInterval, nil)
 	var cmds []Command
 	rng := sim.NewRNG(7)
 	var now sim.Time
@@ -599,16 +599,16 @@ func TestSmartCorrectnessWithDisable(t *testing.T) {
 		cmds = s.Advance(now, cmds[:0])
 		for _, c := range cmds {
 			if c.Row >= 0 {
-				chk.OnRestore(now, c.RowID(&g))
+				chk.OnRestore(now, c.Bank, c.Row)
 			} else {
-				chk.OnRestore(now, cbrEmu(c.Bank))
+				chk.OnRestore(now, c.Bank, cbrEmu(c.Bank))
 			}
 		}
 		if phaseHot {
 			for i := 0; i < 4; i++ {
-				row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
-				s.OnRowRestore(now, row)
-				chk.OnRestore(now, row)
+				bank, row := dram.SplitRow(&g, rng.Intn(g.TotalRows()))
+				s.OnRowRestore(now, dram.RowInBank(&g, bank, row))
+				chk.OnRestore(now, bank, row)
 			}
 			now += 500 * sim.Microsecond
 		} else {

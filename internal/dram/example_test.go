@@ -18,12 +18,11 @@ func Example_openPagePolicy() {
 	}
 	m := dram.NewModule(g, dram.DDR2_667(64*sim.Millisecond))
 
-	a := dram.Address{RowID: dram.RowID{Bank: 0, Row: 5}, Column: 0}
-	r1 := m.Access(0, a, false)
-	a.Column = 8
-	r2 := m.Access(r1.Done, a, false)
-	b := dram.Address{RowID: dram.RowID{Bank: 0, Row: 9}, Column: 0}
-	r3 := m.Access(r2.Done, b, false)
+	// Commands address a flat bank index and a row within that bank.
+	var r1, r2, r3 dram.AccessResult
+	m.Access(&r1, 0, 0, 5, false)
+	m.Access(&r2, r1.Done, 0, 5, false)
+	m.Access(&r3, r2.Done, 0, 9, false)
 
 	fmt.Printf("first:  hit=%v conflict=%v\n", r1.RowHit, r1.Conflict)
 	fmt.Printf("second: hit=%v conflict=%v\n", r2.RowHit, r2.Conflict)
@@ -48,18 +47,20 @@ func Example_refreshKinds() {
 	var rows []int
 	var t sim.Time
 	for i := 0; i < 3; i++ {
-		res := m.RefreshNextCBR(t, dram.BankID{Bank: 0})
-		rows = append(rows, res.Row.Row)
+		res := m.RefreshCBR(t, 0)
+		rows = append(rows, res.Row)
 		t = res.Done
 	}
 	fmt.Println("CBR rows:", rows)
 
 	// RAS-only refresh targets exactly the row the controller names.
-	res := m.RefreshRow(t, dram.RowID{Bank: 1, Row: 6})
-	fmt.Printf("RAS-only: row %d, kind %v\n", res.Row.Row, res.Kind)
+	res := m.RefreshRow(t, 1, 6)
+	fmt.Println("RAS-only row:", res.Row)
+	fmt.Println("refreshes:", m.Stats().RefreshCBROps, "CBR,", m.Stats().RefreshRASOnlyOps, "RAS-only")
 	// Output:
 	// CBR rows: [0 1 2]
-	// RAS-only: row 6, kind RAS-only
+	// RAS-only row: 6
+	// refreshes: 3 CBR, 1 RAS-only
 }
 
 // ExampleGeometry_TotalRows ties the Table 1 geometry to the section 4.7

@@ -1,9 +1,13 @@
 package dram
 
-// CBRCounter exposes a bank's internal refresh counter.
-func (m *Module) CBRCounter(bank BankID) int {
-	return m.cbrCounters[bank.Flat(&m.geom)]
-}
+import "smartrefresh/internal/sim"
+
+// CBRCounter exposes flat bank bank's internal refresh counter.
+func (m *Module) CBRCounter(bank int) int { return m.cbrCounters[bank] }
+
+// BankReadyAt reports the earliest time flat bank bank accepts another
+// command.
+func (m *Module) BankReadyAt(bank int) sim.Time { return m.banks[bank].readyAt }
 
 // InSelfRefresh reports whether flat rank ri is in either self-refresh
 // state.

@@ -25,27 +25,28 @@ func mustPanic(t *testing.T, name, want string, op func()) {
 	op()
 }
 
-// flatOp is one flat-indexed command of the module.
+// flatOp is one command of the module.
 type flatOp struct {
 	name string
 	run  func()
 }
 
-// flatOps is every flat-indexed command the module takes, at time t and
+// flatOps is every bank command the module takes, at time t and
 // addressed to flat bank bank and row row (the counter forms ignore row).
 func flatOps(m *Module, t sim.Time, bank, row int) []flatOp {
 	return []flatOp{
-		{"AccessFlat", func() { m.AccessFlat(new(AccessResult), t, bank, row, false) }},
-		{"RefreshRowFlat", func() { m.RefreshRowFlat(t, bank, row) }},
-		{"RefreshCBRFlat", func() { m.RefreshCBRFlat(t, bank) }},
-		{"RefreshBankFlat", func() { m.RefreshBankFlat(t, bank, false) }},
-		{"RefreshBankFlat/overlap", func() { m.RefreshBankFlat(t, bank, true) }},
+		{"Access", func() { m.Access(new(AccessResult), t, bank, row, false) }},
+		{"RefreshRow", func() { m.RefreshRow(t, bank, row) }},
+		{"RefreshCBR", func() { m.RefreshCBR(t, bank) }},
+		{"RefreshBank", func() { m.RefreshBank(t, bank, false) }},
+		{"RefreshBank/overlap", func() { m.RefreshBank(t, bank, true) }},
 	}
 }
 
-// The flat core keeps the bounds checks the struct entry points made: an
-// out-of-range flat bank panics on access, precharge and every refresh
-// form, and an out-of-range row on access and RAS-only refresh.
+// Every command bounds-checks its coordinates, so that a controller bug
+// cannot reach another bank's state: an out-of-range flat bank panics on
+// access, precharge and every refresh form, and an out-of-range row on
+// access and RAS-only refresh. A rejected command changes no statistic.
 func TestFlatCorePanicsOutOfRange(t *testing.T) {
 	g := table1Geom2GB()
 	banks := g.TotalBanks()
@@ -54,43 +55,20 @@ func TestFlatCorePanicsOutOfRange(t *testing.T) {
 			mustPanic(t, op.name, "invalid flat bank", op.run)
 		}
 		m := testModule()
-		mustPanic(t, "PrechargeFlat", "invalid flat bank", func() { m.PrechargeFlat(0, bank) })
+		mustPanic(t, "Precharge", "invalid flat bank", func() { m.Precharge(0, bank) })
 	}
-	for _, row := range []int{-1, g.Rows} {
-		m := testModule()
-		mustPanic(t, "AccessFlat", "invalid flat bank", func() { m.AccessFlat(new(AccessResult), 0, 1, row, true) })
-		mustPanic(t, "RefreshRowFlat", "invalid flat bank", func() { m.RefreshRowFlat(0, 1, row) })
-	}
-}
-
-// The struct entry points validate every coordinate before reaching the
-// core: a bank or row outside the geometry panics even when its flat
-// index would land inside the module.
-func TestStructEntryPointsPanicOnInvalidCoordinates(t *testing.T) {
-	g := table1Geom2GB()
 	m := testModule()
-	// Bank g.Banks of rank 0 flattens to rank 1's bank 0.
-	wide := BankID{Channel: 0, Rank: 0, Bank: g.Banks}
-	mustPanic(t, "RefreshNextCBR", "invalid bank", func() { m.RefreshNextCBR(0, wide) })
-	mustPanic(t, "RefreshBank", "invalid bank", func() { m.RefreshBank(0, wide) })
-	mustPanic(t, "RefreshBankOverlapped", "invalid bank", func() { m.RefreshBankOverlapped(0, wide) })
-	mustPanic(t, "PrechargeBank", "invalid bank", func() { m.PrechargeBank(0, wide) })
-	mustPanic(t, "RefreshRow", "invalid row", func() { m.RefreshRow(0, RowID{Rank: g.Ranks, Row: 1}) })
-	for name, addr := range map[string]Address{
-		"column":  {RowID: RowID{Row: 1}, Column: g.Columns},
-		"channel": {RowID: RowID{Channel: -1, Row: 1}},
-		"bank":    {RowID: RowID{Bank: g.Banks, Row: 1}},
-		"row":     {RowID: RowID{Row: g.Rows}},
-	} {
-		mustPanic(t, "Access with invalid "+name, "invalid address", func() { m.Access(0, addr, false) })
+	for _, row := range []int{-1, g.Rows} {
+		mustPanic(t, "Access", "invalid flat bank", func() { m.Access(new(AccessResult), 0, 1, row, true) })
+		mustPanic(t, "RefreshRow", "invalid flat bank", func() { m.RefreshRow(0, 1, row) })
 	}
 	if st := m.Stats(); st.Accesses != 0 || st.RefreshOps != 0 || st.Precharges != 0 {
 		t.Errorf("rejected commands changed the stats: %+v", st)
 	}
 }
 
-// A command to a rank in self-refresh panics on every flat form, while
-// the other rank keeps serving.
+// A command to a rank in self-refresh panics on every form, while the
+// other rank keeps serving.
 func TestFlatCoreSelfRefreshGuard(t *testing.T) {
 	g := table1Geom2GB()
 	// Flat bank 1 is rank 0's; flat bank g.Banks is rank 1's bank 0.
@@ -100,7 +78,7 @@ func TestFlatCoreSelfRefreshGuard(t *testing.T) {
 		op := flatOps(m, sim.Microsecond, 1, 2)[i]
 		mustPanic(t, op.name, "in self-refresh", op.run)
 		var res AccessResult
-		if m.AccessFlat(&res, 2*sim.Microsecond, g.Banks, 2, false); res.Done == 0 {
+		if m.Access(&res, 2*sim.Microsecond, g.Banks, 2, false); res.Done == 0 {
 			t.Errorf("%s: rank 1 blocked by rank 0's self-refresh", op.name)
 		}
 	}

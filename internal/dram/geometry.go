@@ -199,7 +199,10 @@ func (g Geometry) AccessBytes() int64 {
 	return g.DataRowBytes() / int64(g.Columns) * int64(g.BurstLength)
 }
 
-// RowID identifies one refreshable row.
+// RowID identifies one refreshable row by its coordinates. The
+// simulator's commands address a row flat instead: a flat bank index in
+// [0, TotalBanks()), (Channel*Ranks+Rank)*Banks+Bank, and the row within
+// that bank. RowInBank and RowID.Flat convert.
 type RowID struct {
 	Channel, Rank, Bank, Row int
 }
@@ -217,7 +220,8 @@ func (r RowID) Valid(g *Geometry) bool {
 		r.Row >= 0 && r.Row < g.Rows
 }
 
-// Flat returns a dense index for the row in [0, g.TotalRows()).
+// Flat returns a dense index for the row in [0, g.TotalRows()): its
+// flat bank index times Rows, plus its row.
 func (r RowID) Flat(g *Geometry) int {
 	return ((r.Channel*g.Ranks+r.Rank)*g.Banks+r.Bank)*g.Rows + r.Row
 }
@@ -235,54 +239,17 @@ func SplitRow(g *Geometry, flat int) (bank, row int) {
 	return flat >> bits.TrailingZeros(uint(g.Rows)), flat & (g.Rows - 1)
 }
 
-// RowInBank returns the RowID of row within flat bank bank.
+// RowInBank returns the RowID of row within flat bank bank, by shifts
+// and masks like RowFromFlat. Flat banks lay banks out lowest, then
+// ranks, then channels: the flat rank is bank >> log2 Banks and its
+// channel the flat rank >> log2 Ranks.
 func RowInBank(g *Geometry, bank, row int) RowID {
-	b := BankFromFlat(g, bank)
-	return RowID{Channel: b.Channel, Rank: b.Rank, Bank: b.Bank, Row: row}
-}
-
-// Address is a fully decoded DRAM address.
-type Address struct {
-	RowID
-	Column int
-}
-
-// Valid reports whether a addresses a location inside g.
-func (a Address) Valid(g *Geometry) bool {
-	return a.RowID.Valid(g) && a.Column >= 0 && a.Column < g.Columns
-}
-
-// BankID identifies one bank.
-type BankID struct {
-	Channel, Rank, Bank int
-}
-
-// BankOf returns the bank containing r.
-func (r RowID) BankOf() BankID {
-	return BankID{Channel: r.Channel, Rank: r.Rank, Bank: r.Bank}
-}
-
-// Flat returns a dense bank index in [0, Channels*Ranks*Banks).
-func (b BankID) Flat(g *Geometry) int {
-	return (b.Channel*g.Ranks+b.Rank)*g.Banks + b.Bank
-}
-
-// Valid reports whether b addresses a bank inside g.
-func (b BankID) Valid(g *Geometry) bool {
-	return b.Channel >= 0 && b.Channel < g.Channels &&
-		b.Rank >= 0 && b.Rank < g.Ranks &&
-		b.Bank >= 0 && b.Bank < g.Banks
-}
-
-// BankFromFlat is the inverse of BankID.Flat, by shifts and masks like
-// RowFromFlat: the flat rank is flat >> log2 Banks and the channel is the
-// flat rank >> log2 Ranks.
-func BankFromFlat(g *Geometry, flat int) BankID {
-	flatRank := flat >> bits.TrailingZeros(uint(g.Banks))
-	return BankID{
-		Channel: flatRank >> bits.TrailingZeros(uint(g.Ranks)),
-		Rank:    flatRank & (g.Ranks - 1),
-		Bank:    flat & (g.Banks - 1),
+	rank := bank >> bits.TrailingZeros(uint(g.Banks))
+	return RowID{
+		Channel: rank >> bits.TrailingZeros(uint(g.Ranks)),
+		Rank:    rank & (g.Ranks - 1),
+		Bank:    bank & (g.Banks - 1),
+		Row:     row,
 	}
 }
 

@@ -108,8 +108,8 @@ func TestRowIDFlatRoundTrip(t *testing.T) {
 		if flat < 0 || flat >= g.TotalRows() {
 			return false
 		}
-		bank := id.BankOf()
-		return RowFromFlat(&g, flat) == id && BankFromFlat(&g, bank.Flat(&g)) == bank
+		bank, inBank := SplitRow(&g, flat)
+		return RowFromFlat(&g, flat) == id && RowInBank(&g, bank, inBank) == id && bank*g.Rows+inBank == flat
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -155,29 +155,23 @@ func TestRowIDValid(t *testing.T) {
 	}
 }
 
-func TestAddressValid(t *testing.T) {
-	g := table1Geom2GB()
-	a := Address{RowID: RowID{0, 1, 3, 100}, Column: 2047}
-	if !a.Valid(&g) {
-		t.Error("valid address rejected")
-	}
-	a.Column = 2048
-	if a.Valid(&g) {
-		t.Error("column out of range accepted")
-	}
-}
-
+// The flat bank index, (channel*Ranks+rank)*Banks+bank, is dense over
+// [0, TotalBanks()), and RowInBank decodes it.
 func TestBankIDFlat(t *testing.T) {
 	g := table1Geom2GB()
+	g.Channels = 2
 	seen := make(map[int]bool)
 	for c := 0; c < g.Channels; c++ {
 		for r := 0; r < g.Ranks; r++ {
 			for b := 0; b < g.Banks; b++ {
-				f := (BankID{c, r, b}).Flat(&g)
+				f := (c*g.Ranks+r)*g.Banks + b
 				if f < 0 || f >= g.TotalBanks() || seen[f] {
 					t.Fatalf("bank flat collision at %d/%d/%d", c, r, b)
 				}
 				seen[f] = true
+				if got, want := RowInBank(&g, f, 7), (RowID{c, r, b, 7}); got != want {
+					t.Errorf("RowInBank(%d, 7) = %v, want %v", f, got, want)
+				}
 			}
 		}
 	}

@@ -72,22 +72,6 @@ func (r AccessResult) Latency(requested sim.Time) sim.Duration {
 	return r.Done - requested
 }
 
-// RefreshResult describes the outcome of one refresh operation.
-type RefreshResult struct {
-	Row  RowID
-	Kind RefreshKind
-	// Issue..Done is the bank occupancy of the refresh.
-	Issue sim.Time
-	Done  sim.Time
-	// ClosedOpenRow is true when the refresh found the bank with an open
-	// page and had to close it first — the extra-energy case the paper
-	// calls out when explaining why refresh-count and refresh-energy
-	// reductions are not linearly related. ClosedRow is then the closed
-	// page's row index in Row's bank.
-	ClosedOpenRow bool
-	ClosedRow     int
-}
-
 // ModuleStats aggregates the activity counts and state-residency times the
 // power model consumes.
 type ModuleStats struct {
@@ -273,8 +257,8 @@ type Module struct {
 	// exit is the wake latency by power state (Exit).
 	exit [numPowerStates]sim.Duration
 
-	// banks, ranks and channels are indexed flat: bank BankID.Flat, rank
-	// channel*Ranks+rank. A flat bank's rank is bank >> bankShift and a
+	// banks, ranks and channels are indexed flat: bank
+	// (channel*Ranks+rank)*Banks+bank, rank channel*Ranks+rank. A flat bank's rank is bank >> bankShift and a
 	// flat rank's channel is rank >> rankShift (log2 Banks and log2
 	// Ranks; Validate makes both dimensions powers of two).
 	banks     []bankState
@@ -371,7 +355,7 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 		return
 	}
 	for flat := range m.banks {
-		id := BankFromFlat(&m.geom, flat)
+		id := RowInBank(&m.geom, flat, 0)
 		s.NameThread(flat, fmt.Sprintf("ch%d/rk%d/bk%d", id.Channel, id.Rank, id.Bank))
 	}
 }
@@ -425,42 +409,21 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 	b.openRow = -1
 }
 
-// Access performs one demand read or write under the open-page policy and
-// returns the command/data timing plus which row, if any, was closed.
-// The request is presented at time t; if the bank is busy the access
-// stalls until it is ready. An address outside the geometry panics.
-func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
-	if !addr.Valid(&m.geom) {
-		badAddress(addr)
-	}
-	var res AccessResult
-	m.access(&res, t, addr.BankOf().Flat(&m.geom), addr.Row, write)
-	return res
-}
-
-// badAddress is Access's panic, out of line like badIndex.
-func badAddress(addr Address) {
-	panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
-}
-
-// AccessFlat is Access addressed by flat bank index (BankID.Flat) and row
-// within that bank, filling the caller's res in place: every field is
-// written, so res need not be zeroed. The column does not affect timing,
-// so it is not an argument. An out-of-range bank or row, or a rank in
-// self-refresh, panics.
-func (m *Module) AccessFlat(res *AccessResult, t sim.Time, bank, row int, write bool) {
-	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
-		badIndex("access", bank, row)
-	}
-	m.access(res, t, bank, row, write)
-}
-
-// access is the one demand-access core, behind Access and AccessFlat:
-// it fills every field of res for a bank and row already checked.
+// Access performs one demand read or write to row of flat bank bank
+// under the open-page policy, filling the caller's res with the
+// command/data timing and which row, if any, was closed. Every field is
+// written, so res need not be zeroed. The request is presented at time t;
+// if the bank is busy the access stalls until it is ready. The column
+// does not affect timing, so it is not an argument. An out-of-range bank
+// or row, or a rank in self-refresh, panics.
+//
 // Filling the caller's result, rather than returning one by value, spares
 // the hot path a copy of the struct and the store-forwarding stall of
 // reading back fields just written (DESIGN §15).
-func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool) {
+func (m *Module) Access(res *AccessResult, t sim.Time, bank, row int, write bool) {
+	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
+		badIndex("access", bank, row)
+	}
 	m.observe(t)
 	ri := bank >> m.bankShift
 	r := &m.ranks[ri]
@@ -546,20 +509,11 @@ func (m *Module) access(res *AccessResult, t sim.Time, bank, row int, write bool
 	m.observe(dataDone)
 }
 
-// badIndex is the panic of the flat core's bounds checks, out of line so
+// badIndex is the panic of the commands' bounds checks, out of line so
 // that they cost a compare and a branch: a flat bank outside the module,
 // or a row outside the bank, is a controller bug.
 func badIndex(op string, bank, row int) {
 	panic(fmt.Sprintf("dram: %s of invalid flat bank %d row %d", op, bank, row))
-}
-
-// validBank returns bank's flat index, panicking when bank lies outside
-// the geometry; op names the command in the message.
-func (m *Module) validBank(op string, bank BankID) int {
-	if !bank.Valid(&m.geom) {
-		panic(fmt.Sprintf("dram: %s of invalid bank %+v", op, bank))
-	}
-	return bank.Flat(&m.geom)
 }
 
 // rankName renders flat rank ri as ch<channel>/rk<rank> for messages.
@@ -577,7 +531,7 @@ func (m *Module) issueAt(t, ready sim.Time) sim.Time {
 	return ready
 }
 
-// Refreshed is the outcome of one refresh on the flat-indexed core: the
+// Refreshed is the outcome of one refresh command: the
 // bank was occupied from Issue to Done restoring Row, after first
 // closing the open page ClosedRow (-1 when the bank was precharged or an
 // overlapped refresh left the page open). Both are rows of the refreshed
@@ -587,47 +541,21 @@ type Refreshed struct {
 	Row, ClosedRow int
 }
 
-// result expands a core refresh of flat bank bank into the RefreshResult
-// the BankID/RowID entry points return.
-func (m *Module) result(bank int, kind RefreshKind, r Refreshed) RefreshResult {
-	res := RefreshResult{Row: RowInBank(&m.geom, bank, r.Row), Kind: kind, Issue: r.Issue, Done: r.Done}
-	if r.ClosedRow >= 0 {
-		res.ClosedOpenRow, res.ClosedRow = true, r.ClosedRow
-	}
-	return res
-}
-
-// RefreshRow performs a RAS-only refresh of the addressed row: the
+// RefreshRow performs a RAS-only refresh of row in flat bank bank: the
 // controller supplies the row address. If the bank has an open page it is
 // closed first (counted as a conflict refresh; this is the higher-energy
-// case the paper describes). A row outside the geometry panics.
-func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
-	if !row.Valid(&m.geom) {
-		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
-	}
-	bank := row.BankOf().Flat(&m.geom)
-	return m.result(bank, RefreshRASOnly, m.RefreshRowFlat(t, bank, row.Row))
-}
-
-// RefreshRowFlat is RefreshRow addressed by flat bank index and row
-// within that bank.
-func (m *Module) RefreshRowFlat(t sim.Time, bank, row int) Refreshed {
+// case the paper describes). An out-of-range bank or row panics.
+func (m *Module) RefreshRow(t sim.Time, bank, row int) Refreshed {
 	if uint(bank) >= uint(len(m.banks)) || uint(row) >= uint(m.geom.Rows) {
 		badIndex("refresh", bank, row)
 	}
 	return m.refreshBlocking(t, bank, row, RefreshRASOnly, m.d.rfc)
 }
 
-// RefreshNextCBR performs a CBR refresh on the given bank: the module's
+// RefreshCBR performs a CBR refresh on flat bank bank: the module's
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
-func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	bi := m.validBank("refresh", bank)
-	return m.result(bi, RefreshCBR, m.RefreshCBRFlat(t, bi))
-}
-
-// RefreshCBRFlat is RefreshNextCBR addressed by flat bank index.
-func (m *Module) RefreshCBRFlat(t sim.Time, bank int) Refreshed {
+func (m *Module) RefreshCBR(t sim.Time, bank int) Refreshed {
 	if uint(bank) >= uint(len(m.banks)) {
 		badIndex("refresh", bank, 0)
 	}
@@ -656,32 +584,20 @@ func subarrayRows(rows int) int {
 	return n
 }
 
-// RefreshBank performs a per-bank refresh (REFpb) on the given bank: the
+// RefreshBank performs a per-bank refresh (REFpb) on flat bank bank: the
 // bank's internal counter supplies the row, only this bank is occupied
 // (for Timing.PerBankRefreshDuration), and the rank's other banks keep
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
-func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
-	bi := m.validBank("refresh", bank)
-	return m.result(bi, RefreshPerBank, m.RefreshBankFlat(t, bi, false))
-}
-
-// RefreshBankOverlapped performs a per-bank refresh that parallelizes
-// with demand to the same bank, approximating SARP (Chang et al.): the
-// refresh restores its counter row's subarray for the full
-// PerBankRefreshDuration and charges full refresh energy, but the bank
-// only blocks demand to the refreshing subarray — accesses to the other
-// subarrays proceed, and an open page in another subarray stays open.
-// The rank-level activate-rate limits (tRRD, tFAW) still apply, since
-// the hidden activate draws real current.
-func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
-	bi := m.validBank("refresh", bank)
-	return m.result(bi, RefreshPerBank, m.RefreshBankFlat(t, bi, true))
-}
-
-// RefreshBankFlat is RefreshBank, or RefreshBankOverlapped when overlap
-// is set, addressed by flat bank index.
-func (m *Module) RefreshBankFlat(t sim.Time, bank int, overlap bool) Refreshed {
+//
+// With overlap set the refresh parallelizes with demand to the same bank,
+// approximating SARP (Chang et al.): it restores its counter row's
+// subarray for the full PerBankRefreshDuration and charges full refresh
+// energy, but the bank only blocks demand to the refreshing subarray —
+// accesses to the other subarrays proceed, and an open page in another
+// subarray stays open. The rank-level activate-rate limits (tRRD, tFAW)
+// still apply, since the hidden activate draws real current.
+func (m *Module) RefreshBank(t sim.Time, bank int, overlap bool) Refreshed {
 	if uint(bank) >= uint(len(m.banks)) {
 		badIndex("refresh", bank, 0)
 	}
@@ -693,7 +609,7 @@ func (m *Module) RefreshBankFlat(t sim.Time, bank int, overlap bool) Refreshed {
 }
 
 // refreshOverlapped is the overlapped per-bank refresh of row in flat
-// bank bank (see RefreshBankOverlapped).
+// bank bank (see RefreshBank).
 func (m *Module) refreshOverlapped(t sim.Time, bank, row int) Refreshed {
 	m.observe(t)
 	ri := bank >> m.bankShift
@@ -815,36 +731,23 @@ func (m *Module) refreshBlocking(t sim.Time, bank, row int, kind RefreshKind, du
 	return res
 }
 
-// OpenRow reports the row currently open in a bank, or -1 if precharged.
-func (m *Module) OpenRow(bank BankID) int {
-	return m.OpenRowFlat(bank.Flat(&m.geom))
-}
-
-// OpenRowFlat is OpenRow addressed by flat bank index.
-func (m *Module) OpenRowFlat(flat int) int {
-	return m.banks[flat].openRow
+// OpenRow reports the row currently open in flat bank bank, or -1 if
+// precharged.
+func (m *Module) OpenRow(bank int) int {
+	return m.banks[bank].openRow
 }
 
 // OpenBanks reports how many banks of flat rank ri (channel*Ranks+rank)
 // hold an open row.
 func (m *Module) OpenBanks(ri int) int { return m.ranks[ri].openBanks }
 
-// PrechargeBank closes the bank's open page at time t (no earlier than the
-// bank's tRAS/write-recovery constraints allow) and returns the restored
-// row. The second return is false if the bank was already precharged.
-// Memory controllers use this to close idle pages so ranks can enter
-// precharge power-down.
-func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
-	row, closed := m.PrechargeFlat(t, m.validBank("precharge", bank))
-	if !closed {
-		return RowID{}, false
-	}
-	return RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: row}, true
-}
-
-// PrechargeFlat is PrechargeBank addressed by flat bank index; it returns
-// the restored row within the bank.
-func (m *Module) PrechargeFlat(t sim.Time, bank int) (int, bool) {
+// Precharge closes flat bank bank's open page at time t (no earlier than
+// the bank's tRAS/write-recovery constraints allow) and returns the
+// restored row within the bank. The second return is false if the bank
+// was already precharged. Memory controllers use this to close idle
+// pages so ranks can enter precharge power-down. An out-of-range bank
+// panics.
+func (m *Module) Precharge(t sim.Time, bank int) (int, bool) {
 	if uint(bank) >= uint(len(m.banks)) {
 		badIndex("precharge", bank, 0)
 	}
@@ -863,13 +766,8 @@ func (m *Module) PrechargeFlat(t sim.Time, bank int) (int, bool) {
 	return row, true
 }
 
-// BankReadyAt reports the earliest time the bank accepts another command.
-func (m *Module) BankReadyAt(bank BankID) sim.Time {
-	return m.banks[bank.Flat(&m.geom)].readyAt
-}
-
-// rankBanks returns flat rank ri's banks, which BankID.Flat lays out
-// contiguously.
+// rankBanks returns flat rank ri's banks, which the flat bank index lays
+// out contiguously.
 func (m *Module) rankBanks(ri int) []bankState {
 	return m.banks[ri<<m.bankShift : (ri+1)<<m.bankShift]
 }

@@ -11,6 +11,13 @@ func testModule() *Module {
 	return NewModule(table1Geom2GB(), DDR2_667(64*sim.Millisecond))
 }
 
+// access is Module.Access returning the result it fills.
+func access(m *Module, t sim.Time, bank, row int, write bool) AccessResult {
+	var res AccessResult
+	m.Access(&res, t, bank, row, write)
+	return res
+}
+
 func TestTimingPresetValid(t *testing.T) {
 	if err := DDR2_667(64 * sim.Millisecond).Validate(); err != nil {
 		t.Fatalf("DDR2_667 invalid: %v", err)
@@ -48,9 +55,7 @@ func TestBurstDuration(t *testing.T) {
 
 func TestAccessRowMissThenHit(t *testing.T) {
 	m := testModule()
-	addr := Address{RowID: RowID{0, 0, 0, 5}, Column: 10}
-
-	r1 := m.Access(0, addr, false)
+	r1 := access(m, 0, 0, 5, false)
 	if r1.RowHit {
 		t.Error("first access reported row hit")
 	}
@@ -65,7 +70,7 @@ func TestAccessRowMissThenHit(t *testing.T) {
 		t.Errorf("miss Done = %v, want >= %v", r1.Done, wantDone)
 	}
 
-	r2 := m.Access(r1.Done, addr, false)
+	r2 := access(m, r1.Done, 0, 5, false)
 	if !r2.RowHit {
 		t.Error("second access to same row not a hit")
 	}
@@ -83,17 +88,15 @@ func TestAccessRowMissThenHit(t *testing.T) {
 
 func TestAccessConflictClosesRow(t *testing.T) {
 	m := testModule()
-	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	a2 := Address{RowID: RowID{0, 0, 0, 9}, Column: 0}
-	r1 := m.Access(0, a1, false)
-	r2 := m.Access(r1.Done, a2, false)
+	r1 := access(m, 0, 0, 5, false)
+	r2 := access(m, r1.Done, 0, 9, false)
 	if !r2.Conflict {
 		t.Fatal("conflict not reported")
 	}
-	if r2.ClosedRow != a1.Row {
-		t.Errorf("closed row = %d, want %d", r2.ClosedRow, a1.Row)
+	if r2.ClosedRow != 5 {
+		t.Errorf("closed row = %d, want 5", r2.ClosedRow)
 	}
-	if r2.RowHit || m.OpenRow(a2.BankOf()) != a2.Row {
+	if r2.RowHit || m.OpenRow(0) != 9 {
 		t.Error("conflict did not open the requested row")
 	}
 	if m.Stats().RowConflicts != 1 {
@@ -108,28 +111,24 @@ func TestAccessConflictClosesRow(t *testing.T) {
 
 func TestAccessDifferentBanksIndependent(t *testing.T) {
 	m := testModule()
-	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	a2 := Address{RowID: RowID{0, 0, 1, 9}, Column: 0}
-	m.Access(0, a1, false)
-	r2 := m.Access(0, a2, false)
+	access(m, 0, 0, 5, false)
+	r2 := access(m, 0, 1, 9, false)
 	if r2.Conflict || r2.RowHit {
 		t.Error("access to different bank should be a plain miss")
 	}
-	if m.OpenRow(BankID{0, 0, 0}) != 5 || m.OpenRow(BankID{0, 0, 1}) != 9 {
+	if m.OpenRow(0) != 5 || m.OpenRow(1) != 9 {
 		t.Error("open rows per bank wrong")
 	}
 }
 
 func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 	m := testModule()
-	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	a2 := Address{RowID: RowID{0, 0, 0, 9}, Column: 0}
-	w := m.Access(0, a1, true)
-	conflictAfterWrite := m.Access(w.Done, a2, false)
+	w := access(m, 0, 0, 5, true)
+	conflictAfterWrite := access(m, w.Done, 0, 9, false)
 
 	m2 := testModule()
-	r := m2.Access(0, a1, false)
-	conflictAfterRead := m2.Access(r.Done, a2, false)
+	r := access(m2, 0, 0, 5, false)
+	conflictAfterRead := access(m2, r.Done, 0, 9, false)
 
 	if conflictAfterWrite.Done-conflictAfterWrite.Issue <= conflictAfterRead.Done-conflictAfterRead.Issue {
 		t.Errorf("write recovery did not lengthen conflict: write %v, read %v",
@@ -140,19 +139,18 @@ func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 
 func TestRefreshRowBasic(t *testing.T) {
 	m := testModule()
-	row := RowID{0, 0, 2, 77}
-	res := m.RefreshRow(1000, row)
-	if res.Kind != RefreshRASOnly {
-		t.Error("kind wrong")
+	res := m.RefreshRow(1000, 2, 77)
+	if res.Row != 77 {
+		t.Errorf("refreshed row %d, want 77", res.Row)
 	}
-	if res.ClosedOpenRow {
+	if res.ClosedRow != -1 {
 		t.Error("refresh of idle bank reported closed page")
 	}
 	tt := m.Timing()
 	if res.Done-res.Issue < tt.TRefreshRow {
 		t.Errorf("refresh duration %v < TRefreshRow %v", res.Done-res.Issue, tt.TRefreshRow)
 	}
-	if m.OpenRow(row.BankOf()) != -1 {
+	if m.OpenRow(2) != -1 {
 		t.Error("bank not precharged after refresh")
 	}
 	st := m.Stats()
@@ -163,10 +161,9 @@ func TestRefreshRowBasic(t *testing.T) {
 
 func TestRefreshClosesOpenPage(t *testing.T) {
 	m := testModule()
-	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	r := m.Access(0, a, false)
-	res := m.RefreshRow(r.Done, RowID{0, 0, 0, 9})
-	if !res.ClosedOpenRow || res.ClosedRow != a.Row {
+	r := access(m, 0, 0, 5, false)
+	res := m.RefreshRow(r.Done, 0, 9)
+	if res.ClosedRow != 5 {
 		t.Errorf("refresh did not close open page: %+v", res)
 	}
 	if m.Stats().RefreshConflictOps != 1 {
@@ -180,16 +177,15 @@ func TestRefreshCBRCounterWraps(t *testing.T) {
 	tt := DDR2_667(64 * sim.Millisecond)
 	tt.RefreshInterval = 64 * sim.Millisecond
 	m := NewModule(g, tt)
-	b := BankID{0, 0, 0}
 	var rows []int
 	var t0 sim.Time
 	for i := 0; i < 6; i++ {
-		res := m.RefreshNextCBR(t0, b)
-		rows = append(rows, res.Row.Row)
+		res := m.RefreshCBR(t0, 0)
+		rows = append(rows, res.Row)
 		t0 = res.Done
-		if res.Kind != RefreshCBR {
-			t.Error("kind wrong")
-		}
+	}
+	if st := m.Stats(); st.RefreshCBROps != 6 {
+		t.Errorf("RefreshCBROps = %d, want 6", st.RefreshCBROps)
 	}
 	want := []int{0, 1, 2, 3, 0, 1}
 	for i := range want {
@@ -198,17 +194,16 @@ func TestRefreshCBRCounterWraps(t *testing.T) {
 		}
 	}
 	// Other bank's counter must be independent.
-	if m.CBRCounter(BankID{0, 0, 1}) != 0 {
+	if m.CBRCounter(1) != 0 {
 		t.Error("CBR counters not per bank")
 	}
 }
 
 func TestRefreshDelaysDemandAccess(t *testing.T) {
 	m := testModule()
-	row := RowID{0, 0, 0, 7}
-	res := m.RefreshRow(0, row)
+	res := m.RefreshRow(0, 0, 7)
 	// Demand access arriving mid-refresh must stall.
-	acc := m.Access(res.Issue+1, Address{RowID: RowID{0, 0, 0, 3}, Column: 0}, false)
+	acc := access(m, res.Issue+1, 0, 3, false)
 	if acc.Issue < res.Done {
 		t.Errorf("demand access issued at %v before refresh done %v", acc.Issue, res.Done)
 	}
@@ -219,11 +214,10 @@ func TestRefreshDelaysDemandAccess(t *testing.T) {
 
 func TestBackgroundAccounting(t *testing.T) {
 	m := testModule()
-	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	r := m.Access(1000, a, false)
+	r := access(m, 1000, 0, 5, false)
 	// Close the page via a conflict access long after.
 	gap := sim.Time(1 * sim.Microsecond)
-	m.Access(r.Done+gap, Address{RowID: RowID{0, 0, 0, 9}, Column: 0}, false)
+	access(m, r.Done+gap, 0, 9, false)
 	m.Finalize(2 * sim.Microsecond)
 	st := m.Stats()
 	if st.ActiveTime == 0 {
@@ -256,7 +250,7 @@ func TestAccessPanicsOnBadAddress(t *testing.T) {
 			t.Error("invalid address did not panic")
 		}
 	}()
-	m.Access(0, Address{RowID: RowID{0, 0, 0, 1 << 20}, Column: 0}, false)
+	access(m, 0, 0, 1<<20, false)
 }
 
 func TestRefreshPanicsOnBadRow(t *testing.T) {
@@ -266,7 +260,7 @@ func TestRefreshPanicsOnBadRow(t *testing.T) {
 			t.Error("invalid row did not panic")
 		}
 	}()
-	m.RefreshRow(0, RowID{0, 0, 9, 0})
+	m.RefreshRow(0, 9, 0)
 }
 
 // Property: command times never move backwards for a monotone request
@@ -280,17 +274,9 @@ func TestAccessMonotoneProperty(t *testing.T) {
 		var t0 sim.Time
 		var lastDone sim.Time
 		for i := 0; i < int(n); i++ {
-			addr := Address{
-				RowID: RowID{
-					Channel: 0,
-					Rank:    rng.Intn(g.Ranks),
-					Bank:    rng.Intn(g.Banks),
-					Row:     rng.Intn(g.Rows),
-				},
-				Column: rng.Intn(g.Columns),
-			}
+			bank, row := rng.Intn(g.TotalBanks()), rng.Intn(g.Rows)
 			t0 += sim.Time(rng.Intn(100)) * sim.Nanosecond
-			res := m.Access(t0, addr, rng.Bool(0.3))
+			res := access(m, t0, bank, row, rng.Bool(0.3))
 			if res.Issue < t0 || res.DataStart < res.Issue || res.Done < res.DataStart {
 				return false
 			}
@@ -318,16 +304,7 @@ func TestBusSerialisationProperty(t *testing.T) {
 		var t0 sim.Time
 		var busBusyUntil sim.Time
 		for i := 0; i < 100; i++ {
-			addr := Address{
-				RowID: RowID{
-					Channel: 0,
-					Rank:    rng.Intn(g.Ranks),
-					Bank:    rng.Intn(g.Banks),
-					Row:     rng.Intn(g.Rows),
-				},
-				Column: rng.Intn(g.Columns),
-			}
-			res := m.Access(t0, addr, false)
+			res := access(m, t0, rng.Intn(g.TotalBanks()), rng.Intn(g.Rows), false)
 			if res.DataStart < busBusyUntil {
 				return false
 			}
@@ -352,13 +329,13 @@ func TestBankExclusionProperty(t *testing.T) {
 		var busyUntil sim.Time
 		for i := 0; i < 80; i++ {
 			if rng.Bool(0.4) {
-				res := m.RefreshRow(t0, RowID{0, 0, 0, rng.Intn(g.Rows)})
+				res := m.RefreshRow(t0, 0, rng.Intn(g.Rows))
 				if res.Issue < busyUntil-m.Timing().TCK {
 					return false
 				}
 				busyUntil = res.Done
 			} else {
-				res := m.Access(t0, Address{RowID: RowID{0, 0, 0, rng.Intn(g.Rows)}, Column: 0}, false)
+				res := access(m, t0, 0, rng.Intn(g.Rows), false)
 				_ = res
 			}
 			t0 += sim.Time(rng.Intn(50)) * sim.Nanosecond
@@ -378,15 +355,9 @@ func TestActivateRateLimits(t *testing.T) {
 	var acts []sim.Time
 	// Five back-to-back misses to five banks of one rank... the geometry
 	// has 4 banks, so use 4 banks then the first again with another row.
-	reqs := []Address{
-		{RowID: RowID{0, 0, 0, 1}, Column: 0},
-		{RowID: RowID{0, 0, 1, 1}, Column: 0},
-		{RowID: RowID{0, 0, 2, 1}, Column: 0},
-		{RowID: RowID{0, 0, 3, 1}, Column: 0},
-		{RowID: RowID{0, 1, 0, 1}, Column: 0}, // other rank: unconstrained
-	}
-	for _, a := range reqs {
-		res := m.Access(0, a, false)
+	// Flat banks 0-3 are rank 0's, 4 is rank 1's bank 0: unconstrained.
+	for bank := 0; bank < 5; bank++ {
+		res := access(m, 0, bank, 1, false)
 		if res.RowHit {
 			t.Fatal("expected a row miss")
 		}
@@ -413,7 +384,7 @@ func TestFourActivateWindow(t *testing.T) {
 	tt := m.Timing()
 	var acts []sim.Time
 	for b := 0; b < 5; b++ {
-		res := m.Access(0, Address{RowID: RowID{0, 0, b, 1}, Column: 0}, false)
+		res := access(m, 0, b, 1, false)
 		acts = append(acts, res.ActivateAt)
 	}
 	// The fifth activate must wait for tFAW after the first.
@@ -424,29 +395,27 @@ func TestFourActivateWindow(t *testing.T) {
 
 func TestPrechargeBank(t *testing.T) {
 	m := testModule()
-	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	res := m.Access(0, a, false)
-	row, closed := m.PrechargeBank(res.Done+sim.Microsecond, BankID{0, 0, 0})
-	if !closed || row != a.RowID {
-		t.Fatalf("PrechargeBank = %v, %v", row, closed)
+	res := access(m, 0, 0, 5, false)
+	row, closed := m.Precharge(res.Done+sim.Microsecond, 0)
+	if !closed || row != 5 {
+		t.Fatalf("Precharge = %v, %v", row, closed)
 	}
-	if m.OpenRow(BankID{0, 0, 0}) != -1 {
+	if m.OpenRow(0) != -1 {
 		t.Error("bank still open")
 	}
 	// Idempotent on a closed bank.
-	if _, closed := m.PrechargeBank(res.Done+2*sim.Microsecond, BankID{0, 0, 0}); closed {
+	if _, closed := m.Precharge(res.Done+2*sim.Microsecond, 0); closed {
 		t.Error("precharge of closed bank reported a row")
 	}
 }
 
 func TestPrechargeBankHonoursTRAS(t *testing.T) {
 	m := testModule()
-	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	res := m.Access(0, a, false)
+	res := access(m, 0, 0, 5, false)
 	// Request the precharge immediately; it must not complete before
 	// tRAS after the activate.
-	m.PrechargeBank(res.Issue, BankID{0, 0, 0})
-	if m.BankReadyAt(BankID{0, 0, 0}) < res.Issue+m.Timing().TRAS {
+	m.Precharge(res.Issue, 0)
+	if m.BankReadyAt(0) < res.Issue+m.Timing().TRAS {
 		t.Errorf("precharge completed before tRAS")
 	}
 }
@@ -484,7 +453,7 @@ func TestSelfRefreshResidency(t *testing.T) {
 		t.Errorf("entries = %d", st.SelfRefreshEntries)
 	}
 	// Post-exit access honours the exit latency.
-	res := m.Access(5*sim.Millisecond, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+	res := access(m, 5*sim.Millisecond, 0, 1, false)
 	if res.Issue < ready {
 		t.Errorf("access issued at %v before exit ready %v", res.Issue, ready)
 	}
@@ -500,7 +469,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 				t.Error("access to SR rank did not panic")
 			}
 		}()
-		m.Access(1, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+		access(m, 1, 0, 1, false)
 	}()
 	// Double entry panics.
 	func() {
@@ -522,7 +491,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 	}()
 	// Entry with an open page panics.
 	m2 := testModule()
-	m2.Access(0, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+	access(m2, 0, 0, 1, false)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -532,7 +501,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 		m2.Enter(sim.Microsecond, 0, PSSelfRefresh)
 	}()
 	// The other rank can still operate during rank 0's self-refresh.
-	if res := m.Access(2, Address{RowID: RowID{0, 1, 0, 1}, Column: 0}, false); res.Done == 0 {
+	if res := access(m, 2, 4, 1, false); res.Done == 0 {
 		t.Error("rank 1 blocked by rank 0 self-refresh")
 	}
 }
@@ -549,7 +518,7 @@ func TestSelfRefreshEntryClampedBehindBusyRank(t *testing.T) {
 	const ops = 1000
 	var horizon sim.Time
 	for i := 0; i < ops; i++ {
-		res := m.RefreshNextCBR(0, BankID{Channel: 0, Rank: 0, Bank: 0})
+		res := m.RefreshCBR(0, 0)
 		horizon = res.Done
 	}
 	if horizon < sim.Time(ops)*sim.Time(m.Timing().TRefreshRow) {
@@ -585,7 +554,7 @@ func TestRefreshKindString(t *testing.T) {
 
 func TestAccessLatencyHelper(t *testing.T) {
 	m := testModule()
-	res := m.Access(100, Address{RowID: RowID{0, 0, 0, 0}, Column: 0}, false)
+	res := access(m, 100, 0, 0, false)
 	if res.Latency(100) != res.Done-100 {
 		t.Error("Latency helper wrong")
 	}
@@ -642,11 +611,10 @@ func refActivateOKAt(r *rankState, t *Timing) sim.Time {
 	return earliest
 }
 
-func (m *refModule) access(t sim.Time, addr Address, write bool) AccessResult {
-	bi := addr.BankOf().Flat(&m.geom)
-	ri := addr.Channel*m.geom.Ranks + addr.Rank
-	b := &m.banks[bi]
-	busFreeAt := &m.busFreeAt[addr.Channel]
+func (m *refModule) access(t sim.Time, bank, row int, write bool) AccessResult {
+	ri := bank / m.geom.Banks
+	b := &m.banks[bank]
+	busFreeAt := &m.busFreeAt[ri/m.geom.Ranks]
 
 	res := AccessResult{}
 	issue := m.clk.Next(sim.Max(t, b.readyAt))
@@ -654,13 +622,13 @@ func (m *refModule) access(t sim.Time, addr Address, write bool) AccessResult {
 
 	cas := issue
 	switch {
-	case b.openRow == addr.Row:
+	case b.openRow == row:
 		res.RowHit = true
 	case b.openRow == -1:
 		act := sim.Max(issue, b.activateOKAt)
 		act = sim.Max(act, refActivateOKAt(&m.ranks[ri], &m.tim))
 		act = m.clk.Next(act)
-		b.openRow = addr.Row
+		b.openRow = row
 		m.ranks[ri].recordActivate(act)
 		b.activateOKAt = act + m.tim.TRC
 		b.prechargeOKAt = act + m.tim.TRAS
@@ -673,7 +641,7 @@ func (m *refModule) access(t sim.Time, addr Address, write bool) AccessResult {
 		act := sim.Max(pre+m.tim.TRP, b.activateOKAt)
 		act = sim.Max(act, refActivateOKAt(&m.ranks[ri], &m.tim))
 		act = m.clk.Next(act)
-		b.openRow = addr.Row
+		b.openRow = row
 		m.ranks[ri].recordActivate(act)
 		b.activateOKAt = act + m.tim.TRC
 		b.prechargeOKAt = act + m.tim.TRAS
@@ -696,18 +664,16 @@ func (m *refModule) access(t sim.Time, addr Address, write bool) AccessResult {
 	return res
 }
 
-func (m *refModule) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
-	bi := row.BankOf().Flat(&m.geom)
-	ri := row.Channel*m.geom.Ranks + row.Rank
-	b := &m.banks[bi]
+func (m *refModule) refreshDur(t sim.Time, bank, row int, dur sim.Duration) Refreshed {
+	ri := bank / m.geom.Banks
+	b := &m.banks[bank]
 
-	res := RefreshResult{Row: row, Kind: kind}
+	res := Refreshed{Row: row, ClosedRow: -1}
 	issue := m.clk.Next(sim.Max(t, b.readyAt))
 	res.Issue = issue
 
 	start := issue
 	if b.openRow != -1 {
-		res.ClosedOpenRow = true
 		res.ClosedRow = b.openRow
 		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
 		b.openRow = -1
@@ -724,15 +690,14 @@ func (m *refModule) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.
 	return res
 }
 
-func (m *refModule) counterRow(bank BankID) RowID {
-	bi := bank.Flat(&m.geom)
-	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.counters[bi]}
-	m.counters[bi] = (m.counters[bi] + 1) % m.geom.Rows
+func (m *refModule) counterRow(bank int) int {
+	row := m.counters[bank]
+	m.counters[bank] = (row + 1) % m.geom.Rows
 	return row
 }
 
-func (m *refModule) precharge(t sim.Time, bank BankID) bool {
-	b := &m.banks[bank.Flat(&m.geom)]
+func (m *refModule) precharge(t sim.Time, bank int) bool {
+	b := &m.banks[bank]
 	if b.openRow == -1 {
 		return false
 	}
@@ -822,20 +787,18 @@ func checkDelayTableStream(t *testing.T, g Geometry, tim Timing, seed uint64) {
 		default:
 			now += sim.Time(rng.Intn(int(300 * sim.Nanosecond)))
 		}
-		bank := BankID{Channel: rng.Intn(g.Channels), Rank: rng.Intn(g.Ranks), Bank: rng.Intn(g.Banks)}
+		bank := rng.Intn(g.TotalBanks())
 		row := rng.Intn(3) // few rows per bank: hits and conflicts both common
 		if rng.Bool(0.1) {
 			row = rng.Intn(g.Rows)
 		}
-		rowID := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: row}
 
 		var got, want any
 		switch op := rng.Intn(20); {
 		case op < 14:
-			addr := Address{RowID: rowID, Column: rng.Intn(g.Columns)}
 			write := rng.Bool(0.3)
-			r := m.Access(now, addr, write)
-			got, want = r, ref.access(now, addr, write)
+			r := access(m, now, bank, row, write)
+			got, want = r, ref.access(now, bank, row, write)
 			switch {
 			case r.RowHit:
 				hits++
@@ -845,15 +808,15 @@ func checkDelayTableStream(t *testing.T, g Geometry, tim Timing, seed uint64) {
 				misses++
 			}
 		case op < 16:
-			got, want = m.RefreshRow(now, rowID), ref.refreshDur(now, rowID, RefreshRASOnly, tim.TRefreshRow)
+			got, want = m.RefreshRow(now, bank, row), ref.refreshDur(now, bank, row, tim.TRefreshRow)
 		case op < 17:
-			got = m.RefreshNextCBR(now, bank)
-			want = ref.refreshDur(now, ref.counterRow(bank), RefreshCBR, tim.TRefreshRow)
+			got = m.RefreshCBR(now, bank)
+			want = ref.refreshDur(now, bank, ref.counterRow(bank), tim.TRefreshRow)
 		case op < 18:
-			got = m.RefreshBank(now, bank)
-			want = ref.refreshDur(now, ref.counterRow(bank), RefreshPerBank, tim.PerBankRefreshDuration())
+			got = m.RefreshBank(now, bank, false)
+			want = ref.refreshDur(now, bank, ref.counterRow(bank), tim.PerBankRefreshDuration())
 		default:
-			_, closed := m.PrechargeBank(now, bank)
+			_, closed := m.Precharge(now, bank)
 			got, want = closed, ref.precharge(now, bank)
 			if closed {
 				closes++

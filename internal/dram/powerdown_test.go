@@ -21,12 +21,12 @@ func TestPowerStateScriptPinned(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	m.Access(0, Address{RowID: RowID{0, 0, 0, 5}, Column: 0}, false)
+	access(m, 0, 0, 5, false)
 	e1 := m.Enter(0, 0, PSActPdn)
 	step("ACT-PDN entry behind the busy bank", e1, 30000)
 	r1 := m.Exit(e1+3*us, 0)
 	step("ACT-PDN exit", r1, 3036000)
-	m.PrechargeFlat(r1, 0)
+	m.Precharge(r1, 0)
 	e2 := m.Enter(r1+us, 0, PSPrePdnFast)
 	step("PRE-PDN-fast entry", e2, 4036000)
 	e3 := m.Enter(e2+5*us, 0, PSPrePdnSlow)
@@ -42,7 +42,7 @@ func TestPowerStateScriptPinned(t *testing.T) {
 	}
 
 	for i := 0; i < 10; i++ {
-		m.RefreshNextCBR(0, BankID{0, 1, 0})
+		m.RefreshCBR(0, 4) // rank 1's bank 0
 	}
 	e6 := m.Enter(1, 1, PSPrePdnFast)
 	step("PRE-PDN-fast entry behind the refresh chain", e6, 720000)
@@ -79,9 +79,8 @@ func TestPowerStateScriptPinned(t *testing.T) {
 
 func TestEnterPowerDownClampsPastBusyBanks(t *testing.T) {
 	m := testModule()
-	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	m.Access(0, a, false)
-	ready := m.BankReadyAt(BankID{0, 0, 0})
+	access(m, 0, 0, 5, false)
+	ready := m.BankReadyAt(0)
 	if ready <= 0 {
 		t.Fatal("access left no bank busy span")
 	}
@@ -139,7 +138,7 @@ func TestEnterPowerDownPanics(t *testing.T) {
 			m.Enter(sim.Time(sim.Microsecond), 0, PSPrePdnFast)
 		}},
 		{"precharge with open banks", func(m *Module) {
-			res := m.Access(0, Address{RowID: RowID{0, 0, 0, 5}, Column: 0}, false)
+			res := access(m, 0, 0, 5, false)
 			m.Enter(res.Done, 0, PSPrePdnFast)
 		}},
 	}
@@ -179,7 +178,7 @@ func TestExitPowerDownLatency(t *testing.T) {
 			}
 			// Every bank of the rank honours the exit latency.
 			for b := 0; b < m.Geometry().Banks; b++ {
-				if at := m.BankReadyAt(BankID{0, 0, b}); at < ready {
+				if at := m.BankReadyAt(b); at < ready {
 					t.Errorf("bank %d ready at %v, before rank wake %v", b, at, ready)
 				}
 			}

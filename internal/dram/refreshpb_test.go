@@ -36,15 +36,11 @@ func TestPerBankRefreshTimingValidate(t *testing.T) {
 
 func TestRefreshBankWalksCounterAndOccupiesOneBank(t *testing.T) {
 	m := testModule()
-	b0 := BankID{Channel: 0, Rank: 0, Bank: 0}
-	b1 := BankID{Channel: 0, Rank: 0, Bank: 1}
+	const b0, b1 = 0, 1
 
-	r1 := m.RefreshBank(0, b0)
-	if r1.Kind != RefreshPerBank {
-		t.Fatalf("kind = %v", r1.Kind)
-	}
-	if r1.Row.Row != 0 {
-		t.Errorf("first REFpb row = %d, want counter row 0", r1.Row.Row)
+	r1 := m.RefreshBank(0, b0, false)
+	if r1.Row != 0 {
+		t.Errorf("first REFpb row = %d, want counter row 0", r1.Row)
 	}
 	if got := m.CBRCounter(b0); got != 1 {
 		t.Errorf("counter after REFpb = %d, want 1", got)
@@ -61,9 +57,9 @@ func TestRefreshBankWalksCounterAndOccupiesOneBank(t *testing.T) {
 		t.Errorf("sibling bank ready at %v, want 0", ready)
 	}
 	// The per-bank command walks the same internal counter as CBR.
-	r2 := m.RefreshNextCBR(r1.Done, b0)
-	if r2.Row.Row != 1 {
-		t.Errorf("CBR after REFpb refreshed row %d, want 1", r2.Row.Row)
+	r2 := m.RefreshCBR(r1.Done, b0)
+	if r2.Row != 1 {
+		t.Errorf("CBR after REFpb refreshed row %d, want 1", r2.Row)
 	}
 
 	st := m.Stats()
@@ -77,23 +73,23 @@ func TestRefreshBankWalksCounterAndOccupiesOneBank(t *testing.T) {
 
 func TestRefreshBankOverlappedKeepsOtherSubarraysServing(t *testing.T) {
 	m := testModule()
-	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
+	const bank = 0
 	// Open a page in a distant subarray (counter is at row 0).
-	far := Address{RowID: RowID{0, 0, 0, m.subRows * 3}, Column: 0}
-	a0 := m.Access(0, far, false)
+	far := m.subRows * 3
+	a0 := access(m, 0, bank, far, false)
 
-	ref := m.RefreshBankOverlapped(a0.Done, bank)
+	ref := m.RefreshBank(a0.Done, bank, true)
 	if ref.Done <= ref.Issue {
 		t.Fatal("overlapped refresh has no duration")
 	}
-	if ref.ClosedOpenRow {
+	if ref.ClosedRow != -1 {
 		t.Error("overlapped refresh closed a page in another subarray")
 	}
-	if got := m.OpenRow(bank); got != far.Row {
-		t.Errorf("open row after overlapped refresh = %d, want %d", got, far.Row)
+	if got := m.OpenRow(bank); got != far {
+		t.Errorf("open row after overlapped refresh = %d, want %d", got, far)
 	}
 	// A row hit to the open page proceeds while the refresh is in flight.
-	hit := m.Access(ref.Issue, far, false)
+	hit := access(m, ref.Issue, bank, far, false)
 	if !hit.RowHit {
 		t.Error("demand row hit blocked by overlapped refresh")
 	}
@@ -108,20 +104,18 @@ func TestRefreshBankOverlappedKeepsOtherSubarraysServing(t *testing.T) {
 
 func TestRefreshBankOverlappedBlocksRefreshingSubarray(t *testing.T) {
 	m := testModule()
-	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
-	ref := m.RefreshBankOverlapped(0, bank) // refreshes counter row 0
+	const bank = 0
+	ref := m.RefreshBank(0, bank, true) // refreshes counter row 0
 	// Demand to the refreshing subarray serializes behind the refresh...
-	same := Address{RowID: RowID{0, 0, 0, 1}, Column: 0}
-	r := m.Access(ref.Issue, same, false)
+	r := access(m, ref.Issue, bank, 1, false)
 	if r.Issue < ref.Done {
 		t.Errorf("same-subarray access issued at %v, before refresh end %v", r.Issue, ref.Done)
 	}
 
 	m2 := testModule()
-	ref = m2.RefreshBankOverlapped(0, bank)
+	ref = m2.RefreshBank(0, bank, true)
 	// ...while demand to another subarray starts underneath it.
-	other := Address{RowID: RowID{0, 0, 0, m2.subRows * 5}, Column: 0}
-	r = m2.Access(ref.Issue, other, false)
+	r = access(m2, ref.Issue, bank, m2.subRows*5, false)
 	if r.Issue >= ref.Done {
 		t.Errorf("other-subarray access issued at %v, after refresh end %v", r.Issue, ref.Done)
 	}
@@ -129,12 +123,11 @@ func TestRefreshBankOverlappedBlocksRefreshingSubarray(t *testing.T) {
 
 func TestRefreshBankOverlappedSameSubarrayConflictClosesPage(t *testing.T) {
 	m := testModule()
-	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
-	near := Address{RowID: RowID{0, 0, 0, 1}, Column: 0} // same subarray as counter row 0
-	a0 := m.Access(0, near, false)
+	const bank, near = 0, 1 // row 1 shares counter row 0's subarray
+	a0 := access(m, 0, bank, near, false)
 
-	ref := m.RefreshBankOverlapped(a0.Done, bank)
-	if !ref.ClosedOpenRow || ref.ClosedRow != near.Row {
+	ref := m.RefreshBank(a0.Done, bank, true)
+	if ref.ClosedRow != near {
 		t.Errorf("same-subarray overlap did not close the page: %+v", ref)
 	}
 	if got := m.OpenRow(bank); got != -1 {

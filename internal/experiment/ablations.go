@@ -134,9 +134,8 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 		// Access a random row at a random phase.
 		at := now + sim.Time(rng.Int63n(int64(interval/2)))
 		cmds = p.Advance(at, cmds[:0])
-		row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
-		bank := row.BankOf().Flat(&g)
-		p.OnRowRestore(at, row)
+		bank, row := dram.SplitRow(&g, rng.Intn(g.TotalRows()))
+		p.OnRowRestore(at, dram.RowInBank(&g, bank, row))
 
 		// Run tick by tick until that row's next refresh.
 		for {
@@ -147,7 +146,7 @@ func measureOptimality(cfg config.DRAM, bits int) float64 {
 			cmds = p.Advance(due, cmds[:0])
 			found := false
 			for _, c := range cmds {
-				if c.Row == row.Row && c.Bank == bank {
+				if c.Row == row && c.Bank == bank {
 					found = true
 				}
 			}

@@ -68,7 +68,7 @@ func TestPolicyCommandStreamsPinned(t *testing.T) {
 // seeded random rows (and, for a bank-aware policy, reports a demand to
 // each row's bank), then drains the policy up to the step. It returns
 // the number of commands digested and a digest of the first
-// TotalRows, each decoded through dram.BankFromFlat.
+// TotalRows, each decoded through dram.RowInBank.
 func commandStreamDigest(cfg config.DRAM, e PolicyEntry) string {
 	g := cfg.Geometry
 	var rmap *core.RetentionMap
@@ -85,10 +85,10 @@ func commandStreamDigest(cfg config.DRAM, e PolicyEntry) string {
 	interval := cfg.RefreshInterval()
 	for now := sim.Time(0); n < limit && now < 2*interval; now += interval / 4096 {
 		for k := 0; k < 4; k++ {
-			row := dram.RowFromFlat(&g, rng.Intn(g.TotalRows()))
-			p.OnRowRestore(now, row)
+			bank, row := dram.SplitRow(&g, rng.Intn(g.TotalRows()))
+			p.OnRowRestore(now, dram.RowInBank(&g, bank, row))
 			if ba != nil {
-				ba.OnDemandObserved(now, row.BankOf().Flat(&g), k%2 == 0)
+				ba.OnDemandObserved(now, bank, k%2 == 0)
 			}
 		}
 		for {
@@ -101,7 +101,7 @@ func commandStreamDigest(cfg config.DRAM, e PolicyEntry) string {
 				if n == limit {
 					break
 				}
-				b := dram.BankFromFlat(&g, c.Bank)
+				b := dram.RowInBank(&g, c.Bank, 0)
 				fmt.Fprintf(h, "%d/%d/%d %d %v %v\n", b.Channel, b.Rank, b.Bank, c.Row, c.Kind, c.Overlap)
 				n++
 			}

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
@@ -101,5 +104,33 @@ func TestRunPairOnRealStreamIsFinite(t *testing.T) {
 	finitePair(t, pm)
 	if pm.RefreshReductionPct <= 0 {
 		t.Errorf("expected a refresh reduction, got %v%%", pm.RefreshReductionPct)
+	}
+}
+
+// A retention map holds one multiplier per row of the geometry it was
+// built for. A job given a map of another geometry fails with an error
+// naming both row counts, on both map policies and in both directions: a
+// larger map would give rows the wrong multipliers, a smaller one would
+// be indexed past its end.
+func TestRetentionMapOfAnotherGeometryRejected(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := config.Table1_2GB(), config.Table1_4GB()
+	for _, tc := range []struct{ cfg, mapCfg config.DRAM }{{small, large}, {large, small}} {
+		rmap := DefaultRetentionMap(tc.mapCfg.Geometry, prof.Seed())
+		want := fmt.Sprintf("retention map of %d rows on a module of %d rows",
+			tc.mapCfg.Geometry.TotalRows(), tc.cfg.Geometry.TotalRows())
+		for _, kind := range []PolicyKind{PolicyRAIDR, PolicySmartRetention} {
+			for _, check := range []bool{false, true} {
+				job := Job{Cfg: tc.cfg, Prof: prof, Policy: kind, RetentionMap: rmap,
+					Opts: RunOptions{Warmup: 100 * sim.Microsecond, Measure: sim.Millisecond, CheckRetention: check}}
+				res := NewEngine(1).RunJobs([]Job{job})
+				if err := res[0].Err; err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with a %s map: err %v, want one containing %q", job.ID(), tc.mapCfg.Name, err, want)
+				}
+			}
+		}
 	}
 }

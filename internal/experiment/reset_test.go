@@ -21,6 +21,9 @@ var capacityFields = map[string]bool{
 	// The tag-store chunks Reset took out, cleared again as they are
 	// reinstalled.
 	"cache.Cache.spare": true,
+	// The retention checker a controller built for an earlier job, Reset
+	// and reinstalled when a later job checks retention.
+	"memctrl.Controller.spareChecker": true,
 }
 
 // sameState reports the first difference between a and b, walking

@@ -259,6 +259,11 @@ func execute(ctx context.Context, j *runJob) (RunResult, error) {
 		// geometry; reslicing it per vault is future work.
 		return fail(fmt.Errorf("per-row retention maps are not supported on vaulted geometries"))
 	}
+	if j.retMap != nil {
+		if err := j.retMap.CheckRows(&j.cfg.Geometry); err != nil {
+			return fail(err)
+		}
+	}
 	m := machines.take(machineKey{cfg: j.cfg, stacked: opts.Stacked})
 	keep := false
 	defer func() { machines.put(m, keep) }()

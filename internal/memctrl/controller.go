@@ -35,7 +35,7 @@ type Options struct {
 	// RetentionMap, when non-nil together with CheckRetention, scales each
 	// row's checked deadline by its retention-class multiplier — the
 	// invariant the retention-aware policy must satisfy instead of the
-	// uniform deadline.
+	// uniform deadline. New and Reset reject a map of another row count.
 	RetentionMap *core.RetentionMap
 	// SelfRefreshAfter, when positive, puts a rank into module
 	// self-refresh after that much demand-idle time; it must exceed the
@@ -100,7 +100,7 @@ type Controller struct {
 	mapper *Mapper
 
 	// bankShift is log2 Banks and rankShift log2 Ranks: flat bank b
-	// (BankID.Flat) lies in flat rank b >> bankShift, and flat rank ri
+	// (see dram.RowID) lies in flat rank b >> bankShift, and flat rank ri
 	// in channel ri >> rankShift.
 	bankShift uint
 	rankShift uint
@@ -115,9 +115,14 @@ type Controller struct {
 	// window forces it. Other policies leave this nil.
 	bankAware core.BankAware
 
-	checker *core.RetentionChecker
-	cmds    []core.Command
-	woken   []int // flat ranks a refresh tick woke from power-down
+	// checker is the retention checker under Options.CheckRetention, nil
+	// otherwise. spareChecker keeps the one built first, so a Reset that
+	// checks again reuses its table.
+	checker      *core.RetentionChecker
+	spareChecker *core.RetentionChecker
+
+	cmds  []core.Command
+	woken []int // flat ranks a refresh tick woke from power-down
 
 	latency     stats.Sample
 	latencyHist *stats.Histogram
@@ -196,6 +201,11 @@ func (c *Controller) Reset(policy core.Policy, opts Options) error {
 	if err := opts.PowerStates.validate(opts.SelfRefreshAfter); err != nil {
 		return err
 	}
+	if opts.RetentionMap != nil {
+		if err := opts.RetentionMap.CheckRows(&c.cfg.Geometry); err != nil {
+			return err
+		}
+	}
 	if opts.Metrics != nil {
 		// Registered before anything changes, so a name the registry
 		// holds already leaves the controller as it was.
@@ -221,11 +231,12 @@ func (c *Controller) Reset(policy core.Policy, opts Options) error {
 
 	if opts.CheckRetention {
 		deadline := c.cfg.Timing.RefreshInterval + RetentionGrace + opts.RetentionSlack
-		if opts.RetentionMap != nil {
-			c.checker = core.NewRetentionCheckerWithMap(c.cfg.Geometry, deadline, 0, opts.RetentionMap)
+		if c.spareChecker == nil {
+			c.spareChecker = core.NewRetentionChecker(c.cfg.Geometry, deadline, opts.RetentionMap)
 		} else {
-			c.checker = core.NewRetentionChecker(c.cfg.Geometry, deadline, 0)
+			c.spareChecker.Reset(deadline, opts.RetentionMap)
 		}
+		c.checker = c.spareChecker
 	}
 	if opts.Trace != nil {
 		c.trace = opts.Trace.Scope(opts.prefix(c.cfg, policy))
@@ -327,10 +338,9 @@ func (c *Controller) Mapper() *Mapper { return c.mapper }
 // restore fans a restore of row in flat bank bank out to the policy and
 // the checker.
 func (c *Controller) restore(t sim.Time, bank, row int) {
-	id := dram.RowInBank(&c.cfg.Geometry, bank, row)
-	c.policy.OnRowRestore(t, id)
+	c.policy.OnRowRestore(t, dram.RowInBank(&c.cfg.Geometry, bank, row))
 	if c.checker != nil {
-		c.checker.OnRestore(t, id)
+		c.checker.OnRestore(t, bank, row)
 	}
 }
 
@@ -346,7 +356,7 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 		// and settles back down once the page is closed.
 		c.wakeRank(deadline, ri)
 	}
-	if row, closed := c.module.PrechargeFlat(deadline, flat); closed {
+	if row, closed := c.module.Precharge(deadline, flat); closed {
 		c.restore(deadline, flat, row)
 		if c.trace != nil {
 			c.trace.Command(telemetry.CmdIdleClose, flat, row, deadline, deadline+c.cfg.Timing.TRP)
@@ -389,11 +399,11 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 		var res dram.Refreshed
 		switch {
 		case cmd.Kind == dram.RefreshPerBank:
-			res = c.module.RefreshBankFlat(due, cmd.Bank, cmd.Overlap)
+			res = c.module.RefreshBank(due, cmd.Bank, cmd.Overlap)
 		case cmd.Row >= 0:
-			res = c.module.RefreshRowFlat(due, cmd.Bank, cmd.Row)
+			res = c.module.RefreshRow(due, cmd.Bank, cmd.Row)
 		default:
-			res = c.module.RefreshCBRFlat(due, cmd.Bank)
+			res = c.module.RefreshCBR(due, cmd.Bank)
 		}
 		if res.ClosedRow >= 0 {
 			// Closing the open page restored that row too, and leaves
@@ -404,7 +414,7 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 		if c.checker != nil {
 			// The policy accounted for its own refresh (and CBR-kind
 			// refreshes bypass it); only the checker sees the restore.
-			c.checker.OnRestore(res.Done, dram.RowInBank(&c.cfg.Geometry, cmd.Bank, res.Row))
+			c.checker.OnRestore(res.Done, cmd.Bank, res.Row)
 		}
 	}
 	for _, ri := range c.woken {
@@ -467,7 +477,7 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		panic(fmt.Sprintf("memctrl: request at %v before controller time %v", req.Time, c.now))
 	}
 	c.now = req.Time
-	bank, row, _ := c.mapper.locate(req.Addr)
+	bank, row := c.mapper.Map(req.Addr)
 	if c.bankAware != nil {
 		// Arbitration: the events before req.Time run before the policy
 		// hears of the demand, so no slot sees a demand from its future;
@@ -486,7 +496,7 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		c.wakeRank(req.Time, ri)
 	}
 	var res dram.AccessResult
-	c.module.AccessFlat(&res, req.Time, bank, row, req.Write)
+	c.module.Access(&res, req.Time, bank, row, req.Write)
 	c.idle.Set(bank, res.Done+DefaultIdleClose)
 	c.noteDemand(res.Done, ri)
 

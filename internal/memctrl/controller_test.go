@@ -33,6 +33,14 @@ func TestControllerValidatesConfig(t *testing.T) {
 	if _, err := New(good, nil, Options{}); err == nil {
 		t.Error("nil policy accepted")
 	}
+	// A retention map of another row count is an error, not a panic.
+	other := good.Geometry
+	other.Rows *= 2
+	rmap := core.NewRetentionMap(other, core.DefaultRetentionClasses(), 1)
+	opts := Options{CheckRetention: true, RetentionMap: rmap}
+	if _, err := New(good, core.NewCBR(good.Geometry, good.Timing.RefreshInterval), opts); err == nil {
+		t.Error("retention map of another geometry accepted")
+	}
 }
 
 func TestControllerCBRBaselineRate(t *testing.T) {

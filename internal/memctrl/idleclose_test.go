@@ -24,8 +24,8 @@ func TestCloseIdleBankNoRearmWhenNotClosed(t *testing.T) {
 		t.Errorf("closing a precharged bank armed a deadline at %v", at)
 	}
 
-	bank := dram.BankID{Channel: 0, Rank: 0, Bank: 0}
-	res := ctl.Submit(Request{Time: 0, Addr: ctl.Mapper().Unmap(dram.Address{RowID: dram.RowID{Row: 3}})})
+	const bank = 0
+	res := ctl.Submit(Request{Time: 0, Addr: ctl.Mapper().Unmap(bank, 3)})
 	if ctl.module.OpenRow(bank) != 3 {
 		t.Fatal("setup: page not open")
 	}
@@ -46,13 +46,12 @@ func TestCloseIdleBankNoRearmWhenNotClosed(t *testing.T) {
 func TestNextIdleCloseTieBreakDeterministic(t *testing.T) {
 	cfg := tinyConfig(64 * sim.Millisecond)
 	ctl := MustNew(cfg, core.NewCBR(cfg.Geometry, cfg.RefreshInterval()), Options{})
-	g := cfg.Geometry
 
 	// Open pages in flat banks 2 and 1 (opened in that order) with
 	// identical deadlines.
 	wantAt := sim.Time(1000) + DefaultIdleClose
 	for _, flat := range []int{2, 1} {
-		ctl.module.Access(0, dram.Address{RowID: dram.RowInBank(&g, flat, 7)}, false)
+		ctl.module.Access(new(dram.AccessResult), 0, flat, 7, false)
 		ctl.idle.Set(flat, wantAt)
 	}
 
@@ -74,7 +73,7 @@ func linearNextIdleClose(c *Controller, lastDone []sim.Time) (sim.Time, int, boo
 	best := -1
 	var at sim.Time
 	for flat, done := range lastDone {
-		if c.module.OpenRowFlat(flat) == -1 {
+		if c.module.OpenRow(flat) == -1 {
 			continue
 		}
 		if deadline := done + DefaultIdleClose; best == -1 || deadline < at {
@@ -157,7 +156,8 @@ func TestNextIdleCloseSlotsMatchLinearScan(t *testing.T) {
 				for i := 0; i < 3000; i++ {
 					addr := rng.Uint64() % uint64(ctl.Mapper().Capacity())
 					res := ctl.Submit(Request{Time: now, Addr: addr, Write: rng.Bool(0.3)})
-					lastDone[ctl.Mapper().Map(addr).BankOf().Flat(&g)] = res.Done
+					bank, _ := ctl.Mapper().Map(addr)
+					lastDone[bank] = res.Done
 					// Mix of gaps around the page-close timeout so pages
 					// sometimes survive to the next access and sometimes
 					// idle-close first.

@@ -5,6 +5,7 @@ import (
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
+	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
 )
 
@@ -36,7 +37,8 @@ func TestDualChannelMapperCoversBothChannels(t *testing.T) {
 	m := NewMapper(c.Geometry)
 	seen := map[int]bool{}
 	for phys := uint64(0); phys < uint64(m.Capacity()); phys += uint64(m.BurstBytes()) {
-		seen[m.Map(phys).Channel] = true
+		bank, _ := m.Map(phys)
+		seen[dram.RowInBank(&c.Geometry, bank, 0).Channel] = true
 	}
 	if !seen[0] || !seen[1] {
 		t.Errorf("channels covered: %v", seen)
@@ -51,7 +53,8 @@ func TestDualChannelBusesIndependent(t *testing.T) {
 	var a0, a1 uint64
 	found0, found1 := false, false
 	for phys := uint64(0); phys < uint64(m.Capacity()); phys += 64 {
-		switch m.Map(phys).Channel {
+		bank, _ := m.Map(phys)
+		switch dram.RowInBank(&c.Geometry, bank, 0).Channel {
 		case 0:
 			if !found0 {
 				a0, found0 = phys, true

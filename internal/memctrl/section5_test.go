@@ -1,12 +1,15 @@
 package memctrl
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
-	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
+	"smartrefresh/internal/telemetry"
 )
 
 // TestSection5QueueDrainArithmetic reproduces the section 5 argument with
@@ -47,42 +50,70 @@ func TestSection5QueueDrainArithmetic(t *testing.T) {
 
 	// Drive the full controller with the worst traffic we can construct
 	// and verify every tick's refreshes complete before the next tick.
-	ctl := MustNew(cfg, p, Options{})
+	// The trace gives each refresh's completion, in dispatch order, and
+	// duePolicy the tick each was due at.
+	tr := telemetry.NewTracer()
+	due := &duePolicy{Policy: p}
+	ctl := MustNew(cfg, due, Options{Trace: tr})
 	rng := sim.NewRNG(123)
 	end := sim.Time(2 * cfg.RefreshInterval())
-	module := ctl.Module()
-	var now sim.Time
-	worstLag := sim.Duration(0)
-	for now < end {
+	for now := sim.Time(0); now < end; now += sim.Time(rng.Intn(int(80 * sim.Microsecond))) {
 		// Random demand traffic to misalign counters.
 		ctl.Submit(Request{
 			Time: now,
 			Addr: rng.Uint64() % uint64(ctl.Mapper().Capacity()),
 		})
-		now += sim.Time(rng.Intn(int(80 * sim.Microsecond)))
-		// All banks idle by `now` implies every dispatched refresh
-		// completed; measure the worst bank-busy lag behind the wall
-		// clock.
-		for b := 0; b < cfg.Geometry.TotalBanks(); b++ {
-			rem := b % (cfg.Geometry.Ranks * cfg.Geometry.Banks)
-			id := dram.BankID{
-				Channel: b / (cfg.Geometry.Ranks * cfg.Geometry.Banks),
-				Rank:    rem / cfg.Geometry.Banks,
-				Bank:    rem % cfg.Geometry.Banks,
-			}
-			if lag := module.BankReadyAt(id) - now; lag > worstLag {
-				worstLag = lag
-			}
-		}
 	}
 	ctl.Finish(end)
-	// No bank ever runs more than one tick period behind: the pending
-	// refresh work always drains before the next counter access.
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name    string
+			Ts, Dur float64 // microseconds
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var done []sim.Time
+	for _, e := range trace.TraceEvents {
+		if e.Name == telemetry.CmdRefreshRASOnly.String() {
+			done = append(done, sim.Time(math.Round((e.Ts+e.Dur)*1e6)))
+		}
+	}
+	if len(done) != len(due.at) || len(done) == 0 {
+		t.Fatalf("%d refreshes traced, %d due", len(done), len(due.at))
+	}
+	// No refresh ever completes more than one tick period after it was
+	// due: the pending refresh work always drains before the next
+	// counter access.
+	worstLag := sim.Duration(0)
+	for i, at := range due.at {
+		worstLag = max(worstLag, done[i]-at)
+	}
 	if worstLag > tick {
-		t.Errorf("worst bank lag %v exceeds tick period %v: queue would back up", worstLag, tick)
+		t.Errorf("worst refresh lag %v exceeds tick period %v: queue would back up", worstLag, tick)
 	}
 	// And the policy never generated more than the queue width per tick.
 	if got := p.Stats().MaxPendingPerTick; got > cfg.Smart.QueueDepth {
 		t.Errorf("max pending per tick %d exceeds queue depth %d", got, cfg.Smart.QueueDepth)
 	}
+}
+
+// duePolicy records the tick each refresh command of its policy was due
+// at, in issue order.
+type duePolicy struct {
+	core.Policy
+	at []sim.Time
+}
+
+func (p *duePolicy) Advance(t sim.Time, dst []core.Command) []core.Command {
+	out := p.Policy.Advance(t, dst)
+	for range out[len(dst):] {
+		p.at = append(p.at, t)
+	}
+	return out
 }

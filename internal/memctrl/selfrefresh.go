@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
 )
 
@@ -55,10 +54,9 @@ func (c *Controller) restoreRank(t sim.Time, ri int) {
 	if c.checker == nil {
 		return
 	}
-	g := &c.cfg.Geometry
 	for b := ri << c.bankShift; b < (ri+1)<<c.bankShift; b++ {
-		for r := 0; r < g.Rows; r++ {
-			c.checker.OnRestore(t, dram.RowInBank(g, b, r))
+		for r := 0; r < c.cfg.Geometry.Rows; r++ {
+			c.checker.OnRestore(t, b, r)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func TestSettleWaitsForSameInstantIdleClose(t *testing.T) {
 	if got := ctl.PowerStateOf(0, 0); got != PSAwake {
 		t.Errorf("rank 0 is %v after the refresh and the close, want %v", got, PSAwake)
 	}
-	if open := ctl.Module().OpenRowFlat(0); open != -1 {
+	if open := ctl.Module().OpenRow(0); open != -1 {
 		t.Errorf("bank 0 still has row %d open", open)
 	}
 	if n := ctl.Module().Stats().PowerDownEntries; n != 1 {
