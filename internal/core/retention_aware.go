@@ -41,8 +41,7 @@ func DefaultRetentionClasses() []RetentionClass {
 // system it would be produced by a profiling pass (RAPID's software
 // probing); here it is generated deterministically from a seed.
 type RetentionMap struct {
-	geom dram.Geometry
-	mult []uint8
+	mult []uint8 // by flat row index
 }
 
 // NewRetentionMap assigns rows to classes pseudo-randomly in the given
@@ -68,7 +67,7 @@ func NewRetentionMap(g dram.Geometry, classes []RetentionClass, seed uint64) *Re
 		panic("core: class fractions sum to zero")
 	}
 
-	m := &RetentionMap{geom: g, mult: make([]uint8, g.TotalRows())}
+	m := &RetentionMap{mult: make([]uint8, g.TotalRows())}
 	rng := sim.NewRNG(seed)
 	for i := range m.mult {
 		m.mult[i] = classify(classes, rng.Float64()*total)
@@ -103,7 +102,7 @@ func NewRetentionMapFromMultipliers(g dram.Geometry, mult []uint8) *RetentionMap
 	if len(mult) != g.TotalRows() {
 		panic(fmt.Sprintf("core: %d multipliers for %d rows", len(mult), g.TotalRows()))
 	}
-	m := &RetentionMap{geom: g, mult: make([]uint8, len(mult))}
+	m := &RetentionMap{mult: make([]uint8, len(mult))}
 	for i, v := range mult {
 		if v < 1 || v > 16 {
 			panic(fmt.Sprintf("core: retention multiplier %d outside 1..16", v))
@@ -121,11 +120,6 @@ func (m *RetentionMap) Multipliers() []uint8 {
 	return out
 }
 
-// Multiplier returns the retention multiplier of row in flat bank bank.
-func (m *RetentionMap) Multiplier(bank, row int) int {
-	return int(m.mult[bank*m.geom.Rows+row])
-}
-
 // multiplierFlat avoids re-deriving the flat index on hot paths.
 func (m *RetentionMap) multiplierFlat(flat int) int { return int(m.mult[flat]) }
 
@@ -136,12 +130,6 @@ func (m *RetentionMap) Histogram() map[int]int {
 		out[int(v)]++
 	}
 	return out
-}
-
-// Deadline returns the retention deadline of row in flat bank bank given
-// the base interval.
-func (m *RetentionMap) Deadline(bank, row int, base sim.Duration) sim.Duration {
-	return sim.Duration(m.Multiplier(bank, row)) * base
 }
 
 // CheckRows reports an error, naming both row counts, unless the map

@@ -39,23 +39,24 @@ func TestRetentionMapDeterministic(t *testing.T) {
 	g := smallGeom()
 	a := NewRetentionMap(g, DefaultRetentionClasses(), 7)
 	b := NewRetentionMap(g, DefaultRetentionClasses(), 7)
-	for flat := 0; flat < g.TotalRows(); flat++ {
-		bank, row := dram.SplitRow(&g, flat)
-		if a.Multiplier(bank, row) != b.Multiplier(bank, row) {
-			t.Fatalf("map not deterministic at bank %d row %d", bank, row)
+	ma, mb := a.Multipliers(), b.Multipliers()
+	for flat := range ma {
+		if ma[flat] != mb[flat] {
+			t.Fatalf("map not deterministic at row %d", flat)
 		}
 	}
 }
 
+// A checker given a retention map holds each row to its multiplier times
+// the base deadline.
 func TestRetentionMapDeadline(t *testing.T) {
 	g := smallGeom()
 	m := testRetentionMap(t, g)
-	mult := m.Multipliers()
-	for flat := 0; flat < g.TotalRows(); flat++ {
-		bank, row := dram.SplitRow(&g, flat)
-		want := sim.Duration(mult[flat]) * testInterval
-		if got := m.Deadline(bank, row, testInterval); got != want {
-			t.Fatalf("deadline of bank %d row %d = %v, want %v", bank, row, got, want)
+	chk := NewRetentionChecker(g, testInterval, m)
+	for flat, mult := range m.Multipliers() {
+		want := sim.Duration(mult) * testInterval
+		if got := chk.deadlineFor(flat); got != want {
+			t.Fatalf("deadline of row %d = %v, want %v", flat, got, want)
 		}
 	}
 }
@@ -213,10 +214,9 @@ func TestRetentionAwareIdleRates(t *testing.T) {
 			counts[dram.RowInBank(&g, c.Bank, c.Row)]++
 		}
 	}
-	for flat := 0; flat < g.TotalRows(); flat++ {
+	for flat, mult := range m.Multipliers() {
 		row := dram.RowFromFlat(&g, flat)
-		mult := m.Multiplier(dram.SplitRow(&g, flat))
-		want := intervals / mult
+		want := intervals / int(mult)
 		got := counts[row]
 		if got < want-1 || got > want+1 {
 			t.Errorf("row %v (class %d): %d refreshes over %d intervals, want ~%d",

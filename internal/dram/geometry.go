@@ -212,14 +212,6 @@ func (r RowID) String() string {
 	return fmt.Sprintf("ch%d/rk%d/bk%d/row%d", r.Channel, r.Rank, r.Bank, r.Row)
 }
 
-// Valid reports whether r addresses a row inside g.
-func (r RowID) Valid(g *Geometry) bool {
-	return r.Channel >= 0 && r.Channel < g.Channels &&
-		r.Rank >= 0 && r.Rank < g.Ranks &&
-		r.Bank >= 0 && r.Bank < g.Banks &&
-		r.Row >= 0 && r.Row < g.Rows
-}
-
 // Flat returns a dense index for the row in [0, g.TotalRows()): its
 // flat bank index times Rows, plus its row.
 func (r RowID) Flat(g *Geometry) int {

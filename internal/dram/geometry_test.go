@@ -139,22 +139,6 @@ func TestRowIDFlatDense(t *testing.T) {
 	}
 }
 
-func TestRowIDValid(t *testing.T) {
-	g := table1Geom2GB()
-	if !(RowID{0, 0, 0, 0}).Valid(&g) {
-		t.Error("origin invalid")
-	}
-	if (RowID{0, 0, 0, 16384}).Valid(&g) {
-		t.Error("row out of range accepted")
-	}
-	if (RowID{1, 0, 0, 0}).Valid(&g) {
-		t.Error("channel out of range accepted")
-	}
-	if (RowID{0, -1, 0, 0}).Valid(&g) {
-		t.Error("negative rank accepted")
-	}
-}
-
 // The flat bank index, (channel*Ranks+rank)*Banks+bank, is dense over
 // [0, TotalBanks()), and RowInBank decodes it.
 func TestBankIDFlat(t *testing.T) {

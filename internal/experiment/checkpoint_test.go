@@ -30,13 +30,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	eng := NewEngine(2)
 	eng.Checkpoint = NewCheckpoint(path)
-	specs := []RunSpec{
-		{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "fasta", Policy: PolicySmart, Opts: engineOpts()},
-		{Config: Stacked3D64, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()},
+	jobs := []Job{
+		sweepJob(Conv2GB, mustProfile(t, "fasta"), PolicyCBR, engineOpts()),
+		sweepJob(Conv2GB, mustProfile(t, "fasta"), PolicySmart, engineOpts()),
+		sweepJob(Stacked3D64, mustProfile(t, "gcc"), PolicySmart, engineOpts()),
 	}
-	want, err := eng.RunAll(specs)
-	if err != nil {
+	want := eng.RunJobs(jobs)
+	if err := jobsErr(want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,14 +44,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Len() != len(specs) {
-		t.Fatalf("loaded %d results, want %d", cp.Len(), len(specs))
+	if cp.Len() != len(jobs) {
+		t.Fatalf("loaded %d results, want %d", cp.Len(), len(jobs))
 	}
-	for i, spec := range specs {
-		job, err := spec.job()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, job := range jobs {
 		got, ok := cp.lookup(job.ID())
 		if !ok {
 			t.Fatalf("checkpoint missing %s", job.ID())
@@ -60,26 +56,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		w := want[i]
 		if (got.RetentionErr == nil) != (w.RetentionErr == nil) ||
 			(got.RetentionErr != nil && got.RetentionErr.Error() != w.RetentionErr.Error()) {
-			t.Errorf("spec %d retention error mismatch: %v vs %v", i, got.RetentionErr, w.RetentionErr)
+			t.Errorf("job %d retention error mismatch: %v vs %v", i, got.RetentionErr, w.RetentionErr)
 		}
 		got.RetentionErr, w.RetentionErr = nil, nil
 		if !reflect.DeepEqual(got, w) {
-			t.Errorf("spec %d restored result differs\n got: %+v\nwant: %+v", i, got, w)
+			t.Errorf("job %d restored result differs\n got: %+v\nwant: %+v", i, got, w)
 		}
 	}
 
 	// Serving restored entries: all cache hits, no simulations.
 	resumed := NewEngine(2)
 	resumed.Checkpoint = cp
-	again, err := resumed.RunAll(specs)
-	if err != nil {
+	again := resumed.RunJobs(jobs)
+	if err := jobsErr(again); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
 		t.Error("restored results differ from the original run")
 	}
-	if st := resumed.Stats(); st.Started != 0 || st.CacheHits != len(specs) {
-		t.Errorf("resumed engine started=%d hits=%d, want 0 and %d", st.Started, st.CacheHits, len(specs))
+	if st := resumed.Stats(); st.Started != 0 || st.CacheHits != len(jobs) {
+		t.Errorf("resumed engine started=%d hits=%d, want 0 and %d", st.Started, st.CacheHits, len(jobs))
 	}
 }
 
@@ -90,7 +86,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	eng := NewEngine(1)
 	eng.Checkpoint = NewCheckpoint(path)
-	if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()}); err != nil {
+	if _, err := runOne(eng, sweepJob(Conv2GB, mustProfile(t, "fasta"), PolicyCBR, engineOpts())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +142,7 @@ func TestLoadCheckpointRejectsForeignFiles(t *testing.T) {
 func TestCheckpointWriteFailureSurfaces(t *testing.T) {
 	eng := NewEngine(1)
 	eng.Checkpoint = NewCheckpoint(filepath.Join(t.TempDir(), "missing", "sweep.ckpt"))
-	_, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()})
+	_, err := runOne(eng, sweepJob(Conv2GB, mustProfile(t, "fasta"), PolicyCBR, engineOpts()))
 	if err == nil {
 		t.Fatal("unwritable checkpoint reported no error")
 	}
@@ -154,15 +150,15 @@ func TestCheckpointWriteFailureSurfaces(t *testing.T) {
 
 // Cancelling the engine's context aborts in-flight simulations, returns
 // the context's error, and — critically — does not poison the memo: the
-// same spec re-run on an engine with a live context simulates afresh.
+// same job re-run on an engine with a live context simulates afresh.
 func TestEngineCtxCancelledMidFlight(t *testing.T) {
 	eng := NewEngine(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	eng.Ctx = ctx
-	spec := RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()}
+	job := sweepJob(Conv2GB, mustProfile(t, "fasta"), PolicyCBR, engineOpts())
 
 	eng.OnJobStart = func(JobEvent) { cancel() } // cancel once the flight has begun
-	if _, err := eng.Run(spec); !errors.Is(err, context.Canceled) {
+	if _, err := runOne(eng, job); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 	if st := eng.Stats(); st.Finished != 0 {
@@ -171,7 +167,7 @@ func TestEngineCtxCancelledMidFlight(t *testing.T) {
 
 	eng.OnJobStart = nil
 	eng.Ctx = nil
-	res, err := eng.Run(spec)
+	res, err := runOne(eng, job)
 	if err != nil {
 		t.Fatalf("re-run after cancellation: %v", err)
 	}
@@ -186,7 +182,7 @@ func TestEngineCtxCancelledMidFlight(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	eng2.Ctx = ctx2
 	eng2.OnJobStart = func(JobEvent) { cancel2() }
-	if _, err := eng2.Run(spec); err == nil {
+	if _, err := runOne(eng2, job); err == nil {
 		t.Fatal("cancelled run reported no error")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -224,22 +220,22 @@ func TestRunJobsPreCancelled(t *testing.T) {
 
 // A result restored from a checkpoint equals the simulated one in every
 // leaf of RunResult, per-vault results included, for a monolithic and a
-// vaulted spec.
+// vaulted job.
 func TestCheckpointRestoresEveryLeaf(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	opts := RunOptions{Warmup: 2 * sim.Millisecond, Measure: 4 * sim.Millisecond}
-	specs := []RunSpec{
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: opts},
-		{Config: HMC8V, Benchmark: "gcc", Policy: PolicySmart, Opts: opts},
+	jobs := []Job{
+		sweepJob(Conv2GB, mustProfile(t, "gcc"), PolicySmart, opts),
+		sweepJob(HMC8V, mustProfile(t, "gcc"), PolicySmart, opts),
 	}
 	eng := NewEngine(1)
 	eng.Checkpoint = NewCheckpoint(path)
-	fresh, err := eng.RunAll(specs)
-	if err != nil {
+	fresh := eng.RunJobs(jobs)
+	if err := jobsErr(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(fresh[1].Vaults); n != HMC8V.DRAM().Geometry.VaultCount() {
-		t.Fatalf("the vaulted spec has %d vault results", n)
+		t.Fatalf("the vaulted job has %d vault results", n)
 	}
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
@@ -247,16 +243,16 @@ func TestCheckpointRestoresEveryLeaf(t *testing.T) {
 	}
 	resumed := NewEngine(1)
 	resumed.Checkpoint = cp
-	restored, err := resumed.RunAll(specs)
-	if err != nil {
+	restored := resumed.RunJobs(jobs)
+	if err := jobsErr(restored); err != nil {
 		t.Fatal(err)
 	}
 	if st := resumed.Stats(); st.Started != 0 {
 		t.Fatalf("the resumed engine simulated %d jobs", st.Started)
 	}
-	for i, spec := range specs {
+	for i, job := range jobs {
 		if err := sameState("result", reflect.ValueOf(restored[i]), reflect.ValueOf(fresh[i])); err != nil {
-			t.Errorf("%v: the restored result differs from the simulated one at %v", spec.Config, err)
+			t.Errorf("%s: the restored result differs from the simulated one at %v", job.Cfg.Name, err)
 		}
 	}
 }

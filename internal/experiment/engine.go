@@ -19,35 +19,13 @@ import (
 	"smartrefresh/internal/workload"
 )
 
-// RunSpec identifies one simulation run by value: one of the evaluated
-// configurations, one paper benchmark by name, one policy, and the run
-// options. It resolves to the Job it describes, the stacked flag derived
-// from the configuration, and memoises by that job's identity.
-type RunSpec struct {
-	Config    ConfigKind
-	Benchmark string
-	Policy    PolicyKind
-	Opts      RunOptions
-}
-
-// job resolves the spec's benchmark name and returns the Job it
-// describes, its stacked flag forced to the configuration's front-end.
-func (s RunSpec) job() (Job, error) {
-	prof, err := workload.ByName(s.Benchmark)
-	if err != nil {
-		return Job{}, err
-	}
-	s.Opts.Stacked = s.Config.Stacked()
-	return Job{Cfg: s.Config.DRAM(), Prof: prof, Policy: s.Policy, Opts: s.Opts}, nil
-}
-
-// Job is one fully-specified simulation for Engine.RunJobs. Unlike a
-// RunSpec it carries an arbitrary configuration (the ablation studies
-// sweep non-preset configs) and optional policy/source constructors.
-// Engine.Run resolves a spec to the Job it describes and runs it the same
-// way. A job without constructors is memoised by its identity (see ID);
-// the constructors run inside the job, giving each run its own policy
-// and generator state, and such a job is never memoised.
+// Job is one fully-specified simulation for Engine.RunJobs: a
+// configuration (a preset, or the edited one an ablation study sweeps),
+// a benchmark profile, a policy, the run options and optional
+// policy/source constructors. A job without constructors is memoised by
+// its identity (see ID); the constructors run inside the job, giving
+// each run its own policy and generator state, and such a job is never
+// memoised.
 type Job struct {
 	Cfg    config.DRAM
 	Prof   workload.Profile
@@ -160,10 +138,10 @@ type EngineStats struct {
 
 // Engine executes simulation jobs across a bounded worker pool and
 // memoises them by identity (Job.ID), so sweeps and studies that share
-// runs (Figures 6/7/8 and friends) simulate each job exactly once; Run
-// and RunJobs share the one memo (see submit). Results are deterministic
-// and independent of the worker count: every job builds its own
-// generator and runs alone on its machine (an idle one reset to the
+// runs (Figures 6/7/8 and friends) simulate each job exactly once; every
+// RunJobs batch shares the one memo (see submit). Results are
+// deterministic and independent of the worker count: every job builds its
+// own generator and runs alone on its machine (an idle one reset to the
 // state a new one has, or a new one), and batch results are ordered by
 // job index, never by completion order.
 //
@@ -177,10 +155,10 @@ type Engine struct {
 	// checkpoint is served as a cache hit without simulating. This is
 	// what makes an interrupted sweep resumable; see Checkpoint.
 	Checkpoint *Checkpoint
-	// Ctx, when non-nil, cancels the engine's work: once it is done, Run
-	// and RunAll return its error and RunJobs results carry it. It is the
-	// one context every job runs under — the suites and studies that
-	// share the engine inherit it. Nil means never cancelled.
+	// Ctx, when non-nil, cancels the engine's work: once it is done,
+	// RunJobs results carry its error. It is the one context every job
+	// runs under — the suites and studies that share the engine inherit
+	// it. Nil means never cancelled.
 	Ctx context.Context
 	// OnJobStart and OnJobDone, when non-nil, observe jobs as they begin
 	// and finish (including cache hits). The engine serialises hook
@@ -261,24 +239,11 @@ var closedDone = func() chan struct{} {
 	return ch
 }()
 
-// Run returns the result for one spec, through the memo every job
-// without constructors shares (see submit). The simulation checks
-// Engine.Ctx at record and tick/advance boundaries, so a cancelled sweep
-// stops within microseconds of simulated progress rather than after the
-// current job.
-func (e *Engine) Run(spec RunSpec) (RunResult, error) {
-	job, err := spec.job()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return e.submit(&job)
-}
-
 // submit returns job's result. A job without MakeSource or MakePolicy
 // goes through the memo, keyed by its identity: the first claimant
-// simulates, and every later one — from Run or RunJobs, from any study —
-// shares its flight as a cache hit, or gets an error naming the identity
-// if its work differs. A flight aborted by Engine.Ctx is removed from
+// simulates, and every later one — from any RunJobs batch, any sweep or
+// study — shares its flight as a cache hit, or gets an error naming the
+// identity if its work differs. A flight aborted by Engine.Ctx is removed from
 // the memo and never checkpointed: its partial state must never be
 // served later.
 func (e *Engine) submit(job *Job) (RunResult, error) {
@@ -339,32 +304,8 @@ func (e *Engine) submit(job *Job) (RunResult, error) {
 	return ent.res, ent.err
 }
 
-// RunAll executes the specs across the worker pool and returns their
-// results in spec order: result i belongs to specs[i] for any worker
-// count. Duplicate and previously-run specs are served from the memo.
-// Once Engine.Ctx is done, in-flight jobs abort at their next
-// cancellation point, remaining jobs are skipped, and the batch returns
-// the context's error. Partial results are never returned — a resumed
-// sweep re-derives them from the engine memo and checkpoint instead.
-func (e *Engine) RunAll(specs []RunSpec) ([]RunResult, error) {
-	out := make([]RunResult, len(specs))
-	errs := make([]error, len(specs))
-	e.forEach(len(specs), func(i int) {
-		out[i], errs[i] = e.Run(specs[i])
-	})
-	if err := e.baseCtx().Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // RunJobs executes fully-specified jobs across the worker pool, through
-// the same memo as Run (see submit), returning results in job order. A
+// the engine's memo (see submit), returning results in job order. A
 // job that fails — or is skipped or aborted because Engine.Ctx is done —
 // comes back with RunResult.Err set.
 func (e *Engine) RunJobs(jobs []Job) []RunResult {
@@ -395,15 +336,15 @@ func (e *Engine) Err() error {
 	return e.err
 }
 
-// run is the one job runner behind Run, RunAll and RunJobs; id is the
-// job's identity, or empty when nothing has derived it yet. It counts
-// the job, fires OnJobStart, builds the job's source and policy and
-// executes it, then counts the finished job, records its trace span and
-// fires OnJobDone — in that order: set-up is timed from OnJobStart to
-// the source's first record. A panicking job (a rejected configuration
-// or constructor) reports through the error instead of taking down the
-// worker pool. A job skipped or aborted because ctx is done counts as
-// no finished work and fires no OnJobDone.
+// run is the one job runner behind RunJobs and the package-level Run; id
+// is the job's identity, or empty when nothing has derived it yet. It
+// counts the job, fires OnJobStart, builds the job's source and policy
+// and executes it, then counts the finished job, records its trace span
+// and fires OnJobDone — in that order: set-up is timed from OnJobStart
+// to the source's first record. A panicking job (a rejected
+// configuration, profile or constructor) reports through the error
+// instead of taking down the worker pool. A job skipped or aborted
+// because ctx is done counts as no finished work and fires no OnJobDone.
 func (e *Engine) run(ctx context.Context, job *Job, id string) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err

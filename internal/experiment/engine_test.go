@@ -26,6 +26,12 @@ func engineOpts() RunOptions {
 	return RunOptions{Warmup: 16 * sim.Millisecond, Measure: 32 * sim.Millisecond}
 }
 
+// runOne runs job alone on eng and returns its result and error.
+func runOne(eng *Engine, job Job) (RunResult, error) {
+	res := eng.RunJobs([]Job{job})[0]
+	return res, res.Err
+}
+
 func sweepWith(t *testing.T, workers int) []PairMetrics {
 	t.Helper()
 	s := NewSuite()
@@ -67,14 +73,14 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // One engine used from many goroutines: every caller sees the same
-// results, and each unique spec simulates exactly once.
+// results, and each unique job simulates exactly once.
 func TestEngineConcurrentUse(t *testing.T) {
 	eng := NewEngine(4)
-	specs := []RunSpec{
-		{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "fasta", Policy: PolicySmart, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()},
+	var jobs []Job
+	for _, b := range []string{"fasta", "gcc"} {
+		for _, pol := range []PolicyKind{PolicyCBR, PolicySmart} {
+			jobs = append(jobs, sweepJob(Conv2GB, mustProfile(t, b), pol, engineOpts()))
+		}
 	}
 
 	const callers = 8
@@ -84,8 +90,8 @@ func TestEngineConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := eng.RunAll(specs)
-			if err != nil {
+			res := eng.RunJobs(jobs)
+			if err := jobsErr(res); err != nil {
 				t.Error(err)
 				return
 			}
@@ -100,10 +106,10 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}
 	}
 	st := eng.Stats()
-	if st.Started != len(specs) || st.Finished != len(specs) {
-		t.Errorf("started=%d finished=%d, want %d simulations", st.Started, st.Finished, len(specs))
+	if st.Started != len(jobs) || st.Finished != len(jobs) {
+		t.Errorf("started=%d finished=%d, want %d simulations", st.Started, st.Finished, len(jobs))
 	}
-	if want := (callers - 1) * len(specs); st.CacheHits != want {
+	if want := (callers - 1) * len(jobs); st.CacheHits != want {
 		t.Errorf("cache hits = %d, want %d", st.CacheHits, want)
 	}
 	if st.SimWall <= 0 {
@@ -111,41 +117,46 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 }
 
-// Specs describing the same work memoise to the same entry: zero options
-// resolve to the configuration's defaults, the stacked flag is forced by
-// the configuration kind, and Shards moves nothing.
-func TestRunSpecKeyCanonical(t *testing.T) {
-	resolve := func(s RunSpec) Job {
+// Sweep jobs describing the same work memoise to the same entry: zero
+// options resolve to the configuration's defaults, the stacked flag is
+// forced by the configuration kind, and Shards moves nothing. Their
+// identities are the memo and checkpoint keys, so they are pinned.
+func TestSweepJobKeyCanonical(t *testing.T) {
+	gcc := mustProfile(t, "gcc")
+	same := func(what string, ja, jb Job) {
 		t.Helper()
-		job, err := s.job()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job
-	}
-	same := func(what string, a, b RunSpec) {
-		t.Helper()
-		ja, jb := resolve(a), resolve(b)
 		if ja.ID() != jb.ID() || !reflect.DeepEqual(ja.work(), jb.work()) {
 			t.Errorf("%s: %s and %s are not one memo entry", what, ja.ID(), jb.ID())
 		}
 	}
 	cfg := Conv2GB.DRAM()
-	zero := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart}
-	explicit := zero
-	explicit.Opts = RunOptions{Warmup: cfg.RefreshInterval(), Measure: 4 * cfg.RefreshInterval()}
-	same("default options", zero, explicit)
-	sharded := zero
-	sharded.Opts.Shards = 8
-	same("shards", zero, sharded)
+	zero := sweepJob(Conv2GB, gcc, PolicySmart, RunOptions{})
+	same("default options", zero, sweepJob(Conv2GB, gcc, PolicySmart,
+		RunOptions{Warmup: cfg.RefreshInterval(), Measure: 4 * cfg.RefreshInterval()}))
+	same("shards", zero, sweepJob(Conv2GB, gcc, PolicySmart, RunOptions{Shards: 8}))
 
-	plain := RunSpec{Config: Stacked3D64, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}
-	stacked := plain
-	stacked.Opts.Stacked = true
-	same("stacked flag", plain, stacked)
-	other, stackedJob := resolve(RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}), resolve(plain)
-	if other.ID() == stackedJob.ID() {
-		t.Errorf("distinct configs share identity %s", other.ID())
+	plain := sweepJob(Stacked3D64, gcc, PolicyCBR, engineOpts())
+	if !plain.Opts.Stacked {
+		t.Error("a 3D sweep job does not run behind the 3D cache")
+	}
+	stacked := engineOpts()
+	stacked.Stacked = true
+	same("stacked flag", plain, sweepJob(Stacked3D64, gcc, PolicyCBR, stacked))
+	if sweepJob(Conv2GB, gcc, PolicyCBR, stacked).Opts.Stacked {
+		t.Error("a 2 GB sweep job runs behind the 3D cache")
+	}
+	for _, tc := range []struct {
+		job  Job
+		want string
+	}{
+		{zero, "table1-2gb/gcc/smart"},
+		{plain, "table2-3d-64ms/gcc/cbr@w16ms@m32ms"},
+		{sweepJob(Stacked3D32, gcc, PolicySmart, RunOptions{}), "table2-3d-32ms/gcc/smart"},
+		{sweepJob(Conv4GB, gcc, PolicyCBR, engineOpts()), "table1-4gb/gcc/cbr@w16ms@m32ms"},
+	} {
+		if got := tc.job.ID(); got != tc.want {
+			t.Errorf("sweep job identity %s, want %s", got, tc.want)
+		}
 	}
 }
 
@@ -174,13 +185,18 @@ func TestJobIdentity(t *testing.T) {
 	}
 }
 
+// A sweep over an unknown benchmark name fails, naming it, before its
+// engine runs any job.
 func TestEngineRunUnknownBenchmark(t *testing.T) {
-	eng := NewEngine(1)
-	if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "no-such-benchmark", Policy: PolicyCBR}); err == nil {
-		t.Fatal("unknown benchmark did not error")
+	s := NewSuite()
+	s.Benchmarks = []string{"gcc", "no-such-benchmark"}
+	s.Opts = engineOpts()
+	s.Engine = NewEngine(1)
+	if _, err := s.Sweep(Conv2GB); err == nil || !strings.Contains(err.Error(), `"no-such-benchmark"`) {
+		t.Fatalf("unknown benchmark: error %v, want one naming it", err)
 	}
-	if _, err := eng.RunAll([]RunSpec{{Config: Conv2GB, Benchmark: "no-such-benchmark", Policy: PolicyCBR}}); err == nil {
-		t.Fatal("RunAll with unknown benchmark did not error")
+	if st := s.Engine.Stats(); st.Started != 0 || st.CacheHits != 0 {
+		t.Errorf("the rejected sweep ran jobs: %+v", st)
 	}
 }
 
@@ -374,43 +390,30 @@ func idleMachines() int {
 	return len(machines.idle)
 }
 
-// A RunSpec and the Job it describes run through the same runner: the
-// same result, the same hook events (labelled by the configuration's
-// name) and one started and finished job each.
-func TestEngineSpecAndJobShareRunner(t *testing.T) {
-	spec := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()}
+// The package-level Run is one job through the engine's runner: it
+// returns what RunJobs returns for the same job, and a job the runner
+// rejects — a profile whose generator panics — comes back with Err set
+// instead of panicking the caller.
+func TestRunSharesEngineRunner(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Run panicked: %v", r)
+		}
+	}()
 	job := Job{Cfg: Conv2GB.DRAM(), Prof: mustProfile(t, "gcc"), Policy: PolicySmart, Opts: engineOpts()}
+	direct := Run(job.Cfg, job.Prof, job.Policy, job.Opts)
+	if direct.Err != nil {
+		t.Fatal(direct.Err)
+	}
+	if res := NewEngine(1).RunJobs([]Job{job})[0]; !reflect.DeepEqual(direct, res) {
+		t.Errorf("Run and RunJobs results differ:\n   Run: %+v\nRunJobs: %+v", direct, res)
+	}
 
-	record := func(eng *Engine) *[]JobEvent {
-		var evs []JobEvent
-		hook := func(ev JobEvent) {
-			ev.Wall = 0 // host timing, not part of the event's identity
-			evs = append(evs, ev)
-		}
-		eng.OnJobStart, eng.OnJobDone = hook, hook
-		return &evs
-	}
-	specEng, jobEng := NewEngine(1), NewEngine(1)
-	specEvs, jobEvs := record(specEng), record(jobEng)
-
-	specRes, err := specEng.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobRes := jobEng.RunJobs([]Job{job})[0]
-	if !reflect.DeepEqual(specRes, jobRes) {
-		t.Errorf("spec and job results differ:\n spec: %+v\n  job: %+v", specRes, jobRes)
-	}
-	if !reflect.DeepEqual(*specEvs, *jobEvs) {
-		t.Errorf("spec and job events differ:\n spec: %+v\n  job: %+v", *specEvs, *jobEvs)
-	}
-	if want := "table1-2gb"; len(*specEvs) == 0 || (*specEvs)[0].Config != want {
-		t.Errorf("spec events = %+v, want Config %q", *specEvs, want)
-	}
-	for name, eng := range map[string]*Engine{"spec": specEng, "job": jobEng} {
-		if st := eng.Stats(); st.Started != 1 || st.Finished != 1 || st.CacheHits != 0 {
-			t.Errorf("%s engine stats = %+v, want one started and finished job", name, st)
-		}
+	bad := panicJob(t)
+	want := NewEngine(1).RunJobs([]Job{bad})[0].Err
+	got := Run(bad.Cfg, bad.Prof, bad.Policy, bad.Opts).Err
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("rejected profile: Run error %v, want the RunJobs error %v", got, want)
 	}
 }
 
@@ -454,8 +457,8 @@ func TestEngineRunPanicDoesNotDeadlock(t *testing.T) {
 		t.Error("memoised panicked job returned nil error")
 	}
 	// The engine stays usable after a failed flight.
-	if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()}); err != nil {
-		t.Errorf("healthy spec after a panicked flight: %v", err)
+	if _, err := runOne(eng, sweepJob(Conv2GB, mustProfile(t, "gcc"), PolicyCBR, engineOpts())); err != nil {
+		t.Errorf("healthy job after a panicked flight: %v", err)
 	}
 }
 
@@ -504,23 +507,24 @@ func TestEngineHooks(t *testing.T) {
 		}
 	}
 
-	specs := []RunSpec{
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()},
-		{Config: Conv2GB, Benchmark: "gcc", Policy: PolicyCBR, Opts: engineOpts()},
+	gcc := mustProfile(t, "gcc")
+	jobs := []Job{
+		sweepJob(Conv2GB, gcc, PolicyCBR, engineOpts()),
+		sweepJob(Conv2GB, gcc, PolicySmart, engineOpts()),
+		sweepJob(Conv2GB, gcc, PolicyCBR, engineOpts()),
 	}
-	if _, err := eng.RunAll(specs); err != nil {
+	if err := jobsErr(eng.RunJobs(jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if started != 2 {
-		t.Errorf("start events = %d, want 2 (third spec is a duplicate)", started)
+		t.Errorf("start events = %d, want 2 (third job is a duplicate)", started)
 	}
 	if done != 3 || cached != 1 {
 		t.Errorf("done events = %d (cached %d), want 3 with 1 cached", done, cached)
 	}
 }
 
-// TestEngineTelemetry runs a spec and a raw job through an instrumented
+// TestEngineTelemetry runs two jobs through an instrumented
 // engine and checks that the tracer sees job spans plus DRAM command
 // events, that the registry holds both controller and engine rows, and
 // that telemetry does not perturb the simulated results.
@@ -531,10 +535,10 @@ func TestEngineTelemetry(t *testing.T) {
 	eng.Trace = tr
 	eng.Metrics = reg
 
-	spec := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: engineOpts()}
-	traced, err := eng.Run(spec)
+	job := sweepJob(Conv2GB, mustProfile(t, "gcc"), PolicySmart, engineOpts())
+	traced, err := runOne(eng, job)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunJobs: %v", err)
 	}
 	prof, _ := workload.ByName("fasta")
 	jobRes := eng.RunJobs([]Job{{Cfg: Conv2GB.DRAM(), Prof: prof, Policy: PolicyCBR, Opts: engineOpts()}})
@@ -542,9 +546,9 @@ func TestEngineTelemetry(t *testing.T) {
 		t.Fatalf("RunJobs: %v", jobRes[0].Err)
 	}
 
-	plain, err := NewEngine(1).Run(spec)
+	plain, err := runOne(NewEngine(1), job)
 	if err != nil {
-		t.Fatalf("plain Run: %v", err)
+		t.Fatalf("plain RunJobs: %v", err)
 	}
 	if !reflect.DeepEqual(traced, plain) {
 		t.Errorf("telemetry changed results:\n traced: %+v\n  plain: %+v", traced, plain)
@@ -582,7 +586,7 @@ func TestEngineTelemetry(t *testing.T) {
 
 	// A memoised re-run must not duplicate registry rows.
 	before := len(reg.Snapshot())
-	if _, err := eng.Run(spec); err != nil {
+	if _, err := runOne(eng, job); err != nil {
 		t.Fatalf("re-run: %v", err)
 	}
 	if after := len(reg.Snapshot()); after != before {

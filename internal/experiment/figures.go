@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -24,19 +22,6 @@ type Figure struct {
 
 	MeasuredGMean float64
 	PaperGMean    float64
-}
-
-// Format renders the figure as the table the paper's bar chart encodes.
-func (f Figure) Format(w io.Writer) {
-	fmt.Fprintf(w, "%s: %s [%s]\n", f.ID, f.Title, f.Unit)
-	if f.Baseline > 0 {
-		fmt.Fprintf(w, "  baseline = %.0f\n", f.Baseline)
-	}
-	for _, label := range f.Series.Labels() {
-		v, _ := f.Series.Get(label)
-		fmt.Fprintf(w, "  %-16s %12.2f\n", label, v)
-	}
-	fmt.Fprintf(w, "  %-16s %12.2f   (paper: %.2f)\n", "GMEAN", f.MeasuredGMean, f.PaperGMean)
 }
 
 // ConfigKind selects one of the evaluated module configurations: the
@@ -170,13 +155,19 @@ func (s *Suite) Sweep(kind ConfigKind) ([]PairMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]RunSpec, 0, 2*len(profs))
+	jobs := make([]Job, 0, 2*len(profs))
 	for _, prof := range profs {
 		for _, pol := range []PolicyKind{PolicyCBR, PolicySmart} {
-			specs = append(specs, RunSpec{Config: kind, Benchmark: prof.Name, Policy: pol, Opts: s.Opts})
+			jobs = append(jobs, sweepJob(kind, prof, pol, s.Opts))
 		}
 	}
-	results, err := s.engine().RunAll(specs)
+	eng := s.engine()
+	results := eng.RunJobs(jobs)
+	// A cancelled sweep reports the context's error, not each job's.
+	err = eng.baseCtx().Err()
+	if err == nil {
+		err = jobsErr(results)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment: sweep %v: %w", kind, err)
 	}
@@ -186,6 +177,14 @@ func (s *Suite) Sweep(kind ConfigKind) ([]PairMetrics, error) {
 	}
 	s.emitProgress(kind, out)
 	return out, nil
+}
+
+// sweepJob is the job a sweep of kind runs for one benchmark and
+// policy: the configuration's preset, behind the 3D-cache front-end when
+// the configuration is stacked.
+func sweepJob(kind ConfigKind, prof workload.Profile, pol PolicyKind, opts RunOptions) Job {
+	opts.Stacked = kind.Stacked()
+	return Job{Cfg: kind.DRAM(), Prof: prof, Policy: pol, Opts: opts}
 }
 
 // emitProgress reports each pair once per configuration, however many
@@ -204,179 +203,90 @@ func (s *Suite) emitProgress(kind ConfigKind, pairs []PairMetrics) {
 	}
 }
 
-func (s *Suite) series(kind ConfigKind, id string, pick func(PairMetrics) float64) (*stats.Series, error) {
-	pairs, err := s.Sweep(kind)
-	if err != nil {
-		return nil, err
-	}
-	out := stats.NewSeries(id)
-	for _, pm := range pairs {
-		out.Set(pm.Benchmark, pick(pm))
-	}
-	return out, nil
+// figureMetric is what a figure plots from each benchmark's pair.
+type figureMetric struct {
+	unit string
+	pick func(PairMetrics) float64
+	// baseline draws the configuration's CBR refresh rate as a line.
+	baseline bool
 }
 
-// Figure 6/9/12/15: refreshes per second under Smart Refresh against the
-// CBR baseline rate.
+// The metrics the paper's figures plot.
+var (
+	refreshRate = figureMetric{"refreshes/s", func(pm PairMetrics) float64 { return pm.SmartRefreshesPerSec }, true}
+	refreshSave = figureMetric{"% savings", func(pm PairMetrics) float64 { return pm.RefreshEnergySavingPct }, false}
+	totalSave   = figureMetric{"% savings", func(pm PairMetrics) float64 { return pm.TotalEnergySavingPct }, false}
+	perfGain    = figureMetric{"% savings", func(pm PairMetrics) float64 { return pm.PerfImprovementPct }, false}
+)
 
-// Fig6 reproduces Figure 6 (2 GB refreshes/s; paper GMEAN 691,435,
-// baseline 2,048,000).
-func (s *Suite) Fig6() (Figure, error) {
-	return s.refreshFigure(Conv2GB, "fig6", "Number of refreshes per second, 2GB DRAM", 691435)
+// figureSpec is one row of the figure table: a reproduced figure, the
+// configuration whose sweep it reads, what it plots and the paper's
+// published GMEAN.
+type figureSpec struct {
+	id     string
+	kind   ConfigKind
+	title  string
+	metric figureMetric
+	paper  float64
 }
 
-// Fig9 reproduces Figure 9 (4 GB; paper GMEAN 2,343,691, baseline
-// 4,096,000).
-func (s *Suite) Fig9() (Figure, error) {
-	return s.refreshFigure(Conv4GB, "fig9", "Number of refreshes per second, 4GB DRAM", 2343691)
-}
-
-// Fig12 reproduces Figure 12 (64 MB 3D cache, 64 ms; paper GMEAN 795,411,
-// baseline 1,024,000).
-func (s *Suite) Fig12() (Figure, error) {
-	return s.refreshFigure(Stacked3D64, "fig12", "Number of refreshes per second, 64MB 3D DRAM cache, 64ms", 795411)
-}
-
-// Fig15 reproduces Figure 15 (64 MB 3D cache, 32 ms; paper GMEAN
-// 1,724,640, baseline 2,048,000).
-func (s *Suite) Fig15() (Figure, error) {
-	return s.refreshFigure(Stacked3D32, "fig15", "Number of refreshes per second, 64MB 3D DRAM cache, 32ms", 1724640)
-}
-
-func (s *Suite) refreshFigure(kind ConfigKind, id, title string, paperGMean float64) (Figure, error) {
-	series, err := s.series(kind, id, func(pm PairMetrics) float64 { return pm.SmartRefreshesPerSec })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID: id, Title: title, Unit: "refreshes/s",
-		Series:        series,
-		Baseline:      kind.DRAM().BaselineRefreshesPerSecond(),
-		MeasuredGMean: series.GeoMean(),
-		PaperGMean:    paperGMean,
-	}, nil
-}
-
-// Figure 7/10/13/16: relative refresh energy savings.
-
-// Fig7 reproduces Figure 7 (2 GB refresh energy savings; paper GMEAN
-// 52.57%).
-func (s *Suite) Fig7() (Figure, error) {
-	return s.savingsFigure(Conv2GB, "fig7", "Relative refresh energy savings, 2GB DRAM",
-		func(pm PairMetrics) float64 { return pm.RefreshEnergySavingPct }, 52.57)
-}
-
-// Fig10 reproduces Figure 10 (4 GB; paper GMEAN 23.76%).
-func (s *Suite) Fig10() (Figure, error) {
-	return s.savingsFigure(Conv4GB, "fig10", "Relative refresh energy savings, 4GB DRAM",
-		func(pm PairMetrics) float64 { return pm.RefreshEnergySavingPct }, 23.76)
-}
-
-// Fig13 reproduces Figure 13 (3D 64 ms; paper GMEAN 21.91%).
-func (s *Suite) Fig13() (Figure, error) {
-	return s.savingsFigure(Stacked3D64, "fig13", "Relative refresh energy savings, 64MB 3D DRAM cache, 64ms",
-		func(pm PairMetrics) float64 { return pm.RefreshEnergySavingPct }, 21.91)
-}
-
-// Fig16 reproduces Figure 16 (3D 32 ms; paper GMEAN 15.79%).
-func (s *Suite) Fig16() (Figure, error) {
-	return s.savingsFigure(Stacked3D32, "fig16", "Relative refresh energy savings, 64MB 3D DRAM cache, 32ms",
-		func(pm PairMetrics) float64 { return pm.RefreshEnergySavingPct }, 15.79)
-}
-
-// Figure 8/11/14/17: relative total DRAM energy savings.
-
-// Fig8 reproduces Figure 8 (2 GB total energy savings; paper GMEAN
-// 12.13%).
-func (s *Suite) Fig8() (Figure, error) {
-	return s.savingsFigure(Conv2GB, "fig8", "Relative total energy savings, 2GB DRAM",
-		func(pm PairMetrics) float64 { return pm.TotalEnergySavingPct }, 12.13)
-}
-
-// Fig11 reproduces Figure 11 (4 GB; paper GMEAN 9.10%).
-func (s *Suite) Fig11() (Figure, error) {
-	return s.savingsFigure(Conv4GB, "fig11", "Relative total energy savings, 4GB DRAM",
-		func(pm PairMetrics) float64 { return pm.TotalEnergySavingPct }, 9.10)
-}
-
-// Fig14 reproduces Figure 14 (3D 64 ms; paper GMEAN 9.37%).
-func (s *Suite) Fig14() (Figure, error) {
-	return s.savingsFigure(Stacked3D64, "fig14", "Relative total energy savings, 64MB 3D DRAM cache, 64ms",
-		func(pm PairMetrics) float64 { return pm.TotalEnergySavingPct }, 9.37)
-}
-
-// Fig17 reproduces Figure 17 (3D 32 ms; paper GMEAN 6.87%).
-func (s *Suite) Fig17() (Figure, error) {
-	return s.savingsFigure(Stacked3D32, "fig17", "Relative total energy savings, 64MB 3D DRAM cache, 32ms",
-		func(pm PairMetrics) float64 { return pm.TotalEnergySavingPct }, 6.87)
-}
-
-// Fig18 reproduces Figure 18 (performance improvement on the 3D cache at
-// 32 ms; paper GMEAN 0.11%, all below 1%).
-func (s *Suite) Fig18() (Figure, error) {
-	return s.savingsFigure(Stacked3D32, "fig18", "Performance improvement, 64MB 3D DRAM cache, 32ms",
-		func(pm PairMetrics) float64 { return pm.PerfImprovementPct }, 0.11)
-}
-
-func (s *Suite) savingsFigure(kind ConfigKind, id, title string, pick func(PairMetrics) float64, paper float64) (Figure, error) {
-	series, err := s.series(kind, id, pick)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID: id, Title: title, Unit: "% savings",
-		Series:        series,
-		MeasuredGMean: series.GeoMean(),
-		PaperGMean:    paper,
-	}, nil
-}
-
-// figureFuncs maps figure identifiers to their constructors without
-// executing any sweep.
-func (s *Suite) figureFuncs() (order []string, funcs map[string]func() (Figure, error)) {
-	funcs = map[string]func() (Figure, error){
-		"fig6": s.Fig6, "fig7": s.Fig7, "fig8": s.Fig8,
-		"fig9": s.Fig9, "fig10": s.Fig10, "fig11": s.Fig11,
-		"fig12": s.Fig12, "fig13": s.Fig13, "fig14": s.Fig14,
-		"fig15": s.Fig15, "fig16": s.Fig16, "fig17": s.Fig17,
-		"fig18": s.Fig18,
-	}
-	order = []string{
-		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-	}
-	return order, funcs
+// figureTable lists the reproduced figures in paper order, one row
+// each. EXPERIMENTS.md's headline table repeats the paper GMEANs and
+// baselines; TestFigureTableMatchesExperimentsDoc keeps the two in step.
+var figureTable = []figureSpec{
+	{"fig6", Conv2GB, "Number of refreshes per second, 2GB DRAM", refreshRate, 691435},
+	{"fig7", Conv2GB, "Relative refresh energy savings, 2GB DRAM", refreshSave, 52.57},
+	{"fig8", Conv2GB, "Relative total energy savings, 2GB DRAM", totalSave, 12.13},
+	{"fig9", Conv4GB, "Number of refreshes per second, 4GB DRAM", refreshRate, 2343691},
+	{"fig10", Conv4GB, "Relative refresh energy savings, 4GB DRAM", refreshSave, 23.76},
+	{"fig11", Conv4GB, "Relative total energy savings, 4GB DRAM", totalSave, 9.10},
+	{"fig12", Stacked3D64, "Number of refreshes per second, 64MB 3D DRAM cache, 64ms", refreshRate, 795411},
+	{"fig13", Stacked3D64, "Relative refresh energy savings, 64MB 3D DRAM cache, 64ms", refreshSave, 21.91},
+	{"fig14", Stacked3D64, "Relative total energy savings, 64MB 3D DRAM cache, 64ms", totalSave, 9.37},
+	{"fig15", Stacked3D32, "Number of refreshes per second, 64MB 3D DRAM cache, 32ms", refreshRate, 1724640},
+	{"fig16", Stacked3D32, "Relative refresh energy savings, 64MB 3D DRAM cache, 32ms", refreshSave, 15.79},
+	{"fig17", Stacked3D32, "Relative total energy savings, 64MB 3D DRAM cache, 32ms", totalSave, 6.87},
+	{"fig18", Stacked3D32, "Performance improvement, 64MB 3D DRAM cache, 32ms", perfGain, 0.11},
 }
 
 // FigureIDs lists the reproducible figure identifiers in paper order.
 func (s *Suite) FigureIDs() []string {
-	order, _ := s.figureFuncs()
-	return order
-}
-
-// AllFigures produces every reproduced figure in paper order. On the
-// first failure (cancellation included) it stops and returns that error.
-func (s *Suite) AllFigures() ([]Figure, error) {
-	order, funcs := s.figureFuncs()
-	out := make([]Figure, 0, len(order))
-	for _, id := range order {
-		fig, err := funcs[id]()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fig)
+	ids := make([]string, len(figureTable))
+	for i, f := range figureTable {
+		ids[i] = f.id
 	}
-	return out, nil
+	return ids
 }
 
 // FigureByID returns one figure by its identifier ("fig6".."fig18"),
 // running only the sweep that figure needs.
 func (s *Suite) FigureByID(id string) (Figure, error) {
-	order, funcs := s.figureFuncs()
-	if f, ok := funcs[id]; ok {
-		return f()
+	for _, f := range figureTable {
+		if f.id == id {
+			return s.figure(f)
+		}
 	}
-	known := append([]string(nil), order...)
-	sort.Strings(known)
-	return Figure{}, fmt.Errorf("experiment: unknown figure %q (known: %v)", id, known)
+	return Figure{}, fmt.Errorf("experiment: unknown figure %q (known: %v)", id, s.FigureIDs())
+}
+
+// figure derives f from its configuration's sweep.
+func (s *Suite) figure(f figureSpec) (Figure, error) {
+	pairs, err := s.Sweep(f.kind)
+	if err != nil {
+		return Figure{}, err
+	}
+	series := stats.NewSeries(f.id)
+	for _, pm := range pairs {
+		series.Set(pm.Benchmark, f.metric.pick(pm))
+	}
+	fig := Figure{
+		ID: f.id, Title: f.title, Unit: f.metric.unit,
+		Series:        series,
+		MeasuredGMean: series.GeoMean(),
+		PaperGMean:    f.paper,
+	}
+	if f.metric.baseline {
+		fig.Baseline = f.kind.DRAM().BaselineRefreshesPerSecond()
+	}
+	return fig, nil
 }

@@ -153,7 +153,7 @@ func TestEverySimulatedJobHasOneIdentity(t *testing.T) {
 
 // The memo's one key is the identity: a second job of the same identity
 // but another configuration fails with an error naming the identity,
-// whichever engine entry point submits it, and the first job's result
+// whether a raw job or a sweep submits it, and the first job's result
 // stands.
 func TestIdentityCollisionFails(t *testing.T) {
 	opts := RunOptions{Warmup: sim.Millisecond, Measure: 2 * sim.Millisecond}
@@ -172,16 +172,19 @@ func TestIdentityCollisionFails(t *testing.T) {
 	if eng.Err() != res[1].Err {
 		t.Errorf("Engine.Err = %v, want the colliding job's error", eng.Err())
 	}
-	spec := RunSpec{Config: Conv2GB, Benchmark: "gcc", Policy: PolicySmart, Opts: opts}
-	if _, err := eng.Run(spec); err != nil {
-		t.Errorf("the spec of the first job: %v", err)
+	sweep := func(eng *Engine) error {
+		_, err := (&Suite{Benchmarks: []string{"gcc"}, Opts: opts, Engine: eng}).Sweep(Conv2GB)
+		return err
+	}
+	if err := sweep(eng); err != nil {
+		t.Errorf("the sweep holding the first job: %v", err)
 	}
 	again := NewEngine(1)
 	if res := again.RunJobs([]Job{second}); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	if _, err := again.Run(spec); err == nil || !strings.Contains(err.Error(), first.ID()) {
-		t.Errorf("spec colliding with a raw job: error %v, want one naming %s", err, first.ID())
+	if err := sweep(again); err == nil || !strings.Contains(err.Error(), first.ID()) {
+		t.Errorf("sweep colliding with a raw job: error %v, want one naming %s", err, first.ID())
 	}
 
 	// Jobs with constructors bypass the memo; their collision surfaces

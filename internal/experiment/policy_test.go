@@ -26,8 +26,8 @@ func TestPolicyRegistryNames(t *testing.T) {
 			t.Errorf("%s: RetentionMap = %v", e.Name, e.RetentionMap)
 		}
 	}
-	// The integer values are part of the checkpoint format and RunSpec
-	// keys: new kinds only ever append.
+	// The integer values are part of the checkpoint format: new kinds
+	// only ever append.
 	for k, want := range map[PolicyKind]int{PolicyCBR: 0, PolicySmart: 1, PolicySARP: 6, PolicySmartRetention: 7, PolicyRAIDR: 8} {
 		if int(k) != want {
 			t.Errorf("%s = %d, want %d", k, int(k), want)

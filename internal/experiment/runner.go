@@ -1,7 +1,7 @@
-// Package experiment reproduces the paper's evaluation: one harness per
-// figure (Figures 6-18) plus the section 4.4/4.6 studies, each producing
-// the same per-benchmark series and GMEAN rows the paper plots, alongside
-// the paper's published aggregate for comparison.
+// Package experiment reproduces the paper's evaluation: one figure-table
+// row per figure (Figures 6-18) plus the section 4.4/4.6 studies, each
+// producing the same per-benchmark series and GMEAN rows the paper plots,
+// alongside the paper's published aggregate for comparison.
 package experiment
 
 import (
@@ -78,9 +78,7 @@ type RunResult struct {
 	RetentionErr error `json:"-"`
 	// Err is non-nil when the job could not be simulated at all (the
 	// configuration or option combination was rejected); the remaining
-	// fields are meaningless then. Run and Engine.RunJobs populate it;
-	// Engine.Run and RunAll report the same failures through their error
-	// return instead.
+	// fields are meaningless then. Run and Engine.RunJobs populate it.
 	Err error `json:"-"`
 }
 
@@ -93,13 +91,13 @@ func (r RunResult) RefreshesPerSecond() float64 {
 }
 
 // Run simulates one benchmark profile against one configuration and
-// policy and returns the post-warmup measured window. A run that could
-// not be simulated (a rejected configuration, policy or window) comes
+// policy and returns the post-warmup measured window. It runs as one job
+// through the engine's runner, unmemoised: a run that could not be
+// simulated (a rejected configuration, profile, policy or window) comes
 // back with RunResult.Err set.
 func Run(cfg config.DRAM, prof workload.Profile, kind PolicyKind, opts RunOptions) RunResult {
-	opts = opts.withDefaults(cfg.RefreshInterval())
-	j := newRunJob(cfg, prof, kind, opts, prof.NewSource(opts.Stacked))
-	res, err := execute(context.Background(), &j)
+	var e Engine
+	res, err := e.run(context.Background(), &Job{Cfg: cfg, Prof: prof, Policy: kind, Opts: opts}, "")
 	res.Err = err
 	return res
 }

@@ -161,7 +161,7 @@ func TestSuiteFiguresSubset(t *testing.T) {
 	s := NewSuite()
 	s.Benchmarks = []string{"fasta", "gcc"}
 	s.Opts = fastOpts(false)
-	fig6, err := s.Fig6()
+	fig6, err := s.FigureByID("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestSuiteFiguresSubset(t *testing.T) {
 	}
 	// Figures 7 and 8 reuse the same sweep (memoised): no new runs, and
 	// savings must be positive for these benchmarks.
-	fig7, err := s.Fig7()
+	fig7, err := s.FigureByID("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig8, err := s.Fig8()
+	fig8, err := s.FigureByID("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ func TestSuite3DFigures(t *testing.T) {
 	s := NewSuite()
 	s.Benchmarks = []string{"fasta", "mummer"}
 	s.Opts = RunOptions{Warmup: 64 * sim.Millisecond, Measure: 128 * sim.Millisecond}
-	fig12, err := s.Fig12()
+	fig12, err := s.FigureByID("fig12")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fig12.Baseline != 1024000 {
 		t.Errorf("fig12 baseline = %v", fig12.Baseline)
 	}
-	fig15, err := s.Fig15()
+	fig15, err := s.FigureByID("fig15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func TestSuite3DFigures(t *testing.T) {
 		}
 	}
 	// Figures 13/14 and 16/17 reuse the same sweeps.
-	for _, fn := range []func() (Figure, error){s.Fig13, s.Fig14, s.Fig16, s.Fig17} {
-		f, err := fn()
+	for _, id := range []string{"fig13", "fig14", "fig16", "fig17"} {
+		f, err := s.FigureByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestSuite3DFigures(t *testing.T) {
 		}
 	}
 	// Figure 18 exists and is bounded (below 1% per the paper).
-	fig18, err := s.Fig18()
+	fig18, err := s.FigureByID("fig18")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,24 +274,6 @@ func TestSuiteFigureByID(t *testing.T) {
 	}
 	if len(s.FigureIDs()) != 13 {
 		t.Errorf("FigureIDs = %v", s.FigureIDs())
-	}
-}
-
-func TestFigureFormat(t *testing.T) {
-	s := NewSuite()
-	s.Benchmarks = []string{"fasta"}
-	s.Opts = fastOpts(false)
-	var sb strings.Builder
-	fig6, err := s.Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig6.Format(&sb)
-	out := sb.String()
-	for _, want := range []string{"fig6", "baseline = 2048000", "fasta", "GMEAN", "paper: 691435"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted figure missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -369,7 +351,7 @@ func TestRunReportsConstructionError(t *testing.T) {
 }
 
 // A negative warmup or measured window is rejected on every entry
-// point — Run, Engine.Run and Engine.RunJobs — rather than measuring a
+// point — Run, Suite.Sweep and Engine.RunJobs — rather than measuring a
 // shorter window than the one labelled.
 func TestNegativeWindowRejected(t *testing.T) {
 	prof, err := workload.ByName("fasta")
@@ -384,11 +366,11 @@ func TestNegativeWindowRejected(t *testing.T) {
 			t.Errorf("Run %+v: nil Err", opts)
 		}
 		eng := NewEngine(1)
-		if _, err := eng.Run(RunSpec{Config: Conv2GB, Benchmark: "fasta", Policy: PolicyCBR, Opts: opts}); err == nil {
-			t.Errorf("Engine.Run %+v: nil error", opts)
+		if _, err := (&Suite{Benchmarks: []string{"fasta"}, Opts: opts, Engine: eng}).Sweep(Conv2GB); err == nil {
+			t.Errorf("Sweep %+v: nil error", opts)
 		}
 		job := Job{Cfg: config.Table1_2GB(), Prof: prof, Policy: PolicyCBR, Opts: opts}
-		if res := eng.RunJobs([]Job{job})[0]; res.Err == nil {
+		if res := NewEngine(1).RunJobs([]Job{job})[0]; res.Err == nil {
 			t.Errorf("Engine.RunJobs %+v: nil Err", opts)
 		}
 	}

@@ -20,9 +20,13 @@ func streamRecords(t *testing.T, ms int) []trace.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.NewLimit(prof.NewSource(false), sim.Time(ms)*sim.Millisecond)
+	return takeUntil(prof.NewSource(false), sim.Time(ms)*sim.Millisecond)
+}
+
+// takeUntil reads src's records up to and including time end.
+func takeUntil(src trace.Source, end sim.Time) []trace.Record {
 	var recs []trace.Record
-	for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+	for rec, ok := src.Next(); ok && rec.Time <= end; rec, ok = src.Next() {
 		recs = append(recs, rec)
 	}
 	return recs

@@ -203,7 +203,7 @@ func TestRunVaultScalingRejectsMonolithic(t *testing.T) {
 	}
 }
 
-// Two specs differing only in Shards must share one memoised flight.
+// Two jobs differing only in Shards must share one memoised flight.
 func TestEngineMemoSharesAcrossShards(t *testing.T) {
 	cfg := vaultTestCfg()
 	eng := NewEngine(1)
@@ -222,24 +222,24 @@ func TestEngineMemoSharesAcrossShards(t *testing.T) {
 		t.Fatal("jobs at shards 1 and 8 differ")
 	}
 
-	// The memoised path: HMC8V specs at different shard counts must
+	// The memoised path: HMC8V jobs at different shard counts must
 	// yield one simulation and one cache hit.
-	spec := func(shards int) RunSpec {
-		return RunSpec{Config: HMC8V, Benchmark: "gcc", Policy: PolicyCBR,
-			Opts: RunOptions{Warmup: 32 * sim.Millisecond, Measure: 32 * sim.Millisecond, Shards: shards}}
+	hmcJob := func(shards int) Job {
+		return sweepJob(HMC8V, mustProfile(t, "gcc"), PolicyCBR,
+			RunOptions{Warmup: 32 * sim.Millisecond, Measure: 32 * sim.Millisecond, Shards: shards})
 	}
-	r1, err := eng.Run(spec(1))
+	r1, err := runOne(eng, hmcJob(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := eng.Stats()
-	r8, err := eng.Run(spec(8))
+	r8, err := runOne(eng, hmcJob(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := eng.Stats()
 	if after.Started != before.Started || after.CacheHits != before.CacheHits+1 {
-		t.Fatalf("shards=8 spec was not served from the memo: %+v -> %+v", before, after)
+		t.Fatalf("shards=8 job was not served from the memo: %+v -> %+v", before, after)
 	}
 	if !reflect.DeepEqual(r1, r8) {
 		t.Fatal("memoised result differs across shard counts")

@@ -1,5 +1,6 @@
-// Package report renders experiment results as CSV and Markdown, so the
-// regenerated figures can be diffed, plotted, or pasted into documents.
+// Package report renders experiment results as text, CSV, Markdown and
+// JSON, so the regenerated figures can be diffed, plotted, or pasted into
+// documents.
 package report
 
 import (
@@ -42,8 +43,7 @@ func ParseFormat(s string) (Format, error) {
 func WriteFigure(w io.Writer, fig experiment.Figure, format Format) error {
 	switch format {
 	case Text:
-		fig.Format(w)
-		return nil
+		return writeFigureText(w, fig)
 	case CSV:
 		return writeFigureCSV(w, fig)
 	case Markdown:
@@ -53,6 +53,27 @@ func WriteFigure(w io.Writer, fig experiment.Figure, format Format) error {
 	default:
 		return fmt.Errorf("report: unknown format %d", int(format))
 	}
+}
+
+// writeFigureText renders the figure as the table the paper's bar chart
+// encodes.
+func writeFigureText(w io.Writer, fig experiment.Figure) error {
+	if _, err := fmt.Fprintf(w, "%s: %s [%s]\n", fig.ID, fig.Title, fig.Unit); err != nil {
+		return err
+	}
+	if fig.Baseline > 0 {
+		if _, err := fmt.Fprintf(w, "  baseline = %.0f\n", fig.Baseline); err != nil {
+			return err
+		}
+	}
+	for _, label := range fig.Series.Labels() {
+		v, _ := fig.Series.Get(label)
+		if _, err := fmt.Fprintf(w, "  %-16s %12.2f\n", label, v); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "  %-16s %12.2f   (paper: %.2f)\n", "GMEAN", fig.MeasuredGMean, fig.PaperGMean)
+	return err
 }
 
 // figureJSON is the stable JSON shape of a figure. Baseline is emitted
@@ -130,58 +151,6 @@ func writeFigureMarkdown(w io.Writer, fig experiment.Figure) error {
 	return err
 }
 
-// WritePairMetrics renders a sweep's pair metrics as one table.
-func WritePairMetrics(w io.Writer, rows []experiment.PairMetrics, format Format) error {
-	switch format {
-	case Text:
-		fmt.Fprintf(w, "%-16s %14s %14s %10s %10s %10s %10s\n",
-			"benchmark", "base refr/s", "smart refr/s", "refr -%", "refrE -%", "totE -%", "perf +%")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-16s %14.0f %14.0f %10.2f %10.2f %10.2f %10.3f\n",
-				r.Benchmark, r.BaselineRefreshesPerSec, r.SmartRefreshesPerSec,
-				r.RefreshReductionPct, r.RefreshEnergySavingPct,
-				r.TotalEnergySavingPct, r.PerfImprovementPct)
-		}
-		return nil
-	case CSV:
-		if _, err := fmt.Fprintln(w, "benchmark,config,baseline_refr_per_s,smart_refr_per_s,refresh_reduction_pct,refresh_energy_saving_pct,total_energy_saving_pct,perf_improvement_pct"); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if _, err := fmt.Fprintf(w, "%s,%s,%.2f,%.2f,%.4f,%.4f,%.4f,%.4f\n",
-				csvEscape(r.Benchmark), csvEscape(r.Config),
-				r.BaselineRefreshesPerSec, r.SmartRefreshesPerSec,
-				r.RefreshReductionPct, r.RefreshEnergySavingPct,
-				r.TotalEnergySavingPct, r.PerfImprovementPct); err != nil {
-				return err
-			}
-		}
-		return nil
-	case Markdown:
-		if _, err := fmt.Fprintln(w, "| benchmark | base refr/s | smart refr/s | refr −% | refrE −% | totE −% | perf +% |"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|"); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if _, err := fmt.Fprintf(w, "| %s | %.0f | %.0f | %.2f | %.2f | %.2f | %.3f |\n",
-				r.Benchmark, r.BaselineRefreshesPerSec, r.SmartRefreshesPerSec,
-				r.RefreshReductionPct, r.RefreshEnergySavingPct,
-				r.TotalEnergySavingPct, r.PerfImprovementPct); err != nil {
-				return err
-			}
-		}
-		return nil
-	case JSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rows)
-	default:
-		return fmt.Errorf("report: unknown format %d", int(format))
-	}
-}
-
 // WriteEngineStats renders an engine's job counters: how many
 // simulations ran, how many figure requests the memo served without
 // simulating, and the summed per-job simulation wall time.
@@ -210,51 +179,6 @@ func WriteEngineStats(w io.Writer, st experiment.EngineStats, format Format) err
 	default:
 		return fmt.Errorf("report: unknown format %d", int(format))
 	}
-}
-
-// WriteFigureBars renders the figure as a terminal bar chart, echoing the
-// paper's bar-per-benchmark presentation.
-func WriteFigureBars(w io.Writer, fig experiment.Figure, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	if _, err := fmt.Fprintf(w, "%s: %s [%s]\n", fig.ID, fig.Title, fig.Unit); err != nil {
-		return err
-	}
-	maxVal := fig.Baseline
-	for _, v := range fig.Series.Values() {
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	if maxVal <= 0 {
-		maxVal = 1
-	}
-	bar := func(v float64) string {
-		n := int(v / maxVal * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		if n > width {
-			n = width
-		}
-		return strings.Repeat("#", n)
-	}
-	for _, label := range fig.Series.Labels() {
-		v, _ := fig.Series.Get(label)
-		if _, err := fmt.Fprintf(w, "  %-16s %12.2f |%-*s|\n", label, v, width, bar(v)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "  %-16s %12.2f |%-*s|\n", "GMEAN", fig.MeasuredGMean, width, bar(fig.MeasuredGMean)); err != nil {
-		return err
-	}
-	if fig.Baseline > 0 {
-		if _, err := fmt.Fprintf(w, "  %-16s %12.2f |%-*s|\n", "baseline", fig.Baseline, width, bar(fig.Baseline)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // csvEscape quotes a field if it contains separators or quotes.

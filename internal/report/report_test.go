@@ -21,17 +21,6 @@ func sampleFigure() experiment.Figure {
 	}
 }
 
-func samplePairs() []experiment.PairMetrics {
-	return []experiment.PairMetrics{
-		{
-			Benchmark: "fasta", Config: "table1-2gb",
-			BaselineRefreshesPerSec: 2048000, SmartRefreshesPerSec: 1515531,
-			RefreshReductionPct: 26, RefreshEnergySavingPct: 25.9,
-			TotalEnergySavingPct: 5.7, PerfImprovementPct: 0.09,
-		},
-	}
-}
-
 func TestParseFormat(t *testing.T) {
 	cases := map[string]Format{
 		"text": Text, "": Text, "csv": CSV, "CSV": CSV,
@@ -96,37 +85,13 @@ func TestWriteFigureText(t *testing.T) {
 	if err := WriteFigure(&sb, sampleFigure(), Text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "baseline = 2048000") {
-		t.Errorf("text output wrong:\n%s", sb.String())
-	}
-}
-
-func TestWritePairMetricsFormats(t *testing.T) {
-	for _, f := range []Format{Text, CSV, Markdown} {
-		var sb strings.Builder
-		if err := WritePairMetrics(&sb, samplePairs(), f); err != nil {
-			t.Fatalf("format %v: %v", f, err)
-		}
-		if !strings.Contains(sb.String(), "fasta") {
-			t.Errorf("format %v missing benchmark:\n%s", f, sb.String())
-		}
-	}
-}
-
-func TestWritePairMetricsCSVHeader(t *testing.T) {
-	var sb strings.Builder
-	if err := WritePairMetrics(&sb, samplePairs(), CSV); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "benchmark,config,") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "fasta,table1-2gb,") {
-		t.Errorf("row = %q", lines[1])
+	want := "fig6: Number of refreshes per second, 2GB DRAM [refreshes/s]\n" +
+		"  baseline = 2048000\n" +
+		"  fasta              1515531.00\n" +
+		"  gcc                1433609.00\n" +
+		"  GMEAN              1474000.98   (paper: 691435.00)\n"
+	if got := sb.String(); got != want {
+		t.Errorf("text output:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -164,52 +129,10 @@ func TestWriteFigureJSON(t *testing.T) {
 	}
 }
 
-func TestWritePairMetricsJSON(t *testing.T) {
-	var sb strings.Builder
-	if err := WritePairMetrics(&sb, samplePairs(), JSON); err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &rows); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(rows) != 1 || rows[0]["Benchmark"] != "fasta" {
-		t.Errorf("rows = %v", rows)
-	}
-}
-
-func TestWriteFigureBars(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteFigureBars(&sb, sampleFigure(), 40); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "#") {
-		t.Errorf("no bars rendered:\n%s", out)
-	}
-	if !strings.Contains(out, "baseline") {
-		t.Errorf("baseline row missing:\n%s", out)
-	}
-	// The baseline (largest value) fills the full width.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "baseline") && !strings.Contains(line, strings.Repeat("#", 40)) {
-			t.Errorf("baseline bar not full width: %q", line)
-		}
-	}
-	// A tiny width is clamped rather than breaking.
-	sb.Reset()
-	if err := WriteFigureBars(&sb, sampleFigure(), 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnknownFormatErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteFigure(&sb, sampleFigure(), Format(99)); err == nil {
 		t.Error("unknown figure format accepted")
-	}
-	if err := WritePairMetrics(&sb, samplePairs(), Format(99)); err == nil {
-		t.Error("unknown pair format accepted")
 	}
 }
 

@@ -29,43 +29,23 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Sample accumulates a stream of float64 observations and reports moments.
-// Variance uses Welford's online algorithm: the sum-of-squares formula
-// cancels catastrophically when the mean is large relative to the spread
-// (nanosecond-scale latency timestamps are exactly that regime).
+// Sample accumulates a stream of float64 observations and reports their
+// mean. The mean is Welford's running mean: a running sum divided at the
+// end loses precision when the sum dwarfs the spread (nanosecond-scale
+// latency timestamps are exactly that regime).
 type Sample struct {
 	n    uint64
-	sum  float64
 	mean float64
-	m2   float64 // sum of squared deviations from the running mean
-	min  float64
-	max  float64
 }
 
 // Observe adds one observation.
 func (s *Sample) Observe(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	s.n++
-	s.sum += v
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
+	s.mean += (v - s.mean) / float64(s.n)
 }
 
 // N returns the number of observations.
 func (s *Sample) N() uint64 { return s.n }
-
-// Sum returns the sum of observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Sample) Mean() float64 {
@@ -75,14 +55,8 @@ func (s *Sample) Mean() float64 {
 	return s.mean
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Sample) Max() float64 { return s.max }
-
 // Merge folds another sample into s using the pairwise (Chan et al.)
-// combination of Welford states, so per-vault latency samples can be
+// combination of the means, so per-vault latency samples can be
 // aggregated without replaying observations. Merging in a fixed vault
 // order keeps the result bit-identical at any shard count.
 func (s *Sample) Merge(o *Sample) {
@@ -93,30 +67,9 @@ func (s *Sample) Merge(o *Sample) {
 		*s = *o
 		return
 	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.sum += o.sum
+	s.mean += (o.mean - s.mean) * float64(o.n) / float64(n)
 	s.n = n
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	v := s.m2 / float64(s.n)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // GeoMean returns the geometric mean of vs, ignoring non-positive entries

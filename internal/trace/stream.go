@@ -83,8 +83,7 @@ func (f StreamFormat) String() string {
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // StreamSource is a bounded-memory Source over a trace stream of any
-// supported encoding. It implements Unreader (so Limit never has to
-// retain an overshoot) and latches the first decode error in Err.
+// supported encoding. It latches the first decode error in Err.
 type StreamSource struct {
 	inner     Source
 	innerErr  func() error
@@ -97,8 +96,6 @@ type StreamSource struct {
 	eof       bool
 	torn      bool
 	tornErr   error
-	unread    Record
-	hasUnread bool
 }
 
 // NewStreamSource wraps r as a streaming trace source. It sniffs the
@@ -152,11 +149,6 @@ func NewStreamSource(r io.Reader, opts StreamOptions) (*StreamSource, error) {
 
 // Next implements Source.
 func (s *StreamSource) Next() (Record, bool) {
-	if s.hasUnread {
-		s.hasUnread = false
-		s.delivered++
-		return s.unread, true
-	}
 	if s.pos >= len(s.chunk) {
 		if s.eof {
 			return Record{}, false
@@ -187,12 +179,6 @@ func (s *StreamSource) refill() {
 		}
 		s.chunk = append(s.chunk, rec)
 	}
-}
-
-// Unread implements Unreader: the next Next returns rec again.
-func (s *StreamSource) Unread(rec Record) {
-	s.unread, s.hasUnread = rec, true
-	s.delivered--
 }
 
 // Err returns the first decode error (nil at clean EOF, and nil for a

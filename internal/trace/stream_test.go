@@ -319,31 +319,6 @@ func TestStreamSourceEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamSourceUnread: Limit over a StreamSource pushes the boundary
-// record back instead of retaining it.
-func TestStreamSourceUnread(t *testing.T) {
-	recs := genRecords(10)
-	s, err := NewStreamSource(bytes.NewReader(encodeBinary(t, recs)), StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLimit(s, recs[4].Time)
-	got := drain(t, l)
-	if len(got) != 5 {
-		t.Fatalf("limit passed %d records, want 5", len(got))
-	}
-	if _, pending := l.Pending(); pending {
-		t.Error("limit retained a pending record despite StreamSource implementing Unreader")
-	}
-	rest := drain(t, s)
-	if len(rest) != len(recs)-5 {
-		t.Fatalf("after limit: %d records, want %d (boundary record lost)", len(rest), len(recs)-5)
-	}
-	if rest[0] != recs[5] {
-		t.Errorf("boundary record = %+v, want %+v", rest[0], recs[5])
-	}
-}
-
 // TestStreamSourceBadGzip: a gzip header followed by garbage surfaces a
 // construction error, not a panic or silent empty trace.
 func TestStreamSourceBadGzip(t *testing.T) {

@@ -39,24 +39,10 @@ type Source interface {
 	Next() (rec Record, ok bool)
 }
 
-// Unreader is a Source that can take back the most recently returned
-// record, so the next Next returns it again. Wrappers that must read
-// one record too far to find their boundary (Limit) use it to hand the
-// overshoot back instead of silently consuming it from a shared or
-// chained source.
-type Unreader interface {
-	Source
-	// Unread pushes rec back; the next Next returns it. Only one
-	// record may be outstanding.
-	Unread(rec Record)
-}
-
 // SliceSource replays a fixed slice of records.
 type SliceSource struct {
-	recs      []Record
-	pos       int
-	unread    Record
-	hasUnread bool
+	recs []Record
+	pos  int
 }
 
 // NewSliceSource wraps records (not copied) as a Source.
@@ -64,10 +50,6 @@ func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs
 
 // Next implements Source.
 func (s *SliceSource) Next() (Record, bool) {
-	if s.hasUnread {
-		s.hasUnread = false
-		return s.unread, true
-	}
 	if s.pos >= len(s.recs) {
 		return Record{}, false
 	}
@@ -76,68 +58,8 @@ func (s *SliceSource) Next() (Record, bool) {
 	return r, true
 }
 
-// Unread implements Unreader.
-func (s *SliceSource) Unread(rec Record) {
-	s.unread, s.hasUnread = rec, true
-}
-
 // Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos, s.hasUnread = 0, false }
-
-// Limit wraps a source, ending it after the given simulated time.
-type Limit struct {
-	src  Source
-	end  sim.Time
-	done bool
-	// The first record past end is pushed back into src when it can
-	// take it (Unreader), and retained in pending otherwise — never
-	// silently dropped, since a shared or chained source would lose it.
-	pending    Record
-	hasPending bool
-	unread     Record
-	hasUnread  bool
-}
-
-// NewLimit wraps src, ending the stream at the first record after end.
-// That record is not lost: it is pushed back into src when src
-// implements Unreader, and exposed through Pending otherwise.
-func NewLimit(src Source, end sim.Time) *Limit { return &Limit{src: src, end: end} }
-
-// Next implements Source.
-func (l *Limit) Next() (Record, bool) {
-	if l.hasUnread {
-		l.hasUnread = false
-		return l.unread, true
-	}
-	if l.done {
-		return Record{}, false
-	}
-	rec, ok := l.src.Next()
-	if !ok {
-		l.done = true
-		return Record{}, false
-	}
-	if rec.Time > l.end {
-		l.done = true
-		if u, ok := l.src.(Unreader); ok {
-			u.Unread(rec)
-		} else {
-			l.pending, l.hasPending = rec, true
-		}
-		return Record{}, false
-	}
-	return rec, true
-}
-
-// Unread implements Unreader, so Limits nest without losing boundary
-// records.
-func (l *Limit) Unread(rec Record) {
-	l.unread, l.hasUnread = rec, true
-}
-
-// Pending returns the overshoot record this limit had to retain because
-// its source could not take it back (ok=false if there is none).
-func (l *Limit) Pending() (Record, bool) { return l.pending, l.hasPending }
+func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Binary codec: little-endian fixed layout (8 bytes time, 8 bytes address,
 // 1 flag byte), preceded by a 8-byte magic header.

@@ -43,119 +43,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	l := NewLimit(NewSliceSource(sampleRecords()), 1500)
-	n := 0
-	for {
-		_, ok := l.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("limit passed %d records, want 2", n)
-	}
-}
-
-// TestLimitChainedOverSharedSource is the regression for the dropped
-// boundary record: the first record past a Limit's end used to be
-// consumed and discarded from the underlying source, so a second Limit
-// chained over the same source started one record short.
-func TestLimitChainedOverSharedSource(t *testing.T) {
-	src := NewSliceSource(sampleRecords())
-	first := NewLimit(src, 100) // passes only the t=0 record; t=1500 is the overshoot
-	n := 0
-	for {
-		if _, ok := first.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("first limit passed %d records, want 1", n)
-	}
-	second := NewLimit(src, 5000)
-	var rest []Record
-	for {
-		r, ok := second.Next()
-		if !ok {
-			break
-		}
-		rest = append(rest, r)
-	}
-	want := sampleRecords()[1:]
-	if len(rest) != len(want) {
-		t.Fatalf("second limit passed %d records, want %d (boundary record lost)", len(rest), len(want))
-	}
-	for i := range want {
-		if rest[i] != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, rest[i], want[i])
-		}
-	}
-}
-
-// TestLimitNested: an outer Limit pushes its overshoot back into the
-// inner Limit (which implements Unreader), so nothing is lost across
-// the nesting either.
-func TestLimitNested(t *testing.T) {
-	src := NewSliceSource(sampleRecords())
-	inner := NewLimit(src, 5000)
-	outer := NewLimit(inner, 100)
-	for {
-		if _, ok := outer.Next(); !ok {
-			break
-		}
-	}
-	if r, ok := inner.Next(); !ok || r != sampleRecords()[1] {
-		t.Fatalf("inner limit lost the boundary record: got %+v ok=%v", r, ok)
-	}
-	if _, ok := outer.Pending(); ok {
-		t.Error("outer retained a pending record despite the inner Unreader")
-	}
-}
-
-// limitOnlySource hides SliceSource's Unread, forcing a wrapping Limit
-// onto its retention path.
-type limitOnlySource struct{ src *SliceSource }
-
-func (s limitOnlySource) Next() (Record, bool) { return s.src.Next() }
-
-// TestLimitPendingWithoutUnreader: when the source cannot take the
-// overshoot back, the Limit retains and exposes it instead of dropping
-// it.
-func TestLimitPendingWithoutUnreader(t *testing.T) {
-	l := NewLimit(limitOnlySource{NewSliceSource(sampleRecords())}, 100)
-	for {
-		if _, ok := l.Next(); !ok {
-			break
-		}
-	}
-	if r, ok := l.Pending(); !ok || r != sampleRecords()[1] {
-		t.Fatalf("pending = %+v ok=%v, want the boundary record", r, ok)
-	}
-	// Ended is ended: further Next calls must not consume more records.
-	if _, ok := l.Next(); ok {
-		t.Error("ended limit yielded a record")
-	}
-}
-
-func TestSliceSourceUnread(t *testing.T) {
-	s := NewSliceSource(sampleRecords())
-	r1, _ := s.Next()
-	s.Unread(r1)
-	r2, ok := s.Next()
-	if !ok || r2 != r1 {
-		t.Fatalf("unread record not replayed: %+v vs %+v", r2, r1)
-	}
-	// Reset clears the push-back slot.
-	s.Unread(r1)
-	s.Reset()
-	if r, _ := s.Next(); r != sampleRecords()[0] {
-		t.Errorf("reset kept the unread slot: %+v", r)
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
@@ -308,40 +195,6 @@ func TestBinaryTimeOverflow(t *testing.T) {
 	// The error is latched: the stream stays ended.
 	if _, ok := r.Next(); ok {
 		t.Error("reader yielded a record after the overflow error")
-	}
-}
-
-// TestLimitOverBinaryReader: a BinaryReader is not an Unreader, so a
-// Limit over it must retain the boundary overshoot in Pending rather
-// than dropping it.
-func TestLimitOverBinaryReader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, r := range sampleRecords() {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := NewBinaryReader(&buf)
-	l := NewLimit(br, 100) // only the t=0 record passes; t=1500 is the overshoot
-	n := 0
-	for {
-		if _, ok := l.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("limit passed %d records, want 1", n)
-	}
-	if rec, ok := l.Pending(); !ok || rec != sampleRecords()[1] {
-		t.Fatalf("Pending() = %+v ok=%v, want the boundary record", rec, ok)
-	}
-	if br.Err() != nil {
-		t.Errorf("reader error: %v", br.Err())
 	}
 }
 

@@ -237,7 +237,7 @@ func NewTraceBinaryWriter(w io.Writer) *TraceBinaryWriter {
 	return trace.NewBinaryWriter(w)
 }
 
-// Experiments (one harness per paper figure).
+// Experiments (one figure-table row per paper figure).
 type (
 	// Suite runs benchmark sweeps and derives figures with memoisation.
 	Suite = experiment.Suite
@@ -255,8 +255,6 @@ type (
 	ConfigKind = experiment.ConfigKind
 	// Engine executes simulation jobs on a worker pool with memoisation.
 	Engine = experiment.Engine
-	// RunSpec identifies one memoisable simulation run by value.
-	RunSpec = experiment.RunSpec
 	// Job is one fully-specified (non-memoised) engine simulation.
 	Job = experiment.Job
 	// JobEvent describes one engine job to instrumentation hooks.
